@@ -55,8 +55,8 @@ int main() {
     for (size_t bound : {6u, 10u, 14u, 20u}) {
       SnippetOptions options;
       options.size_bound = bound;
-      SnippetGenerator generator(&db);
-      auto plain = generator.GenerateAll(query, *results, options);
+      SnippetService service(&db);
+      auto plain = service.GenerateBatch(query, *results, options, BatchOptions{});
       if (!plain.ok()) return 1;
       DiversifyOptions diversify;
       diversify.commonality_penalty = 1.5;

@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "datagen/random_xml.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace {
 
@@ -41,11 +41,11 @@ Fixture MakeFixture(size_t entities) {
 
 void BM_SnippetVsResultSize(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<size_t>(state.range(0)));
-  SnippetGenerator generator(&f.db);
+  SnippetService service(&f.db);
   SnippetOptions options;
   options.size_bound = 20;
   for (auto _ : state) {
-    auto snippet = generator.Generate(f.query, f.result, options);
+    auto snippet = service.Generate(f.query, f.result, options);
     benchmark::DoNotOptimize(snippet);
   }
   state.counters["result_nodes"] =

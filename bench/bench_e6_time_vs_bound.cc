@@ -7,7 +7,7 @@
 
 #include "bench_util.h"
 #include "datagen/retailer_dataset.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace {
 
@@ -22,11 +22,11 @@ void BM_SnippetVsBound(benchmark::State& state) {
     state.SkipWithError("no results");
     return;
   }
-  SnippetGenerator generator(&db);
+  SnippetService service(&db);
   SnippetOptions options;
   options.size_bound = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto snippet = generator.Generate(query, results->front(), options);
+    auto snippet = service.Generate(query, results->front(), options);
     benchmark::DoNotOptimize(snippet);
   }
 }

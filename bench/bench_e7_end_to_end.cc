@@ -364,12 +364,12 @@ void WriteCacheBenchJson(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_search.json: sequential vs sharded corpus search over a
-// multi-document synthetic corpus, across thread counts.
+// BENCH_search.json: corpus search (the SearchAll document loop) over a
+// multi-document synthetic corpus, plus the single-huge-document partition
+// sweep.
 
 void WriteSearchBenchJson(const std::string& path) {
-  // Sized so per-document search+rank work dominates task dispatch by a
-  // couple of orders of magnitude — the regime sharding is for.
+  // Sized so per-document search+rank work dominates per-call overhead.
   bench::SyntheticCorpusOptions corpus_options;
   corpus_options.num_documents = 8;
   corpus_options.entities_per_parent = 24;
@@ -377,8 +377,7 @@ void WriteSearchBenchJson(const std::string& path) {
   XmlCorpus corpus = bench::MakeSyntheticCorpus(corpus_options, &xml_bytes);
 
   // Queries drawn from one document's workload; the shared value vocabulary
-  // of the generator makes them hit most documents — the cross-corpus load
-  // sharded SearchAll exists for.
+  // of the generator makes them hit most documents.
   const XmlDatabase* db0 = corpus.Find("doc00");
   WorkloadOptions wopts;
   wopts.num_queries = 6;
@@ -387,51 +386,20 @@ void WriteSearchBenchJson(const std::string& path) {
   auto workload = GenerateWorkload(*db0, wopts);
   XSeekEngine engine;
 
-  auto search_pass = [&](const CorpusServingOptions& serving, size_t* hits) {
+  size_t hits = 0;
+  double sequential_us = bench::MeasureMicros([&] {
     size_t total = 0;
     for (const Query& q : workload) {
-      auto results = corpus.SearchAll(q, engine, RankingOptions{}, serving);
+      auto results = corpus.SearchAll(q, engine);
       benchmark::DoNotOptimize(results);
       if (results.ok()) total += results->size();
     }
-    if (hits != nullptr) *hits = total;
-  };
-
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;  // the plain document loop, no pool
-  size_t hits = 0;
-  double sequential_us =
-      bench::MeasureMicros([&] { search_pass(sequential, &hits); });
-
-  // Sanity: the sharded page must be byte-identical to the sequential one
-  // (the test suite asserts this exhaustively; the bench cross-checks so a
-  // regression can never hide behind a fast-but-wrong number).
-  bool identical = true;
-  for (const Query& q : workload) {
-    auto seq = corpus.SearchAll(q, engine, RankingOptions{}, sequential);
-    CorpusServingOptions sharded;
-    sharded.search_threads = 4;
-    auto par = corpus.SearchAll(q, engine, RankingOptions{}, sharded);
-    if (!seq.ok() || !par.ok() || seq->size() != par->size()) {
-      identical = false;
-      break;
-    }
-    for (size_t i = 0; i < seq->size(); ++i) {
-      if ((*seq)[i].document != (*par)[i].document ||
-          (*seq)[i].result.root != (*par)[i].result.root ||
-          (*seq)[i].score != (*par)[i].score) {
-        identical = false;
-        break;
-      }
-    }
-  }
-  if (!identical) {
-    std::fprintf(stderr, "sharded SearchAll diverged from sequential!\n");
-  }
+    hits = total;
+  });
 
   bench::JsonWriter json;
   json.BeginObject();
-  json.Key("experiment").Value(std::string("corpus_search_sharded"));
+  json.Key("experiment").Value(std::string("corpus_search"));
   json.Key("corpus").BeginObject();
   json.Key("documents").Value(corpus_options.num_documents);
   json.Key("xml_bytes_total").Value(xml_bytes);
@@ -439,30 +407,11 @@ void WriteSearchBenchJson(const std::string& path) {
   json.Key("queries").Value(workload.size());
   json.Key("hits").Value(hits);
   json.Key("hardware_threads").Value(ThreadPool::ConfiguredThreads());
-  json.Key("results_identical_to_sequential")
-      .Value(static_cast<size_t>(identical ? 1 : 0));
   json.Key("sequential_us").Value(sequential_us);
-  json.Key("sharded").BeginArray();
-  for (size_t threads : {1, 2, 4, 8}) {
-    CorpusServingOptions serving;
-    serving.search_threads = threads;
-    bench::LatencyPercentiles pct = bench::MeasurePercentilesMicros(
-        [&] { search_pass(serving, nullptr); });
-    double us = pct.min_us;
-    json.BeginObject();
-    json.Key("threads").Value(threads);
-    json.Key("us").Value(us);
-    bench::WritePercentiles(json, pct);
-    json.Key("speedup").Value(us > 0.0 ? sequential_us / us : 0.0);
-    json.Key("queries_per_s")
-        .Value(us > 0.0 ? workload.size() / (us / 1e6) : 0.0);
-    json.EndObject();
-  }
-  json.EndArray();
 
   // -------------------------------------------------------------------
   // The single-huge-document scenario: one document, 100k+ nodes — the
-  // corpus-sharding blind spot intra-document index partitions exist for.
+  // case intra-document index partitions exist for.
   // `partitions=1` (an engine pinned to one thread) is the reference; the
   // partition-parallel engine must produce identical pages and, on a
   // multi-core runner, a >= 2x end-to-end speedup at 4 threads.

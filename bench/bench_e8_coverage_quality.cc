@@ -22,7 +22,7 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "snippet/baselines.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 #include "textsnippet/text_snippet.h"
 
 namespace {
@@ -81,7 +81,7 @@ int main() {
     std::vector<std::vector<std::string>> table;
     table.push_back({"bound", "greedy", "exact", "bfs-trunc", "match-paths",
                      "text-window", "|IList|"});
-    SnippetGenerator generator(&db);
+    SnippetService service(&db);
     for (size_t bound : {4u, 6u, 8u, 12u, 16u, 24u}) {
       double greedy_sum = 0, exact_sum = 0, bfs_sum = 0, paths_sum = 0,
              text_sum = 0;
@@ -92,7 +92,7 @@ int main() {
         SnippetOptions options;
         options.size_bound = bound;
         options.features.max_features = 6;
-        auto pipeline_snippet = generator.Generate(query, result, options);
+        auto pipeline_snippet = service.Generate(query, result, options);
         if (!pipeline_snippet.ok()) return 1;
         const IList& ilist = pipeline_snippet->ilist;
         ilist_size = ilist.size();

@@ -23,7 +23,7 @@
 #include "datagen/random_xml.h"
 #include "datagen/retailer_dataset.h"
 #include "snippet/dominant_features.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace {
 

@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "datagen/retailer_dataset.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 int main() {
   using namespace extract;
@@ -25,11 +25,11 @@ int main() {
     return 1;
   }
 
-  SnippetGenerator generator(&db);
+  SnippetService service(&db);
   for (size_t bound : {6, 12, 21}) {
     SnippetOptions options;
     options.size_bound = bound;
-    auto snippet = generator.Generate(query, results->front(), options);
+    auto snippet = service.Generate(query, results->front(), options);
     if (!snippet.ok()) {
       std::fprintf(stderr, "snippet failed: %s\n",
                    snippet.status().ToString().c_str());
@@ -45,7 +45,7 @@ int main() {
   options.size_bound = 21;
   volatile size_t sink = 0;
   double us = bench::MeasureMicros([&] {
-    auto snippet = generator.Generate(query, results->front(), options);
+    auto snippet = service.Generate(query, results->front(), options);
     sink += snippet->edges();
   });
   (void)sink;

@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "datagen/retailer_dataset.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 int main() {
   using namespace extract;
@@ -24,8 +24,8 @@ int main() {
     std::fprintf(stderr, "unexpected results\n");
     return 1;
   }
-  SnippetGenerator generator(&db);
-  auto snippet = generator.Generate(query, results->front(), SnippetOptions{});
+  SnippetService service(&db);
+  auto snippet = service.Generate(query, results->front(), SnippetOptions{});
   if (!snippet.ok()) return 1;
 
   const std::string paper =

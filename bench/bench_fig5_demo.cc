@@ -11,7 +11,7 @@
 
 #include "bench_util.h"
 #include "datagen/stores_dataset.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 #include "textsnippet/text_snippet.h"
 
 int main() {
@@ -25,14 +25,14 @@ int main() {
   std::printf("results: %zu (paper: 2 — Levis and ESprit)\n\n",
               results->size());
 
-  SnippetGenerator generator(&db);
+  SnippetService service(&db);
   for (size_t bound : {6, 10}) {
     std::printf("---- snippet size bound %zu ----\n", bound);
     SnippetOptions options;
     options.size_bound = bound;
     size_t rank = 1;
     for (const QueryResult& result : *results) {
-      auto snippet = generator.Generate(query, result, options);
+      auto snippet = service.Generate(query, result, options);
       if (!snippet.ok()) return 1;
       std::printf("result %zu [key: %s] (%zu edges, %zu/%zu items)\n%s",
                   rank++, snippet->key.value.c_str(), snippet->edges(),

@@ -12,10 +12,13 @@ current (matched by its JSON path):
     baseline by more than the tolerance;
   * keys ending in `_per_s` or named `speedup` are throughputs — warn when
     current falls below baseline by more than the tolerance;
-  * every `results_identical*` key (`results_identical_to_sequential`,
-    `results_identical_to_partitions1`, ...) and every `constraint_*` key
-    (e.g. `constraint_ttfs_below_batch`: a stream's first snippet must beat
-    its own collector) must stay 1 — correctness, not perf;
+  * every `results_identical*` key (`results_identical_to_partitions1`,
+    `results_identical_http`, ...) and every `constraint_*` key (e.g.
+    `constraint_ttfs_below_batch`: a stream's first snippet must beat its
+    own collector) must stay 1 — correctness, not perf. Such a key present
+    in the baseline must also be present in the current run: a check that
+    silently stops being emitted is an error, not a pass. Dropping one on
+    purpose means refreshing that baseline file;
   * other numerics (counts, sizes) are reported when they drift, as context.
 
 Speedup keys are skipped when either run's `hardware_threads` is below 2:
@@ -112,6 +115,12 @@ def compare_file(name, baseline, current, tolerance, skip_speedup):
                                 f"({ratio:.2f}x of baseline)")
         elif kind == "info" and ratio not in (1.0,) and abs(ratio - 1) > 1e-9:
             notes.append(f"{name}: {path} changed {b:g} -> {c:g}")
+    for path in sorted(base.keys() - cur.keys()):
+        if leaf_kind(path) == "correctness":
+            errors.append(f"{name}: {path} is missing from the current run "
+                          "(a strict check the baseline carries stopped "
+                          "being emitted; refresh the baseline if that is "
+                          "intended)")
     return warnings, notes, errors
 
 
@@ -129,9 +138,9 @@ def main(argv=None):
                         help="exit non-zero when a perf (latency/throughput) "
                              "warning fires")
     parser.add_argument("--no-strict-correctness", action="store_true",
-                        help="downgrade results_identical* violations to "
-                             "warnings (local experiments only; CI keeps "
-                             "correctness strict)")
+                        help="downgrade results_identical* / constraint_* "
+                             "violations and missing keys to warnings (local "
+                             "experiments only; CI keeps correctness strict)")
     parser.add_argument("--no-strict-perf", action="store_true",
                         help="keep latency/throughput warn-only even when "
                              "baseline and current share a runner_class tag")

@@ -2,7 +2,8 @@
 """Unit tests for check_perf.py's gating logic, in particular the
 runner-class rule: latency/throughput drift is warn-only across machine
 classes but strict when baseline and current carry the same non-empty
-`runner_class` tag — and correctness keys are strict either way.
+`runner_class` tag — and correctness keys are strict either way, including
+when a baseline's correctness key is missing from the current run.
 
 Run directly (`python3 bench/check_perf_test.py`) or via ctest.
 """
@@ -118,6 +119,31 @@ class GateTest(unittest.TestCase):
             self.run_gate(self.doc(100.0, runner_class="ci"),
                           self.doc(300.0, runner_class="ci"),
                           ["--no-strict-correctness"]), 1)
+
+    def test_missing_correctness_keys_fail(self):
+        baseline = self.doc()
+        baseline["nested"] = {"constraint_ttfs_below_batch": 1}
+        current = self.doc()
+        del current["results_identical_http"]
+        self.assertEqual(self.run_gate(baseline, current), 1)
+        current = self.doc()
+        self.assertEqual(self.run_gate(baseline, current), 1)
+
+    def test_no_strict_correctness_downgrades_missing_keys(self):
+        current = self.doc()
+        del current["results_identical_http"]
+        self.assertEqual(
+            self.run_gate(self.doc(), current, ["--no-strict-correctness"]), 0)
+
+    def test_missing_non_correctness_keys_pass(self):
+        current = self.doc()
+        del current["http_json"]
+        self.assertEqual(self.run_gate(self.doc(), current, ["--strict"]), 0)
+
+    def test_correctness_key_new_in_current_passes(self):
+        current = self.doc()
+        current["constraint_new"] = 1
+        self.assertEqual(self.run_gate(self.doc(), current), 0)
 
     def test_clean_run_passes_strict(self):
         self.assertEqual(

@@ -18,7 +18,7 @@
 //                                   only selection + materialize re-run
 //   query <keywords...>             search + snippets (active data set)
 //   queryall <keywords...>          search every loaded data set, ranked
-//                                   (sharded parallel SearchAll)
+//                                   (SearchAll + parallel snippet batch)
 //   stream <keywords...>            queryall, but incremental top-k: print
 //                                   each snippet the moment its slot
 //                                   completes, while lower ranks are still
@@ -67,8 +67,8 @@
 #include "search/result_builder.h"
 #include "search/snapshot.h"
 #include "snippet/distinguishability.h"
-#include "snippet/pipeline.h"
 #include "snippet/snippet_context.h"
+#include "snippet/snippet_service.h"
 #include "snippet/stage_stats.h"
 #include "xml/serializer.h"
 

@@ -131,7 +131,7 @@ class TaskGroup {
 /// \brief The process-wide serving pool: ConfiguredThreads() workers,
 /// created lazily on first use and never torn down (serving paths outlive
 /// any scoped owner). ParallelFor fans out on this pool, so per-query
-/// parallel work (sharded corpus search, partition-parallel scans, batch
+/// parallel work (top-k producer pulls, partition-parallel scans, batch
 /// snippet generation) pays a task submit, not a thread spawn.
 ThreadPool& SharedThreadPool();
 

@@ -55,8 +55,11 @@ namespace extract {
 struct QueryServiceOptions {
   RankingOptions ranking;
   SnippetOptions snippet;
-  /// Search sharding knobs; `page_size` here is ignored (the request's
-  /// `page_size`/`gated` parameters decide the serving mode per request).
+  /// Only `serving.budget` is read: it is each request's default budget
+  /// (the request's max_nodes / max_bytes override it). The request's
+  /// `page_size`/`gated` parameters decide the serving mode, and the gated
+  /// path pulls its search sequentially, so `search_threads` and
+  /// `page_size` here are ignored.
   CorpusServingOptions serving;
   /// Stream producer width (StreamOptions::num_threads).
   size_t stream_threads = 0;

@@ -17,8 +17,7 @@ IndexPartitions IndexPartitions::Build(const IndexedDocument& doc,
   IndexPartitions out;
   out.bounds_.clear();
   out.bounds_.reserve(count + 1);
-  // Even split, remainder spread over the first partitions — the same
-  // contiguous-range formula the corpus uses for document shards.
+  // Even split: partition p is [p*n/count, (p+1)*n/count).
   for (size_t p = 0; p <= count; ++p) {
     out.bounds_.push_back(static_cast<NodeId>(p * n / count));
   }

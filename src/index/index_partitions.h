@@ -1,7 +1,7 @@
 // Index partitions: the intra-document shard axis.
 //
-// Documents are the corpus-level shard axis (search/corpus.h); one giant
-// document still serializes every scan that walks its node interval. An
+// Corpus search walks its documents one by one (search/corpus.h); one
+// giant document would serialize every scan that walks its node interval. An
 // IndexPartitions splits the pre-order node range [0, num_nodes) of one
 // IndexedDocument into contiguous partitions at load time, so the
 // single-document hot paths — SLCA posting traversal, the snippet

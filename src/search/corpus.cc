@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <utility>
 
 #include "common/fault.h"
@@ -18,9 +17,8 @@ namespace extract {
 namespace {
 
 /// The merged-page order: best score first, ties by document name, then
-/// document order. A strict weak ordering shared by the sequential sort,
-/// the sharded merge and the top-k bound-merge, so all produce the same
-/// page.
+/// document order. A strict weak ordering shared by SearchAll's sort and
+/// the top-k bound-merge, so both produce the same page.
 bool CorpusHitBefore(const CorpusResult& a, const CorpusResult& b) {
   if (a.score != b.score) return a.score > b.score;
   if (a.document != b.document) return a.document < b.document;
@@ -164,6 +162,9 @@ class TopKCoordinator {
   /// Bound to the gated stream when serving; empty (every call a no-op)
   /// under blocking SearchTopK.
   StreamGate gate;
+
+  /// The page length this coordinator settles at most.
+  size_t k() const { return k_; }
 
   /// Opens one producer per visible document of the pinned view, in name
   /// order, faulting snapshot-backed documents in on the way. The view must
@@ -660,21 +661,19 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
 
 Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
     const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking, const CorpusServingOptions& serving,
+    const RankingOptions& ranking, const CorpusServingOptions& /*serving*/,
     const CorpusPin& pin) const {
   const auto start = std::chrono::steady_clock::now();
 
-  // Enumerate the visible documents in name order — the order the
-  // sequential loop visits, the shard partition axis, and the merge
-  // tie-break. The pinned view is immutable, so entries are stable for the
-  // whole call; snapshot-backed documents are NOT faulted in yet.
+  // Enumerate the visible documents in name order — the loop order and the
+  // page's tie-break. The pinned view is immutable, so entries are stable
+  // for the whole call; snapshot-backed documents are NOT faulted in yet.
   std::vector<CorpusView::DocEntry> entries = pin->VisibleDocs();
 
   // Under AND keyword semantics, snapshot documents that provably cannot
-  // match (MayMatch straight off the mapped token arena) are dropped before
-  // sharding — never faulted in, never searched. The merged page is
-  // unchanged: dropped documents contribute no hits, and the shard grid
-  // only ever changes latency, not results.
+  // match (MayMatch straight off the mapped token arena) are dropped up
+  // front — never faulted in, never searched. The page is unchanged:
+  // dropped documents contribute no hits.
   if (pin->snapshot != nullptr && engine.RequiresAllKeywords()) {
     CorpusSnapshot::QueryFilter filter(query);
     std::erase_if(entries, [&](const CorpusView::DocEntry& entry) {
@@ -682,156 +681,28 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
              !pin->snapshot->MayMatch(entry.snapshot_index, filter);
     });
   }
-  const size_t n = entries.size();
 
-  size_t shards = serving.max_shards == 0 ? n : std::min(n, serving.max_shards);
-
-  // Axis composition under the one serving budget: the document axis fans
-  // out at most min(shards, threads) wide; the intra-document partition
-  // axis — the engine's own internal parallelism, which it must advertise
-  // via ParallelizesWithinDocument — only engages when the engine runs on
-  // the calling thread, since parallel regions issued from pool tasks run
-  // inline. Trade document sharding away only when the document axis
-  // cannot even fill the budget (fewer documents than threads) AND the
-  // engine can actually go wider inside a document: then the sequential
-  // document loop lets every core work inside each document (the extreme:
-  // one giant partitioned document). Corpora with documents to spare — or
-  // engines without intra-document parallelism — shard over documents
-  // exactly as before. Results are byte-identical either way.
-  const size_t effective_threads = serving.search_threads == 0
-                                       ? ThreadPool::ConfiguredThreads()
-                                       : serving.search_threads;
-  // Axis preference only consults databases that are already in memory
-  // (overlay, or resident snapshot documents) — the heuristic is
-  // latency-only, and faulting a corpus in to pick a schedule would defeat
-  // lazy loading. Unfaulted documents default to the document axis.
-  size_t max_engine_partitions = 1;
+  std::vector<CorpusResult> out;
   for (const CorpusView::DocEntry& entry : entries) {
-    const XmlDatabase* db = nullptr;
-    if (entry.overlay != nullptr) {
-      db = entry.overlay->db.get();
-    } else if (const CorpusSnapshot::SnapshotDocument* doc =
-                   pin->snapshot->ResidentOrNull(entry.snapshot_index)) {
-      db = doc->db.get();
-    }
-    if (db != nullptr && engine.ParallelizesWithinDocument(*db)) {
-      max_engine_partitions =
-          std::max(max_engine_partitions, db->partitions().count());
-    }
-  }
-  const size_t document_width = std::min(shards, effective_threads);
-  const size_t partition_width =
-      std::min(max_engine_partitions, effective_threads);
-  const bool prefer_partition_axis =
-      n <= effective_threads && partition_width > document_width;
-
-  if (n <= 1 || shards <= 1 || serving.search_threads == 1 ||
-      prefer_partition_axis) {
-    // Sequential fallback: the plain document loop, no pool. This is the
-    // reference path the sharded one must reproduce byte-for-byte.
-    std::vector<CorpusResult> out;
-    for (const CorpusView::DocEntry& entry : entries) {
-      Result<ResolvedDocument> doc = pin->Materialize(entry);
-      if (!doc.ok()) {
-        stage_stats_.Record("search", ElapsedNsSince(start));
-        return doc.status();
-      }
-      const XmlDatabase& db = **doc->db;
-      Result<std::vector<QueryResult>> searched = engine.Search(db, query);
-      if (!searched.ok()) {
-        stage_stats_.Record("search", ElapsedNsSince(start));
-        return searched.status();
-      }
-      for (RankedResult& ranked : RankResults(db, *searched, ranking)) {
-        out.push_back(CorpusResult{std::string(entry.name),
-                                   std::move(ranked.result), ranked.score});
-      }
-    }
-    std::stable_sort(out.begin(), out.end(), CorpusHitBefore);
-    stage_stats_.Record("search", ElapsedNsSince(start));
-    return out;
-  }
-
-  // Sharded fan-out: shard s owns the contiguous name-order document range
-  // [s*n/shards, (s+1)*n/shards) and searches + ranks it as one task,
-  // leaving a run already sorted by CorpusHitBefore (stable sort of the
-  // in-order concatenation, exactly what the sequential path does to the
-  // whole corpus).
-  std::vector<std::vector<CorpusResult>> shard_out(shards);
-  std::vector<Status> doc_status(n);
-  ParallelFor(shards, serving.search_threads, [&](size_t s) {
-    const size_t begin = s * n / shards;
-    const size_t end = (s + 1) * n / shards;
-    std::vector<CorpusResult>& out = shard_out[s];
-    for (size_t d = begin; d < end; ++d) {
-      const CorpusView::DocEntry& entry = entries[d];
-      // Fault-in happens inside the shard task, so first-touch decode cost
-      // parallelizes across shards like the search itself.
-      Result<ResolvedDocument> doc = pin->Materialize(entry);
-      if (!doc.ok()) {
-        doc_status[d] = doc.status();
-        return;
-      }
-      const XmlDatabase& db = **doc->db;
-      Result<std::vector<QueryResult>> searched = engine.Search(db, query);
-      if (!searched.ok()) {
-        // Stop the shard at its first failure, like the sequential loop.
-        doc_status[d] = searched.status();
-        return;
-      }
-      for (RankedResult& ranked : RankResults(db, *searched, ranking)) {
-        out.push_back(CorpusResult{std::string(entry.name),
-                                   std::move(ranked.result), ranked.score});
-      }
-    }
-    std::stable_sort(out.begin(), out.end(), CorpusHitBefore);
-  });
-
-  // The sequential loop surfaces the error of the first failing document in
-  // name order; scan in the same order so the reported error is identical
-  // no matter which shards failed or finished first.
-  for (size_t d = 0; d < n; ++d) {
-    if (!doc_status[d].ok()) {
+    Result<ResolvedDocument> doc = pin->Materialize(entry);
+    if (!doc.ok()) {
       stage_stats_.Record("search", ElapsedNsSince(start));
-      return doc_status[d];
+      return doc.status();
+    }
+    const XmlDatabase& db = **doc->db;
+    Result<std::vector<QueryResult>> searched = engine.Search(db, query);
+    if (!searched.ok()) {
+      stage_stats_.Record("search", ElapsedNsSince(start));
+      return searched.status();
+    }
+    for (RankedResult& ranked : RankResults(db, *searched, ranking)) {
+      out.push_back(CorpusResult{std::string(entry.name),
+                                 std::move(ranked.result), ranked.score});
     }
   }
-
-  // K-way stable merge of the shard runs via a min-heap over the shard
-  // fronts — O(total · log shards), so a many-document corpus is not
-  // penalized by its own shard count. Smallest front wins; ties go to the
-  // lowest shard index (= earlier document names), which is exactly the
-  // relative order a stable sort of the full concatenation would keep.
-  size_t total = 0;
-  for (const std::vector<CorpusResult>& run : shard_out) total += run.size();
-  struct Front {
-    size_t shard;
-    size_t index;
-  };
-  auto worse = [&](const Front& a, const Front& b) {
-    const CorpusResult& hit_a = shard_out[a.shard][a.index];
-    const CorpusResult& hit_b = shard_out[b.shard][b.index];
-    if (CorpusHitBefore(hit_a, hit_b)) return false;
-    if (CorpusHitBefore(hit_b, hit_a)) return true;
-    return a.shard > b.shard;  // equivalent hits: earlier shard first
-  };
-  std::priority_queue<Front, std::vector<Front>, decltype(worse)> fronts(
-      worse);
-  for (size_t s = 0; s < shards; ++s) {
-    if (!shard_out[s].empty()) fronts.push(Front{s, 0});
-  }
-  std::vector<CorpusResult> merged;
-  merged.reserve(total);
-  while (!fronts.empty()) {
-    const Front front = fronts.top();
-    fronts.pop();
-    merged.push_back(std::move(shard_out[front.shard][front.index]));
-    if (front.index + 1 < shard_out[front.shard].size()) {
-      fronts.push(Front{front.shard, front.index + 1});
-    }
-  }
+  std::stable_sort(out.begin(), out.end(), CorpusHitBefore);
   stage_stats_.Record("search", ElapsedNsSince(start));
-  return merged;
+  return out;
 }
 
 Result<std::vector<CorpusResult>> XmlCorpus::SearchTopK(
@@ -851,8 +722,9 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchTopK(
   internal::TopKCoordinator coordinator(
       query, &engine, ranking, k, /*pull_width=*/effective_threads,
       /*parallel_pulls=*/serving.search_threads != 1);
+  // No reserve(k): k only caps the page, and callers pass unbounded k to
+  // drain the whole corpus. The page grows with what is actually released.
   std::vector<CorpusResult> page;
-  page.reserve(k);
   coordinator.on_release = [&page](CorpusResult&& hit) {
     page.push_back(std::move(hit));
   };
@@ -864,19 +736,27 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchTopK(
   return page;
 }
 
-/// Session-owned producer state of one streamed page. The compute closure
-/// and the finish hook read it through raw pointers; the ServingSession
-/// keeps the shared_ptr alive until both are done.
+/// Session-owned producer state of one streamed page. The compute closure,
+/// the release hook and the finish hook read it through raw pointers; the
+/// ServingSession keeps the shared_ptr alive until all of them are done.
 struct XmlCorpus::StreamPayload {
-  /// One service + context per distinct document with pending slots,
-  /// shared by all that document's hits — built at open, so a fully-warm
-  /// page pays no per-query context construction at all.
-  struct PerDocument {
+  /// Generation state of one document, shared by all of that document's
+  /// computed slots.
+  struct Generator {
     SnippetService service;
     SnippetContext context;
-    const XmlDatabase* db;  ///< for budget charging (subtree node counts)
-    PerDocument(const XmlDatabase* db, const Query& query)
-        : service(db), context(db, query), db(db) {}
+    Generator(const XmlDatabase* db, const Query& query)
+        : service(db), context(db, query) {}
+  };
+
+  /// One document the page references, resolved against the pinned view.
+  struct PerDocument {
+    const XmlDatabase* db = nullptr;
+    /// Everything of the cache key but the result root; set when caching.
+    SnippetCacheKeyPrefix key_prefix;
+    /// Built for the document's first slot that must compute, so a fully
+    /// warm page pays no per-query context construction at all.
+    std::unique_ptr<Generator> generator;
   };
 
   /// The view this page serves against. Held for the session's lifetime,
@@ -887,27 +767,23 @@ struct XmlCorpus::StreamPayload {
   /// ServeQuery owns its page here; StreamSnippets borrows the caller's.
   std::vector<CorpusResult> owned_page;
   const std::vector<CorpusResult>* page = nullptr;
-  std::map<std::string, std::unique_ptr<PerDocument>, std::less<>> documents;
-  /// Parallel to the page; only the pending slots' keys are used.
-  std::vector<SnippetCacheKey> keys;
   SnippetCache* cache = nullptr;
-
-  /// Guards `documents` under page-gated serving, where the release hook
-  /// inserts per-document state while compute closures look entries up
-  /// concurrently. Blocking-mode streams build the map before any producer
-  /// starts and never take it.
-  std::mutex docs_mu;
-  /// Page-gated serving: per-document cache-key prefixes, built lazily at
-  /// release time (only touched under the coordinator mutex).
-  std::map<std::string, SnippetCacheKeyPrefix, std::less<>> prefixes;
-  /// The search driver of a page-gated stream; null in blocking mode.
-  /// Owned here so releases, computes and the finish hook all outlive it.
-  /// Its compute closures probe/fill the cache per slot (slots are not
-  /// known at open), unlike the blocking path's open-time probe.
+  /// By document name. Written only at open or, under page-gated serving,
+  /// by the release hook with the coordinator mutex held; compute closures
+  /// never read the map, only the per-slot entries below.
+  std::map<std::string, PerDocument, std::less<>> documents;
+  /// Parallel to the page slots, each entry written before its slot turns
+  /// claimable (the gate's watermark publishes it). Slots served from the
+  /// cache at open keep a null generator and an empty key.
+  std::vector<Generator*> generators;
+  std::vector<SnippetCacheKey> keys;
+  /// The search driver of a page-gated stream; null when the page is known
+  /// at open. Owned here so releases, computes and the finish hook all
+  /// outlive it.
   std::unique_ptr<internal::TopKCoordinator> coordinator;
 
   /// Per-query resource caps (CorpusServingOptions::budget) plus the
-  /// charge counters the compute closures bump. Once one slot trips the
+  /// charge counters the compute closure bumps. Once one slot trips the
   /// node cap, every later charge fails too: emitted snippets stand, the
   /// rest of the page degrades to kResourceExhausted slot errors.
   QueryBudget budget;
@@ -932,101 +808,144 @@ struct XmlCorpus::StreamPayload {
     }
     return Status::OK();
   }
-};
 
-Result<ServingSession> XmlCorpus::OpenStream(
-    std::shared_ptr<StreamPayload> payload, const SnippetOptions& options,
-    const StreamOptions& stream) const {
-  const std::vector<CorpusResult>& page = *payload->page;
-  const size_t n = page.size();
-
-  // Resolve every document against the pinned view up front so an unknown
-  // name fails before any generation work starts — identically with and
-  // without a cache. Resolving against the pin (never the current view)
-  // keeps a page searched under epoch E serving under epoch E even if the
-  // documents were since removed.
-  std::map<std::string, ResolvedDocument, std::less<>> resolved;
-  for (size_t i = 0; i < n; ++i) {
-    const std::string& name = page[i].document;
-    if (resolved.find(name) != resolved.end()) continue;
-    Result<ResolvedDocument> doc = payload->pin->Resolve(name);
-    if (!doc.ok()) {
-      // Keep the historical message for the absent-name case (pinned by
-      // the batch-error goldens); fault-in failures report their own.
-      Status status =
-          doc.status().code() == StatusCode::kNotFound
-              ? Status::NotFound("unknown document '" + name + "'")
-              : doc.status();
-      return MakeBatchResultError(i, n, "", std::move(status));
+  /// The entry of document `name`, resolved against the pinned view (never
+  /// the current one) on first sight — so a page searched under epoch E
+  /// serves under epoch E even if the document was since removed.
+  Result<PerDocument*> Document(const std::string& name,
+                                const SnippetOptions& options) {
+    auto it = documents.find(name);
+    if (it == documents.end()) {
+      ResolvedDocument resolved;
+      EXTRACT_ASSIGN_OR_RETURN(resolved, pin->Resolve(name));
+      it = documents.emplace(name, PerDocument{}).first;
+      it->second.db = resolved.db->get();
+      // Keys carry the pinned registration's cache_id, so entries can
+      // never alias a different instance registered under the same name.
+      if (cache != nullptr) {
+        it->second.key_prefix =
+            MakeSnippetCacheKeyPrefix(*resolved.cache_id, query, options);
+      }
     }
-    resolved.emplace(name, *doc);
+    return &it->second;
   }
 
+  /// The cache key of `hit` (a hit of `doc`); empty when not caching.
+  SnippetCacheKey KeyOf(const PerDocument& doc, const CorpusResult& hit) const {
+    if (cache == nullptr) return SnippetCacheKey{};
+    return MakeSnippetCacheKey(doc.key_prefix, hit.result.root);
+  }
+
+  /// Readies `slot`, a hit of `doc`, to compute.
+  void Prepare(size_t slot, PerDocument& doc, SnippetCacheKey key) {
+    if (doc.generator == nullptr) {
+      doc.generator = std::make_unique<Generator>(doc.db, query);
+    }
+    generators[slot] = doc.generator.get();
+    keys[slot] = std::move(key);
+  }
+};
+
+Result<CorpusQueryStream> XmlCorpus::OpenStream(
+    std::shared_ptr<StreamPayload> payload, const SnippetOptions& options,
+    const StreamOptions& stream) const {
+  StreamPayload* state = payload.get();
+  internal::TopKCoordinator* coordinator = state->coordinator.get();
+  state->cache = snippet_cache_.get();
+
   StreamBuilder builder;
-  builder.total_slots = n;
   builder.options = stream;
-  builder.pending.reserve(n);
-  payload->cache = snippet_cache_.get();
-  if (snippet_cache_ != nullptr) {
-    payload->keys.reserve(n);
+  builder.total_slots =
+      coordinator != nullptr ? coordinator->k() : state->page->size();
+  state->generators.resize(builder.total_slots);
+  state->keys.resize(builder.total_slots);
+  builder.pending.reserve(builder.total_slots);
+
+  if (coordinator == nullptr) {
+    // The page is known now. Resolve every document before any generation
+    // work or cache probe, so an unknown name fails identically with and
+    // without a cache.
+    const std::vector<CorpusResult>& page = *state->page;
+    const size_t n = page.size();
+    std::vector<StreamPayload::PerDocument*> docs(n);
+    for (size_t i = 0; i < n; ++i) {
+      Result<StreamPayload::PerDocument*> doc =
+          state->Document(page[i].document, options);
+      if (!doc.ok()) {
+        // Keep the historical message for the absent-name case (pinned by
+        // the batch-error goldens); fault-in failures report their own.
+        Status status = doc.status().code() == StatusCode::kNotFound
+                            ? Status::NotFound("unknown document '" +
+                                               page[i].document + "'")
+                            : doc.status();
+        return MakeBatchResultError(i, n, "", std::move(status));
+      }
+      docs[i] = *doc;
+    }
     // Hits go live the moment the stream opens; `pending` keeps the miss
     // indices in increasing order, so collectors report the lowest failing
     // index of the full page (hits can never fail), matching uncached
-    // serving exactly. Signature prefixes are invariant per document
-    // within one page; build each once and append only the root per hit.
-    // Keys carry the pinned registration's cache_id, so entries can never
-    // alias a different instance registered under the same name.
-    std::map<std::string, SnippetCacheKeyPrefix, std::less<>> prefixes;
+    // serving exactly.
     for (size_t i = 0; i < n; ++i) {
-      const std::string& name = page[i].document;
-      auto it = prefixes.find(name);
-      if (it == prefixes.end()) {
-        it = prefixes
-                 .emplace(name, MakeSnippetCacheKeyPrefix(
-                                    *resolved.find(name)->second.cache_id,
-                                    payload->query, options,
-                                    DefaultSnippetStageTag()))
-                 .first;
+      SnippetCacheKey key = state->KeyOf(*docs[i], page[i]);
+      if (state->cache != nullptr) {
+        if (std::shared_ptr<const Snippet> hit = state->cache->Get(key)) {
+          builder.ready.push_back(SnippetEvent{i, hit->Clone()});
+          continue;
+        }
       }
-      SnippetCacheKey key =
-          MakeSnippetCacheKey(it->second, page[i].result.root);
-      if (std::shared_ptr<const Snippet> hit = snippet_cache_->Get(key)) {
-        builder.ready.push_back(SnippetEvent{i, hit->Clone()});
-        // Hit slots never reach compute — retain no key for them.
-        payload->keys.emplace_back();
-      } else {
-        builder.pending.push_back(i);
-        payload->keys.push_back(std::move(key));
-      }
+      state->Prepare(i, *docs[i], std::move(key));
+      builder.pending.push_back(i);
     }
   } else {
-    for (size_t i = 0; i < n; ++i) builder.pending.push_back(i);
+    // Page-gated: the stream opens before any searching happens, and each
+    // slot turns claimable when the coordinator releases it. Reserved up
+    // front: the release hook appends while compute closures index settled
+    // slots, which is only race-free because the buffer never reallocates.
+    state->owned_page.reserve(builder.total_slots);
+    for (size_t i = 0; i < builder.total_slots; ++i) {
+      builder.pending.push_back(i);
+    }
+    builder.advance = [coordinator] { return coordinator->AdvanceForStream(); };
+    builder.gate = &coordinator->gate;
+    coordinator->on_release = [state, options](CorpusResult&& hit) {
+      // Runs with the coordinator mutex held, in final page order. Cannot
+      // fail: the hit came out of a producer opened on this pinned view,
+      // so its document is overlay-registered or already resident.
+      const size_t slot = state->owned_page.size();
+      StreamPayload::PerDocument& doc =
+          **state->Document(hit.document, options);
+      state->Prepare(slot, doc, state->KeyOf(doc, hit));
+      state->owned_page.push_back(std::move(hit));
+    };
+    Status status = coordinator->Open(*state->pin);
+    if (!status.ok()) {
+      coordinator->RecordStageStats(stage_stats_);
+      return status;
+    }
   }
 
-  for (size_t slot : builder.pending) {
-    const std::string& name = page[slot].document;
-    if (payload->documents.find(name) != payload->documents.end()) continue;
-    payload->documents.emplace(
-        name, std::make_unique<StreamPayload::PerDocument>(
-                  resolved.find(name)->second.db->get(), payload->query));
-  }
-
-  StreamPayload* state = payload.get();
   builder.compute = [state, options](size_t slot) -> Result<Snippet> {
     const CorpusResult& hit = (*state->page)[slot];
-    StreamPayload::PerDocument& doc =
-        *state->documents.find(hit.document)->second;
-    // Only misses reach compute (hits went live at open, uncharged).
-    EXTRACT_RETURN_IF_ERROR(state->ChargeNodes(*doc.db, hit.result.root));
-    Result<Snippet> snippet =
-        doc.service.Generate(doc.context, hit.result, options);
-    if (!snippet.ok()) return snippet;
-    if (state->cache != nullptr) {
-      auto cached = std::make_shared<const Snippet>(std::move(*snippet));
-      snippet = cached->Clone();
-      state->cache->Put(state->keys[slot], std::move(cached));
+    // A page known at open probed the cache there (its hits never reach
+    // compute); gated slots were not known at open and probe now.
+    if (state->coordinator != nullptr && state->cache != nullptr) {
+      if (std::shared_ptr<const Snippet> cached =
+              state->cache->Get(state->keys[slot])) {
+        return cached->Clone();
+      }
     }
-    return snippet;
+    // Charged after the cache probe: the budget caps generation work and
+    // cache hits do none.
+    StreamPayload::Generator& gen = *state->generators[slot];
+    EXTRACT_RETURN_IF_ERROR(
+        state->ChargeNodes(*gen.service.db(), hit.result.root));
+    Result<Snippet> snippet =
+        gen.service.Generate(gen.context, hit.result, options);
+    if (!snippet.ok() || state->cache == nullptr) return snippet;
+    auto cached = std::make_shared<const Snippet>(std::move(*snippet));
+    state->cache->Put(state->keys[slot], cached);
+    return cached->Clone();
   };
 
   // The services are per-page, so their counters are exactly this page's
@@ -1034,17 +953,22 @@ Result<ServingSession> XmlCorpus::OpenStream(
   // session ends (even when a slot failed or the stream was cancelled —
   // the stages that did run still cost time). The contexts contribute the
   // partition-parallel scan attribution ("scan.*" pseudo-stages), the
-  // stream its own "stream.*" counters.
+  // stream its own "stream.*" counters, a gated page its search time.
   StageStatsRegistry* registry = &stage_stats_;
   builder.on_finish = [registry, state](const StreamStats& stats) {
     for (const auto& [name, doc] : state->documents) {
-      registry->Merge(doc->service.StageStatsSnapshot());
-      registry->Merge(doc->context.ScanStatsSnapshot());
+      if (doc.generator == nullptr) continue;
+      registry->Merge(doc.generator->service.StageStatsSnapshot());
+      registry->Merge(doc.generator->context.ScanStatsSnapshot());
     }
     MergeStreamStats(stats, *registry);
+    if (state->coordinator != nullptr) {
+      state->coordinator->RecordStageStats(*registry);
+    }
   };
   builder.payload = std::move(payload);
-  return std::move(builder).Open();
+  return CorpusQueryStream(std::move(builder).Open(), state->page, coordinator,
+                           &state->degraded, &state->nodes_visited);
 }
 
 Result<ServingSession> XmlCorpus::StreamSnippets(
@@ -1061,130 +985,15 @@ Result<ServingSession> XmlCorpus::StreamSnippets(
   payload->pin = pin;
   payload->query = query;
   payload->page = &corpus_results;
-  return OpenStream(std::move(payload), options, stream);
+  Result<CorpusQueryStream> opened =
+      OpenStream(std::move(payload), options, stream);
+  if (!opened.ok()) return opened.status();
+  return std::move(opened->session_);
 }
 
 TopKSearchStats CorpusQueryStream::SearchStats() const {
   if (coordinator_ == nullptr) return TopKSearchStats{};
   return coordinator_->StatsSnapshot();
-}
-
-Result<CorpusQueryStream> XmlCorpus::ServeTopK(
-    const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking, const CorpusServingOptions& serving,
-    const SnippetOptions& options, const StreamOptions& stream,
-    const CorpusPin& pin) const {
-  const size_t k = serving.page_size;
-  auto payload = std::make_shared<StreamPayload>();
-  payload->pin = pin;
-  payload->query = query;
-  payload->budget = serving.budget;
-  // Reserved up front: the release hook appends while compute closures
-  // index settled slots, which is only race-free because the buffer never
-  // reallocates (element writes are published by the gate's watermark).
-  payload->owned_page.reserve(k);
-  payload->page = &payload->owned_page;
-  payload->keys.resize(k);
-  payload->cache = snippet_cache_.get();
-  // Streamed steps pull sequentially (pull_width 1): a nested ParallelFor
-  // could wait on pool workers that are blocked on the coordinator mutex.
-  payload->coordinator = std::make_unique<internal::TopKCoordinator>(
-      query, &engine, ranking, k, /*pull_width=*/1, /*parallel_pulls=*/false);
-
-  StreamPayload* state = payload.get();
-  internal::TopKCoordinator* coordinator = payload->coordinator.get();
-  const SnippetOptions opts = options;
-  coordinator->on_release = [state, opts](CorpusResult&& hit) {
-    // Runs with the coordinator mutex held, in final page order. The slot's
-    // page entry, per-document state and cache key must all be in place
-    // before this returns — the gate releases the slot right after.
-    // Every resolution goes through the payload's pinned view: hit names
-    // come straight out of that view's producers, so the lookups cannot
-    // miss, and a concurrent removal publishing a new epoch changes
-    // nothing here.
-    const size_t slot = state->owned_page.size();
-    // Cannot fail: the hit came out of a producer the coordinator opened,
-    // so the document is overlay-registered or an already-resident
-    // snapshot document — Resolve is a pure lookup here.
-    const ResolvedDocument pinned_doc =
-        *state->pin->Resolve(hit.document);
-    {
-      std::lock_guard<std::mutex> lock(state->docs_mu);
-      if (state->documents.find(hit.document) == state->documents.end()) {
-        state->documents.emplace(
-            hit.document, std::make_unique<StreamPayload::PerDocument>(
-                              pinned_doc.db->get(), state->query));
-      }
-    }
-    if (state->cache != nullptr) {
-      auto it = state->prefixes.find(hit.document);
-      if (it == state->prefixes.end()) {
-        it = state->prefixes
-                 .emplace(hit.document,
-                          MakeSnippetCacheKeyPrefix(*pinned_doc.cache_id,
-                                                    state->query, opts,
-                                                    DefaultSnippetStageTag()))
-                 .first;
-      }
-      state->keys[slot] = MakeSnippetCacheKey(it->second, hit.result.root);
-    }
-    state->owned_page.push_back(std::move(hit));
-  };
-
-  Status status = coordinator->Open(*payload->pin);
-  if (!status.ok()) {
-    coordinator->RecordStageStats(stage_stats_);
-    return status;
-  }
-
-  StreamBuilder builder;
-  builder.total_slots = k;
-  builder.options = stream;
-  builder.pending.reserve(k);
-  for (size_t i = 0; i < k; ++i) builder.pending.push_back(i);
-  builder.advance = [coordinator] { return coordinator->AdvanceForStream(); };
-  builder.gate = &coordinator->gate;
-  builder.compute = [state, opts](size_t slot) -> Result<Snippet> {
-    const CorpusResult& hit = (*state->page)[slot];
-    StreamPayload::PerDocument* doc = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(state->docs_mu);
-      doc = state->documents.find(hit.document)->second.get();
-    }
-    if (state->cache != nullptr) {
-      if (std::shared_ptr<const Snippet> cached =
-              state->cache->Get(state->keys[slot])) {
-        return cached->Clone();
-      }
-    }
-    // Charged after the cache probe: the budget caps generation work and
-    // cache hits do none.
-    EXTRACT_RETURN_IF_ERROR(state->ChargeNodes(*doc->db, hit.result.root));
-    Result<Snippet> snippet =
-        doc->service.Generate(doc->context, hit.result, opts);
-    if (!snippet.ok()) return snippet;
-    if (state->cache != nullptr) {
-      auto cached = std::make_shared<const Snippet>(std::move(*snippet));
-      snippet = cached->Clone();
-      state->cache->Put(state->keys[slot], std::move(cached));
-    }
-    return snippet;
-  };
-  StageStatsRegistry* registry = &stage_stats_;
-  builder.on_finish = [registry, state](const StreamStats& stats) {
-    for (const auto& [name, doc] : state->documents) {
-      registry->Merge(doc->service.StageStatsSnapshot());
-      registry->Merge(doc->context.ScanStatsSnapshot());
-    }
-    MergeStreamStats(stats, *registry);
-    state->coordinator->RecordStageStats(*registry);
-  };
-  const std::vector<CorpusResult>* page_ptr = &payload->owned_page;
-  builder.payload = std::move(payload);
-  CorpusQueryStream qs(std::move(builder).Open(), page_ptr, coordinator);
-  qs.degraded_ = &state->degraded;
-  qs.nodes_visited_ = &state->nodes_visited;
-  return qs;
 }
 
 Result<CorpusQueryStream> XmlCorpus::ServeQuery(
@@ -1200,27 +1009,24 @@ Result<CorpusQueryStream> XmlCorpus::ServeQuery(
     const RankingOptions& ranking, const CorpusServingOptions& serving,
     const SnippetOptions& options, const StreamOptions& stream,
     const CorpusPin& pin) const {
-  if (serving.page_size > 0) {
-    return ServeTopK(query, engine, ranking, serving, options, stream, pin);
-  }
-  Result<std::vector<CorpusResult>> page =
-      SearchAll(query, engine, ranking, serving, pin);
-  if (!page.ok()) return page.status();
   auto payload = std::make_shared<StreamPayload>();
   payload->pin = pin;
   payload->query = query;
   payload->budget = serving.budget;
-  payload->owned_page = std::move(*page);
   payload->page = &payload->owned_page;
-  const std::vector<CorpusResult>* page_ptr = &payload->owned_page;
-  StreamPayload* state = payload.get();
-  Result<ServingSession> session =
-      OpenStream(std::move(payload), options, stream);
-  if (!session.ok()) return session.status();
-  CorpusQueryStream qs(std::move(*session), page_ptr);
-  qs.degraded_ = &state->degraded;
-  qs.nodes_visited_ = &state->nodes_visited;
-  return qs;
+  if (serving.page_size > 0) {
+    // Streamed steps pull sequentially (pull_width 1): a nested ParallelFor
+    // could wait on pool workers that are blocked on the coordinator mutex.
+    payload->coordinator = std::make_unique<internal::TopKCoordinator>(
+        query, &engine, ranking, serving.page_size, /*pull_width=*/1,
+        /*parallel_pulls=*/false);
+  } else {
+    Result<std::vector<CorpusResult>> page =
+        SearchAll(query, engine, ranking, serving, pin);
+    if (!page.ok()) return page.status();
+    payload->owned_page = std::move(*page);
+  }
+  return OpenStream(std::move(payload), options, stream);
 }
 
 Result<CorpusQueryStream> XmlCorpus::ServeQuery(

@@ -36,20 +36,22 @@
 //     repopulate entries of the OLD instance — harmless residue that no
 //     new epoch's keys can ever alias, aged out by the LRU.
 //
-// Query evaluation is sharded (CorpusServingOptions): documents are
-// partitioned into shards, each shard searches and ranks its documents as
-// one thread-pool task, and the per-shard ranked runs are k-way
-// stable-merged — the merged page is byte-identical to the sequential loop,
-// shard count and scheduling only change latency. Per-stage serving time
-// (search plus every snippet pipeline stage) accumulates into a
-// StageStatsRegistry for production observability (the shell's `stats`
-// command).
+// Query evaluation has two schedules of one answer: SearchAll is the plain
+// document loop (search and rank each document in name order, then one
+// stable sort), and SearchTopK is the incremental threshold merge that
+// settles the first k entries of that same page with early termination.
+// Intra-document parallelism is the engine's own (index partitions, see
+// SearchOptions::partition_threads). Per-stage serving time (search plus
+// every snippet pipeline stage) accumulates into a StageStatsRegistry for
+// production observability (the shell's `stats` command).
 //
-// Snippet serving is streaming-first (snippet/snippet_stream.h): ServeQuery
-// searches + ranks, then emits one snippet per page slot as it completes
-// (cache hits the moment the stream opens); GenerateSnippets is the batch
-// collector over the same stream (StreamSnippets), byte-identical to the
-// historical parallel batch loop. Every serving entry point has a
+// Snippet serving is streaming-first (snippet/snippet_stream.h): every
+// streamed page — StreamSnippets over a caller's page, blocking ServeQuery
+// over the SearchAll page, page-gated ServeQuery over the slots SearchTopK
+// releases — opens through one path with one compute closure. Cache hits
+// of a page known at open are emitted the moment the stream opens; gated
+// slots probe the cache when they compute. GenerateSnippets is the batch
+// collector over the same stream. Every serving entry point has a
 // pin-taking overload; the pin-less ones pin the current view themselves.
 
 #ifndef EXTRACT_SEARCH_CORPUS_H_
@@ -195,22 +197,6 @@ struct TopKSearchStats {
   bool early_terminated = false;
 };
 
-/// \brief How SearchAll distributes query evaluation over the corpus.
-///
-/// Defaults parallelize: one shard per document, one thread per configured
-/// core. Results never depend on these knobs — only latency does. The
-/// engine is shared across shards, so SearchEngine::Search must tolerate
-/// concurrent calls (see its contract); pin search_threads to 1 for an
-/// engine that cannot.
-///
-/// Two shard axes compose under this one budget: documents (this struct)
-/// and index partitions *within* each document (built at load per
-/// LoadOptions::partitioning; exploited by the engine, see
-/// SearchOptions::partition_threads). SearchAll picks the wider axis per
-/// corpus shape: small-many corpora fan out over document shards (nested
-/// partition regions then run inline on the pool workers), huge-few
-/// corpora run the document loop on the calling thread so the engine's
-/// partition parallelism gets the whole pool.
 /// \brief Per-query resource caps — the degraded-response failure domain.
 ///
 /// A query that exceeds a cap is not killed: the slot that trips emits
@@ -229,20 +215,19 @@ struct QueryBudget {
   size_t max_output_bytes = 0;
 };
 
+/// \brief Serving knobs of one corpus query.
 struct CorpusServingOptions {
-  /// Worker threads searching shards: 0 = one per configured core
-  /// (EXTRACT_POOL_THREADS overrides hardware_concurrency), 1 = the
-  /// sequential fallback (searches on the calling thread, no pool).
+  /// Pull width of SearchTopK's threshold merge: 0 = one per configured
+  /// core (EXTRACT_POOL_THREADS overrides hardware_concurrency), 1 = fully
+  /// sequential pulls on the calling thread. Nothing else reads it:
+  /// SearchAll is the sequential document loop, and page-gated ServeQuery
+  /// pulls sequentially on its stream threads. Parallel pulls call into
+  /// the engine concurrently (see SearchEngine::Search); pin this to 1 for
+  /// an engine that cannot take that.
   size_t search_threads = 0;
 
   /// Per-query resource caps; default-constructed = unlimited.
   QueryBudget budget;
-
-  /// Upper bound on the number of shards the documents are partitioned
-  /// into (contiguous runs in document-name order). 0 = one shard per
-  /// document, the finest grain; smaller values batch documents per task
-  /// to cut per-task overhead on huge corpora.
-  size_t max_shards = 0;
 
   /// Page size of incremental top-k serving (ServeQuery only): 0 keeps the
   /// blocking search-then-stream path; > 0 serves the best page_size hits
@@ -292,36 +277,32 @@ class CorpusQueryStream {
   /// True once any slot tripped the QueryBudget node-visit cap: the stream
   /// still drains (later slots emit kResourceExhausted) and everything
   /// emitted before the trip stands — a truncated page, not a failed one.
-  bool degraded() const {
-    return degraded_ != nullptr &&
-           degraded_->load(std::memory_order_relaxed);
-  }
+  bool degraded() const { return degraded_->load(std::memory_order_relaxed); }
 
   /// Indexed nodes charged against QueryBudget::max_node_visits so far.
   size_t nodes_visited() const {
-    return nodes_visited_ == nullptr
-               ? 0
-               : nodes_visited_->load(std::memory_order_relaxed);
+    return nodes_visited_->load(std::memory_order_relaxed);
   }
 
  private:
   friend class XmlCorpus;
   CorpusQueryStream(ServingSession session,
-                    const std::vector<CorpusResult>* page)
-      : CorpusQueryStream(std::move(session), page, nullptr) {}
-  CorpusQueryStream(ServingSession session,
                     const std::vector<CorpusResult>* page,
-                    internal::TopKCoordinator* coordinator)
-      : session_(std::move(session)), page_(page), coordinator_(coordinator) {}
+                    internal::TopKCoordinator* coordinator,
+                    const std::atomic<bool>* degraded,
+                    const std::atomic<size_t>* nodes_visited)
+      : session_(std::move(session)),
+        page_(page),
+        coordinator_(coordinator),
+        degraded_(degraded),
+        nodes_visited_(nodes_visited) {}
 
   ServingSession session_;
-  const std::vector<CorpusResult>* page_;  ///< owned by session_'s payload
-  /// Owned by session_'s payload; null for blocking-mode streams.
-  internal::TopKCoordinator* coordinator_ = nullptr;
-  /// Budget telemetry, owned by session_'s payload; null when the serving
-  /// path carries no budget (XmlCorpus wires them after construction).
-  const std::atomic<bool>* degraded_ = nullptr;
-  const std::atomic<size_t>* nodes_visited_ = nullptr;
+  // Everything below is owned by session_'s payload.
+  const std::vector<CorpusResult>* page_;
+  internal::TopKCoordinator* coordinator_;  ///< null for blocking mode
+  const std::atomic<bool>* degraded_;
+  const std::atomic<size_t>* nodes_visited_;
 };
 
 /// \brief A named collection of loaded databases with epoch-published
@@ -408,12 +389,12 @@ class XmlCorpus {
   /// \brief Searches every document and merges the hits best-score-first
   /// (ties: document name, then document order).
   ///
-  /// Evaluation is sharded per `serving`: each shard searches and ranks its
-  /// documents in one thread-pool task, and the shard runs are k-way
-  /// stable-merged into the final page. The merged vector is byte-identical
-  /// to the sequential document loop for every shard/thread combination,
-  /// and an engine failure reports exactly the error the sequential loop
-  /// would have hit first (lowest document in name order).
+  /// The sequential document loop on the calling thread: each document is
+  /// searched and ranked in name order, then the hits are stable-sorted
+  /// into the page. An engine failure reports the first failing document's
+  /// error. The engine may still parallelize inside a document across its
+  /// index partitions. No `serving` field applies to this loop; the
+  /// parameter keeps the overload set uniform with SearchTopK.
   ///
   /// The pin-taking overload searches exactly `pin`'s snapshot; the others
   /// pin the current view for the duration of the call.
@@ -441,16 +422,16 @@ class XmlCorpus {
   /// bound can still place a hit before it — documents whose bound never
   /// reaches the page are never fully enumerated. The returned page is
   /// byte-identical to SearchAll(...) truncated to its first k entries, for
-  /// every thread count, shard grid and engine that honors the
-  /// OpenIncremental contract; only the work done differs.
+  /// every thread count and engine that honors the OpenIncremental
+  /// contract; only the work done differs. Any k is valid, including
+  /// std::numeric_limits<size_t>::max() (the whole SearchAll page).
   ///
   /// serving.search_threads budgets the parallel pull width (1 = fully
-  /// sequential); serving.max_shards and page_size are ignored here —
-  /// producers are per document and `k` is explicit. k == 0 returns an
-  /// empty page without searching. A producer failure reports exactly the
-  /// error the sequential document loop would have hit first (lowest
-  /// failing document in name order), like SearchAll. `stats` (optional)
-  /// receives the search's cost counters.
+  /// sequential); page_size is ignored here — `k` is explicit. k == 0
+  /// returns an empty page without searching. A producer failure reports
+  /// exactly the error the sequential document loop would have hit first
+  /// (lowest failing document in name order), like SearchAll. `stats`
+  /// (optional) receives the search's cost counters.
   Result<std::vector<CorpusResult>> SearchTopK(
       const Query& query, const SearchEngine& engine,
       const RankingOptions& ranking, const CorpusServingOptions& serving,
@@ -567,27 +548,18 @@ class XmlCorpus {
  private:
   /// Session-owned producer state of one streamed page (defined in
   /// corpus.cc): the pinned view, the query copy, the page (owned or
-  /// borrowed), per-document services/contexts for the pending slots, and
-  /// cache keys.
+  /// borrowed), per-document state, per-slot cache keys and, when gated,
+  /// the top-k coordinator.
   struct StreamPayload;
 
-  /// The shared open path of StreamSnippets / ServeQuery: resolves
-  /// documents against the payload's pinned view, probes the cache, builds
-  /// per-document contexts for the pending slots and opens the stream.
-  /// `payload->page` and `payload->pin` must be set.
-  Result<ServingSession> OpenStream(std::shared_ptr<StreamPayload> payload,
-                                    const SnippetOptions& options,
-                                    const StreamOptions& stream) const;
-
-  /// The page-gated ServeQuery path (serving.page_size > 0): opens a gated
-  /// stream over k = page_size slots driven by a TopKCoordinator.
-  Result<CorpusQueryStream> ServeTopK(const Query& query,
-                                      const SearchEngine& engine,
-                                      const RankingOptions& ranking,
-                                      const CorpusServingOptions& serving,
-                                      const SnippetOptions& options,
-                                      const StreamOptions& stream,
-                                      const CorpusPin& pin) const;
+  /// The one open path of StreamSnippets and both ServeQuery modes.
+  /// `payload->pin`, `query` and `page` must be set. Without a coordinator
+  /// the page is known now: every document is resolved up front and the
+  /// cache is probed here. With one, slots arrive as the coordinator
+  /// releases them and probe the cache when they compute.
+  Result<CorpusQueryStream> OpenStream(std::shared_ptr<StreamPayload> payload,
+                                       const SnippetOptions& options,
+                                       const StreamOptions& stream) const;
 
   /// The epoch-published document table. Mutators hold
   /// views_.writer_mutex() across their read-copy-update sequence (which

@@ -150,8 +150,8 @@ struct SearchOptions {
   /// 0 = one thread per configured core, 1 = the sequential reference path.
   /// Only takes effect when the document was loaded with more than one
   /// partition; results are byte-identical either way. A partition-parallel
-  /// region issued from inside a thread-pool task (e.g. under sharded
-  /// corpus search) runs inline, so the two shard axes never oversubscribe
+  /// region issued from inside a thread-pool task (e.g. one of SearchTopK's
+  /// parallel pulls) runs inline, so nested fan-outs never oversubscribe
   /// the pool.
   size_t partition_threads = 0;
 };
@@ -212,26 +212,16 @@ class SearchEngine {
 
   /// Evaluates `query` against `db`; results in document order.
   ///
-  /// Must be safe to call concurrently (possibly for different databases):
-  /// corpus serving fans one engine out across document shards
-  /// (XmlCorpus::SearchAll). A const, stateless implementation — like
+  /// Must be safe to call concurrently (possibly for different databases).
+  /// One corpus shares its engine across every request in flight, and each
+  /// request searches on its own thread; SearchTopK's parallel pulls
+  /// (CorpusServingOptions::search_threads != 1) also drive several
+  /// documents' producers at once. A const, stateless implementation — like
   /// XSeekEngine — qualifies automatically; engines with internal mutable
   /// state (memoization etc.) must synchronize it themselves, or callers
-  /// must pin CorpusServingOptions::search_threads to 1.
+  /// must serialize requests and pin search_threads to 1.
   virtual Result<std::vector<QueryResult>> Search(const XmlDatabase& db,
                                                   const Query& query) const = 0;
-
-  /// \brief True when a Search(db, ...) issued on a non-pool thread will
-  /// parallelize internally (e.g. across db's index partitions).
-  ///
-  /// XmlCorpus::SearchAll uses this to pick between its two shard axes: it
-  /// only trades document sharding away for intra-document parallelism
-  /// that this engine actually provides. The default is false — a plain
-  /// engine keeps the corpus on the document axis.
-  virtual bool ParallelizesWithinDocument(const XmlDatabase& db) const {
-    (void)db;
-    return false;
-  }
 
   /// \brief True when Search/OpenIncremental over any database is
   /// guaranteed empty (a successful no-hit run, not an error) whenever some
@@ -272,11 +262,6 @@ class XSeekEngine : public SearchEngine {
 
   Result<std::vector<QueryResult>> Search(const XmlDatabase& db,
                                           const Query& query) const override;
-
-  /// Partition-parallel unless pinned to the sequential reference path.
-  bool ParallelizesWithinDocument(const XmlDatabase& db) const override {
-    return options_.partition_threads != 1 && db.partitions().count() > 1;
-  }
 
   /// SLCA intersects all keyword posting lists: any missing keyword means
   /// an empty (successful) result, so snapshot pruning is sound.

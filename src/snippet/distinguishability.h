@@ -17,7 +17,10 @@
 
 #include <vector>
 
-#include "snippet/pipeline.h"
+#include "search/search_engine.h"
+#include "snippet/snippet_options.h"
+#include "snippet/snippet_service.h"
+#include "snippet/snippet_tree.h"
 
 namespace extract {
 
@@ -50,7 +53,7 @@ struct DiversifyOptions {
 
 /// \brief Generates one snippet per result with batch-aware feature
 /// ordering (see file comment). With a single result (or penalty 0) the
-/// output is identical to SnippetGenerator::GenerateAll.
+/// output is identical to SnippetService::GenerateBatch.
 Result<std::vector<Snippet>> GenerateDiverseSnippets(
     const XmlDatabase& db, const Query& query,
     const std::vector<QueryResult>& results, const SnippetOptions& options,

@@ -40,21 +40,11 @@ void AppendDocumentId(std::string& out, std::string_view document) {
 
 }  // namespace
 
-std::string SnippetStageTag(const SnippetService& service) {
-  std::string tag;
-  for (const std::unique_ptr<SnippetStage>& stage : service.stages()) {
-    tag.append(stage->name());
-    tag.push_back(kItemSep);
-  }
-  return tag;
-}
-
 SnippetCacheKeyPrefix MakeSnippetCacheKeyPrefix(std::string_view document,
                                                 const Query& query,
-                                                const SnippetOptions& options,
-                                                std::string_view stage_tag) {
+                                                const SnippetOptions& options) {
   std::string text;
-  text.reserve(document.size() + stage_tag.size() + 64);
+  text.reserve(document.size() + 64);
   AppendDocumentId(text, document);
   // Both spellings matter: normalized keywords drive matching, raw keywords
   // appear verbatim in IList keyword displays.
@@ -69,8 +59,6 @@ SnippetCacheKeyPrefix MakeSnippetCacheKeyPrefix(std::string_view document,
   text.push_back(options.stop_on_first_overflow ? '1' : '0');
   text.push_back(options.use_exact_selector ? '1' : '0');
   text.push_back(kFieldSep);
-  text.append(stage_tag);
-  text.push_back(kFieldSep);
   return SnippetCacheKeyPrefix{std::move(text)};
 }
 
@@ -81,31 +69,9 @@ SnippetCacheKey MakeSnippetCacheKey(const SnippetCacheKeyPrefix& prefix,
 
 SnippetCacheKey MakeSnippetCacheKey(std::string_view document,
                                     const Query& query, NodeId result_root,
-                                    const SnippetOptions& options,
-                                    std::string_view stage_tag) {
-  return MakeSnippetCacheKey(
-      MakeSnippetCacheKeyPrefix(document, query, options, stage_tag),
-      result_root);
-}
-
-const std::string& DefaultSnippetStageTag() {
-  // Computed once: the Figure 4 sequence is immutable.
-  static const std::string* default_tag = [] {
-    std::string tag;
-    for (const std::unique_ptr<SnippetStage>& stage : BuildDefaultStages()) {
-      tag.append(stage->name());
-      tag.push_back(kItemSep);
-    }
-    return new std::string(std::move(tag));
-  }();
-  return *default_tag;
-}
-
-SnippetCacheKey MakeSnippetCacheKey(std::string_view document,
-                                    const Query& query, NodeId result_root,
                                     const SnippetOptions& options) {
-  return MakeSnippetCacheKey(document, query, result_root, options,
-                             DefaultSnippetStageTag());
+  return MakeSnippetCacheKey(
+      MakeSnippetCacheKeyPrefix(document, query, options), result_root);
 }
 
 size_t SnippetCache::Invalidate(std::string_view document) {
@@ -117,134 +83,6 @@ size_t SnippetCache::Invalidate(std::string_view document) {
   return cache_.EraseIf([&prefix](const SnippetCacheKey& key) {
     return key.text.compare(0, prefix.size(), prefix) == 0;
   });
-}
-
-Result<Snippet> CachingSnippetService::GenerateAndStore(
-    SnippetContext& ctx, const QueryResult& result,
-    const SnippetOptions& options, const SnippetCacheKey& key) const {
-  Result<Snippet> generated = service_->Generate(ctx, result, options);
-  if (!generated.ok()) return generated;
-  auto cached = std::make_shared<const Snippet>(std::move(*generated));
-  cache_->Put(key, cached);
-  return cached->Clone();
-}
-
-Result<Snippet> CachingSnippetService::Generate(
-    SnippetContext& ctx, const QueryResult& result,
-    const SnippetOptions& options) const {
-  SnippetCacheKey key =
-      MakeSnippetCacheKey(document_, ctx.query(), result.root, options,
-                          stage_tag_);
-  if (std::shared_ptr<const Snippet> hit = cache_->Get(key)) {
-    return hit->Clone();
-  }
-  return GenerateAndStore(ctx, result, options, key);
-}
-
-Result<Snippet> CachingSnippetService::Generate(
-    const Query& query, const QueryResult& result,
-    const SnippetOptions& options) const {
-  // Probe before building a context: a hit needs no per-query state at all.
-  SnippetCacheKey key =
-      MakeSnippetCacheKey(document_, query, result.root, options, stage_tag_);
-  if (std::shared_ptr<const Snippet> hit = cache_->Get(key)) {
-    return hit->Clone();
-  }
-  SnippetContext ctx(service_->db(), query);
-  return GenerateAndStore(ctx, result, options, key);
-}
-
-namespace {
-
-/// Session-owned state of one caching stream: the per-slot keys (misses
-/// Put under them) and, when any slot missed, the per-query context the
-/// producers share.
-struct CachingStreamPayload {
-  std::unique_ptr<SnippetContext> owned_ctx;
-  SnippetContext* ctx = nullptr;  ///< owned_ctx.get() or the borrowed one
-  std::vector<SnippetCacheKey> keys;  ///< parallel to the result slots
-};
-
-}  // namespace
-
-ServingSession CachingSnippetService::StreamBatchImpl(
-    const Query& query, SnippetContext* borrowed_ctx,
-    const std::vector<QueryResult>& results, const SnippetOptions& options,
-    const StreamOptions& stream) const {
-  const size_t n = results.size();
-  auto payload = std::make_shared<CachingStreamPayload>();
-  StreamBuilder builder;
-  builder.total_slots = n;
-  builder.options = stream;
-
-  // Probe every slot up front: hits become ready events — live before any
-  // producer starts — and `pending` keeps the missing indices in increasing
-  // order, so the collector reports the lowest failing index of the full
-  // batch (a hit can never fail), matching the uncached error exactly.
-  const SnippetCacheKeyPrefix prefix =
-      MakeSnippetCacheKeyPrefix(document_, query, options, stage_tag_);
-  payload->keys.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SnippetCacheKey key = MakeSnippetCacheKey(prefix, results[i].root);
-    if (std::shared_ptr<const Snippet> hit = cache_->Get(key)) {
-      builder.ready.push_back(SnippetEvent{i, hit->Clone()});
-      // Hit slots never reach compute — retain no key for them.
-      payload->keys.emplace_back();
-    } else {
-      builder.pending.push_back(i);
-      payload->keys.push_back(std::move(key));
-    }
-  }
-
-  // A fully warm stream builds no per-query state at all.
-  if (!builder.pending.empty()) {
-    if (borrowed_ctx != nullptr) {
-      payload->ctx = borrowed_ctx;
-    } else {
-      payload->owned_ctx =
-          std::make_unique<SnippetContext>(service_->db(), query);
-      payload->ctx = payload->owned_ctx.get();
-    }
-  }
-
-  CachingStreamPayload* state = payload.get();
-  builder.compute = [this, state, &results, options](
-                        size_t slot) -> Result<Snippet> {
-    Result<Snippet> generated =
-        service_->Generate(*state->ctx, results[slot], options);
-    if (!generated.ok()) return generated;
-    auto cached = std::make_shared<const Snippet>(std::move(*generated));
-    cache_->Put(state->keys[slot], cached);
-    return cached->Clone();
-  };
-  builder.payload = std::move(payload);
-  return std::move(builder).Open();
-}
-
-ServingSession CachingSnippetService::StreamBatch(
-    const Query& query, const std::vector<QueryResult>& results,
-    const SnippetOptions& options, const StreamOptions& stream) const {
-  return StreamBatchImpl(query, nullptr, results, options, stream);
-}
-
-Result<std::vector<Snippet>> CachingSnippetService::GenerateBatch(
-    SnippetContext& ctx, const std::vector<QueryResult>& results,
-    const SnippetOptions& options, const BatchOptions& batch) const {
-  StreamOptions stream;
-  stream.num_threads = batch.num_threads;
-  ServingSession session =
-      StreamBatchImpl(ctx.query(), &ctx, results, options, stream);
-  return session.stream().Collect();
-}
-
-Result<std::vector<Snippet>> CachingSnippetService::GenerateBatch(
-    const Query& query, const std::vector<QueryResult>& results,
-    const SnippetOptions& options, const BatchOptions& batch) const {
-  StreamOptions stream;
-  stream.num_threads = batch.num_threads;
-  ServingSession session =
-      StreamBatchImpl(query, nullptr, results, options, stream);
-  return session.stream().Collect();
 }
 
 }  // namespace extract

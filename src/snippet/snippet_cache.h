@@ -12,17 +12,17 @@
 //   * SnippetCacheKey / MakeSnippetCacheKey — the canonical signature. It
 //     covers everything the pipeline output depends on: the document id,
 //     the normalized AND raw query keywords (raw spellings appear verbatim
-//     in IList displays), the result root, every SnippetOptions field, and
-//     the service's stage sequence (so custom-stage services can share a
-//     cache without aliasing).
+//     in IList displays), the result root and every SnippetOptions field.
 //   * SnippetCache — a sharded LRU (common/lru_cache.h) from signature to
 //     immutable Snippet, with per-document invalidation, Clear(), and a
 //     CacheStats snapshot for observability.
-//   * CachingSnippetService — a SnippetService decorator serving single,
-//     batch and streaming generation through the cache. Streams emit every
-//     hit the moment they open (before any miss computes); batch misses
-//     still fan out on the thread pool and failures keep the
-//     MakeBatchResultError shape with the original result index.
+//
+// XmlCorpus is the cache's one serving integration (EnableSnippetCache):
+// it serves the default Figure 4 stage sequence, so signatures carry no
+// stage component. A page known when its stream opens emits every hit
+// right then, before any miss computes; page-gated slots probe when they
+// compute. Either way misses fill the cache and failures keep the
+// MakeBatchResultError shape with the page index.
 //
 // Cached snippets are stored once (shared_ptr) and handed out as deep
 // copies (Snippet::Clone), so hits are byte-identical to fresh generation
@@ -40,9 +40,8 @@
 
 #include "common/fault.h"
 #include "common/lru_cache.h"
+#include "search/search_engine.h"
 #include "snippet/snippet_options.h"
-#include "snippet/snippet_service.h"
-#include "snippet/snippet_stream.h"
 #include "snippet/snippet_tree.h"
 
 namespace extract {
@@ -64,44 +63,27 @@ struct SnippetCacheKeyHash {
   }
 };
 
-/// The stage-sequence component of a signature: the service's stage names,
-/// joined. Services with different sequences (ablations, instrumentation)
-/// produce different snippets for the same request, so their entries must
-/// never alias in a shared cache.
-std::string SnippetStageTag(const SnippetService& service);
-
-/// The tag of the default Figure 4 sequence (computed once).
-const std::string& DefaultSnippetStageTag();
-
-/// The invariant part of a batch's signatures — everything but the result
-/// root. One page shares document, query, options and stage tag across all
-/// its results, so the probe loop builds this once and appends each root.
+/// The invariant part of a page's signatures — everything but the result
+/// root. One page shares document, query and options across all its
+/// results, so the probe loop builds this once per document and appends
+/// each root.
 struct SnippetCacheKeyPrefix {
   std::string text;
 };
 
 SnippetCacheKeyPrefix MakeSnippetCacheKeyPrefix(std::string_view document,
                                                 const Query& query,
-                                                const SnippetOptions& options,
-                                                std::string_view stage_tag);
+                                                const SnippetOptions& options);
 
 /// Completes a prefix with the per-result root.
 SnippetCacheKey MakeSnippetCacheKey(const SnippetCacheKeyPrefix& prefix,
                                     NodeId result_root);
 
-/// Builds the signature of (document, query, result root, options,
-/// stage sequence). `document` is the caller's stable id of the loaded
-/// document — the corpus name in XmlCorpus, anything unique-per-database
-/// elsewhere. Any string is safe: reserved separator bytes are escaped in
-/// the encoding, so distinct ids can never alias.
-SnippetCacheKey MakeSnippetCacheKey(std::string_view document,
-                                    const Query& query, NodeId result_root,
-                                    const SnippetOptions& options,
-                                    std::string_view stage_tag);
-
-/// MakeSnippetCacheKey for the default Figure 4 stage sequence (what
-/// XmlCorpus serves with) — identical to passing the SnippetStageTag of a
-/// default-constructed SnippetService.
+/// Builds the signature of (document, query, result root, options).
+/// `document` is the caller's stable id of the loaded document — the
+/// instance-scoped "name@instance" in XmlCorpus, anything
+/// unique-per-database elsewhere. Any string is safe: reserved separator
+/// bytes are escaped in the encoding, so distinct ids can never alias.
 SnippetCacheKey MakeSnippetCacheKey(std::string_view document,
                                     const Query& query, NodeId result_root,
                                     const SnippetOptions& options);
@@ -168,86 +150,6 @@ class SnippetCache {
   ShardedLruCache<SnippetCacheKey, std::shared_ptr<const Snippet>,
                   SnippetCacheKeyHash>
       cache_;
-};
-
-/// \brief SnippetService decorator that consults a SnippetCache before
-/// running the pipeline. Stateless apart from the borrowed service, cache
-/// and document id; safe to share across threads.
-class CachingSnippetService {
- public:
-  /// `service` and `cache` must outlive this decorator; `document` is the
-  /// cache-key id of the database `service` is bound to.
-  CachingSnippetService(const SnippetService* service, SnippetCache* cache,
-                        std::string document)
-      : service_(service),
-        cache_(cache),
-        document_(std::move(document)),
-        stage_tag_(SnippetStageTag(*service)) {}
-
-  const SnippetService& service() const { return *service_; }
-  SnippetCache& cache() const { return *cache_; }
-  const std::string& document() const { return document_; }
-
-  /// Generate through the cache: a hit returns a deep copy of the cached
-  /// snippet (byte-identical to generation); a miss runs the pipeline via
-  /// `ctx` and populates the cache on success.
-  Result<Snippet> Generate(SnippetContext& ctx, const QueryResult& result,
-                           const SnippetOptions& options) const;
-
-  /// One-shot convenience: builds a throwaway context (only used on miss).
-  Result<Snippet> Generate(const Query& query, const QueryResult& result,
-                           const SnippetOptions& options) const;
-
-  /// \brief The streaming core through the cache: every hit is emitted the
-  /// moment the stream opens — before any miss computes — and only the
-  /// misses claim producer slots (snippet/snippet_stream.h).
-  ///
-  /// `results` is borrowed and must outlive the session; the session owns
-  /// its per-query context (built only when there are misses, so a fully
-  /// warm stream pays no per-query state at all). Slot i corresponds to
-  /// results[i], byte-identical to uncached generation.
-  ServingSession StreamBatch(const Query& query,
-                             const std::vector<QueryResult>& results,
-                             const SnippetOptions& options,
-                             const StreamOptions& stream) const;
-
-  /// GenerateBatch through the cache: a collector over StreamBatch — hits
-  /// are served immediately, misses fan out in parallel per `batch`.
-  /// Output ordering and failure reporting are identical to
-  /// SnippetService::GenerateBatch — on failure the Status names the lowest
-  /// failing index within `results`, not within the miss subset.
-  Result<std::vector<Snippet>> GenerateBatch(
-      SnippetContext& ctx, const std::vector<QueryResult>& results,
-      const SnippetOptions& options, const BatchOptions& batch) const;
-
-  Result<std::vector<Snippet>> GenerateBatch(
-      const Query& query, const std::vector<QueryResult>& results,
-      const SnippetOptions& options, const BatchOptions& batch) const;
-
- private:
-  /// The miss path: runs the pipeline, stores the snippet under `key`, and
-  /// returns the caller's deep copy.
-  Result<Snippet> GenerateAndStore(SnippetContext& ctx,
-                                   const QueryResult& result,
-                                   const SnippetOptions& options,
-                                   const SnippetCacheKey& key) const;
-
-  /// The shared core both GenerateBatch overloads (and StreamBatch)
-  /// collapse into: probes every slot, emits hits at open, computes misses
-  /// through `borrowed_ctx` when given — otherwise through a context the
-  /// session builds (and owns) only if any slot missed.
-  ServingSession StreamBatchImpl(const Query& query,
-                                 SnippetContext* borrowed_ctx,
-                                 const std::vector<QueryResult>& results,
-                                 const SnippetOptions& options,
-                                 const StreamOptions& stream) const;
-
-  const SnippetService* service_;
-  SnippetCache* cache_;
-  std::string document_;
-  /// Keys carry the decorated service's stage sequence, so services with
-  /// different sequences can safely share one cache.
-  std::string stage_tag_;
 };
 
 }  // namespace extract

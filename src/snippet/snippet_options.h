@@ -1,6 +1,6 @@
-// Knobs of the snippet generation pipeline and its batch execution. Split
-// out of pipeline.h so the stage/service layer (snippet_service.h) and the
-// legacy SnippetGenerator facade can share them without a cycle.
+// Knobs of the snippet generation pipeline and its batch execution, shared
+// by the stage layer (snippet_stages.h), the service (snippet_service.h)
+// and the snippet cache's signature (snippet_cache.h) without a cycle.
 
 #ifndef EXTRACT_SNIPPET_SNIPPET_OPTIONS_H_
 #define EXTRACT_SNIPPET_SNIPPET_OPTIONS_H_

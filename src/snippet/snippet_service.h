@@ -13,8 +13,9 @@
 // the input) and snippets byte-identical to the sequential path; on
 // failure the returned Status names the index of the result that failed.
 //
-// The legacy SnippetGenerator (pipeline.h) is a thin facade over this
-// class.
+// One-shot callers skip the context: Generate(query, result, options)
+// builds a throwaway one, and GenerateBatch(query, ...) shares one across
+// the batch.
 
 #ifndef EXTRACT_SNIPPET_SNIPPET_SERVICE_H_
 #define EXTRACT_SNIPPET_SNIPPET_SERVICE_H_
@@ -34,8 +35,7 @@ namespace extract {
 
 /// "result <index> of <total><extra>: <inner message>", preserving the
 /// inner code — the shared error shape of every batch entry point
-/// (SnippetService::GenerateBatch, SnippetGenerator::GenerateAll,
-/// XmlCorpus::GenerateSnippets).
+/// (SnippetService::GenerateBatch, XmlCorpus::GenerateSnippets).
 Status MakeBatchResultError(size_t index, size_t total,
                             const std::string& extra, const Status& inner);
 

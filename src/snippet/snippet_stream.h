@@ -1,8 +1,8 @@
 // Streaming serving core: snippets delivered per slot as they complete.
 //
 // Every batch entry point of the library (SnippetService::GenerateBatch,
-// CachingSnippetService::GenerateBatch, XmlCorpus::GenerateSnippets) is a
-// *collector* over the stream defined here — the slot-completion stream is
+// XmlCorpus::GenerateSnippets) is a *collector* over the stream defined
+// here — the slot-completion stream is
 // the primary execution model, batching is just "collect the whole stream
 // in slot order". The deterministic slot design (output slot i <-> input
 // result i, every slot computed independently) is what makes this a pure
@@ -30,7 +30,7 @@
 //     producers read (contexts, pages, cache keys). Destroying a session
 //     cancels whatever has not started and waits for in-flight slots, so
 //     producers never outlive borrowed state.
-//   * StreamBuilder — producer-side assembly, used by the service / cache /
+//   * StreamBuilder — producer-side assembly, used by the service and
 //     corpus entry points: pre-resolved slots (cache hits) are emitted
 //     before any pending slot computes, pending slots are claimed off an
 //     atomic cursor by up to num_threads workers — and by the consumer

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "search/search_engine.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace extract {
 namespace {
@@ -122,10 +122,10 @@ TEST(AnalyzerEngineTest, SnippetKeywordCoverageUnderStemming) {
   auto results = engine.Search(*db, query);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 1u);
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions snippet_options;
   snippet_options.size_bound = 6;
-  auto snippet = generator.Generate(query, results->front(), snippet_options);
+  auto snippet = service.Generate(query, results->front(), snippet_options);
   ASSERT_TRUE(snippet.ok());
   // The keyword "stores" is covered via the stem-matching <store> tag.
   ASSERT_GE(snippet->covered.size(), 2u);

@@ -7,7 +7,7 @@
 
 #include "datagen/stores_dataset.h"
 #include "snippet/feature_statistics.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace extract {
 namespace {
@@ -90,12 +90,12 @@ TEST(BaselineComparisonTest, GreedyCoversAtLeastBfsOnIListMetric) {
   // greedy selector covers at least as many IList items as blind BFS
   // truncation — on every result and every bound tried.
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   for (const QueryResult& r : ctx.results) {
     for (size_t bound : {2u, 4u, 6u, 8u, 12u, 20u}) {
       SnippetOptions options;
       options.size_bound = bound;
-      auto snippet = generator.Generate(ctx.query, r, options);
+      auto snippet = service.Generate(ctx.query, r, options);
       ASSERT_TRUE(snippet.ok());
       std::vector<ItemInstances> instances = FindItemInstances(
           ctx.db.index(), ctx.db.classification(), r.root, snippet->ilist);

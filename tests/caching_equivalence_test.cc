@@ -1,7 +1,7 @@
 // Byte-equivalence harness for the cross-query snippet cache: whatever mix
 // of hot and cold traffic, thread count, eviction pressure or document
-// churn the cache sees, served snippets must be byte-identical to the
-// uncached SnippetService path.
+// churn XmlCorpus's cached serving sees, served snippets must be
+// byte-identical to the uncached SnippetService path.
 
 #include <gtest/gtest.h>
 
@@ -12,27 +12,25 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "search/corpus.h"
-#include "snippet/snippet_cache.h"
 #include "snippet/snippet_service.h"
 #include "xml/serializer.h"
 
 namespace extract {
 namespace {
 
-struct Ctx {
-  XmlDatabase db;
-  Query query;
-  std::vector<QueryResult> results;
-};
-
-Ctx RunQuery(std::string xml, const std::string& query_text) {
-  auto db = XmlDatabase::Load(std::move(xml));
-  EXPECT_TRUE(db.ok()) << db.status();
-  Query query = Query::Parse(query_text);
+/// One document's hits for `query`, as a corpus page.
+std::vector<CorpusResult> DocumentPage(const XmlCorpus& corpus,
+                                       const std::string& document,
+                                       const Query& query) {
   XSeekEngine engine;
-  auto results = engine.Search(*db, query);
+  auto results = engine.Search(*corpus.Find(document), query);
   EXPECT_TRUE(results.ok()) << results.status();
-  return Ctx{std::move(*db), std::move(query), std::move(*results)};
+  std::vector<CorpusResult> page;
+  if (!results.ok()) return page;
+  for (QueryResult& result : *results) {
+    page.push_back(CorpusResult{document, std::move(result), 0.0});
+  }
+  return page;
 }
 
 /// Byte-level fingerprint of a snippet: every observable field.
@@ -71,20 +69,35 @@ std::vector<std::string> Fingerprints(const std::vector<Snippet>& snippets) {
   return out;
 }
 
-// A mixed hot/cold workload hammered from many threads through one shared
-// cache: every batch any thread observes must equal the uncached reference.
-TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
-  Ctx stores = RunQuery(GenerateStoresXml(), "store texas");
-  Ctx retailer = RunQuery(GenerateRetailerXml(), "Texas apparel retailer");
-  ASSERT_FALSE(stores.results.empty());
-  ASSERT_FALSE(retailer.results.empty());
+/// Uncached sequential reference fingerprints of `page`.
+std::vector<std::string> Expected(const XmlCorpus& corpus, const Query& query,
+                                  const std::vector<CorpusResult>& page,
+                                  const SnippetOptions& options) {
+  SnippetService service(corpus.Find(page.front().document));
+  std::vector<QueryResult> results;
+  for (const CorpusResult& hit : page) results.push_back(hit.result);
+  BatchOptions sequential;
+  sequential.num_threads = 1;
+  auto snippets = service.GenerateBatch(query, results, options, sequential);
+  EXPECT_TRUE(snippets.ok()) << snippets.status();
+  return snippets.ok() ? Fingerprints(*snippets) : std::vector<std::string>{};
+}
 
-  SnippetService stores_service(&stores.db);
-  SnippetService retailer_service(&retailer.db);
-  SnippetCache cache;  // shared by both documents
-  CachingSnippetService stores_caching(&stores_service, &cache, "stores");
-  CachingSnippetService retailer_caching(&retailer_service, &cache,
-                                         "retailer");
+// A mixed hot/cold workload hammered from many threads through one shared
+// cache: every page any thread observes must equal the uncached reference.
+TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
+  XmlCorpus corpus;
+  corpus.EnableSnippetCache();  // shared by both documents
+  ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
+  ASSERT_TRUE(corpus.AddDocument("retailer", GenerateRetailerXml()).ok());
+  const Query stores_query = Query::Parse("store texas");
+  const Query retailer_query = Query::Parse("Texas apparel retailer");
+  const std::vector<CorpusResult> stores =
+      DocumentPage(corpus, "stores", stores_query);
+  const std::vector<CorpusResult> retailer =
+      DocumentPage(corpus, "retailer", retailer_query);
+  ASSERT_FALSE(stores.empty());
+  ASSERT_FALSE(retailer.empty());
 
   // Uncached references, one per (document, bound) the workload serves.
   // Varying bounds makes some requests hot (repeated bound) and some cold
@@ -95,16 +108,9 @@ TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
   for (size_t bound : bounds) {
     SnippetOptions options;
     options.size_bound = bound;
-    BatchOptions sequential;
-    sequential.num_threads = 1;
-    auto s = stores_service.GenerateBatch(stores.query, stores.results,
-                                          options, sequential);
-    ASSERT_TRUE(s.ok()) << s.status();
-    stores_expected.push_back(Fingerprints(*s));
-    auto r = retailer_service.GenerateBatch(retailer.query, retailer.results,
-                                            options, sequential);
-    ASSERT_TRUE(r.ok()) << r.status();
-    retailer_expected.push_back(Fingerprints(*r));
+    stores_expected.push_back(Expected(corpus, stores_query, stores, options));
+    retailer_expected.push_back(
+        Expected(corpus, retailer_query, retailer, options));
   }
 
   constexpr int kThreads = 8;
@@ -120,11 +126,10 @@ TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
         BatchOptions batch;
         batch.num_threads = 2;
         const bool use_stores = (t + round) % 2 == 0;
-        auto got = use_stores
-                       ? stores_caching.GenerateBatch(
-                             stores.query, stores.results, options, batch)
-                       : retailer_caching.GenerateBatch(
-                             retailer.query, retailer.results, options, batch);
+        auto got = use_stores ? corpus.GenerateSnippets(stores_query, stores,
+                                                        options, batch)
+                              : corpus.GenerateSnippets(
+                                    retailer_query, retailer, options, batch);
         if (!got.ok()) {
           failures[t] = got.status().ToString();
           return;
@@ -143,7 +148,7 @@ TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
     EXPECT_TRUE(failures[t].empty()) << "thread " << t << ": " << failures[t];
   }
 
-  SnippetCacheStats stats = cache.Stats();
+  SnippetCacheStats stats = corpus.snippet_cache()->Stats();
   EXPECT_GT(stats.hits, 0u) << "hot traffic must hit";
   EXPECT_GT(stats.misses, 0u);
   EXPECT_EQ(stats.evictions, 0u) << "default capacity must not thrash here";
@@ -152,26 +157,22 @@ TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
 // An undersized cache evicting on every round must still serve exact
 // bytes — eviction may cost performance, never correctness.
 TEST(CachingEquivalenceTest, EvictionUnderLoadStaysByteIdentical) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_GE(ctx.results.size(), 2u);
-  SnippetService service(&ctx.db);
+  XmlCorpus corpus;
   SnippetCache::Options tiny;
   tiny.capacity = 1;
   tiny.num_shards = 1;
-  SnippetCache cache(tiny);
-  CachingSnippetService caching(&service, &cache, "stores");
+  corpus.EnableSnippetCache(tiny);
+  ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
+  const Query query = Query::Parse("store texas");
+  const std::vector<CorpusResult> page = DocumentPage(corpus, "stores", query);
+  ASSERT_GE(page.size(), 2u);
 
   const std::vector<size_t> bounds = {4, 7, 10, 13};
   std::vector<std::vector<std::string>> expected;
   for (size_t bound : bounds) {
     SnippetOptions options;
     options.size_bound = bound;
-    BatchOptions sequential;
-    sequential.num_threads = 1;
-    auto reference =
-        service.GenerateBatch(ctx.query, ctx.results, options, sequential);
-    ASSERT_TRUE(reference.ok());
-    expected.push_back(Fingerprints(*reference));
+    expected.push_back(Expected(corpus, query, page, options));
   }
 
   std::vector<std::thread> threads;
@@ -182,8 +183,7 @@ TEST(CachingEquivalenceTest, EvictionUnderLoadStaysByteIdentical) {
         const size_t which = (t + round) % bounds.size();
         SnippetOptions options;
         options.size_bound = bounds[which];
-        auto got = caching.GenerateBatch(ctx.query, ctx.results, options,
-                                         BatchOptions{});
+        auto got = corpus.GenerateSnippets(query, page, options);
         if (!got.ok()) {
           failures[t] = got.status().ToString();
           return;
@@ -199,6 +199,7 @@ TEST(CachingEquivalenceTest, EvictionUnderLoadStaysByteIdentical) {
   for (const std::string& failure : failures) {
     EXPECT_TRUE(failure.empty()) << failure;
   }
+  SnippetCache& cache = *corpus.snippet_cache();
   EXPECT_GT(cache.Stats().evictions, 0u)
       << "the workload must actually thrash the tiny cache";
   EXPECT_LE(cache.Stats().entries, cache.capacity());

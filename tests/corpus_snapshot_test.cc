@@ -381,9 +381,12 @@ TEST_F(SnapshotEquivalenceTest, HttpWireIsByteIdentical) {
   ASSERT_TRUE(server_a.Start().ok());
   ASSERT_TRUE(server_b.Start().ok());
 
+  // SSE in slot order: completion order is schedule-dependent by design,
+  // so only slot order has one byte sequence to compare.
   const std::vector<std::string> targets = {
       "/query?q=texas", "/query?q=" + testing::UrlEncode("movie actor"),
-      "/query?q=texas&mode=sse", "/query?q=xyzzyplugh", "/query?q="};
+      "/query?q=texas&mode=sse&order=slot", "/query?q=xyzzyplugh",
+      "/query?q="};
   for (const std::string& target : targets) {
     testing::HttpResponse a = testing::Get(server_a.port(), target);
     testing::HttpResponse b = testing::Get(server_b.port(), target);
@@ -502,11 +505,16 @@ TEST(CorpusSnapshotChurnTest, ConcurrentSearchSurvivesMutation) {
       const Query query =
           Query::Parse(t % 2 == 0 ? "texas" : "movie");
       while (!stop.load(std::memory_order_relaxed)) {
-        auto hits = corpus.SearchAll(query, engine);
+        // One pin for the whole read: the hits name documents of the view
+        // they were searched under, which the writer may since have hidden
+        // or removed from the current view.
+        const CorpusPin pin = corpus.PinView();
+        auto hits = corpus.SearchAll(query, engine, RankingOptions{},
+                                     CorpusServingOptions{}, pin);
         ASSERT_TRUE(hits.ok()) << hits.status();
         if (!hits->empty()) {
-          auto snippets =
-              corpus.GenerateSnippets(query, *hits, SnippetOptions{});
+          auto snippets = corpus.GenerateSnippets(
+              query, *hits, SnippetOptions{}, BatchOptions{}, pin);
           ASSERT_TRUE(snippets.ok()) << snippets.status();
         }
         pages.fetch_add(1, std::memory_order_relaxed);

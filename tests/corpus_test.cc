@@ -89,5 +89,21 @@ TEST(CorpusTest, HitsReferenceTheirOwnDatabase) {
   }
 }
 
+// Every SearchAll call records one "search" pseudo-stage sample.
+TEST(CorpusTest, SearchRecordsStageStats) {
+  XmlCorpus corpus = MakeDemoCorpus();
+  XSeekEngine engine;
+  ASSERT_TRUE(corpus.SearchAll(Query::Parse("texas"), engine).ok());
+  ASSERT_TRUE(corpus.SearchAll(Query::Parse("drama"), engine).ok());
+  std::vector<StageStat> stats = corpus.StageStatsSnapshot();
+  ASSERT_FALSE(stats.empty());
+  EXPECT_EQ(stats[0].name, "search");
+  EXPECT_EQ(stats[0].calls, 2u);
+  EXPECT_GT(stats[0].total_ns, 0u);
+  EXPECT_GE(stats[0].total_ns, stats[0].max_ns);
+  corpus.ResetStageStats();
+  EXPECT_TRUE(corpus.StageStatsSnapshot().empty());
+}
+
 }  // namespace
 }  // namespace extract

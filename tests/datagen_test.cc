@@ -9,7 +9,7 @@
 #include "datagen/stores_dataset.h"
 #include "datagen/workload.h"
 #include "search/search_engine.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace extract {
 namespace {
@@ -286,11 +286,11 @@ TEST(AuctionDatasetTest, SearchAndSnippetEndToEnd) {
   auto results = engine.Search(*db, query);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions snippet_options;
   snippet_options.size_bound = 8;
   for (const QueryResult& r : *results) {
-    auto snippet = generator.Generate(query, r, snippet_options);
+    auto snippet = service.Generate(query, r, snippet_options);
     ASSERT_TRUE(snippet.ok());
     EXPECT_LE(snippet->edges(), 8u);
   }

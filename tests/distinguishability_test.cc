@@ -95,8 +95,8 @@ TEST(DiversifyTest, MatchesPipelineWhenDisabled) {
   ASSERT_EQ(ctx.results.size(), 3u);
   SnippetOptions options;
   options.size_bound = 12;
-  SnippetGenerator generator(&ctx.db);
-  auto plain = generator.GenerateAll(ctx.query, ctx.results, options);
+  SnippetService service(&ctx.db);
+  auto plain = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
   ASSERT_TRUE(plain.ok());
   DiversifyOptions off;
   off.commonality_penalty = 0.0;
@@ -115,8 +115,8 @@ TEST(DiversifyTest, SingleResultUnchanged) {
   ASSERT_EQ(ctx.results.size(), 1u);
   SnippetOptions options;
   options.size_bound = 12;
-  SnippetGenerator generator(&ctx.db);
-  auto plain = generator.GenerateAll(ctx.query, ctx.results, options);
+  SnippetService service(&ctx.db);
+  auto plain = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
   auto diverse = GenerateDiverseSnippets(ctx.db, ctx.query, ctx.results,
                                          options, DiversifyOptions{});
   ASSERT_TRUE(plain.ok());
@@ -151,8 +151,8 @@ TEST(DiversifyTest, ReducesOverlapOnSharedFeatureBatch) {
   ASSERT_EQ(ctx.results.size(), 3u);
   SnippetOptions options;
   options.size_bound = 4;  // tight: only one feature fits after the paths
-  SnippetGenerator generator(&ctx.db);
-  auto plain = generator.GenerateAll(ctx.query, ctx.results, options);
+  SnippetService service(&ctx.db);
+  auto plain = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
   ASSERT_TRUE(plain.ok());
   DiversifyOptions diversify;
   diversify.commonality_penalty = 2.0;

@@ -3,10 +3,11 @@
 // byte-identical — a cache bug or a selector change can't silently alter
 // what users see.
 //
-// Each golden is asserted for the plain SnippetService path, for a warmed
-// CachingSnippetService, and for slot-order-collected SnippetStreams over
-// both (uncached and cached) — so the batch collectors and the streaming
-// core they sit on are all pinned to the same bytes.
+// Each golden is asserted for the plain SnippetService path, for cold and
+// warm XmlCorpus pages with the snippet cache enabled, and for
+// slot-order-collected streams over both (uncached and cached) — so the
+// batch collectors and the streaming core they sit on are all pinned to
+// the same bytes.
 //
 // Regenerate after an intentional output change:
 //   EXTRACT_UPDATE_GOLDEN=1 ./build/tests/golden_snippets_test
@@ -22,7 +23,7 @@
 #include "datagen/movies_dataset.h"
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
-#include "snippet/snippet_cache.h"
+#include "search/corpus.h"
 #include "snippet/snippet_service.h"
 #include "snippet/snippet_tree.h"
 #include "xml/serializer.h"
@@ -35,7 +36,7 @@ namespace extract {
 namespace {
 
 struct GoldenCase {
-  /// Golden file stem and cache-key document id.
+  /// Golden file stem and corpus document name.
   std::string name;
   std::string xml;
   std::string query_text;
@@ -133,20 +134,24 @@ TEST(GoldenSnippetsTest, ExampleCorporaMatchGoldenFiles) {
         << "snippet output changed; if intentional, regenerate goldens with "
            "EXTRACT_UPDATE_GOLDEN=1";
 
-    // The cached path (cold fill + warm hits) must serialize to the same
-    // bytes as the golden file.
-    SnippetService service(&*db);
-    SnippetCache cache;
-    CachingSnippetService caching(&service, &cache, c.name);
+    // The cached corpus path (cold fill, then warm hits) must serialize to
+    // the same bytes as the golden file, probing each slot exactly once
+    // per pass: N misses, then N hits.
+    XmlCorpus corpus;
+    corpus.EnableSnippetCache();
+    ASSERT_TRUE(corpus.AddDocument(c.name, c.xml).ok());
+    std::vector<CorpusResult> page;
+    for (const QueryResult& result : *results) {
+      page.push_back(CorpusResult{c.name, result, 0.0});
+    }
     for (int pass = 0; pass < 2; ++pass) {
-      auto cached = caching.GenerateBatch(query, *results, options,
-                                          BatchOptions{});
+      auto cached = corpus.GenerateSnippets(query, page, options);
       ASSERT_TRUE(cached.ok()) << cached.status();
       EXPECT_EQ(SerializeSnippets(query, *cached), golden.str())
           << (pass == 0 ? "cold" : "warm") << " cached pass diverged";
     }
-    EXPECT_EQ(cache.Stats().hits, results->size());
-    EXPECT_EQ(cache.Stats().misses, results->size());
+    EXPECT_EQ(corpus.snippet_cache()->Stats().hits, results->size());
+    EXPECT_EQ(corpus.snippet_cache()->Stats().misses, results->size());
 
     // A slot-order-collected stream — uncached, and cached over the warm
     // cache (every slot a pre-emitted hit) — must also serialize to the
@@ -154,6 +159,7 @@ TEST(GoldenSnippetsTest, ExampleCorporaMatchGoldenFiles) {
     StreamOptions slot_order;
     slot_order.order = StreamOrder::kSlot;
     {
+      SnippetService service(&*db);
       SnippetContext ctx(&*db, query);
       ServingSession session =
           service.StreamBatch(ctx, *results, options, slot_order);
@@ -163,11 +169,11 @@ TEST(GoldenSnippetsTest, ExampleCorporaMatchGoldenFiles) {
           << "uncached stream collection diverged";
     }
     {
-      ServingSession session =
-          caching.StreamBatch(query, *results, options, slot_order);
-      EXPECT_EQ(session.Stats().emitted, results->size())
+      auto session = corpus.StreamSnippets(query, page, options, slot_order);
+      ASSERT_TRUE(session.ok()) << session.status();
+      EXPECT_EQ(session->Stats().emitted, results->size())
           << "warm stream must emit every hit at open";
-      auto streamed = session.stream().Collect();
+      auto streamed = session->stream().Collect();
       ASSERT_TRUE(streamed.ok()) << streamed.status();
       EXPECT_EQ(SerializeSnippets(query, *streamed), golden.str())
           << "cached stream collection diverged";

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/stores_dataset.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace extract {
 namespace {
@@ -21,10 +21,10 @@ Ctx RunQuery(std::string xml, const std::string& query_text, size_t bound) {
   XSeekEngine engine;
   auto results = engine.Search(*db, query);
   EXPECT_TRUE(results.ok()) << results.status();
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions options;
   options.size_bound = bound;
-  auto snippets = generator.GenerateAll(query, *results, options);
+  auto snippets = service.GenerateBatch(query, *results, options, BatchOptions{});
   EXPECT_TRUE(snippets.ok());
   return Ctx{std::move(*db), std::move(query), std::move(*snippets)};
 }
@@ -79,10 +79,10 @@ TEST(RenderSnippetHtmlTest, ValuesAreHtmlEscaped) {
   auto results = engine.Search(*db, query);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions options;
   options.size_bound = 6;
-  auto snippet = generator.Generate(query, results->front(), options);
+  auto snippet = service.Generate(query, results->front(), options);
   ASSERT_TRUE(snippet.ok());
   std::string html = RenderSnippetHtml(*snippet, query, HtmlRenderOptions{});
   EXPECT_EQ(html.find("a < b"), std::string::npos);

@@ -10,7 +10,7 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/workload.h"
 #include "search/result_builder.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 #include "xml/serializer.h"
 
 namespace extract {
@@ -25,10 +25,10 @@ TEST(IntegrationTest, RetailerEndToEndGolden) {
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 1u);
 
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions options;
   options.size_bound = 21;
-  auto snippet = generator.Generate(query, results->front(), options);
+  auto snippet = service.Generate(query, results->front(), options);
   ASSERT_TRUE(snippet.ok());
 
   // Figure 3 golden IList through the full pipeline.
@@ -55,7 +55,7 @@ TEST(IntegrationTest, MoviesWorkloadEndToEnd) {
   auto workload = GenerateWorkload(*db, workload_options);
 
   XSeekEngine engine;
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions options;
   options.size_bound = 12;
   size_t total_results = 0;
@@ -63,7 +63,7 @@ TEST(IntegrationTest, MoviesWorkloadEndToEnd) {
     auto results = engine.Search(*db, query);
     ASSERT_TRUE(results.ok());
     total_results += results->size();
-    auto snippets = generator.GenerateAll(query, *results, options);
+    auto snippets = service.GenerateBatch(query, *results, options, BatchOptions{});
     ASSERT_TRUE(snippets.ok());
     for (const Snippet& snippet : *snippets) {
       EXPECT_LE(snippet.edges(), options.size_bound);
@@ -105,7 +105,7 @@ TEST_P(RandomPipelineProperty, SnippetInvariantsHold) {
   auto workload = GenerateWorkload(*db, workload_options);
 
   XSeekEngine engine;
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   for (const Query& query : workload) {
     auto results = engine.Search(*db, query);
     ASSERT_TRUE(results.ok());
@@ -113,7 +113,7 @@ TEST_P(RandomPipelineProperty, SnippetInvariantsHold) {
       SnippetOptions snippet_options;
       snippet_options.size_bound = bound;
       for (const QueryResult& result : *results) {
-        auto snippet = generator.Generate(query, result, snippet_options);
+        auto snippet = service.Generate(query, result, snippet_options);
         ASSERT_TRUE(snippet.ok()) << snippet.status();
         // Size bound respected, tree consistent with the node set.
         EXPECT_LE(snippet->edges(), bound);
@@ -160,10 +160,10 @@ TEST(IntegrationTest, MaterializedResultPreservesDominantFeatureRanking) {
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
 
-  SnippetGenerator generator(&*db);
+  SnippetService service(&*db);
   SnippetOptions options;
   options.size_bound = 12;
-  auto in_place = generator.Generate(query, results->front(), options);
+  auto in_place = service.Generate(query, results->front(), options);
   ASSERT_TRUE(in_place.ok());
 
   auto tree = MaterializeSubtree(db->index(), results->front().root);
@@ -172,8 +172,8 @@ TEST(IntegrationTest, MaterializedResultPreservesDominantFeatureRanking) {
   auto results2 = XSeekEngine().Search(*db2, query);
   ASSERT_TRUE(results2.ok());
   ASSERT_EQ(results2->size(), 1u);
-  SnippetGenerator generator2(&*db2);
-  auto standalone = generator2.Generate(query, results2->front(), options);
+  SnippetService service2(&*db2);
+  auto standalone = service2.Generate(query, results2->front(), options);
   ASSERT_TRUE(standalone.ok());
 
   auto features = [](const Snippet& s) {

@@ -16,7 +16,7 @@
 
 #include "datagen/random_xml.h"
 #include "datagen/retailer_dataset.h"
-#include "search/corpus.h"
+#include "search/search_engine.h"
 #include "search/slca.h"
 #include "snippet/snippet_context.h"
 #include "snippet/snippet_service.h"
@@ -246,54 +246,6 @@ TEST(PartitionedSearchTest, PartitionedSnippetScansMatchSequential) {
       }
     }
     if (threads != 1) EXPECT_TRUE(saw_partition_attribution);
-  }
-}
-
-// Corpus axis composition: one giant document plus several small ones must
-// serve identical pages whichever axis SearchAll picks.
-TEST(PartitionedSearchTest, CorpusComposesDocumentAndPartitionAxes) {
-  RandomXmlOptions big;
-  big.levels = 3;
-  big.entities_per_parent = 6;
-  big.seed = 3;
-  LoadOptions load;
-  load.partitioning.target_nodes_per_partition = 64;
-
-  XmlCorpus corpus;
-  ASSERT_TRUE(
-      corpus.AddDocument("big", GenerateRandomXml(big).xml, load).ok());
-  for (int d = 0; d < 3; ++d) {
-    RandomXmlOptions small;
-    small.levels = 2;
-    small.entities_per_parent = 3;
-    small.seed = 100 + d;
-    ASSERT_TRUE(corpus
-                    .AddDocument("small" + std::to_string(d),
-                                 GenerateRandomXml(small).xml)
-                    .ok());
-  }
-  ASSERT_GT(corpus.Find("big")->partitions().count(), 1u);
-
-  XSeekEngine engine;
-  Query query = Query::Parse("e1 e2");
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
-  auto expected =
-      corpus.SearchAll(query, engine, RankingOptions{}, sequential);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_FALSE(expected->empty());
-
-  for (size_t threads : {0u, 2u, 4u, 8u}) {
-    CorpusServingOptions serving;
-    serving.search_threads = threads;
-    auto actual = corpus.SearchAll(query, engine, RankingOptions{}, serving);
-    ASSERT_TRUE(actual.ok());
-    ASSERT_EQ(expected->size(), actual->size()) << "threads " << threads;
-    for (size_t i = 0; i < expected->size(); ++i) {
-      EXPECT_EQ((*expected)[i].document, (*actual)[i].document);
-      EXPECT_EQ((*expected)[i].result.root, (*actual)[i].result.root);
-      EXPECT_EQ((*expected)[i].score, (*actual)[i].score);
-    }
   }
 }
 

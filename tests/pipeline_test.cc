@@ -1,4 +1,4 @@
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 #include <gtest/gtest.h>
 
@@ -46,10 +46,10 @@ TEST(PipelineTest, PaperFigure2SnippetContents) {
   // Houston city, and the top dominant features.
   Ctx ctx = RunQuery(GenerateRetailerXml(), "Texas, apparel, retailer");
   ASSERT_EQ(ctx.results.size(), 1u);
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 21;
-  auto snippet = generator.Generate(ctx.query, ctx.results[0], options);
+  auto snippet = service.Generate(ctx.query, ctx.results[0], options);
   ASSERT_TRUE(snippet.ok()) << snippet.status();
   EXPECT_LE(snippet->edges(), 21u);
   ASSERT_NE(snippet->tree, nullptr);
@@ -64,11 +64,11 @@ TEST(PipelineTest, PaperFigure2SnippetContents) {
 
 TEST(PipelineTest, SnippetNeverExceedsBound) {
   Ctx ctx = RunQuery(GenerateRetailerXml(), "Texas apparel retailer");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   for (size_t bound : {0u, 1u, 2u, 4u, 6u, 10u, 16u, 30u, 100u}) {
     SnippetOptions options;
     options.size_bound = bound;
-    auto snippet = generator.Generate(ctx.query, ctx.results[0], options);
+    auto snippet = service.Generate(ctx.query, ctx.results[0], options);
     ASSERT_TRUE(snippet.ok());
     EXPECT_LE(snippet->edges(), bound) << "bound " << bound;
     EXPECT_EQ(snippet->tree->CountEdges(), snippet->edges());
@@ -77,12 +77,12 @@ TEST(PipelineTest, SnippetNeverExceedsBound) {
 
 TEST(PipelineTest, CoverageMonotoneInBound) {
   Ctx ctx = RunQuery(GenerateRetailerXml(), "Texas apparel retailer");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   size_t prev = 0;
   for (size_t bound : {0u, 2u, 4u, 8u, 12u, 16u, 24u, 40u}) {
     SnippetOptions options;
     options.size_bound = bound;
-    auto snippet = generator.Generate(ctx.query, ctx.results[0], options);
+    auto snippet = service.Generate(ctx.query, ctx.results[0], options);
     ASSERT_TRUE(snippet.ok());
     size_t covered = snippet->covered_count();
     EXPECT_GE(covered, prev) << "bound " << bound;
@@ -92,10 +92,10 @@ TEST(PipelineTest, CoverageMonotoneInBound) {
 
 TEST(PipelineTest, LargeBoundCoversWholeIList) {
   Ctx ctx = RunQuery(GenerateRetailerXml(), "Texas apparel retailer");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 100000;
-  auto snippet = generator.Generate(ctx.query, ctx.results[0], options);
+  auto snippet = service.Generate(ctx.query, ctx.results[0], options);
   ASSERT_TRUE(snippet.ok());
   EXPECT_EQ(snippet->covered_count(), snippet->ilist.size());
 }
@@ -108,10 +108,10 @@ TEST(PipelineTest, Figure5StoreTexasSnippets) {
   // slightly different display encoding of attribute values.)
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
   ASSERT_EQ(ctx.results.size(), 2u);
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 10;
-  auto snippets = generator.GenerateAll(ctx.query, ctx.results, options);
+  auto snippets = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
   ASSERT_TRUE(snippets.ok());
   ASSERT_EQ(snippets->size(), 2u);
 
@@ -129,7 +129,7 @@ TEST(PipelineTest, Figure5StoreTexasSnippets) {
   // At the demo's bound of 6 the snippets still stay within budget and are
   // keyed distinctly.
   options.size_bound = 6;
-  auto small = generator.GenerateAll(ctx.query, ctx.results, options);
+  auto small = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
   ASSERT_TRUE(small.ok());
   EXPECT_LE((*small)[0].edges(), 6u);
   EXPECT_TRUE(TreeContains(*(*small)[0].tree, "name", "Levis"));
@@ -138,11 +138,11 @@ TEST(PipelineTest, Figure5StoreTexasSnippets) {
 
 TEST(PipelineTest, SnippetIsSubtreeOfResult) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 8;
   for (const QueryResult& result : ctx.results) {
-    auto snippet = generator.Generate(ctx.query, result, options);
+    auto snippet = service.Generate(ctx.query, result, options);
     ASSERT_TRUE(snippet.ok());
     for (NodeId n : snippet->nodes) {
       EXPECT_TRUE(ctx.db.index().IsAncestorOrSelf(result.root, n));
@@ -157,15 +157,15 @@ TEST(PipelineTest, SnippetIsSubtreeOfResult) {
 
 TEST(PipelineTest, ExactSelectorWithinPipeline) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   SnippetOptions greedy_options;
   greedy_options.size_bound = 6;
   SnippetOptions exact_options = greedy_options;
   exact_options.use_exact_selector = true;
   exact_options.features.max_features = 4;  // keep B&B small
   greedy_options.features.max_features = 4;
-  auto greedy = generator.Generate(ctx.query, ctx.results[0], greedy_options);
-  auto exact = generator.Generate(ctx.query, ctx.results[0], exact_options);
+  auto greedy = service.Generate(ctx.query, ctx.results[0], greedy_options);
+  auto exact = service.Generate(ctx.query, ctx.results[0], exact_options);
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(exact.ok());
   EXPECT_GE(exact->covered_count(), greedy->covered_count());
@@ -174,18 +174,18 @@ TEST(PipelineTest, ExactSelectorWithinPipeline) {
 
 TEST(PipelineTest, InvalidResultRootRejected) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   QueryResult bogus;
   bogus.root = kInvalidNode;
-  EXPECT_EQ(generator.Generate(ctx.query, bogus, SnippetOptions{})
+  EXPECT_EQ(service.Generate(ctx.query, bogus, SnippetOptions{})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   bogus.root = static_cast<NodeId>(ctx.db.index().num_nodes() + 5);
-  EXPECT_FALSE(generator.Generate(ctx.query, bogus, SnippetOptions{}).ok());
+  EXPECT_FALSE(service.Generate(ctx.query, bogus, SnippetOptions{}).ok());
 }
 
-TEST(PipelineTest, GenerateAllNamesFailingResultIndex) {
+TEST(PipelineTest, GenerateBatchNamesFailingResultIndex) {
   // Regression: a bad result mid-batch used to discard the index of the
   // failure; the Status must now say which result failed.
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
@@ -193,8 +193,8 @@ TEST(PipelineTest, GenerateAllNamesFailingResultIndex) {
   QueryResult bogus;
   bogus.root = kInvalidNode;
   results.push_back(bogus);
-  SnippetGenerator generator(&ctx.db);
-  auto snippets = generator.GenerateAll(ctx.query, results, SnippetOptions{});
+  SnippetService service(&ctx.db);
+  auto snippets = service.GenerateBatch(ctx.query, results, SnippetOptions{}, BatchOptions{});
   ASSERT_FALSE(snippets.ok());
   EXPECT_EQ(snippets.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(snippets.status().message().find("result 2 of 3"),
@@ -204,10 +204,10 @@ TEST(PipelineTest, GenerateAllNamesFailingResultIndex) {
 
 TEST(PipelineTest, ZeroBoundYieldsRootOnlySnippet) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 0;
-  auto snippet = generator.Generate(ctx.query, ctx.results[0], options);
+  auto snippet = service.Generate(ctx.query, ctx.results[0], options);
   ASSERT_TRUE(snippet.ok());
   EXPECT_EQ(snippet->edges(), 0u);
   EXPECT_EQ(WriteXml(*snippet->tree), "<store/>");

@@ -6,7 +6,7 @@
 
 #include "datagen/movies_dataset.h"
 #include "datagen/retailer_dataset.h"
-#include "snippet/pipeline.h"
+#include "snippet/snippet_service.h"
 
 namespace extract {
 namespace {
@@ -79,12 +79,12 @@ TEST(SnapshotTest, SearchAndSnippetsIdenticalAfterReload) {
   ASSERT_TRUE(results_b.ok());
   ASSERT_EQ(results_a->size(), results_b->size());
 
-  SnippetGenerator gen_a(&*db);
-  SnippetGenerator gen_b(&*restored);
+  SnippetService service_a(&*db);
+  SnippetService service_b(&*restored);
   SnippetOptions options;
   options.size_bound = 15;
-  auto snip_a = gen_a.Generate(query, results_a->front(), options);
-  auto snip_b = gen_b.Generate(query, results_b->front(), options);
+  auto snip_a = service_a.Generate(query, results_a->front(), options);
+  auto snip_b = service_b.Generate(query, results_b->front(), options);
   ASSERT_TRUE(snip_a.ok());
   ASSERT_TRUE(snip_b.ok());
   EXPECT_EQ(snip_a->ilist.ToString(), snip_b->ilist.ToString());

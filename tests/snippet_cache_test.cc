@@ -7,26 +7,12 @@
 #include <vector>
 
 #include "datagen/stores_dataset.h"
+#include "search/corpus.h"
+#include "snippet/snippet_service.h"
 #include "xml/serializer.h"
 
 namespace extract {
 namespace {
-
-struct Ctx {
-  XmlDatabase db;
-  Query query;
-  std::vector<QueryResult> results;
-};
-
-Ctx RunQuery(std::string xml, const std::string& query_text) {
-  auto db = XmlDatabase::Load(std::move(xml));
-  EXPECT_TRUE(db.ok()) << db.status();
-  Query query = Query::Parse(query_text);
-  XSeekEngine engine;
-  auto results = engine.Search(*db, query);
-  EXPECT_TRUE(results.ok()) << results.status();
-  return Ctx{std::move(*db), std::move(query), std::move(*results)};
-}
 
 void ExpectSnippetsIdentical(const Snippet& a, const Snippet& b) {
   EXPECT_EQ(a.result_root, b.result_root);
@@ -80,54 +66,6 @@ TEST(SnippetCacheKeyTest, EveryKeyedFieldChangesTheSignature) {
   other = options;
   other.use_exact_selector = !other.use_exact_selector;
   EXPECT_FALSE(MakeSnippetCacheKey("doc", q, 5, other) == base);
-}
-
-TEST(SnippetCacheKeyTest, StageSequenceChangesTheSignature) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  Query q = Query::Parse("store texas");
-  SnippetOptions options;
-
-  // The tag-less overload means "default Figure 4 stages": identical to a
-  // default-constructed service's tag.
-  SnippetService default_service(&ctx.db);
-  EXPECT_EQ(MakeSnippetCacheKey("doc", q, 5, options),
-            MakeSnippetCacheKey("doc", q, 5, options,
-                                SnippetStageTag(default_service)));
-
-  // A custom sequence signs differently.
-  std::vector<std::unique_ptr<SnippetStage>> truncated = BuildDefaultStages();
-  truncated.pop_back();  // drop materialize
-  SnippetService custom_service(&ctx.db, std::move(truncated));
-  EXPECT_FALSE(MakeSnippetCacheKey("doc", q, 5, options,
-                                   SnippetStageTag(custom_service)) ==
-               MakeSnippetCacheKey("doc", q, 5, options));
-}
-
-TEST(SnippetCacheKeyTest, ServicesWithDifferentStagesCanShareACache) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_FALSE(ctx.results.empty());
-  SnippetCache cache;  // shared
-  SnippetOptions options;
-  options.size_bound = 10;
-
-  SnippetService full(&ctx.db);
-  CachingSnippetService full_caching(&full, &cache, "stores");
-  auto with_tree = full_caching.Generate(ctx.query, ctx.results[0], options);
-  ASSERT_TRUE(with_tree.ok());
-  ASSERT_NE(with_tree->tree, nullptr);
-
-  // A service without the materialize stage produces tree-less snippets; it
-  // must not be served the full pipeline's cached entry.
-  std::vector<std::unique_ptr<SnippetStage>> truncated = BuildDefaultStages();
-  truncated.pop_back();
-  SnippetService partial(&ctx.db, std::move(truncated));
-  CachingSnippetService partial_caching(&partial, &cache, "stores");
-  auto without_tree =
-      partial_caching.Generate(ctx.query, ctx.results[0], options);
-  ASSERT_TRUE(without_tree.ok()) << without_tree.status();
-  EXPECT_EQ(without_tree->tree, nullptr)
-      << "custom-stage service must not alias the default pipeline's entry";
-  EXPECT_EQ(cache.Stats().entries, 2u);
 }
 
 TEST(SnippetCacheKeyTest, JoinedKeywordListsCannotCollide) {
@@ -200,109 +138,138 @@ TEST(SnippetCacheTest, SeparatorBytesInDocumentIdsAreEscaped) {
   EXPECT_EQ(cache.Get(tricky_key), nullptr);
 }
 
-TEST(CachingSnippetServiceTest, HitIsByteIdenticalToGeneration) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_FALSE(ctx.results.empty());
-  SnippetService service(&ctx.db);
-  SnippetCache cache;
-  CachingSnippetService caching(&service, &cache, "stores");
+// The cache's serving integration is XmlCorpus::EnableSnippetCache: the
+// suites below drive it through the corpus's streamed page path.
+
+XmlCorpus MakeCachedStoresCorpus(const SnippetCache::Options& options) {
+  XmlCorpus corpus;
+  corpus.EnableSnippetCache(options);
+  EXPECT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
+  return corpus;
+}
+
+std::vector<CorpusResult> StoresPage(const XmlCorpus& corpus) {
+  XSeekEngine engine;
+  auto hits = corpus.SearchAll(Query::Parse("store texas"), engine);
+  EXPECT_TRUE(hits.ok()) << hits.status();
+  return hits.ok() ? *hits : std::vector<CorpusResult>{};
+}
+
+/// Uncached reference snippets of `page`, one fresh generation per hit.
+std::vector<Snippet> Reference(const XmlCorpus& corpus, const Query& query,
+                               const std::vector<CorpusResult>& page,
+                               const SnippetOptions& options) {
+  std::vector<Snippet> out;
+  for (const CorpusResult& hit : page) {
+    SnippetService service(corpus.Find(hit.document));
+    auto snippet = service.Generate(query, hit.result, options);
+    EXPECT_TRUE(snippet.ok()) << snippet.status();
+    if (snippet.ok()) out.push_back(std::move(*snippet));
+  }
+  return out;
+}
+
+TEST(CorpusSnippetCacheTest, HitIsByteIdenticalToGeneration) {
+  XmlCorpus corpus = MakeCachedStoresCorpus(SnippetCache::Options{});
+  std::vector<CorpusResult> page = StoresPage(corpus);
+  ASSERT_FALSE(page.empty());
+  page.resize(1);
+  const Query query = Query::Parse("store texas");
   SnippetOptions options;
   options.size_bound = 10;
+  const std::vector<Snippet> uncached =
+      Reference(corpus, query, page, options);
+  ASSERT_EQ(uncached.size(), 1u);
 
-  auto uncached = service.Generate(ctx.query, ctx.results[0], options);
-  ASSERT_TRUE(uncached.ok()) << uncached.status();
-
-  auto cold = caching.Generate(ctx.query, ctx.results[0], options);
+  auto cold = corpus.GenerateSnippets(query, page, options);
   ASSERT_TRUE(cold.ok()) << cold.status();
-  auto warm = caching.Generate(ctx.query, ctx.results[0], options);
+  auto warm = corpus.GenerateSnippets(query, page, options);
   ASSERT_TRUE(warm.ok()) << warm.status();
 
-  ExpectSnippetsIdentical(*cold, *uncached);
-  ExpectSnippetsIdentical(*warm, *uncached);
+  ExpectSnippetsIdentical((*cold)[0], uncached[0]);
+  ExpectSnippetsIdentical((*warm)[0], uncached[0]);
 
-  SnippetCacheStats stats = cache.Stats();
+  SnippetCacheStats stats = corpus.snippet_cache()->Stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
 }
 
-TEST(CachingSnippetServiceTest, HitsOutliveEvictionAndCacheOwner) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_FALSE(ctx.results.empty());
-  SnippetService service(&ctx.db);
+TEST(CorpusSnippetCacheTest, HitsOutliveEvictionAndCacheOwner) {
   SnippetOptions options;
   options.size_bound = 10;
+  const Query query = Query::Parse("store texas");
 
-  Result<Snippet> warm = Snippet{};
+  std::vector<Snippet> warm;
   {
-    SnippetCache cache;
-    CachingSnippetService caching(&service, &cache, "stores");
-    ASSERT_TRUE(caching.Generate(ctx.query, ctx.results[0], options).ok());
-    warm = caching.Generate(ctx.query, ctx.results[0], options);
-    ASSERT_TRUE(warm.ok());
-    cache.Clear();
+    XmlCorpus corpus = MakeCachedStoresCorpus(SnippetCache::Options{});
+    const std::vector<CorpusResult> page = StoresPage(corpus);
+    ASSERT_FALSE(page.empty());
+    ASSERT_TRUE(corpus.GenerateSnippets(query, page, options).ok());
+    auto served = corpus.GenerateSnippets(query, page, options);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(corpus.snippet_cache()->Stats().hits, page.size());
+    warm = std::move(*served);
+    corpus.snippet_cache()->Clear();
   }
-  // The returned snippet is a deep copy: usable after Clear() and after the
-  // cache itself is gone.
-  EXPECT_NE(warm->tree, nullptr);
-  EXPECT_FALSE(WriteXml(*warm->tree).empty());
+  // Served hits are deep copies: usable after Clear() and after the corpus
+  // (and with it the cache) is gone.
+  ASSERT_FALSE(warm.empty());
+  ASSERT_NE(warm[0].tree, nullptr);
+  EXPECT_FALSE(WriteXml(*warm[0].tree).empty());
 }
 
-TEST(CachingSnippetServiceTest, BatchServesHitsAndGeneratesMisses) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_EQ(ctx.results.size(), 2u);
-  SnippetService service(&ctx.db);
-  SnippetCache cache;
-  CachingSnippetService caching(&service, &cache, "stores");
+TEST(CorpusSnippetCacheTest, PageServesHitsAndGeneratesMisses) {
+  XmlCorpus corpus = MakeCachedStoresCorpus(SnippetCache::Options{});
+  const std::vector<CorpusResult> page = StoresPage(corpus);
+  ASSERT_EQ(page.size(), 2u);
+  const Query query = Query::Parse("store texas");
   SnippetOptions options;
   options.size_bound = 10;
 
-  // Pre-warm only the second result, then batch over both: one hit, one
-  // generated miss, byte-identical to the uncached batch.
-  ASSERT_TRUE(caching.Generate(ctx.query, ctx.results[1], options).ok());
-  auto expected =
-      service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  auto got =
-      caching.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
+  // Pre-warm only the second hit, then serve the whole page: one hit, one
+  // generated miss, byte-identical to uncached generation.
+  ASSERT_TRUE(corpus.GenerateSnippets(query, {page[1]}, options).ok());
+  const std::vector<Snippet> expected =
+      Reference(corpus, query, page, options);
+  auto got = corpus.GenerateSnippets(query, page, options);
   ASSERT_TRUE(got.ok()) << got.status();
-  ASSERT_EQ(got->size(), expected->size());
+  ASSERT_EQ(got->size(), expected.size());
   for (size_t i = 0; i < got->size(); ++i) {
-    ExpectSnippetsIdentical((*got)[i], (*expected)[i]);
+    ExpectSnippetsIdentical((*got)[i], expected[i]);
   }
 
-  SnippetCacheStats stats = cache.Stats();
+  SnippetCacheStats stats = corpus.snippet_cache()->Stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // pre-warm miss + the cold batch slot
+  EXPECT_EQ(stats.misses, 2u);  // pre-warm miss + the cold page slot
   EXPECT_EQ(stats.entries, 2u);
 
-  // A fully warm batch does no generation at all.
-  auto warm =
-      caching.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache.Stats().hits, 3u);
-  EXPECT_EQ(cache.Stats().misses, 2u);
+  // A fully warm page does no generation at all.
+  ASSERT_TRUE(corpus.GenerateSnippets(query, page, options).ok());
+  EXPECT_EQ(corpus.snippet_cache()->Stats().hits, 3u);
+  EXPECT_EQ(corpus.snippet_cache()->Stats().misses, 2u);
 }
 
-TEST(CachingSnippetServiceTest, DifferentBoundsAreDistinctEntries) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_FALSE(ctx.results.empty());
-  SnippetService service(&ctx.db);
-  SnippetCache cache;
-  CachingSnippetService caching(&service, &cache, "stores");
+TEST(CorpusSnippetCacheTest, DifferentBoundsAreDistinctEntries) {
+  XmlCorpus corpus = MakeCachedStoresCorpus(SnippetCache::Options{});
+  std::vector<CorpusResult> page = StoresPage(corpus);
+  ASSERT_FALSE(page.empty());
+  page.resize(1);
+  const Query query = Query::Parse("store texas");
 
   for (size_t bound : {4u, 8u, 16u}) {
     SnippetOptions options;
     options.size_bound = bound;
-    auto cached = caching.Generate(ctx.query, ctx.results[0], options);
-    auto fresh = service.Generate(ctx.query, ctx.results[0], options);
+    auto cached = corpus.GenerateSnippets(query, page, options);
     ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(fresh.ok());
-    ExpectSnippetsIdentical(*cached, *fresh);
+    const std::vector<Snippet> fresh = Reference(corpus, query, page, options);
+    ASSERT_EQ(fresh.size(), 1u);
+    ExpectSnippetsIdentical((*cached)[0], fresh[0]);
   }
-  EXPECT_EQ(cache.Stats().misses, 3u);
-  EXPECT_EQ(cache.Stats().hits, 0u);
-  EXPECT_EQ(cache.Stats().entries, 3u);
+  SnippetCacheStats stats = corpus.snippet_cache()->Stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 3u);
 }
 
 }  // namespace

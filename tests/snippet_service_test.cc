@@ -8,8 +8,6 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "search/corpus.h"
-#include "snippet/pipeline.h"
-#include "snippet/snippet_cache.h"
 #include "xml/serializer.h"
 
 namespace extract {
@@ -55,22 +53,6 @@ TEST(SnippetServiceTest, DefaultStagesMatchFigure4) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "feature-statistics", "return-entity", "result-key",
                        "ilist", "instance-selection", "materialize"}));
-}
-
-TEST(SnippetServiceTest, MatchesLegacyGeneratorOutput) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_FALSE(ctx.results.empty());
-  SnippetService service(&ctx.db);
-  SnippetGenerator generator(&ctx.db);
-  SnippetOptions options;
-  options.size_bound = 10;
-  for (const QueryResult& result : ctx.results) {
-    auto via_service = service.Generate(ctx.query, result, options);
-    auto via_generator = generator.Generate(ctx.query, result, options);
-    ASSERT_TRUE(via_service.ok()) << via_service.status();
-    ASSERT_TRUE(via_generator.ok()) << via_generator.status();
-    ExpectSnippetsIdentical(*via_service, *via_generator);
-  }
 }
 
 TEST(SnippetServiceTest, ContextMemoizesPerResultScans) {
@@ -182,10 +164,10 @@ TEST(SnippetServiceTest, BatchFailureNamesTheFailingResultIndex) {
   bogus.root = static_cast<NodeId>(ctx.db.index().num_nodes() + 7);
   results.insert(results.begin() + 1, bogus);
 
-  SnippetGenerator generator(&ctx.db);
+  SnippetService service(&ctx.db);
   BatchOptions sequential;
   sequential.num_threads = 1;
-  auto seq = generator.GenerateAll(ctx.query, results, SnippetOptions{},
+  auto seq = service.GenerateBatch(ctx.query, results, SnippetOptions{},
                                    sequential);
   ASSERT_FALSE(seq.ok());
   EXPECT_EQ(seq.status().code(), StatusCode::kInvalidArgument);
@@ -194,7 +176,7 @@ TEST(SnippetServiceTest, BatchFailureNamesTheFailingResultIndex) {
 
   BatchOptions parallel;
   parallel.num_threads = 8;
-  auto par = generator.GenerateAll(ctx.query, results, SnippetOptions{},
+  auto par = service.GenerateBatch(ctx.query, results, SnippetOptions{},
                                    parallel);
   ASSERT_FALSE(par.ok());
   EXPECT_EQ(par.status(), seq.status())
@@ -321,18 +303,6 @@ TEST(MakeBatchResultErrorTest, ServiceGenerateBatchUsesTheShape) {
       << batch.status();
 }
 
-TEST(MakeBatchResultErrorTest, GeneratorGenerateAllUsesTheShape) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_EQ(ctx.results.size(), 2u);
-  SnippetGenerator generator(&ctx.db);
-  auto all =
-      generator.GenerateAll(ctx.query, WithBogusAt1(ctx), SnippetOptions{});
-  ASSERT_FALSE(all.ok());
-  EXPECT_EQ(all.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(all.status().message().find("result 1 of 3: "), 0u)
-      << all.status();
-}
-
 TEST(MakeBatchResultErrorTest, CorpusGenerateSnippetsNamesTheDocument) {
   XmlCorpus corpus;
   ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
@@ -357,40 +327,6 @@ TEST(MakeBatchResultErrorTest, CorpusGenerateSnippetsNamesTheDocument) {
       << snippets.status();
 }
 
-TEST(MakeBatchResultErrorTest, CachedBatchPreservesTheFailingIndex) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  ASSERT_EQ(ctx.results.size(), 2u);
-  SnippetService service(&ctx.db);
-  SnippetCache cache;
-  CachingSnippetService caching(&service, &cache, "stores");
-  std::vector<QueryResult> results = WithBogusAt1(ctx);
-
-  // Cold: every slot is a miss; the error names the batch-level index.
-  auto cold =
-      caching.GenerateBatch(ctx.query, results, SnippetOptions{}, BatchOptions{});
-  ASSERT_FALSE(cold.ok());
-  EXPECT_EQ(cold.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(cold.status().message().find("result 1 of 3: "), 0u)
-      << cold.status();
-
-  // Warm the valid results, then fail again: the miss subset is now just
-  // {1}, but the error must still name index 1 of 3, identical to the
-  // uncached path.
-  auto warmup = caching.GenerateBatch(ctx.query, ctx.results, SnippetOptions{},
-                                      BatchOptions{});
-  ASSERT_TRUE(warmup.ok()) << warmup.status();
-  auto warm =
-      caching.GenerateBatch(ctx.query, results, SnippetOptions{}, BatchOptions{});
-  ASSERT_FALSE(warm.ok());
-  EXPECT_EQ(warm.status(), cold.status());
-
-  auto uncached = service.GenerateBatch(ctx.query, results, SnippetOptions{},
-                                        BatchOptions{});
-  ASSERT_FALSE(uncached.ok());
-  EXPECT_EQ(warm.status(), uncached.status())
-      << "cached and uncached batches must report identical failures";
-}
-
 TEST(MakeBatchResultErrorTest, CachedCorpusPathPreservesIndexAndDocument) {
   XmlCorpus corpus;
   corpus.EnableSnippetCache();
@@ -401,21 +337,37 @@ TEST(MakeBatchResultErrorTest, CachedCorpusPathPreservesIndexAndDocument) {
   ASSERT_TRUE(hits.ok());
   ASSERT_FALSE(hits->empty());
 
-  // Warm the valid page first so the failing request runs against hits.
-  ASSERT_TRUE(corpus.GenerateSnippets(query, *hits, SnippetOptions{}).ok());
-
   std::vector<CorpusResult> page = *hits;
   CorpusResult bogus;
   bogus.document = "stores";
   bogus.result.root = static_cast<NodeId>(
       corpus.Find("stores")->index().num_nodes() + 7);
   page.insert(page.begin() + 1, bogus);
-  auto snippets = corpus.GenerateSnippets(query, page, SnippetOptions{});
-  ASSERT_FALSE(snippets.ok());
+
+  // Cold: every slot is a miss; the error names the page-level index and
+  // the document.
+  auto cold = corpus.GenerateSnippets(query, page, SnippetOptions{});
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(cold.status().code(), StatusCode::kInvalidArgument);
   const std::string expected_prefix =
       "result 1 of " + std::to_string(page.size()) + " (document 'stores'): ";
-  EXPECT_EQ(snippets.status().message().find(expected_prefix), 0u)
-      << snippets.status();
+  EXPECT_EQ(cold.status().message().find(expected_prefix), 0u)
+      << cold.status();
+
+  // Warm the valid hits, then fail again: the miss subset is now just
+  // {1}, but the error must still name index 1 of the full page,
+  // identical to the cold and the uncached paths.
+  ASSERT_TRUE(corpus.GenerateSnippets(query, *hits, SnippetOptions{}).ok());
+  auto warm = corpus.GenerateSnippets(query, page, SnippetOptions{});
+  ASSERT_FALSE(warm.ok());
+  EXPECT_EQ(warm.status(), cold.status());
+
+  XmlCorpus uncached;
+  ASSERT_TRUE(uncached.AddDocument("stores", GenerateStoresXml()).ok());
+  auto reference = uncached.GenerateSnippets(query, page, SnippetOptions{});
+  ASSERT_FALSE(reference.ok());
+  EXPECT_EQ(warm.status(), reference.status())
+      << "cached and uncached pages must report identical failures";
 }
 
 TEST(SnippetServiceTest, StageStatsCountEveryStageRun) {

@@ -30,7 +30,6 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "search/corpus.h"
-#include "snippet/snippet_cache.h"
 #include "snippet/snippet_service.h"
 #include "xml/serializer.h"
 
@@ -206,40 +205,41 @@ TEST(SnippetStreamTest, CompletionOrderAndSlotOrderCarryIdenticalSlots) {
 }
 
 TEST(SnippetStreamTest, CacheHitsEmitBeforeAnyMissComputes) {
-  Ctx ctx = RunQuery(GenerateRetailerXml(), "texas");
-  ASSERT_GE(ctx.results.size(), 3u);
-  auto [service, gate] = MakeGatedService(&ctx.db);
-  SnippetCache cache;
-  CachingSnippetService caching(&service, &cache, "retailer");
+  XmlCorpus corpus;
+  corpus.EnableSnippetCache();
+  ASSERT_TRUE(corpus.AddDocument("retailer", GenerateRetailerXml()).ok());
+  const Query query = Query::Parse("texas");
+  XSeekEngine engine;
+  auto page = corpus.SearchAll(query, engine);
+  ASSERT_TRUE(page.ok()) << page.status();
+  ASSERT_GE(page->size(), 3u);
   SnippetOptions options;
 
-  // Warm exactly one slot while the gate is open...
-  gate->Open();
+  // Warm exactly one slot of the page...
   const size_t warm_slot = 1;
-  auto warmed = caching.Generate(ctx.query, ctx.results[warm_slot], options);
+  auto warmed = corpus.GenerateSnippets(query, {(*page)[warm_slot]}, options);
   ASSERT_TRUE(warmed.ok()) << warmed.status();
 
-  // ...then close it: every miss now blocks inside the pipeline, so the
-  // only event that can arrive first is the pre-emitted hit.
-  gate->Close();
+  // ...then stream the partly warm page with no helper producers: misses
+  // compute only when the consumer pulls them, so the only event that can
+  // arrive first is the hit emitted at open.
   StreamOptions stream;
-  stream.num_threads = 2;
-  ServingSession session =
-      caching.StreamBatch(ctx.query, ctx.results, options, stream);
-  EXPECT_GE(session.Stats().emitted, 1u) << "hit must be live at open";
-  auto first = session.stream().Next();
+  stream.num_threads = 1;
+  auto session = corpus.StreamSnippets(query, *page, options, stream);
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_EQ(session->Stats().emitted, 1u) << "hit must be live at open";
+  auto first = session->stream().Next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->slot, warm_slot);
   ASSERT_TRUE(first->snippet.ok()) << first->snippet.status();
-  ExpectSnippetsIdentical(*first->snippet, *warmed);
+  ExpectSnippetsIdentical(*first->snippet, (*warmed)[0]);
 
-  gate->Open();
   size_t remaining = 0;
-  session.stream().ForEach([&remaining](SnippetEvent event) {
+  session->stream().ForEach([&remaining](SnippetEvent event) {
     EXPECT_TRUE(event.snippet.ok()) << event.snippet.status();
     ++remaining;
   });
-  EXPECT_EQ(remaining, ctx.results.size() - 1);
+  EXPECT_EQ(remaining, page->size() - 1);
 }
 
 TEST(SnippetStreamTest, CancellationMidStreamResolvesUnstartedSlots) {

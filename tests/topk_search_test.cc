@@ -111,6 +111,32 @@ TEST(TopKSearchTest, MatchesBlockingPrefixAcrossConfigurations) {
   }
 }
 
+// k = SIZE_MAX drains the whole corpus: the page is all of SearchAll's,
+// and nothing may be sized by k up front.
+TEST(TopKSearchTest, UnboundedKEqualsSearchAll) {
+  XmlCorpus corpus = MakeWideCorpus();
+  XSeekEngine engine;
+  const size_t unbounded = std::numeric_limits<size_t>::max();
+  for (const char* text : {"texas", "texas store", "drama", "v1_0 v1_1"}) {
+    Query query = Query::Parse(text);
+    auto full = corpus.SearchAll(query, engine);
+    ASSERT_TRUE(full.ok()) << full.status();
+    for (size_t threads : {size_t{0}, size_t{1}}) {
+      CorpusServingOptions serving;
+      serving.search_threads = threads;
+      TopKSearchStats stats;
+      auto page = corpus.SearchTopK(query, engine, RankingOptions{}, serving,
+                                    unbounded, &stats);
+      ASSERT_TRUE(page.ok()) << page.status();
+      ExpectSamePage(*full, *page,
+                     std::string(text) + " threads=" + std::to_string(threads));
+      EXPECT_TRUE(stats.finished);
+      EXPECT_FALSE(stats.early_terminated);
+      EXPECT_EQ(stats.results_released, full->size());
+    }
+  }
+}
+
 TEST(TopKSearchTest, MatchesBlockingWithEngineMaxResults) {
   XmlCorpus corpus = MakeWideCorpus();
   SearchOptions options;
