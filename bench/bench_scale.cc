@@ -1,6 +1,6 @@
 // bench_scale — snapshot scale sweep: document-count × document-size grid
-// over the mmap corpus snapshot (ROADMAP direction 3), probing the two
-// properties the format exists for, and writing BENCH_scale.json:
+// over the mmap corpus snapshot, probing the properties the format exists
+// for, and writing BENCH_scale.json:
 //
 //   * results_identical_snapshot — strict correctness key: a synthetic
 //     corpus is saved, reopened snapshot-backed, and a query mix (planted
@@ -17,12 +17,22 @@
 //     exec.
 //   * constraint_prune_no_fault — strict: a no-match keyword query
 //     against the snapshot-backed corpus must finish with zero resident
-//     documents. MayMatch answers from the zero-parse token column; the
+//     documents. The term directory answers without reading a payload; the
 //     search never pays a decode for a document it can prove irrelevant.
+//   * constraint_nomatch_sublinear — strict: that no-match search costs one
+//     term-directory lookup, not a pass over the corpus, so its p50 at
+//     docs100k_small is at most 3x its p50 at docs10k_small.
+//   * constraint_topk_faults_sublinear — strict: on a fresh mapping at
+//     docs100k_small, a top-10 query for a value keyword held by at least
+//     10% of the documents faults in at most 1% of the documents holding
+//     it. Documents wait unopened until their directory score bound could
+//     still place a hit on the page, so top-k work follows the page, not
+//     the match count.
 //   * per scale point — snapshot build time, file bytes, open latency
 //     percentiles, cold fault-in percentiles and per-document rate,
-//     resident bytes per faulted document (VmRSS delta), and no-match
-//     search latency over the full directory.
+//     resident bytes per faulted document (VmRSS delta), no-match search
+//     latency, and the top-10 value-keyword query's matching and
+//     faulted-in document counts.
 //
 // Scale points keep the sweep container-friendly (10k–100k documents of
 // small/medium synthetic XML); the axes — directory-bound open, payload-
@@ -50,7 +60,12 @@ using namespace extract;
 constexpr size_t kDocVariants = 8;     // distinct documents, cycled by name
 constexpr int kOpenRuns = 9;
 constexpr size_t kFaultSamples = 256;  // cold fault-ins measured per scale
-constexpr int kNoMatchRuns = 5;
+constexpr int kNoMatchRuns = 25;
+// A value ("v<level><attribute>r<rank>") every scale's variants hold in
+// a sizeable share of documents; constraint_topk_faults_sublinear checks
+// that it does.
+constexpr const char* kTopKKeyword = "v01r7";
+constexpr size_t kTopK = 10;
 constexpr size_t kEquivDocuments = 24;
 
 struct ScalePoint {
@@ -122,6 +137,8 @@ struct ScaleResult {
   bench::LatencyPercentiles nomatch;
   size_t nomatch_hits = 0;
   size_t nomatch_resident = 0;
+  size_t topk_matching_docs = 0;  // documents holding kTopKKeyword
+  size_t topk_faulted_docs = 0;   // resident after one top-k page
   bool open_sublinear = false;
   bool prune_no_fault = false;
 };
@@ -194,8 +211,8 @@ ScaleResult RunScale(const ScalePoint& scale) {
       rss_after > rss_before ? (rss_after - rss_before) / kFaultSamples : 0;
   out.open_sublinear = out.open.p50_us * 10.0 < out.projected_eager_ms * 1e3;
 
-  // No-match search over the whole directory on a fresh mapping: MayMatch
-  // prunes from the token column, so nothing may become resident.
+  // No-match search on a fresh mapping: the term directory rules every
+  // document out, so nothing may become resident.
   auto pristine = CorpusSnapshot::Open(path);
   if (!pristine.ok()) Fatal(pristine.status());
   XmlCorpus corpus;
@@ -213,6 +230,25 @@ ScaleResult RunScale(const ScalePoint& scale) {
   auto stats = corpus.SnapshotStatsSnapshot();
   out.nomatch_resident = stats ? static_cast<size_t>(stats->resident) : 1;
   out.prune_no_fault = out.nomatch_hits == 0 && out.nomatch_resident == 0;
+
+  // One top-k page for a common value on another fresh mapping: only the
+  // documents whose bound reaches the page fault in.
+  auto fresh = CorpusSnapshot::Open(path);
+  if (!fresh.ok()) Fatal(fresh.status());
+  const Query value = Query::Parse(kTopKKeyword);
+  Status counted = (*fresh)->ForEachCandidate(
+      value, [&](size_t, std::span<const TermDocStats>) {
+        ++out.topk_matching_docs;
+      });
+  if (!counted.ok()) Fatal(counted);
+  XmlCorpus topk_corpus;
+  attached = topk_corpus.AttachSnapshot(*fresh);
+  if (!attached.ok()) Fatal(attached);
+  auto page = topk_corpus.SearchTopK(value, engine, RankingOptions{},
+                                     CorpusServingOptions{}, kTopK);
+  if (!page.ok()) Fatal(page.status());
+  out.topk_faulted_docs =
+      static_cast<size_t>(topk_corpus.SnapshotStatsSnapshot()->resident);
 
   std::remove(path.c_str());
   return out;
@@ -326,6 +362,8 @@ void WriteScale(bench::JsonWriter& json, const char* label,
   json.EndObject();
   json.Key("nomatch_hits").Value(r.nomatch_hits);
   json.Key("nomatch_resident").Value(r.nomatch_resident);
+  json.Key("topk_matching_docs").Value(r.topk_matching_docs);
+  json.Key("topk_faulted_docs").Value(r.topk_faulted_docs);
   json.EndObject();
 }
 
@@ -347,14 +385,25 @@ int main(int argc, char** argv) {
   for (const ScalePoint& scale : kScales) {
     ScaleResult r = RunScale(scale);
     std::printf(
-        "%s: %zu docs, %.1f MB, open p50 %.0fus, fault p50 %.1fus, "
-        "eager %.0fms, nomatch p50 %.0fus\n",
-        scale.label, r.documents, r.file_bytes / 1e6, r.open.p50_us,
-        r.fault_in.p50_us, r.projected_eager_ms, r.nomatch.p50_us);
+        "%s: %zu docs, %.1f MB, build %.0fms, open p50 %.0fus, fault p50 "
+        "%.1fus, eager %.0fms, nomatch p50 %.1fus, top-%zu '%s' faulted "
+        "%zu of %zu matching\n",
+        scale.label, r.documents, r.file_bytes / 1e6, r.build_ms,
+        r.open.p50_us, r.fault_in.p50_us, r.projected_eager_ms,
+        r.nomatch.p50_us, kTopK, kTopKKeyword, r.topk_faulted_docs,
+        r.topk_matching_docs);
     open_sublinear = open_sublinear && r.open_sublinear;
     prune_no_fault = prune_no_fault && r.prune_no_fault;
     results.push_back(std::move(r));
   }
+  // kScales[0] and kScales[1] share a document shape at 10x the count.
+  const ScaleResult& small10k = results[0];
+  const ScaleResult& small100k = results[1];
+  const bool nomatch_sublinear =
+      small100k.nomatch.p50_us <= 3.0 * small10k.nomatch.p50_us;
+  const bool topk_faults_sublinear =
+      small100k.topk_matching_docs * 10 >= small100k.documents &&
+      small100k.topk_faulted_docs * 100 <= small100k.topk_matching_docs;
 
   bench::JsonWriter json;
   json.BeginObject();
@@ -368,6 +417,10 @@ int main(int argc, char** argv) {
       .Value(static_cast<size_t>(open_sublinear));
   json.Key("constraint_prune_no_fault")
       .Value(static_cast<size_t>(prune_no_fault));
+  json.Key("constraint_nomatch_sublinear")
+      .Value(static_cast<size_t>(nomatch_sublinear));
+  json.Key("constraint_topk_faults_sublinear")
+      .Value(static_cast<size_t>(topk_faults_sublinear));
   json.Key("equivalence").BeginObject();
   json.Key("documents").Value(kEquivDocuments);
   json.Key("queries").Value(queries_run);
@@ -381,7 +434,8 @@ int main(int argc, char** argv) {
   json.EndObject();
   json.EndObject();
 
-  const bool pass = identical && open_sublinear && prune_no_fault;
+  const bool pass = identical && open_sublinear && prune_no_fault &&
+                    nomatch_sublinear && topk_faults_sublinear;
   if (json.WriteFile(path)) {
     std::printf("wrote %s\n", path.c_str());
     return pass ? 0 : 1;

@@ -28,6 +28,7 @@
 //   result <rank>                   print the full tree of a result
 //   html <path>                     write the last results page as HTML
 //   save <path> / load <path>       snapshot the active data set's index
+//                                   as a one-document snapshot image
 //   snapshot save <path>            persist the whole corpus as one
 //                                   mmap-able snapshot image
 //   snapshot open <path>            attach a corpus snapshot: documents
@@ -65,7 +66,6 @@
 #include "schema/schema_summary.h"
 #include "search/corpus.h"
 #include "search/result_builder.h"
-#include "search/snapshot.h"
 #include "snippet/distinguishability.h"
 #include "snippet/snippet_context.h"
 #include "snippet/snippet_service.h"
@@ -426,18 +426,32 @@ void CmdSave(const ShellState& state, const std::string& path) {
     std::printf("no data set open\n");
     return;
   }
-  Status status = SaveDatabaseSnapshotToFile(*db, path);
+  Result<CorpusSnapshotWriter> writer = CorpusSnapshotWriter::Create(path);
+  Status status = writer.status();
+  if (status.ok()) status = writer->Add(state.active, *db);
+  if (status.ok()) status = writer->Finish();
   std::printf("%s\n", status.ok() ? "saved" : status.ToString().c_str());
 }
 
 void CmdLoad(ShellState* state, const std::string& path) {
-  auto db = LoadDatabaseSnapshotFromFile(path);
-  if (!db.ok()) {
-    std::printf("error: %s\n", db.status().ToString().c_str());
+  auto snapshot = CorpusSnapshot::Open(path);
+  if (!snapshot.ok()) {
+    std::printf("error: %s\n", snapshot.status().ToString().c_str());
+    return;
+  }
+  if ((*snapshot)->doc_count() != 1) {
+    std::printf("error: %s holds %zu documents, expected one (see "
+                "'snapshot open')\n",
+                path.c_str(), (*snapshot)->doc_count());
+    return;
+  }
+  auto doc = (*snapshot)->Fault(0);
+  if (!doc.ok()) {
+    std::printf("error: %s\n", doc.status().ToString().c_str());
     return;
   }
   std::string name = "snapshot:" + path;
-  Status status = state->corpus.AddDatabase(name, std::move(*db));
+  Status status = state->corpus.AddDatabase(name, (*doc)->db);
   if (!status.ok()) {
     std::printf("error: %s\n", status.ToString().c_str());
     return;

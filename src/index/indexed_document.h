@@ -124,7 +124,7 @@ class IndexedDocument {
   size_t num_elements() const { return num_elements_; }
 
   /// \brief Rebuilds a document from its fundamental columns (used by the
-  /// snapshot loader, search/snapshot.h).
+  /// snapshot fault-in path, search/corpus_snapshot.h).
   ///
   /// `parent`, `label`, `kind` and `text` are parallel per-node arrays in
   /// pre-order; every other column (children, depth, subtree intervals,

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "common/fault.h"
@@ -55,30 +57,66 @@ bool CorpusView::Contains(std::string_view name) const {
   return snapshot->FindIndex(name) >= 0;
 }
 
-std::vector<CorpusView::DocEntry> CorpusView::VisibleDocs() const {
-  // Two-pointer merge of the overlay map and the snapshot's sorted name
-  // directory. Visible names never collide across the layers (AttachSnapshot
-  // and AddDatabase both reject the overlap), so plain alternation suffices.
-  std::vector<DocEntry> out;
-  const size_t snap_n = snapshot == nullptr ? 0 : snapshot->doc_count();
-  out.reserve(documents.size() + snap_n);
-  auto it = documents.begin();
-  size_t i = 0;
-  while (it != documents.end() || i < snap_n) {
-    if (i < snap_n && IsHidden(snapshot->name(i))) {
-      ++i;
-      continue;
-    }
-    if (i >= snap_n ||
-        (it != documents.end() && it->first < snapshot->name(i))) {
-      out.push_back(DocEntry{it->first, &it->second, 0});
+namespace {
+
+/// Merges the overlay (name-ordered map) with name-ordered snapshot entries.
+/// Visible names never collide across the layers (AttachSnapshot and
+/// AddDatabase both reject the overlap), so plain alternation suffices.
+std::vector<CorpusView::DocEntry> MergeWithOverlay(
+    const std::map<std::string, CorpusDocument, std::less<>>& overlay,
+    std::vector<CorpusView::DocEntry> snapshot_entries) {
+  if (overlay.empty()) return snapshot_entries;
+  std::vector<CorpusView::DocEntry> out;
+  out.reserve(overlay.size() + snapshot_entries.size());
+  auto it = overlay.begin();
+  auto snap = snapshot_entries.begin();
+  while (it != overlay.end() || snap != snapshot_entries.end()) {
+    if (snap == snapshot_entries.end() ||
+        (it != overlay.end() && it->first < snap->name)) {
+      out.push_back(CorpusView::DocEntry{it->first, &it->second});
       ++it;
     } else {
-      out.push_back(DocEntry{snapshot->name(i), nullptr, i});
-      ++i;
+      out.push_back(*snap++);
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<CorpusView::DocEntry> CorpusView::VisibleDocs() const {
+  std::vector<DocEntry> snapshot_entries;
+  const size_t snap_n = snapshot == nullptr ? 0 : snapshot->doc_count();
+  snapshot_entries.reserve(snap_n);
+  for (size_t i = 0; i < snap_n; ++i) {
+    if (!IsHidden(snapshot->name(i))) {
+      snapshot_entries.push_back(DocEntry{snapshot->name(i), nullptr, i});
+    }
+  }
+  return MergeWithOverlay(documents, std::move(snapshot_entries));
+}
+
+Result<std::vector<CorpusView::DocEntry>> CorpusView::MatchingDocs(
+    const Query& query, const SearchEngine& engine,
+    const RankingOptions* ranking) const {
+  if (snapshot == nullptr || !engine.RequiresAllKeywords()) {
+    return VisibleDocs();
+  }
+  std::vector<DocEntry> snapshot_entries;
+  EXTRACT_RETURN_IF_ERROR(snapshot->ForEachCandidate(
+      query, [&](size_t i, std::span<const TermDocStats> stats) {
+        const std::string_view name = snapshot->name(i);
+        if (IsHidden(name)) return;
+        DocEntry entry{name, nullptr, i};
+        const bool keyed = std::any_of(
+            stats.begin(), stats.end(),
+            [](const TermDocStats& s) { return s.postings != 0; });
+        if (ranking != nullptr && keyed) {
+          entry.score_bound = engine.DocumentScoreBound(*ranking, stats);
+        }
+        snapshot_entries.push_back(entry);
+      }));
+  return MergeWithOverlay(documents, std::move(snapshot_entries));
 }
 
 Result<ResolvedDocument> CorpusView::Materialize(const DocEntry& entry) const {
@@ -125,15 +163,22 @@ namespace internal {
 /// \brief The threshold-algorithm bound-merge behind XmlCorpus::SearchTopK
 /// and page-gated ServeQuery.
 ///
-/// One incremental producer per document (opened in name order) feeds a
-/// per-document max-heap of scored-but-unreleased hits. Each step either
-/// releases the best buffered hit — allowed exactly when no non-exhausted
-/// producer's bound could still place a hit before it under the page order
-/// — or pulls one chunk from the producers blocking that release (or, with
-/// nothing buffered at all, from the highest-bound producers). Because
-/// releases happen in the page order and the bound test is conservative on
-/// ties, the released sequence is precisely the k-prefix of SearchAll's
-/// merged page.
+/// Each opened document is an incremental producer feeding a per-document
+/// max-heap of scored-but-unreleased hits. Each step either releases the
+/// best buffered hit (the front) — allowed exactly when no open producer's
+/// bound and no unopened candidate's bound could still place a hit before
+/// it under the page order — or does the work blocking that release:
+/// opening the best-bound candidates, or pulling one chunk from the
+/// blocking producers (with nothing buffered at all, from whichever holds
+/// the highest bound). Because releases happen in the page order and the
+/// bound test is conservative on ties, the released sequence is precisely
+/// the k-prefix of SearchAll's merged page.
+///
+/// Candidates: documents with a finite directory score bound (snapshot
+/// documents, see CorpusView::MatchingDocs) wait unopened — not faulted in
+/// — in a heap ordered by bound, then name; everything else opens in Open.
+/// An opened document's effective bound is the lesser of its producer's
+/// bound and its directory bound.
 ///
 /// Thread model: every step runs under mu_, so any number of stream
 /// producers may call AdvanceForStream concurrently — they serialize, and
@@ -166,46 +211,41 @@ class TopKCoordinator {
   /// The page length this coordinator settles at most.
   size_t k() const { return k_; }
 
-  /// Opens one producer per visible document of the pinned view, in name
-  /// order, faulting snapshot-backed documents in on the way. The view must
-  /// stay alive for the coordinator's lifetime — callers keep the pin in
-  /// the session payload or on the stack. Under AND keyword semantics
-  /// (SearchEngine::RequiresAllKeywords) snapshot documents that provably
-  /// cannot match are skipped without faulting them in — they contribute no
-  /// hits, so the released page is unchanged. On failure (fault-in or open)
-  /// the error is resolved with blocking-loop parity (ResolveFailureLocked).
+  /// Lists the pinned view's candidate documents (CorpusView::MatchingDocs)
+  /// and opens, in name order, every one without a directory score bound,
+  /// faulting snapshot-backed documents in on the way; bounded ones wait in
+  /// the candidate heap. The view must stay alive for the coordinator's
+  /// lifetime — callers keep the pin in the session payload or on the
+  /// stack. On failure (candidate listing, fault-in or open) the error is
+  /// resolved with blocking-loop parity (ResolveFailureLocked).
   Status Open(const CorpusView& view) {
     std::lock_guard<std::mutex> lock(mu_);
     start_ = std::chrono::steady_clock::now();
-    const std::vector<CorpusView::DocEntry> entries = view.VisibleDocs();
-    producers_.reserve(entries.size());
-    const bool prune =
-        view.snapshot != nullptr && engine_->RequiresAllKeywords();
-    CorpusSnapshot::QueryFilter filter(query_);
-    bool failed = false;
-    for (const CorpusView::DocEntry& entry : entries) {
-      if (prune && entry.overlay == nullptr &&
-          !view.snapshot->MayMatch(entry.snapshot_index, filter)) {
-        continue;
-      }
-      Producer p;
-      p.name = std::string(entry.name);
-      Result<ResolvedDocument> doc = view.Materialize(entry);
-      if (doc.ok()) {
-        Result<std::unique_ptr<ResultProducer>> opened =
-            engine_->OpenIncremental(**doc->db, query_, ranking_, k_);
-        if (opened.ok()) {
-          p.producer = std::move(*opened);
-        } else {
-          p.status = opened.status();
-          failed = true;
-        }
-      } else {
-        p.status = doc.status();
-        failed = true;
-      }
-      producers_.push_back(std::move(p));
+    view_ = &view;
+    Result<std::vector<CorpusView::DocEntry>> entries =
+        view.MatchingDocs(query_, *engine_, &ranking_);
+    if (!entries.ok()) {
+      error_ = entries.status();
+      FinishLocked();
+      return error_;
     }
+    // No usable bound (+infinity, or NaN from a misbehaving engine): open
+    // now. A -infinity bound promises no hit at all: never open.
+    const auto unbounded = [](const CorpusView::DocEntry& entry) {
+      return !(entry.score_bound < kUnbounded);
+    };
+    producers_.reserve(static_cast<size_t>(
+        std::count_if(entries->begin(), entries->end(), unbounded)));
+    bool failed = false;
+    for (const CorpusView::DocEntry& entry : *entries) {
+      if (unbounded(entry)) failed = !OpenLocked(entry) || failed;
+    }
+    candidates_ = std::move(*entries);
+    std::erase_if(candidates_, [&](const CorpusView::DocEntry& entry) {
+      return unbounded(entry) ||
+             entry.score_bound == -std::numeric_limits<double>::infinity();
+    });
+    std::make_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
     if (failed) {
       ResolveFailureLocked();
       return error_;
@@ -265,16 +305,76 @@ class TopKCoordinator {
   }
 
  private:
+  static constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
   struct Producer {
     /// Owned: snapshot-backed names live in the mapped name arena, not in
     /// the overlay map, so there is no long-lived std::string to alias.
     std::string name;
     std::unique_ptr<ResultProducer> producer;  ///< null iff open failed
+    /// The document's directory score bound (kUnbounded if none).
+    double doc_bound = kUnbounded;
     /// Pulled-but-unreleased hits; max-heap under CorpusHitWorse, so the
     /// front is the hit appearing first in the page order.
     std::vector<CorpusResult> heap;
     Status status;  ///< sticky first error (open or pull)
+
+    /// Bound on any hit a future pull may add; -infinity when exhausted.
+    double Bound() const {
+      if (!producer || producer->Exhausted()) {
+        return -std::numeric_limits<double>::infinity();
+      }
+      return std::min(producer->ScoreUpperBound(), doc_bound);
+    }
   };
+
+  /// True when a document named `name` whose hits score at most `bound`
+  /// could place one at or before (`score`, `document`) in the page order.
+  /// Equal bound counts when the name would win the tie — including the
+  /// front's own document (a same-score lower root may still arrive, since
+  /// producers do not emit in score order).
+  static bool CouldPrecede(double bound, std::string_view name, double score,
+                           std::string_view document) {
+    return bound > score || (bound == score && name <= document);
+  }
+
+  /// Candidate heap order: the top is the highest bound, ties to the lower
+  /// name — the candidate most able to precede any front.
+  static bool CandidateAfter(const CorpusView::DocEntry& a,
+                             const CorpusView::DocEntry& b) {
+    if (a.score_bound != b.score_bound) return a.score_bound < b.score_bound;
+    return a.name > b.name;
+  }
+
+  /// Descent order among open producers: higher bound (this step's
+  /// bounds_) first, ties to the lower name.
+  bool ProducerFirst(size_t a, size_t b) const {
+    if (bounds_[a] != bounds_[b]) return bounds_[a] > bounds_[b];
+    return producers_[a].name < producers_[b].name;
+  }
+
+  /// Faults `entry` in and opens its producer, appending it to producers_
+  /// (which may reallocate: no reference into producers_ survives this
+  /// call). False when the fault-in or the open failed.
+  bool OpenLocked(const CorpusView::DocEntry& entry) {
+    Producer p;
+    p.name = std::string(entry.name);
+    p.doc_bound = entry.score_bound;
+    Result<ResolvedDocument> doc = view_->Materialize(entry);
+    if (doc.ok()) {
+      Result<std::unique_ptr<ResultProducer>> opened =
+          engine_->OpenIncremental(**doc->db, query_, ranking_, k_);
+      if (opened.ok()) {
+        p.producer = std::move(*opened);
+      } else {
+        p.status = opened.status();
+      }
+    } else {
+      p.status = doc.status();
+    }
+    producers_.push_back(std::move(p));
+    return producers_.back().status.ok();
+  }
 
   void StepLocked() {
     if (finished_) return;
@@ -296,20 +396,40 @@ class TopKCoordinator {
       }
     }
     pull_set_.clear();
+    // Every producer's bound, once per step: ScoreUpperBound is not free.
+    bounds_.resize(n);
+    for (size_t i = 0; i < n; ++i) bounds_[i] = producers_[i].Bound();
     if (best < n) {
       const CorpusResult& front = producers_[best].heap.front();
-      // Blockers: producers that could still place a hit before `front`.
-      // Equal bound blocks when the producer's document name would win the
-      // tie — including front's own document (a same-score lower root may
-      // still arrive, since producers do not emit in score order).
+      // Blockers: open producers that could still place a hit before it.
+      size_t top_blocker = n;
       for (size_t i = 0; i < n; ++i) {
         const Producer& p = producers_[i];
-        if (!p.producer || p.producer->Exhausted()) continue;
-        const double bound = p.producer->ScoreUpperBound();
-        if (bound > front.score ||
-            (bound == front.score && p.name <= front.document)) {
+        if (p.producer && !p.producer->Exhausted() &&
+            CouldPrecede(bounds_[i], p.name, front.score, front.document)) {
           pull_set_.push_back(i);
+          if (top_blocker == n || ProducerFirst(i, top_blocker)) {
+            top_blocker = i;
+          }
         }
+      }
+      // Unopened candidates that could precede the front open before the
+      // blockers are pulled only when the best of them outranks every
+      // blocker: pulling a higher-ranked producer first often raises the
+      // front enough to rule the candidates out.
+      if (!candidates_.empty() &&
+          CouldPrecede(candidates_.front().score_bound,
+                       candidates_.front().name, front.score,
+                       front.document) &&
+          (top_blocker == n ||
+           CouldPrecede(candidates_.front().score_bound,
+                        candidates_.front().name, bounds_[top_blocker],
+                        producers_[top_blocker].name))) {
+        const double score = front.score;
+        const std::string document = front.document;  // opening invalidates
+        merge_ns_ += ElapsedNsSince(merge_start);
+        OpenCandidatesLocked(score, document);
+        return;
       }
       if (pull_set_.empty()) {
         Producer& p = producers_[best];
@@ -317,6 +437,7 @@ class TopKCoordinator {
         CorpusResult hit = std::move(p.heap.back());
         p.heap.pop_back();
         ++released_;
+        open_batch_ = 1;
         if (first_result_ns_ == 0) first_result_ns_ = ElapsedNsSince(start_);
         merge_ns_ += ElapsedNsSince(merge_start);
         if (on_release) on_release(std::move(hit));
@@ -329,12 +450,30 @@ class TopKCoordinator {
       return;
     }
     // Nothing buffered anywhere: finish if the corpus is exhausted, else
-    // descend into the highest-bound producers only — pulling every
-    // producer here would fully scan documents the bound-merge may never
-    // need (exactly the work early termination exists to skip).
+    // descend into the highest bound only — opening the best candidates, or
+    // pulling the highest-bound producers. Pulling every producer here
+    // would fully scan documents the bound-merge may never need (exactly
+    // the work early termination exists to skip).
+    size_t top = n;  // the open producer first in (bound, name) order
     for (size_t i = 0; i < n; ++i) {
       const Producer& p = producers_[i];
-      if (p.producer && !p.producer->Exhausted()) pull_set_.push_back(i);
+      if (p.producer && !p.producer->Exhausted()) {
+        pull_set_.push_back(i);
+        if (top == n || ProducerFirst(i, top)) top = i;
+      }
+    }
+    if (!candidates_.empty() &&
+        (top == n || CouldPrecede(candidates_.front().score_bound,
+                                  candidates_.front().name, bounds_[top],
+                                  producers_[top].name))) {
+      merge_ns_ += ElapsedNsSince(merge_start);
+      if (top == n) {
+        OpenCandidatesLocked(-std::numeric_limits<double>::infinity(), {});
+      } else {
+        const std::string name = producers_[top].name;  // opening invalidates
+        OpenCandidatesLocked(bounds_[top], name);
+      }
+      return;
     }
     if (pull_set_.empty()) {
       merge_ns_ += ElapsedNsSince(merge_start);
@@ -345,15 +484,34 @@ class TopKCoordinator {
       std::partial_sort(
           pull_set_.begin(),
           pull_set_.begin() + static_cast<ptrdiff_t>(pull_width_),
-          pull_set_.end(), [this](size_t a, size_t b) {
-            const double ba = producers_[a].producer->ScoreUpperBound();
-            const double bb = producers_[b].producer->ScoreUpperBound();
-            if (ba != bb) return ba > bb;
-            return a < b;  // producers_ is name-sorted: ties to lower names
-          });
+          pull_set_.end(),
+          [this](size_t a, size_t b) { return ProducerFirst(a, b); });
       pull_set_.resize(pull_width_);
     }
     merge_ns_ += ElapsedNsSince(merge_start);
+    PullLocked();
+  }
+
+  /// Opens up to open_batch_ of the best candidates that could precede
+  /// (`score`, `document`), then pulls each of them once. The batch doubles
+  /// until the next release, so a search that must open many documents
+  /// takes logarithmically many steps, while one whose bounds are tight
+  /// opens about one document per released hit.
+  void OpenCandidatesLocked(double score, const std::string& document) {
+    pull_set_.clear();
+    while (pull_set_.size() < open_batch_ && !candidates_.empty() &&
+           CouldPrecede(candidates_.front().score_bound,
+                        candidates_.front().name, score, document)) {
+      std::pop_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
+      const CorpusView::DocEntry entry = candidates_.back();
+      candidates_.pop_back();
+      if (!OpenLocked(entry)) {
+        ResolveFailureLocked();
+        return;
+      }
+      pull_set_.push_back(producers_.size() - 1);
+    }
+    open_batch_ *= 2;
     PullLocked();
   }
 
@@ -389,18 +547,35 @@ class TopKCoordinator {
 
   /// Blocking-loop error parity: the sequential document loop reports the
   /// first failure in name order, and it searches each document to
-  /// completion before moving on — so every document below the lowest
-  /// known failure gets drained to exhaustion first, in case it fails too.
+  /// completion before moving on — so every candidate named below the
+  /// lowest known failure is opened (if it is still waiting) and drained
+  /// to exhaustion first, in case it fails too.
   void ResolveFailureLocked() {
-    const size_t n = producers_.size();
-    size_t f = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (!producers_[i].status.ok()) {
+    size_t f = producers_.size();
+    for (size_t i = 0; i < producers_.size(); ++i) {
+      if (!producers_[i].status.ok() &&
+          (f == producers_.size() || producers_[i].name < producers_[f].name)) {
         f = i;
-        break;
       }
     }
-    for (size_t i = 0; i < f; ++i) {
+    const std::string failed_name = producers_[f].name;
+    std::vector<CorpusView::DocEntry> below;
+    for (const CorpusView::DocEntry& entry : candidates_) {
+      if (entry.name < failed_name) below.push_back(entry);
+    }
+    std::erase_if(candidates_, [&](const CorpusView::DocEntry& entry) {
+      return entry.name < failed_name;
+    });
+    std::make_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
+    for (const CorpusView::DocEntry& entry : below) OpenLocked(entry);
+
+    std::vector<size_t> order(producers_.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+      return producers_[a].name < producers_[b].name;
+    });
+    for (size_t i : order) {
+      if (producers_[i].name >= failed_name) break;
       Producer& p = producers_[i];
       std::vector<RankedResult> buf;
       while (p.status.ok() && p.producer && !p.producer->Exhausted()) {
@@ -420,6 +595,7 @@ class TopKCoordinator {
   void FinishLocked() {
     if (finished_) return;
     finished_ = true;
+    early_terminated_ = !candidates_.empty();
     for (const Producer& p : producers_) {
       if (p.producer && !p.producer->Exhausted()) {
         early_terminated_ = true;
@@ -441,8 +617,13 @@ class TopKCoordinator {
   const bool parallel_pulls_;
 
   mutable std::mutex mu_;
-  std::vector<Producer> producers_;  ///< name order (the map's order)
-  std::vector<size_t> pull_set_;     ///< scratch, reused across steps
+  const CorpusView* view_ = nullptr;  ///< the pinned view, set by Open
+  std::vector<Producer> producers_;   ///< opening order
+  /// Unopened bounded documents; heap under CandidateAfter.
+  std::vector<CorpusView::DocEntry> candidates_;
+  std::vector<size_t> pull_set_;  ///< scratch, reused across steps
+  std::vector<double> bounds_;    ///< Producer::Bound() of this step
+  size_t open_batch_ = 1;  ///< see OpenCandidatesLocked
   size_t released_ = 0;
   size_t pull_rounds_ = 0;
   uint64_t merge_ns_ = 0;
@@ -471,6 +652,11 @@ Status XmlCorpus::AddDocument(const std::string& name, std::string_view xml,
 }
 
 Status XmlCorpus::AddDatabase(const std::string& name, XmlDatabase db) {
+  return AddDatabase(name, std::make_shared<const XmlDatabase>(std::move(db)));
+}
+
+Status XmlCorpus::AddDatabase(const std::string& name,
+                              std::shared_ptr<const XmlDatabase> db) {
   // Read-copy-update under the writer mutex: copy the current view
   // (shallow — documents are shared_ptrs), add the new registration,
   // publish. Readers pinned to older epochs are untouched.
@@ -488,7 +674,7 @@ Status XmlCorpus::AddDatabase(const std::string& name, XmlDatabase db) {
   }
   CorpusView next = *current;
   CorpusDocument doc;
-  doc.db = std::make_shared<const XmlDatabase>(std::move(db));
+  doc.db = std::move(db);
   doc.instance = next_instance_++;
   doc.cache_id = name + "@" + std::to_string(doc.instance);
   next.documents.emplace(name, std::move(doc));
@@ -665,25 +851,20 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
     const CorpusPin& pin) const {
   const auto start = std::chrono::steady_clock::now();
 
-  // Enumerate the visible documents in name order — the loop order and the
-  // page's tie-break. The pinned view is immutable, so entries are stable
-  // for the whole call; snapshot-backed documents are NOT faulted in yet.
-  std::vector<CorpusView::DocEntry> entries = pin->VisibleDocs();
-
-  // Under AND keyword semantics, snapshot documents that provably cannot
-  // match (MayMatch straight off the mapped token arena) are dropped up
-  // front — never faulted in, never searched. The page is unchanged:
-  // dropped documents contribute no hits.
-  if (pin->snapshot != nullptr && engine.RequiresAllKeywords()) {
-    CorpusSnapshot::QueryFilter filter(query);
-    std::erase_if(entries, [&](const CorpusView::DocEntry& entry) {
-      return entry.overlay == nullptr &&
-             !pin->snapshot->MayMatch(entry.snapshot_index, filter);
-    });
+  // The documents that can hold a hit, in name order — the loop order and
+  // the page's tie-break. The pinned view is immutable, so entries are
+  // stable for the whole call; snapshot-backed documents are NOT faulted
+  // in yet, and under AND keyword semantics the ones the term directory
+  // rules out never are.
+  Result<std::vector<CorpusView::DocEntry>> entries =
+      pin->MatchingDocs(query, engine, /*ranking=*/nullptr);
+  if (!entries.ok()) {
+    stage_stats_.Record("search", ElapsedNsSince(start));
+    return entries.status();
   }
 
   std::vector<CorpusResult> out;
-  for (const CorpusView::DocEntry& entry : entries) {
+  for (const CorpusView::DocEntry& entry : *entries) {
     Result<ResolvedDocument> doc = pin->Materialize(entry);
     if (!doc.ok()) {
       stage_stats_.Record("search", ElapsedNsSince(start));

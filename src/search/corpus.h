@@ -60,6 +60,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -143,11 +144,29 @@ struct CorpusView {
     std::string_view name;
     const CorpusDocument* overlay = nullptr;
     size_t snapshot_index = 0;
+    /// Upper bound on the score of any hit of this document (see
+    /// MatchingDocs); +infinity when unknown.
+    double score_bound = std::numeric_limits<double>::infinity();
   };
 
   /// Every visible document in name order (overlay merged with the
   /// non-hidden snapshot names). O(visible); never faults anything in.
   std::vector<DocEntry> VisibleDocs() const;
+
+  /// \brief The visible documents that can hold a hit of `query` under
+  /// `engine`, in name order. Never faults anything in.
+  ///
+  /// For an engine that RequiresAllKeywords over an attached snapshot, the
+  /// snapshot documents come from its term directory
+  /// (CorpusSnapshot::ForEachCandidate) — O(overlay + candidates), not
+  /// O(snapshot) — and, when `ranking` is given, each one carries
+  /// engine.DocumentScoreBound of its keyword stats (documents whose
+  /// analyzer drops every keyword stay unbounded). Overlay documents are
+  /// always listed, unbounded. Any other engine gets VisibleDocs().
+  /// ParseError when a term list the query reads is corrupt.
+  Result<std::vector<DocEntry>> MatchingDocs(
+      const Query& query, const SearchEngine& engine,
+      const RankingOptions* ranking) const;
 
   /// Number of visible documents. O(hidden), never O(corpus).
   size_t VisibleCount() const;
@@ -176,14 +195,15 @@ using CorpusPin = EpochDomain<CorpusView>::Pin;
 /// ServeQuery with CorpusServingOptions::page_size > 0): how much of the
 /// corpus the threshold merge actually touched before the page settled.
 struct TopKSearchStats {
-  /// Driving-list postings a full (blocking) search would scan, summed over
-  /// every document's producer.
+  /// Driving-list postings a full (blocking) search of the opened documents
+  /// would scan, summed over their producers.
   size_t candidates_total = 0;
   /// Driving-list postings actually scanned so far.
   size_t candidates_scored = 0;
   /// Page slots released so far (== min(k, total hits) once cleanly done).
   size_t results_released = 0;
-  /// Incremental producers opened (one per document).
+  /// Incremental producers opened (one per opened document; a snapshot
+  /// document whose score bound never reaches the page is never opened).
   size_t producers = 0;
   /// Coordinator pull rounds (each pulls one chunk from >= 1 producers).
   size_t pull_rounds = 0;
@@ -192,8 +212,9 @@ struct TopKSearchStats {
   uint64_t first_result_ns = 0;
   /// True once the search settled every slot (or failed).
   bool finished = false;
-  /// True when the search finished with some producer never exhausted: the
-  /// threshold bound proved the rest of the corpus could not reach the page.
+  /// True when the search finished with some producer never exhausted or
+  /// some candidate document never opened: the threshold bound proved the
+  /// rest of the corpus could not reach the page.
   bool early_terminated = false;
 };
 
@@ -327,6 +348,8 @@ class XmlCorpus {
 
   /// Adds an already-loaded database, publishing a new epoch on success.
   Status AddDatabase(const std::string& name, XmlDatabase db);
+  Status AddDatabase(const std::string& name,
+                     std::shared_ptr<const XmlDatabase> db);
 
   /// Removes the document registered under `name`, publishing a new epoch
   /// and invalidating the removed instance's cached snippets (after the
@@ -389,12 +412,13 @@ class XmlCorpus {
   /// \brief Searches every document and merges the hits best-score-first
   /// (ties: document name, then document order).
   ///
-  /// The sequential document loop on the calling thread: each document is
+  /// The sequential document loop on the calling thread: each document
+  /// that can hold a hit (CorpusView::MatchingDocs) is faulted in,
   /// searched and ranked in name order, then the hits are stable-sorted
-  /// into the page. An engine failure reports the first failing document's
-  /// error. The engine may still parallelize inside a document across its
-  /// index partitions. No `serving` field applies to this loop; the
-  /// parameter keeps the overload set uniform with SearchTopK.
+  /// into the page. A fault-in or engine failure reports the first failing
+  /// document's error. The engine may still parallelize inside a document
+  /// across its index partitions. No `serving` field applies to this loop;
+  /// the parameter keeps the overload set uniform with SearchTopK.
   ///
   /// The pin-taking overload searches exactly `pin`'s snapshot; the others
   /// pin the current view for the duration of the call.
@@ -420,18 +444,27 @@ class XmlCorpus {
   /// (SearchEngine::OpenIncremental) with a sound score upper bound, and a
   /// threshold bound-merge releases a page slot as soon as no producer's
   /// bound can still place a hit before it — documents whose bound never
-  /// reaches the page are never fully enumerated. The returned page is
-  /// byte-identical to SearchAll(...) truncated to its first k entries, for
-  /// every thread count and engine that honors the OpenIncremental
-  /// contract; only the work done differs. Any k is valid, including
-  /// std::numeric_limits<size_t>::max() (the whole SearchAll page).
+  /// reaches the page are never fully enumerated. Snapshot documents with a
+  /// directory score bound (CorpusView::MatchingDocs) wait in a heap
+  /// ordered by bound, then name, and are faulted in and opened only once
+  /// their bound could still place a hit before the current front; the
+  /// rest (overlay documents, engines without a bound, keyword-less
+  /// queries) open up front. The returned page is byte-identical to
+  /// SearchAll(...) truncated to its first k entries, for every thread
+  /// count and engine that honors the OpenIncremental and
+  /// DocumentScoreBound contracts; only the work done differs. Any k is
+  /// valid, including std::numeric_limits<size_t>::max() (the whole
+  /// SearchAll page).
   ///
   /// serving.search_threads budgets the parallel pull width (1 = fully
   /// sequential); page_size is ignored here — `k` is explicit. k == 0
-  /// returns an empty page without searching. A producer failure reports
-  /// exactly the error the sequential document loop would have hit first
-  /// (lowest failing document in name order), like SearchAll. `stats`
-  /// (optional) receives the search's cost counters.
+  /// returns an empty page without searching. Errors: a failure in a
+  /// document the search opens (fault-in, open or pull) reports exactly
+  /// the error SearchAll reports — the lowest failing document in name
+  /// order, since every candidate named below the failure is then opened
+  /// and drained too. A document the bound never opens cannot fail the
+  /// search, so SearchTopK may succeed where SearchAll reports a fault-in
+  /// failure. `stats` (optional) receives the search's cost counters.
   Result<std::vector<CorpusResult>> SearchTopK(
       const Query& query, const SearchEngine& engine,
       const RankingOptions& ranking, const CorpusServingOptions& serving,

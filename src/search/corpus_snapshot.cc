@@ -1,14 +1,18 @@
 #include "search/corpus_snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
 #include "common/fault.h"
-#include "search/snapshot.h"
 
 namespace extract {
 
@@ -23,9 +27,53 @@ namespace snapshot_internal {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'C', 'S', 'N'};
-constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderSize = 64;
+constexpr uint32_t kVersion = 2;
+constexpr size_t kHeaderSize = 96;
 constexpr size_t kBlobTocWords = 12;
+
+// Header fields (byte offsets).
+constexpr size_t kHeaderFileSize = 8;
+constexpr size_t kHeaderDocCount = 16;
+constexpr size_t kHeaderDirOffset = 24;
+constexpr size_t kHeaderDirSize = 32;
+constexpr size_t kHeaderDirChecksum = 40;
+constexpr size_t kHeaderTermsOffset = 48;
+constexpr size_t kHeaderTermsSize = 56;
+constexpr size_t kHeaderTermsChecksum = 64;
+constexpr size_t kHeaderChecksum = kHeaderSize - 8;
+
+// Document directory entry fields (u64 words).
+constexpr size_t kEntryPayloadOff = 0;
+constexpr size_t kEntryPayloadSize = 1;
+constexpr size_t kEntryPayloadChecksum = 2;
+constexpr size_t kEntryNumNodes = 3;
+constexpr size_t kEntryAnalyzerFlags = 4;
+constexpr size_t kDirEntryWords = 5;
+
+// Term directory: three count words, then per-term arrays, then entries of
+// four u32 fields (document index, TermDocStats in declaration order).
+constexpr size_t kTermsPrologueWords = 3;
+constexpr size_t kTermEntryBytes = 16;
+
+/// TextAnalysisOptions <-> the persisted analyzer flags (1 = stem,
+/// 2 = remove_stopwords).
+uint64_t AnalyzerFlags(const TextAnalysisOptions& options) {
+  return (options.stem ? 1u : 0u) | (options.remove_stopwords ? 2u : 0u);
+}
+
+TextAnalysisOptions AnalyzerOptions(uint64_t flags) {
+  TextAnalysisOptions options;
+  options.stem = (flags & 1) != 0;
+  options.remove_stopwords = (flags & 2) != 0;
+  return options;
+}
+
+/// Term-directory key of `token` under analyzer `flags`.
+std::string TermKey(uint64_t flags, std::string_view token) {
+  std::string key(1, static_cast<char>(flags));
+  key.append(token);
+  return key;
+}
 
 // ------------------------------------------------------- byte building ----
 
@@ -77,6 +125,12 @@ double LoadF64(const uint8_t* p) {
   double v;
   std::memcpy(&v, p, 8);
   return v;
+}
+
+/// Copies `n` bytes into a column; an empty column may have no storage,
+/// and memcpy requires valid pointers even for zero bytes.
+void CopyColumn(void* dst, const uint8_t* src, size_t n) {
+  if (n != 0) std::memcpy(dst, src, n);
 }
 
 /// Bounds-checked cursor over one document blob. Sections are addressed by
@@ -236,10 +290,11 @@ struct DirRecord {
   uint64_t payload_off = 0;
   uint64_t payload_size = 0;
   uint64_t payload_checksum = 0;
-  BlobMeta meta;  ///< token_off here is relative to the payload start
+  uint64_t num_nodes = 0;
+  uint64_t analyzer_flags = 0;
 };
 
-/// Serializes the directory for records already sorted by name.
+/// Serializes the document directory for records already sorted by name.
 std::string BuildDirectory(const std::vector<DirRecord>& records) {
   std::string dir;
   uint64_t name_bytes_len = 0;
@@ -257,72 +312,120 @@ std::string BuildDirectory(const std::vector<DirRecord>& records) {
     PutU64Raw(&dir, r.payload_off);
     PutU64Raw(&dir, r.payload_size);
     PutU64Raw(&dir, r.payload_checksum);
-    PutU64Raw(&dir, r.meta.num_nodes);
-    PutU64Raw(&dir, r.payload_off + r.meta.token_off);  // absolute
-    PutU64Raw(&dir, r.meta.token_size);
-    PutU64Raw(&dir, r.meta.analyzer_flags);
-    PutU64Raw(&dir, 0);
+    PutU64Raw(&dir, r.num_nodes);
+    PutU64Raw(&dir, r.analyzer_flags);
   }
   return dir;
 }
 
-std::string BuildHeader(uint64_t file_size, uint64_t doc_count,
-                        uint64_t dir_offset, uint64_t dir_size,
-                        uint64_t dir_checksum) {
+/// One term of the term directory, writer-side: its key and its entries
+/// (document index + stats), documents ascending.
+struct TermRecord {
+  std::string_view key;
+  const std::vector<std::pair<uint32_t, TermDocStats>>* docs = nullptr;
+};
+
+/// Serializes the term directory for records sorted by key. Returns the
+/// bytes and, in *index_checksum, the Hash64 of everything before the
+/// entries (the part Open verifies).
+std::string BuildTermDirectory(const std::vector<TermRecord>& terms,
+                               uint64_t* index_checksum) {
+  std::string out;
+  uint64_t key_bytes = 0;
+  uint64_t entry_count = 0;
+  for (const TermRecord& t : terms) {
+    key_bytes += t.key.size();
+    entry_count += t.docs->size();
+  }
+  PutU64Raw(&out, terms.size());
+  PutU64Raw(&out, entry_count);
+  PutU64Raw(&out, key_bytes);
+  uint64_t off = 0;
+  for (const TermRecord& t : terms) {
+    PutU64Raw(&out, off);
+    off += t.key.size();
+  }
+  PutU64Raw(&out, off);
+  uint64_t begin = 0;
+  for (const TermRecord& t : terms) {
+    PutU64Raw(&out, begin);
+    begin += t.docs->size();
+  }
+  PutU64Raw(&out, begin);
+  std::string entries(static_cast<size_t>(entry_count * kTermEntryBytes),
+                      '\0');
+  size_t at = 0;
+  for (const TermRecord& t : terms) {
+    const size_t list_start = at;
+    for (const auto& [doc, stats] : *t.docs) {
+      const uint32_t fields[4] = {doc, stats.postings, stats.max_depth,
+                                  stats.min_entity_edges};
+      std::memcpy(entries.data() + at, fields, kTermEntryBytes);
+      at += kTermEntryBytes;
+    }
+    PutU64Raw(&out, Hash64(reinterpret_cast<const uint8_t*>(entries.data()) +
+                               list_start,
+                           at - list_start));
+  }
+  for (const TermRecord& t : terms) out.append(t.key);
+  Pad8(&out);
+  *index_checksum =
+      Hash64(reinterpret_cast<const uint8_t*>(out.data()), out.size());
+  out.append(entries);
+  return out;
+}
+
+/// The header's checksummed fields, in file order after magic + version.
+struct HeaderFields {
+  uint64_t file_size = 0;
+  uint64_t doc_count = 0;
+  uint64_t dir_offset = 0;
+  uint64_t dir_size = 0;
+  uint64_t dir_checksum = 0;
+  uint64_t terms_offset = 0;
+  uint64_t terms_size = 0;
+  uint64_t terms_checksum = 0;
+};
+
+std::string BuildHeader(const HeaderFields& f) {
   std::string header;
   header.append(kMagic, 4);
   PutU32Raw(&header, kVersion);
-  PutU64Raw(&header, file_size);
-  PutU64Raw(&header, doc_count);
-  PutU64Raw(&header, dir_offset);
-  PutU64Raw(&header, dir_size);
-  PutU64Raw(&header, dir_checksum);
-  PutU64Raw(&header, 0);  // reserved
-  PutU64Raw(&header, internal::Fnv1a(header));
+  for (uint64_t word : {f.file_size, f.doc_count, f.dir_offset, f.dir_size,
+                        f.dir_checksum, f.terms_offset, f.terms_size,
+                        f.terms_checksum, uint64_t{0}, uint64_t{0}}) {
+    PutU64Raw(&header, word);
+  }
+  PutU64Raw(&header, Fnv1a(header));
   return header;
-}
-
-}  // namespace
-
-// --------------------------------------------------------------- hashes ----
-
-uint64_t Hash64(const uint8_t* data, size_t n) {
-  uint64_t h = 0x9E3779B97F4A7C15ULL ^ (static_cast<uint64_t>(n) *
-                                        0xC2B2AE3D27D4EB4FULL);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    h ^= LoadU64(data + i) * 0x9DDFEA08EB382D69ULL;
-    h = (h << 27) | (h >> 37);
-    h *= 0x165667B19E3779F9ULL;
-  }
-  if (i < n) {
-    uint64_t tail = 0;
-    for (size_t j = 0; i + j < n; ++j) {
-      tail |= static_cast<uint64_t>(data[i + j]) << (8 * j);
-    }
-    h ^= tail * 0x9DDFEA08EB382D69ULL;
-    h = (h << 27) | (h >> 37);
-    h *= 0x165667B19E3779F9ULL;
-  }
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  h *= 0xC4CEB9FE1A85EC53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
-uint64_t ImageView::entry(size_t i, size_t field) const {
-  return entries[i * kDirEntryWords + field];
 }
 
 // -------------------------------------------------------- blob encoding ----
 
-std::string EncodeDocumentBlob(const XmlDatabase& db, BlobMeta* meta) {
+/// The database's posting lists by token, sorted bytewise.
+using SortedPostings = std::vector<std::pair<std::string, const PostingList*>>;
+
+SortedPostings SortPostings(const InvertedIndex& inverted) {
+  SortedPostings postings;
+  for (std::string& token : inverted.Tokens()) {
+    const PostingList* list = inverted.Find(token);
+    postings.emplace_back(std::move(token), list);
+  }
+  std::sort(postings.begin(), postings.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return postings;
+}
+
+/// Serializes one database into a flat self-contained payload blob in
+/// *blob (whose capacity is reused); `postings` is
+/// SortPostings(db.inverted()).
+void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
+                        std::string* blob) {
   const IndexedDocument& doc = db.index();
   const size_t n = doc.num_nodes();
   uint64_t toc[kBlobTocWords] = {};
-  std::string out(kBlobTocWords * 8, '\0');
+  std::string& out = *blob;
+  out.assign(kBlobTocWords * 8, '\0');
 
   // Label table: count | offsets[count+1] | bytes.
   toc[0] = out.size();
@@ -374,10 +477,7 @@ std::string EncodeDocumentBlob(const XmlDatabase& db, BlobMeta* meta) {
 
   // Analyzer options.
   toc[3] = out.size();
-  const TextAnalysisOptions& analysis = db.analyzer().options();
-  const uint64_t analyzer_flags =
-      (analysis.stem ? 1u : 0u) | (analysis.remove_stopwords ? 2u : 0u);
-  PutU64Raw(&out, analyzer_flags);
+  PutU64Raw(&out, AnalyzerFlags(db.analyzer().options()));
 
   // Partition grid.
   toc[4] = out.size();
@@ -426,38 +526,34 @@ std::string EncodeDocumentBlob(const XmlDatabase& db, BlobMeta* meta) {
     }
   }
 
-  // Inverted index: sorted token arena + CSR posting lists. The sorted
-  // token column doubles as the MayMatch probe structure, so it must be
-  // byte-wise ascending.
+  // Inverted index: sorted token arena + CSR posting lists.
   toc[7] = out.size();
   {
-    std::vector<std::string> tokens = db.inverted().Tokens();
-    std::sort(tokens.begin(), tokens.end());
-    PutU64Raw(&out, tokens.size());
+    PutU64Raw(&out, postings.size());
     uint64_t total = 0;
-    for (const std::string& t : tokens) total += db.inverted().Find(t)->size();
+    for (const auto& [t, list] : postings) total += list->size();
     PutU64Raw(&out, total);
     uint64_t off = 0;
-    for (const std::string& t : tokens) {
+    for (const auto& [t, list] : postings) {
       PutU64Raw(&out, off);
       off += t.size();
     }
     PutU64Raw(&out, off);
-    for (const std::string& t : tokens) out.append(t);
+    for (const auto& [t, list] : postings) out.append(t);
     Pad8(&out);
     uint64_t begin = 0;
-    for (const std::string& t : tokens) {
+    for (const auto& [t, list] : postings) {
       PutU64Raw(&out, begin);
-      begin += db.inverted().Find(t)->size();
+      begin += list->size();
     }
     PutU64Raw(&out, begin);
-    for (const std::string& t : tokens) {
-      for (NodeId node : db.inverted().Find(t)->nodes) PutI32Raw(&out, node);
+    for (const auto& [t, list] : postings) {
+      for (NodeId node : list->nodes) PutI32Raw(&out, node);
     }
     Pad8(&out);
-    for (const std::string& t : tokens) {
-      for (PostingSource s : db.inverted().Find(t)->sources) {
-        out.push_back(static_cast<char>(s));
+    for (const auto& [t, list] : postings) {
+      for (PostingSource source : list->sources) {
+        out.push_back(static_cast<char>(source));
       }
     }
     Pad8(&out);
@@ -474,16 +570,14 @@ std::string EncodeDocumentBlob(const XmlDatabase& db, BlobMeta* meta) {
   }
   toc[9] = n;
 
-  meta->num_nodes = n;
-  meta->token_off = toc[7];
-  meta->token_size = (toc[8] != 0 ? toc[8] : out.size()) - toc[7];
-  meta->analyzer_flags = analyzer_flags;
   for (size_t k = 0; k < kBlobTocWords; ++k) SetU64(&out, 8 * k, toc[k]);
-  return out;
 }
 
 // -------------------------------------------------------- blob decoding ----
 
+/// Decodes a payload blob back into a database, restoring every derived
+/// structure from its stored section (no re-classification, no re-mining,
+/// no re-tokenization). The caller has already verified the checksum.
 Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   if (size < kBlobTocWords * 8) {
     return Status::ParseError("snapshot document blob too short");
@@ -532,10 +626,10 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   {
     const uint8_t* p;
     EXTRACT_ASSIGN_OR_RETURN(p, reader.Raw(n * 4));
-    std::memcpy(parent.data(), p, static_cast<size_t>(n) * 4);
+    CopyColumn(parent.data(), p, static_cast<size_t>(n) * 4);
     reader.Align8();
     EXTRACT_ASSIGN_OR_RETURN(p, reader.Raw(n * 4));
-    std::memcpy(label.data(), p, static_cast<size_t>(n) * 4);
+    CopyColumn(label.data(), p, static_cast<size_t>(n) * 4);
     reader.Align8();
     EXTRACT_ASSIGN_OR_RETURN(p, reader.Raw(n));
     for (uint64_t i = 0; i < n; ++i) {
@@ -584,9 +678,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   if (analyzer_flags > 3) {
     return Status::ParseError("snapshot bad analyzer flags");
   }
-  TextAnalysisOptions analysis;
-  analysis.stem = (analyzer_flags & 1) != 0;
-  analysis.remove_stopwords = (analyzer_flags & 2) != 0;
+  const TextAnalysisOptions analysis = AnalyzerOptions(analyzer_flags);
 
   // Partition grid.
   EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[4]));
@@ -598,7 +690,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
     const uint8_t* p;
     EXTRACT_ASSIGN_OR_RETURN(p, reader.Raw(count * 4));
     std::vector<NodeId> grid(static_cast<size_t>(count));
-    std::memcpy(grid.data(), p, static_cast<size_t>(count) * 4);
+    CopyColumn(grid.data(), p, static_cast<size_t>(count) * 4);
     if (!grid.empty() &&
         (grid.back() < 0 || static_cast<uint64_t>(grid.back()) > n)) {
       return Status::ParseError("snapshot bad partition bounds");
@@ -651,8 +743,8 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
     const uint8_t* entity_bytes;
     EXTRACT_ASSIGN_OR_RETURN(entity_bytes, reader.Raw(entity_count * 4));
     std::vector<LabelId> entity_labels(static_cast<size_t>(entity_count));
-    std::memcpy(entity_labels.data(), entity_bytes,
-                static_cast<size_t>(entity_count) * 4);
+    CopyColumn(entity_labels.data(), entity_bytes,
+               static_cast<size_t>(entity_count) * 4);
     if (!std::is_sorted(entity_labels.begin(), entity_labels.end())) {
       return Status::ParseError("snapshot entity labels not sorted");
     }
@@ -743,7 +835,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
       PostingList list;
       const size_t len = static_cast<size_t>(b1 - b0);
       list.nodes.resize(len);
-      std::memcpy(list.nodes.data(), nodes_bytes + 4 * b0, len * 4);
+      CopyColumn(list.nodes.data(), nodes_bytes + 4 * b0, len * 4);
       list.sources.resize(len);
       for (size_t k = 0; k < len; ++k) {
         uint8_t s = sources_bytes[b0 + k];
@@ -781,23 +873,33 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
 
 // --------------------------------------------------------- image opening ----
 
-Result<ImageView> OpenImage(const uint8_t* data, size_t size) {
-  if (size < kHeaderSize) return Status::ParseError("snapshot too short");
+/// Validates the header (checksum, version, framing), the document
+/// directory (checksum, sorted unique names, every payload window inside
+/// the payload region) and the term directory's index (checksum, framing,
+/// sorted unique keys, non-empty lists) — never a payload or a term list.
+/// Counts the documents of each analyzer configuration into
+/// *analyzer_docs. ParseError with a precise message on any mismatch.
+Result<ImageView> OpenImage(const uint8_t* data, size_t size,
+                            std::array<uint64_t, 4>* analyzer_docs) {
+  if (size < 8) return Status::ParseError("snapshot too short");
   if (std::memcmp(data, kMagic, 4) != 0) {
     return Status::ParseError("snapshot bad magic");
   }
-  uint32_t version = LoadU32(data + 4);
+  const uint32_t version = LoadU32(data + 4);
   if (version != kVersion) {
     return Status::ParseError("snapshot unsupported version " +
-                              std::to_string(version));
+                              std::to_string(version) + " (expected " +
+                              std::to_string(kVersion) + ")");
   }
+  if (size < kHeaderSize) return Status::ParseError("snapshot too short");
   EXTRACT_INJECT_FAULT("snapshot.checksum");
-  if (internal::Fnv1a(std::string_view(reinterpret_cast<const char*>(data),
-                                       56)) != LoadU64(data + 56)) {
+  if (Fnv1a(std::string_view(reinterpret_cast<const char*>(data),
+                             kHeaderChecksum)) !=
+      LoadU64(data + kHeaderChecksum)) {
     return Status::ParseError("snapshot header checksum mismatch");
   }
   EXTRACT_INJECT_FAULT("snapshot.truncated");
-  const uint64_t file_size = LoadU64(data + 8);
+  const uint64_t file_size = LoadU64(data + kHeaderFileSize);
   if (size < file_size) {
     return Status::ParseError("snapshot truncated: have " +
                               std::to_string(size) + " of " +
@@ -810,10 +912,13 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size) {
   ImageView view;
   view.base = data;
   view.file_size = file_size;
-  view.doc_count = LoadU64(data + 16);
-  const uint64_t dir_offset = LoadU64(data + 24);
-  const uint64_t dir_size = LoadU64(data + 32);
-  const uint64_t dir_checksum = LoadU64(data + 40);
+  view.doc_count = LoadU64(data + kHeaderDocCount);
+  const uint64_t dir_offset = LoadU64(data + kHeaderDirOffset);
+  const uint64_t dir_size = LoadU64(data + kHeaderDirSize);
+  const uint64_t dir_checksum = LoadU64(data + kHeaderDirChecksum);
+  const uint64_t terms_offset = LoadU64(data + kHeaderTermsOffset);
+  const uint64_t terms_size = LoadU64(data + kHeaderTermsSize);
+  const uint64_t terms_checksum = LoadU64(data + kHeaderTermsChecksum);
   if (view.doc_count > file_size / (kDirEntryWords * 8)) {
     return Status::ParseError("snapshot implausible document count");
   }
@@ -821,6 +926,11 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size) {
       dir_size > file_size || dir_offset > file_size - dir_size ||
       dir_offset + dir_size != file_size) {
     return Status::ParseError("snapshot bad directory window");
+  }
+  // The term directory sits right before the document directory.
+  if (terms_offset < kHeaderSize || terms_offset % 8 != 0 ||
+      terms_size > dir_offset || terms_offset != dir_offset - terms_size) {
+    return Status::ParseError("snapshot bad term directory window");
   }
   EXTRACT_INJECT_FAULT("snapshot.checksum");
   if (Hash64(data + dir_offset, static_cast<size_t>(dir_size)) !=
@@ -845,12 +955,13 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size) {
   view.entries = reinterpret_cast<const uint64_t*>(
       dir + 8 + 8 * (dc + 1) + padded_names);
 
-  // O(doc_count) sanity pass: names sorted/unique and every payload and
-  // token window inside the file. Payload bytes themselves stay untouched.
+  // O(doc_count) sanity pass: names sorted/unique and every payload window
+  // inside the payload region. Payload bytes themselves stay untouched.
   if (view.name_offsets[0] != 0 ||
       view.name_offsets[dc] != view.name_bytes_len) {
     return Status::ParseError("snapshot bad name offsets");
   }
+  *analyzer_docs = {};
   for (uint64_t i = 0; i < dc; ++i) {
     if (view.name_offsets[i + 1] < view.name_offsets[i]) {
       return Status::ParseError("snapshot bad name offsets");
@@ -861,76 +972,133 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size) {
     const uint64_t payload_off = view.entry(i, kEntryPayloadOff);
     const uint64_t payload_size = view.entry(i, kEntryPayloadSize);
     if (payload_off < kHeaderSize || payload_off % 8 != 0 ||
-        payload_size > dir_offset || payload_off > dir_offset - payload_size) {
+        payload_size > terms_offset ||
+        payload_off > terms_offset - payload_size) {
       return Status::ParseError("snapshot bad payload window");
     }
-    const uint64_t token_off = view.entry(i, kEntryTokenOff);
-    const uint64_t token_size = view.entry(i, kEntryTokenSize);
-    if (token_off < payload_off || token_off % 8 != 0 ||
-        token_size > payload_size ||
-        token_off - payload_off > payload_size - token_size) {
-      return Status::ParseError("snapshot bad token window");
+    const uint64_t flags = view.entry(i, kEntryAnalyzerFlags);
+    if (flags > 3) return Status::ParseError("snapshot bad analyzer flags");
+    ++(*analyzer_docs)[flags];
+  }
+
+  // Term directory index: framing, checksum, then O(vocabulary) key and
+  // list-range checks. The entries are verified per term on first use.
+  const uint8_t* terms = data + terms_offset;
+  if (terms_size < kTermsPrologueWords * 8) {
+    return Status::ParseError("snapshot term directory too small");
+  }
+  const uint64_t term_count = LoadU64(terms);
+  const uint64_t entry_count = LoadU64(terms + 8);
+  const uint64_t key_bytes = LoadU64(terms + 16);
+  if (term_count > terms_size / 24 || entry_count > terms_size / 16 ||
+      key_bytes > terms_size) {
+    return Status::ParseError("snapshot bad term directory counts");
+  }
+  const uint64_t index_size = kTermsPrologueWords * 8 +
+                              8 * (term_count + 1) * 2 + 8 * term_count +
+                              ((key_bytes + 7) & ~uint64_t{7});
+  if (index_size > terms_size ||
+      terms_size - index_size != entry_count * kTermEntryBytes) {
+    return Status::ParseError("snapshot bad term directory framing");
+  }
+  EXTRACT_INJECT_FAULT("snapshot.checksum");
+  if (Hash64(terms, static_cast<size_t>(index_size)) != terms_checksum) {
+    return Status::ParseError("snapshot term directory checksum mismatch");
+  }
+  view.term_count = term_count;
+  view.key_offsets = terms + kTermsPrologueWords * 8;
+  view.list_begin = view.key_offsets + 8 * (term_count + 1);
+  view.list_checksum = view.list_begin + 8 * (term_count + 1);
+  view.key_bytes =
+      reinterpret_cast<const char*>(view.list_checksum + 8 * term_count);
+  view.term_entries = terms + index_size;
+  if (LoadU64(view.key_offsets) != 0 ||
+      LoadU64(view.key_offsets + 8 * term_count) != key_bytes ||
+      LoadU64(view.list_begin) != 0 ||
+      LoadU64(view.list_begin + 8 * term_count) != entry_count) {
+    return Status::ParseError("snapshot bad term directory offsets");
+  }
+  std::string_view prev_key;
+  for (uint64_t t = 0; t < term_count; ++t) {
+    const uint64_t k0 = LoadU64(view.key_offsets + 8 * t);
+    const uint64_t k1 = LoadU64(view.key_offsets + 8 * (t + 1));
+    const uint64_t b0 = LoadU64(view.list_begin + 8 * t);
+    const uint64_t b1 = LoadU64(view.list_begin + 8 * (t + 1));
+    // Every key is a flags byte plus a non-empty token; every list holds
+    // at least one document.
+    if (k1 < k0 + 2 || k1 > key_bytes || b1 <= b0 || b1 > entry_count) {
+      return Status::ParseError("snapshot bad term directory offsets");
     }
-    if (view.entry(i, kEntryAnalyzerFlags) > 3) {
-      return Status::ParseError("snapshot bad analyzer flags");
+    const std::string_view key(view.key_bytes + k0,
+                               static_cast<size_t>(k1 - k0));
+    if (static_cast<uint8_t>(key[0]) > 3 || (t > 0 && prev_key >= key)) {
+      return Status::ParseError("snapshot term keys not sorted");
     }
+    prev_key = key;
   }
   return view;
 }
 
-// -------------------------------------------------------- image building ----
+}  // namespace
 
-Result<std::string> BuildImage(std::vector<PendingDoc> docs) {
-  std::sort(docs.begin(), docs.end(),
-            [](const PendingDoc& a, const PendingDoc& b) {
-              return a.name < b.name;
-            });
-  for (size_t i = 1; i < docs.size(); ++i) {
-    if (docs[i - 1].name == docs[i].name) {
-      return Status::AlreadyExists("duplicate snapshot document name: " +
-                                   docs[i].name);
+// --------------------------------------------------------------- hashes ----
+
+uint64_t Hash64(const uint8_t* data, size_t n) {
+  uint64_t h = 0x9E3779B97F4A7C15ULL ^ (static_cast<uint64_t>(n) *
+                                        0xC2B2AE3D27D4EB4FULL);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    h ^= LoadU64(data + i) * 0x9DDFEA08EB382D69ULL;
+    h = (h << 27) | (h >> 37);
+    h *= 0x165667B19E3779F9ULL;
+  }
+  if (i < n) {
+    uint64_t tail = 0;
+    for (size_t j = 0; i + j < n; ++j) {
+      tail |= static_cast<uint64_t>(data[i + j]) << (8 * j);
     }
+    h ^= tail * 0x9DDFEA08EB382D69ULL;
+    h = (h << 27) | (h >> 37);
+    h *= 0x165667B19E3779F9ULL;
   }
-  std::string out(kHeaderSize, '\0');
-  std::vector<DirRecord> records;
-  records.reserve(docs.size());
-  for (PendingDoc& doc : docs) {
-    DirRecord rec;
-    rec.name = doc.name;
-    rec.payload_off = out.size();
-    rec.payload_size = doc.blob.size();
-    rec.payload_checksum =
-        Hash64(reinterpret_cast<const uint8_t*>(doc.blob.data()),
-               doc.blob.size());
-    rec.meta = doc.meta;
-    records.push_back(rec);
-    out.append(doc.blob);
-    Pad8(&out);
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001B3ULL;
   }
-  const uint64_t dir_offset = out.size();
-  std::string dir = BuildDirectory(records);
-  const uint64_t dir_checksum =
-      Hash64(reinterpret_cast<const uint8_t*>(dir.data()), dir.size());
-  out.append(dir);
-  std::string header = BuildHeader(out.size(), docs.size(), dir_offset,
-                                   dir.size(), dir_checksum);
-  out.replace(0, kHeaderSize, header);
-  return out;
+  return hash;
+}
+
+uint64_t ImageView::entry(size_t i, size_t field) const {
+  return entries[i * kDirEntryWords + field];
 }
 
 }  // namespace snapshot_internal
 
 namespace {
 
-using snapshot_internal::BlobMeta;
+using snapshot_internal::AnalyzerFlags;
+using snapshot_internal::AnalyzerOptions;
 using snapshot_internal::Hash64;
 using snapshot_internal::ImageView;
 using snapshot_internal::kEntryAnalyzerFlags;
 using snapshot_internal::kEntryPayloadChecksum;
 using snapshot_internal::kEntryPayloadOff;
 using snapshot_internal::kEntryPayloadSize;
-using snapshot_internal::kEntryTokenOff;
-using snapshot_internal::kEntryTokenSize;
+using snapshot_internal::kHeaderSize;
+using snapshot_internal::kTermEntryBytes;
+using snapshot_internal::LoadU32;
+using snapshot_internal::LoadU64;
+using snapshot_internal::TermKey;
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
@@ -939,21 +1107,59 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+std::string ErrnoText() { return std::strerror(errno); }
+
+/// fsyncs the directory holding `path`, so a rename into it is durable.
+Status SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::Internal("cannot open directory " + dir + ": " +
+                            ErrnoText());
+  }
+  const int rc = ::fsync(fd);
+  const std::string error = rc != 0 ? ErrnoText() : "";
+  ::close(fd);
+  if (rc != 0) {
+    return Status::Internal("cannot sync directory " + dir + ": " + error);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- writer ----
 
 Result<CorpusSnapshotWriter> CorpusSnapshotWriter::Create(
     const std::string& path) {
+  // Unique per process and writer, so concurrent saves of one path never
+  // share a temporary file; O_EXCL refuses a stale leftover.
+  static std::atomic<uint64_t> sequence{0};
   CorpusSnapshotWriter writer;
-  writer.file_ = std::fopen(path.c_str(), "wb");
-  if (writer.file_ == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
   writer.path_ = path;
-  const char zeros[64] = {};
+  writer.temp_path_ = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+                      std::to_string(sequence.fetch_add(1));
+  const int fd = ::open(writer.temp_path_.c_str(),
+                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::Internal("cannot create " + writer.temp_path_ + ": " +
+                            ErrnoText());
+  }
+  writer.file_ = ::fdopen(fd, "wb");
+  if (writer.file_ == nullptr) {
+    ::close(fd);
+    return writer.Abandon(
+        Status::Internal("cannot open " + writer.temp_path_ + " for writing"));
+  }
+  // Blobs are small; a large buffer keeps the write syscalls per image few.
+  std::setvbuf(writer.file_, nullptr, _IOFBF, size_t{1} << 20);
+  const char zeros[kHeaderSize] = {};
   if (std::fwrite(zeros, 1, sizeof(zeros), writer.file_) != sizeof(zeros)) {
-    return Status::Internal("short write to " + path);
+    return writer.Abandon(Status::Internal("short write to " +
+                                           writer.temp_path_));
   }
   writer.offset_ = sizeof(zeros);
   return writer;
@@ -962,74 +1168,188 @@ Result<CorpusSnapshotWriter> CorpusSnapshotWriter::Create(
 CorpusSnapshotWriter::CorpusSnapshotWriter(CorpusSnapshotWriter&& other) noexcept
     : file_(std::exchange(other.file_, nullptr)),
       path_(std::move(other.path_)),
+      temp_path_(std::move(other.temp_path_)),
       offset_(other.offset_),
       entries_(std::move(other.entries_)),
       names_(std::move(other.names_)),
-      finished_(other.finished_) {}
+      terms_(std::move(other.terms_)),
+      blob_(std::move(other.blob_)),
+      master_(std::move(other.master_)) {}
 
 CorpusSnapshotWriter::~CorpusSnapshotWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (file_ != nullptr) (void)Abandon(Status::OK());
+}
+
+Status CorpusSnapshotWriter::Abandon(Status status) {
+  if (file_ != nullptr) std::fclose(std::exchange(file_, nullptr));
+  std::remove(temp_path_.c_str());
+  return status;
 }
 
 Status CorpusSnapshotWriter::Add(std::string_view name, const XmlDatabase& db) {
-  if (file_ == nullptr || finished_) {
+  if (file_ == nullptr) {
     return Status::FailedPrecondition("snapshot writer is closed");
+  }
+  // Term-directory entries address documents with 32 bits.
+  if (entries_.size() >= std::numeric_limits<uint32_t>::max()) {
+    return Status::ResourceExhausted("snapshot document limit reached");
   }
   if (!names_.insert(std::string(name)).second) {
     return Status::AlreadyExists("duplicate snapshot document name: " +
                                  std::string(name));
   }
+  const IndexedDocument& doc = db.index();
   Entry entry;
   entry.name = std::string(name);
-  std::string blob = snapshot_internal::EncodeDocumentBlob(db, &entry.meta);
+  const snapshot_internal::SortedPostings postings =
+      snapshot_internal::SortPostings(db.inverted());
+  snapshot_internal::EncodeDocumentBlob(db, postings, &blob_);
   entry.payload_off = offset_;
-  entry.payload_size = blob.size();
+  entry.payload_size = blob_.size();
   entry.payload_checksum =
-      Hash64(reinterpret_cast<const uint8_t*>(blob.data()), blob.size());
-  while (blob.size() % 8 != 0) blob.push_back('\0');
-  if (std::fwrite(blob.data(), 1, blob.size(), file_) != blob.size()) {
-    return Status::Internal("short write to " + path_);
+      Hash64(reinterpret_cast<const uint8_t*>(blob_.data()), blob_.size());
+  entry.num_nodes = doc.num_nodes();
+  entry.analyzer_flags = AnalyzerFlags(db.analyzer().options());
+  while (blob_.size() % 8 != 0) blob_.push_back('\0');
+  Status status = Status::OK();
+  EXTRACT_FAULT_CHECK_INTO(status, "snapshot.write");
+  if (status.ok() &&
+      std::fwrite(blob_.data(), 1, blob_.size(), file_) != blob_.size()) {
+    status = Status::Internal("short write to " + temp_path_);
   }
-  offset_ += blob.size();
+  if (!status.ok()) return Abandon(std::move(status));
+  offset_ += blob_.size();
+
+  // Term-directory stats of every token. Master entities come from one
+  // pre-order pass (parents precede children) — MasterEntityOf's ancestor
+  // walk, shared across the document's postings.
+  const NodeClassification& classification = db.classification();
+  master_.resize(doc.num_nodes());
+  for (NodeId n = 0; n < static_cast<NodeId>(doc.num_nodes()); ++n) {
+    const NodeId parent = doc.parent(n);
+    master_[n] = (doc.is_element(n) && classification.IsEntity(n)) ? n
+                 : parent == kInvalidNode ? doc.root()
+                                          : master_[parent];
+  }
+  const uint32_t index = static_cast<uint32_t>(entries_.size());
+  std::string key(1, static_cast<char>(entry.analyzer_flags));
+  for (const auto& [token, list] : postings) {
+    if (list->empty()) continue;
+    TermDocStats stats;
+    stats.postings = static_cast<uint32_t>(list->size());
+    stats.min_entity_edges = std::numeric_limits<uint32_t>::max();
+    for (NodeId node : list->nodes) {
+      stats.max_depth = std::max(stats.max_depth, doc.depth(node));
+      stats.min_entity_edges = std::min(
+          stats.min_entity_edges,
+          static_cast<uint32_t>(doc.subtree_edges(master_[node])));
+    }
+    key.resize(1);
+    key.append(token);
+    terms_[key].emplace_back(index, stats);
+  }
   entries_.push_back(std::move(entry));
   return Status::OK();
 }
 
 Status CorpusSnapshotWriter::Finish() {
-  if (file_ == nullptr || finished_) {
+  if (file_ == nullptr) {
     return Status::FailedPrecondition("snapshot writer is closed");
   }
-  finished_ = true;
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.name < b.name; });
+  // Directory order is name order; rank maps an Add index to it.
+  std::vector<uint32_t> order(entries_.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    return entries_[a].name < entries_[b].name;
+  });
+  std::vector<uint32_t> rank(entries_.size());
   std::vector<snapshot_internal::DirRecord> records;
   records.reserve(entries_.size());
-  for (const Entry& e : entries_) {
+  for (size_t j = 0; j < order.size(); ++j) {
+    const Entry& e = entries_[order[j]];
+    rank[order[j]] = static_cast<uint32_t>(j);
     snapshot_internal::DirRecord rec;
     rec.name = e.name;
     rec.payload_off = e.payload_off;
     rec.payload_size = e.payload_size;
     rec.payload_checksum = e.payload_checksum;
-    rec.meta = e.meta;
+    rec.num_nodes = e.num_nodes;
+    rec.analyzer_flags = e.analyzer_flags;
     records.push_back(rec);
   }
-  std::string dir = snapshot_internal::BuildDirectory(records);
-  const uint64_t dir_checksum =
+  std::vector<snapshot_internal::TermRecord> terms;
+  terms.reserve(terms_.size());
+  for (auto& [key, docs] : terms_) {
+    for (auto& [doc, stats] : docs) doc = rank[doc];
+    const auto by_doc = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    // Already sorted when documents were added in name order.
+    if (!std::is_sorted(docs.begin(), docs.end(), by_doc)) {
+      std::sort(docs.begin(), docs.end(), by_doc);
+    }
+    terms.push_back(snapshot_internal::TermRecord{key, &docs});
+  }
+  std::sort(terms.begin(), terms.end(),
+            [](const snapshot_internal::TermRecord& a,
+               const snapshot_internal::TermRecord& b) { return a.key < b.key; });
+
+  snapshot_internal::HeaderFields header;
+  const std::string term_dir =
+      snapshot_internal::BuildTermDirectory(terms, &header.terms_checksum);
+  const std::string dir = snapshot_internal::BuildDirectory(records);
+  header.doc_count = entries_.size();
+  header.terms_offset = offset_;
+  header.terms_size = term_dir.size();
+  header.dir_offset = offset_ + term_dir.size();
+  header.dir_size = dir.size();
+  header.dir_checksum =
       Hash64(reinterpret_cast<const uint8_t*>(dir.data()), dir.size());
-  if (std::fwrite(dir.data(), 1, dir.size(), file_) != dir.size()) {
-    return Status::Internal("short write to " + path_);
+  header.file_size = header.dir_offset + dir.size();
+  const std::string header_bytes = snapshot_internal::BuildHeader(header);
+
+  // Every step before the rename leaves `path_` untouched on failure.
+  Status status = Status::OK();
+  EXTRACT_FAULT_CHECK_INTO(status, "snapshot.write");
+  if (status.ok() &&
+      (std::fwrite(term_dir.data(), 1, term_dir.size(), file_) !=
+           term_dir.size() ||
+       std::fwrite(dir.data(), 1, dir.size(), file_) != dir.size() ||
+       std::fseek(file_, 0, SEEK_SET) != 0 ||
+       std::fwrite(header_bytes.data(), 1, header_bytes.size(), file_) !=
+           header_bytes.size())) {
+    status = Status::Internal("cannot write " + temp_path_);
   }
-  std::string header = snapshot_internal::BuildHeader(
-      offset_ + dir.size(), entries_.size(), offset_, dir.size(), dir_checksum);
-  if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
-    return Status::Internal("cannot finalize header of " + path_);
+  if (!status.ok()) return Abandon(std::move(status));
+  // Replacing an image must never leave a torn file where a good one
+  // stood: the new image is made durable before the rename exposes it, and
+  // the rename after. A fresh path protects nothing — a crash can at worst
+  // leave a torn image there, which Open refuses — so it skips the syncs
+  // and their writeback cost.
+  const bool replacing = ::access(path_.c_str(), F_OK) == 0;
+  if (replacing) {
+    EXTRACT_FAULT_CHECK_INTO(status, "snapshot.fsync");
+    if (status.ok() &&
+        (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0)) {
+      status =
+          Status::Internal("cannot sync " + temp_path_ + ": " + ErrnoText());
+    }
+    if (!status.ok()) return Abandon(std::move(status));
   }
-  std::FILE* file = std::exchange(file_, nullptr);
-  if (std::fclose(file) != 0) {
-    return Status::Internal("cannot close " + path_);
+  if (std::fclose(std::exchange(file_, nullptr)) != 0) {
+    return Abandon(Status::Internal("cannot close " + temp_path_));
   }
-  return Status::OK();
+  EXTRACT_FAULT_CHECK_INTO(status, "snapshot.rename");
+  if (status.ok() && std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    status = Status::Internal("cannot rename " + temp_path_ + " over " +
+                              path_ + ": " + ErrnoText());
+  }
+  if (!status.ok()) return Abandon(std::move(status));
+  if (!replacing) return Status::OK();
+  // The new image is in place; the rename is durable once its directory is.
+  EXTRACT_FAULT_CHECK_INTO(status, "snapshot.dirsync");
+  if (!status.ok()) return status;
+  return SyncParentDirectory(path_);
 }
 
 // ----------------------------------------------------------- snapshot ----
@@ -1040,7 +1360,9 @@ Result<std::shared_ptr<CorpusSnapshot>> CorpusSnapshot::Open(
   EXTRACT_INJECT_FAULT("snapshot.open");
   MmapFile file;
   EXTRACT_ASSIGN_OR_RETURN(file, MmapFile::Open(path));
-  auto view = snapshot_internal::OpenImage(file.data(), file.size());
+  std::array<uint64_t, 4> analyzer_docs{};
+  auto view = snapshot_internal::OpenImage(file.data(), file.size(),
+                                           &analyzer_docs);
   if (!view.ok()) {
     return Status(view.status().code(),
                   path + ": " + view.status().message());
@@ -1049,6 +1371,9 @@ Result<std::shared_ptr<CorpusSnapshot>> CorpusSnapshot::Open(
   snap->file_ = std::move(file);  // mapping address survives the move
   snap->view_ = *view;
   snap->path_ = path;
+  snap->analyzer_docs_ = analyzer_docs;
+  snap->term_verified_ =
+      std::make_unique<std::atomic<bool>[]>(snap->view_.term_count);
   snap->slots_ = std::make_unique<Slot[]>(snap->view_.doc_count);
   snap->open_ns_ = ElapsedNs(start);
   return snap;
@@ -1130,65 +1455,161 @@ Result<const CorpusSnapshot::SnapshotDocument*> CorpusSnapshot::Fault(
   return doc;
 }
 
-bool CorpusSnapshot::MayMatch(size_t i, QueryFilter& filter) const {
-  const Query& query = *filter.query_;
-  if (query.keywords.empty()) return true;
-  const uint64_t flags = view_.entry(i, kEntryAnalyzerFlags) & 3;
-  auto& analyzed = filter.analyzed_[static_cast<size_t>(flags)];
-  if (!analyzed) {
-    TextAnalysisOptions options;
-    options.stem = (flags & 1) != 0;
-    options.remove_stopwords = (flags & 2) != 0;
-    TextAnalyzer analyzer(options);
-    analyzed = std::make_unique<std::vector<std::string>>();
-    for (const std::string& keyword : query.keywords) {
-      std::string token = analyzer.AnalyzeToken(keyword);
-      if (!token.empty()) analyzed->push_back(std::move(token));
+Result<CorpusSnapshot::TermList> CorpusSnapshot::FindTerm(
+    std::string_view key) const {
+  const auto key_at = [this](size_t t) {
+    const uint64_t k0 = LoadU64(view_.key_offsets + 8 * t);
+    const uint64_t k1 = LoadU64(view_.key_offsets + 8 * (t + 1));
+    return std::string_view(view_.key_bytes + k0, static_cast<size_t>(k1 - k0));
+  };
+  size_t lo = 0;
+  size_t hi = static_cast<size_t>(view_.term_count);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (key_at(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  if (analyzed->empty()) return true;
+  if (lo == view_.term_count || key_at(lo) != key) return TermList{};
+  const uint64_t begin = LoadU64(view_.list_begin + 8 * lo);
+  const uint64_t end = LoadU64(view_.list_begin + 8 * (lo + 1));
+  TermList list{view_.term_entries + begin * kTermEntryBytes,
+                static_cast<size_t>(end - begin)};
+  if (term_verified_[lo].load(std::memory_order_acquire)) return list;
 
-  // Probe the document's mapped token arena directly; no fault-in. Reads
-  // are bounds-checked but the arena content is only checksum-verified at
-  // fault-in, so any inconsistency degrades to "may match" (the fault-in
-  // a real search then performs reports the corruption).
-  const uint64_t token_off = view_.entry(i, kEntryTokenOff);
-  const uint64_t token_size = view_.entry(i, kEntryTokenSize);
-  if (token_size < 16) return true;
-  const uint8_t* section = view_.base + token_off;
-  const uint64_t token_count = snapshot_internal::LoadU64(section);
-  if (token_count > (token_size - 16) / 8) return true;
-  const uint64_t offs_bytes = 8 * (token_count + 1);
-  if (offs_bytes > token_size - 16) return true;
-  const uint64_t arena_capacity = token_size - 16 - offs_bytes;
-  const uint64_t* offs = reinterpret_cast<const uint64_t*>(section + 16);
-  if (offs[token_count] > arena_capacity) return true;
-  const char* arena = reinterpret_cast<const char*>(section + 16 + offs_bytes);
+  // First use: the entries must match their checksum and address
+  // documents in strictly ascending, in-range order — the invariants
+  // ForEachCandidate's merge and every later directory access rely on.
+  Status status = Status::OK();
+  EXTRACT_FAULT_CHECK_INTO(status, "snapshot.checksum");
+  if (status.ok() && Hash64(list.entries, list.size * kTermEntryBytes) !=
+                         LoadU64(view_.list_checksum + 8 * lo)) {
+    status = Status::ParseError("snapshot term list checksum mismatch: " +
+                                std::string(key.substr(1)));
+  }
+  for (size_t j = 0; status.ok() && j < list.size; ++j) {
+    const uint8_t* entry = list.entries + j * kTermEntryBytes;
+    const uint32_t doc = LoadU32(entry);
+    if (doc >= view_.doc_count || LoadU32(entry + 4) == 0 ||
+        (j > 0 && doc <= LoadU32(entry - kTermEntryBytes))) {
+      status = Status::ParseError("snapshot bad term list: " +
+                                  std::string(key.substr(1)));
+    }
+  }
+  if (!status.ok()) return status;
+  term_verified_[lo].store(true, std::memory_order_release);
+  return list;
+}
 
-  for (const std::string& token : *analyzed) {
-    size_t lo = 0;
-    size_t hi = static_cast<size_t>(token_count);
-    bool found = false;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      uint64_t o0 = offs[mid];
-      uint64_t o1 = offs[mid + 1];
-      if (o1 < o0 || o1 > arena_capacity) return true;  // malformed: keep doc
-      std::string_view candidate(arena + o0, static_cast<size_t>(o1 - o0));
-      int cmp = candidate.compare(token);
-      if (cmp == 0) {
-        found = true;
-        break;
-      }
-      if (cmp < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
+Status CorpusSnapshot::ForEachCandidate(const Query& query,
+                                        const CandidateFn& fn) const {
+  const size_t m = query.keywords.size();
+  // Per analyzer configuration in the image: the entry list of each query
+  // keyword that configuration keeps (empty for a dropped one). A
+  // configuration is skipped when some kept keyword is absent from it.
+  struct Plan {
+    uint64_t flags = 0;
+    std::vector<TermList> lists;
+    size_t driver = 0;  ///< the shortest kept list; m when none is kept
+  };
+  std::vector<Plan> plans;
+  for (uint64_t flags = 0; flags < analyzer_docs_.size(); ++flags) {
+    if (analyzer_docs_[flags] == 0) continue;
+    const TextAnalyzer analyzer(AnalyzerOptions(flags));
+    Plan plan;
+    plan.flags = flags;
+    plan.lists.resize(m);
+    plan.driver = m;
+    bool absent = false;
+    for (size_t k = 0; k < m && !absent; ++k) {
+      const std::string token = analyzer.AnalyzeToken(query.keywords[k]);
+      if (token.empty()) continue;  // dropped stopword
+      EXTRACT_ASSIGN_OR_RETURN(plan.lists[k], FindTerm(TermKey(flags, token)));
+      absent = plan.lists[k].size == 0;
+      if (plan.driver == m || plan.lists[k].size < plan.lists[plan.driver].size) {
+        plan.driver = k;
       }
     }
-    if (!found) return false;
+    if (!absent) plans.push_back(std::move(plan));
   }
-  return true;
+
+  // Emits a plan's documents in index order: those holding every kept
+  // keyword — or, when the analyzer keeps none, all of the configuration's
+  // documents with all-zero stats.
+  std::vector<TermDocStats> stats(m);
+  std::vector<size_t> cursor(m);
+  const auto run_plan = [&](const Plan& plan, const CandidateFn& emit) {
+    if (plan.driver == m) {
+      std::fill(stats.begin(), stats.end(), TermDocStats{});
+      for (size_t i = 0; i < doc_count(); ++i) {
+        if (view_.entry(i, kEntryAnalyzerFlags) == plan.flags) emit(i, stats);
+      }
+      return;
+    }
+    const auto doc_at = [](const TermList& list, size_t j) {
+      return LoadU32(list.entries + j * kTermEntryBytes);
+    };
+    std::fill(cursor.begin(), cursor.end(), 0);
+    const TermList& driver = plan.lists[plan.driver];
+    for (size_t j = 0; j < driver.size; ++j) {
+      const uint32_t doc = doc_at(driver, j);
+      cursor[plan.driver] = j;
+      bool all = true;
+      for (size_t k = 0; k < m && all; ++k) {
+        const TermList& list = plan.lists[k];
+        if (k == plan.driver || list.size == 0) continue;
+        while (cursor[k] < list.size && doc_at(list, cursor[k]) < doc) {
+          ++cursor[k];
+        }
+        all = cursor[k] < list.size && doc_at(list, cursor[k]) == doc;
+      }
+      if (!all) continue;
+      for (size_t k = 0; k < m; ++k) {
+        stats[k] = TermDocStats{};
+        if (plan.lists[k].size == 0) continue;
+        const uint8_t* entry =
+            plan.lists[k].entries + cursor[k] * kTermEntryBytes;
+        stats[k] = TermDocStats{LoadU32(entry + 4), LoadU32(entry + 8),
+                                LoadU32(entry + 12)};
+      }
+      emit(doc, stats);
+    }
+  };
+  if (plans.size() == 1) {
+    run_plan(plans[0], fn);
+    return Status::OK();
+  }
+
+  // Several configurations: collect each plan's run, then merge the runs
+  // in document index (= name) order.
+  struct Run {
+    std::vector<uint32_t> docs;
+    std::vector<TermDocStats> stats;  ///< m per document
+  };
+  std::vector<Run> runs(plans.size());
+  for (size_t r = 0; r < plans.size(); ++r) {
+    run_plan(plans[r], [&runs, r](size_t doc, std::span<const TermDocStats> s) {
+      runs[r].docs.push_back(static_cast<uint32_t>(doc));
+      runs[r].stats.insert(runs[r].stats.end(), s.begin(), s.end());
+    });
+  }
+  std::vector<size_t> next(runs.size(), 0);
+  while (true) {
+    size_t best = runs.size();
+    for (size_t r = 0; r < runs.size(); ++r) {
+      if (next[r] < runs[r].docs.size() &&
+          (best == runs.size() ||
+           runs[r].docs[next[r]] < runs[best].docs[next[best]])) {
+        best = r;
+      }
+    }
+    if (best == runs.size()) return Status::OK();
+    const size_t at = next[best]++;
+    fn(runs[best].docs[at],
+       std::span<const TermDocStats>(runs[best].stats.data() + at * m, m));
+  }
 }
 
 CorpusSnapshotStats CorpusSnapshot::Stats() const {

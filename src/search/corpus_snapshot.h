@@ -1,14 +1,16 @@
 // Corpus snapshot: a whole-corpus, mmap-able persistent store with lazy
-// per-document fault-in — ROADMAP direction 3 (the netdata tiered-storage
-// shape: memory-mapped hot data, the OS page cache doing hot/cold tiering).
+// per-document fault-in (the netdata tiered-storage shape: memory-mapped
+// hot data, the OS page cache doing hot/cold tiering).
 //
-// On-disk layout (version 1; all integers little-endian, sections 8-byte
-// aligned, built by CorpusSnapshotWriter as one streaming pass):
+// On-disk layout (version 2; all integers little-endian, sections 8-byte
+// aligned, built by CorpusSnapshotWriter in one streaming pass plus a
+// directory pass at Finish):
 //
 //   +----------------------------------------------------------------+
-//   | header (64 B): magic "XCSN" | u32 version | u64 file_size      |
+//   | header (96 B): magic "XCSN" | u32 version | u64 file_size      |
 //   |   u64 doc_count | u64 dir_offset | u64 dir_size               |
-//   |   u64 dir_checksum | u64 reserved | u64 header_checksum       |
+//   |   u64 dir_checksum | u64 terms_offset | u64 terms_size        |
+//   |   u64 terms_checksum | 2 x u64 reserved | u64 header_checksum |
 //   +----------------------------------------------------------------+
 //   | document payload blobs, one per document, 8-aligned:           |
 //   |   fixed section TOC -> flat zero-parse columns for the label   |
@@ -17,26 +19,41 @@
 //   |   classification, mined keys, the inverted index (sorted token |
 //   |   arena + CSR posting lists) and the optional DTD              |
 //   +----------------------------------------------------------------+
-//   | directory: name arena + per-document entries (payload window,  |
-//   |   per-payload checksum, node count, inverted-section window,   |
-//   |   analyzer flags), sorted by name for binary search            |
+//   | term directory: u64 term_count | u64 entry_count |            |
+//   |   u64 key_bytes | key offsets | list begins | list checksums | |
+//   |   key arena (one analyzer-flags byte + the analyzed token,     |
+//   |   sorted bytewise) | entries: per term, the documents holding  |
+//   |   the token in name order, each u32 document index, u32        |
+//   |   posting count, u32 deepest posting depth, u32 fewest master- |
+//   |   entity subtree edges (search_engine.h TermDocStats)          |
+//   +----------------------------------------------------------------+
+//   | document directory: name arena + per-document entries         |
+//   |   (payload window, payload checksum, node count, analyzer      |
+//   |   flags), sorted by name for binary search                     |
 //   +----------------------------------------------------------------+
 //
-// Open() maps the file and validates the header and directory — O(doc
-// directory), never O(corpus bytes): a multi-GB corpus opens in
-// milliseconds because no document payload is read. Documents decode
-// ("fault in") individually on first touch, verified against their own
-// checksum; a decoded document stays resident for the snapshot's lifetime,
-// so the resident set is the touched set. Fault-in failures retain nothing
-// and are retryable.
+// Checksums: the header carries an FNV-1a checksum of itself; the document
+// directory, the term directory's index (everything before its entries),
+// each term's entry list and each payload carry Hash64 checksums.
+//
+// Open() maps the file and validates the header, the document directory and
+// the term directory's index — O(documents + vocabulary), never O(corpus
+// bytes): neither a payload nor a term's entry list is read. A term's
+// entries are verified against their checksum on first use; a document
+// decodes ("faults in") on first touch, verified against its own checksum,
+// and stays resident for the snapshot's lifetime, so the resident set is the
+// touched set. Fault-in failures retain nothing and are retryable.
 //
 // The snapshot composes with the live-mutable corpus (search/corpus.h):
 // CorpusView holds a shared_ptr to the snapshot, so an epoch pin keeps the
 // mapping alive for a whole query and swapping a re-opened snapshot file is
-// just an epoch publish. MayMatch() answers "could this document match this
-// query" straight from the mapped token arena — pruning documents without
-// faulting them in when the engine declares AND keyword semantics
-// (SearchEngine::RequiresAllKeywords).
+// just an epoch publish. ForEachCandidate() answers "which documents could
+// match this query" from the term directory alone, with the per-keyword
+// stats an engine turns into a score bound
+// (SearchEngine::DocumentScoreBound) — so search under AND keyword
+// semantics (SearchEngine::RequiresAllKeywords) opens only documents that
+// hold every keyword, and top-k search only those whose bound reaches the
+// page.
 
 #ifndef EXTRACT_SEARCH_CORPUS_SNAPSHOT_H_
 #define EXTRACT_SEARCH_CORPUS_SNAPSHOT_H_
@@ -46,11 +63,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/mmap_file.h"
@@ -62,33 +83,16 @@ namespace extract {
 namespace snapshot_internal {
 
 /// Fast 64-bit content hash (word-at-a-time; not cryptographic) used for
-/// the directory and per-payload checksums, where FNV-1a's byte-at-a-time
-/// loop would dominate open latency.
+/// the directory, term-list and per-payload checksums, where FNV-1a's
+/// byte-at-a-time loop would dominate open latency.
 uint64_t Hash64(const uint8_t* data, size_t n);
 
-/// Per-document metadata produced by the blob encoder and persisted in the
-/// directory — everything the lazy loader needs without parsing the blob.
-struct BlobMeta {
-  uint64_t num_nodes = 0;
-  /// Inverted-index section window, relative to the blob start (re-based to
-  /// absolute file offsets by the writer). MayMatch reads only this window.
-  uint64_t token_off = 0;
-  uint64_t token_size = 0;
-  /// TextAnalysisOptions bits: 1 = stem, 2 = remove_stopwords.
-  uint64_t analyzer_flags = 0;
-};
+/// FNV-1a 64-bit hash of `bytes` — the header checksum.
+uint64_t Fnv1a(std::string_view bytes);
 
-/// Serializes one database into a flat self-contained payload blob.
-std::string EncodeDocumentBlob(const XmlDatabase& db, BlobMeta* meta);
-
-/// Decodes a payload blob back into a database, restoring every derived
-/// structure from its stored section (no re-classification, no re-mining,
-/// no re-tokenization). The caller has already verified the checksum.
-Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size);
-
-/// \brief A validated view of a snapshot image's header + directory over
-/// raw bytes (mapped file or memory buffer). Holds pointers into the
-/// image; the bytes must outlive the view.
+/// \brief A validated view of a snapshot image's header, document
+/// directory and term-directory index over raw bytes (the mapped file).
+/// Holds pointers into the image; the bytes must outlive the view.
 struct ImageView {
   const uint8_t* base = nullptr;
   uint64_t file_size = 0;
@@ -98,38 +102,21 @@ struct ImageView {
   uint64_t name_bytes_len = 0;
   const uint64_t* entries = nullptr;  ///< doc_count * kDirEntryWords
 
+  /// Term directory: term_count keys (analyzer-flags byte + token) sorted
+  /// bytewise, each owning the entry range [list_begin[t], list_begin[t+1]).
+  uint64_t term_count = 0;
+  const uint8_t* key_offsets = nullptr;    ///< u64[term_count + 1]
+  const uint8_t* list_begin = nullptr;     ///< u64[term_count + 1]
+  const uint8_t* list_checksum = nullptr;  ///< u64[term_count]
+  const char* key_bytes = nullptr;
+  const uint8_t* term_entries = nullptr;   ///< kTermEntryBytes each
+
   std::string_view name(size_t i) const {
     return std::string_view(name_bytes + name_offsets[i],
                             name_offsets[i + 1] - name_offsets[i]);
   }
   uint64_t entry(size_t i, size_t field) const;
 };
-
-/// Directory entry fields (u64 words).
-inline constexpr size_t kEntryPayloadOff = 0;
-inline constexpr size_t kEntryPayloadSize = 1;
-inline constexpr size_t kEntryPayloadChecksum = 2;
-inline constexpr size_t kEntryNumNodes = 3;
-inline constexpr size_t kEntryTokenOff = 4;
-inline constexpr size_t kEntryTokenSize = 5;
-inline constexpr size_t kEntryAnalyzerFlags = 6;
-inline constexpr size_t kEntryReserved = 7;
-inline constexpr size_t kDirEntryWords = 8;
-
-/// Validates header checksum/version/framing and the directory (checksum,
-/// sorted unique names, every payload and token window inside the file).
-/// ParseError with a precise message on any mismatch.
-Result<ImageView> OpenImage(const uint8_t* data, size_t size);
-
-/// Assembles a complete single-buffer image from already-encoded blobs —
-/// the in-memory path behind SaveDatabaseSnapshot (search/snapshot.h).
-/// `docs` entries are (name, blob, meta); names need not be sorted.
-struct PendingDoc {
-  std::string name;
-  std::string blob;
-  BlobMeta meta;
-};
-Result<std::string> BuildImage(std::vector<PendingDoc> docs);
 
 }  // namespace snapshot_internal
 
@@ -148,52 +135,81 @@ struct CorpusSnapshotStats {
 
 /// \brief Streaming snapshot writer: Add documents (any order, unique
 /// names), then Finish. Blobs are written as they are added, so the
-/// in-memory footprint is one blob plus the directory — corpus size never
+/// in-memory footprint is one blob plus the directories — corpus size never
 /// needs to fit in memory.
+///
+/// Saving is crash-safe and safe over a mapped file: the image is written
+/// to a fresh temporary file beside `path`, and only a successful Finish
+/// renames it over `path` — after making it durable when it replaces an
+/// existing file. Readers that mapped the old image keep its bytes (the
+/// rename never truncates it), and a crash or a failed or abandoned save
+/// leaves the old file exactly as it was.
 class CorpusSnapshotWriter {
  public:
-  /// Creates/truncates `path` and reserves the header.
+  /// Creates the temporary file beside `path` and reserves the header;
+  /// `path` itself is not touched until Finish.
   static Result<CorpusSnapshotWriter> Create(const std::string& path);
 
   CorpusSnapshotWriter(CorpusSnapshotWriter&& other) noexcept;
   CorpusSnapshotWriter& operator=(CorpusSnapshotWriter&&) = delete;
+  /// A writer destroyed before Finish succeeded removes its temporary file.
   ~CorpusSnapshotWriter();
 
   /// Serializes and appends one document. kAlreadyExists on a duplicate
-  /// name, Internal on I/O failure.
+  /// name, kResourceExhausted past 2^32 - 1 documents, Internal on I/O
+  /// failure (which also closes the writer).
   Status Add(std::string_view name, const XmlDatabase& db);
 
-  /// Writes the directory, patches the header, and closes the file. The
-  /// snapshot is unreadable until Finish succeeds.
+  /// Writes the term and document directories and the header, then renames
+  /// the temporary file over `path`. When `path` already exists, the file
+  /// is fsynced before the rename and its directory after; a save to a new
+  /// path skips both (a crash can only leave a torn image there, which
+  /// Open refuses). On any failure before the rename the temporary file is
+  /// removed and `path` is left as it was. The writer is closed afterwards
+  /// either way.
   Status Finish();
 
  private:
   CorpusSnapshotWriter() = default;
 
+  /// Closes and removes the temporary file, then returns `status`.
+  Status Abandon(Status status);
+
   std::FILE* file_ = nullptr;
-  std::string path_;
+  std::string path_;       ///< the image Finish replaces
+  std::string temp_path_;  ///< where the image is written until then
   uint64_t offset_ = 0;  ///< current write offset (8-aligned after each Add)
   struct Entry {
     std::string name;
     uint64_t payload_off = 0;
     uint64_t payload_size = 0;
     uint64_t payload_checksum = 0;
-    snapshot_internal::BlobMeta meta;
+    uint64_t num_nodes = 0;
+    uint64_t analyzer_flags = 0;
   };
   std::vector<Entry> entries_;
   std::unordered_set<std::string> names_;  ///< duplicate detection in Add
-  bool finished_ = false;
+  /// The term directory under construction: key (analyzer-flags byte +
+  /// token) -> (index into entries_, stats) per document holding the token.
+  std::unordered_map<std::string,
+                     std::vector<std::pair<uint32_t, TermDocStats>>>
+      terms_;
+  /// Per-Add scratch, kept to reuse its capacity: the encoded blob and the
+  /// master entity of every node.
+  std::string blob_;
+  std::vector<NodeId> master_;
 };
 
 /// \brief One open, lazily faulted snapshot file. Immutable and internally
-/// synchronized: any number of threads may Fault/MayMatch/read names
-/// concurrently. Intended to be held by shared_ptr — CorpusView shares it,
-/// so epoch pins keep the mapping alive (see file comment).
+/// synchronized: any number of threads may Fault / ForEachCandidate / read
+/// names concurrently. Intended to be held by shared_ptr — CorpusView
+/// shares it, so epoch pins keep the mapping alive (see file comment).
 class CorpusSnapshot {
  public:
-  /// Maps and validates `path` (header + directory only — O(ms), no
-  /// payload is read). NotFound for a missing file, ParseError with a
-  /// precise message for any corruption/truncation/version skew.
+  /// Maps and validates `path` (header, document directory and term
+  /// directory index only — no payload or term list is read). NotFound
+  /// for a missing file, ParseError with a precise message for any
+  /// corruption/truncation/version skew.
   static Result<std::shared_ptr<CorpusSnapshot>> Open(const std::string& path);
 
   size_t doc_count() const { return static_cast<size_t>(view_.doc_count); }
@@ -231,27 +247,23 @@ class CorpusSnapshot {
     return slots_[i].doc.load(std::memory_order_acquire);
   }
 
-  /// \brief Per-query state of MayMatch: memoizes the query's analyzed
-  /// keyword tokens per analyzer configuration, so a corpus-wide scan
-  /// analyzes each keyword at most once per distinct analyzer. Cheap to
-  /// construct; not thread-safe (one filter per query per thread).
-  class QueryFilter {
-   public:
-    explicit QueryFilter(const Query& query) : query_(&query) {}
+  /// Visitor of ForEachCandidate: a document index and its per-keyword
+  /// term-directory stats, parallel to the query's keywords.
+  using CandidateFn =
+      std::function<void(size_t, std::span<const TermDocStats>)>;
 
-   private:
-    friend class CorpusSnapshot;
-    const Query* query_;
-    std::array<std::unique_ptr<std::vector<std::string>>, 4> analyzed_;
-  };
-
-  /// \brief True unless document `i` provably cannot match the query: some
-  /// keyword analyzes (under the document's own analyzer) to a non-stopword
-  /// token absent from the document's mapped token arena. Never faults the
-  /// document in; sound only for engines with AND keyword semantics
-  /// (SearchEngine::RequiresAllKeywords). Queries with no keywords always
-  /// "may match" so per-document validation errors still surface.
-  bool MayMatch(size_t i, QueryFilter& filter) const;
+  /// \brief Calls `fn(i, stats)`, in name order, for every document i that
+  /// holds every query keyword its own analyzer does not drop as a
+  /// stopword — exactly the documents that can yield a result under AND
+  /// keyword semantics (SearchEngine::RequiresAllKeywords). `stats` is
+  /// all-zero for a dropped keyword, so a document whose analyzer drops
+  /// every keyword (or any document, for a keyword-less query) is visited
+  /// with all-zero stats.
+  ///
+  /// Reads only the term directory: nothing faults in, and a keyword absent
+  /// from the corpus costs one binary search. A term's entry list is
+  /// checksum-verified on its first use; ParseError when that fails.
+  Status ForEachCandidate(const Query& query, const CandidateFn& fn) const;
 
   /// \brief Base registration id for cache scoping, assigned once by
   /// XmlCorpus::AttachSnapshot (document i serves as instance base + i).
@@ -277,9 +289,22 @@ class CorpusSnapshot {
     std::atomic<const SnapshotDocument*> doc{nullptr};
   };
 
+  /// One term's entry range in the mapping.
+  struct TermList {
+    const uint8_t* entries = nullptr;
+    size_t size = 0;
+  };
+  /// The entry list of `key` (analyzer-flags byte + token), verified on
+  /// first use; an empty list when the key is absent.
+  Result<TermList> FindTerm(std::string_view key) const;
+
   MmapFile file_;
   snapshot_internal::ImageView view_;
   std::string path_;
+  /// Documents per analyzer configuration (flags 0..3).
+  std::array<uint64_t, 4> analyzer_docs_{};
+  /// Per term: its entry list passed verification. Set once, never reset.
+  std::unique_ptr<std::atomic<bool>[]> term_verified_;
   std::unique_ptr<Slot[]> slots_;
   /// Fault-in is sharded: slot i serializes on mutex i % kFaultShards, so
   /// unrelated documents decode concurrently.

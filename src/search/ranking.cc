@@ -65,7 +65,8 @@ std::vector<RankedResult> RankResults(const XmlDatabase& db,
 }
 
 double ScoreUpperBound(const RankingOptions& options, uint32_t max_depth,
-                       const std::vector<size_t>& max_matches) {
+                       std::span<const size_t> max_matches,
+                       size_t min_result_edges) {
   double bound = 0.0;
   if (options.specificity_weight > 0.0) {
     bound += options.specificity_weight * static_cast<double>(max_depth);
@@ -77,8 +78,12 @@ double ScoreUpperBound(const RankingOptions& options, uint32_t max_depth,
     }
   }
   if (options.compactness_weight > 0.0) {
-    // Zero result edges: compactness_weight / log2(2) == the weight itself.
-    bound += options.compactness_weight;
+    // Zero edges: compactness_weight / log2(2) == the weight itself, and
+    // producers ask on every merge step.
+    bound += min_result_edges == 0
+                 ? options.compactness_weight
+                 : options.compactness_weight /
+                       std::log2(2.0 + static_cast<double>(min_result_edges));
   }
   return bound;
 }

@@ -14,6 +14,7 @@
 #ifndef EXTRACT_SEARCH_RANKING_H_
 #define EXTRACT_SEARCH_RANKING_H_
 
+#include <span>
 #include <vector>
 
 #include "search/search_engine.h"
@@ -60,18 +61,22 @@ std::vector<RankedResult> RankResults(const XmlDatabase& db,
                                       size_t top_k);
 
 /// \brief A sound upper bound on ScoreResult for any result whose SLCA
-/// depth is at most `max_depth` and whose per-keyword match counts are at
+/// depth is at most `max_depth`, whose per-keyword match counts are at
 /// most `max_matches` (parallel to the query's keywords; dropped-stopword
-/// slots contribute nothing either way).
+/// slots contribute nothing either way) and whose root subtree has at least
+/// `min_result_edges` edges.
 ///
 /// Each signal is bounded by its extremum: specificity at `max_depth`
 /// (depth 0 when the weight is negative), frequency at the full match
-/// counts (zero matches when negative), compactness at zero edges (infinite
-/// edges — contribution 0 — when negative). Monotone in both arguments, so
-/// a shard whose remaining depth/frequency envelopes shrink can only lower
-/// its bound — the property the threshold merge's early termination needs.
+/// counts (zero matches when negative), compactness at `min_result_edges`
+/// (infinite edges — contribution 0 — when negative). The terms are summed
+/// in ScoreResult's order, so rounding cannot lift a score above its bound.
+/// Monotone in every argument, so a shard whose remaining depth/frequency
+/// envelopes shrink can only lower its bound — the property the threshold
+/// merge's early termination needs.
 double ScoreUpperBound(const RankingOptions& options, uint32_t max_depth,
-                       const std::vector<size_t>& max_matches);
+                       std::span<const size_t> max_matches,
+                       size_t min_result_edges = 0);
 
 }  // namespace extract
 

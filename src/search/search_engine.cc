@@ -1,6 +1,7 @@
 #include "search/search_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -311,6 +312,39 @@ class EmptyResultProducer : public ResultProducer {
 };
 
 }  // namespace
+
+double SearchEngine::DocumentScoreBound(
+    const RankingOptions& /*ranking*/,
+    std::span<const TermDocStats> /*keyword_stats*/) const {
+  return std::numeric_limits<double>::infinity();
+}
+
+double XSeekEngine::DocumentScoreBound(
+    const RankingOptions& ranking,
+    std::span<const TermDocStats> keyword_stats) const {
+  uint32_t max_depth = std::numeric_limits<uint32_t>::max();
+  size_t min_edges = 0;
+  // Stack storage for typical queries: the bound runs once per candidate
+  // document, so a heap allocation here would rival the bound's own cost.
+  std::array<size_t, 16> inline_counts;
+  std::vector<size_t> heap_counts;
+  std::span<size_t> counts(inline_counts.data(), keyword_stats.size());
+  if (keyword_stats.size() > inline_counts.size()) {
+    heap_counts.resize(keyword_stats.size());
+    counts = heap_counts;
+  }
+  for (size_t k = 0; k < keyword_stats.size(); ++k) {
+    const TermDocStats& stats = keyword_stats[k];
+    counts[k] = stats.postings;
+    if (stats.postings == 0) continue;  // dropped stopword
+    max_depth = std::min(max_depth, stats.max_depth);
+    min_edges = std::max<size_t>(min_edges, stats.min_entity_edges);
+  }
+  // An SLCA-scoped root can sit below its postings' master entities, so
+  // only master-entity scope earns the compactness floor.
+  if (options_.scope != ResultScope::kMasterEntity) min_edges = 0;
+  return ScoreUpperBound(ranking, max_depth, counts, min_edges);
+}
 
 Result<std::unique_ptr<ResultProducer>> SearchEngine::OpenIncremental(
     const XmlDatabase& db, const Query& query, const RankingOptions& ranking,

@@ -9,8 +9,10 @@
 #ifndef EXTRACT_SEARCH_SEARCH_ENGINE_H_
 #define EXTRACT_SEARCH_SEARCH_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,9 +58,9 @@ class XmlDatabase {
   static Result<XmlDatabase> FromDocument(std::unique_ptr<XmlDocument> doc,
                                           const LoadOptions& options);
 
-  /// Builds a database around an already-flattened document (e.g. from a
-  /// snapshot, see search/snapshot.h), rebuilding the derived structures
-  /// (classification, keys, inverted index). `dtd` may be null.
+  /// Builds a database around an already-flattened document, building the
+  /// derived structures (classification, keys, inverted index). `dtd` may
+  /// be null.
   static Result<XmlDatabase> FromIndexedDocument(IndexedDocument index,
                                                  const Dtd* dtd,
                                                  const LoadOptions& options);
@@ -162,6 +164,19 @@ struct SearchOptions {
 struct RankingOptions;
 struct RankedResult;
 
+/// \brief What a snapshot's term directory (search/corpus_snapshot.h)
+/// records for one (token, document) pair: enough to bound the score of any
+/// result over the document without opening it. All zero for a keyword
+/// that analyzes to a stopword under the document's analyzer.
+struct TermDocStats {
+  /// Length of the token's posting list in the document.
+  uint32_t postings = 0;
+  /// Depth of the token's deepest posting.
+  uint32_t max_depth = 0;
+  /// Fewest subtree edges of any posting's master entity (MasterEntityOf).
+  uint32_t min_entity_edges = 0;
+};
+
 /// \brief A lazy scored-result producer over one document — the incremental
 /// counterpart of SearchEngine::Search, opened via OpenIncremental.
 ///
@@ -229,12 +244,26 @@ class SearchEngine {
   /// database's inverted index — i.e. the engine requires every keyword to
   /// match (AND semantics).
   ///
-  /// The snapshot-backed corpus uses this to prune documents from its
-  /// per-document token directory WITHOUT faulting them in: a pruned
-  /// document contributes exactly what its empty search would have, so
-  /// results are byte-identical and only the work changes. The conservative
-  /// default (false) disables pruning for engines with unknown semantics.
+  /// The snapshot-backed corpus uses this to take its candidate documents
+  /// from the snapshot's term directory WITHOUT faulting them in: a document
+  /// the directory does not list for every keyword contributes exactly what
+  /// its empty search would have, so results are byte-identical and only
+  /// the work changes. The conservative default (false) searches every
+  /// document for engines with unknown semantics.
   virtual bool RequiresAllKeywords() const { return false; }
+
+  /// \brief A sound upper bound on the score (ScoreResult under `ranking`)
+  /// of every result Search would return over a document, computed from
+  /// the term directory alone. `keyword_stats` is parallel to the query's
+  /// keywords, all-zero for a keyword the document's analyzer drops.
+  ///
+  /// Consulted only for engines that RequiresAllKeywords, and only with at
+  /// least one non-zero entry. SearchTopK opens and faults in a snapshot
+  /// document only once its bound could still place a hit on the page.
+  /// The default (+infinity: no bound) opens every candidate up front.
+  virtual double DocumentScoreBound(
+      const RankingOptions& ranking,
+      std::span<const TermDocStats> keyword_stats) const;
 
   /// \brief Opens an incremental producer for `query` over `db`.
   ///
@@ -266,6 +295,15 @@ class XSeekEngine : public SearchEngine {
   /// SLCA intersects all keyword posting lists: any missing keyword means
   /// an empty (successful) result, so snapshot pruning is sound.
   bool RequiresAllKeywords() const override { return true; }
+
+  /// ScoreUpperBound over the directory envelope: an SLCA lies at or above
+  /// a posting of every keyword (depth <= the smallest per-keyword maximum),
+  /// a result holds at most every posting, and under kMasterEntity scope
+  /// its root is an ancestor-or-self of some posting's master entity of
+  /// every keyword (edges >= the largest per-keyword minimum).
+  double DocumentScoreBound(
+      const RankingOptions& ranking,
+      std::span<const TermDocStats> keyword_stats) const override;
 
   /// \brief A genuinely incremental producer: chunked SLCA enumeration
   /// (SlcaEnumerator) with the dedup/scoping/match-attachment of Search

@@ -1,19 +1,24 @@
-// Corpus snapshot tests: the mmap-able whole-corpus store (ROADMAP
-// direction 3). Pins the format contract (precise statuses for every
-// corruption/truncation/version-skew shape), byte-equivalence of
-// snapshot-backed serving against the in-memory corpus — search pages,
-// snippets, and the HTTP wire — lazy fault-in semantics (counters, retry,
-// MayMatch pruning that never touches payloads), the two-layer corpus
-// composition (overlay shadowing, hides, instance scoping), and churn
-// under concurrent mutation (exercised by the TSan CI job).
+// Corpus snapshot tests: the mmap-able whole-corpus store. Pins the format
+// contract (precise statuses for every corruption/truncation/version-skew
+// shape, the term directory included), byte-equivalence of snapshot-backed
+// serving against the in-memory corpus — search pages, snippets, and the
+// HTTP wire — lazy fault-in semantics (counters, retry, term-directory
+// pruning that never touches payloads), crash-safe saving (over a mapped
+// file, abandoned mid-save), the two-layer corpus composition (overlay
+// shadowing, hides, instance scoping), and churn under concurrent mutation
+// (exercised by the TSan CI job).
 
 #include "search/corpus_snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -199,10 +204,10 @@ TEST(CorpusSnapshotTest, OpenRejectsCorruptionWithPreciseStatuses) {
 TEST(CorpusSnapshotTest, PayloadCorruptionSurfacesAtFaultInAndIsSticky) {
   const std::string path = WriteDemoSnapshot("corpus_payload.xcsn");
   std::string bytes = ReadFile(path);
-  // Payload blobs start right after the 64-byte header; names were added in
+  // Payload blobs start right after the 96-byte header; names were added in
   // sorted order, so the first blob is document 0 ("movies"). Flip a byte
   // deep inside it (past the section TOC, so framing stays plausible).
-  bytes[64 + 128] ^= 0x5A;
+  bytes[96 + 128] ^= 0x5A;
   WriteFile(path, bytes);
 
   auto snapshot = CorpusSnapshot::Open(path);
@@ -226,44 +231,242 @@ TEST(CorpusSnapshotTest, PayloadCorruptionSurfacesAtFaultInAndIsSticky) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------------- MayMatch
+// --------------------------------------------------------- term directory
 
-TEST(CorpusSnapshotTest, MayMatchPrunesWithoutFaultingIn) {
-  const std::string path = WriteDemoSnapshot("corpus_maymatch.xcsn");
+/// Documents ForEachCandidate visits for `text`, by name.
+std::vector<std::string> CandidateNames(const CorpusSnapshot& snap,
+                                        const std::string& text) {
+  std::vector<std::string> names;
+  Status status = snap.ForEachCandidate(
+      Query::Parse(text), [&](size_t i, std::span<const TermDocStats>) {
+        names.emplace_back(snap.name(i));
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  return names;
+}
+
+TEST(CorpusSnapshotTest, TermDirectoryPrunesWithoutFaultingIn) {
+  const std::string path = WriteDemoSnapshot("corpus_terms.xcsn");
   auto snapshot = CorpusSnapshot::Open(path);
   ASSERT_TRUE(snapshot.ok());
   CorpusSnapshot& snap = **snapshot;
 
-  {
-    Query query = Query::Parse("texas");
-    CorpusSnapshot::QueryFilter filter(query);
-    EXPECT_TRUE(snap.MayMatch(2, filter));  // stores mentions Texas
-  }
-  {
-    Query query = Query::Parse("xyzzyplugh");
-    CorpusSnapshot::QueryFilter filter(query);
-    for (size_t i = 0; i < snap.doc_count(); ++i) {
-      EXPECT_FALSE(snap.MayMatch(i, filter)) << "doc " << i;
-    }
-  }
-  {
-    Query query = Query::Parse("");  // no keywords: conservatively true
-    CorpusSnapshot::QueryFilter filter(query);
-    EXPECT_TRUE(snap.MayMatch(0, filter));
-  }
-  // MayMatch reads only the mapped token arena — nothing became resident.
+  // Only the documents holding the keyword, with its stats.
+  EXPECT_EQ(CandidateNames(snap, "texas"),
+            (std::vector<std::string>{"retailer", "stores"}));
+  EXPECT_TRUE(CandidateNames(snap, "xyzzyplugh").empty());
+  EXPECT_TRUE(CandidateNames(snap, "texas xyzzyplugh").empty());
+  ASSERT_TRUE(snap.ForEachCandidate(
+                      Query::Parse("texas texas"),
+                      [&](size_t, std::span<const TermDocStats> stats) {
+                        ASSERT_EQ(stats.size(), 2u);
+                        EXPECT_GT(stats[0].postings, 0u);
+                        EXPECT_EQ(stats[0].postings, stats[1].postings);
+                        EXPECT_GT(stats[0].max_depth, 0u);
+                      })
+                  .ok());
+  // No keywords: every document, with nothing to bound it by.
+  EXPECT_EQ(CandidateNames(snap, "").size(), 3u);
+  // The directory never reads a payload — nothing became resident.
   EXPECT_EQ(snap.Stats().resident, 0u);
 
   // Corpus-level: a search that cannot match anything completes without a
-  // single fault-in. That is the million-document win — cold queries pay
-  // O(matching docs), not O(corpus).
+  // single fault-in, and a top-k page faults in only what it opens.
   XmlCorpus corpus;
   ASSERT_TRUE(corpus.AttachSnapshot(*snapshot).ok());
   XSeekEngine engine;
   auto hits = corpus.SearchAll(Query::Parse("xyzzyplugh"), engine);
   ASSERT_TRUE(hits.ok()) << hits.status();
   EXPECT_TRUE(hits->empty());
+  auto top = corpus.SearchTopK(Query::Parse("xyzzyplugh"), engine,
+                               RankingOptions{}, CorpusServingOptions{}, 10);
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_TRUE(top->empty());
   EXPECT_EQ(corpus.SnapshotStatsSnapshot()->resident, 0u);
+  std::remove(path.c_str());
+}
+
+// The term directory is part of the format contract: any byte flip inside
+// it either fails Open (its index is checksummed) or fails the first query
+// that reads the damaged list — never a different page.
+TEST(CorpusSnapshotTest, TermDirectoryCorruptionNeverServesAWrongPage) {
+  const std::string path = TempPath("corpus_terms_flip.xcsn");
+  XmlCorpus memory;
+  ASSERT_TRUE(memory.AddDocument("a", "<s><i><n>texas boots</n></i></s>").ok());
+  ASSERT_TRUE(memory.AddDocument("b", "<s><i><n>ohio boots</n></i></s>").ok());
+  ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+  const std::string good = ReadFile(path);
+  uint64_t terms_offset = 0;
+  uint64_t terms_size = 0;
+  std::memcpy(&terms_offset, good.data() + 48, 8);
+  std::memcpy(&terms_size, good.data() + 56, 8);
+  ASSERT_GT(terms_size, 0u);
+  ASSERT_LE(terms_offset + terms_size, good.size());
+
+  XSeekEngine engine;
+  const std::vector<std::string> queries = {"boots", "texas boots", "ohio"};
+  std::vector<std::vector<CorpusResult>> reference;
+  for (const std::string& text : queries) {
+    auto page = memory.SearchAll(Query::Parse(text), engine);
+    ASSERT_TRUE(page.ok());
+    reference.push_back(*page);
+  }
+  const std::string mutated = TempPath("corpus_terms_flip_mut.xcsn");
+  size_t refused_at_open = 0;
+  size_t refused_at_query = 0;
+  for (uint64_t at = terms_offset; at < terms_offset + terms_size; ++at) {
+    std::string bytes = good;
+    bytes[at] ^= 0x20;
+    WriteFile(mutated, bytes);
+    auto snapshot = CorpusSnapshot::Open(mutated);
+    if (!snapshot.ok()) {
+      EXPECT_EQ(snapshot.status().code(), StatusCode::kParseError) << at;
+      ++refused_at_open;
+      continue;
+    }
+    XmlCorpus corpus;
+    ASSERT_TRUE(corpus.AttachSnapshot(*snapshot).ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Query query = Query::Parse(queries[q]);
+      for (size_t k : {size_t{1}, std::numeric_limits<size_t>::max()}) {
+        auto page = k == 1 ? corpus.SearchTopK(query, engine, RankingOptions{},
+                                               CorpusServingOptions{}, k)
+                           : corpus.SearchAll(query, engine);
+        if (!page.ok()) {
+          EXPECT_EQ(page.status().code(), StatusCode::kParseError) << at;
+          ++refused_at_query;
+          continue;
+        }
+        const size_t n = std::min(k, reference[q].size());
+        ASSERT_EQ(page->size(), n) << "byte " << at << " " << queries[q];
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ((*page)[i].document, reference[q][i].document) << at;
+          EXPECT_EQ((*page)[i].result.root, reference[q][i].result.root) << at;
+          EXPECT_EQ((*page)[i].score, reference[q][i].score) << at;
+        }
+      }
+    }
+  }
+  EXPECT_GT(refused_at_open, 0u);
+  EXPECT_GT(refused_at_query, 0u);
+
+  // Truncating the term directory (dropping its last entry and re-framing
+  // the header around the shorter region) is refused at Open.
+  {
+    std::string bytes = good;
+    bytes.erase(static_cast<size_t>(terms_offset + terms_size - 16), 16);
+    auto put = [&bytes](size_t at, uint64_t v) {
+      std::memcpy(bytes.data() + at, &v, 8);
+    };
+    uint64_t dir_offset = 0;
+    std::memcpy(&dir_offset, good.data() + 24, 8);
+    put(8, bytes.size());          // file size
+    put(24, dir_offset - 16);      // document directory offset
+    put(56, terms_size - 16);      // term directory size
+    put(88, snapshot_internal::Fnv1a(std::string_view(bytes.data(), 88)));
+    WriteFile(mutated, bytes);
+    Status status = CorpusSnapshot::Open(mutated).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+    EXPECT_NE(status.message().find("term directory"), std::string::npos)
+        << status;
+  }
+  std::remove(path.c_str());
+  std::remove(mutated.c_str());
+}
+
+TEST(CorpusSnapshotTest, VersionOneImageIsRefusedByName) {
+  const std::string path = WriteDemoSnapshot("corpus_v1.xcsn");
+  std::string bytes = ReadFile(path);
+  bytes[4] = 1;  // the version field every image starts with
+  WriteFile(path, bytes);
+  Status status = CorpusSnapshot::Open(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("unsupported version 1 "), std::string::npos)
+      << status;
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------ safe saving
+
+/// Files in the temp directory left behind by a writer of `path`.
+size_t LeftoverTempFiles(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
+
+TEST(CorpusSnapshotSaveTest, AbandonedWriterLeavesOldFileByteIdentical) {
+  const std::string path = WriteDemoSnapshot("corpus_abandon.xcsn");
+  const std::string before = ReadFile(path);
+  {
+    auto writer = CorpusSnapshotWriter::Create(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(writer->Add("only", *XmlDatabase::Load("<a>b</a>")).ok());
+    EXPECT_EQ(LeftoverTempFiles(path), 1u);  // the save in progress
+    EXPECT_EQ(ReadFile(path), before);
+  }  // destroyed before Finish
+  EXPECT_EQ(ReadFile(path), before);
+  EXPECT_EQ(LeftoverTempFiles(path), 0u);
+  EXPECT_TRUE(CorpusSnapshot::Open(path).ok());
+  std::remove(path.c_str());
+}
+
+// Saving over the image a live corpus has mapped must not disturb it:
+// readers pinned to the old mapping keep faulting in its documents while
+// the new image replaces the path, and a re-attach serves the new image.
+TEST(CorpusSnapshotSaveTest, SaveOverAttachedPathWhileReadersSearch) {
+  const std::string path = WriteDemoSnapshot("corpus_save_live.xcsn");
+  auto snapshot = CorpusSnapshot::Open(path);
+  ASSERT_TRUE(snapshot.ok());
+  XmlCorpus corpus;
+  ASSERT_TRUE(corpus.AttachSnapshot(*snapshot).ok());
+  XSeekEngine engine;
+  auto expected = corpus.SearchAll(Query::Parse("texas"), engine);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected->empty());
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> pages{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto hits = corpus.SearchAll(Query::Parse("texas"), engine);
+        ASSERT_TRUE(hits.ok()) << hits.status();
+        ASSERT_EQ(hits->size(), expected->size());
+        for (size_t i = 0; i < hits->size(); ++i) {
+          ASSERT_EQ((*hits)[i].document, (*expected)[i].document);
+          ASSERT_EQ((*hits)[i].score, (*expected)[i].score);
+        }
+        pages.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Save a different corpus over the mapped path, several times.
+  XmlCorpus replacement;
+  ASSERT_TRUE(
+      replacement.AddDocument("zz_new", "<s><i><n>texas new</n></i></s>").ok());
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_TRUE(replacement.SaveSnapshot(path).ok());
+  }
+  while (pages.load(std::memory_order_relaxed) < 10) std::this_thread::yield();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(LeftoverTempFiles(path), 0u);
+
+  auto reopened = CorpusSnapshot::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_TRUE(corpus.AttachSnapshot(*reopened).ok());
+  EXPECT_EQ(corpus.DocumentNames(), std::vector<std::string>{"zz_new"});
+  auto hits = corpus.SearchAll(Query::Parse("texas"), engine);
+  ASSERT_TRUE(hits.ok()) << hits.status();
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ((*hits)[0].document, "zz_new");
   std::remove(path.c_str());
 }
 
@@ -353,17 +556,24 @@ TEST_F(SnapshotEquivalenceTest, FindAndNamesMatch) {
 }
 
 /// Zeroes the legitimately backend-dependent counters of a response body:
-/// wall-clock timings, and the search work counters MayMatch pruning is
-/// SUPPOSED to shrink (fewer producers opened, fewer pull rounds). Result
-/// content — documents, scores, keys, snippets — is never scrubbed.
+/// wall-clock timings, and the search work counters term-directory pruning
+/// and bound-ordered opening are SUPPOSED to shrink (fewer producers
+/// opened, fewer candidates scanned, fewer pull rounds, earlier
+/// termination). Result content — documents, scores, keys, snippets — is
+/// never scrubbed.
 std::string ScrubWorkCounters(std::string body) {
-  for (const std::string field : {"_ns\":", "producers\":", "pull_rounds\":"}) {
+  for (const std::string field :
+       {"_ns\":", "producers\":", "pull_rounds\":", "candidates_total\":",
+        "candidates_scored\":", "early_terminated\":"}) {
     for (size_t at = body.find(field); at != std::string::npos;
          at = body.find(field, at + 1)) {
-      const size_t digits = at + field.size();
-      size_t end = digits;
-      while (end < body.size() && body[end] >= '0' && body[end] <= '9') ++end;
-      body.replace(digits, end - digits, "0");
+      const size_t value = at + field.size();
+      size_t end = value;
+      while (end < body.size() && std::isalnum(static_cast<unsigned char>(
+                                      body[end])) != 0) {
+        ++end;
+      }
+      body.replace(value, end - value, "0");
     }
   }
   return body;

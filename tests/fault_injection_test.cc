@@ -13,6 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -403,6 +406,54 @@ TEST(FaultPointTest, SnapshotFaultInFailureSurfacesThroughSearch) {
   ASSERT_TRUE(hits.ok()) << hits.status();
   EXPECT_FALSE(hits->empty());
   std::remove(path.c_str());
+}
+
+// Every step of a save — writing the temporary file, syncing it, renaming
+// it over the target, syncing the directory — has a fault point. A failure
+// before the rename leaves the old image byte-identical; a failure syncing
+// the directory reports the error with the complete new image in place.
+// Either way no temporary file is left behind.
+TEST(FaultPointTest, SnapshotSaveFailuresNeverTearTheTarget) {
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto leftovers = [](const std::string& path) {
+    const std::filesystem::path target(path);
+    size_t count = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(target.parent_path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(target.filename().string() + ".tmp", 0) == 0) ++count;
+    }
+    return count;
+  };
+  XmlCorpus replacement;
+  ASSERT_TRUE(replacement.AddDocument("retailer", GenerateRetailerXml()).ok());
+  for (const char* point : {"snapshot.write", "snapshot.fsync",
+                            "snapshot.rename", "snapshot.dirsync"}) {
+    SCOPED_TRACE(point);
+    const std::string path = WriteSnapshotFixture("fault_save.xcsn");
+    const std::string before = read(path);
+    {
+      ScopedFaultInjection arm({OnNthHit(point, 1, StatusCode::kUnavailable)});
+      Status status = replacement.SaveSnapshot(path);
+      EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+      EXPECT_NE(status.message().find(std::string("[fault:") + point + "]"),
+                std::string::npos)
+          << status;
+    }
+    EXPECT_EQ(leftovers(path), 0u);
+    auto snapshot = CorpusSnapshot::Open(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    if (std::string(point) == "snapshot.dirsync") {
+      EXPECT_EQ((*snapshot)->name(0), "retailer");  // renamed into place
+    } else {
+      EXPECT_EQ(read(path), before);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // ------------------------------------------------------- budget domain

@@ -1,25 +1,97 @@
-#include "search/snapshot.h"
+// One-document snapshot images: a single database written through
+// CorpusSnapshotWriter and read back through CorpusSnapshot::Fault must
+// restore every column and derived structure exactly, and every malformed
+// image must be refused with a precise status.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 
 #include "datagen/movies_dataset.h"
 #include "datagen/retailer_dataset.h"
+#include "search/corpus_snapshot.h"
 #include "snippet/snippet_service.h"
 
 namespace extract {
 namespace {
 
+/// Payload blobs start right after the fixed-size v2 header.
+constexpr size_t kHeaderBytes = 96;
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Writes `db` as a one-document image at `path`.
+Status SaveOne(const XmlDatabase& db, const std::string& path) {
+  Result<CorpusSnapshotWriter> writer = CorpusSnapshotWriter::Create(path);
+  EXTRACT_RETURN_IF_ERROR(writer.status());
+  EXTRACT_RETURN_IF_ERROR(writer->Add("db", db));
+  return writer->Finish();
+}
+
+/// Opens a one-document image and faults its document in. The database
+/// outlives the snapshot: it shares nothing with the mapping.
+Result<std::shared_ptr<const XmlDatabase>> LoadOne(const std::string& path) {
+  Result<std::shared_ptr<CorpusSnapshot>> snapshot = CorpusSnapshot::Open(path);
+  EXTRACT_RETURN_IF_ERROR(snapshot.status());
+  if ((*snapshot)->doc_count() != 1) {
+    return Status::ParseError("expected a one-document image");
+  }
+  Result<const CorpusSnapshot::SnapshotDocument*> doc = (*snapshot)->Fault(0);
+  EXTRACT_RETURN_IF_ERROR(doc.status());
+  return (*doc)->db;
+}
+
+/// Round-trips `db` through an image file.
+Result<std::shared_ptr<const XmlDatabase>> RoundTrip(const XmlDatabase& db,
+                                                     const std::string& name) {
+  const std::string path = TempPath(name);
+  EXTRACT_RETURN_IF_ERROR(SaveOne(db, path));
+  Result<std::shared_ptr<const XmlDatabase>> restored = LoadOne(path);
+  std::remove(path.c_str());
+  return restored;
+}
+
+/// Saves a tiny document, applies `mutate` to the image bytes and loads the
+/// result.
+template <typename Mutate>
+Status LoadMutated(const std::string& name, Mutate mutate) {
+  auto db = XmlDatabase::Load("<a><b>x</b></a>");
+  EXPECT_TRUE(db.ok());
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(SaveOne(*db, path).ok());
+  std::string bytes = ReadFile(path);
+  mutate(bytes);
+  WriteFile(path, bytes);
+  Status status = LoadOne(path).status();
+  std::remove(path.c_str());
+  return status;
+}
+
 TEST(SnapshotTest, RoundTripPreservesDocument) {
   auto db = XmlDatabase::Load(GenerateRetailerXml());
   ASSERT_TRUE(db.ok());
-  std::string bytes = SaveDatabaseSnapshot(*db);
-  auto restored = LoadDatabaseSnapshot(bytes);
+  auto restored = RoundTrip(*db, "snapshot_roundtrip.xcsn");
   ASSERT_TRUE(restored.ok()) << restored.status();
 
   const IndexedDocument& a = db->index();
-  const IndexedDocument& b = restored->index();
+  const IndexedDocument& b = (*restored)->index();
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_elements(), b.num_elements());
   for (NodeId n = 0; n < static_cast<NodeId>(a.num_nodes()); ++n) {
@@ -39,20 +111,19 @@ TEST(SnapshotTest, RoundTripPreservesDocument) {
 TEST(SnapshotTest, RoundTripPreservesDtdAndClassification) {
   auto db = XmlDatabase::Load(GenerateRetailerXml());
   ASSERT_TRUE(db.ok());
-  auto restored = LoadDatabaseSnapshot(SaveDatabaseSnapshot(*db));
-  ASSERT_TRUE(restored.ok());
-  ASSERT_NE(restored->dtd(), nullptr);
-  EXPECT_EQ(restored->dtd()->root_name(), "retailers");
-  EXPECT_TRUE(restored->dtd()->IsStarChild("retailers", "retailer"));
-  // Derived structures rebuilt identically: same entity labels & counts.
+  auto restored = RoundTrip(*db, "snapshot_dtd.xcsn");
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const XmlDatabase& r = **restored;
+  ASSERT_NE(r.dtd(), nullptr);
+  EXPECT_EQ(r.dtd()->root_name(), "retailers");
+  EXPECT_TRUE(r.dtd()->IsStarChild("retailers", "retailer"));
+  // Derived structures restored identically: same entity labels & counts.
   EXPECT_EQ(db->classification().entity_labels().size(),
-            restored->classification().entity_labels().size());
+            r.classification().entity_labels().size());
   EXPECT_EQ(db->classification().CountCategory(NodeCategory::kEntity),
-            restored->classification().CountCategory(NodeCategory::kEntity));
-  EXPECT_EQ(db->inverted().vocabulary_size(),
-            restored->inverted().vocabulary_size());
-  EXPECT_EQ(db->inverted().total_postings(),
-            restored->inverted().total_postings());
+            r.classification().CountCategory(NodeCategory::kEntity));
+  EXPECT_EQ(db->inverted().vocabulary_size(), r.inverted().vocabulary_size());
+  EXPECT_EQ(db->inverted().total_postings(), r.inverted().total_postings());
 }
 
 TEST(SnapshotTest, NoDtdRoundTrip) {
@@ -60,27 +131,27 @@ TEST(SnapshotTest, NoDtdRoundTrip) {
   options.include_dtd = false;
   auto db = XmlDatabase::Load(GenerateRetailerXml(options));
   ASSERT_TRUE(db.ok());
-  auto restored = LoadDatabaseSnapshot(SaveDatabaseSnapshot(*db));
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->dtd(), nullptr);
+  auto restored = RoundTrip(*db, "snapshot_nodtd.xcsn");
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->dtd(), nullptr);
 }
 
 TEST(SnapshotTest, SearchAndSnippetsIdenticalAfterReload) {
   auto db = XmlDatabase::Load(GenerateRetailerXml());
   ASSERT_TRUE(db.ok());
-  auto restored = LoadDatabaseSnapshot(SaveDatabaseSnapshot(*db));
-  ASSERT_TRUE(restored.ok());
+  auto restored = RoundTrip(*db, "snapshot_search.xcsn");
+  ASSERT_TRUE(restored.ok()) << restored.status();
 
   Query query = Query::Parse("Texas apparel retailer");
   XSeekEngine engine;
   auto results_a = engine.Search(*db, query);
-  auto results_b = engine.Search(*restored, query);
+  auto results_b = engine.Search(**restored, query);
   ASSERT_TRUE(results_a.ok());
   ASSERT_TRUE(results_b.ok());
   ASSERT_EQ(results_a->size(), results_b->size());
 
   SnippetService service_a(&*db);
-  SnippetService service_b(&*restored);
+  SnippetService service_b(restored->get());
   SnippetOptions options;
   options.size_bound = 15;
   auto snip_a = service_a.Generate(query, results_a->front(), options);
@@ -92,66 +163,64 @@ TEST(SnapshotTest, SearchAndSnippetsIdenticalAfterReload) {
 }
 
 TEST(SnapshotTest, RejectsBadMagic) {
-  auto db = XmlDatabase::Load("<a><b>x</b></a>");
-  ASSERT_TRUE(db.ok());
-  std::string bytes = SaveDatabaseSnapshot(*db);
-  bytes[0] = 'Y';
-  EXPECT_EQ(LoadDatabaseSnapshot(bytes).status().code(),
-            StatusCode::kParseError);
+  Status status = LoadMutated("snapshot_magic.xcsn",
+                              [](std::string& bytes) { bytes[0] = 'Y'; });
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
 }
 
 TEST(SnapshotTest, RejectsBadVersion) {
-  auto db = XmlDatabase::Load("<a><b>x</b></a>");
-  ASSERT_TRUE(db.ok());
-  std::string bytes = SaveDatabaseSnapshot(*db);
-  bytes[4] = 99;  // version field
-  EXPECT_FALSE(LoadDatabaseSnapshot(bytes).ok());
+  Status status = LoadMutated("snapshot_version.xcsn",
+                              [](std::string& bytes) { bytes[4] = 99; });
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("version 99"), std::string::npos) << status;
 }
 
 TEST(SnapshotTest, RejectsCorruptPayload) {
-  auto db = XmlDatabase::Load("<a><b>x</b></a>");
-  ASSERT_TRUE(db.ok());
-  std::string bytes = SaveDatabaseSnapshot(*db);
-  bytes[bytes.size() / 2] ^= 0x5A;
-  auto restored = LoadDatabaseSnapshot(bytes);
-  EXPECT_FALSE(restored.ok());
-  EXPECT_NE(restored.status().message().find("checksum"), std::string::npos);
+  Status status = LoadMutated("snapshot_payload.xcsn", [](std::string& bytes) {
+    bytes[kHeaderBytes + 128] ^= 0x5A;  // inside the only payload blob
+  });
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("checksum"), std::string::npos) << status;
 }
 
 TEST(SnapshotTest, RejectsTruncation) {
   auto db = XmlDatabase::Load("<a><b>x</b></a>");
   ASSERT_TRUE(db.ok());
-  std::string bytes = SaveDatabaseSnapshot(*db);
+  const std::string path = TempPath("snapshot_truncation.xcsn");
+  ASSERT_TRUE(SaveOne(*db, path).ok());
+  const std::string bytes = ReadFile(path);
   for (size_t keep : {size_t{0}, size_t{3}, size_t{8}, size_t{15},
                       bytes.size() - 1}) {
-    EXPECT_FALSE(LoadDatabaseSnapshot(bytes.substr(0, keep)).ok())
+    WriteFile(path, bytes.substr(0, keep));
+    EXPECT_EQ(LoadOne(path).status().code(), StatusCode::kParseError)
         << "kept " << keep;
   }
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, FileRoundTrip) {
   auto db = XmlDatabase::Load(GenerateMoviesXml());
   ASSERT_TRUE(db.ok());
-  std::string path = ::testing::TempDir() + "/extract_snapshot_test.bin";
-  ASSERT_TRUE(SaveDatabaseSnapshotToFile(*db, path).ok());
-  auto restored = LoadDatabaseSnapshotFromFile(path);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->index().num_nodes(), db->index().num_nodes());
+  const std::string path = TempPath("extract_snapshot_test.xcsn");
+  ASSERT_TRUE(SaveOne(*db, path).ok());
+  {
+    auto restored = LoadOne(path);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ((*restored)->index().num_nodes(), db->index().num_nodes());
+  }
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, MissingFileIsNotFound) {
-  EXPECT_EQ(LoadDatabaseSnapshotFromFile("/nonexistent/path.bin")
-                .status()
-                .code(),
+  EXPECT_EQ(LoadOne("/nonexistent/path.xcsn").status().code(),
             StatusCode::kNotFound);
 }
 
 TEST(FnvTest, KnownValues) {
   // FNV-1a 64 test vectors.
-  EXPECT_EQ(internal::Fnv1a(""), 0xCBF29CE484222325ULL);
-  EXPECT_EQ(internal::Fnv1a("a"), 0xAF63DC4C8601EC8CULL);
-  EXPECT_NE(internal::Fnv1a("ab"), internal::Fnv1a("ba"));
+  EXPECT_EQ(snapshot_internal::Fnv1a(""), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(snapshot_internal::Fnv1a("a"), 0xAF63DC4C8601EC8CULL);
+  EXPECT_NE(snapshot_internal::Fnv1a("ab"), snapshot_internal::Fnv1a("ba"));
 }
 
 TEST(FromFlatColumnsTest, RejectsInconsistentColumns) {

@@ -1,18 +1,24 @@
 // Incremental top-k search must be indistinguishable from blocking search
 // truncated to k: identical pages (documents, roots, bitwise-equal scores)
 // for every k/thread/partition configuration and across repeated runs,
-// identical error reporting when producers fail mid-enumeration, and sound
-// monotone shard bounds — while actually terminating early on skewed
-// corpora. Also covers the RankResults top-k fast path, the selector
-// warm-start trace, and page-gated ServeQuery streaming. Run under
-// ThreadSanitizer in CI.
+// over in-memory and snapshot-backed corpora, identical error reporting
+// when producers fail mid-enumeration, and sound monotone shard bounds and
+// document bounds — while actually terminating early on skewed corpora and
+// leaving snapshot documents whose bound cannot reach the page unopened.
+// Also covers the RankResults top-k fast path, the selector warm-start
+// trace, and page-gated ServeQuery streaming. Run under ThreadSanitizer
+// and ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +28,7 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "search/corpus.h"
+#include "search/corpus_snapshot.h"
 #include "search/ranking.h"
 #include "snippet/instance_selector.h"
 #include "snippet/snippet_tree.h"
@@ -65,6 +72,21 @@ void ExpectSamePage(const std::vector<CorpusResult>& expected,
     // Bitwise double equality: both paths run the identical per-document
     // scoring computation, so even the last ulp must match.
     EXPECT_EQ(expected[i].score, actual[i].score) << label << " hit " << i;
+  }
+}
+
+void ExpectSameSnippets(const std::vector<Snippet>& expected,
+                        const std::vector<Snippet>& actual,
+                        const std::string& label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].result_root, actual[i].result_root)
+        << label << " slot " << i;
+    EXPECT_EQ(expected[i].nodes, actual[i].nodes) << label << " slot " << i;
+    EXPECT_EQ(expected[i].covered, actual[i].covered)
+        << label << " slot " << i;
+    EXPECT_EQ(RenderSnippet(expected[i]), RenderSnippet(actual[i]))
+        << label << " slot " << i;
   }
 }
 
@@ -297,6 +319,301 @@ TEST(TopKSearchTest, ProducerBoundIsMonotoneAndSound) {
     EXPECT_EQ(expected[i].result.matches, all[i].result.matches);
     EXPECT_EQ(expected[i].score, all[i].score);
   }
+}
+
+// ----------------------------------------------------- snapshot-backed
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+/// Saves `memory` to `path` and attaches the image to `backed`.
+void AttachSaved(const XmlCorpus& memory, const std::string& path,
+                 XmlCorpus* backed) {
+  ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+  auto snapshot = CorpusSnapshot::Open(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_TRUE(backed->AttachSnapshot(*snapshot).ok());
+}
+
+LoadOptions AnalyzerLoad(bool stem, bool stopwords) {
+  LoadOptions load;
+  load.analysis.stem = stem;
+  load.analysis.remove_stopwords = stopwords;
+  return load;
+}
+
+// The directory bound must dominate every result of its document, for every
+// engine scope, analyzer, ranking (negative weights included) and keyword
+// shape (duplicates, stopwords, stopword-only) — and the directory must
+// list every document that has a result at all.
+TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
+  const RankingOptions rankings[] = {
+      RankingOptions{},
+      RankingOptions{-1.0, 0.5, 2.0},
+      RankingOptions{1.0, -0.5, 2.0},
+      RankingOptions{1.0, 0.5, -2.0},
+      RankingOptions{0.3, 1.7, 5.0},
+  };
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    XmlCorpus memory;
+    std::vector<std::string> keywords = {"the", "of"};
+    for (size_t d = 0; d < 6; ++d) {
+      RandomXmlOptions options;
+      options.levels = 1 + (seed + d) % 3;
+      options.entities_per_parent = 2 + d % 3;
+      options.attributes_per_entity = 2;
+      options.domain_size = 6;
+      options.seed = seed * 100 + d;
+      RandomXmlData data = GenerateRandomXml(options);
+      for (const std::string& k : data.keyword_pool) keywords.push_back(k);
+      for (const auto& [label, value] : data.planted_values) {
+        keywords.push_back(label);
+        keywords.push_back(value);
+      }
+      ASSERT_TRUE(memory
+                      .AddDocument("doc" + std::to_string(d), data.xml,
+                                   AnalyzerLoad(d % 2 == 1, d % 4 >= 2))
+                      .ok());
+    }
+    const std::string path = TempPath("topk_bound_property.xcsn");
+    ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+    auto snapshot = CorpusSnapshot::Open(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    const CorpusSnapshot& snap = **snapshot;
+
+    std::vector<std::string> queries;
+    uint64_t rng = seed * 0x9E3779B97F4A7C15ULL;
+    auto pick = [&] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return keywords[rng % keywords.size()];
+    };
+    for (int q = 0; q < 24; ++q) {
+      const std::string a = pick();
+      const std::string b = pick();
+      queries.push_back(a);
+      queries.push_back(a + " " + b);
+      queries.push_back(a + " " + a);      // duplicate keyword
+      queries.push_back("the " + a);       // stopword under some analyzers
+    }
+    queries.push_back("the of");  // stopword-only under some analyzers
+
+    for (ResultScope scope :
+         {ResultScope::kMasterEntity, ResultScope::kSlcaSubtree}) {
+      SearchOptions search;
+      search.scope = scope;
+      XSeekEngine engine(search);
+      for (const std::string& text : queries) {
+        const Query query = Query::Parse(text);
+        std::set<size_t> candidates;
+        for (const RankingOptions& ranking : rankings) {
+          ASSERT_TRUE(
+              snap.ForEachCandidate(
+                      query,
+                      [&](size_t i, std::span<const TermDocStats> stats) {
+                        candidates.insert(i);
+                        const bool keyed = std::any_of(
+                            stats.begin(), stats.end(),
+                            [](const TermDocStats& s) {
+                              return s.postings != 0;
+                            });
+                        if (!keyed) return;
+                        const double bound =
+                            engine.DocumentScoreBound(ranking, stats);
+                        auto doc = snap.Fault(i);
+                        ASSERT_TRUE(doc.ok()) << doc.status();
+                        const XmlDatabase& db = *(*doc)->db;
+                        auto results = engine.Search(db, query);
+                        ASSERT_TRUE(results.ok()) << results.status();
+                        for (const QueryResult& r : *results) {
+                          EXPECT_LE(ScoreResult(db, r, ranking), bound)
+                              << "'" << text << "' doc " << snap.name(i);
+                          ++checked;
+                        }
+                      })
+                  .ok());
+        }
+        // Completeness: a document with results is always a candidate.
+        for (size_t i = 0; i < snap.doc_count(); ++i) {
+          if (candidates.count(i) != 0) continue;
+          auto doc = snap.Fault(i);
+          ASSERT_TRUE(doc.ok());
+          auto results = engine.Search(*(*doc)->db, query);
+          ASSERT_TRUE(results.ok());
+          EXPECT_TRUE(results->empty())
+              << "'" << text << "' doc " << snap.name(i) << " missed";
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+// A snapshot-backed corpus serves the same pages as its in-memory twin,
+// through SearchAll, SearchTopK (bound-ordered lazy opening) and page-gated
+// ServeQuery alike — across a mixed-analyzer image, hidden snapshot names
+// and overlay documents shadowing them.
+TEST(TopKSearchTest, SnapshotBackedTopKMatchesSearchAll) {
+  XmlCorpus memory;
+  LoadOptions partitioned = AnalyzerLoad(false, true);
+  partitioned.partitioning.target_nodes_per_partition = 64;
+  ASSERT_TRUE(
+      memory.AddDocument("retailer", GenerateRetailerXml(), partitioned).ok());
+  ASSERT_TRUE(memory
+                  .AddDocument("stores", GenerateStoresXml(),
+                               AnalyzerLoad(true, false))
+                  .ok());
+  ASSERT_TRUE(memory
+                  .AddDocument("movies", GenerateMoviesXml(),
+                               AnalyzerLoad(true, true))
+                  .ok());
+  std::vector<std::string> queries = {"texas", "texas store", "stores",
+                                      "drama", "the texas", "texas texas",
+                                      "zzznomatch", "the"};
+  for (int d = 0; d < 6; ++d) {
+    RandomXmlOptions options;
+    options.levels = 2;
+    options.entities_per_parent = 4;
+    options.seed = 2000 + d;
+    RandomXmlData data = GenerateRandomXml(options);
+    if (d < 2) {
+      for (const std::string& k : data.keyword_pool) queries.push_back(k);
+    }
+    ASSERT_TRUE(memory
+                    .AddDocument("random" + std::to_string(d), data.xml,
+                                 AnalyzerLoad(d % 2 == 0, d % 3 == 0))
+                    .ok());
+  }
+  const std::string path = TempPath("topk_snapshot_equiv.xcsn");
+  XmlCorpus backed;
+  AttachSaved(memory, path, &backed);
+  // Hide two snapshot documents, shadow one with an overlay copy and add
+  // an overlay document that sorts before everything — in both corpora.
+  for (XmlCorpus* corpus : {&memory, &backed}) {
+    ASSERT_TRUE(corpus->RemoveDocument("random1").ok());
+    ASSERT_TRUE(corpus->RemoveDocument("stores").ok());
+    ASSERT_TRUE(corpus
+                    ->AddDocument("stores",
+                                  "<shops><store><name>texas boots</name>"
+                                  "<state>texas</state></store></shops>")
+                    .ok());
+    ASSERT_TRUE(
+        corpus->AddDocument("aaa", "<a><b><c>texas drama</c></b></a>").ok());
+  }
+
+  XSeekEngine engine;
+  const size_t unbounded = std::numeric_limits<size_t>::max();
+  for (const std::string& text : queries) {
+    const Query query = Query::Parse(text);
+    auto expected = memory.SearchAll(query, engine);
+    auto full = backed.SearchAll(query, engine);
+    ASSERT_EQ(expected.ok(), full.ok()) << text;
+    if (!expected.ok()) continue;
+    ExpectSamePage(*expected, *full, "SearchAll '" + text + "'");
+    for (size_t k : {size_t{1}, size_t{10}, unbounded}) {
+      for (size_t threads : {size_t{1}, size_t{0}}) {
+        CorpusServingOptions serving;
+        serving.search_threads = threads;
+        TopKSearchStats stats;
+        auto page = backed.SearchTopK(query, engine, RankingOptions{},
+                                      serving, k, &stats);
+        ASSERT_TRUE(page.ok()) << page.status();
+        ExpectSamePage(Prefix(*expected, k), *page,
+                       "'" + text + "' k=" + std::to_string(k) +
+                           " threads=" + std::to_string(threads));
+        EXPECT_TRUE(stats.finished);
+        if (k == unbounded) EXPECT_FALSE(stats.early_terminated) << text;
+      }
+    }
+    if (expected->empty()) continue;
+    // Page-gated serving over the snapshot: same page, same snippets.
+    auto blocking = memory.ServeQuery(query, engine, SnippetOptions{},
+                                      StreamOptions{});
+    ASSERT_TRUE(blocking.ok()) << blocking.status();
+    auto blocking_snippets = blocking->stream().Collect();
+    ASSERT_TRUE(blocking_snippets.ok()) << blocking_snippets.status();
+    const size_t k = std::min<size_t>(3, expected->size());
+    CorpusServingOptions serving;
+    serving.page_size = k;
+    StreamOptions stream;
+    stream.order = StreamOrder::kSlot;
+    auto gated = backed.ServeQuery(query, engine, RankingOptions{}, serving,
+                                   SnippetOptions{}, stream);
+    ASSERT_TRUE(gated.ok()) << gated.status();
+    auto snippets = gated->stream().Collect();
+    ASSERT_TRUE(snippets.ok()) << snippets.status();
+    ExpectSamePage(Prefix(*expected, k), gated->page(), "gated '" + text + "'");
+    std::vector<Snippet> want;
+    for (size_t i = 0; i < k; ++i) want.push_back((*blocking_snippets)[i].Clone());
+    ExpectSameSnippets(want, *snippets, "gated snippets '" + text + "'");
+  }
+  std::remove(path.c_str());
+}
+
+// The error contract of bound-ordered opening: a snapshot document whose
+// bound never reaches the page is never faulted in, so its corrupt payload
+// cannot fail SearchTopK or page-gated serving — while SearchAll, which
+// searches every candidate, still reports it, and a page deep enough to
+// need the document reports exactly SearchAll's error.
+TEST(TopKSearchTest, UnopenedSnapshotDocumentCannotFailTopK) {
+  XmlCorpus memory;
+  ASSERT_TRUE(memory.AddDocument("a_cold", ColdDocumentXml()).ok());
+  ASSERT_TRUE(memory.AddDocument("b_hot", HotDocumentXml(4)).ok());
+  const std::string path = TempPath("topk_unopened.xcsn");
+  ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+  {
+    // a_cold is written first: its payload starts right after the 96-byte
+    // header. Corrupt it past its section TOC.
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    bytes[96 + 128] ^= 0x5A;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto snapshot = CorpusSnapshot::Open(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  XmlCorpus backed;
+  ASSERT_TRUE(backed.AttachSnapshot(*snapshot).ok());
+
+  XSeekEngine engine;
+  const Query query = Query::Parse("alpha beta");
+  auto expected = memory.SearchAll(query, engine);
+  ASSERT_TRUE(expected.ok());
+  auto all = backed.SearchAll(query, engine);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kParseError);
+  EXPECT_NE(all.status().message().find("a_cold"), std::string::npos)
+      << all.status();
+
+  for (size_t k : {size_t{1}, size_t{4}}) {  // b_hot holds four hits
+    TopKSearchStats stats;
+    auto page = backed.SearchTopK(query, engine, RankingOptions{},
+                                  CorpusServingOptions{}, k, &stats);
+    ASSERT_TRUE(page.ok()) << page.status();
+    ExpectSamePage(Prefix(*expected, k), *page, "k=" + std::to_string(k));
+    EXPECT_EQ(stats.producers, 1u);
+    EXPECT_TRUE(stats.early_terminated);
+  }
+  CorpusServingOptions serving;
+  serving.page_size = 4;
+  auto gated = backed.ServeQuery(query, engine, RankingOptions{}, serving,
+                                 SnippetOptions{}, StreamOptions{});
+  ASSERT_TRUE(gated.ok()) << gated.status();
+  ASSERT_TRUE(gated->stream().Collect().ok());
+  EXPECT_EQ(backed.SnapshotStatsSnapshot()->resident, 1u);
+
+  auto deep = backed.SearchTopK(query, engine, RankingOptions{},
+                                CorpusServingOptions{}, 5);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), all.status().code());
+  EXPECT_EQ(deep.status().message(), all.status().message());
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------- failures
@@ -539,21 +856,6 @@ TEST(TopKSearchTest, WarmSelectorMatchesColdAcrossBounds) {
 }
 
 // ------------------------------------------------------- page-gated serving
-
-void ExpectSameSnippets(const std::vector<Snippet>& expected,
-                        const std::vector<Snippet>& actual,
-                        const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].result_root, actual[i].result_root)
-        << label << " slot " << i;
-    EXPECT_EQ(expected[i].nodes, actual[i].nodes) << label << " slot " << i;
-    EXPECT_EQ(expected[i].covered, actual[i].covered)
-        << label << " slot " << i;
-    EXPECT_EQ(RenderSnippet(expected[i]), RenderSnippet(actual[i]))
-        << label << " slot " << i;
-  }
-}
 
 TEST(TopKSearchTest, PageGatedServeQueryMatchesBlocking) {
   XmlCorpus corpus = MakeWideCorpus();
