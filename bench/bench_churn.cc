@@ -144,10 +144,8 @@ bool ServeOnce(const XmlCorpus& corpus, const XSeekEngine& engine,
 bool VerifyRecord(const XmlCorpus& corpus, const XSeekEngine& engine,
                   const QueryMix& mix, const ServedRecord& record) {
   const Query& query = mix.queries[record.query_index];
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
-  auto hits = corpus.SearchAll(query, engine, RankingOptions{}, sequential,
-                               record.pin);
+  auto hits = corpus.SearchAll(query, engine, RankingOptions{},
+                               CorpusServingOptions{}, record.pin);
   if (!hits.ok()) return false;
   if (record.gated && hits->size() > kPageSize) hits->resize(kPageSize);
   if (hits->size() != record.hit_fingerprints.size()) return false;

@@ -726,10 +726,8 @@ void WriteStreamBenchJson(const std::string& path) {
   // candidates are never scanned (candidates_scored < candidates_total) —
   // and the first released slot (TTFR, stamped inside the coordinator)
   // must land strictly before the sequential blocking search+rank of the
-  // whole corpus completes. Pull width is pinned to 1 (search_threads = 1)
-  // so both claims are structural invariants on any core count: an
-  // unpinned width on a many-core host could pull every document in the
-  // first descent round.
+  // whole corpus completes. The merge pulls one producer at a time, so both
+  // claims are structural invariants on any core count.
   auto hot_doc = [](int products) {
     std::string xml = "<site><a><b><c><d><e><f>";
     for (int i = 0; i < products; ++i) {
@@ -752,12 +750,9 @@ void WriteStreamBenchJson(const std::string& path) {
   XSeekEngine topk_engine;
   const Query topk_query = Query::Parse("alpha beta");
   const size_t kTopK = 5;
-  CorpusServingOptions topk_serving;
-  topk_serving.search_threads = 1;
   std::vector<CorpusResult> blocking_page;
   if (topk_ok) {
-    auto blocking = skewed.SearchAll(topk_query, topk_engine,
-                                     RankingOptions{}, topk_serving);
+    auto blocking = skewed.SearchAll(topk_query, topk_engine);
     topk_ok = blocking.ok() && blocking->size() >= kTopK;
     if (topk_ok) blocking_page = std::move(*blocking);
   }
@@ -770,8 +765,7 @@ void WriteStreamBenchJson(const std::string& path) {
   double ttfr_min_us = 1e18;
   for (int run = 0; topk_ok && run < kRuns; ++run) {
     Clock::time_point t0 = Clock::now();
-    auto blocking = skewed.SearchAll(topk_query, topk_engine,
-                                     RankingOptions{}, topk_serving);
+    auto blocking = skewed.SearchAll(topk_query, topk_engine);
     const double blocking_us = us_since(t0);
     benchmark::DoNotOptimize(blocking);
     blocking_search_samples.push_back(blocking_us);
@@ -780,7 +774,7 @@ void WriteStreamBenchJson(const std::string& path) {
     TopKSearchStats stats;
     t0 = Clock::now();
     auto page = skewed.SearchTopK(topk_query, topk_engine, RankingOptions{},
-                                  topk_serving, kTopK, &stats);
+                                  CorpusServingOptions{}, kTopK, &stats);
     const double topk_us = us_since(t0);
     if (!page.ok()) {
       topk_ok = false;

@@ -131,8 +131,9 @@ class TaskGroup {
 /// \brief The process-wide serving pool: ConfiguredThreads() workers,
 /// created lazily on first use and never torn down (serving paths outlive
 /// any scoped owner). ParallelFor fans out on this pool, so per-query
-/// parallel work (top-k producer pulls, partition-parallel scans, batch
-/// snippet generation) pays a task submit, not a thread spawn.
+/// parallel work (partition-parallel search and snippet scans, batch
+/// snippet generation, snippet-stream workers) pays a task submit, not a
+/// thread spawn.
 ThreadPool& SharedThreadPool();
 
 /// \brief Parses an EXTRACT_POOL_THREADS-style value: digits only, clamped

@@ -314,12 +314,9 @@ void QueryService::HandleQuery(const HttpRequest& request,
   // outlives the drain below, so the pinned view cannot be reclaimed while
   // this request streams.
   const auto* pinned = static_cast<const CorpusPin*>(ticket->pin().get());
-  auto served =
-      pinned != nullptr
-          ? corpus_->ServeQuery(query, *engine_, options_.ranking, serving,
-                                options_.snippet, stream_options, *pinned)
-          : corpus_->ServeQuery(query, *engine_, options_.ranking, serving,
-                                options_.snippet, stream_options);
+  auto served = corpus_->ServeQuery(query, *engine_, options_.ranking, serving,
+                                    options_.snippet, stream_options,
+                                    pinned != nullptr ? *pinned : CorpusPin{});
   if (!served.ok()) {
     writer.SendError(HttpStatusFor(served.status()), served.status());
     return;

@@ -57,9 +57,8 @@ struct QueryServiceOptions {
   SnippetOptions snippet;
   /// Only `serving.budget` is read: it is each request's default budget
   /// (the request's max_nodes / max_bytes override it). The request's
-  /// `page_size`/`gated` parameters decide the serving mode, and the gated
-  /// path pulls its search sequentially, so `search_threads` and
-  /// `page_size` here are ignored.
+  /// `page_size`/`gated` parameters decide the serving mode; every other
+  /// field here is ignored.
   CorpusServingOptions serving;
   /// Stream producer width (StreamOptions::num_threads).
   size_t stream_threads = 0;

@@ -53,8 +53,9 @@ class InvertedIndex {
 
   /// \brief Restores an index from already-built posting lists (the corpus
   /// snapshot loader's path). The lists must satisfy the Build invariants
-  /// (nodes ascending, deduplicated, parallel sources) — callers verify
-  /// framing/checksums; this only recomputes the posting total.
+  /// (element nodes of the document, ascending, deduplicated, parallel
+  /// sources) — the snapshot decoder verifies them; this only recomputes
+  /// the posting total.
   static InvertedIndex Restore(
       std::unordered_map<std::string, PostingList> postings);
 

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/fault.h"
-#include "common/thread_pool.h"
 #include "snippet/snippet_context.h"
 #include "snippet/snippet_service.h"
 
@@ -183,21 +182,18 @@ namespace internal {
 /// Thread model: every step runs under mu_, so any number of stream
 /// producers may call AdvanceForStream concurrently — they serialize, and
 /// the search runs on whichever thread has nothing better to do. Drain
-/// (the blocking SearchTopK driver) holds mu_ throughout and may fan pulls
-/// out via ParallelFor; streamed steps pull sequentially, since a nested
-/// parallel region could wait on pool workers that are themselves blocked
-/// on mu_.
+/// (the blocking SearchTopK driver) holds mu_ throughout. Both drivers run
+/// the same steps, and each step pulls its producers one after another on
+/// the stepping thread, so a blocking and a page-gated search of one page
+/// do identical work.
 class TopKCoordinator {
  public:
   TopKCoordinator(Query query, const SearchEngine* engine,
-                  RankingOptions ranking, size_t k, size_t pull_width,
-                  bool parallel_pulls)
+                  RankingOptions ranking, size_t k)
       : query_(std::move(query)),
         engine_(engine),
         ranking_(ranking),
-        k_(k),
-        pull_width_(std::max<size_t>(1, pull_width)),
-        parallel_pulls_(parallel_pulls) {}
+        k_(k) {}
 
   /// Receives each released hit, in final page order, with mu_ held.
   /// Everything a released slot's consumers read must be in place when it
@@ -226,6 +222,7 @@ class TopKCoordinator {
         view.MatchingDocs(query_, *engine_, &ranking_);
     if (!entries.ok()) {
       error_ = entries.status();
+      open_ns_ += ElapsedNsSince(start_);
       FinishLocked();
       return error_;
     }
@@ -246,6 +243,7 @@ class TopKCoordinator {
              entry.score_bound == -std::numeric_limits<double>::infinity();
     });
     std::make_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
+    open_ns_ += ElapsedNsSince(start_);
     if (failed) {
       ResolveFailureLocked();
       return error_;
@@ -287,8 +285,9 @@ class TopKCoordinator {
   }
 
   /// Folds the search-time breakdown into `registry`: "search" (active
-  /// merge + pull time), "search.enumerate" / "search.score" (summed
-  /// producer counters) and "search.merge" (bound-merge bookkeeping).
+  /// open + merge + pull time, fault-in included), "search.enumerate" /
+  /// "search.score" (summed producer counters) and "search.merge"
+  /// (bound-merge bookkeeping).
   void RecordStageStats(StageStatsRegistry& registry) const {
     std::lock_guard<std::mutex> lock(mu_);
     uint64_t enumerate_ns = 0;
@@ -298,7 +297,7 @@ class TopKCoordinator {
       enumerate_ns += p.producer->enumerate_ns();
       score_ns += p.producer->score_ns();
     }
-    registry.Record("search", merge_ns_ + pull_ns_);
+    registry.Record("search", open_ns_ + merge_ns_ + pull_ns_);
     registry.Record("search.enumerate", enumerate_ns);
     registry.Record("search.score", score_ns);
     registry.Record("search.merge", merge_ns_);
@@ -451,15 +450,15 @@ class TopKCoordinator {
     }
     // Nothing buffered anywhere: finish if the corpus is exhausted, else
     // descend into the highest bound only — opening the best candidates, or
-    // pulling the highest-bound producers. Pulling every producer here
+    // pulling the highest-bound producer. Pulling every producer here
     // would fully scan documents the bound-merge may never need (exactly
     // the work early termination exists to skip).
     size_t top = n;  // the open producer first in (bound, name) order
     for (size_t i = 0; i < n; ++i) {
       const Producer& p = producers_[i];
-      if (p.producer && !p.producer->Exhausted()) {
-        pull_set_.push_back(i);
-        if (top == n || ProducerFirst(i, top)) top = i;
+      if (p.producer && !p.producer->Exhausted() &&
+          (top == n || ProducerFirst(i, top))) {
+        top = i;
       }
     }
     if (!candidates_.empty() &&
@@ -475,20 +474,12 @@ class TopKCoordinator {
       }
       return;
     }
-    if (pull_set_.empty()) {
-      merge_ns_ += ElapsedNsSince(merge_start);
+    merge_ns_ += ElapsedNsSince(merge_start);
+    if (top == n) {
       FinishLocked();
       return;
     }
-    if (pull_set_.size() > pull_width_) {
-      std::partial_sort(
-          pull_set_.begin(),
-          pull_set_.begin() + static_cast<ptrdiff_t>(pull_width_),
-          pull_set_.end(),
-          [this](size_t a, size_t b) { return ProducerFirst(a, b); });
-      pull_set_.resize(pull_width_);
-    }
-    merge_ns_ += ElapsedNsSince(merge_start);
+    pull_set_.push_back(top);
     PullLocked();
   }
 
@@ -498,6 +489,7 @@ class TopKCoordinator {
   /// takes logarithmically many steps, while one whose bounds are tight
   /// opens about one document per released hit.
   void OpenCandidatesLocked(double score, const std::string& document) {
+    const auto open_start = std::chrono::steady_clock::now();
     pull_set_.clear();
     while (pull_set_.size() < open_batch_ && !candidates_.empty() &&
            CouldPrecede(candidates_.front().score_bound,
@@ -506,43 +498,37 @@ class TopKCoordinator {
       const CorpusView::DocEntry entry = candidates_.back();
       candidates_.pop_back();
       if (!OpenLocked(entry)) {
+        open_ns_ += ElapsedNsSince(open_start);
         ResolveFailureLocked();
         return;
       }
       pull_set_.push_back(producers_.size() - 1);
     }
+    open_ns_ += ElapsedNsSince(open_start);
     open_batch_ *= 2;
     PullLocked();
   }
 
+  /// Pulls one chunk from each producer of pull_set_ in turn; a failed
+  /// pull ends the round and resolves the search's error.
   void PullLocked() {
     ++pull_rounds_;
     const auto pull_start = std::chrono::steady_clock::now();
-    auto pull_one = [this](size_t j) {
-      Producer& p = producers_[pull_set_[j]];
+    for (size_t i : pull_set_) {
+      Producer& p = producers_[i];
       std::vector<RankedResult> buf;
-      Status st = p.producer->Pull(&buf);
-      if (!st.ok()) {
-        p.status = st;
+      p.status = p.producer->Pull(&buf);
+      if (!p.status.ok()) {
+        pull_ns_ += ElapsedNsSince(pull_start);
+        ResolveFailureLocked();
         return;
       }
       for (RankedResult& r : buf) {
         p.heap.push_back(CorpusResult{p.name, std::move(r.result), r.score});
         std::push_heap(p.heap.begin(), p.heap.end(), CorpusHitWorse);
       }
-    };
-    if (parallel_pulls_ && pull_set_.size() > 1) {
-      ParallelFor(pull_set_.size(), pull_width_, pull_one);
-    } else {
-      for (size_t j = 0; j < pull_set_.size(); ++j) pull_one(j);
     }
     pull_ns_ += ElapsedNsSince(pull_start);
-    for (size_t i : pull_set_) {
-      if (!producers_[i].status.ok()) {
-        ResolveFailureLocked();
-        return;
-      }
-    }
   }
 
   /// Blocking-loop error parity: the sequential document loop reports the
@@ -551,6 +537,7 @@ class TopKCoordinator {
   /// lowest known failure is opened (if it is still waiting) and drained
   /// to exhaustion first, in case it fails too.
   void ResolveFailureLocked() {
+    const auto resolve_start = std::chrono::steady_clock::now();
     size_t f = producers_.size();
     for (size_t i = 0; i < producers_.size(); ++i) {
       if (!producers_[i].status.ok() &&
@@ -589,6 +576,7 @@ class TopKCoordinator {
       }
     }
     error_ = producers_[f].status;
+    open_ns_ += ElapsedNsSince(resolve_start);
     FinishLocked();
   }
 
@@ -613,8 +601,6 @@ class TopKCoordinator {
   const SearchEngine* engine_;
   const RankingOptions ranking_;
   const size_t k_;
-  const size_t pull_width_;
-  const bool parallel_pulls_;
 
   mutable std::mutex mu_;
   const CorpusView* view_ = nullptr;  ///< the pinned view, set by Open
@@ -626,6 +612,9 @@ class TopKCoordinator {
   size_t open_batch_ = 1;  ///< see OpenCandidatesLocked
   size_t released_ = 0;
   size_t pull_rounds_ = 0;
+  /// Open, candidate-open and failure-resolution batches, fault-in
+  /// included: each batch is timed as a whole.
+  uint64_t open_ns_ = 0;
   uint64_t merge_ns_ = 0;
   uint64_t pull_ns_ = 0;
   uint64_t first_result_ns_ = 0;
@@ -636,10 +625,6 @@ class TopKCoordinator {
 };
 
 }  // namespace internal
-
-Status XmlCorpus::AddDocument(const std::string& name, std::string_view xml) {
-  return AddDocument(name, xml, LoadOptions{});
-}
 
 Status XmlCorpus::AddDocument(const std::string& name, std::string_view xml,
                               const LoadOptions& options) {
@@ -829,26 +814,10 @@ std::vector<std::string> XmlCorpus::DocumentNames() const {
 }
 
 Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
-    const Query& query, const SearchEngine& engine) const {
-  return SearchAll(query, engine, RankingOptions{}, CorpusServingOptions{});
-}
-
-Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
     const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking) const {
-  return SearchAll(query, engine, ranking, CorpusServingOptions{});
-}
-
-Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
-    const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking, const CorpusServingOptions& serving) const {
-  return SearchAll(query, engine, ranking, serving, PinView());
-}
-
-Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
-    const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking, const CorpusServingOptions& /*serving*/,
+    const RankingOptions& ranking, const CorpusServingOptions& serving,
     const CorpusPin& pin) const {
+  if (!pin) return SearchAll(query, engine, ranking, serving, PinView());
   const auto start = std::chrono::steady_clock::now();
 
   // The documents that can hold a hit, in name order — the loop order and
@@ -889,20 +858,11 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchAll(
 Result<std::vector<CorpusResult>> XmlCorpus::SearchTopK(
     const Query& query, const SearchEngine& engine,
     const RankingOptions& ranking, const CorpusServingOptions& serving,
-    size_t k, TopKSearchStats* stats) const {
-  return SearchTopK(query, engine, ranking, serving, k, stats, PinView());
-}
-
-Result<std::vector<CorpusResult>> XmlCorpus::SearchTopK(
-    const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking, const CorpusServingOptions& serving,
     size_t k, TopKSearchStats* stats, const CorpusPin& pin) const {
-  const size_t effective_threads = serving.search_threads == 0
-                                       ? ThreadPool::ConfiguredThreads()
-                                       : serving.search_threads;
-  internal::TopKCoordinator coordinator(
-      query, &engine, ranking, k, /*pull_width=*/effective_threads,
-      /*parallel_pulls=*/serving.search_threads != 1);
+  if (!pin) {
+    return SearchTopK(query, engine, ranking, serving, k, stats, PinView());
+  }
+  internal::TopKCoordinator coordinator(query, &engine, ranking, k);
   // No reserve(k): k only caps the page, and callers pass unbounded k to
   // drain the whole corpus. The page grows with what is actually released.
   std::vector<CorpusResult> page;
@@ -1154,16 +1114,10 @@ Result<CorpusQueryStream> XmlCorpus::OpenStream(
 
 Result<ServingSession> XmlCorpus::StreamSnippets(
     const Query& query, const std::vector<CorpusResult>& corpus_results,
-    const SnippetOptions& options, const StreamOptions& stream) const {
-  return StreamSnippets(query, corpus_results, options, stream, PinView());
-}
-
-Result<ServingSession> XmlCorpus::StreamSnippets(
-    const Query& query, const std::vector<CorpusResult>& corpus_results,
     const SnippetOptions& options, const StreamOptions& stream,
     const CorpusPin& pin) const {
   auto payload = std::make_shared<StreamPayload>();
-  payload->pin = pin;
+  payload->pin = pin ? pin : PinView();
   payload->query = query;
   payload->page = &corpus_results;
   Result<CorpusQueryStream> opened =
@@ -1180,53 +1134,23 @@ TopKSearchStats CorpusQueryStream::SearchStats() const {
 Result<CorpusQueryStream> XmlCorpus::ServeQuery(
     const Query& query, const SearchEngine& engine,
     const RankingOptions& ranking, const CorpusServingOptions& serving,
-    const SnippetOptions& options, const StreamOptions& stream) const {
-  return ServeQuery(query, engine, ranking, serving, options, stream,
-                    PinView());
-}
-
-Result<CorpusQueryStream> XmlCorpus::ServeQuery(
-    const Query& query, const SearchEngine& engine,
-    const RankingOptions& ranking, const CorpusServingOptions& serving,
     const SnippetOptions& options, const StreamOptions& stream,
     const CorpusPin& pin) const {
   auto payload = std::make_shared<StreamPayload>();
-  payload->pin = pin;
+  payload->pin = pin ? pin : PinView();
   payload->query = query;
   payload->budget = serving.budget;
   payload->page = &payload->owned_page;
   if (serving.page_size > 0) {
-    // Streamed steps pull sequentially (pull_width 1): a nested ParallelFor
-    // could wait on pool workers that are blocked on the coordinator mutex.
     payload->coordinator = std::make_unique<internal::TopKCoordinator>(
-        query, &engine, ranking, serving.page_size, /*pull_width=*/1,
-        /*parallel_pulls=*/false);
+        query, &engine, ranking, serving.page_size);
   } else {
     Result<std::vector<CorpusResult>> page =
-        SearchAll(query, engine, ranking, serving, pin);
+        SearchAll(query, engine, ranking, serving, payload->pin);
     if (!page.ok()) return page.status();
     payload->owned_page = std::move(*page);
   }
   return OpenStream(std::move(payload), options, stream);
-}
-
-Result<CorpusQueryStream> XmlCorpus::ServeQuery(
-    const Query& query, const SearchEngine& engine,
-    const SnippetOptions& options, const StreamOptions& stream) const {
-  return ServeQuery(query, engine, RankingOptions{}, CorpusServingOptions{},
-                    options, stream);
-}
-
-Result<std::vector<Snippet>> XmlCorpus::GenerateSnippets(
-    const Query& query, const std::vector<CorpusResult>& corpus_results,
-    const SnippetOptions& options) const {
-  return GenerateSnippets(query, corpus_results, options, BatchOptions{});
-}
-
-Result<std::vector<Snippet>> XmlCorpus::GenerateSnippets(
-    const Query& query, const std::vector<CorpusResult>& corpus_results,
-    const SnippetOptions& options, const BatchOptions& batch) const {
-  return GenerateSnippets(query, corpus_results, options, batch, PinView());
 }
 
 Result<std::vector<Snippet>> XmlCorpus::GenerateSnippets(

@@ -40,10 +40,12 @@
 // document loop (search and rank each document in name order, then one
 // stable sort), and SearchTopK is the incremental threshold merge that
 // settles the first k entries of that same page with early termination.
-// Intra-document parallelism is the engine's own (index partitions, see
-// SearchOptions::partition_threads). Per-stage serving time (search plus
-// every snippet pipeline stage) accumulates into a StageStatsRegistry for
-// production observability (the shell's `stats` command).
+// Blocking SearchTopK and page-gated ServeQuery run that merge with one
+// pull schedule on one thread at a time; intra-document parallelism is
+// the engine's own (index partitions, see SearchOptions::partition_threads).
+// Per-stage serving time (search plus every snippet pipeline stage)
+// accumulates into a StageStatsRegistry for production observability (the
+// shell's `stats` command).
 //
 // Snippet serving is streaming-first (snippet/snippet_stream.h): every
 // streamed page — StreamSnippets over a caller's page, blocking ServeQuery
@@ -51,8 +53,9 @@
 // releases — opens through one path with one compute closure. Cache hits
 // of a page known at open are emitted the moment the stream opens; gated
 // slots probe the cache when they compute. GenerateSnippets is the batch
-// collector over the same stream. Every serving entry point has a
-// pin-taking overload; the pin-less ones pin the current view themselves.
+// collector over the same stream. Each serving call has one declaration
+// whose trailing `const CorpusPin& pin = {}` names the view to serve; an
+// empty pin pins the current view for the duration of the call.
 
 #ifndef EXTRACT_SEARCH_CORPUS_H_
 #define EXTRACT_SEARCH_CORPUS_H_
@@ -238,13 +241,9 @@ struct QueryBudget {
 
 /// \brief Serving knobs of one corpus query.
 struct CorpusServingOptions {
-  /// Pull width of SearchTopK's threshold merge: 0 = one per configured
-  /// core (EXTRACT_POOL_THREADS overrides hardware_concurrency), 1 = fully
-  /// sequential pulls on the calling thread. Nothing else reads it:
-  /// SearchAll is the sequential document loop, and page-gated ServeQuery
-  /// pulls sequentially on its stream threads. Parallel pulls call into
-  /// the engine concurrently (see SearchEngine::Search); pin this to 1 for
-  /// an engine that cannot take that.
+  /// Unread: every search schedule runs on one thread. Kept only because
+  /// the repository benchmark (perfbench/) still sets it; it goes with the
+  /// next change to that benchmark.
   size_t search_threads = 0;
 
   /// Per-query resource caps; default-constructed = unlimited.
@@ -342,9 +341,8 @@ class XmlCorpus {
   //   * any mutation after BeginShutdown -> kFailedPrecondition
 
   /// Parses and adds a document, publishing a new epoch on success.
-  Status AddDocument(const std::string& name, std::string_view xml);
   Status AddDocument(const std::string& name, std::string_view xml,
-                     const LoadOptions& options);
+                     const LoadOptions& options = {});
 
   /// Adds an already-loaded database, publishing a new epoch on success.
   Status AddDatabase(const std::string& name, XmlDatabase db);
@@ -386,8 +384,8 @@ class XmlCorpus {
   // -------------------------------------------------------------- reading
 
   /// Pins the current view. Hold the pin for the lifetime of one logical
-  /// read (a query, an admission ticket) and pass it to the pin-taking
-  /// serving overloads so every step of the read sees the same snapshot.
+  /// read (a query, an admission ticket) and pass it as every serving
+  /// call's `pin`, so every step of the read sees the same snapshot.
   CorpusPin PinView() const { return views_.Acquire(); }
 
   /// Epoch / pinned-reader / retired-view counters (see EpochStats).
@@ -417,25 +415,16 @@ class XmlCorpus {
   /// searched and ranked in name order, then the hits are stable-sorted
   /// into the page. A fault-in or engine failure reports the first failing
   /// document's error. The engine may still parallelize inside a document
-  /// across its index partitions. No `serving` field applies to this loop;
-  /// the parameter keeps the overload set uniform with SearchTopK.
+  /// across its index partitions. `serving` is unread; it stays only
+  /// because the repository benchmark (perfbench/) passes it.
   ///
-  /// The pin-taking overload searches exactly `pin`'s snapshot; the others
-  /// pin the current view for the duration of the call.
-  Result<std::vector<CorpusResult>> SearchAll(const Query& query,
-                                              const SearchEngine& engine,
-                                              const RankingOptions& ranking,
-                                              const CorpusServingOptions& serving,
-                                              const CorpusPin& pin) const;
+  /// Searches exactly `pin`'s snapshot; an empty pin pins the current view
+  /// for the duration of the call.
   Result<std::vector<CorpusResult>> SearchAll(
       const Query& query, const SearchEngine& engine,
-      const RankingOptions& ranking,
-      const CorpusServingOptions& serving) const;
-  Result<std::vector<CorpusResult>> SearchAll(
-      const Query& query, const SearchEngine& engine,
-      const RankingOptions& ranking) const;
-  Result<std::vector<CorpusResult>> SearchAll(const Query& query,
-                                              const SearchEngine& engine) const;
+      const RankingOptions& ranking = {},
+      const CorpusServingOptions& serving = {},
+      const CorpusPin& pin = {}) const;
 
   /// \brief Incremental top-k search: the first `k` entries of SearchAll's
   /// merged page, computed with early termination.
@@ -449,30 +438,29 @@ class XmlCorpus {
   /// ordered by bound, then name, and are faulted in and opened only once
   /// their bound could still place a hit before the current front; the
   /// rest (overlay documents, engines without a bound, keyword-less
-  /// queries) open up front. The returned page is byte-identical to
-  /// SearchAll(...) truncated to its first k entries, for every thread
-  /// count and engine that honors the OpenIncremental and
-  /// DocumentScoreBound contracts; only the work done differs. Any k is
-  /// valid, including std::numeric_limits<size_t>::max() (the whole
-  /// SearchAll page).
+  /// queries) open up front. The merge runs on the calling thread with the
+  /// same pull schedule as page-gated ServeQuery, so both do the same work
+  /// (equal TopKSearchStats counters). The returned page is byte-identical
+  /// to SearchAll(...) truncated to its first k entries, for every engine
+  /// that honors the OpenIncremental and DocumentScoreBound contracts; only
+  /// the work done differs. Any k is valid, including
+  /// std::numeric_limits<size_t>::max() (the whole SearchAll page).
   ///
-  /// serving.search_threads budgets the parallel pull width (1 = fully
-  /// sequential); page_size is ignored here — `k` is explicit. k == 0
-  /// returns an empty page without searching. Errors: a failure in a
-  /// document the search opens (fault-in, open or pull) reports exactly
-  /// the error SearchAll reports — the lowest failing document in name
-  /// order, since every candidate named below the failure is then opened
-  /// and drained too. A document the bound never opens cannot fail the
-  /// search, so SearchTopK may succeed where SearchAll reports a fault-in
-  /// failure. `stats` (optional) receives the search's cost counters.
+  /// `serving` is unread (`k` is explicit); like SearchAll's, it stays only
+  /// because the repository benchmark passes it. k == 0 returns an empty
+  /// page without searching. Errors: a failure in a document the search
+  /// opens (fault-in, open or pull) reports exactly the error SearchAll
+  /// reports — the lowest failing document in name order, since every
+  /// candidate named below the failure is then opened and drained too. A
+  /// document the bound never opens cannot fail the search, so SearchTopK
+  /// may succeed where SearchAll reports a fault-in failure. `stats`
+  /// (optional) receives the search's cost counters. An empty pin pins the
+  /// current view for the duration of the call.
   Result<std::vector<CorpusResult>> SearchTopK(
       const Query& query, const SearchEngine& engine,
       const RankingOptions& ranking, const CorpusServingOptions& serving,
-      size_t k, TopKSearchStats* stats = nullptr) const;
-  Result<std::vector<CorpusResult>> SearchTopK(
-      const Query& query, const SearchEngine& engine,
-      const RankingOptions& ranking, const CorpusServingOptions& serving,
-      size_t k, TopKSearchStats* stats, const CorpusPin& pin) const;
+      size_t k, TopKSearchStats* stats = nullptr,
+      const CorpusPin& pin = {}) const;
 
   /// \brief Generates one snippet per merged hit — the serving path for a
   /// cross-corpus result page.
@@ -488,17 +476,12 @@ class XmlCorpus {
   /// byte-identical to uncached serving.
   ///
   /// Pass the pin the hits were searched under when mutations may be in
-  /// flight — hits name documents of THAT snapshot.
+  /// flight — hits name documents of THAT snapshot. An empty pin pins the
+  /// current view for the duration of the call.
   Result<std::vector<Snippet>> GenerateSnippets(
       const Query& query, const std::vector<CorpusResult>& corpus_results,
-      const SnippetOptions& options, const BatchOptions& batch) const;
-  Result<std::vector<Snippet>> GenerateSnippets(
-      const Query& query, const std::vector<CorpusResult>& corpus_results,
-      const SnippetOptions& options, const BatchOptions& batch,
-      const CorpusPin& pin) const;
-  Result<std::vector<Snippet>> GenerateSnippets(
-      const Query& query, const std::vector<CorpusResult>& corpus_results,
-      const SnippetOptions& options) const;
+      const SnippetOptions& options, const BatchOptions& batch = {},
+      const CorpusPin& pin = {}) const;
 
   /// \brief The streaming core behind GenerateSnippets: a slot-completion
   /// stream over `corpus_results` (snippet/snippet_stream.h).
@@ -507,15 +490,12 @@ class XmlCorpus {
   /// the stream opens, before any miss computes. `corpus_results` and the
   /// corpus are borrowed and must outlive the session. Fails up front —
   /// with the exact GenerateSnippets error — when a hit references an
-  /// unknown document. The session holds the (given or self-acquired) pin
-  /// until it is destroyed.
-  Result<ServingSession> StreamSnippets(
-      const Query& query, const std::vector<CorpusResult>& corpus_results,
-      const SnippetOptions& options, const StreamOptions& stream) const;
+  /// unknown document. The session holds `pin` — or, when it is empty, a
+  /// pin on the current view — until it is destroyed.
   Result<ServingSession> StreamSnippets(
       const Query& query, const std::vector<CorpusResult>& corpus_results,
       const SnippetOptions& options, const StreamOptions& stream,
-      const CorpusPin& pin) const;
+      const CorpusPin& pin = {}) const;
 
   /// \brief End-to-end streamed serving. The returned CorpusQueryStream
   /// owns the page AND a pin on the served view, so the caller only needs
@@ -535,26 +515,16 @@ class XmlCorpus {
   /// search error; Collect reports the lowest one) rather than failing
   /// ServeQuery itself, which has already returned by then.
   ///
-  /// The pin-taking overload serves exactly `pin`'s snapshot (the HTTP
-  /// layer passes the admission ticket's pin, so one request observes one
-  /// epoch end to end); the others pin the current view at entry.
+  /// Serves exactly `pin`'s snapshot (the HTTP layer passes the admission
+  /// ticket's pin, so one request observes one epoch end to end); an empty
+  /// pin pins the current view at entry.
   Result<CorpusQueryStream> ServeQuery(const Query& query,
                                        const SearchEngine& engine,
                                        const RankingOptions& ranking,
                                        const CorpusServingOptions& serving,
                                        const SnippetOptions& options,
                                        const StreamOptions& stream,
-                                       const CorpusPin& pin) const;
-  Result<CorpusQueryStream> ServeQuery(const Query& query,
-                                       const SearchEngine& engine,
-                                       const RankingOptions& ranking,
-                                       const CorpusServingOptions& serving,
-                                       const SnippetOptions& options,
-                                       const StreamOptions& stream) const;
-  Result<CorpusQueryStream> ServeQuery(const Query& query,
-                                       const SearchEngine& engine,
-                                       const SnippetOptions& options,
-                                       const StreamOptions& stream) const;
+                                       const CorpusPin& pin = {}) const;
 
   /// \brief Turns on the cross-query snippet cache for GenerateSnippets.
   ///
@@ -564,15 +534,15 @@ class XmlCorpus {
   /// Calling again replaces the cache (and drops its contents). Unlike the
   /// mutators, this is NOT safe concurrently with serving — enable the
   /// cache before traffic starts.
-  void EnableSnippetCache(const SnippetCache::Options& options);
-  void EnableSnippetCache() { EnableSnippetCache(SnippetCache::Options{}); }
+  void EnableSnippetCache(const SnippetCache::Options& options = {});
 
   /// The enabled cache, or nullptr. Exposes stats, Invalidate and Clear.
   SnippetCache* snippet_cache() const { return snippet_cache_.get(); }
 
   /// \brief Cumulative serving-time breakdown: the pseudo-stage "search"
-  /// (every SearchAll call) plus each snippet pipeline stage, aggregated
-  /// over all GenerateSnippets pages served by this corpus.
+  /// (the wall time of every SearchAll, SearchTopK and page-gated search,
+  /// fault-in included) plus each snippet pipeline stage, aggregated over
+  /// all pages served by this corpus.
   std::vector<StageStat> StageStatsSnapshot() const {
     return stage_stats_.Snapshot();
   }

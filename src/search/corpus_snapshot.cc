@@ -837,7 +837,16 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
       list.nodes.resize(len);
       CopyColumn(list.nodes.data(), nodes_bytes + 4 * b0, len * 4);
       list.sources.resize(len);
+      NodeId prev_node = -1;
       for (size_t k = 0; k < len; ++k) {
+        // The Build invariants InvertedIndex::Restore relies on: element
+        // ids of this document, strictly ascending.
+        const NodeId node = list.nodes[k];
+        if (node <= prev_node || static_cast<uint64_t>(node) >= n ||
+            doc.is_text(node)) {
+          return Status::ParseError("snapshot bad posting node");
+        }
+        prev_node = node;
         uint8_t s = sources_bytes[b0 + k];
         if (s < 1 || s > 3) {
           return Status::ParseError("snapshot bad posting source");

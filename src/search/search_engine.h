@@ -152,9 +152,9 @@ struct SearchOptions {
   /// 0 = one thread per configured core, 1 = the sequential reference path.
   /// Only takes effect when the document was loaded with more than one
   /// partition; results are byte-identical either way. A partition-parallel
-  /// region issued from inside a thread-pool task (e.g. one of SearchTopK's
-  /// parallel pulls) runs inline, so nested fan-outs never oversubscribe
-  /// the pool.
+  /// region issued from inside a thread-pool task (e.g. a page-gated search
+  /// step on a snippet-stream worker) runs inline, so nested fan-outs never
+  /// oversubscribe the pool.
   size_t partition_threads = 0;
 };
 
@@ -229,12 +229,11 @@ class SearchEngine {
   ///
   /// Must be safe to call concurrently (possibly for different databases).
   /// One corpus shares its engine across every request in flight, and each
-  /// request searches on its own thread; SearchTopK's parallel pulls
-  /// (CorpusServingOptions::search_threads != 1) also drive several
-  /// documents' producers at once. A const, stateless implementation — like
-  /// XSeekEngine — qualifies automatically; engines with internal mutable
-  /// state (memoization etc.) must synchronize it themselves, or callers
-  /// must serialize requests and pin search_threads to 1.
+  /// request searches on its own thread; within one request, the corpus
+  /// drives one document's producer at a time. A const, stateless
+  /// implementation — like XSeekEngine — qualifies automatically; engines
+  /// with internal mutable state (memoization etc.) must synchronize it
+  /// themselves, or callers must serialize requests.
   virtual Result<std::vector<QueryResult>> Search(const XmlDatabase& db,
                                                   const Query& query) const = 0;
 

@@ -35,11 +35,7 @@ uint64_t FingerprintIList(const IList& ilist) {
 }
 
 SnippetContext::SnippetContext(const XmlDatabase* db, Query query)
-    : SnippetContext(db, std::move(query), ScanOptions{}) {}
-
-SnippetContext::SnippetContext(const XmlDatabase* db, Query query,
-                               const ScanOptions& scan)
-    : db_(db), query_(std::move(query)), scan_(scan) {
+    : db_(db), query_(std::move(query)) {
   analyzed_keywords_.reserve(query_.keywords.size());
   for (const std::string& keyword : query_.keywords) {
     analyzed_keywords_.push_back(db_->analyzer().AnalyzeToken(keyword));
@@ -61,7 +57,6 @@ void SnippetContext::RecordScan(const char* kind, uint64_t total_ns,
 
 std::vector<NodeRange> SnippetContext::PartitionSlicesFor(
     NodeId result_root) const {
-  if (scan_.scan_threads == 1) return {};
   if (db_->partitions().count() <= 1) return {};
   // Worth fanning out only when the result actually spans partitions: a
   // result inside one partition is a sequential scan either way.
@@ -89,7 +84,7 @@ const FeatureStatistics& SnippetContext::StatisticsFor(NodeId result_root) {
     const auto scan_start = std::chrono::steady_clock::now();
     std::vector<FeatureStatistics> partials(slices.size());
     std::vector<uint64_t> slice_ns(slices.size());
-    ParallelFor(slices.size(), scan_.scan_threads, [&](size_t s) {
+    ParallelFor(slices.size(), /*num_threads=*/0, [&](size_t s) {
       const auto slice_start = std::chrono::steady_clock::now();
       partials[s] = FeatureStatistics::ComputeRange(
           db_->index(), db_->classification(), result_root, slices[s].begin,
@@ -121,7 +116,7 @@ const ReturnEntityInfo& SnippetContext::ReturnEntityFor(NodeId result_root) {
     const auto scan_start = std::chrono::steady_clock::now();
     std::vector<uint64_t> slice_ns;
     info = IdentifyReturnEntity(db_->index(), db_->classification(), query_,
-                                result_root, slices, scan_.scan_threads,
+                                result_root, slices, /*num_threads=*/0,
                                 &slice_ns);
     RecordScan("scan.entity", ElapsedNsSince(scan_start), slice_ns);
   } else {
@@ -143,11 +138,11 @@ const ResultKeyInfo& SnippetContext::ResultKeyFor(NodeId result_root) {
   // Cheap gate (no Clip): the key scan walks entity instances, not the node
   // interval, and IdentifyResultKeyParallel has its own small-input
   // fallback to the sequential early-exit scan.
-  if (scan_.scan_threads != 1 && db_->partitions().count() > 1) {
+  if (db_->partitions().count() > 1) {
     const auto scan_start = std::chrono::steady_clock::now();
     key = IdentifyResultKeyParallel(db_->index(), db_->classification(),
                                     db_->keys(), entity, result_root,
-                                    scan_.scan_threads);
+                                    /*num_threads=*/0);
     scan_stats_.Record("scan.key", ElapsedNsSince(scan_start));
   } else {
     key = IdentifyResultKey(db_->index(), db_->classification(), db_->keys(),
@@ -186,7 +181,7 @@ const std::vector<ItemInstances>& SnippetContext::InstancesFor(
     std::vector<uint64_t> slice_ns;
     found = FindItemInstancesPartitioned(
         db_->index(), db_->classification(), result_root, ilist,
-        db_->analyzer(), analyzed_tokens, slices, scan_.scan_threads,
+        db_->analyzer(), analyzed_tokens, slices, /*num_threads=*/0,
         &slice_ns);
     RecordScan("scan.instances", ElapsedNsSince(scan_start), slice_ns);
   } else {

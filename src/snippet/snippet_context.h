@@ -34,25 +34,19 @@
 
 namespace extract {
 
-/// How a context's memoized scans use the database's index partitions.
-struct ScanOptions {
-  /// Worker threads per partition-parallel scan (the statistics, entity,
-  /// key and instance scans): 0 = one per configured core, 1 = the
-  /// sequential reference path. Parallelism only engages when the scanned
-  /// result spans more than one partition slice; scans issued from inside a
-  /// thread-pool task (e.g. a parallel snippet batch) run inline, so the
-  /// batch and partition axes never oversubscribe the shared pool. Never
-  /// affects scan results, only latency.
-  size_t scan_threads = 0;
-};
-
 /// \brief Shared, thread-safe cache for generating the snippets of one
 /// query's results. Not copyable or movable (workers hold references).
+///
+/// The memoized statistics, entity, key and instance scans of a result that
+/// spans more than one of the database's index partitions run as
+/// partition-parallel reductions on the shared pool's configured width;
+/// scans issued from inside a thread-pool task (e.g. a parallel snippet
+/// batch) run inline, so the batch and partition axes never oversubscribe
+/// the pool. Never affects scan results, only latency.
 class SnippetContext {
  public:
   /// `db` must outlive the context.
   SnippetContext(const XmlDatabase* db, Query query);
-  SnippetContext(const XmlDatabase* db, Query query, const ScanOptions& scan);
 
   SnippetContext(const SnippetContext&) = delete;
   SnippetContext& operator=(const SnippetContext&) = delete;
@@ -122,8 +116,8 @@ class SnippetContext {
  private:
   /// The result interval clipped against the database's partition grid —
   /// computed once per scan and shared by the fan-out decision and the
-  /// scan itself. Empty means "scan sequentially" (single partition,
-  /// single-slice result, or scan_threads pinned to 1).
+  /// scan itself. Empty means "scan sequentially" (single partition or
+  /// single-slice result).
   std::vector<NodeRange> PartitionSlicesFor(NodeId result_root) const;
 
   /// Folds one parallel scan's timing into scan_stats_ (whole scan plus
@@ -133,7 +127,6 @@ class SnippetContext {
 
   const XmlDatabase* db_;
   Query query_;
-  ScanOptions scan_;
   std::vector<std::string> analyzed_keywords_;
   /// keyword token -> analyzed form, for mapping IList keyword items back
   /// to their precomputed analysis.

@@ -346,10 +346,8 @@ TEST(CorpusChurnTest, TortureReadersWritersCancellation) {
         // Oracle: sequential, uncached, quiesced-equivalent evaluation on
         // the same pinned view (the pin makes it immutable, so "after the
         // fact" IS quiesced).
-        CorpusServingOptions sequential;
-        sequential.search_threads = 1;
         auto oracle = corpus.SearchAll(query, engine, RankingOptions{},
-                                       sequential, pin);
+                                       CorpusServingOptions{}, pin);
         if (!oracle.ok()) {
           reader_failures[r] = "oracle: " + oracle.status().ToString();
           return;

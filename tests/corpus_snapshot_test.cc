@@ -1,12 +1,13 @@
 // Corpus snapshot tests: the mmap-able whole-corpus store. Pins the format
 // contract (precise statuses for every corruption/truncation/version-skew
-// shape, the term directory included), byte-equivalence of snapshot-backed
-// serving against the in-memory corpus — search pages, snippets, and the
-// HTTP wire — lazy fault-in semantics (counters, retry, term-directory
-// pruning that never touches payloads), crash-safe saving (over a mapped
-// file, abandoned mid-save), the two-layer corpus composition (overlay
-// shadowing, hides, instance scoping), and churn under concurrent mutation
-// (exercised by the TSan CI job).
+// shape, the term directory included; every byte of a whole image flipped
+// and every truncation; re-stamped bad posting lists), byte-equivalence of
+// snapshot-backed serving against the in-memory corpus — search pages,
+// snippets, and the HTTP wire — lazy fault-in semantics (counters, retry,
+// term-directory pruning that never touches payloads), crash-safe saving
+// (over a mapped file, abandoned mid-save), the two-layer corpus
+// composition (overlay shadowing, hides, instance scoping), and churn under
+// concurrent mutation (exercised by the TSan CI job).
 
 #include "search/corpus_snapshot.h"
 
@@ -384,6 +385,266 @@ TEST(CorpusSnapshotTest, VersionOneImageIsRefusedByName) {
   EXPECT_NE(status.message().find("unsupported version 1 "), std::string::npos)
       << status;
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ whole-image fuzz
+
+uint64_t U64At(const std::string& bytes, uint64_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, 8);
+  return v;
+}
+
+void PutU64At(std::string* bytes, uint64_t at, uint64_t v) {
+  std::memcpy(bytes->data() + at, &v, 8);
+}
+
+/// Byte offset of the document directory's entries (five u64 words per
+/// document: payload offset, payload size, payload checksum, node count,
+/// analyzer flags).
+uint64_t DirectoryEntriesAt(const std::string& image) {
+  const uint64_t dir_offset = U64At(image, 24);
+  const uint64_t doc_count = U64At(image, 16);
+  const uint64_t name_bytes = U64At(image, dir_offset);
+  return dir_offset + 8 + 8 * (doc_count + 1) + ((name_bytes + 7) & ~7ull);
+}
+
+/// Recomputes every checksum of an image — each payload's, the document
+/// directory's and the header's — so a mutation inside a payload reaches
+/// the decoder instead of failing a checksum.
+void RestampChecksums(std::string* image) {
+  const auto* data = reinterpret_cast<const uint8_t*>(image->data());
+  const uint64_t entries = DirectoryEntriesAt(*image);
+  for (uint64_t i = 0; i < U64At(*image, 16); ++i) {
+    const uint64_t entry = entries + 40 * i;
+    PutU64At(image, entry + 16,
+             snapshot_internal::Hash64(data + U64At(*image, entry),
+                                       U64At(*image, entry + 8)));
+  }
+  const uint64_t dir_offset = U64At(*image, 24);
+  PutU64At(image, 40,
+           snapshot_internal::Hash64(data + dir_offset, U64At(*image, 32)));
+  PutU64At(image, 88,
+           snapshot_internal::Fnv1a(std::string_view(image->data(), 88)));
+}
+
+/// Byte offset of the posting node ids (i32 each) of `token` in the first
+/// document's payload: its inverted-index section holds the token count,
+/// the posting total, the token offsets and bytes (8-aligned), then the
+/// posting begins and the node ids.
+uint64_t PostingNodesAt(const std::string& image, std::string_view token) {
+  const uint64_t payload = U64At(image, DirectoryEntriesAt(image));
+  const uint64_t inverted = payload + U64At(image, payload + 8 * 7);
+  const uint64_t token_count = U64At(image, inverted);
+  const uint64_t offsets = inverted + 16;
+  const uint64_t token_bytes = offsets + 8 * (token_count + 1);
+  const uint64_t begins =
+      (token_bytes + U64At(image, offsets + 8 * token_count) + 7) & ~7ull;
+  const uint64_t nodes = begins + 8 * (token_count + 1);
+  for (uint64_t t = 0; t < token_count; ++t) {
+    const uint64_t o0 = U64At(image, offsets + 8 * t);
+    const uint64_t o1 = U64At(image, offsets + 8 * (t + 1));
+    if (image.compare(token_bytes + o0, o1 - o0, token) == 0) {
+      return nodes + 4 * U64At(image, begins + 8 * t);
+    }
+  }
+  ADD_FAILURE() << "token '" << token << "' not in the first payload";
+  return 0;
+}
+
+std::string RenderPage(const std::vector<CorpusResult>& page) {
+  std::string out;
+  for (const CorpusResult& hit : page) {
+    char score[64];
+    std::snprintf(score, sizeof(score), "%a", hit.score);
+    out += hit.document + " " + std::to_string(hit.result.root) + " " +
+           score + "\n";
+  }
+  return out;
+}
+
+/// The fixed query set of the corruption tests, served by `corpus`: per
+/// query, SearchAll's page, SearchTopK's k = 1 page and the snippets of
+/// `pages[q]` (the in-memory reference page), each rendered to bytes — or
+/// the failing status.
+std::vector<Result<std::string>> ServeQuerySet(
+    const XmlCorpus& corpus, const std::vector<Query>& queries,
+    const std::vector<std::vector<CorpusResult>>& pages) {
+  XSeekEngine engine;
+  BatchOptions inline_batch;
+  inline_batch.num_threads = 1;
+  std::vector<Result<std::string>> out;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto all = corpus.SearchAll(queries[q], engine);
+    out.push_back(all.ok() ? Result<std::string>(RenderPage(*all))
+                           : Result<std::string>(all.status()));
+    auto top = corpus.SearchTopK(queries[q], engine, RankingOptions{},
+                                 CorpusServingOptions{}, 1);
+    out.push_back(top.ok() ? Result<std::string>(RenderPage(*top))
+                           : Result<std::string>(top.status()));
+    auto snippets = corpus.GenerateSnippets(queries[q], pages[q],
+                                            SnippetOptions{}, inline_batch);
+    if (!snippets.ok()) {
+      out.push_back(snippets.status());
+      continue;
+    }
+    std::string rendered;
+    for (const Snippet& snippet : *snippets) {
+      rendered += RenderSnippet(snippet) + RenderCoverage(snippet) + "\n";
+    }
+    out.push_back(rendered);
+  }
+  return out;
+}
+
+// Every byte of a whole image flipped, and the image truncated at every
+// length: each mutated image either fails Open with ParseError, or serves
+// every call of the query set with the in-memory reference bytes or a
+// ParseError. Nothing may crash (the suite runs under ASan/UBSan in CI).
+TEST(CorpusSnapshotTest, WholeImageCorruptionFailsPreciselyOrServesTheReference) {
+  XmlCorpus memory;
+  ASSERT_TRUE(memory
+                  .AddDocument("a",
+                               "<!DOCTYPE shop [\n"
+                               "  <!ELEMENT shop (item*)>\n"
+                               "  <!ELEMENT item (name, state)>\n"
+                               "  <!ELEMENT name (#PCDATA)>\n"
+                               "  <!ELEMENT state (#PCDATA)>\n"
+                               "]>\n"
+                               "<shop><item><name>texas boots</name>"
+                               "<state>texas</state></item><item>"
+                               "<name>ohio boots</name><state>ohio</state>"
+                               "</item></shop>")
+                  .ok());
+  ASSERT_NE(memory.Find("a")->dtd(), nullptr);
+  ASSERT_TRUE(memory
+                  .AddDocument("b",
+                               "<s><i><n>texas hats</n></i>"
+                               "<i><n>boots</n></i></s>")
+                  .ok());
+  const std::string path = TempPath("corpus_fuzz.xcsn");
+  ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+  const std::string good = ReadFile(path);
+
+  XSeekEngine engine;
+  std::vector<Query> queries;
+  std::vector<std::vector<CorpusResult>> pages;
+  for (const char* text : {"boots", "texas boots", "texas", "ohio"}) {
+    queries.push_back(Query::Parse(text));
+    auto page = memory.SearchAll(queries.back(), engine);
+    ASSERT_TRUE(page.ok()) << page.status();
+    ASSERT_FALSE(page->empty()) << text;
+    pages.push_back(std::move(*page));
+  }
+  const std::vector<Result<std::string>> reference =
+      ServeQuerySet(memory, queries, pages);
+  for (const Result<std::string>& call : reference) {
+    ASSERT_TRUE(call.ok()) << call.status();
+  }
+
+  const std::string mutated = TempPath("corpus_fuzz_mut.xcsn");
+  size_t refused_at_open = 0;
+  size_t refused_at_query = 0;
+  auto check = [&](const std::string& bytes, const std::string& label) {
+    WriteFile(mutated, bytes);
+    auto snapshot = CorpusSnapshot::Open(mutated);
+    if (!snapshot.ok()) {
+      EXPECT_EQ(snapshot.status().code(), StatusCode::kParseError)
+          << label << ": " << snapshot.status();
+      ++refused_at_open;
+      return;
+    }
+    XmlCorpus corpus;
+    ASSERT_TRUE(corpus.AttachSnapshot(*snapshot).ok()) << label;
+    const std::vector<Result<std::string>> served =
+        ServeQuerySet(corpus, queries, pages);
+    for (size_t i = 0; i < served.size(); ++i) {
+      if (!served[i].ok()) {
+        EXPECT_EQ(served[i].status().code(), StatusCode::kParseError)
+            << label << " call " << i << ": " << served[i].status();
+        ++refused_at_query;
+        continue;
+      }
+      EXPECT_EQ(*served[i], *reference[i]) << label << " call " << i;
+    }
+  };
+  for (size_t at = 0; at < good.size(); ++at) {
+    std::string bytes = good;
+    bytes[at] = static_cast<char>(~bytes[at]);
+    check(bytes, "byte " + std::to_string(at) + " flipped");
+  }
+  for (size_t keep = 0; keep < good.size(); ++keep) {
+    check(good.substr(0, keep), "truncated to " + std::to_string(keep));
+  }
+  EXPECT_GT(refused_at_open, 0u);
+  EXPECT_GT(refused_at_query, 0u);
+  // The pristine image still serves the reference.
+  check(good, "pristine");
+  std::remove(path.c_str());
+  std::remove(mutated.c_str());
+}
+
+// A payload whose checksums were re-stamped around a bad posting list
+// passes every checksum test, so the decoder itself must refuse a posting
+// id the index could not have built: out of range, a text node, a
+// duplicate, or descending. Serving such a list reads outside the
+// document's node columns.
+TEST(CorpusSnapshotTest, RestampedBadPostingFailsFaultIn) {
+  XmlCorpus memory;
+  ASSERT_TRUE(memory
+                  .AddDocument("a",
+                               "<s><i><n>texas boots</n></i>"
+                               "<i><n>ohio boots</n></i></s>")
+                  .ok());
+  // Pre-order ids: 0 s, 1 i, 2 n, 3 "texas boots", 4 i, 5 n, ...
+  const XmlDatabase& db = *memory.Find("a");
+  ASSERT_EQ(db.inverted().Find("boots")->nodes, (std::vector<NodeId>{2, 5}));
+  ASSERT_TRUE(db.index().is_text(3));
+  const std::string path = TempPath("corpus_postings.xcsn");
+  ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+  const std::string good = ReadFile(path);
+  const uint64_t at = PostingNodesAt(good, "boots");
+  ASSERT_GT(at, 0u);
+  int32_t stored[2];
+  std::memcpy(stored, good.data() + at, sizeof(stored));
+  ASSERT_EQ(stored[0], 2);
+  ASSERT_EQ(stored[1], 5);
+  {  // Re-stamping an intact image reproduces the writer's checksums.
+    std::string bytes = good;
+    RestampChecksums(&bytes);
+    ASSERT_EQ(bytes, good);
+  }
+
+  struct Mutation {
+    const char* name;
+    int32_t nodes[2];
+  };
+  const Mutation mutations[] = {
+      {"out of range", {1 << 28, 5}},
+      {"text node", {3, 5}},
+      {"duplicate", {2, 2}},
+      {"descending", {5, 2}},
+  };
+  const std::string mutated = TempPath("corpus_postings_mut.xcsn");
+  XSeekEngine engine;
+  for (const Mutation& m : mutations) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + at, m.nodes, sizeof(m.nodes));
+    RestampChecksums(&bytes);
+    WriteFile(mutated, bytes);
+    auto snapshot = CorpusSnapshot::Open(mutated);
+    ASSERT_TRUE(snapshot.ok()) << m.name << ": " << snapshot.status();
+    Status fault = (*snapshot)->Fault(0).status();
+    EXPECT_EQ(fault.code(), StatusCode::kParseError) << m.name << ": " << fault;
+    EXPECT_NE(fault.message().find("bad posting node"), std::string::npos)
+        << m.name << ": " << fault;
+    XmlCorpus corpus;
+    ASSERT_TRUE(corpus.AttachSnapshot(*snapshot).ok());
+    auto hits = corpus.SearchAll(Query::Parse("boots"), engine);
+    EXPECT_EQ(hits.status().code(), StatusCode::kParseError) << m.name;
+  }
+  std::remove(path.c_str());
+  std::remove(mutated.c_str());
 }
 
 // ------------------------------------------------------------ safe saving

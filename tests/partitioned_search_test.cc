@@ -220,33 +220,28 @@ TEST(PartitionedSearchTest, PartitionedSnippetScansMatchSequential) {
   SnippetOptions snippet_options;
   snippet_options.size_bound = 12;
 
+  // The reference: a single-partition database scans sequentially. The
+  // partitioned context fans its scans out at the pool's configured width.
   SnippetService seq_service(&pair.sequential);
-  ScanOptions seq_scan;
-  seq_scan.scan_threads = 1;
-  SnippetContext seq_ctx(&pair.sequential, query, seq_scan);
-
-  for (size_t threads : {0u, 2u, 4u}) {
-    SnippetService par_service(&pair.partitioned);
-    ScanOptions par_scan;
-    par_scan.scan_threads = threads;
-    SnippetContext par_ctx(&pair.partitioned, query, par_scan);
-    for (const QueryResult& r : *results) {
-      auto expected = seq_service.Generate(seq_ctx, r, snippet_options);
-      auto actual = par_service.Generate(par_ctx, r, snippet_options);
-      ASSERT_TRUE(expected.ok()) << expected.status();
-      ASSERT_TRUE(actual.ok()) << actual.status();
-      EXPECT_EQ(SerializeSnippet(*expected), SerializeSnippet(*actual))
-          << "threads " << threads << " root " << r.root;
-    }
-    // The partitioned context attributed its scans per partition.
-    bool saw_partition_attribution = false;
-    for (const StageStat& stat : par_ctx.ScanStatsSnapshot()) {
-      if (stat.name.rfind("scan.statistics.p", 0) == 0) {
-        saw_partition_attribution = true;
-      }
-    }
-    if (threads != 1) EXPECT_TRUE(saw_partition_attribution);
+  SnippetContext seq_ctx(&pair.sequential, query);
+  SnippetService par_service(&pair.partitioned);
+  SnippetContext par_ctx(&pair.partitioned, query);
+  for (const QueryResult& r : *results) {
+    auto expected = seq_service.Generate(seq_ctx, r, snippet_options);
+    auto actual = par_service.Generate(par_ctx, r, snippet_options);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    EXPECT_EQ(SerializeSnippet(*expected), SerializeSnippet(*actual))
+        << "root " << r.root;
   }
+  // The partitioned context attributed its scans per partition.
+  bool saw_partition_attribution = false;
+  for (const StageStat& stat : par_ctx.ScanStatsSnapshot()) {
+    if (stat.name.rfind("scan.statistics.p", 0) == 0) {
+      saw_partition_attribution = true;
+    }
+  }
+  EXPECT_TRUE(saw_partition_attribution);
 }
 
 }  // namespace

@@ -419,7 +419,9 @@ TEST(SnippetStreamTest, ServeQueryStreamsTheRankedPage) {
   auto batch = corpus.GenerateSnippets(query, *page, options);
   ASSERT_TRUE(batch.ok()) << batch.status();
 
-  auto served = corpus.ServeQuery(query, engine, options, StreamOptions{});
+  auto served = corpus.ServeQuery(query, engine, RankingOptions{},
+                                  CorpusServingOptions{}, options,
+                                  StreamOptions{});
   ASSERT_TRUE(served.ok()) << served.status();
   ASSERT_EQ(served->page().size(), page->size());
   for (size_t i = 0; i < page->size(); ++i) {
@@ -453,7 +455,9 @@ TEST(SnippetStreamTest, WarmCacheStreamsEveryHitImmediately) {
   auto cold = corpus.GenerateSnippets(query, *page, options);
   ASSERT_TRUE(cold.ok()) << cold.status();
 
-  auto served = corpus.ServeQuery(query, engine, options, StreamOptions{});
+  auto served = corpus.ServeQuery(query, engine, RankingOptions{},
+                                  CorpusServingOptions{}, options,
+                                  StreamOptions{});
   ASSERT_TRUE(served.ok()) << served.status();
   // Fully warm: every slot is live before the first pull.
   StreamStats at_open = served->Stats();

@@ -1,13 +1,15 @@
 // Incremental top-k search must be indistinguishable from blocking search
 // truncated to k: identical pages (documents, roots, bitwise-equal scores)
-// for every k/thread/partition configuration and across repeated runs,
-// over in-memory and snapshot-backed corpora, identical error reporting
-// when producers fail mid-enumeration, and sound monotone shard bounds and
+// for every k/partition configuration and across repeated runs, over
+// in-memory and snapshot-backed corpora, identical error reporting when
+// producers fail mid-enumeration, and sound monotone shard bounds and
 // document bounds — while actually terminating early on skewed corpora and
 // leaving snapshot documents whose bound cannot reach the page unopened.
-// Also covers the RankResults top-k fast path, the selector warm-start
-// trace, and page-gated ServeQuery streaming. Run under ThreadSanitizer
-// and ASan/UBSan in CI.
+// Blocking SearchTopK and page-gated ServeQuery run one pull schedule, so
+// they do identical work, and the search stage counts fault-in time. Also
+// covers the RankResults top-k fast path, the selector warm-start trace,
+// and page-gated ServeQuery streaming. Run under ThreadSanitizer and
+// ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -102,32 +104,23 @@ TEST(TopKSearchTest, MatchesBlockingPrefixAcrossConfigurations) {
   XSeekEngine engine;
   const char* queries[] = {"texas", "texas store", "drama", "v1_0 v1_1"};
 
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
-
   for (const char* text : queries) {
     Query query = Query::Parse(text);
-    auto full = corpus.SearchAll(query, engine, RankingOptions{}, sequential);
+    auto full = corpus.SearchAll(query, engine);
     ASSERT_TRUE(full.ok()) << full.status();
     for (size_t k : {size_t{1}, size_t{3}, size_t{5}, size_t{10},
                      size_t{1000}}) {
-      for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
-                             size_t{8}}) {
-        CorpusServingOptions serving;
-        serving.search_threads = threads;
-        for (int run = 0; run < 2; ++run) {  // repeated runs: no schedule dep
-          TopKSearchStats stats;
-          auto page = corpus.SearchTopK(query, engine, RankingOptions{},
-                                        serving, k, &stats);
-          ASSERT_TRUE(page.ok()) << page.status();
-          ExpectSamePage(Prefix(*full, k), *page,
-                         std::string(text) + " k=" + std::to_string(k) +
-                             " threads=" + std::to_string(threads) + " run=" +
-                             std::to_string(run));
-          EXPECT_TRUE(stats.finished);
-          EXPECT_EQ(stats.results_released, std::min(k, full->size()));
-          EXPECT_LE(stats.candidates_scored, stats.candidates_total);
-        }
+      for (int run = 0; run < 3; ++run) {  // repeated runs: no schedule dep
+        TopKSearchStats stats;
+        auto page = corpus.SearchTopK(query, engine, RankingOptions{},
+                                      CorpusServingOptions{}, k, &stats);
+        ASSERT_TRUE(page.ok()) << page.status();
+        ExpectSamePage(Prefix(*full, k), *page,
+                       std::string(text) + " k=" + std::to_string(k) +
+                           " run=" + std::to_string(run));
+        EXPECT_TRUE(stats.finished);
+        EXPECT_EQ(stats.results_released, std::min(k, full->size()));
+        EXPECT_LE(stats.candidates_scored, stats.candidates_total);
       }
     }
   }
@@ -143,15 +136,13 @@ TEST(TopKSearchTest, UnboundedKEqualsSearchAll) {
     Query query = Query::Parse(text);
     auto full = corpus.SearchAll(query, engine);
     ASSERT_TRUE(full.ok()) << full.status();
-    for (size_t threads : {size_t{0}, size_t{1}}) {
-      CorpusServingOptions serving;
-      serving.search_threads = threads;
+    for (int run = 0; run < 2; ++run) {
       TopKSearchStats stats;
-      auto page = corpus.SearchTopK(query, engine, RankingOptions{}, serving,
-                                    unbounded, &stats);
+      auto page = corpus.SearchTopK(query, engine, RankingOptions{},
+                                    CorpusServingOptions{}, unbounded, &stats);
       ASSERT_TRUE(page.ok()) << page.status();
       ExpectSamePage(*full, *page,
-                     std::string(text) + " threads=" + std::to_string(threads));
+                     std::string(text) + " run=" + std::to_string(run));
       EXPECT_TRUE(stats.finished);
       EXPECT_FALSE(stats.early_terminated);
       EXPECT_EQ(stats.results_released, full->size());
@@ -165,9 +156,7 @@ TEST(TopKSearchTest, MatchesBlockingWithEngineMaxResults) {
   options.max_results = 3;
   XSeekEngine engine(options);
   Query query = Query::Parse("texas store");
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
-  auto full = corpus.SearchAll(query, engine, RankingOptions{}, sequential);
+  auto full = corpus.SearchAll(query, engine);
   ASSERT_TRUE(full.ok()) << full.status();
   for (size_t k : {size_t{2}, size_t{5}, size_t{100}}) {
     auto page = corpus.SearchTopK(query, engine, RankingOptions{},
@@ -227,22 +216,15 @@ TEST(TopKSearchTest, EarlyTerminationOnSkewedCorpus) {
   }
   XSeekEngine engine;
   Query query = Query::Parse("alpha beta");
-  // Pin the pull width: the no-front descent pulls up to `search_threads`
-  // highest-bound producers, and an unpinned width on a many-core machine
-  // could cover the whole corpus in the very first round.
-  CorpusServingOptions serving;
-  serving.search_threads = 2;
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
 
-  auto full = corpus.SearchAll(query, engine, RankingOptions{}, sequential);
+  auto full = corpus.SearchAll(query, engine);
   ASSERT_TRUE(full.ok()) << full.status();
   ASSERT_GE(full->size(), 8u);
 
   const size_t k = 5;
   TopKSearchStats stats;
-  auto page = corpus.SearchTopK(query, engine, RankingOptions{}, serving, k,
-                                &stats);
+  auto page = corpus.SearchTopK(query, engine, RankingOptions{},
+                                CorpusServingOptions{}, k, &stats);
   ASSERT_TRUE(page.ok()) << page.status();
   ExpectSamePage(Prefix(*full, k), *page, "skewed corpus");
 
@@ -516,24 +498,26 @@ TEST(TopKSearchTest, SnapshotBackedTopKMatchesSearchAll) {
     if (!expected.ok()) continue;
     ExpectSamePage(*expected, *full, "SearchAll '" + text + "'");
     for (size_t k : {size_t{1}, size_t{10}, unbounded}) {
-      for (size_t threads : {size_t{1}, size_t{0}}) {
-        CorpusServingOptions serving;
-        serving.search_threads = threads;
+      for (int run = 0; run < 2; ++run) {
         TopKSearchStats stats;
         auto page = backed.SearchTopK(query, engine, RankingOptions{},
-                                      serving, k, &stats);
+                                      CorpusServingOptions{}, k, &stats);
         ASSERT_TRUE(page.ok()) << page.status();
         ExpectSamePage(Prefix(*expected, k), *page,
                        "'" + text + "' k=" + std::to_string(k) +
-                           " threads=" + std::to_string(threads));
+                           " run=" + std::to_string(run));
         EXPECT_TRUE(stats.finished);
-        if (k == unbounded) EXPECT_FALSE(stats.early_terminated) << text;
+        if (k == unbounded) {
+          EXPECT_FALSE(stats.early_terminated) << text;
+        }
       }
     }
     if (expected->empty()) continue;
     // Page-gated serving over the snapshot: same page, same snippets.
-    auto blocking = memory.ServeQuery(query, engine, SnippetOptions{},
-                                      StreamOptions{});
+    auto blocking =
+        memory.ServeQuery(query, engine, RankingOptions{},
+                          CorpusServingOptions{}, SnippetOptions{},
+                          StreamOptions{});
     ASSERT_TRUE(blocking.ok()) << blocking.status();
     auto blocking_snippets = blocking->stream().Collect();
     ASSERT_TRUE(blocking_snippets.ok()) << blocking_snippets.status();
@@ -736,8 +720,6 @@ void ExpectSameError(const Status& expected, const Status& actual,
 TEST(TopKSearchTest, FailureReportsSequentialError) {
   XmlCorpus corpus = MakeWideCorpus();
   Query query = Query::Parse("texas");
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
 
   const std::vector<std::vector<std::string>> failure_sets = {
       {"random2"},
@@ -755,17 +737,14 @@ TEST(TopKSearchTest, FailureReportsSequentialError) {
                                      &open_engine};
     const char* labels[] = {"adapter", "mid-stream", "open"};
     for (size_t e = 0; e < 3; ++e) {
-      auto expected = corpus.SearchAll(query, *engines[e], RankingOptions{},
-                                       sequential);
+      auto expected = corpus.SearchAll(query, *engines[e]);
       ASSERT_FALSE(expected.ok()) << labels[e];
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        CorpusServingOptions serving;
-        serving.search_threads = threads;
+      for (int run = 0; run < 2; ++run) {
         auto page = corpus.SearchTopK(query, *engines[e], RankingOptions{},
-                                      serving, 5);
+                                      CorpusServingOptions{}, 5);
         ExpectSameError(expected.status(), page.status(),
-                        std::string(labels[e]) + " threads=" +
-                            std::to_string(threads));
+                        std::string(labels[e]) + " run=" +
+                            std::to_string(run));
       }
     }
   }
@@ -774,10 +753,7 @@ TEST(TopKSearchTest, FailureReportsSequentialError) {
 TEST(TopKSearchTest, EmptyQueryErrorMatchesSequential) {
   XmlCorpus corpus = MakeWideCorpus();
   XSeekEngine engine;
-  CorpusServingOptions sequential;
-  sequential.search_threads = 1;
-  auto expected =
-      corpus.SearchAll(Query{}, engine, RankingOptions{}, sequential);
+  auto expected = corpus.SearchAll(Query{}, engine);
   ASSERT_FALSE(expected.ok());
   auto page = corpus.SearchTopK(Query{}, engine, RankingOptions{},
                                 CorpusServingOptions{}, 5);
@@ -863,11 +839,9 @@ TEST(TopKSearchTest, PageGatedServeQueryMatchesBlocking) {
   Query query = Query::Parse("texas store");
   SnippetOptions options;
 
-  CorpusServingOptions blocking;
-  blocking.search_threads = 1;
   auto blocking_stream =
-      corpus.ServeQuery(query, engine, RankingOptions{}, blocking, options,
-                        StreamOptions{});
+      corpus.ServeQuery(query, engine, RankingOptions{},
+                        CorpusServingOptions{}, options, StreamOptions{});
   ASSERT_TRUE(blocking_stream.ok()) << blocking_stream.status();
   const size_t k = std::min<size_t>(4, blocking_stream->page().size());
   ASSERT_GT(k, 0u);
@@ -876,7 +850,6 @@ TEST(TopKSearchTest, PageGatedServeQueryMatchesBlocking) {
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     CorpusServingOptions serving;
-    serving.search_threads = 1;
     serving.page_size = k;
     StreamOptions stream;
     stream.num_threads = threads;
@@ -908,7 +881,6 @@ TEST(TopKSearchTest, PageGatedServeQueryWithCacheIsIdentical) {
   Query query = Query::Parse("texas store");
   SnippetOptions options;
   CorpusServingOptions serving;
-  serving.search_threads = 1;
   serving.page_size = 4;
   StreamOptions stream;
   stream.order = StreamOrder::kSlot;
@@ -935,7 +907,6 @@ TEST(TopKSearchTest, PageGatedServeQueryCancellation) {
   XSeekEngine engine;
   Query query = Query::Parse("texas store");
   CorpusServingOptions serving;
-  serving.search_threads = 1;
   serving.page_size = 4;
   auto gated = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
                                  SnippetOptions{}, StreamOptions{});
@@ -952,10 +923,8 @@ TEST(TopKSearchTest, PageGatedServeQueryCancellation) {
 TEST(TopKSearchTest, PageGatedServeQueryEmptyQueryError) {
   XmlCorpus corpus = MakeWideCorpus();
   XSeekEngine engine;
-  CorpusServingOptions blocking;
-  blocking.search_threads = 1;
   auto expected = corpus.ServeQuery(Query{}, engine, RankingOptions{},
-                                    blocking, SnippetOptions{},
+                                    CorpusServingOptions{}, SnippetOptions{},
                                     StreamOptions{});
   ASSERT_FALSE(expected.ok());
   CorpusServingOptions serving;
@@ -970,7 +939,6 @@ TEST(TopKSearchTest, PageGatedServeQueryMidSearchFailure) {
   MidStreamFailEngine engine(corpus, {"movies"}, /*fail_at_open=*/false);
   Query query = Query::Parse("texas");
   CorpusServingOptions serving;
-  serving.search_threads = 1;
   serving.page_size = 50;  // larger than the total hit count, so the
                            // failing producer must be reached
   auto gated = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
@@ -982,6 +950,105 @@ TEST(TopKSearchTest, PageGatedServeQueryMidSearchFailure) {
   EXPECT_NE(collected.status().message().find("engine exploded"),
             std::string::npos)
       << collected.status().message();
+}
+
+// ----------------------------------------------------------- one schedule
+
+// Blocking SearchTopK and a drained page-gated ServeQuery of the same page
+// run one pull schedule: they open the same producers, pull the same rounds
+// and scan the same postings — over an in-memory corpus and a
+// snapshot-backed one alike.
+TEST(TopKSearchTest, BlockingAndPageGatedSearchRunOneSchedule) {
+  XmlCorpus memory = MakeWideCorpus();
+  const std::string path = TempPath("topk_one_schedule.xcsn");
+  XmlCorpus backed;
+  AttachSaved(memory, path, &backed);
+  XSeekEngine engine;
+  // Several documents match the random-document queries, so several
+  // producers are open with nothing buffered yet.
+  const char* queries[] = {"texas", "texas store", "drama",
+                           "e1",    "v12r0",       "e0 v10r3"};
+  for (const XmlCorpus* corpus : {&memory, &backed}) {
+    const std::string where = corpus == &memory ? "memory" : "snapshot";
+    for (const char* text : queries) {
+      const Query query = Query::Parse(text);
+      for (size_t k : {size_t{1}, size_t{10}, size_t{1000}}) {
+        const std::string label =
+            where + " '" + text + "' k=" + std::to_string(k);
+        TopKSearchStats blocking;
+        auto page = corpus->SearchTopK(query, engine, RankingOptions{},
+                                       CorpusServingOptions{}, k, &blocking);
+        ASSERT_TRUE(page.ok()) << label << ": " << page.status();
+        CorpusServingOptions serving;
+        serving.page_size = k;
+        auto gated = corpus->ServeQuery(query, engine, RankingOptions{},
+                                        serving, SnippetOptions{},
+                                        StreamOptions{});
+        ASSERT_TRUE(gated.ok()) << label << ": " << gated.status();
+        auto snippets = gated->stream().Collect();
+        ASSERT_TRUE(snippets.ok()) << label << ": " << snippets.status();
+        ExpectSamePage(*page, gated->page(), label);
+        const TopKSearchStats streamed = gated->SearchStats();
+        EXPECT_TRUE(blocking.finished) << label;
+        EXPECT_TRUE(streamed.finished) << label;
+        EXPECT_EQ(blocking.producers, streamed.producers) << label;
+        EXPECT_EQ(blocking.pull_rounds, streamed.pull_rounds) << label;
+        EXPECT_EQ(blocking.candidates_scored, streamed.candidates_scored)
+            << label;
+        EXPECT_EQ(blocking.candidates_total, streamed.candidates_total)
+            << label;
+        EXPECT_EQ(blocking.results_released, streamed.results_released)
+            << label;
+        EXPECT_EQ(blocking.early_terminated, streamed.early_terminated)
+            << label;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The top-k "search" stage is the search's wall time with fault-in
+// included: a snapshot document the merge opens decodes inside the timed
+// open batch, for blocking SearchTopK and page-gated ServeQuery alike.
+TEST(TopKSearchTest, SearchStageCountsFaultIn) {
+  XmlCorpus memory = MakeWideCorpus();
+  const std::string path = TempPath("topk_search_stage.xcsn");
+  ASSERT_TRUE(memory.SaveSnapshot(path).ok());
+  XSeekEngine engine;
+  const Query query = Query::Parse("texas store");
+  auto search_ns = [](const XmlCorpus& corpus) -> uint64_t {
+    for (const StageStat& stat : corpus.StageStatsSnapshot()) {
+      if (stat.name == "search") return stat.total_ns;
+    }
+    return 0;
+  };
+  for (bool gated : {false, true}) {
+    SCOPED_TRACE(gated ? "page-gated ServeQuery" : "SearchTopK");
+    // A freshly attached image: every document the call opens faults in
+    // during the call.
+    XmlCorpus backed;
+    auto snapshot = CorpusSnapshot::Open(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    ASSERT_TRUE(backed.AttachSnapshot(*snapshot).ok());
+    if (gated) {
+      CorpusServingOptions serving;
+      serving.page_size = 10;
+      auto served = backed.ServeQuery(query, engine, RankingOptions{},
+                                      serving, SnippetOptions{},
+                                      StreamOptions{});
+      ASSERT_TRUE(served.ok()) << served.status();
+      ASSERT_TRUE(served->stream().Collect().ok());
+      // The stream folds its search time in when it is destroyed.
+    } else {
+      auto page = backed.SearchTopK(query, engine, RankingOptions{},
+                                    CorpusServingOptions{}, 10);
+      ASSERT_TRUE(page.ok()) << page.status();
+    }
+    const uint64_t fault_ns = backed.SnapshotStatsSnapshot()->fault_ns;
+    EXPECT_GT(fault_ns, 0u);
+    EXPECT_GE(search_ns(backed), fault_ns);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
