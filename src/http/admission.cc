@@ -13,18 +13,9 @@ AdmissionController::AdmissionController(const AdmissionOptions& options)
 }
 
 void AdmissionController::Ticket::Reset() {
-  // Drop the pin payload before handing the slot on: by the time a new
-  // ticket's hook runs, this request's epoch pin is already released.
-  pin_.reset();
   if (controller_ != nullptr) {
     std::exchange(controller_, nullptr)->Release();
   }
-}
-
-AdmissionController::Ticket AdmissionController::MakeTicket() {
-  std::shared_ptr<void> pin;
-  if (pin_hook_) pin = pin_hook_();
-  return Ticket(this, std::move(pin));
 }
 
 Result<AdmissionController::Ticket> AdmissionController::Acquire(
@@ -44,8 +35,7 @@ Result<AdmissionController::Ticket> AdmissionController::Acquire(
     ++stats_.active;
     ++stats_.admitted;
     stats_.peak_active = std::max(stats_.peak_active, stats_.active);
-    lock.unlock();
-    return MakeTicket();
+    return Ticket(this);
   }
   if (deadline <= now) {
     ++stats_.shed_deadline;
@@ -89,8 +79,7 @@ Result<AdmissionController::Ticket> AdmissionController::Acquire(
   ++stats_.admitted_after_wait;
   stats_.total_wait_ns += waited_ns;
   stats_.max_wait_ns = std::max(stats_.max_wait_ns, waited_ns);
-  lock.unlock();
-  return MakeTicket();
+  return Ticket(this);
 }
 
 void AdmissionController::Release() {

@@ -24,7 +24,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,20 +62,16 @@ class AdmissionController {
   AdmissionController() : AdmissionController(AdmissionOptions{}) {}
 
   /// \brief RAII slot. Move-only; destruction releases the slot, admitting
-  /// the earliest-deadline waiter if one is queued. Carries the pin-hook
-  /// payload (see SetPinHook) for the slot's lifetime: acquired with the
-  /// slot, dropped just before the slot is handed on.
+  /// the earliest-deadline waiter if one is queued.
   class Ticket {
    public:
     Ticket() = default;
     Ticket(Ticket&& other) noexcept
-        : controller_(std::exchange(other.controller_, nullptr)),
-          pin_(std::move(other.pin_)) {}
+        : controller_(std::exchange(other.controller_, nullptr)) {}
     Ticket& operator=(Ticket&& other) noexcept {
       if (this != &other) {
         Reset();
         controller_ = std::exchange(other.controller_, nullptr);
-        pin_ = std::move(other.pin_);
       }
       return *this;
     }
@@ -86,17 +81,11 @@ class AdmissionController {
     /// Early release (destruction does the same).
     void Reset();
 
-    /// The pin-hook payload acquired with this slot (null without a hook,
-    /// or on an invalid ticket). The HTTP layer stores a CorpusPin here so
-    /// one admitted request observes one corpus epoch end to end.
-    const std::shared_ptr<void>& pin() const { return pin_; }
-
    private:
     friend class AdmissionController;
-    Ticket(AdmissionController* controller, std::shared_ptr<void> pin)
-        : controller_(controller), pin_(std::move(pin)) {}
+    explicit Ticket(AdmissionController* controller)
+        : controller_(controller) {}
     AdmissionController* controller_ = nullptr;
-    std::shared_ptr<void> pin_;
   };
 
   /// \brief Acquires a slot, waiting until `deadline` if all are held.
@@ -109,16 +98,6 @@ class AdmissionController {
   /// Acquire with no deadline.
   Result<Ticket> Acquire() {
     return Acquire(std::chrono::steady_clock::time_point::max());
-  }
-
-  /// \brief Installs a hook invoked once per granted ticket — outside the
-  /// controller lock, on the acquiring thread, after the slot is secured —
-  /// whose return value rides the Ticket (Ticket::pin()) and is dropped
-  /// when the ticket releases. The HTTP layer pins the corpus epoch here,
-  /// making admission the pin point of a request's lifecycle. Install
-  /// before serving starts (not synchronized against concurrent Acquire).
-  void SetPinHook(std::function<std::shared_ptr<void>()> hook) {
-    pin_hook_ = std::move(hook);
   }
 
   /// \brief Aborts every queued waiter with kUnavailable and makes future
@@ -141,12 +120,8 @@ class AdmissionController {
   using WaiterKey = std::pair<std::chrono::steady_clock::time_point, uint64_t>;
 
   void Release();
-  /// Builds the granted ticket, running the pin hook. Call without mu_:
-  /// the hook may take its own locks (the corpus view mutex).
-  Ticket MakeTicket();
 
   AdmissionOptions options_;
-  std::function<std::shared_ptr<void>()> pin_hook_;
   mutable std::mutex mu_;
   std::map<WaiterKey, std::shared_ptr<Waiter>> waiters_;
   uint64_t next_seq_ = 0;

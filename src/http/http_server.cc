@@ -69,25 +69,6 @@ std::string ResponseHead(int status, std::string_view content_type,
   return head;
 }
 
-int HttpStatusForCode(StatusCode code) {
-  switch (code) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kParseError:
-      return 400;
-    case StatusCode::kNotFound:
-      return 404;
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kUnavailable:
-      return 503;
-    case StatusCode::kResourceExhausted:
-      return 413;
-    case StatusCode::kUnimplemented:
-      return 501;
-    default:
-      return 500;
-  }
-}
-
 }  // namespace
 
 bool ResponseWriter::WriteAll(std::string_view data) {

@@ -163,12 +163,6 @@ QueryService::QueryService(const XmlCorpus* corpus, const SearchEngine* engine,
 
 void QueryService::Register(HttpServer* server) {
   server_ = server;
-  // Pin the corpus epoch at admission: the ticket acquires the pin with
-  // its slot and drops it at release, so one admitted request observes one
-  // corpus snapshot end to end — mutations mid-request never touch it.
-  server->admission().SetPinHook([corpus = corpus_]() -> std::shared_ptr<void> {
-    return std::make_shared<CorpusPin>(corpus->PinView());
-  });
   server->Handle("/query", [this](const HttpRequest& request,
                                   ResponseWriter& writer) {
     HandleQuery(request, writer);
@@ -295,6 +289,10 @@ void QueryService::HandleQuery(const HttpRequest& request,
     writer.SendError(HttpStatusFor(ticket.status()), ticket.status());
     return;
   }
+  // One admitted request observes one corpus epoch end to end: mutations
+  // mid-request never touch it. Declared after the ticket, so the pin is
+  // released before the slot is handed to the next request.
+  CorpusPin pin = corpus_->PinView();
 
   // Whatever budget admission left becomes the stream deadline. An already
   // expired budget still opens the stream — every slot then emits
@@ -310,13 +308,10 @@ void QueryService::HandleQuery(const HttpRequest& request,
   serving.page_size = gated ? page_size : 0;
   serving.budget = budget;
 
-  // Serve against the epoch the ticket pinned at admission. The ticket
-  // outlives the drain below, so the pinned view cannot be reclaimed while
-  // this request streams.
-  const auto* pinned = static_cast<const CorpusPin*>(ticket->pin().get());
+  // The pin outlives the drain below, so the pinned view cannot be
+  // reclaimed while this request streams.
   auto served = corpus_->ServeQuery(query, *engine_, options_.ranking, serving,
-                                    options_.snippet, stream_options,
-                                    pinned != nullptr ? *pinned : CorpusPin{});
+                                    options_.snippet, stream_options, pin);
   if (!served.ok()) {
     writer.SendError(HttpStatusFor(served.status()), served.status());
     return;

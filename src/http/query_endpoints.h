@@ -34,11 +34,11 @@
 // mid-SSE cancels the underlying stream (freeing pool slots) and releases
 // its admission ticket.
 //
-// Live mutation: Register installs an admission pin hook that pins the
-// corpus epoch inside each Ticket (acquired with the slot, dropped at
-// release), and /query serves against that pinned view — so a request
-// admitted at epoch E searches, ranks and snippets epoch E even while
-// AddDatabase/RemoveDocument publish newer epochs underneath it.
+// Live mutation: /query pins the corpus epoch right after admission
+// (released just before its admission slot is handed on) and serves
+// against that pinned view — so a request admitted at epoch E searches,
+// ranks and snippets epoch E even while AddDatabase/RemoveDocument publish
+// newer epochs underneath it.
 
 #ifndef EXTRACT_HTTP_QUERY_ENDPOINTS_H_
 #define EXTRACT_HTTP_QUERY_ENDPOINTS_H_

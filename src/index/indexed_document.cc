@@ -18,10 +18,8 @@ struct Builder {
   std::vector<NodeId>* subtree_end;
   std::vector<std::string>* text;
   std::vector<std::vector<NodeId>>* children;  // temporary; CSR-ified after
-  DeweyStore* deweys;
   LabelTable* labels;
   size_t* num_elements;
-  std::vector<uint32_t> dewey_path;
 
   NodeId NewNode(NodeId parent_id, LabelId label_id, IndexedNodeKind k,
                  std::string content, uint32_t d) {
@@ -33,7 +31,6 @@ struct Builder {
     subtree_end->push_back(kInvalidNode);
     text->push_back(std::move(content));
     children->emplace_back();
-    deweys->Append(DeweyView(dewey_path.data(), dewey_path.size()));
     if (parent_id != kInvalidNode) {
       (*children)[static_cast<size_t>(parent_id)].push_back(id);
     }
@@ -45,39 +42,29 @@ struct Builder {
   NodeId EmitElement(const XmlNode& node, NodeId parent_id, uint32_t d) {
     NodeId id = NewNode(parent_id, labels->Intern(node.name()),
                         IndexedNodeKind::kElement, std::string(), d);
-    uint32_t ordinal = 0;
     if (options.expand_attributes) {
       for (const auto& attr : node.attributes()) {
-        dewey_path.push_back(ordinal++);
         NodeId attr_id = NewNode(id, labels->Intern(attr.name),
                                  IndexedNodeKind::kElement, std::string(), d + 1);
-        dewey_path.push_back(0);
         NewNode(attr_id, kInvalidLabel, IndexedNodeKind::kText, attr.value,
                 d + 2);
         (*subtree_end)[static_cast<size_t>(attr_id) + 1] =
             static_cast<NodeId>(parent->size());
-        dewey_path.pop_back();
         (*subtree_end)[static_cast<size_t>(attr_id)] =
             static_cast<NodeId>(parent->size());
-        dewey_path.pop_back();
       }
     }
     for (const auto& child : node.children()) {
       switch (child->kind()) {
-        case XmlNodeKind::kElement: {
-          dewey_path.push_back(ordinal++);
+        case XmlNodeKind::kElement:
           EmitElement(*child, id, d + 1);
-          dewey_path.pop_back();
           break;
-        }
         case XmlNodeKind::kText:
         case XmlNodeKind::kCData: {
-          dewey_path.push_back(ordinal++);
           NodeId text_id = NewNode(id, kInvalidLabel, IndexedNodeKind::kText,
                                    child->content(), d + 1);
           (*subtree_end)[static_cast<size_t>(text_id)] =
               static_cast<NodeId>(parent->size());
-          dewey_path.pop_back();
           break;
         }
         case XmlNodeKind::kComment:
@@ -109,10 +96,8 @@ Result<IndexedDocument> IndexedDocument::Build(
                   &out.subtree_end_,
                   &out.text_,
                   &child_lists,
-                  &out.deweys_,
                   &out.labels_,
-                  &out.num_elements_,
-                  {}};
+                  &out.num_elements_};
   builder.EmitElement(*root, kInvalidNode, 0);
 
   // CSR-ify child lists.
@@ -211,25 +196,6 @@ Result<IndexedDocument> IndexedDocument::FromFlatColumns(
       stack.push_back(i);
     }
     // Remaining open nodes end at n (already initialized).
-  }
-
-  // Dewey ids from child ordinals along the path; emit in pre-order using
-  // a running path of ordinals.
-  {
-    std::vector<uint32_t> next_ordinal(n, 0);
-    std::vector<uint32_t> path;
-    std::vector<size_t> stack;
-    for (size_t i = 0; i < n; ++i) {
-      while (!stack.empty() && out.depth_[stack.back()] >= out.depth_[i]) {
-        stack.pop_back();
-        path.pop_back();
-      }
-      if (!stack.empty()) {
-        path.push_back(next_ordinal[stack.back()]++);
-      }
-      out.deweys_.Append(DeweyView(path.data(), path.size()));
-      stack.push_back(i);
-    }
   }
   return out;
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "index/dewey.h"
 #include "index/label_table.h"
 #include "xml/dom.h"
 
@@ -99,9 +98,6 @@ class IndexedDocument {
   /// have exactly one child that is a text node.
   NodeId sole_text_child(NodeId n) const;
 
-  /// Dewey ID of n.
-  DeweyView dewey(NodeId n) const { return deweys_.Get(static_cast<size_t>(n)); }
-
   /// True iff a is a strict ancestor of b. O(1) via pre-order intervals.
   bool IsAncestor(NodeId a, NodeId b) const {
     return a < b && b < subtree_end_[a];
@@ -127,8 +123,8 @@ class IndexedDocument {
   /// snapshot fault-in path, search/corpus_snapshot.h).
   ///
   /// `parent`, `label`, `kind` and `text` are parallel per-node arrays in
-  /// pre-order; every other column (children, depth, subtree intervals,
-  /// Dewey ids) is derived here. Returns InvalidArgument if the columns are
+  /// pre-order; every other column (children, depth, subtree intervals) is
+  /// derived here. Returns InvalidArgument if the columns are
   /// inconsistent (size mismatch, non-pre-order parents, root not first).
   static Result<IndexedDocument> FromFlatColumns(
       LabelTable labels, std::vector<NodeId> parent, std::vector<LabelId> label,
@@ -144,7 +140,6 @@ class IndexedDocument {
   // CSR child lists.
   std::vector<uint32_t> child_offset_;  // size num_nodes()+1
   std::vector<NodeId> child_ids_;
-  DeweyStore deweys_;
   LabelTable labels_;
   size_t num_elements_ = 0;
 };

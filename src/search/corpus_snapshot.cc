@@ -27,9 +27,9 @@ namespace snapshot_internal {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'C', 'S', 'N'};
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 constexpr size_t kHeaderSize = 96;
-constexpr size_t kBlobTocWords = 12;
+constexpr size_t kBlobTocWords = 11;
 
 // Header fields (byte offsets).
 constexpr size_t kHeaderFileSize = 8;
@@ -174,114 +174,6 @@ class SectionReader {
   size_t pos_ = 0;
 };
 
-// ---------------------------------------------------------------- DTD ----
-//
-// The DTD sub-stream keeps the original length-prefixed encoding (it is a
-// recursive structure with no random-access need).
-
-void PutLenString(std::string* out, std::string_view s) {
-  PutU32Raw(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-class StreamReader {
- public:
-  StreamReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  Result<uint32_t> GetU32() {
-    if (size_ - pos_ < 4) return Truncated();
-    uint32_t v = LoadU32(data_ + pos_);
-    pos_ += 4;
-    return v;
-  }
-
-  Result<std::string> GetString() {
-    uint32_t len;
-    EXTRACT_ASSIGN_OR_RETURN(len, GetU32());
-    if (size_ - pos_ < len) return Truncated();
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  Status Truncated() const {
-    return Status::ParseError("snapshot DTD stream truncated");
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-void EncodeParticle(std::string* out, const DtdContentParticle& p) {
-  PutU32Raw(out, static_cast<uint32_t>(p.kind));
-  PutU32Raw(out, static_cast<uint32_t>(p.occurrence));
-  PutLenString(out, p.name);
-  PutU32Raw(out, static_cast<uint32_t>(p.children.size()));
-  for (const auto& child : p.children) EncodeParticle(out, child);
-}
-
-Result<DtdContentParticle> DecodeParticle(StreamReader* reader, int depth) {
-  if (depth > 64) return Status::ParseError("snapshot DTD nesting too deep");
-  DtdContentParticle p;
-  uint32_t kind;
-  EXTRACT_ASSIGN_OR_RETURN(kind, reader->GetU32());
-  if (kind > 2) return Status::ParseError("snapshot bad particle kind");
-  p.kind = static_cast<DtdContentParticle::Kind>(kind);
-  uint32_t occurrence;
-  EXTRACT_ASSIGN_OR_RETURN(occurrence, reader->GetU32());
-  if (occurrence > 3) return Status::ParseError("snapshot bad occurrence");
-  p.occurrence = static_cast<DtdOccurrence>(occurrence);
-  EXTRACT_ASSIGN_OR_RETURN(p.name, reader->GetString());
-  uint32_t num_children;
-  EXTRACT_ASSIGN_OR_RETURN(num_children, reader->GetU32());
-  for (uint32_t i = 0; i < num_children; ++i) {
-    DtdContentParticle child;
-    EXTRACT_ASSIGN_OR_RETURN(child, DecodeParticle(reader, depth + 1));
-    p.children.push_back(std::move(child));
-  }
-  return p;
-}
-
-void EncodeDtd(std::string* out, const Dtd& dtd) {
-  PutLenString(out, dtd.root_name());
-  std::vector<std::string> names = dtd.ElementNames();
-  PutU32Raw(out, static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) {
-    const DtdElementDecl* decl = dtd.FindElement(name);
-    PutLenString(out, decl->name);
-    PutU32Raw(out, static_cast<uint32_t>(decl->category));
-    EncodeParticle(out, decl->content);
-  }
-}
-
-Result<Dtd> DecodeDtd(const uint8_t* data, size_t size) {
-  StreamReader reader(data, size);
-  Dtd dtd;
-  std::string root_name;
-  EXTRACT_ASSIGN_OR_RETURN(root_name, reader.GetString());
-  dtd.set_root_name(std::move(root_name));
-  uint32_t count;
-  EXTRACT_ASSIGN_OR_RETURN(count, reader.GetU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    DtdElementDecl decl;
-    EXTRACT_ASSIGN_OR_RETURN(decl.name, reader.GetString());
-    uint32_t category;
-    EXTRACT_ASSIGN_OR_RETURN(category, reader.GetU32());
-    if (category > 3) return Status::ParseError("snapshot bad DTD category");
-    decl.category = static_cast<DtdElementDecl::Category>(category);
-    EXTRACT_ASSIGN_OR_RETURN(decl.content, DecodeParticle(&reader, 0));
-    dtd.AddElement(std::move(decl));
-  }
-  if (!reader.AtEnd()) {
-    return Status::ParseError("snapshot DTD stream has trailing bytes");
-  }
-  return dtd;
-}
-
 // ----------------------------------------------------- directory layout ----
 
 /// One document's directory record, writer-side.
@@ -396,7 +288,9 @@ std::string BuildHeader(const HeaderFields& f) {
                         f.terms_checksum, uint64_t{0}, uint64_t{0}}) {
     PutU64Raw(&header, word);
   }
-  PutU64Raw(&header, Fnv1a(header));
+  PutU64Raw(&header,
+            Hash64(reinterpret_cast<const uint8_t*>(header.data()),
+                   header.size()));
   return header;
 }
 
@@ -559,16 +453,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
     Pad8(&out);
   }
 
-  // Optional DTD (offset 0 = absent).
-  if (db.dtd() != nullptr) {
-    toc[8] = out.size();
-    std::string dtd_bytes;
-    EncodeDtd(&dtd_bytes, *db.dtd());
-    PutU64Raw(&out, dtd_bytes.size());
-    out.append(dtd_bytes);
-    Pad8(&out);
-  }
-  toc[9] = n;
+  toc[8] = n;
 
   for (size_t k = 0; k < kBlobTocWords; ++k) SetU64(&out, 8 * k, toc[k]);
 }
@@ -617,7 +502,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[1]));
   uint64_t n;
   EXTRACT_ASSIGN_OR_RETURN(n, reader.U64());
-  if (n != toc[9] || n > size) {
+  if (n != toc[8] || n > size) {
     return Status::ParseError("snapshot bad node count");
   }
   std::vector<NodeId> parent(static_cast<size_t>(n));
@@ -860,24 +745,9 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
     inverted = InvertedIndex::Restore(std::move(postings));
   }
 
-  // Optional DTD.
-  std::optional<Dtd> dtd;
-  if (toc[8] != 0) {
-    EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[8]));
-    uint64_t len;
-    EXTRACT_ASSIGN_OR_RETURN(len, reader.U64());
-    const uint8_t* dtd_bytes;
-    EXTRACT_ASSIGN_OR_RETURN(dtd_bytes, reader.Raw(len));
-    Dtd decoded;
-    EXTRACT_ASSIGN_OR_RETURN(decoded,
-                             DecodeDtd(dtd_bytes, static_cast<size_t>(len)));
-    dtd = std::move(decoded);
-  }
-
   return XmlDatabase::FromParts(std::move(doc), std::move(partitions),
                                 std::move(classification), std::move(keys),
-                                std::move(inverted), TextAnalyzer(analysis),
-                                std::move(dtd));
+                                std::move(inverted), TextAnalyzer(analysis));
 }
 
 // --------------------------------------------------------- image opening ----
@@ -902,9 +772,7 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size,
   }
   if (size < kHeaderSize) return Status::ParseError("snapshot too short");
   EXTRACT_INJECT_FAULT("snapshot.checksum");
-  if (Fnv1a(std::string_view(reinterpret_cast<const char*>(data),
-                             kHeaderChecksum)) !=
-      LoadU64(data + kHeaderChecksum)) {
+  if (Hash64(data, kHeaderChecksum) != LoadU64(data + kHeaderChecksum)) {
     return Status::ParseError("snapshot header checksum mismatch");
   }
   EXTRACT_INJECT_FAULT("snapshot.truncated");
@@ -1076,15 +944,6 @@ uint64_t Hash64(const uint8_t* data, size_t n) {
   h *= 0xC4CEB9FE1A85EC53ULL;
   h ^= h >> 33;
   return h;
-}
-
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t hash = 0xCBF29CE484222325ULL;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
 }
 
 uint64_t ImageView::entry(size_t i, size_t field) const {

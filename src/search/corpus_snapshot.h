@@ -2,7 +2,7 @@
 // per-document fault-in (the netdata tiered-storage shape: memory-mapped
 // hot data, the OS page cache doing hot/cold tiering).
 //
-// On-disk layout (version 2; all integers little-endian, sections 8-byte
+// On-disk layout (version 3; all integers little-endian, sections 8-byte
 // aligned, built by CorpusSnapshotWriter in one streaming pass plus a
 // directory pass at Finish):
 //
@@ -16,8 +16,9 @@
 //   |   fixed section TOC -> flat zero-parse columns for the label   |
 //   |   table, node columns (parent/label/kind), text arena,         |
 //   |   analyzer options, IndexPartitions bounds, node               |
-//   |   classification, mined keys, the inverted index (sorted token |
-//   |   arena + CSR posting lists) and the optional DTD              |
+//   |   classification, mined keys and the inverted index (sorted    |
+//   |   token arena + CSR posting lists). No DTD: its effect is the  |
+//   |   stored classification                                        |
 //   +----------------------------------------------------------------+
 //   | term directory: u64 term_count | u64 entry_count |            |
 //   |   u64 key_bytes | key offsets | list begins | list checksums | |
@@ -32,9 +33,10 @@
 //   |   flags), sorted by name for binary search                     |
 //   +----------------------------------------------------------------+
 //
-// Checksums: the header carries an FNV-1a checksum of itself; the document
-// directory, the term directory's index (everything before its entries),
-// each term's entry list and each payload carry Hash64 checksums.
+// Checksums: one function, Hash64, covers the header (its first 88 bytes,
+// stored in its last word), the document directory, the term directory's
+// index (everything before its entries), each term's entry list and each
+// payload. Images of other versions (v1, v2) are refused by number.
 //
 // Open() maps the file and validates the header, the document directory and
 // the term directory's index — O(documents + vocabulary), never O(corpus
@@ -83,12 +85,8 @@ namespace extract {
 namespace snapshot_internal {
 
 /// Fast 64-bit content hash (word-at-a-time; not cryptographic) used for
-/// the directory, term-list and per-payload checksums, where FNV-1a's
-/// byte-at-a-time loop would dominate open latency.
+/// every checksum of the image.
 uint64_t Hash64(const uint8_t* data, size_t n);
-
-/// FNV-1a 64-bit hash of `bytes` — the header checksum.
-uint64_t Fnv1a(std::string_view bytes);
 
 /// \brief A validated view of a snapshot image's header, document
 /// directory and term-directory index over raw bytes (the mapped file).

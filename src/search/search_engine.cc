@@ -46,12 +46,8 @@ Result<XmlDatabase> XmlDatabase::FromIndexedDocument(IndexedDocument index,
   XmlDatabase db;
   db.index_ = std::make_unique<IndexedDocument>(std::move(index));
   db.partitions_ = IndexPartitions::Build(*db.index_, options.partitioning);
-  if (dtd != nullptr) {
-    db.dtd_ = *dtd;
-    db.has_dtd_ = true;
-  }
-  db.classification_ = NodeClassification::Classify(
-      *db.index_, db.has_dtd_ ? &db.dtd_ : nullptr, options.classify);
+  db.classification_ =
+      NodeClassification::Classify(*db.index_, dtd, options.classify);
   db.keys_ = KeyIndex::Mine(*db.index_, db.classification_);
   db.analyzer_ = TextAnalyzer(options.analysis);
   db.inverted_ = InvertedIndex::Build(*db.index_, db.analyzer_);
@@ -62,8 +58,7 @@ XmlDatabase XmlDatabase::FromParts(IndexedDocument index,
                                    IndexPartitions partitions,
                                    NodeClassification classification,
                                    KeyIndex keys, InvertedIndex inverted,
-                                   TextAnalyzer analyzer,
-                                   std::optional<Dtd> dtd) {
+                                   TextAnalyzer analyzer) {
   XmlDatabase db;
   db.index_ = std::make_unique<IndexedDocument>(std::move(index));
   db.partitions_ = std::move(partitions);
@@ -71,10 +66,6 @@ XmlDatabase XmlDatabase::FromParts(IndexedDocument index,
   db.keys_ = std::move(keys);
   db.inverted_ = std::move(inverted);
   db.analyzer_ = std::move(analyzer);
-  if (dtd.has_value()) {
-    db.dtd_ = *std::move(dtd);
-    db.has_dtd_ = true;
-  }
   return db;
 }
 

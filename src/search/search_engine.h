@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +30,8 @@ namespace extract {
 
 /// Database loading knobs.
 struct LoadOptions {
+  /// A DTD parsed here decides *-nodes during classification (see
+  /// `classify`); the database keeps the classification, not the DTD.
   XmlParseOptions parse;
   IndexedDocumentOptions indexing;
   ClassifyOptions classify;
@@ -47,6 +48,11 @@ struct LoadOptions {
 /// \brief An XML document loaded, flattened, classified and indexed — the
 /// output of the paper's Data Analyzer and Index Builder (Figure 4) and the
 /// shared context of search and snippet generation.
+///
+/// It holds only what queries read: the flattened document, its partition
+/// grid, the per-node classification, the mined keys, the inverted index
+/// and the analyzer. Neither the DOM nor its DTD is kept; the DTD's effect
+/// survives as the classification.
 class XmlDatabase {
  public:
   /// Parses and analyzes an XML document from text.
@@ -60,7 +66,7 @@ class XmlDatabase {
 
   /// Builds a database around an already-flattened document, building the
   /// derived structures (classification, keys, inverted index). `dtd` may
-  /// be null.
+  /// be null; it is read only to classify nodes and is not retained.
   static Result<XmlDatabase> FromIndexedDocument(IndexedDocument index,
                                                  const Dtd* dtd,
                                                  const LoadOptions& options);
@@ -77,8 +83,7 @@ class XmlDatabase {
                                IndexPartitions partitions,
                                NodeClassification classification,
                                KeyIndex keys, InvertedIndex inverted,
-                               TextAnalyzer analyzer,
-                               std::optional<Dtd> dtd);
+                               TextAnalyzer analyzer);
 
   const IndexedDocument& index() const { return *index_; }
   /// The intra-document shard grid (>= 1 partition, immutable after load).
@@ -88,8 +93,6 @@ class XmlDatabase {
   const InvertedIndex& inverted() const { return inverted_; }
   /// The analyzer the index was built with.
   const TextAnalyzer& analyzer() const { return analyzer_; }
-  /// The DTD, or nullptr when the document had none.
-  const Dtd* dtd() const { return has_dtd_ ? &dtd_ : nullptr; }
 
   XmlDatabase(XmlDatabase&&) = default;
   XmlDatabase& operator=(XmlDatabase&&) = default;
@@ -103,8 +106,6 @@ class XmlDatabase {
   KeyIndex keys_;
   InvertedIndex inverted_;
   TextAnalyzer analyzer_;
-  Dtd dtd_;
-  bool has_dtd_ = false;
 };
 
 /// \brief A keyword query.

@@ -33,6 +33,7 @@
 #include "http_test_util.h"
 #include "search/corpus.h"
 #include "snippet/snippet_tree.h"
+#include "xml/parser.h"
 
 namespace extract {
 namespace {
@@ -364,7 +365,8 @@ TEST(CorpusSnapshotTest, TermDirectoryCorruptionNeverServesAWrongPage) {
     put(8, bytes.size());          // file size
     put(24, dir_offset - 16);      // document directory offset
     put(56, terms_size - 16);      // term directory size
-    put(88, snapshot_internal::Fnv1a(std::string_view(bytes.data(), 88)));
+    put(88, snapshot_internal::Hash64(
+                reinterpret_cast<const uint8_t*>(bytes.data()), 88));
     WriteFile(mutated, bytes);
     Status status = CorpusSnapshot::Open(mutated).status();
     EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
@@ -377,13 +379,17 @@ TEST(CorpusSnapshotTest, TermDirectoryCorruptionNeverServesAWrongPage) {
 
 TEST(CorpusSnapshotTest, VersionOneImageIsRefusedByName) {
   const std::string path = WriteDemoSnapshot("corpus_v1.xcsn");
-  std::string bytes = ReadFile(path);
-  bytes[4] = 1;  // the version field every image starts with
-  WriteFile(path, bytes);
-  Status status = CorpusSnapshot::Open(path).status();
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-  EXPECT_NE(status.message().find("unsupported version 1 "), std::string::npos)
-      << status;
+  const std::string good = ReadFile(path);
+  for (char version : {1, 2}) {
+    std::string bytes = good;
+    bytes[4] = version;  // the version field every image starts with
+    WriteFile(path, bytes);
+    Status status = CorpusSnapshot::Open(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    const std::string expected = "unsupported version " +
+                                 std::to_string(version) + " (expected 3)";
+    EXPECT_NE(status.message().find(expected), std::string::npos) << status;
+  }
   std::remove(path.c_str());
 }
 
@@ -424,8 +430,7 @@ void RestampChecksums(std::string* image) {
   const uint64_t dir_offset = U64At(*image, 24);
   PutU64At(image, 40,
            snapshot_internal::Hash64(data + dir_offset, U64At(*image, 32)));
-  PutU64At(image, 88,
-           snapshot_internal::Fnv1a(std::string_view(image->data(), 88)));
+  PutU64At(image, 88, snapshot_internal::Hash64(data, 88));
 }
 
 /// Byte offset of the posting node ids (i32 each) of `token` in the first
@@ -502,21 +507,23 @@ std::vector<Result<std::string>> ServeQuerySet(
 // every call of the query set with the in-memory reference bytes or a
 // ParseError. Nothing may crash (the suite runs under ASan/UBSan in CI).
 TEST(CorpusSnapshotTest, WholeImageCorruptionFailsPreciselyOrServesTheReference) {
+  // Document "a" is classified through its DTD; the image keeps the
+  // classification, not the DTD.
+  const std::string with_dtd =
+      "<!DOCTYPE shop [\n"
+      "  <!ELEMENT shop (item*)>\n"
+      "  <!ELEMENT item (name, state)>\n"
+      "  <!ELEMENT name (#PCDATA)>\n"
+      "  <!ELEMENT state (#PCDATA)>\n"
+      "]>\n"
+      "<shop><item><name>texas boots</name>"
+      "<state>texas</state></item><item>"
+      "<name>ohio boots</name><state>ohio</state>"
+      "</item></shop>";
+  auto parsed = ParseXml(with_dtd);
+  ASSERT_TRUE(parsed.ok() && (*parsed)->has_dtd());
   XmlCorpus memory;
-  ASSERT_TRUE(memory
-                  .AddDocument("a",
-                               "<!DOCTYPE shop [\n"
-                               "  <!ELEMENT shop (item*)>\n"
-                               "  <!ELEMENT item (name, state)>\n"
-                               "  <!ELEMENT name (#PCDATA)>\n"
-                               "  <!ELEMENT state (#PCDATA)>\n"
-                               "]>\n"
-                               "<shop><item><name>texas boots</name>"
-                               "<state>texas</state></item><item>"
-                               "<name>ohio boots</name><state>ohio</state>"
-                               "</item></shop>")
-                  .ok());
-  ASSERT_NE(memory.Find("a")->dtd(), nullptr);
+  ASSERT_TRUE(memory.AddDocument("a", with_dtd).ok());
   ASSERT_TRUE(memory
                   .AddDocument("b",
                                "<s><i><n>texas hats</n></i>"

@@ -10,6 +10,7 @@
 #include "datagen/workload.h"
 #include "search/search_engine.h"
 #include "snippet/snippet_service.h"
+#include "xml/parser.h"
 
 namespace extract {
 namespace {
@@ -97,12 +98,12 @@ TEST(RetailerDatasetTest, DeterministicForSeed) {
 TEST(RetailerDatasetTest, DtdToggle) {
   RetailerDatasetOptions options;
   options.include_dtd = false;
-  auto db = XmlDatabase::Load(GenerateRetailerXml(options));
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->dtd(), nullptr);
-  auto with = XmlDatabase::Load(GenerateRetailerXml());
+  auto without = ParseXml(GenerateRetailerXml(options));
+  ASSERT_TRUE(without.ok());
+  EXPECT_FALSE((*without)->has_dtd());
+  auto with = ParseXml(GenerateRetailerXml());
   ASSERT_TRUE(with.ok());
-  EXPECT_NE(with->dtd(), nullptr);
+  EXPECT_TRUE((*with)->has_dtd());
 }
 
 TEST(StoresDatasetTest, DemoStoresPresent) {

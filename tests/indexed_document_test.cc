@@ -82,14 +82,6 @@ TEST(IndexedDocumentTest, SoleTextChild) {
   EXPECT_EQ(doc.sole_text_child(d), kInvalidNode);    // two children
 }
 
-TEST(IndexedDocumentTest, DeweyIdsFollowStructure) {
-  IndexedDocument doc = MustBuild("<a><b>t</b><c/></a>");
-  EXPECT_EQ(DeweyToString(doc.dewey(0)), "ε");
-  EXPECT_EQ(DeweyToString(doc.dewey(1)), "0");
-  EXPECT_EQ(DeweyToString(doc.dewey(2)), "0.0");
-  EXPECT_EQ(DeweyToString(doc.dewey(3)), "1");
-}
-
 TEST(IndexedDocumentTest, LowestCommonAncestor) {
   IndexedDocument doc = MustBuild("<a><b><x>1</x><y>2</y></b><c>3</c></a>");
   NodeId x_text = 3, y_text = 5, c_text = 7;
@@ -162,12 +154,6 @@ TEST_P(IndexedDocumentProperty, StructuralInvariants) {
     }
     // Children are exactly the nodes whose parent is n.
     for (NodeId c : doc.children(n)) EXPECT_EQ(doc.parent(c), n);
-    // Dewey depth equals tree depth.
-    EXPECT_EQ(doc.dewey(n).size(), doc.depth(n));
-    // Dewey order is document order for the next node.
-    if (n + 1 < static_cast<NodeId>(doc.num_nodes())) {
-      EXPECT_LT(CompareDewey(doc.dewey(n), doc.dewey(n + 1)), 0);
-    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "datagen/retailer_dataset.h"
 #include "search/result_builder.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace extract {
@@ -24,12 +25,21 @@ TEST(QueryTest, ParseEmpty) {
 }
 
 TEST(XmlDatabaseTest, LoadBuildsAllIndexes) {
-  auto db = XmlDatabase::Load(GenerateRetailerXml());
+  const std::string xml = GenerateRetailerXml();
+  auto db = XmlDatabase::Load(xml);
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_GT(db->index().num_nodes(), 1000u);
-  EXPECT_NE(db->dtd(), nullptr);
   EXPECT_GT(db->inverted().vocabulary_size(), 10u);
   EXPECT_FALSE(db->classification().entity_labels().empty());
+  // The classification is the one the document's DTD gives.
+  auto parsed = ParseXml(xml);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE((*parsed)->has_dtd());
+  const NodeClassification with_dtd =
+      NodeClassification::Classify(db->index(), &(*parsed)->dtd());
+  for (NodeId n = 0; n < static_cast<NodeId>(db->index().num_nodes()); ++n) {
+    ASSERT_EQ(db->classification().category(n), with_dtd.category(n)) << n;
+  }
 }
 
 TEST(XmlDatabaseTest, LoadRejectsMalformed) {

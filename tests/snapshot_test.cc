@@ -15,11 +15,13 @@
 #include "datagen/retailer_dataset.h"
 #include "search/corpus_snapshot.h"
 #include "snippet/snippet_service.h"
+#include "snippet/snippet_tree.h"
+#include "xml/serializer.h"
 
 namespace extract {
 namespace {
 
-/// Payload blobs start right after the fixed-size v2 header.
+/// Payload blobs start right after the fixed-size header.
 constexpr size_t kHeaderBytes = 96;
 
 std::string TempPath(const std::string& name) {
@@ -68,6 +70,12 @@ Result<std::shared_ptr<const XmlDatabase>> RoundTrip(const XmlDatabase& db,
   return restored;
 }
 
+/// A snippet's served bytes: its tree, its coverage and its XML.
+std::string Render(const Snippet& snippet) {
+  return RenderSnippet(snippet) + RenderCoverage(snippet) +
+         (snippet.tree != nullptr ? WriteXml(*snippet.tree) : std::string());
+}
+
 /// Saves a tiny document, applies `mutate` to the image bytes and loads the
 /// result.
 template <typename Mutate>
@@ -99,7 +107,6 @@ TEST(SnapshotTest, RoundTripPreservesDocument) {
     EXPECT_EQ(a.kind(n), b.kind(n));
     EXPECT_EQ(a.depth(n), b.depth(n));
     EXPECT_EQ(a.subtree_end(n), b.subtree_end(n));
-    EXPECT_EQ(CompareDewey(a.dewey(n), b.dewey(n)), 0);
     if (a.is_element(n)) {
       EXPECT_EQ(a.label_name(n), b.label_name(n));
     } else {
@@ -108,32 +115,90 @@ TEST(SnapshotTest, RoundTripPreservesDocument) {
   }
 }
 
-TEST(SnapshotTest, RoundTripPreservesDtdAndClassification) {
+TEST(SnapshotTest, RoundTripPreservesClassification) {
   auto db = XmlDatabase::Load(GenerateRetailerXml());
   ASSERT_TRUE(db.ok());
-  auto restored = RoundTrip(*db, "snapshot_dtd.xcsn");
+  auto restored = RoundTrip(*db, "snapshot_classification.xcsn");
   ASSERT_TRUE(restored.ok()) << restored.status();
   const XmlDatabase& r = **restored;
-  ASSERT_NE(r.dtd(), nullptr);
-  EXPECT_EQ(r.dtd()->root_name(), "retailers");
-  EXPECT_TRUE(r.dtd()->IsStarChild("retailers", "retailer"));
-  // Derived structures restored identically: same entity labels & counts.
-  EXPECT_EQ(db->classification().entity_labels().size(),
-            r.classification().entity_labels().size());
-  EXPECT_EQ(db->classification().CountCategory(NodeCategory::kEntity),
-            r.classification().CountCategory(NodeCategory::kEntity));
+  for (NodeId n = 0; n < static_cast<NodeId>(db->index().num_nodes()); ++n) {
+    ASSERT_EQ(db->classification().category(n), r.classification().category(n))
+        << n;
+  }
+  EXPECT_EQ(db->classification().entity_labels(),
+            r.classification().entity_labels());
   EXPECT_EQ(db->inverted().vocabulary_size(), r.inverted().vocabulary_size());
   EXPECT_EQ(db->inverted().total_postings(), r.inverted().total_postings());
 }
 
-TEST(SnapshotTest, NoDtdRoundTrip) {
-  RetailerDatasetOptions options;
-  options.include_dtd = false;
-  auto db = XmlDatabase::Load(GenerateRetailerXml(options));
-  ASSERT_TRUE(db.ok());
-  auto restored = RoundTrip(*db, "snapshot_nodtd.xcsn");
+// A lone <store> is an entity only because the DTD declares store* (data
+// inference sees one instance). The image stores no DTD, so the faulted-in
+// document must carry that decision in its classification and serve the
+// snippets of its in-memory twin.
+TEST(SnapshotTest, DtdClassificationSurvivesWithoutTheDtd) {
+  constexpr std::string_view kXml = R"(<!DOCTYPE retailers [
+  <!ELEMENT retailers (retailer*)>
+  <!ELEMENT retailer (name, product, store*)>
+  <!ELEMENT store (name, state, city, merchandises)>
+  <!ELEMENT merchandises (clothes*)>
+  <!ELEMENT clothes (fitting, category)>
+  <!ELEMENT name (#PCDATA)> <!ELEMENT product (#PCDATA)>
+  <!ELEMENT state (#PCDATA)> <!ELEMENT city (#PCDATA)>
+  <!ELEMENT fitting (#PCDATA)> <!ELEMENT category (#PCDATA)>
+]>
+<retailers>
+  <retailer>
+    <name>Brook Brothers</name>
+    <product>apparel</product>
+    <store>
+      <name>Galleria</name><state>Texas</state><city>Houston</city>
+      <merchandises>
+        <clothes><fitting>man</fitting><category>suit</category></clothes>
+        <clothes><fitting>woman</fitting><category>skirt</category></clothes>
+      </merchandises>
+    </store>
+  </retailer>
+</retailers>)";
+  auto db = XmlDatabase::Load(kXml);
+  ASSERT_TRUE(db.ok()) << db.status();
+  LoadOptions inferred;
+  inferred.classify.use_dtd = false;
+  auto without_dtd = XmlDatabase::Load(kXml, inferred);
+  ASSERT_TRUE(without_dtd.ok()) << without_dtd.status();
+  auto restored = RoundTrip(*db, "snapshot_dtd_effect.xcsn");
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ((*restored)->dtd(), nullptr);
+
+  const NodeId store = [&] {
+    const IndexedDocument& doc = (*restored)->index();
+    for (NodeId n = 0; n < static_cast<NodeId>(doc.num_nodes()); ++n) {
+      if (doc.is_element(n) && doc.label_name(n) == "store") return n;
+    }
+    return kInvalidNode;
+  }();
+  ASSERT_NE(store, kInvalidNode);
+  EXPECT_FALSE(without_dtd->classification().IsEntity(store));
+  EXPECT_TRUE(db->classification().IsEntity(store));
+  EXPECT_TRUE((*restored)->classification().IsEntity(store));
+
+  XSeekEngine engine;
+  SnippetService memory_service(&*db);
+  SnippetService restored_service(restored->get());
+  for (const char* text : {"Texas suit", "Galleria", "apparel Houston"}) {
+    const Query query = Query::Parse(text);
+    auto memory_results = engine.Search(*db, query);
+    auto restored_results = engine.Search(**restored, query);
+    ASSERT_TRUE(memory_results.ok() && restored_results.ok()) << text;
+    ASSERT_EQ(memory_results->size(), restored_results->size()) << text;
+    ASSERT_FALSE(memory_results->empty()) << text;
+    for (size_t i = 0; i < memory_results->size(); ++i) {
+      auto a = memory_service.Generate(query, (*memory_results)[i],
+                                       SnippetOptions{});
+      auto b = restored_service.Generate(query, (*restored_results)[i],
+                                         SnippetOptions{});
+      ASSERT_TRUE(a.ok() && b.ok()) << text;
+      EXPECT_EQ(Render(*a), Render(*b)) << text;
+    }
+  }
 }
 
 TEST(SnapshotTest, SearchAndSnippetsIdenticalAfterReload) {
@@ -214,13 +279,6 @@ TEST(SnapshotTest, FileRoundTrip) {
 TEST(SnapshotTest, MissingFileIsNotFound) {
   EXPECT_EQ(LoadOne("/nonexistent/path.xcsn").status().code(),
             StatusCode::kNotFound);
-}
-
-TEST(FnvTest, KnownValues) {
-  // FNV-1a 64 test vectors.
-  EXPECT_EQ(snapshot_internal::Fnv1a(""), 0xCBF29CE484222325ULL);
-  EXPECT_EQ(snapshot_internal::Fnv1a("a"), 0xAF63DC4C8601EC8CULL);
-  EXPECT_NE(snapshot_internal::Fnv1a("ab"), snapshot_internal::Fnv1a("ba"));
 }
 
 TEST(FromFlatColumnsTest, RejectsInconsistentColumns) {
