@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -220,7 +221,14 @@ void CmdQuery(ShellState* state, const std::string& text) {
 // session context memoizes every per-query scan, so this re-runs only
 // instance selection + materialization — no re-search, no re-analysis.
 void CmdBound(ShellState* state, const std::string& rest) {
-  state->bound = static_cast<size_t>(std::atoi(rest.c_str()));
+  const std::optional<size_t> bound = ParseDecimalSize(rest);
+  if (!bound.has_value()) {
+    std::printf("error: bound takes a non-negative number of edges, got '%s'"
+                " (bound stays %zu)\n",
+                rest.c_str(), state->bound);
+    return;
+  }
+  state->bound = *bound;
   std::printf("snippet size bound = %zu\n", state->bound);
   // Regenerate only when the live session is the one that produced
   // last_results — a failed or differently-targeted query in between must
@@ -383,13 +391,19 @@ void CmdStream(ShellState* state, const std::string& text) {
               static_cast<double>(search.first_result_ns) / 1e6);
 }
 
-void CmdResult(ShellState* state, size_t rank) {
+void CmdResult(ShellState* state, const std::string& rest) {
+  const std::optional<size_t> rank = ParseDecimalSize(rest);
+  if (!rank.has_value()) {
+    std::printf("error: result takes a rank (1, 2, ...), got '%s'\n",
+                rest.c_str());
+    return;
+  }
   const XmlDatabase* db = state->ActiveDb();
-  if (db == nullptr || rank == 0 || rank > state->last_results.size()) {
+  if (db == nullptr || *rank == 0 || *rank > state->last_results.size()) {
     std::printf("no such result\n");
     return;
   }
-  auto tree = MaterializeResult(*db, state->last_results[rank - 1]);
+  auto tree = MaterializeResult(*db, state->last_results[*rank - 1]);
   std::printf("%s\n", RenderXmlTree(*tree).c_str());
 }
 
@@ -644,7 +658,7 @@ int main() {
     } else if (command == "stream") {
       CmdStream(&state, rest);
     } else if (command == "result") {
-      CmdResult(&state, static_cast<size_t>(std::atoi(rest.c_str())));
+      CmdResult(&state, rest);
     } else if (command == "html") {
       CmdHtml(&state, rest);
     } else if (command == "save") {

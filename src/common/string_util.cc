@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 
 namespace extract {
 
@@ -97,6 +99,16 @@ std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
+}
+
+std::optional<size_t> ParseDecimalSize(std::string_view text) {
+  if (text.empty() || text.size() > 12 ||
+      !std::all_of(text.begin(), text.end(),
+                   [](unsigned char c) { return std::isdigit(c); })) {
+    return std::nullopt;
+  }
+  return static_cast<size_t>(std::strtoull(std::string(text).c_str(), nullptr,
+                                           10));
 }
 
 }  // namespace extract

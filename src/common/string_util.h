@@ -5,6 +5,8 @@
 #ifndef EXTRACT_COMMON_STRING_UTIL_H_
 #define EXTRACT_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +41,10 @@ bool ContainsToken(std::string_view text, std::string_view token);
 
 /// Renders a double with `digits` digits after the decimal point.
 std::string FormatDouble(double value, int digits);
+
+/// Strictly parses a non-negative decimal of at most 12 digits (no sign,
+/// no whitespace, nothing after the digits). nullopt on anything else.
+std::optional<size_t> ParseDecimalSize(std::string_view text);
 
 }  // namespace extract
 

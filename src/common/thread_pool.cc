@@ -117,16 +117,8 @@ void TaskGroup::Submit(std::function<void()> task) {
   }
   pool_->Submit([state = state_, task = std::move(task)] {
     if (!state->cancelled.load(std::memory_order_acquire)) task();
-    std::function<void()> drained;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->outstanding == 0) {
-        state->done_cv.notify_all();
-        drained = std::move(state->on_drained);
-        state->on_drained = nullptr;
-      }
-    }
-    if (drained) drained();
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (--state->outstanding == 0) state->done_cv.notify_all();
   });
 }
 
@@ -146,17 +138,6 @@ void TaskGroup::Wait() {
 size_t TaskGroup::outstanding() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->outstanding;
-}
-
-void TaskGroup::NotifyOnDrain(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    if (state_->outstanding > 0) {
-      state_->on_drained = std::move(fn);
-      return;
-    }
-  }
-  fn();  // already idle: notify on the caller's thread
 }
 
 ThreadPool& SharedThreadPool() {

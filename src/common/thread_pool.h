@@ -107,19 +107,12 @@ class TaskGroup {
   /// Tasks submitted but not yet finished/skipped.
   size_t outstanding() const;
 
-  /// Registers a one-shot callback invoked (on the thread finishing the
-  /// last task) when the group drains to zero outstanding tasks — the
-  /// non-blocking counterpart of Wait(). Invoked immediately when the group
-  /// is already idle. At most one callback is pending at a time.
-  void NotifyOnDrain(std::function<void()> fn);
-
  private:
   struct State {
     mutable std::mutex mu;
     std::condition_variable done_cv;
     size_t outstanding = 0;
     std::atomic<bool> cancelled{false};
-    std::function<void()> on_drained;  ///< one-shot; guarded by mu
   };
 
   ThreadPool* pool_;

@@ -1,10 +1,10 @@
 #include "http/query_endpoints.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <vector>
 
+#include "common/string_util.h"
 #include "http/json.h"
 #include "xml/serializer.h"
 
@@ -31,16 +31,6 @@ int HttpStatusFor(const Status& status) {
     default:
       return 500;
   }
-}
-
-/// Strictly parses a non-negative decimal parameter. nullopt on garbage.
-std::optional<size_t> ParseSizeParam(const std::string& value) {
-  if (value.empty() || value.size() > 12 ||
-      !std::all_of(value.begin(), value.end(),
-                   [](unsigned char c) { return std::isdigit(c); })) {
-    return std::nullopt;
-  }
-  return static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
 }
 
 void AppendStreamStatsJson(const StreamStats& stats, JsonBuilder& json) {
@@ -194,7 +184,7 @@ void QueryService::HandleQuery(const HttpRequest& request,
 
   size_t page_size = options_.default_page_size;
   if (const std::string* raw = request.FindParam("page_size")) {
-    auto parsed = ParseSizeParam(*raw);
+    auto parsed = ParseDecimalSize(*raw);
     if (!parsed.has_value() || *parsed == 0) {
       writer.SendError(400, Status::InvalidArgument(
                                 "bad page_size: '" + *raw + "'"));
@@ -207,7 +197,7 @@ void QueryService::HandleQuery(const HttpRequest& request,
   // (0 = none). The budget covers admission waiting AND serving.
   std::chrono::milliseconds deadline_ms = options_.default_deadline;
   if (const std::string* raw = request.FindParam("deadline_ms")) {
-    auto parsed = ParseSizeParam(*raw);
+    auto parsed = ParseDecimalSize(*raw);
     if (!parsed.has_value() || *parsed == 0) {
       writer.SendError(400, Status::InvalidArgument(
                                 "bad deadline_ms: '" + *raw + "'"));
@@ -249,7 +239,7 @@ void QueryService::HandleQuery(const HttpRequest& request,
   // default. 0 is rejected (use absence for "unlimited").
   QueryBudget budget = options_.serving.budget;
   if (const std::string* raw = request.FindParam("max_nodes")) {
-    auto parsed = ParseSizeParam(*raw);
+    auto parsed = ParseDecimalSize(*raw);
     if (!parsed.has_value() || *parsed == 0) {
       writer.SendError(400, Status::InvalidArgument(
                                 "bad max_nodes: '" + *raw + "'"));
@@ -258,7 +248,7 @@ void QueryService::HandleQuery(const HttpRequest& request,
     budget.max_node_visits = *parsed;
   }
   if (const std::string* raw = request.FindParam("max_bytes")) {
-    auto parsed = ParseSizeParam(*raw);
+    auto parsed = ParseDecimalSize(*raw);
     if (!parsed.has_value() || *parsed == 0) {
       writer.SendError(400, Status::InvalidArgument(
                                 "bad max_bytes: '" + *raw + "'"));

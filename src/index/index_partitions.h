@@ -5,8 +5,8 @@
 // IndexPartitions splits the pre-order node range [0, num_nodes) of one
 // IndexedDocument into contiguous partitions at load time, so the
 // single-document hot paths — SLCA posting traversal, the snippet
-// statistics / entity / key / instance scans — can fan each partition out as
-// one ParallelFor index and merge at partition boundaries.
+// statistics / entity / instance scans — can fan each partition out as one
+// ParallelFor index and merge at partition boundaries.
 //
 // Partitions are pure intervals over NodeIds. They deliberately do NOT
 // align to subtree boundaries: a query result or an SLCA witness may

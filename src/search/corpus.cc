@@ -795,13 +795,6 @@ const XmlDatabase* XmlCorpus::Find(std::string_view name) const {
   return doc.ok() ? doc->db->get() : nullptr;
 }
 
-std::shared_ptr<const XmlDatabase> XmlCorpus::FindShared(
-    std::string_view name) const {
-  CorpusPin pin = PinView();
-  Result<ResolvedDocument> doc = pin->Resolve(name);
-  return doc.ok() ? *doc->db : nullptr;
-}
-
 std::vector<std::string> XmlCorpus::DocumentNames() const {
   CorpusPin pin = PinView();
   const std::vector<CorpusView::DocEntry> entries = pin->VisibleDocs();

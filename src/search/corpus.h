@@ -394,13 +394,9 @@ class XmlCorpus {
   /// The database registered under `name` in the CURRENT view, or nullptr.
   /// The raw pointer is kept alive only by the current view — a removal
   /// publishing a new epoch can free it once every pin drains. Callers
-  /// that outlive one statement should hold a pin (PinView) or a shared
-  /// reference (FindShared) instead.
+  /// that outlive one statement should hold a pin (PinView) and resolve
+  /// through it instead.
   const XmlDatabase* Find(std::string_view name) const;
-
-  /// Like Find, but the returned reference keeps the database alive on its
-  /// own, independent of epochs.
-  std::shared_ptr<const XmlDatabase> FindShared(std::string_view name) const;
 
   /// Registered names in the current view, sorted.
   std::vector<std::string> DocumentNames() const;

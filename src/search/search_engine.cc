@@ -173,32 +173,88 @@ class BlockingResultProducer : public ResultProducer {
   uint64_t score_ns_ = 0;
 };
 
-/// XSeek's incremental producer: one SlcaEnumerator chunk per Pull, with
-/// Search's scoping / two-pass dedup / match attachment / max_results
-/// truncation replayed as a streaming state machine. Both dedup passes are
-/// single-pass with one-element lookbehind in Search, so carrying that
-/// lookbehind across chunks reproduces the batch output exactly.
+/// The posting lists of a query's keywords under the database's analyzer:
+/// one list per keyword that survives analysis, with that keyword's index.
+/// Stopword keywords are dropped (standard IR behaviour). Empty `lists`
+/// means the result set is empty: every keyword was a stopword, or some
+/// keyword matches nothing.
+struct KeywordLists {
+  std::vector<const PostingList*> lists;
+  std::vector<size_t> keyword_of_list;
+};
+
+Result<KeywordLists> LookupKeywords(const XmlDatabase& db,
+                                    const Query& query) {
+  if (query.keywords.empty()) {
+    return Status::InvalidArgument("query has no keywords");
+  }
+  KeywordLists out;
+  out.lists.reserve(query.keywords.size());
+  for (size_t k = 0; k < query.keywords.size(); ++k) {
+    std::string analyzed = db.analyzer().AnalyzeToken(query.keywords[k]);
+    if (analyzed.empty()) continue;  // stopword
+    const PostingList* list = db.inverted().Find(analyzed);
+    if (list == nullptr || list->empty()) return KeywordLists{};
+    out.lists.push_back(list);
+    out.keyword_of_list.push_back(k);
+  }
+  return out;
+}
+
+/// Drops the roots that repeat an earlier result: SLCAs arrive in document
+/// order, two of them can share a master entity, and a later one can map
+/// into an earlier, larger master subtree. A root is kept only when it lies
+/// outside the last kept root, which collapses adjacent equal roots and
+/// drops roots inside the last kept one in a single one-element lookbehind
+/// — so a stream of chunks keeps exactly what one pass over all SLCAs does.
+class RootDedup {
+ public:
+  bool Keep(const IndexedDocument& doc, NodeId root) {
+    if (last_ != kInvalidNode && doc.IsAncestorOrSelf(last_, root)) {
+      return false;
+    }
+    last_ = root;
+    return true;
+  }
+
+ private:
+  NodeId last_ = kInvalidNode;
+};
+
+/// Fills `result.matches` with each keyword's postings inside the result
+/// subtree; a dropped stopword keyword keeps an empty list.
+void AttachMatches(const IndexedDocument& doc, const Query& query,
+                   const KeywordLists& keywords, QueryResult& result) {
+  const NodeId begin = result.root;
+  const NodeId end = doc.subtree_end(result.root);
+  result.matches.resize(query.keywords.size());
+  for (size_t i = 0; i < keywords.lists.size(); ++i) {
+    const std::vector<NodeId>& nodes = keywords.lists[i]->nodes;
+    auto lo = std::lower_bound(nodes.begin(), nodes.end(), begin);
+    auto hi = std::lower_bound(nodes.begin(), nodes.end(), end);
+    result.matches[keywords.keyword_of_list[i]].assign(lo, hi);
+  }
+}
+
+/// XSeek's incremental producer: one SlcaEnumerator chunk per Pull, each
+/// SLCA scoped, deduplicated and given its matches by the same steps as
+/// Search, then scored.
 class XSeekResultProducer : public ResultProducer {
  public:
   XSeekResultProducer(const XmlDatabase* db, const Query* query,
-                      const RankingOptions* ranking,
-                      const SearchOptions& options,
-                      std::vector<const PostingList*> lists,
-                      std::vector<size_t> keyword_of_list)
+                      const RankingOptions* ranking, KeywordLists keywords)
       : db_(db),
         query_(query),
         ranking_(ranking),
-        options_(options),
-        lists_(std::move(lists)),
-        keyword_of_list_(std::move(keyword_of_list)),
-        enumerator_(db->index(), lists_, db->partitions()) {
+        keywords_(std::move(keywords)),
+        enumerator_(db->index(), keywords_.lists, db->partitions()) {
     // Frequency envelope for the score bound: per-keyword whole-list sizes.
     // A future result can span up to the whole document, so a tighter
     // per-chunk envelope would be unsound; the depth cap (which the
     // enumerator does shrink as it scans) carries the tightening.
     max_matches_.assign(query->keywords.size(), 0);
-    for (size_t i = 0; i < lists_.size(); ++i) {
-      max_matches_[keyword_of_list_[i]] = lists_[i]->size();
+    for (size_t i = 0; i < keywords_.lists.size(); ++i) {
+      max_matches_[keywords_.keyword_of_list[i]] = keywords_.lists[i]->size();
     }
   }
 
@@ -212,49 +268,20 @@ class XSeekResultProducer : public ResultProducer {
     const auto score_start = std::chrono::steady_clock::now();
     for (NodeId slca : slcas) {
       const NodeId root =
-          options_.scope == ResultScope::kMasterEntity
-              ? MasterEntityOf(db_->index(), db_->classification(), slca)
-              : slca;
-      // Pass 1 of Search's dedup: adjacent same-root collapse.
-      if (have_adjacent_ && adjacent_root_ == root) continue;
-      adjacent_root_ = root;
-      have_adjacent_ = true;
-      // Pass 2: drop roots equal to or contained in the last kept root.
-      if (have_kept_ &&
-          (kept_root_ == root ||
-           db_->index().IsAncestorOrSelf(kept_root_, root))) {
-        continue;
-      }
-      kept_root_ = root;
-      have_kept_ = true;
-
+          MasterEntityOf(db_->index(), db_->classification(), slca);
+      if (!dedup_.Keep(db_->index(), root)) continue;
       QueryResult result;
       result.root = root;
       result.slca = slca;
-      result.matches.resize(query_->keywords.size());
-      const NodeId begin = root;
-      const NodeId end = db_->index().subtree_end(root);
-      for (size_t i = 0; i < lists_.size(); ++i) {
-        const std::vector<NodeId>& nodes = lists_[i]->nodes;
-        auto lo = std::lower_bound(nodes.begin(), nodes.end(), begin);
-        auto hi = std::lower_bound(nodes.begin(), nodes.end(), end);
-        result.matches[keyword_of_list_[i]].assign(lo, hi);
-      }
+      AttachMatches(db_->index(), *query_, keywords_, result);
       const double score = ScoreResult(*db_, result, *ranking_);
       out->push_back(RankedResult{std::move(result), score});
-      ++emitted_;
-      if (options_.max_results > 0 && emitted_ >= options_.max_results) {
-        truncated_ = true;  // Search resizes to max_results; stop here too
-        break;
-      }
     }
     score_ns_ += NsSince(score_start);
     return Status::OK();
   }
 
-  bool Exhausted() const override {
-    return truncated_ || enumerator_.exhausted();
-  }
+  bool Exhausted() const override { return enumerator_.exhausted(); }
 
   double ScoreUpperBound() const override {
     if (Exhausted()) return -std::numeric_limits<double>::infinity();
@@ -273,18 +300,10 @@ class XSeekResultProducer : public ResultProducer {
   const XmlDatabase* db_;
   const Query* query_;
   const RankingOptions* ranking_;
-  SearchOptions options_;
-  std::vector<const PostingList*> lists_;
-  std::vector<size_t> keyword_of_list_;
+  KeywordLists keywords_;
   SlcaEnumerator enumerator_;
   std::vector<size_t> max_matches_;
-
-  bool have_adjacent_ = false;
-  NodeId adjacent_root_ = kInvalidNode;
-  bool have_kept_ = false;
-  NodeId kept_root_ = kInvalidNode;
-  size_t emitted_ = 0;
-  bool truncated_ = false;
+  RootDedup dedup_;
   uint64_t enumerate_ns_ = 0;
   uint64_t score_ns_ = 0;
 };
@@ -331,9 +350,6 @@ double XSeekEngine::DocumentScoreBound(
     max_depth = std::min(max_depth, stats.max_depth);
     min_edges = std::max<size_t>(min_edges, stats.min_entity_edges);
   }
-  // An SLCA-scoped root can sit below its postings' master entities, so
-  // only master-entity scope earns the compactness floor.
-  if (options_.scope != ResultScope::kMasterEntity) min_edges = 0;
   return ScoreUpperBound(ranking, max_depth, counts, min_edges);
 }
 
@@ -347,57 +363,21 @@ Result<std::unique_ptr<ResultProducer>> SearchEngine::OpenIncremental(
 Result<std::unique_ptr<ResultProducer>> XSeekEngine::OpenIncremental(
     const XmlDatabase& db, const Query& query, const RankingOptions& ranking,
     size_t /*top_k_hint*/) const {
-  // Keyword analysis mirrors Search exactly, so the open-time error and
-  // empty-result shapes match the blocking path's.
-  if (query.keywords.empty()) {
-    return Status::InvalidArgument("query has no keywords");
-  }
-  std::vector<const PostingList*> lists;
-  std::vector<size_t> keyword_of_list;
-  lists.reserve(query.keywords.size());
-  for (size_t k = 0; k < query.keywords.size(); ++k) {
-    std::string analyzed = db.analyzer().AnalyzeToken(query.keywords[k]);
-    if (analyzed.empty()) continue;  // stopword
-    const PostingList* list = db.inverted().Find(analyzed);
-    if (list == nullptr || list->empty()) {
-      return std::unique_ptr<ResultProducer>(new EmptyResultProducer());
-    }
-    lists.push_back(list);
-    keyword_of_list.push_back(k);
-  }
-  if (lists.empty()) {
+  KeywordLists keywords;
+  EXTRACT_ASSIGN_OR_RETURN(keywords, LookupKeywords(db, query));
+  if (keywords.lists.empty()) {
     return std::unique_ptr<ResultProducer>(new EmptyResultProducer());
   }
   return std::unique_ptr<ResultProducer>(new XSeekResultProducer(
-      &db, &query, &ranking, options_, std::move(lists),
-      std::move(keyword_of_list)));
+      &db, &query, &ranking, std::move(keywords)));
 }
 
 Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
                                                      const Query& query) const {
   EXTRACT_INJECT_FAULT("search.execute");
-  if (query.keywords.empty()) {
-    return Status::InvalidArgument("query has no keywords");
-  }
-  // Analyze keywords with the database's analyzer. Stopword keywords are
-  // dropped (standard IR behaviour); a keyword that survives analysis but
-  // matches nothing makes the result set empty.
-  std::vector<const PostingList*> lists;
-  std::vector<size_t> keyword_of_list;  // original keyword index per list
-  lists.reserve(query.keywords.size());
-  for (size_t k = 0; k < query.keywords.size(); ++k) {
-    std::string analyzed = db.analyzer().AnalyzeToken(query.keywords[k]);
-    if (analyzed.empty()) continue;  // stopword
-    const PostingList* list = db.inverted().Find(analyzed);
-    if (list == nullptr || list->empty()) {
-      return std::vector<QueryResult>{};  // some keyword matches nothing
-    }
-    lists.push_back(list);
-    keyword_of_list.push_back(k);
-  }
-  if (lists.empty()) {
-    return std::vector<QueryResult>{};  // all keywords were stopwords
-  }
+  KeywordLists keywords;
+  EXTRACT_ASSIGN_OR_RETURN(keywords, LookupKeywords(db, query));
+  if (keywords.lists.empty()) return std::vector<QueryResult>{};
 
   // Intra-document partition parallelism: on when the document was loaded
   // with more than one partition and the options allow it. Every parallel
@@ -407,70 +387,40 @@ Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
       db.partitions().count() > 1 && options_.partition_threads != 1;
 
   std::vector<NodeId> slcas =
-      partitioned
-          ? ComputeSlcaIndexedLookupEagerPartitioned(
-                db.index(), lists, db.partitions(), options_.partition_threads)
-          : ComputeSlcaIndexedLookupEager(db.index(), lists);
+      partitioned ? ComputeSlcaIndexedLookupEagerPartitioned(
+                        db.index(), keywords.lists, db.partitions(),
+                        options_.partition_threads)
+                  : ComputeSlcaIndexedLookupEager(db.index(), keywords.lists);
 
-  // Scope each SLCA to its result root; collapse results that share a root
-  // (two SLCAs can live under one master entity). The per-SLCA ancestor
-  // walks are independent, so the partitioned path precomputes them in
-  // parallel; the dedup scan stays sequential (it is order-dependent and
-  // linear).
+  // Scope each SLCA to its master entity. The ancestor walks are
+  // independent, so the partitioned path runs them in parallel; the dedup
+  // scan stays sequential (it is order-dependent and linear).
   std::vector<NodeId> roots(slcas.size());
-  if (options_.scope == ResultScope::kMasterEntity) {
-    if (partitioned) {
-      ParallelForChunked(slcas.size(), options_.partition_threads,
-                         [&](size_t begin, size_t end) {
-                           for (size_t i = begin; i < end; ++i) {
-                             roots[i] = MasterEntityOf(
-                                 db.index(), db.classification(), slcas[i]);
-                           }
-                         });
-    } else {
-      for (size_t i = 0; i < slcas.size(); ++i) {
-        roots[i] = MasterEntityOf(db.index(), db.classification(), slcas[i]);
-      }
+  auto scope_roots = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      roots[i] = MasterEntityOf(db.index(), db.classification(), slcas[i]);
     }
+  };
+  if (partitioned) {
+    ParallelForChunked(slcas.size(), options_.partition_threads, scope_roots);
   } else {
-    roots.assign(slcas.begin(), slcas.end());
+    scope_roots(0, slcas.size());
   }
   std::vector<QueryResult> results;
+  RootDedup dedup;
   for (size_t i = 0; i < slcas.size(); ++i) {
-    if (!results.empty() && results.back().root == roots[i]) continue;
+    if (!dedup.Keep(db.index(), roots[i])) continue;
     QueryResult result;
     result.root = roots[i];
     result.slca = slcas[i];
     results.push_back(std::move(result));
   }
-  // Deduplicate non-adjacent repeats (possible when master entities repeat
-  // out of order — they cannot, since slcas are in document order, but a
-  // later SLCA can map into an earlier, larger master subtree).
-  std::vector<QueryResult> dedup;
-  for (auto& r : results) {
-    if (!dedup.empty() && (dedup.back().root == r.root ||
-                           db.index().IsAncestorOrSelf(dedup.back().root, r.root))) {
-      continue;
-    }
-    dedup.push_back(std::move(r));
-  }
-  results = std::move(dedup);
 
-  // Attach per-keyword matches restricted to each result subtree (dropped
-  // stopword keywords keep empty match lists). Each result fills only its
-  // own slot, so the partitioned path copies match ranges in parallel.
-  auto attach_matches = [&](size_t begin_result, size_t end_result) {
-    for (size_t r = begin_result; r < end_result; ++r) {
-      QueryResult& result = results[r];
-      NodeId begin = result.root;
-      NodeId end = db.index().subtree_end(result.root);
-      result.matches.resize(query.keywords.size());
-      for (size_t i = 0; i < lists.size(); ++i) {
-        const std::vector<NodeId>& nodes = lists[i]->nodes;
-        auto lo = std::lower_bound(nodes.begin(), nodes.end(), begin);
-        auto hi = std::lower_bound(nodes.begin(), nodes.end(), end);
-        result.matches[keyword_of_list[i]].assign(lo, hi);
-      }
+  // Each result fills only its own slot, so the partitioned path copies
+  // match ranges in parallel.
+  auto attach_matches = [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      AttachMatches(db.index(), query, keywords, results[r]);
     }
   };
   if (partitioned) {
@@ -478,10 +428,6 @@ Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
                        attach_matches);
   } else {
     attach_matches(0, results.size());
-  }
-
-  if (options_.max_results > 0 && results.size() > options_.max_results) {
-    results.resize(options_.max_results);
   }
   return results;
 }

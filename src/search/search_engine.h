@@ -128,27 +128,15 @@ struct Query {
 /// it; the subtree is the pre-order interval [root, subtree_end(root)).
 struct QueryResult {
   NodeId root = kInvalidNode;
-  /// The SLCA node this result was derived from (== root in SLCA scope).
+  /// The SLCA node this result was derived from (XSeek's root is its
+  /// master entity, MasterEntityOf).
   NodeId slca = kInvalidNode;
   /// Element nodes matching each keyword, parallel to Query::keywords.
   std::vector<std::vector<NodeId>> matches;
 };
 
-/// How the XSeek-lite engine scopes each result subtree.
-enum class ResultScope {
-  /// The subtree rooted at the lowest entity ancestor-or-self of the SLCA
-  /// (the "master entity"): self-contained results, like XSeek's output for
-  /// the paper's examples.
-  kMasterEntity,
-  /// The subtree rooted exactly at the SLCA.
-  kSlcaSubtree,
-};
-
 /// Engine knobs.
 struct SearchOptions {
-  ResultScope scope = ResultScope::kMasterEntity;
-  /// Maximum number of results returned (0 = unlimited).
-  size_t max_results = 0;
   /// Intra-document parallelism across the database's index partitions:
   /// 0 = one thread per configured core, 1 = the sequential reference path.
   /// Only takes effect when the document was loaded with more than one
@@ -284,6 +272,11 @@ class SearchEngine {
 };
 
 /// \brief SLCA + master-entity search engine (XSeek-lite).
+///
+/// Each result is the subtree rooted at the lowest entity ancestor-or-self
+/// of an SLCA (its "master entity"): self-contained results, like XSeek's
+/// output for the paper's examples. SLCAs that map to the same root, or
+/// into the subtree of the previous kept root, yield no further result.
 class XSeekEngine : public SearchEngine {
  public:
   explicit XSeekEngine(SearchOptions options) : options_(options) {}
@@ -298,16 +291,16 @@ class XSeekEngine : public SearchEngine {
 
   /// ScoreUpperBound over the directory envelope: an SLCA lies at or above
   /// a posting of every keyword (depth <= the smallest per-keyword maximum),
-  /// a result holds at most every posting, and under kMasterEntity scope
-  /// its root is an ancestor-or-self of some posting's master entity of
-  /// every keyword (edges >= the largest per-keyword minimum).
+  /// a result holds at most every posting, and its root is an
+  /// ancestor-or-self of some posting's master entity of every keyword
+  /// (edges >= the largest per-keyword minimum).
   double DocumentScoreBound(
       const RankingOptions& ranking,
       std::span<const TermDocStats> keyword_stats) const override;
 
   /// \brief A genuinely incremental producer: chunked SLCA enumeration
-  /// (SlcaEnumerator) with the dedup/scoping/match-attachment of Search
-  /// applied as a streaming pass, so the emitted set equals Search's output
+  /// (SlcaEnumerator) fed through the same keyword lookup, root dedup and
+  /// match attachment as Search, so the emitted set equals Search's output
   /// while each Pull only scans one partition chunk of the driving posting
   /// list. The score bound combines the enumerator's remaining-depth cap
   /// with whole-list frequency envelopes (ScoreUpperBound).

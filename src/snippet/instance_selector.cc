@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "snippet/snippet_tree_set.h"
-#include "snippet/stage_stats.h"
 
 namespace extract {
 
@@ -135,28 +133,19 @@ std::vector<ItemInstances> FindItemInstancesPartitioned(
     const IndexedDocument& doc, const NodeClassification& classification,
     NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer,
     const std::vector<std::string>& analyzed_tokens,
-    const std::vector<NodeRange>& slices, size_t num_threads,
-    std::vector<uint64_t>* slice_elapsed_ns) {
+    const std::vector<NodeRange>& slices, size_t num_threads) {
   assert(analyzed_tokens.size() == ilist.size() &&
          "analyzed_tokens must be parallel to ilist.items()");
   if (slices.size() <= 1 || num_threads == 1) {
-    if (slice_elapsed_ns != nullptr) slice_elapsed_ns->clear();
     return FindItemInstances(doc, classification, result_root, ilist, analyzer,
                              analyzed_tokens);
-  }
-  if (slice_elapsed_ns != nullptr) {
-    slice_elapsed_ns->assign(slices.size(), 0);
   }
   std::vector<std::vector<ItemInstances>> partials(
       slices.size(), std::vector<ItemInstances>(ilist.size()));
   ParallelFor(slices.size(), num_threads, [&](size_t s) {
-    const auto slice_start = std::chrono::steady_clock::now();
     ScanInstanceRange(doc, classification, result_root, ilist, analyzer,
                       analyzed_tokens, slices[s].begin, slices[s].end,
                       partials[s]);
-    if (slice_elapsed_ns != nullptr) {
-      (*slice_elapsed_ns)[s] = ElapsedNsSince(slice_start);
-    }
   });
   // Slice order is document order, so per-item concatenation keeps every
   // instance list ascending — identical to the sequential scan.
@@ -173,117 +162,36 @@ std::vector<ItemInstances> FindItemInstancesPartitioned(
 Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
                                 const std::vector<ItemInstances>& instances,
                                 const SelectorOptions& options) {
-  return SelectInstancesGreedy(doc, result_root, instances, options, nullptr);
-}
-
-Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
-                                const std::vector<ItemInstances>& instances,
-                                const SelectorOptions& options,
-                                GreedyTrace* trace) {
-  const bool record = trace != nullptr && !options.stop_on_first_overflow;
-  const bool warm =
-      record && trace->valid && trace->items.size() == instances.size();
+  // One tree set per thread, reused across selections: Reset is O(1) via
+  // the epoch stamp, so a batch generating thousands of snippets allocates
+  // the membership array once per worker instead of once per result.
+  static thread_local SnippetTreeSet tree;
+  tree.Reset(doc, result_root);
 
   Selection selection;
   selection.covered.assign(instances.size(), false);
-
-  size_t i = 0;
-  if (warm) {
-    // The recorded run's tree is still standing inside the trace. Each
-    // recorded decision stays valid while every earlier decision is
-    // unchanged (the tree then evolves identically, and edges_before is
-    // everything the accept test reads), so find the first item whose
-    // decision flips under the new budget without touching the tree.
-    size_t flip = instances.size();
-    for (size_t j = 0; j < instances.size(); ++j) {
-      const GreedyTrace::Item& item = trace->items[j];
-      const bool accept =
-          item.best_cost != SIZE_MAX &&
-          item.edges_before + item.best_cost <= options.size_bound;
-      if (accept != item.accepted) {
-        flip = j;
-        break;
-      }
-    }
-    if (flip == instances.size()) {
-      // No decision changes: the previous selection IS this budget's
-      // selection, and the standing tree already matches it.
-      return trace->selection;
-    }
-    // Roll the standing tree back to just before the flipped item instead
-    // of recommitting the whole accepted prefix. The flipped entry's
-    // recorded cheapest path is still what fresh scans would find (its
-    // tree prefix matched) — apply the new decision with it, then scan
-    // from the next item on, since later entries recorded a tree this run
-    // no longer builds.
-    for (size_t j = 0; j < flip; ++j) {
-      selection.covered[j] = trace->items[j].accepted;
-    }
-    trace->tree.RollbackTo(trace->items[flip].mark);
-    GreedyTrace::Item& item = trace->items[flip];
-    const bool accept = item.best_cost != SIZE_MAX &&
-                        item.edges_before + item.best_cost <= options.size_bound;
-    if (accept) {
-      trace->tree.Commit(item.best_path);
-      selection.covered[flip] = true;
-    }
-    item.accepted = accept;
-    i = flip + 1;
-  } else if (record) {
-    trace->valid = false;
-    trace->items.assign(instances.size(), GreedyTrace::Item{});
-    trace->tree.Reset(doc, result_root);
-  }
-
-  // Recorded runs build into the trace-owned tree so the next re-selection
-  // can resume from it; cold runs share one tree set per thread, reused
-  // across selections (Reset is O(1) via the epoch stamp, so a batch
-  // generating thousands of snippets allocates the membership array once
-  // per worker instead of once per result).
-  static thread_local SnippetTreeSet scratch_tree;
-  SnippetTreeSet* tree;
-  if (record) {
-    tree = &trace->tree;
-  } else {
-    scratch_tree.Reset(doc, result_root);
-    tree = &scratch_tree;
-  }
-
   std::vector<NodeId> path;
   std::vector<NodeId> best_path;
-  for (; i < instances.size(); ++i) {
+  for (size_t i = 0; i < instances.size(); ++i) {
     size_t best_cost = SIZE_MAX;
     best_path.clear();
     for (NodeId inst : instances[i].nodes) {
-      size_t cost = tree->ConnectCost(inst, &path);
+      size_t cost = tree.ConnectCost(inst, &path);
       if (cost < best_cost) {  // ties: first in document order wins
         best_cost = cost;
         best_path = path;
         if (cost == 0) break;  // cannot do better
       }
     }
-    const size_t edges_before = tree->edges();
-    const size_t mark = tree->Mark();
-    bool accepted = false;
-    if (best_cost != SIZE_MAX) {  // items without instances are skipped
-      if (edges_before + best_cost <= options.size_bound) {
-        tree->Commit(best_path);
-        selection.covered[i] = true;
-        accepted = true;
-      } else if (options.stop_on_first_overflow) {
-        break;
-      }
-    }
-    if (record) {
-      trace->items[i] =
-          GreedyTrace::Item{best_cost, best_path, accepted, edges_before, mark};
+    if (best_cost == SIZE_MAX) continue;  // items without instances are skipped
+    if (tree.edges() + best_cost <= options.size_bound) {
+      tree.Commit(best_path);
+      selection.covered[i] = true;
+    } else if (options.stop_on_first_overflow) {
+      break;
     }
   }
-  selection.nodes = tree->SortedMembers();
-  if (record) {
-    trace->valid = true;
-    trace->selection = selection;
-  }
+  selection.nodes = tree.SortedMembers();
   return selection;
 }
 

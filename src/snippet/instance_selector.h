@@ -19,7 +19,6 @@
 
 #include "index/indexed_document.h"
 #include "snippet/ilist.h"
-#include "snippet/snippet_tree_set.h"
 
 namespace extract {
 
@@ -61,15 +60,12 @@ std::vector<ItemInstances> FindItemInstances(
 /// instance lists in slice order — which is document order, so the output
 /// is byte-identical to the sequential scan for every grid and thread
 /// count. Falls back to the sequential scan for a single slice or
-/// `num_threads == 1`. When `slice_elapsed_ns` is non-null it is resized
-/// to slices.size() and filled with each slice's scan wall time
-/// (per-partition attribution for the caller's stage stats).
+/// `num_threads == 1`.
 std::vector<ItemInstances> FindItemInstancesPartitioned(
     const IndexedDocument& doc, const NodeClassification& classification,
     NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer,
     const std::vector<std::string>& analyzed_tokens,
-    const std::vector<NodeRange>& slices, size_t num_threads,
-    std::vector<uint64_t>* slice_elapsed_ns);
+    const std::vector<NodeRange>& slices, size_t num_threads);
 
 /// Selection knobs.
 struct SelectorOptions {
@@ -105,63 +101,6 @@ struct Selection {
 Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
                                 const std::vector<ItemInstances>& instances,
                                 const SelectorOptions& options);
-
-/// \brief Memoized decision trace of one greedy run — the selector
-/// warm-start state.
-///
-/// Greedy's per-item choice (the cheapest instance and its connect path)
-/// depends only on the tree built so far, which in turn depends only on
-/// the accept/reject decisions of earlier items — never on the budget
-/// directly. A re-selection that differs only in
-/// SelectorOptions::size_bound (the shell regenerating a page at a new
-/// size) therefore resumes from the previous run's tree, which the trace
-/// keeps standing: a flip-scan over the recorded (edges_before, best_cost)
-/// pairs finds the first item whose accept decision changes under the new
-/// budget without touching the tree; the tree is rolled back to that
-/// item's mark and selection continues from there. When no decision flips
-/// the previous Selection is returned outright — zero tree work.
-struct GreedyTrace {
-  struct Item {
-    /// Marginal cost of the cheapest instance (SIZE_MAX: no instance).
-    size_t best_cost = SIZE_MAX;
-    /// Connect path of that instance (the nodes ConnectCost found missing
-    /// from the tree at decision time).
-    std::vector<NodeId> best_path;
-    /// The accept decision of the recorded run, under its budget.
-    bool accepted = false;
-    /// Tree edges just before this item's decision — everything the
-    /// accept test reads, so a new budget re-decides without the tree.
-    size_t edges_before = 0;
-    /// Tree undo-log mark just before this item's decision; the
-    /// RollbackTo target when this item is the first to flip.
-    size_t mark = 0;
-  };
-  std::vector<Item> items;
-  /// True once a run has been recorded.
-  bool valid = false;
-  /// The recorded run's snippet tree, left standing between selections so
-  /// a budget change rolls back to the first flipped decision instead of
-  /// recommitting the whole accepted prefix.
-  SnippetTreeSet tree;
-  /// The recorded run's result, returned as-is when no decision flips.
-  Selection selection;
-};
-
-/// \brief SelectInstancesGreedy with warm-start memoization: resumes from
-/// the tree `trace` left standing, rolling it back to the first item whose
-/// accept decision flips under `options`, scanning fresh only from there,
-/// and recording the run (tree included) back into the trace.
-/// Byte-identical output to the cold overload for every input.
-///
-/// `trace` must always describe the same (doc, result_root, instances)
-/// triple — key it like the instance scans (see
-/// SnippetContext::SelectorMemoFor) — and must not be used concurrently.
-/// options.stop_on_first_overflow forces a cold, unrecorded run (its early
-/// break truncates the trace); a null trace degrades to the cold overload.
-Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
-                                const std::vector<ItemInstances>& instances,
-                                const SelectorOptions& options,
-                                GreedyTrace* trace);
 
 /// \brief Exact maximum coverage by branch-and-bound (small inputs only —
 /// the problem is NP-hard; practical for ~12 items with a handful of

@@ -1,36 +1,6 @@
 #include "snippet/result_key.h"
 
-#include <atomic>
-#include <mutex>
-#include <optional>
-
-#include "common/thread_pool.h"
-
 namespace extract {
-
-namespace {
-
-// The key value carried by `instance` (first matching child in document
-// order), or nullopt. The shared matching unit of both scans.
-std::optional<ResultKeyInfo> KeyOfInstance(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    LabelId entity_label, LabelId key_attribute, NodeId instance) {
-  for (NodeId c : doc.children(instance)) {
-    if (!doc.is_element(c) || doc.label(c) != key_attribute) continue;
-    if (!classification.IsAttribute(c)) continue;
-    NodeId text = doc.sole_text_child(c);
-    if (text == kInvalidNode) continue;
-    ResultKeyInfo out;
-    out.entity_label = entity_label;
-    out.attribute_label = key_attribute;
-    out.value = doc.text(text);
-    out.value_node = text;
-    return out;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 ResultKeyInfo IdentifyResultKey(const IndexedDocument& doc,
                                 const NodeClassification& classification,
@@ -43,64 +13,20 @@ ResultKeyInfo IdentifyResultKey(const IndexedDocument& doc,
   if (!key_attribute.has_value()) return out;
 
   for (NodeId instance : return_entity.instances) {
-    auto found = KeyOfInstance(doc, classification, return_entity.label,
-                               *key_attribute, instance);
-    if (found.has_value()) return *found;
+    // The instance's first key-attribute child in document order.
+    for (NodeId c : doc.children(instance)) {
+      if (!doc.is_element(c) || doc.label(c) != *key_attribute) continue;
+      if (!classification.IsAttribute(c)) continue;
+      NodeId text = doc.sole_text_child(c);
+      if (text == kInvalidNode) continue;
+      out.entity_label = return_entity.label;
+      out.attribute_label = *key_attribute;
+      out.value = doc.text(text);
+      out.value_node = text;
+      return out;
+    }
   }
   return out;
-}
-
-ResultKeyInfo IdentifyResultKeyParallel(const IndexedDocument& doc,
-                                        const NodeClassification& classification,
-                                        const KeyIndex& keys,
-                                        const ReturnEntityInfo& return_entity,
-                                        NodeId result_root,
-                                        size_t num_threads) {
-  // Parallelism only pays when there are enough instances to amortize the
-  // fan-out; the common few-instance case takes the sequential early exit.
-  constexpr size_t kMinInstancesForParallel = 512;
-  if (!return_entity.found() ||
-      return_entity.instances.size() < kMinInstancesForParallel ||
-      num_threads == 1) {
-    return IdentifyResultKey(doc, classification, keys, return_entity,
-                             result_root);
-  }
-  auto key_attribute = keys.KeyAttributeOf(return_entity.label);
-  if (!key_attribute.has_value()) return ResultKeyInfo{};
-
-  // Each chunk scans its instances in order and stops at its first hit;
-  // the globally lowest hit index wins — the instance the sequential loop
-  // would have stopped at, so output is identical. `best_hint` propagates
-  // the lowest hit seen so far as a relaxed cancellation signal: chunks
-  // above a known hit bail out, restoring the sequential path's early exit
-  // (the common case — the first instance carries the key — scans one
-  // instance per chunk instead of all of them). The hint is only ever a
-  // work-saving bound; the winner is decided under the mutex.
-  const size_t n = return_entity.instances.size();
-  std::atomic<size_t> best_hint{n};
-  std::mutex mu;
-  size_t best_index = n;
-  ResultKeyInfo best;
-  ParallelForChunked(n, num_threads, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      if (best_hint.load(std::memory_order_relaxed) < i) return;
-      auto found =
-          KeyOfInstance(doc, classification, return_entity.label,
-                        *key_attribute, return_entity.instances[i]);
-      if (!found.has_value()) continue;
-      size_t seen = best_hint.load(std::memory_order_relaxed);
-      while (i < seen && !best_hint.compare_exchange_weak(
-                             seen, i, std::memory_order_relaxed)) {
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (i < best_index) {
-        best_index = i;
-        best = std::move(*found);
-      }
-      return;  // within a chunk the first hit is the lowest
-    }
-  });
-  return best_index < n ? best : ResultKeyInfo{};
 }
 
 }  // namespace extract

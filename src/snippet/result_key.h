@@ -28,25 +28,14 @@ struct ResultKeyInfo {
 ///
 /// Uses the mined key attribute of the return entity's label and reads its
 /// value off the first return-entity instance (document order) that carries
-/// it. Not found when the result has no return entity, the entity label has
-/// no mined key, or no instance in this result carries the key attribute.
+/// it; the scan stops there. Not found when the result has no return
+/// entity, the entity label has no mined key, or no instance in this result
+/// carries the key attribute.
 ResultKeyInfo IdentifyResultKey(const IndexedDocument& doc,
                                 const NodeClassification& classification,
                                 const KeyIndex& keys,
                                 const ReturnEntityInfo& return_entity,
                                 NodeId result_root);
-
-/// \brief Parallel variant for results with many return-entity instances:
-/// splits the instance list into contiguous chunks scanned concurrently,
-/// then keeps the hit of the lowest-indexed instance — the same "first in
-/// document order" the sequential scan stops at, so output is identical.
-/// `num_threads` as in ParallelFor; falls back to the sequential scan for
-/// small instance counts or num_threads == 1.
-ResultKeyInfo IdentifyResultKeyParallel(const IndexedDocument& doc,
-                                        const NodeClassification& classification,
-                                        const KeyIndex& keys,
-                                        const ReturnEntityInfo& return_entity,
-                                        NodeId result_root, size_t num_threads);
 
 }  // namespace extract
 

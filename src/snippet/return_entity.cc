@@ -1,12 +1,10 @@
 #include "snippet/return_entity.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "snippet/stage_stats.h"
 
 namespace extract {
 
@@ -130,23 +128,14 @@ ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
                                       const NodeClassification& classification,
                                       const Query& query, NodeId result_root,
                                       const std::vector<NodeRange>& slices,
-                                      size_t num_threads,
-                                      std::vector<uint64_t>* slice_elapsed_ns) {
+                                      size_t num_threads) {
   if (slices.size() <= 1 || num_threads == 1) {
-    if (slice_elapsed_ns != nullptr) slice_elapsed_ns->clear();
     return IdentifyReturnEntity(doc, classification, query, result_root);
-  }
-  if (slice_elapsed_ns != nullptr) {
-    slice_elapsed_ns->assign(slices.size(), 0);
   }
   std::vector<LabelScan> partials(slices.size());
   ParallelFor(slices.size(), num_threads, [&](size_t s) {
-    const auto slice_start = std::chrono::steady_clock::now();
     ScanRange(doc, classification, query, slices[s].begin, slices[s].end,
               partials[s]);
-    if (slice_elapsed_ns != nullptr) {
-      (*slice_elapsed_ns)[s] = ElapsedNsSince(slice_start);
-    }
   });
   LabelScan by_label = std::move(partials[0]);
   for (size_t s = 1; s < partials.size(); ++s) {

@@ -53,16 +53,12 @@ ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
 /// document order; depths take the min; evidence bits OR together).
 ///
 /// Byte-identical to the sequential scan for every grid and thread count.
-/// Falls back to it for a single slice or `num_threads == 1`. When
-/// `slice_elapsed_ns` is non-null it is resized to slices.size() and
-/// filled with each slice's scan wall time (per-partition attribution for
-/// the caller's stage stats).
+/// Falls back to it for a single slice or `num_threads == 1`.
 ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
                                       const NodeClassification& classification,
                                       const Query& query, NodeId result_root,
                                       const std::vector<NodeRange>& slices,
-                                      size_t num_threads,
-                                      std::vector<uint64_t>* slice_elapsed_ns);
+                                      size_t num_threads);
 
 }  // namespace extract
 

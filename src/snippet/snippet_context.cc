@@ -43,18 +43,6 @@ SnippetContext::SnippetContext(const XmlDatabase* db, Query query)
   }
 }
 
-void SnippetContext::RecordScan(const char* kind, uint64_t total_ns,
-                                const std::vector<uint64_t>& slice_ns) {
-  // Recorded after the parallel region joins, so the registry mutex and
-  // the name concatenations never sit inside the timed (and contended)
-  // scan itself.
-  scan_stats_.Record(kind, total_ns);
-  for (size_t s = 0; s < slice_ns.size(); ++s) {
-    scan_stats_.Record(std::string(kind) + ".p" + std::to_string(s),
-                       slice_ns[s]);
-  }
-}
-
 std::vector<NodeRange> SnippetContext::PartitionSlicesFor(
     NodeId result_root) const {
   if (db_->partitions().count() <= 1) return {};
@@ -83,17 +71,14 @@ const FeatureStatistics& SnippetContext::StatisticsFor(NodeId result_root) {
   if (!slices.empty()) {
     const auto scan_start = std::chrono::steady_clock::now();
     std::vector<FeatureStatistics> partials(slices.size());
-    std::vector<uint64_t> slice_ns(slices.size());
     ParallelFor(slices.size(), /*num_threads=*/0, [&](size_t s) {
-      const auto slice_start = std::chrono::steady_clock::now();
       partials[s] = FeatureStatistics::ComputeRange(
           db_->index(), db_->classification(), result_root, slices[s].begin,
           slices[s].end);
-      slice_ns[s] = ElapsedNsSince(slice_start);
     });
     stats = std::move(partials[0]);
     for (size_t s = 1; s < partials.size(); ++s) stats.MergeFrom(partials[s]);
-    RecordScan("scan.statistics", ElapsedNsSince(scan_start), slice_ns);
+    scan_stats_.Record("scan.statistics", ElapsedNsSince(scan_start));
   } else {
     stats = FeatureStatistics::Compute(db_->index(), db_->classification(),
                                        result_root);
@@ -114,11 +99,9 @@ const ReturnEntityInfo& SnippetContext::ReturnEntityFor(NodeId result_root) {
   const std::vector<NodeRange> slices = PartitionSlicesFor(result_root);
   if (!slices.empty()) {
     const auto scan_start = std::chrono::steady_clock::now();
-    std::vector<uint64_t> slice_ns;
     info = IdentifyReturnEntity(db_->index(), db_->classification(), query_,
-                                result_root, slices, /*num_threads=*/0,
-                                &slice_ns);
-    RecordScan("scan.entity", ElapsedNsSince(scan_start), slice_ns);
+                                result_root, slices, /*num_threads=*/0);
+    scan_stats_.Record("scan.entity", ElapsedNsSince(scan_start));
   } else {
     info = IdentifyReturnEntity(db_->index(), db_->classification(), query_,
                                 result_root);
@@ -134,20 +117,8 @@ const ResultKeyInfo& SnippetContext::ResultKeyFor(NodeId result_root) {
     if (it != result_keys_.end()) return it->second;
   }
   const ReturnEntityInfo& entity = ReturnEntityFor(result_root);
-  ResultKeyInfo key;
-  // Cheap gate (no Clip): the key scan walks entity instances, not the node
-  // interval, and IdentifyResultKeyParallel has its own small-input
-  // fallback to the sequential early-exit scan.
-  if (db_->partitions().count() > 1) {
-    const auto scan_start = std::chrono::steady_clock::now();
-    key = IdentifyResultKeyParallel(db_->index(), db_->classification(),
-                                    db_->keys(), entity, result_root,
-                                    /*num_threads=*/0);
-    scan_stats_.Record("scan.key", ElapsedNsSince(scan_start));
-  } else {
-    key = IdentifyResultKey(db_->index(), db_->classification(), db_->keys(),
-                            entity, result_root);
-  }
+  ResultKeyInfo key = IdentifyResultKey(
+      db_->index(), db_->classification(), db_->keys(), entity, result_root);
   std::lock_guard<std::mutex> lock(mu_);
   return result_keys_.emplace(result_root, std::move(key)).first->second;
 }
@@ -178,12 +149,10 @@ const std::vector<ItemInstances>& SnippetContext::InstancesFor(
   const std::vector<NodeRange> slices = PartitionSlicesFor(result_root);
   if (!slices.empty()) {
     const auto scan_start = std::chrono::steady_clock::now();
-    std::vector<uint64_t> slice_ns;
     found = FindItemInstancesPartitioned(
         db_->index(), db_->classification(), result_root, ilist,
-        db_->analyzer(), analyzed_tokens, slices, /*num_threads=*/0,
-        &slice_ns);
-    RecordScan("scan.instances", ElapsedNsSince(scan_start), slice_ns);
+        db_->analyzer(), analyzed_tokens, slices, /*num_threads=*/0);
+    scan_stats_.Record("scan.instances", ElapsedNsSince(scan_start));
   } else {
     found = FindItemInstances(db_->index(), db_->classification(), result_root,
                               ilist, db_->analyzer(), analyzed_tokens);
@@ -192,19 +161,6 @@ const std::vector<ItemInstances>& SnippetContext::InstancesFor(
   auto [it, inserted] = instances_.emplace(cache_key, std::move(found));
   if (inserted) ++instances_stats_.misses;
   return it->second;
-}
-
-SnippetContext::SelectorMemo& SnippetContext::SelectorMemoFor(
-    NodeId result_root, const IList& ilist) {
-  const std::pair<NodeId, uint64_t> cache_key(result_root,
-                                              FingerprintIList(ilist));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = selector_memos_.find(cache_key);
-  if (it == selector_memos_.end()) {
-    it = selector_memos_.emplace(cache_key, std::make_unique<SelectorMemo>())
-             .first;
-  }
-  return *it->second;
 }
 
 SnippetContext::CacheStats SnippetContext::statistics_cache() const {

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -37,12 +36,14 @@ namespace extract {
 /// \brief Shared, thread-safe cache for generating the snippets of one
 /// query's results. Not copyable or movable (workers hold references).
 ///
-/// The memoized statistics, entity, key and instance scans of a result that
+/// The memoized statistics, entity and instance scans of a result that
 /// spans more than one of the database's index partitions run as
 /// partition-parallel reductions on the shared pool's configured width;
 /// scans issued from inside a thread-pool task (e.g. a parallel snippet
 /// batch) run inline, so the batch and partition axes never oversubscribe
-/// the pool. Never affects scan results, only latency.
+/// the pool. Never affects scan results, only latency. The key scan stops
+/// at the first return-entity instance that carries the key, so it always
+/// runs sequentially.
 class SnippetContext {
  public:
   /// `db` must outlive the context.
@@ -79,19 +80,6 @@ class SnippetContext {
   const std::vector<ItemInstances>& InstancesFor(NodeId result_root,
                                                  const IList& ilist);
 
-  /// \brief Selector warm-start state, keyed like InstancesFor: the greedy
-  /// decision trace recorded by the last selection of this (root, IList)
-  /// pair, replayed when only the size bound changed (the shell
-  /// regenerating a page at a new bound pays zero ConnectCost scans until
-  /// the first decision flip). The reference stays valid for the context's
-  /// lifetime. Callers hold `mu` across the SelectInstancesGreedy call
-  /// that uses `trace` — the trace itself is not thread-safe.
-  struct SelectorMemo {
-    std::mutex mu;
-    GreedyTrace trace;
-  };
-  SelectorMemo& SelectorMemoFor(NodeId result_root, const IList& ilist);
-
   /// Cache effectiveness counters (for tests and the benchmarks).
   struct CacheStats {
     size_t hits = 0;
@@ -100,13 +88,9 @@ class SnippetContext {
   CacheStats statistics_cache() const;
   CacheStats instances_cache() const;
 
-  /// \brief Per-partition attribution of the context's parallel scans:
-  /// pseudo-stages named "scan.<kind>" (whole-scan wall clock) and, for the
-  /// interval scans (statistics/entity/instances), "scan.<kind>.p<i>" —
-  /// the time slice i of the result's clipped interval took (slice order is
-  /// document order; different result roots may map slice i to different
-  /// physical partitions). The key scan is instance-chunked, so it reports
-  /// whole-scan time only. Merged into the corpus-level stage stats by
+  /// \brief Wall clock of the context's partition-parallel scans, as
+  /// pseudo-stages "scan.statistics", "scan.entity" and "scan.instances"
+  /// (one call per scan). Merged into the corpus-level stage stats by
   /// XmlCorpus::GenerateSnippets. Empty until a partition-parallel scan has
   /// run.
   std::vector<StageStat> ScanStatsSnapshot() const {
@@ -119,11 +103,6 @@ class SnippetContext {
   /// scan itself. Empty means "scan sequentially" (single partition or
   /// single-slice result).
   std::vector<NodeRange> PartitionSlicesFor(NodeId result_root) const;
-
-  /// Folds one parallel scan's timing into scan_stats_ (whole scan plus
-  /// one ".p<i>" entry per slice), after the region has joined.
-  void RecordScan(const char* kind, uint64_t total_ns,
-                  const std::vector<uint64_t>& slice_ns);
 
   const XmlDatabase* db_;
   Query query_;
@@ -139,9 +118,6 @@ class SnippetContext {
   std::map<NodeId, ResultKeyInfo> result_keys_;
   std::map<std::pair<NodeId, uint64_t>, std::vector<ItemInstances>>
       instances_;
-  /// unique_ptr: SelectorMemo owns a mutex, so nodes must never move.
-  std::map<std::pair<NodeId, uint64_t>, std::unique_ptr<SelectorMemo>>
-      selector_memos_;
   CacheStats statistics_stats_;
   CacheStats instances_stats_;
   /// Observability only: internally synchronized, never affects results.

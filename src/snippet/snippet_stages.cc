@@ -1,7 +1,5 @@
 #include "snippet/snippet_stages.h"
 
-#include <mutex>
-
 namespace extract {
 
 namespace {
@@ -80,15 +78,8 @@ Status InstanceSelectionStage::Run(SnippetContext& ctx,
     draft.selection = SelectInstancesExact(db.index(), draft.result->root,
                                            *draft.instances, selector_options);
   } else {
-    // Warm-start through the context: re-selections of the same (root,
-    // IList) at a new size bound replay the recorded decision trace
-    // instead of re-scanning instances (instance_selector.h, GreedyTrace).
-    SnippetContext::SelectorMemo& memo =
-        ctx.SelectorMemoFor(draft.result->root, draft.snippet.ilist);
-    std::lock_guard<std::mutex> lock(memo.mu);
-    draft.selection =
-        SelectInstancesGreedy(db.index(), draft.result->root, *draft.instances,
-                              selector_options, &memo.trace);
+    draft.selection = SelectInstancesGreedy(
+        db.index(), draft.result->root, *draft.instances, selector_options);
   }
   draft.snippet.nodes = draft.selection.nodes;
   draft.snippet.covered = draft.selection.covered;

@@ -138,6 +138,18 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(1.75, 2), "1.75");
 }
 
+// The shell's `bound`/`result` arguments and the HTTP size parameters: a
+// sign, whitespace or trailing text is refused, never wrapped or truncated.
+TEST(StringUtilTest, ParseDecimalSizeIsStrict) {
+  EXPECT_EQ(ParseDecimalSize("0"), size_t{0});
+  EXPECT_EQ(ParseDecimalSize("20"), size_t{20});
+  EXPECT_EQ(ParseDecimalSize("999999999999"), size_t{999999999999});
+  for (const char* bad : {"", "-1", "+1", "x", "1x", " 1", "1 ", "1.5",
+                          "1000000000000"}) {
+    EXPECT_EQ(ParseDecimalSize(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 // ---------------------------------------------------------------- random --
 
 TEST(RngTest, DeterministicForSeed) {

@@ -24,22 +24,26 @@ Ctx RunQuery(std::string xml, const std::string& query_text) {
 }
 
 TEST(RankingTest, DeeperSlcaScoresHigher) {
-  // Both results match "x"; the deep one is a more specific hit. SLCA
-  // scoping keeps the two hits distinct (no entities exist here, so
-  // master-entity scoping would merge them into the root).
+  // Both results match "x"; the deep one is a more specific hit. Each
+  // result is rooted at its own match (no entities exist here, so the
+  // engine's master-entity scoping would merge them into the root).
   auto db = XmlDatabase::Load(R"(<db>
     <shallow>x</shallow>
     <outer><mid><deep>x</deep></mid></outer>
   </db>)");
   ASSERT_TRUE(db.ok());
-  SearchOptions search_options;
-  search_options.scope = ResultScope::kSlcaSubtree;
-  XSeekEngine engine(search_options);
-  Query query = Query::Parse("x");
-  auto results = engine.Search(*db, query);
-  ASSERT_TRUE(results.ok());
-  Ctx ctx{std::move(*db), std::move(query), std::move(*results)};
-  ASSERT_EQ(ctx.results.size(), 2u);
+  const PostingList* x = db->inverted().Find("x");
+  ASSERT_NE(x, nullptr);
+  ASSERT_EQ(x->size(), 2u);
+  std::vector<QueryResult> results;
+  for (NodeId match : x->nodes) {
+    QueryResult result;
+    result.root = match;
+    result.slca = match;
+    result.matches = {{match}};
+    results.push_back(std::move(result));
+  }
+  Ctx ctx{std::move(*db), Query::Parse("x"), std::move(results)};
   RankingOptions options;
   options.frequency_weight = 0.0;
   options.compactness_weight = 0.0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "datagen/retailer_dataset.h"
 #include "search/result_builder.h"
 #include "xml/parser.h"
@@ -120,46 +123,31 @@ TEST(XSeekEngineTest, EmptyQueryIsInvalid) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(XSeekEngineTest, SlcaScopeReturnsSlcaItself) {
-  SearchOptions options;
-  options.scope = ResultScope::kSlcaSubtree;
-  XSeekEngine engine(options);
-  auto db = XmlDatabase::Load(R"(<db>
-    <store><name>A</name><state>texas</state></store>
-    <store><name>B</name><state>ohio</state></store>
-  </db>)");
-  ASSERT_TRUE(db.ok());
-  auto results = engine.Search(*db, Query::Parse("texas"));
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), 1u);
-  // SLCA of a single-keyword query is the matching <state> element itself.
-  EXPECT_EQ(db->index().label_name(results->front().root), "state");
-}
-
-TEST(XSeekEngineTest, MaxResultsCap) {
-  SearchOptions options;
-  options.max_results = 1;
-  XSeekEngine engine(options);
-  RetailerDatasetOptions dataset;
-  dataset.num_matching_retailers = 3;
-  auto db = XmlDatabase::Load(GenerateRetailerXml(dataset));
-  ASSERT_TRUE(db.ok());
-  auto results = engine.Search(*db, Query::Parse("texas apparel retailer"));
-  ASSERT_TRUE(results.ok());
-  EXPECT_EQ(results->size(), 1u);
-}
-
 TEST(XSeekEngineTest, ResultsComeInDocumentOrderWithoutOverlap) {
   RetailerDatasetOptions dataset;
   dataset.num_matching_retailers = 4;
-  auto db = XmlDatabase::Load(GenerateRetailerXml(dataset));
-  ASSERT_TRUE(db.ok());
-  XSeekEngine engine;
-  auto results = engine.Search(*db, Query::Parse("texas apparel"));
-  ASSERT_TRUE(results.ok());
-  for (size_t i = 1; i < results->size(); ++i) {
-    EXPECT_GE((*results)[i].root,
-              db->index().subtree_end((*results)[i - 1].root));
+  // In the second document a store's own field matches ahead of one of its
+  // products: the product's result lies inside the store's and is dropped.
+  const std::pair<std::string, std::string> cases[] = {
+      {GenerateRetailerXml(dataset), "texas apparel"},
+      {"<db><store><info>texas</info><product><name>texas</name></product>"
+       "<product><name>ohio</name></product></store>"
+       "<store><info>utah</info><product><name>iowa</name></product>"
+       "<product><name>maine</name></product></store></db>",
+       "texas"},
+  };
+  for (const auto& [xml, text] : cases) {
+    auto db = XmlDatabase::Load(xml);
+    ASSERT_TRUE(db.ok());
+    XSeekEngine engine;
+    auto results = engine.Search(*db, Query::Parse(text));
+    ASSERT_TRUE(results.ok());
+    ASSERT_FALSE(results->empty()) << text;
+    for (size_t i = 1; i < results->size(); ++i) {
+      EXPECT_GE((*results)[i].root,
+                db->index().subtree_end((*results)[i - 1].root))
+          << text;
+    }
   }
 }
 

@@ -83,20 +83,26 @@ TEST(SnippetServiceTest, ContextMemoizesPerResultScans) {
   EXPECT_GE(context.instances_cache().hits, 2u);
 }
 
+// The shell's `bound` contract: one context kept across size bounds —
+// ascending, descending, then jumping — regenerates every result exactly as
+// a fresh context would at that bound.
 TEST(SnippetServiceTest, SharedContextDoesNotChangeOutput) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
   ASSERT_EQ(ctx.results.size(), 2u);
   SnippetService service(&ctx.db);
-  SnippetOptions options;
-  options.size_bound = 10;
 
   SnippetContext shared(&ctx.db, ctx.query);
-  for (const QueryResult& result : ctx.results) {
-    auto with_shared = service.Generate(shared, result, options);
-    auto with_fresh = service.Generate(ctx.query, result, options);
-    ASSERT_TRUE(with_shared.ok());
-    ASSERT_TRUE(with_fresh.ok());
-    ExpectSnippetsIdentical(*with_shared, *with_fresh);
+  for (size_t bound : {0, 2, 4, 6, 8, 10, 20, 10, 8, 4, 2, 0, 20, 0, 6}) {
+    SnippetOptions options;
+    options.size_bound = bound;
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    for (const QueryResult& result : ctx.results) {
+      auto with_shared = service.Generate(shared, result, options);
+      auto with_fresh = service.Generate(ctx.query, result, options);
+      ASSERT_TRUE(with_shared.ok());
+      ASSERT_TRUE(with_fresh.ok());
+      ExpectSnippetsIdentical(*with_shared, *with_fresh);
+    }
   }
 }
 

@@ -174,34 +174,6 @@ TEST(TaskGroupTest, CancelSkipsUnstartedTasks) {
   EXPECT_EQ(group.outstanding(), 0u);
 }
 
-TEST(TaskGroupTest, NotifyOnDrainFiresAfterLastTask) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> count{0};
-  std::atomic<bool> drained{false};
-  for (int i = 0; i < 20; ++i) {
-    group.Submit([&count] { count.fetch_add(1); });
-  }
-  group.NotifyOnDrain([&] {
-    EXPECT_EQ(count.load(), 20);
-    drained.store(true);
-  });
-  group.Wait();
-  // Wait() returns when outstanding hits zero; the drain callback runs on
-  // the finishing worker at that same transition (or already ran, when the
-  // group was idle at registration).
-  pool.Wait();
-  EXPECT_TRUE(drained.load());
-}
-
-TEST(TaskGroupTest, NotifyOnDrainFiresImmediatelyWhenIdle) {
-  ThreadPool pool(1);
-  TaskGroup group(&pool);
-  bool drained = false;
-  group.NotifyOnDrain([&drained] { drained = true; });
-  EXPECT_TRUE(drained);
-}
-
 TEST(TaskGroupTest, DestructorWaitsForStartedTasks) {
   ThreadPool pool(2);
   std::atomic<int> count{0};

@@ -7,9 +7,8 @@
 // leaving snapshot documents whose bound cannot reach the page unopened.
 // Blocking SearchTopK and page-gated ServeQuery run one pull schedule, so
 // they do identical work, and the search stage counts fault-in time. Also
-// covers the RankResults top-k fast path, the selector warm-start trace,
-// and page-gated ServeQuery streaming. Run under ThreadSanitizer and
-// ASan/UBSan in CI.
+// covers the RankResults top-k fast path and page-gated ServeQuery
+// streaming. Run under ThreadSanitizer and ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +31,6 @@
 #include "search/corpus.h"
 #include "search/corpus_snapshot.h"
 #include "search/ranking.h"
-#include "snippet/instance_selector.h"
 #include "snippet/snippet_tree.h"
 
 namespace extract {
@@ -147,23 +145,6 @@ TEST(TopKSearchTest, UnboundedKEqualsSearchAll) {
       EXPECT_FALSE(stats.early_terminated);
       EXPECT_EQ(stats.results_released, full->size());
     }
-  }
-}
-
-TEST(TopKSearchTest, MatchesBlockingWithEngineMaxResults) {
-  XmlCorpus corpus = MakeWideCorpus();
-  SearchOptions options;
-  options.max_results = 3;
-  XSeekEngine engine(options);
-  Query query = Query::Parse("texas store");
-  auto full = corpus.SearchAll(query, engine);
-  ASSERT_TRUE(full.ok()) << full.status();
-  for (size_t k : {size_t{2}, size_t{5}, size_t{100}}) {
-    auto page = corpus.SearchTopK(query, engine, RankingOptions{},
-                                  CorpusServingOptions{}, k);
-    ASSERT_TRUE(page.ok()) << page.status();
-    ExpectSamePage(Prefix(*full, k), *page, "max_results k=" +
-                                                std::to_string(k));
   }
 }
 
@@ -326,9 +307,9 @@ LoadOptions AnalyzerLoad(bool stem, bool stopwords) {
 }
 
 // The directory bound must dominate every result of its document, for every
-// engine scope, analyzer, ranking (negative weights included) and keyword
-// shape (duplicates, stopwords, stopword-only) — and the directory must
-// list every document that has a result at all.
+// analyzer, ranking (negative weights included) and keyword shape
+// (duplicates, stopwords, stopword-only) — and the directory must list
+// every document that has a result at all.
 TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
   const RankingOptions rankings[] = {
       RankingOptions{},
@@ -384,51 +365,46 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
     }
     queries.push_back("the of");  // stopword-only under some analyzers
 
-    for (ResultScope scope :
-         {ResultScope::kMasterEntity, ResultScope::kSlcaSubtree}) {
-      SearchOptions search;
-      search.scope = scope;
-      XSeekEngine engine(search);
-      for (const std::string& text : queries) {
-        const Query query = Query::Parse(text);
-        std::set<size_t> candidates;
-        for (const RankingOptions& ranking : rankings) {
-          ASSERT_TRUE(
-              snap.ForEachCandidate(
-                      query,
-                      [&](size_t i, std::span<const TermDocStats> stats) {
-                        candidates.insert(i);
-                        const bool keyed = std::any_of(
-                            stats.begin(), stats.end(),
-                            [](const TermDocStats& s) {
-                              return s.postings != 0;
-                            });
-                        if (!keyed) return;
-                        const double bound =
-                            engine.DocumentScoreBound(ranking, stats);
-                        auto doc = snap.Fault(i);
-                        ASSERT_TRUE(doc.ok()) << doc.status();
-                        const XmlDatabase& db = *(*doc)->db;
-                        auto results = engine.Search(db, query);
-                        ASSERT_TRUE(results.ok()) << results.status();
-                        for (const QueryResult& r : *results) {
-                          EXPECT_LE(ScoreResult(db, r, ranking), bound)
-                              << "'" << text << "' doc " << snap.name(i);
-                          ++checked;
-                        }
-                      })
-                  .ok());
-        }
-        // Completeness: a document with results is always a candidate.
-        for (size_t i = 0; i < snap.doc_count(); ++i) {
-          if (candidates.count(i) != 0) continue;
-          auto doc = snap.Fault(i);
-          ASSERT_TRUE(doc.ok());
-          auto results = engine.Search(*(*doc)->db, query);
-          ASSERT_TRUE(results.ok());
-          EXPECT_TRUE(results->empty())
-              << "'" << text << "' doc " << snap.name(i) << " missed";
-        }
+    XSeekEngine engine;
+    for (const std::string& text : queries) {
+      const Query query = Query::Parse(text);
+      std::set<size_t> candidates;
+      for (const RankingOptions& ranking : rankings) {
+        ASSERT_TRUE(
+            snap.ForEachCandidate(
+                    query,
+                    [&](size_t i, std::span<const TermDocStats> stats) {
+                      candidates.insert(i);
+                      const bool keyed = std::any_of(
+                          stats.begin(), stats.end(),
+                          [](const TermDocStats& s) {
+                            return s.postings != 0;
+                          });
+                      if (!keyed) return;
+                      const double bound =
+                          engine.DocumentScoreBound(ranking, stats);
+                      auto doc = snap.Fault(i);
+                      ASSERT_TRUE(doc.ok()) << doc.status();
+                      const XmlDatabase& db = *(*doc)->db;
+                      auto results = engine.Search(db, query);
+                      ASSERT_TRUE(results.ok()) << results.status();
+                      for (const QueryResult& r : *results) {
+                        EXPECT_LE(ScoreResult(db, r, ranking), bound)
+                            << "'" << text << "' doc " << snap.name(i);
+                        ++checked;
+                      }
+                    })
+                .ok());
+      }
+      // Completeness: a document with results is always a candidate.
+      for (size_t i = 0; i < snap.doc_count(); ++i) {
+        if (candidates.count(i) != 0) continue;
+        auto doc = snap.Fault(i);
+        ASSERT_TRUE(doc.ok());
+        auto results = engine.Search(*(*doc)->db, query);
+        ASSERT_TRUE(results.ok());
+        EXPECT_TRUE(results->empty())
+            << "'" << text << "' doc " << snap.name(i) << " missed";
       }
     }
     std::remove(path.c_str());
@@ -781,54 +757,6 @@ TEST(TopKSearchTest, RankResultsTopKMatchesFullSort) {
       EXPECT_EQ(full[i].score, fast[i].score) << "k=" << k;
     }
   }
-}
-
-TEST(TopKSearchTest, WarmSelectorMatchesColdAcrossBounds) {
-  auto db = XmlDatabase::Load(GenerateStoresXml());
-  ASSERT_TRUE(db.ok());
-  const IndexedDocument& doc = db->index();
-  const NodeId root = 0;
-
-  // Synthetic items, one instance each, spread over the document — enough
-  // accept/reject flips across bounds to exercise every replay path.
-  std::vector<ItemInstances> instances;
-  for (NodeId id = 1;
-       id < static_cast<NodeId>(doc.num_nodes()) && instances.size() < 12;
-       id += 17) {
-    ItemInstances item;
-    item.nodes.push_back(id);
-    instances.push_back(std::move(item));
-  }
-  ASSERT_GE(instances.size(), 6u);
-
-  GreedyTrace trace;
-  // Ascending, descending, then jumping bounds: the warm run must equal
-  // the cold run at every step, whatever the previous trace recorded.
-  const size_t bounds[] = {0, 2, 4, 6, 8, 10, 20, 10, 8, 4, 2, 0, 20, 0, 6};
-  for (size_t bound : bounds) {
-    SelectorOptions options;
-    options.size_bound = bound;
-    Selection cold = SelectInstancesGreedy(doc, root, instances, options);
-    Selection warm =
-        SelectInstancesGreedy(doc, root, instances, options, &trace);
-    EXPECT_EQ(cold.nodes, warm.nodes) << "bound=" << bound;
-    EXPECT_EQ(cold.covered, warm.covered) << "bound=" << bound;
-    EXPECT_TRUE(trace.valid);
-  }
-
-  // stop_on_first_overflow runs cold (and must not corrupt the trace).
-  SelectorOptions overflow;
-  overflow.size_bound = 4;
-  overflow.stop_on_first_overflow = true;
-  Selection cold = SelectInstancesGreedy(doc, root, instances, overflow);
-  Selection warm = SelectInstancesGreedy(doc, root, instances, overflow,
-                                         &trace);
-  EXPECT_EQ(cold.nodes, warm.nodes);
-  EXPECT_EQ(cold.covered, warm.covered);
-  SelectorOptions after;
-  after.size_bound = 6;
-  EXPECT_EQ(SelectInstancesGreedy(doc, root, instances, after).covered,
-            SelectInstancesGreedy(doc, root, instances, after, &trace).covered);
 }
 
 // ------------------------------------------------------- page-gated serving
