@@ -68,14 +68,12 @@ int main() {
     for (int trial = 0; trial < kTrials; ++trial) {
       Rng rng(static_cast<uint64_t>(trial) * 131 + num_items);
       auto items = RandomItems(doc, &rng, num_items, 3);
-      SelectorOptions options;
-      options.size_bound = bound;
       Selection greedy;
       Selection exact;
       greedy_us_total += bench::MeasureMicros(
-          [&] { greedy = SelectInstancesGreedy(doc, 0, items, options); }, 3);
+          [&] { greedy = SelectInstancesGreedy(doc, 0, items, bound); }, 3);
       exact_us_total += bench::MeasureMicros(
-          [&] { exact = SelectInstancesExact(doc, 0, items, options); }, 3);
+          [&] { exact = SelectInstancesExact(doc, 0, items, bound); }, 3);
       greedy_total += static_cast<double>(greedy.covered_count());
       exact_total += static_cast<double>(exact.covered_count());
     }

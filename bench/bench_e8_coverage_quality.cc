@@ -102,12 +102,10 @@ int main() {
                          FindItemInstances(db.index(), db.classification(),
                                            result.root, ilist),
                          kInstanceCap);
-        SelectorOptions sopts;
-        sopts.size_bound = bound;
         Selection greedy =
-            SelectInstancesGreedy(db.index(), result.root, instances, sopts);
+            SelectInstancesGreedy(db.index(), result.root, instances, bound);
         Selection exact =
-            SelectInstancesExact(db.index(), result.root, instances, sopts);
+            SelectInstancesExact(db.index(), result.root, instances, bound);
         Selection bfs = BfsTruncationSelection(db.index(), result.root, bound);
         Selection paths =
             PathToMatchesSelection(db.index(), result.root, result, bound);

@@ -25,7 +25,8 @@
 //                                   being searched (page-gated ServeQuery;
 //                                   shows time-to-first-snippet and
 //                                   candidates scored vs total)
-//   result <rank>                   print the full tree of a result
+//   result <rank>                   print the full tree of a result of the
+//                                   last query, from the data set it ran on
 //   html <path>                     write the last results page as HTML
 //   save <path> / load <path>       snapshot the active data set's index
 //                                   as a one-document snapshot image
@@ -114,6 +115,18 @@ struct ShellState {
   ShellState() { corpus.EnableSnippetCache(); }
 
   const XmlDatabase* ActiveDb() const { return corpus.Find(active); }
+
+  /// True when the live session is the one that produced last_results —
+  /// a failed or differently-targeted query in between must not mix
+  /// another query's context or document with these results. The session
+  /// is matched against the results' data set, NOT `active`: a session
+  /// pinned to a since-unloaded epoch still matches (the pin keeps its
+  /// snapshot alive — the live-mutation demo).
+  bool SessionHoldsLastResults() const {
+    return session.service != nullptr && !last_results.empty() &&
+           session.document == last_results_document &&
+           session.text == last_query_text;
+  }
 
   /// The session bound to (active data set, query text), creating it (and
   /// retiring any previous one) if needed. Requires an active data set.
@@ -230,17 +243,7 @@ void CmdBound(ShellState* state, const std::string& rest) {
   }
   state->bound = *bound;
   std::printf("snippet size bound = %zu\n", state->bound);
-  // Regenerate only when the live session is the one that produced
-  // last_results — a failed or differently-targeted query in between must
-  // not mix another query's context with these results. The session is
-  // matched against the results' data set, NOT `active`: a session pinned
-  // to a since-unloaded epoch still regenerates (the pin keeps its
-  // snapshot alive — the live-mutation demo).
-  if (state->session.service == nullptr || state->last_results.empty() ||
-      state->session.document != state->last_results_document ||
-      state->session.text != state->last_query_text) {
-    return;
-  }
+  if (!state->SessionHoldsLastResults()) return;
   SnippetOptions options;
   options.size_bound = state->bound;
   auto snippets = GenerateDiverseSnippets(
@@ -398,12 +401,15 @@ void CmdResult(ShellState* state, const std::string& rest) {
                 rest.c_str());
     return;
   }
-  const XmlDatabase* db = state->ActiveDb();
-  if (db == nullptr || *rank == 0 || *rank > state->last_results.size()) {
+  // Results are node ids of the document the last query ran on: read them
+  // from the session's pinned copy, never from whatever is active now.
+  if (!state->SessionHoldsLastResults() || *rank == 0 ||
+      *rank > state->last_results.size()) {
     std::printf("no such result\n");
     return;
   }
-  auto tree = MaterializeResult(*db, state->last_results[*rank - 1]);
+  auto tree =
+      MaterializeResult(*state->session.db, state->last_results[*rank - 1]);
   std::printf("%s\n", RenderXmlTree(*tree).c_str());
 }
 
@@ -412,8 +418,8 @@ void CmdHtml(ShellState* state, const std::string& path) {
     std::printf("run a query first\n");
     return;
   }
-  std::string html = RenderResultsPageHtml(state->last_query,
-                                           state->last_snippets, {});
+  std::string html =
+      RenderResultsPageHtml(state->last_query, state->last_snippets);
   std::ofstream out(path);
   if (!out) {
     std::printf("cannot write %s\n", path.c_str());

@@ -7,10 +7,8 @@ namespace extract {
 namespace {
 
 // Pre-order DFS over the DOM, producing the flattened arrays. XML attributes
-// are (optionally) expanded into leading child elements; comment/PI nodes
-// are skipped entirely.
+// are expanded into leading child elements.
 struct Builder {
-  const IndexedDocumentOptions& options;
   std::vector<NodeId>* parent;
   std::vector<LabelId>* label;
   std::vector<IndexedNodeKind>* kind;
@@ -42,17 +40,15 @@ struct Builder {
   NodeId EmitElement(const XmlNode& node, NodeId parent_id, uint32_t d) {
     NodeId id = NewNode(parent_id, labels->Intern(node.name()),
                         IndexedNodeKind::kElement, std::string(), d);
-    if (options.expand_attributes) {
-      for (const auto& attr : node.attributes()) {
-        NodeId attr_id = NewNode(id, labels->Intern(attr.name),
-                                 IndexedNodeKind::kElement, std::string(), d + 1);
-        NewNode(attr_id, kInvalidLabel, IndexedNodeKind::kText, attr.value,
-                d + 2);
-        (*subtree_end)[static_cast<size_t>(attr_id) + 1] =
-            static_cast<NodeId>(parent->size());
-        (*subtree_end)[static_cast<size_t>(attr_id)] =
-            static_cast<NodeId>(parent->size());
-      }
+    for (const auto& attr : node.attributes()) {
+      NodeId attr_id = NewNode(id, labels->Intern(attr.name),
+                               IndexedNodeKind::kElement, std::string(), d + 1);
+      NewNode(attr_id, kInvalidLabel, IndexedNodeKind::kText, attr.value,
+              d + 2);
+      (*subtree_end)[static_cast<size_t>(attr_id) + 1] =
+          static_cast<NodeId>(parent->size());
+      (*subtree_end)[static_cast<size_t>(attr_id)] =
+          static_cast<NodeId>(parent->size());
     }
     for (const auto& child : node.children()) {
       switch (child->kind()) {
@@ -67,10 +63,8 @@ struct Builder {
               static_cast<NodeId>(parent->size());
           break;
         }
-        case XmlNodeKind::kComment:
-        case XmlNodeKind::kProcessingInstruction:
         case XmlNodeKind::kDocument:
-          break;  // never indexed
+          break;  // never a child
       }
     }
     (*subtree_end)[static_cast<size_t>(id)] = static_cast<NodeId>(parent->size());
@@ -80,16 +74,14 @@ struct Builder {
 
 }  // namespace
 
-Result<IndexedDocument> IndexedDocument::Build(
-    const XmlDocument& doc, const IndexedDocumentOptions& options) {
+Result<IndexedDocument> IndexedDocument::Build(const XmlDocument& doc) {
   const XmlNode* root = doc.root();
   if (root == nullptr) {
     return Status::InvalidArgument("document has no root element");
   }
   IndexedDocument out;
   std::vector<std::vector<NodeId>> child_lists;
-  Builder builder{options,
-                  &out.parent_,
+  Builder builder{&out.parent_,
                   &out.label_,
                   &out.kind_,
                   &out.depth_,
@@ -113,10 +105,6 @@ Result<IndexedDocument> IndexedDocument::Build(
     out.child_ids_.insert(out.child_ids_.end(), list.begin(), list.end());
   }
   return out;
-}
-
-Result<IndexedDocument> IndexedDocument::Build(const XmlDocument& doc) {
-  return Build(doc, IndexedDocumentOptions{});
 }
 
 Result<IndexedDocument> IndexedDocument::FromFlatColumns(
@@ -229,18 +217,6 @@ NodeId IndexedDocument::LowestCommonAncestor(NodeId a, NodeId b) const {
     b = parent_[b];
   }
   return a;
-}
-
-std::string IndexedDocument::SubtreeText(NodeId n) const {
-  std::string out;
-  NodeId end = subtree_end_[n];
-  for (NodeId i = n; i < end; ++i) {
-    if (is_text(i)) {
-      if (!out.empty()) out.push_back(' ');
-      out += text_[i];
-    }
-  }
-  return out;
 }
 
 }  // namespace extract

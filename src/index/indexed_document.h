@@ -27,18 +27,10 @@ using NodeId = int32_t;
 inline constexpr NodeId kInvalidNode = -1;
 
 /// Kind of an indexed node. XML attributes are expanded into child elements
-/// at build time (see IndexedDocumentOptions), so only two kinds remain.
+/// at build time (see Build), so only two kinds remain.
 enum class IndexedNodeKind : uint8_t {
   kElement,
   kText,
-};
-
-/// Build-time knobs.
-struct IndexedDocumentOptions {
-  /// Expand XML attributes (name="v") into child elements <name>v</name>.
-  /// The paper's data model treats attributes and single-text-child elements
-  /// uniformly; expansion lets both syntaxes flow through one code path.
-  bool expand_attributes = true;
 };
 
 /// \brief Immutable flattened document.
@@ -46,9 +38,10 @@ struct IndexedDocumentOptions {
 /// Built once from a DOM (Build), then queried concurrently without locks.
 class IndexedDocument {
  public:
-  /// Flattens `doc`. The DOM is not retained; text is copied in.
-  static Result<IndexedDocument> Build(const XmlDocument& doc,
-                                       const IndexedDocumentOptions& options);
+  /// Flattens `doc`. The DOM is not retained; text is copied in. Each XML
+  /// attribute name="v" becomes a leading child element <name>v</name>: the
+  /// paper's data model treats attributes and single-text-child elements
+  /// uniformly, so both syntaxes flow through one code path.
   static Result<IndexedDocument> Build(const XmlDocument& doc);
 
   /// Total number of nodes (elements + texts). Node 0 is the root element.
@@ -112,9 +105,6 @@ class IndexedDocument {
   /// The label table (shared vocabulary of tag names).
   const LabelTable& labels() const { return labels_; }
   LabelTable& mutable_labels() { return labels_; }
-
-  /// Concatenated text of the subtree under n.
-  std::string SubtreeText(NodeId n) const;
 
   /// Total number of element nodes.
   size_t num_elements() const { return num_elements_; }

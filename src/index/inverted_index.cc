@@ -24,22 +24,17 @@ void AddPosting(RawPostings* raw, const std::string& token, NodeId node,
 }  // namespace
 
 InvertedIndex InvertedIndex::Build(const IndexedDocument& doc) {
-  return Build(doc, TextAnalyzer());
-}
-
-InvertedIndex InvertedIndex::Build(const IndexedDocument& doc,
-                                   const TextAnalyzer& analyzer) {
   InvertedIndex index;
   RawPostings raw;
   const NodeId n = static_cast<NodeId>(doc.num_nodes());
   for (NodeId id = 0; id < n; ++id) {
     if (doc.is_element(id)) {
-      for (const std::string& token : analyzer.AnalyzeText(doc.label_name(id))) {
+      for (const std::string& token : TokenizeWords(doc.label_name(id))) {
         AddPosting(&raw, token, id, PostingSource::kTagName);
       }
     } else {
       NodeId owner = doc.parent(id);
-      for (const std::string& token : analyzer.AnalyzeText(doc.text(id))) {
+      for (const std::string& token : TokenizeWords(doc.text(id))) {
         AddPosting(&raw, token, owner, PostingSource::kTextValue);
       }
     }

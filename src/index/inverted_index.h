@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/analyzer.h"
 #include "index/indexed_document.h"
 
 namespace extract {
@@ -43,13 +42,8 @@ struct PostingList {
 class InvertedIndex {
  public:
   /// Scans `doc` and builds the index. Tokenization is TokenizeWords()
-  /// (case folding only).
+  /// (case folding only); the query side folds keywords the same way.
   static InvertedIndex Build(const IndexedDocument& doc);
-
-  /// Build with a configured analyzer (stemming / stopword removal); the
-  /// query side must analyze keywords with the same analyzer.
-  static InvertedIndex Build(const IndexedDocument& doc,
-                             const TextAnalyzer& analyzer);
 
   /// \brief Restores an index from already-built posting lists (the corpus
   /// snapshot loader's path). The lists must satisfy the Build invariants

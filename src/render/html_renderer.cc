@@ -1,5 +1,6 @@
 #include "render/html_renderer.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/string_util.h"
@@ -10,8 +11,7 @@ namespace {
 
 // Wraps query-keyword tokens of `text` in <b>..</b>, HTML-escaping all of
 // it. Tokens are compared case-insensitively against the folded keywords.
-std::string HighlightText(std::string_view text, const Query& query,
-                          bool highlight) {
+std::string HighlightText(std::string_view text, const Query& query) {
   std::string out;
   size_t i = 0;
   while (i < text.size()) {
@@ -28,16 +28,10 @@ std::string HighlightText(std::string_view text, const Query& query,
     }
     if (i == start) continue;
     std::string_view word = text.substr(start, i - start);
-    bool is_keyword = false;
-    if (highlight) {
-      std::string folded = ToLowerCopy(word);
-      for (const std::string& kw : query.keywords) {
-        if (kw == folded) {
-          is_keyword = true;
-          break;
-        }
-      }
-    }
+    const std::string folded = ToLowerCopy(word);
+    const bool is_keyword =
+        std::find(query.keywords.begin(), query.keywords.end(), folded) !=
+        query.keywords.end();
     if (is_keyword) out += "<b>";
     out += EscapeHtml(word);
     if (is_keyword) out += "</b>";
@@ -45,21 +39,19 @@ std::string HighlightText(std::string_view text, const Query& query,
   return out;
 }
 
-void RenderNode(const XmlNode& node, const Query& query,
-                const HtmlRenderOptions& options, std::string* out) {
+void RenderNode(const XmlNode& node, const Query& query, std::string* out) {
   if (node.kind() == XmlNodeKind::kText || node.kind() == XmlNodeKind::kCData) {
     return;  // inlined by the parent element below
   }
   *out += "<li><span class=\"tag\">";
-  *out += HighlightText(node.name(), query, options.highlight_keywords);
+  *out += HighlightText(node.name(), query);
   *out += "</span>";
   // Inline a sole text child as `tag: value`, the demo's display style.
   if (node.children().size() == 1 &&
       (node.children()[0]->kind() == XmlNodeKind::kText ||
        node.children()[0]->kind() == XmlNodeKind::kCData)) {
     *out += ": <span class=\"value\">";
-    *out += HighlightText(node.children()[0]->content(), query,
-                          options.highlight_keywords);
+    *out += HighlightText(node.children()[0]->content(), query);
     *out += "</span></li>\n";
     return;
   }
@@ -73,7 +65,7 @@ void RenderNode(const XmlNode& node, const Query& query,
   if (has_element_child) {
     *out += "\n<ul>\n";
     for (const auto& child : node.children()) {
-      RenderNode(*child, query, options, out);
+      RenderNode(*child, query, out);
     }
     *out += "</ul>\n";
   }
@@ -106,18 +98,16 @@ std::string EscapeHtml(std::string_view s) {
   return out;
 }
 
-std::string RenderSnippetHtml(const Snippet& snippet, const Query& query,
-                              const HtmlRenderOptions& options) {
+std::string RenderSnippetHtml(const Snippet& snippet, const Query& query) {
   if (snippet.tree == nullptr) return "<p class=\"empty\">(empty snippet)</p>";
   std::string out = "<ul class=\"snippet\">\n";
-  RenderNode(*snippet.tree, query, options, &out);
+  RenderNode(*snippet.tree, query, &out);
   out += "</ul>\n";
   return out;
 }
 
 std::string RenderResultsPageHtml(const Query& query,
-                                  const std::vector<Snippet>& snippets,
-                                  const HtmlRenderOptions& options) {
+                                  const std::vector<Snippet>& snippets) {
   std::string out;
   out += "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
          "<title>eXtract results</title></head>\n<body>\n";
@@ -128,14 +118,14 @@ std::string RenderResultsPageHtml(const Query& query,
   for (const Snippet& snippet : snippets) {
     out += "<div class=\"result\" id=\"result-" + std::to_string(rank) +
            "\">\n";
-    if (options.key_as_heading && snippet.key.found()) {
+    if (snippet.key.found()) {
       out += "<h2>" + EscapeHtml(snippet.key.value) + "</h2>\n";
     } else {
       out += "<h2>Result " + std::to_string(rank) + "</h2>\n";
     }
-    out += RenderSnippetHtml(snippet, query, options);
-    out += "<a href=\"" + EscapeHtml(options.link_base) +
-           std::to_string(rank) + "\">view full result (" +
+    out += RenderSnippetHtml(snippet, query);
+    out += "<a href=\"#result-" + std::to_string(rank) +
+           "\">view full result (" +
            std::to_string(snippet.edges()) + " edges shown)</a>\n</div>\n";
     ++rank;
   }

@@ -14,31 +14,20 @@
 
 namespace extract {
 
-/// Rendering knobs.
-struct HtmlRenderOptions {
-  /// Wrap tokens matching query keywords in <b>...</b>.
-  bool highlight_keywords = true;
-  /// href prefix of each result's "view full result" link; the 1-based
-  /// result rank is appended.
-  std::string link_base = "#result-";
-  /// Include the result key as the snippet heading (the "title" role the
-  /// key plays per §2.2).
-  bool key_as_heading = true;
-};
-
 /// Escapes &, <, >, " for HTML text/attribute contexts.
 std::string EscapeHtml(std::string_view s);
 
-/// Renders one snippet as a nested <ul> tree.
-std::string RenderSnippetHtml(const Snippet& snippet, const Query& query,
-                              const HtmlRenderOptions& options);
+/// Renders one snippet as a nested <ul> tree, with the tokens that match a
+/// query keyword wrapped in <b>...</b>.
+std::string RenderSnippetHtml(const Snippet& snippet, const Query& query);
 
 /// \brief Renders a whole results page: the query header and, per result,
-/// the key heading, the snippet tree and the full-result link — the layout
-/// of the paper's Figure 5 screenshot.
+/// a heading (the result key — the "title" role the key plays per §2.2 —
+/// or "Result <rank>" without one), the snippet tree and a
+/// "#result-<rank>" full-result link — the layout of the paper's Figure 5
+/// screenshot.
 std::string RenderResultsPageHtml(const Query& query,
-                                  const std::vector<Snippet>& snippets,
-                                  const HtmlRenderOptions& options);
+                                  const std::vector<Snippet>& snippets);
 
 }  // namespace extract
 

@@ -21,17 +21,11 @@ std::string_view NodeCategoryToString(NodeCategory c) {
 
 NodeClassification NodeClassification::Classify(const IndexedDocument& doc,
                                                 const Dtd* dtd) {
-  return Classify(doc, dtd, ClassifyOptions{});
-}
-
-NodeClassification NodeClassification::Classify(const IndexedDocument& doc,
-                                                const Dtd* dtd,
-                                                const ClassifyOptions& options) {
   NodeClassification out;
   const size_t n = doc.num_nodes();
   out.per_node_.resize(n, NodeCategory::kConnection);
 
-  const bool have_dtd = options.use_dtd && dtd != nullptr && !dtd->empty();
+  const bool have_dtd = dtd != nullptr && !dtd->empty();
 
   // Pass 1: per (parent label, label) pair, gather the evidence the rules
   // need: star inference (some parent instance has >= 2 children with this

@@ -35,20 +35,11 @@ enum class NodeCategory : uint8_t {
 /// Human-readable category name ("entity", ...).
 std::string_view NodeCategoryToString(NodeCategory c);
 
-/// Classification knobs.
-struct ClassifyOptions {
-  /// Use the DTD (when the document has one) to decide *-nodes; data
-  /// inference is the fallback. When false, always infer from data.
-  bool use_dtd = true;
-};
-
 /// \brief The classification result for one document.
 class NodeClassification {
  public:
-  /// Classifies every node of `doc`. `dtd` may be null (data inference).
-  static NodeClassification Classify(const IndexedDocument& doc,
-                                     const Dtd* dtd,
-                                     const ClassifyOptions& options);
+  /// Classifies every node of `doc`. A non-empty `dtd` decides *-nodes;
+  /// without one (null or empty) they are inferred from the data.
   static NodeClassification Classify(const IndexedDocument& doc,
                                      const Dtd* dtd);
 

@@ -98,7 +98,10 @@ std::vector<CorpusView::DocEntry> CorpusView::VisibleDocs() const {
 Result<std::vector<CorpusView::DocEntry>> CorpusView::MatchingDocs(
     const Query& query, const SearchEngine& engine,
     const RankingOptions* ranking) const {
-  if (snapshot == nullptr || !engine.RequiresAllKeywords()) {
+  // A keyword-less query gives the directory nothing to prune by: every
+  // visible document, unbounded, so each search reports the engine's error.
+  if (snapshot == nullptr || !engine.RequiresAllKeywords() ||
+      query.keywords.empty()) {
     return VisibleDocs();
   }
   std::vector<DocEntry> snapshot_entries;
@@ -107,10 +110,7 @@ Result<std::vector<CorpusView::DocEntry>> CorpusView::MatchingDocs(
         const std::string_view name = snapshot->name(i);
         if (IsHidden(name)) return;
         DocEntry entry{name, nullptr, i};
-        const bool keyed = std::any_of(
-            stats.begin(), stats.end(),
-            [](const TermDocStats& s) { return s.postings != 0; });
-        if (ranking != nullptr && keyed) {
+        if (ranking != nullptr) {
           entry.score_bound = engine.DocumentScoreBound(*ranking, stats);
         }
         snapshot_entries.push_back(entry);

@@ -163,9 +163,9 @@ struct CorpusView {
   /// snapshot documents come from its term directory
   /// (CorpusSnapshot::ForEachCandidate) — O(overlay + candidates), not
   /// O(snapshot) — and, when `ranking` is given, each one carries
-  /// engine.DocumentScoreBound of its keyword stats (documents whose
-  /// analyzer drops every keyword stay unbounded). Overlay documents are
-  /// always listed, unbounded. Any other engine gets VisibleDocs().
+  /// engine.DocumentScoreBound of its keyword stats: every listed document
+  /// holds every keyword. Overlay documents are always listed, unbounded.
+  /// Any other engine, or a keyword-less query, gets VisibleDocs().
   /// ParseError when a term list the query reads is corrupt.
   Result<std::vector<DocEntry>> MatchingDocs(
       const Query& query, const SearchEngine& engine,

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "common/string_util.h"
 
 namespace extract {
 
@@ -27,9 +28,9 @@ namespace snapshot_internal {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'C', 'S', 'N'};
-constexpr uint32_t kVersion = 3;
+constexpr uint32_t kVersion = 4;
 constexpr size_t kHeaderSize = 96;
-constexpr size_t kBlobTocWords = 11;
+constexpr size_t kBlobTocWords = 10;
 
 // Header fields (byte offsets).
 constexpr size_t kHeaderFileSize = 8;
@@ -47,33 +48,12 @@ constexpr size_t kEntryPayloadOff = 0;
 constexpr size_t kEntryPayloadSize = 1;
 constexpr size_t kEntryPayloadChecksum = 2;
 constexpr size_t kEntryNumNodes = 3;
-constexpr size_t kEntryAnalyzerFlags = 4;
-constexpr size_t kDirEntryWords = 5;
+constexpr size_t kDirEntryWords = 4;
 
 // Term directory: three count words, then per-term arrays, then entries of
 // four u32 fields (document index, TermDocStats in declaration order).
 constexpr size_t kTermsPrologueWords = 3;
 constexpr size_t kTermEntryBytes = 16;
-
-/// TextAnalysisOptions <-> the persisted analyzer flags (1 = stem,
-/// 2 = remove_stopwords).
-uint64_t AnalyzerFlags(const TextAnalysisOptions& options) {
-  return (options.stem ? 1u : 0u) | (options.remove_stopwords ? 2u : 0u);
-}
-
-TextAnalysisOptions AnalyzerOptions(uint64_t flags) {
-  TextAnalysisOptions options;
-  options.stem = (flags & 1) != 0;
-  options.remove_stopwords = (flags & 2) != 0;
-  return options;
-}
-
-/// Term-directory key of `token` under analyzer `flags`.
-std::string TermKey(uint64_t flags, std::string_view token) {
-  std::string key(1, static_cast<char>(flags));
-  key.append(token);
-  return key;
-}
 
 // ------------------------------------------------------- byte building ----
 
@@ -183,7 +163,6 @@ struct DirRecord {
   uint64_t payload_size = 0;
   uint64_t payload_checksum = 0;
   uint64_t num_nodes = 0;
-  uint64_t analyzer_flags = 0;
 };
 
 /// Serializes the document directory for records already sorted by name.
@@ -205,7 +184,6 @@ std::string BuildDirectory(const std::vector<DirRecord>& records) {
     PutU64Raw(&dir, r.payload_size);
     PutU64Raw(&dir, r.payload_checksum);
     PutU64Raw(&dir, r.num_nodes);
-    PutU64Raw(&dir, r.analyzer_flags);
   }
   return dir;
 }
@@ -369,19 +347,15 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
     Pad8(&out);
   }
 
-  // Analyzer options.
-  toc[3] = out.size();
-  PutU64Raw(&out, AnalyzerFlags(db.analyzer().options()));
-
   // Partition grid.
-  toc[4] = out.size();
+  toc[3] = out.size();
   const std::vector<NodeId>& bounds = db.partitions().bounds();
   PutU64Raw(&out, bounds.size());
   for (NodeId b : bounds) PutI32Raw(&out, b);
   Pad8(&out);
 
   // Classification: per-node categories, pair table, entity labels.
-  toc[5] = out.size();
+  toc[4] = out.size();
   const NodeClassification& cls = db.classification();
   PutU64Raw(&out, n);
   for (size_t i = 0; i < n; ++i) {
@@ -400,7 +374,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
   Pad8(&out);
 
   // Mined keys.
-  toc[6] = out.size();
+  toc[5] = out.size();
   {
     std::vector<LabelId> key_entities = db.keys().EntityLabels();
     PutU64Raw(&out, key_entities.size());
@@ -421,7 +395,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
   }
 
   // Inverted index: sorted token arena + CSR posting lists.
-  toc[7] = out.size();
+  toc[6] = out.size();
   {
     PutU64Raw(&out, postings.size());
     uint64_t total = 0;
@@ -453,7 +427,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
     Pad8(&out);
   }
 
-  toc[8] = n;
+  toc[7] = n;
 
   for (size_t k = 0; k < kBlobTocWords; ++k) SetU64(&out, 8 * k, toc[k]);
 }
@@ -502,7 +476,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[1]));
   uint64_t n;
   EXTRACT_ASSIGN_OR_RETURN(n, reader.U64());
-  if (n != toc[8] || n > size) {
+  if (n != toc[7] || n > size) {
     return Status::ParseError("snapshot bad node count");
   }
   std::vector<NodeId> parent(static_cast<size_t>(n));
@@ -556,17 +530,8 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
                                             std::move(text)));
   const size_t num_labels = doc.labels().size();
 
-  // Analyzer options.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[3]));
-  uint64_t analyzer_flags;
-  EXTRACT_ASSIGN_OR_RETURN(analyzer_flags, reader.U64());
-  if (analyzer_flags > 3) {
-    return Status::ParseError("snapshot bad analyzer flags");
-  }
-  const TextAnalysisOptions analysis = AnalyzerOptions(analyzer_flags);
-
   // Partition grid.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[4]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[3]));
   IndexPartitions partitions;
   {
     uint64_t count;
@@ -585,7 +550,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   }
 
   // Classification.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[5]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[4]));
   NodeClassification classification;
   {
     uint64_t count;
@@ -639,7 +604,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   }
 
   // Mined keys.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[6]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[5]));
   KeyIndex keys;
   {
     uint64_t entity_count;
@@ -672,7 +637,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   }
 
   // Inverted index.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[7]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[6]));
   InvertedIndex inverted;
   {
     uint64_t token_count;
@@ -747,7 +712,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
 
   return XmlDatabase::FromParts(std::move(doc), std::move(partitions),
                                 std::move(classification), std::move(keys),
-                                std::move(inverted), TextAnalyzer(analysis));
+                                std::move(inverted));
 }
 
 // --------------------------------------------------------- image opening ----
@@ -756,10 +721,8 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
 /// directory (checksum, sorted unique names, every payload window inside
 /// the payload region) and the term directory's index (checksum, framing,
 /// sorted unique keys, non-empty lists) — never a payload or a term list.
-/// Counts the documents of each analyzer configuration into
-/// *analyzer_docs. ParseError with a precise message on any mismatch.
-Result<ImageView> OpenImage(const uint8_t* data, size_t size,
-                            std::array<uint64_t, 4>* analyzer_docs) {
+/// ParseError with a precise message on any mismatch.
+Result<ImageView> OpenImage(const uint8_t* data, size_t size) {
   if (size < 8) return Status::ParseError("snapshot too short");
   if (std::memcmp(data, kMagic, 4) != 0) {
     return Status::ParseError("snapshot bad magic");
@@ -838,7 +801,6 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size,
       view.name_offsets[dc] != view.name_bytes_len) {
     return Status::ParseError("snapshot bad name offsets");
   }
-  *analyzer_docs = {};
   for (uint64_t i = 0; i < dc; ++i) {
     if (view.name_offsets[i + 1] < view.name_offsets[i]) {
       return Status::ParseError("snapshot bad name offsets");
@@ -853,9 +815,6 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size,
         payload_off > terms_offset - payload_size) {
       return Status::ParseError("snapshot bad payload window");
     }
-    const uint64_t flags = view.entry(i, kEntryAnalyzerFlags);
-    if (flags > 3) return Status::ParseError("snapshot bad analyzer flags");
-    ++(*analyzer_docs)[flags];
   }
 
   // Term directory index: framing, checksum, then O(vocabulary) key and
@@ -901,14 +860,14 @@ Result<ImageView> OpenImage(const uint8_t* data, size_t size,
     const uint64_t k1 = LoadU64(view.key_offsets + 8 * (t + 1));
     const uint64_t b0 = LoadU64(view.list_begin + 8 * t);
     const uint64_t b1 = LoadU64(view.list_begin + 8 * (t + 1));
-    // Every key is a flags byte plus a non-empty token; every list holds
-    // at least one document.
-    if (k1 < k0 + 2 || k1 > key_bytes || b1 <= b0 || b1 > entry_count) {
+    // Every key is a non-empty token; every list holds at least one
+    // document.
+    if (k1 <= k0 || k1 > key_bytes || b1 <= b0 || b1 > entry_count) {
       return Status::ParseError("snapshot bad term directory offsets");
     }
     const std::string_view key(view.key_bytes + k0,
                                static_cast<size_t>(k1 - k0));
-    if (static_cast<uint8_t>(key[0]) > 3 || (t > 0 && prev_key >= key)) {
+    if (t > 0 && prev_key >= key) {
       return Status::ParseError("snapshot term keys not sorted");
     }
     prev_key = key;
@@ -954,11 +913,8 @@ uint64_t ImageView::entry(size_t i, size_t field) const {
 
 namespace {
 
-using snapshot_internal::AnalyzerFlags;
-using snapshot_internal::AnalyzerOptions;
 using snapshot_internal::Hash64;
 using snapshot_internal::ImageView;
-using snapshot_internal::kEntryAnalyzerFlags;
 using snapshot_internal::kEntryPayloadChecksum;
 using snapshot_internal::kEntryPayloadOff;
 using snapshot_internal::kEntryPayloadSize;
@@ -966,7 +922,6 @@ using snapshot_internal::kHeaderSize;
 using snapshot_internal::kTermEntryBytes;
 using snapshot_internal::LoadU32;
 using snapshot_internal::LoadU64;
-using snapshot_internal::TermKey;
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
@@ -1077,7 +1032,6 @@ Status CorpusSnapshotWriter::Add(std::string_view name, const XmlDatabase& db) {
   entry.payload_checksum =
       Hash64(reinterpret_cast<const uint8_t*>(blob_.data()), blob_.size());
   entry.num_nodes = doc.num_nodes();
-  entry.analyzer_flags = AnalyzerFlags(db.analyzer().options());
   while (blob_.size() % 8 != 0) blob_.push_back('\0');
   Status status = Status::OK();
   EXTRACT_FAULT_CHECK_INTO(status, "snapshot.write");
@@ -1100,7 +1054,6 @@ Status CorpusSnapshotWriter::Add(std::string_view name, const XmlDatabase& db) {
                                           : master_[parent];
   }
   const uint32_t index = static_cast<uint32_t>(entries_.size());
-  std::string key(1, static_cast<char>(entry.analyzer_flags));
   for (const auto& [token, list] : postings) {
     if (list->empty()) continue;
     TermDocStats stats;
@@ -1112,9 +1065,7 @@ Status CorpusSnapshotWriter::Add(std::string_view name, const XmlDatabase& db) {
           stats.min_entity_edges,
           static_cast<uint32_t>(doc.subtree_edges(master_[node])));
     }
-    key.resize(1);
-    key.append(token);
-    terms_[key].emplace_back(index, stats);
+    terms_[token].emplace_back(index, stats);
   }
   entries_.push_back(std::move(entry));
   return Status::OK();
@@ -1142,7 +1093,6 @@ Status CorpusSnapshotWriter::Finish() {
     rec.payload_size = e.payload_size;
     rec.payload_checksum = e.payload_checksum;
     rec.num_nodes = e.num_nodes;
-    rec.analyzer_flags = e.analyzer_flags;
     records.push_back(rec);
   }
   std::vector<snapshot_internal::TermRecord> terms;
@@ -1228,9 +1178,7 @@ Result<std::shared_ptr<CorpusSnapshot>> CorpusSnapshot::Open(
   EXTRACT_INJECT_FAULT("snapshot.open");
   MmapFile file;
   EXTRACT_ASSIGN_OR_RETURN(file, MmapFile::Open(path));
-  std::array<uint64_t, 4> analyzer_docs{};
-  auto view = snapshot_internal::OpenImage(file.data(), file.size(),
-                                           &analyzer_docs);
+  auto view = snapshot_internal::OpenImage(file.data(), file.size());
   if (!view.ok()) {
     return Status(view.status().code(),
                   path + ": " + view.status().message());
@@ -1239,7 +1187,6 @@ Result<std::shared_ptr<CorpusSnapshot>> CorpusSnapshot::Open(
   snap->file_ = std::move(file);  // mapping address survives the move
   snap->view_ = *view;
   snap->path_ = path;
-  snap->analyzer_docs_ = analyzer_docs;
   snap->term_verified_ =
       std::make_unique<std::atomic<bool>[]>(snap->view_.term_count);
   snap->slots_ = std::make_unique<Slot[]>(snap->view_.doc_count);
@@ -1324,7 +1271,7 @@ Result<const CorpusSnapshot::SnapshotDocument*> CorpusSnapshot::Fault(
 }
 
 Result<CorpusSnapshot::TermList> CorpusSnapshot::FindTerm(
-    std::string_view key) const {
+    std::string_view token) const {
   const auto key_at = [this](size_t t) {
     const uint64_t k0 = LoadU64(view_.key_offsets + 8 * t);
     const uint64_t k1 = LoadU64(view_.key_offsets + 8 * (t + 1));
@@ -1334,13 +1281,13 @@ Result<CorpusSnapshot::TermList> CorpusSnapshot::FindTerm(
   size_t hi = static_cast<size_t>(view_.term_count);
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (key_at(mid) < key) {
+    if (key_at(mid) < token) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo == view_.term_count || key_at(lo) != key) return TermList{};
+  if (lo == view_.term_count || key_at(lo) != token) return TermList{};
   const uint64_t begin = LoadU64(view_.list_begin + 8 * lo);
   const uint64_t end = LoadU64(view_.list_begin + 8 * (lo + 1));
   TermList list{view_.term_entries + begin * kTermEntryBytes,
@@ -1355,7 +1302,7 @@ Result<CorpusSnapshot::TermList> CorpusSnapshot::FindTerm(
   if (status.ok() && Hash64(list.entries, list.size * kTermEntryBytes) !=
                          LoadU64(view_.list_checksum + 8 * lo)) {
     status = Status::ParseError("snapshot term list checksum mismatch: " +
-                                std::string(key.substr(1)));
+                                std::string(token));
   }
   for (size_t j = 0; status.ok() && j < list.size; ++j) {
     const uint8_t* entry = list.entries + j * kTermEntryBytes;
@@ -1363,7 +1310,7 @@ Result<CorpusSnapshot::TermList> CorpusSnapshot::FindTerm(
     if (doc >= view_.doc_count || LoadU32(entry + 4) == 0 ||
         (j > 0 && doc <= LoadU32(entry - kTermEntryBytes))) {
       status = Status::ParseError("snapshot bad term list: " +
-                                  std::string(key.substr(1)));
+                                  std::string(token));
     }
   }
   if (!status.ok()) return status;
@@ -1374,110 +1321,47 @@ Result<CorpusSnapshot::TermList> CorpusSnapshot::FindTerm(
 Status CorpusSnapshot::ForEachCandidate(const Query& query,
                                         const CandidateFn& fn) const {
   const size_t m = query.keywords.size();
-  // Per analyzer configuration in the image: the entry list of each query
-  // keyword that configuration keeps (empty for a dropped one). A
-  // configuration is skipped when some kept keyword is absent from it.
-  struct Plan {
-    uint64_t flags = 0;
-    std::vector<TermList> lists;
-    size_t driver = 0;  ///< the shortest kept list; m when none is kept
-  };
-  std::vector<Plan> plans;
-  for (uint64_t flags = 0; flags < analyzer_docs_.size(); ++flags) {
-    if (analyzer_docs_[flags] == 0) continue;
-    const TextAnalyzer analyzer(AnalyzerOptions(flags));
-    Plan plan;
-    plan.flags = flags;
-    plan.lists.resize(m);
-    plan.driver = m;
-    bool absent = false;
-    for (size_t k = 0; k < m && !absent; ++k) {
-      const std::string token = analyzer.AnalyzeToken(query.keywords[k]);
-      if (token.empty()) continue;  // dropped stopword
-      EXTRACT_ASSIGN_OR_RETURN(plan.lists[k], FindTerm(TermKey(flags, token)));
-      absent = plan.lists[k].size == 0;
-      if (plan.driver == m || plan.lists[k].size < plan.lists[plan.driver].size) {
-        plan.driver = k;
-      }
-    }
-    if (!absent) plans.push_back(std::move(plan));
-  }
-
-  // Emits a plan's documents in index order: those holding every kept
-  // keyword — or, when the analyzer keeps none, all of the configuration's
-  // documents with all-zero stats.
-  std::vector<TermDocStats> stats(m);
-  std::vector<size_t> cursor(m);
-  const auto run_plan = [&](const Plan& plan, const CandidateFn& emit) {
-    if (plan.driver == m) {
-      std::fill(stats.begin(), stats.end(), TermDocStats{});
-      for (size_t i = 0; i < doc_count(); ++i) {
-        if (view_.entry(i, kEntryAnalyzerFlags) == plan.flags) emit(i, stats);
-      }
-      return;
-    }
-    const auto doc_at = [](const TermList& list, size_t j) {
-      return LoadU32(list.entries + j * kTermEntryBytes);
-    };
-    std::fill(cursor.begin(), cursor.end(), 0);
-    const TermList& driver = plan.lists[plan.driver];
-    for (size_t j = 0; j < driver.size; ++j) {
-      const uint32_t doc = doc_at(driver, j);
-      cursor[plan.driver] = j;
-      bool all = true;
-      for (size_t k = 0; k < m && all; ++k) {
-        const TermList& list = plan.lists[k];
-        if (k == plan.driver || list.size == 0) continue;
-        while (cursor[k] < list.size && doc_at(list, cursor[k]) < doc) {
-          ++cursor[k];
-        }
-        all = cursor[k] < list.size && doc_at(list, cursor[k]) == doc;
-      }
-      if (!all) continue;
-      for (size_t k = 0; k < m; ++k) {
-        stats[k] = TermDocStats{};
-        if (plan.lists[k].size == 0) continue;
-        const uint8_t* entry =
-            plan.lists[k].entries + cursor[k] * kTermEntryBytes;
-        stats[k] = TermDocStats{LoadU32(entry + 4), LoadU32(entry + 8),
-                                LoadU32(entry + 12)};
-      }
-      emit(doc, stats);
-    }
-  };
-  if (plans.size() == 1) {
-    run_plan(plans[0], fn);
+  if (m == 0) {  // no keyword to prune by: every document, no stats
+    for (size_t i = 0; i < doc_count(); ++i) fn(i, {});
     return Status::OK();
   }
+  // The entry list of each keyword; the shortest one drives the merge.
+  std::vector<TermList> lists(m);
+  size_t shortest = 0;
+  for (size_t k = 0; k < m; ++k) {
+    EXTRACT_ASSIGN_OR_RETURN(lists[k],
+                             FindTerm(ToLowerCopy(query.keywords[k])));
+    if (lists[k].size == 0) return Status::OK();  // absent from the corpus
+    if (lists[k].size < lists[shortest].size) shortest = k;
+  }
 
-  // Several configurations: collect each plan's run, then merge the runs
-  // in document index (= name) order.
-  struct Run {
-    std::vector<uint32_t> docs;
-    std::vector<TermDocStats> stats;  ///< m per document
+  // Emits, in index order, the documents every list holds.
+  const auto doc_at = [](const TermList& list, size_t j) {
+    return LoadU32(list.entries + j * kTermEntryBytes);
   };
-  std::vector<Run> runs(plans.size());
-  for (size_t r = 0; r < plans.size(); ++r) {
-    run_plan(plans[r], [&runs, r](size_t doc, std::span<const TermDocStats> s) {
-      runs[r].docs.push_back(static_cast<uint32_t>(doc));
-      runs[r].stats.insert(runs[r].stats.end(), s.begin(), s.end());
-    });
-  }
-  std::vector<size_t> next(runs.size(), 0);
-  while (true) {
-    size_t best = runs.size();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (next[r] < runs[r].docs.size() &&
-          (best == runs.size() ||
-           runs[r].docs[next[r]] < runs[best].docs[next[best]])) {
-        best = r;
+  std::vector<TermDocStats> stats(m);
+  std::vector<size_t> cursor(m, 0);
+  const TermList& lead = lists[shortest];
+  for (size_t j = 0; j < lead.size; ++j) {
+    const uint32_t doc = doc_at(lead, j);
+    cursor[shortest] = j;
+    bool all = true;
+    for (size_t k = 0; k < m && all; ++k) {
+      if (k == shortest) continue;
+      while (cursor[k] < lists[k].size && doc_at(lists[k], cursor[k]) < doc) {
+        ++cursor[k];
       }
+      all = cursor[k] < lists[k].size && doc_at(lists[k], cursor[k]) == doc;
     }
-    if (best == runs.size()) return Status::OK();
-    const size_t at = next[best]++;
-    fn(runs[best].docs[at],
-       std::span<const TermDocStats>(runs[best].stats.data() + at * m, m));
+    if (!all) continue;
+    for (size_t k = 0; k < m; ++k) {
+      const uint8_t* entry = lists[k].entries + cursor[k] * kTermEntryBytes;
+      stats[k] = TermDocStats{LoadU32(entry + 4), LoadU32(entry + 8),
+                              LoadU32(entry + 12)};
+    }
+    fn(doc, stats);
   }
+  return Status::OK();
 }
 
 CorpusSnapshotStats CorpusSnapshot::Stats() const {

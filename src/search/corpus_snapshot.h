@@ -2,7 +2,7 @@
 // per-document fault-in (the netdata tiered-storage shape: memory-mapped
 // hot data, the OS page cache doing hot/cold tiering).
 //
-// On-disk layout (version 3; all integers little-endian, sections 8-byte
+// On-disk layout (version 4; all integers little-endian, sections 8-byte
 // aligned, built by CorpusSnapshotWriter in one streaming pass plus a
 // directory pass at Finish):
 //
@@ -15,28 +15,27 @@
 //   | document payload blobs, one per document, 8-aligned:           |
 //   |   fixed section TOC -> flat zero-parse columns for the label   |
 //   |   table, node columns (parent/label/kind), text arena,         |
-//   |   analyzer options, IndexPartitions bounds, node               |
-//   |   classification, mined keys and the inverted index (sorted    |
-//   |   token arena + CSR posting lists). No DTD: its effect is the  |
-//   |   stored classification                                        |
+//   |   IndexPartitions bounds, node classification, mined keys and  |
+//   |   the inverted index (sorted token arena + CSR posting lists). |
+//   |   No DTD: its effect is the stored classification              |
 //   +----------------------------------------------------------------+
 //   | term directory: u64 term_count | u64 entry_count |            |
 //   |   u64 key_bytes | key offsets | list begins | list checksums | |
-//   |   key arena (one analyzer-flags byte + the analyzed token,     |
-//   |   sorted bytewise) | entries: per term, the documents holding  |
-//   |   the token in name order, each u32 document index, u32        |
-//   |   posting count, u32 deepest posting depth, u32 fewest master- |
-//   |   entity subtree edges (search_engine.h TermDocStats)          |
+//   |   key arena (one case-folded token per term, sorted bytewise)  |
+//   |   | entries: per term, the documents holding the token in name |
+//   |   order, each u32 document index, u32 posting count, u32       |
+//   |   deepest posting depth, u32 fewest master-entity subtree      |
+//   |   edges (search_engine.h TermDocStats)                         |
 //   +----------------------------------------------------------------+
 //   | document directory: name arena + per-document entries         |
-//   |   (payload window, payload checksum, node count, analyzer      |
-//   |   flags), sorted by name for binary search                     |
+//   |   (payload window, payload checksum, node count), sorted by    |
+//   |   name for binary search                                       |
 //   +----------------------------------------------------------------+
 //
 // Checksums: one function, Hash64, covers the header (its first 88 bytes,
 // stored in its last word), the document directory, the term directory's
 // index (everything before its entries), each term's entry list and each
-// payload. Images of other versions (v1, v2) are refused by number.
+// payload. Images of other versions (v1 to v3) are refused by number.
 //
 // Open() maps the file and validates the header, the document directory and
 // the term directory's index — O(documents + vocabulary), never O(corpus
@@ -100,8 +99,8 @@ struct ImageView {
   uint64_t name_bytes_len = 0;
   const uint64_t* entries = nullptr;  ///< doc_count * kDirEntryWords
 
-  /// Term directory: term_count keys (analyzer-flags byte + token) sorted
-  /// bytewise, each owning the entry range [list_begin[t], list_begin[t+1]).
+  /// Term directory: term_count keys (one token each) sorted bytewise, each
+  /// owning the entry range [list_begin[t], list_begin[t+1]).
   uint64_t term_count = 0;
   const uint8_t* key_offsets = nullptr;    ///< u64[term_count + 1]
   const uint8_t* list_begin = nullptr;     ///< u64[term_count + 1]
@@ -183,12 +182,11 @@ class CorpusSnapshotWriter {
     uint64_t payload_size = 0;
     uint64_t payload_checksum = 0;
     uint64_t num_nodes = 0;
-    uint64_t analyzer_flags = 0;
   };
   std::vector<Entry> entries_;
   std::unordered_set<std::string> names_;  ///< duplicate detection in Add
-  /// The term directory under construction: key (analyzer-flags byte +
-  /// token) -> (index into entries_, stats) per document holding the token.
+  /// The term directory under construction: token -> (index into
+  /// entries_, stats) per document holding the token.
   std::unordered_map<std::string,
                      std::vector<std::pair<uint32_t, TermDocStats>>>
       terms_;
@@ -251,12 +249,11 @@ class CorpusSnapshot {
       std::function<void(size_t, std::span<const TermDocStats>)>;
 
   /// \brief Calls `fn(i, stats)`, in name order, for every document i that
-  /// holds every query keyword its own analyzer does not drop as a
-  /// stopword — exactly the documents that can yield a result under AND
-  /// keyword semantics (SearchEngine::RequiresAllKeywords). `stats` is
-  /// all-zero for a dropped keyword, so a document whose analyzer drops
-  /// every keyword (or any document, for a keyword-less query) is visited
-  /// with all-zero stats.
+  /// holds every query keyword (case-folded) — exactly the documents that
+  /// can yield a result under AND keyword semantics
+  /// (SearchEngine::RequiresAllKeywords). `stats` is parallel to the
+  /// query's keywords, each entry the document's directory entry for that
+  /// keyword. A keyword-less query visits every document with empty stats.
   ///
   /// Reads only the term directory: nothing faults in, and a keyword absent
   /// from the corpus costs one binary search. A term's entry list is
@@ -292,15 +289,13 @@ class CorpusSnapshot {
     const uint8_t* entries = nullptr;
     size_t size = 0;
   };
-  /// The entry list of `key` (analyzer-flags byte + token), verified on
-  /// first use; an empty list when the key is absent.
-  Result<TermList> FindTerm(std::string_view key) const;
+  /// The entry list of `token`, verified on first use; an empty list when
+  /// the token is absent.
+  Result<TermList> FindTerm(std::string_view token) const;
 
   MmapFile file_;
   snapshot_internal::ImageView view_;
   std::string path_;
-  /// Documents per analyzer configuration (flags 0..3).
-  std::array<uint64_t, 4> analyzer_docs_{};
   /// Per term: its entry list passed verification. Set once, never reset.
   std::unique_ptr<std::atomic<bool>[]> term_verified_;
   std::unique_ptr<Slot[]> slots_;

@@ -62,9 +62,8 @@ std::vector<RankedResult> RankResults(const XmlDatabase& db,
 
 /// \brief A sound upper bound on ScoreResult for any result whose SLCA
 /// depth is at most `max_depth`, whose per-keyword match counts are at
-/// most `max_matches` (parallel to the query's keywords; dropped-stopword
-/// slots contribute nothing either way) and whose root subtree has at least
-/// `min_result_edges` edges.
+/// most `max_matches` (parallel to the query's keywords) and whose root
+/// subtree has at least `min_result_edges` edges.
 ///
 /// Each signal is bounded by its extremum: specificity at `max_depth`
 /// (depth 0 when the weight is negative), frequency at the full match

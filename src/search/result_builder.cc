@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace extract {
 
@@ -22,90 +20,6 @@ std::unique_ptr<XmlNode> MaterializeSubtree(const IndexedDocument& doc,
 std::unique_ptr<XmlNode> MaterializeResult(const XmlDatabase& db,
                                            const QueryResult& result) {
   return MaterializeSubtree(db.index(), result.root);
-}
-
-std::unique_ptr<XmlNode> MaterializeXSeekResult(const XmlDatabase& db,
-                                                const QueryResult& result) {
-  const IndexedDocument& doc = db.index();
-  const NodeClassification& classification = db.classification();
-  const NodeId root = result.root;
-  const NodeId end = doc.subtree_end(root);
-
-  // Pass 1: mark keepers — match paths, then attributes of kept entities.
-  std::unordered_set<NodeId> keep{root};
-  auto keep_path = [&](NodeId n) {
-    for (NodeId cur = n; cur != kInvalidNode && cur != root;
-         cur = doc.parent(cur)) {
-      keep.insert(cur);
-    }
-  };
-  for (const auto& matches : result.matches) {
-    for (NodeId m : matches) {
-      keep_path(m);
-      // Show the matched value: keep the match's sole text child, if any.
-      if (doc.is_element(m)) {
-        NodeId text = doc.sole_text_child(m);
-        if (text != kInvalidNode) keep.insert(text);
-      }
-    }
-  }
-  // Attributes (and their values) of kept entities.
-  std::vector<NodeId> kept_entities;
-  for (NodeId n = root; n < end; ++n) {
-    if (keep.count(n) > 0 && doc.is_element(n) && classification.IsEntity(n)) {
-      kept_entities.push_back(n);
-    }
-  }
-  if (doc.is_element(root)) kept_entities.push_back(root);
-  for (NodeId entity : kept_entities) {
-    for (NodeId c : doc.children(entity)) {
-      if (doc.is_element(c) && classification.IsAttribute(c)) {
-        keep.insert(c);
-        NodeId text = doc.sole_text_child(c);
-        if (text != kInvalidNode) keep.insert(text);
-      }
-    }
-  }
-
-  // Pass 2: build the pruned tree. Entity children of kept nodes that are
-  // not kept themselves appear as empty placeholders (one per label);
-  // connection children are summarized down to the entities below them, so
-  // structure like <merchandises><clothes/></merchandises> stays visible.
-  std::function<std::unique_ptr<XmlNode>(NodeId)> summarize =
-      [&](NodeId n) -> std::unique_ptr<XmlNode> {
-    if (!doc.is_element(n)) return nullptr;
-    if (classification.IsEntity(n)) {
-      return XmlNode::MakeElement(doc.label_name(n));
-    }
-    if (classification.IsConnection(n)) {
-      auto element = XmlNode::MakeElement(doc.label_name(n));
-      std::unordered_set<LabelId> seen;
-      for (NodeId c : doc.children(n)) {
-        if (!doc.is_element(c) || !seen.insert(doc.label(c)).second) continue;
-        auto child = summarize(c);
-        if (child != nullptr) element->AppendChild(std::move(child));
-      }
-      return element->children().empty() ? nullptr : std::move(element);
-    }
-    return nullptr;  // attributes of unmatched structure stay hidden
-  };
-  std::function<std::unique_ptr<XmlNode>(NodeId)> build =
-      [&](NodeId n) -> std::unique_ptr<XmlNode> {
-    if (doc.is_text(n)) return XmlNode::MakeText(doc.text(n));
-    auto element = XmlNode::MakeElement(doc.label_name(n));
-    std::unordered_set<LabelId> placeholder_labels;
-    for (NodeId c : doc.children(n)) {
-      if (keep.count(c) > 0) {
-        element->AppendChild(build(c));
-      } else if (doc.is_element(c) &&
-                 placeholder_labels.insert(doc.label(c)).second) {
-        auto summary = summarize(c);
-        if (summary != nullptr) element->AppendChild(std::move(summary));
-      }
-    }
-    return element;
-  };
-  return build(root);
 }
 
 std::unique_ptr<XmlNode> MaterializeInducedTree(

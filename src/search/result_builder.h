@@ -27,21 +27,6 @@ std::unique_ptr<XmlNode> MaterializeResult(const XmlDatabase& db,
 std::unique_ptr<XmlNode> MaterializeInducedTree(
     const IndexedDocument& doc, NodeId root, const std::vector<NodeId>& nodes);
 
-/// \brief Materializes a query result with XSeek's *pruned* output semantics
-/// ([6]: "identifying meaningful return information").
-///
-/// The output keeps, within the result subtree:
-///   * every node on a path from the result root to a keyword match
-///     (with the match's value),
-///   * the attributes (with values) of entity nodes that are kept,
-///   * for every other entity child of a kept node, an empty placeholder
-///     element so the user sees what else exists without its contents.
-///
-/// The paper's demo uses full master-entity subtrees as results; this mode
-/// reproduces XSeek's more aggressive pruning for comparison.
-std::unique_ptr<XmlNode> MaterializeXSeekResult(const XmlDatabase& db,
-                                                const QueryResult& result);
-
 }  // namespace extract
 
 #endif  // EXTRACT_SEARCH_RESULT_BUILDER_H_

@@ -33,8 +33,7 @@ Result<XmlDatabase> XmlDatabase::FromDocument(std::unique_ptr<XmlDocument> doc,
                                               const LoadOptions& options) {
   EXTRACT_INJECT_FAULT("index.document.build");
   IndexedDocument index;
-  EXTRACT_ASSIGN_OR_RETURN(index,
-                           IndexedDocument::Build(*doc, options.indexing));
+  EXTRACT_ASSIGN_OR_RETURN(index, IndexedDocument::Build(*doc));
   return FromIndexedDocument(std::move(index),
                              doc->has_dtd() ? &doc->dtd() : nullptr, options);
 }
@@ -46,26 +45,22 @@ Result<XmlDatabase> XmlDatabase::FromIndexedDocument(IndexedDocument index,
   XmlDatabase db;
   db.index_ = std::make_unique<IndexedDocument>(std::move(index));
   db.partitions_ = IndexPartitions::Build(*db.index_, options.partitioning);
-  db.classification_ =
-      NodeClassification::Classify(*db.index_, dtd, options.classify);
+  db.classification_ = NodeClassification::Classify(*db.index_, dtd);
   db.keys_ = KeyIndex::Mine(*db.index_, db.classification_);
-  db.analyzer_ = TextAnalyzer(options.analysis);
-  db.inverted_ = InvertedIndex::Build(*db.index_, db.analyzer_);
+  db.inverted_ = InvertedIndex::Build(*db.index_);
   return db;
 }
 
 XmlDatabase XmlDatabase::FromParts(IndexedDocument index,
                                    IndexPartitions partitions,
                                    NodeClassification classification,
-                                   KeyIndex keys, InvertedIndex inverted,
-                                   TextAnalyzer analyzer) {
+                                   KeyIndex keys, InvertedIndex inverted) {
   XmlDatabase db;
   db.index_ = std::make_unique<IndexedDocument>(std::move(index));
   db.partitions_ = std::move(partitions);
   db.classification_ = std::move(classification);
   db.keys_ = std::move(keys);
   db.inverted_ = std::move(inverted);
-  db.analyzer_ = std::move(analyzer);
   return db;
 }
 
@@ -173,66 +168,57 @@ class BlockingResultProducer : public ResultProducer {
   uint64_t score_ns_ = 0;
 };
 
-/// The posting lists of a query's keywords under the database's analyzer:
-/// one list per keyword that survives analysis, with that keyword's index.
-/// Stopword keywords are dropped (standard IR behaviour). Empty `lists`
-/// means the result set is empty: every keyword was a stopword, or some
-/// keyword matches nothing.
-struct KeywordLists {
-  std::vector<const PostingList*> lists;
-  std::vector<size_t> keyword_of_list;
-};
+/// The posting lists of a query's keywords, case-folded: one per keyword,
+/// in keyword order. Empty when some keyword matches nothing — the result
+/// set is then empty.
+using KeywordLists = std::vector<const PostingList*>;
 
 Result<KeywordLists> LookupKeywords(const XmlDatabase& db,
                                     const Query& query) {
   if (query.keywords.empty()) {
     return Status::InvalidArgument("query has no keywords");
   }
-  KeywordLists out;
-  out.lists.reserve(query.keywords.size());
-  for (size_t k = 0; k < query.keywords.size(); ++k) {
-    std::string analyzed = db.analyzer().AnalyzeToken(query.keywords[k]);
-    if (analyzed.empty()) continue;  // stopword
-    const PostingList* list = db.inverted().Find(analyzed);
+  KeywordLists lists;
+  lists.reserve(query.keywords.size());
+  for (const std::string& keyword : query.keywords) {
+    const PostingList* list = db.inverted().Find(ToLowerCopy(keyword));
     if (list == nullptr || list->empty()) return KeywordLists{};
-    out.lists.push_back(list);
-    out.keyword_of_list.push_back(k);
+    lists.push_back(list);
   }
-  return out;
+  return lists;
 }
 
-/// Drops the roots that repeat an earlier result: SLCAs arrive in document
-/// order, two of them can share a master entity, and a later one can map
-/// into an earlier, larger master subtree. A root is kept only when it lies
-/// outside the last kept root, which collapses adjacent equal roots and
-/// drops roots inside the last kept one in a single one-element lookbehind
-/// — so a stream of chunks keeps exactly what one pass over all SLCAs does.
+/// Drops the roots that repeat or overlap an earlier result: SLCAs arrive
+/// in document order, two of them can share a master entity, and a later
+/// one's master entity can lie inside an earlier kept root or enclose it.
+/// A root is kept only when it starts at or after the end of the last kept
+/// root's subtree, so no kept result contains another, in a single
+/// one-element lookbehind — a stream of chunks keeps exactly what one pass
+/// over all SLCAs does, and no kept root is ever taken back.
 class RootDedup {
  public:
   bool Keep(const IndexedDocument& doc, NodeId root) {
-    if (last_ != kInvalidNode && doc.IsAncestorOrSelf(last_, root)) {
-      return false;
-    }
-    last_ = root;
+    if (root < end_) return false;
+    end_ = doc.subtree_end(root);
     return true;
   }
 
  private:
-  NodeId last_ = kInvalidNode;
+  NodeId end_ = 0;
 };
 
 /// Fills `result.matches` with each keyword's postings inside the result
-/// subtree; a dropped stopword keyword keeps an empty list.
-void AttachMatches(const IndexedDocument& doc, const Query& query,
-                   const KeywordLists& keywords, QueryResult& result) {
+/// subtree.
+void AttachMatches(const IndexedDocument& doc, const KeywordLists& keywords,
+                   QueryResult& result) {
   const NodeId begin = result.root;
   const NodeId end = doc.subtree_end(result.root);
-  result.matches.resize(query.keywords.size());
-  for (size_t i = 0; i < keywords.lists.size(); ++i) {
-    const std::vector<NodeId>& nodes = keywords.lists[i]->nodes;
+  result.matches.resize(keywords.size());
+  for (size_t k = 0; k < keywords.size(); ++k) {
+    const std::vector<NodeId>& nodes = keywords[k]->nodes;
     auto lo = std::lower_bound(nodes.begin(), nodes.end(), begin);
     auto hi = std::lower_bound(nodes.begin(), nodes.end(), end);
-    result.matches[keywords.keyword_of_list[i]].assign(lo, hi);
+    result.matches[k].assign(lo, hi);
   }
 }
 
@@ -241,20 +227,19 @@ void AttachMatches(const IndexedDocument& doc, const Query& query,
 /// Search, then scored.
 class XSeekResultProducer : public ResultProducer {
  public:
-  XSeekResultProducer(const XmlDatabase* db, const Query* query,
-                      const RankingOptions* ranking, KeywordLists keywords)
+  XSeekResultProducer(const XmlDatabase* db, const RankingOptions* ranking,
+                      KeywordLists keywords)
       : db_(db),
-        query_(query),
         ranking_(ranking),
         keywords_(std::move(keywords)),
-        enumerator_(db->index(), keywords_.lists, db->partitions()) {
+        enumerator_(db->index(), keywords_, db->partitions()) {
     // Frequency envelope for the score bound: per-keyword whole-list sizes.
     // A future result can span up to the whole document, so a tighter
     // per-chunk envelope would be unsound; the depth cap (which the
     // enumerator does shrink as it scans) carries the tightening.
-    max_matches_.assign(query->keywords.size(), 0);
-    for (size_t i = 0; i < keywords_.lists.size(); ++i) {
-      max_matches_[keywords_.keyword_of_list[i]] = keywords_.lists[i]->size();
+    max_matches_.reserve(keywords_.size());
+    for (const PostingList* list : keywords_) {
+      max_matches_.push_back(list->size());
     }
   }
 
@@ -273,7 +258,7 @@ class XSeekResultProducer : public ResultProducer {
       QueryResult result;
       result.root = root;
       result.slca = slca;
-      AttachMatches(db_->index(), *query_, keywords_, result);
+      AttachMatches(db_->index(), keywords_, result);
       const double score = ScoreResult(*db_, result, *ranking_);
       out->push_back(RankedResult{std::move(result), score});
     }
@@ -298,7 +283,6 @@ class XSeekResultProducer : public ResultProducer {
 
  private:
   const XmlDatabase* db_;
-  const Query* query_;
   const RankingOptions* ranking_;
   KeywordLists keywords_;
   SlcaEnumerator enumerator_;
@@ -308,8 +292,8 @@ class XSeekResultProducer : public ResultProducer {
   uint64_t score_ns_ = 0;
 };
 
-/// A producer that is exhausted from the start (no-match / all-stopword
-/// queries): the incremental image of Search returning an empty vector.
+/// A producer that is exhausted from the start (no-match queries): the
+/// incremental image of Search returning an empty vector.
 class EmptyResultProducer : public ResultProducer {
  public:
   Status Pull(std::vector<RankedResult>*) override { return Status::OK(); }
@@ -346,7 +330,6 @@ double XSeekEngine::DocumentScoreBound(
   for (size_t k = 0; k < keyword_stats.size(); ++k) {
     const TermDocStats& stats = keyword_stats[k];
     counts[k] = stats.postings;
-    if (stats.postings == 0) continue;  // dropped stopword
     max_depth = std::min(max_depth, stats.max_depth);
     min_edges = std::max<size_t>(min_edges, stats.min_entity_edges);
   }
@@ -365,11 +348,11 @@ Result<std::unique_ptr<ResultProducer>> XSeekEngine::OpenIncremental(
     size_t /*top_k_hint*/) const {
   KeywordLists keywords;
   EXTRACT_ASSIGN_OR_RETURN(keywords, LookupKeywords(db, query));
-  if (keywords.lists.empty()) {
+  if (keywords.empty()) {
     return std::unique_ptr<ResultProducer>(new EmptyResultProducer());
   }
-  return std::unique_ptr<ResultProducer>(new XSeekResultProducer(
-      &db, &query, &ranking, std::move(keywords)));
+  return std::unique_ptr<ResultProducer>(
+      new XSeekResultProducer(&db, &ranking, std::move(keywords)));
 }
 
 Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
@@ -377,7 +360,7 @@ Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
   EXTRACT_INJECT_FAULT("search.execute");
   KeywordLists keywords;
   EXTRACT_ASSIGN_OR_RETURN(keywords, LookupKeywords(db, query));
-  if (keywords.lists.empty()) return std::vector<QueryResult>{};
+  if (keywords.empty()) return std::vector<QueryResult>{};
 
   // Intra-document partition parallelism: on when the document was loaded
   // with more than one partition and the options allow it. Every parallel
@@ -388,9 +371,9 @@ Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
 
   std::vector<NodeId> slcas =
       partitioned ? ComputeSlcaIndexedLookupEagerPartitioned(
-                        db.index(), keywords.lists, db.partitions(),
+                        db.index(), keywords, db.partitions(),
                         options_.partition_threads)
-                  : ComputeSlcaIndexedLookupEager(db.index(), keywords.lists);
+                  : ComputeSlcaIndexedLookupEager(db.index(), keywords);
 
   // Scope each SLCA to its master entity. The ancestor walks are
   // independent, so the partitioned path runs them in parallel; the dedup
@@ -420,7 +403,7 @@ Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
   // match ranges in parallel.
   auto attach_matches = [&](size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
-      AttachMatches(db.index(), query, keywords, results[r]);
+      AttachMatches(db.index(), keywords, results[r]);
     }
   };
   if (partitioned) {

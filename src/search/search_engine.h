@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/analyzer.h"
 #include "common/result.h"
 #include "index/index_partitions.h"
 #include "index/indexed_document.h"
@@ -24,20 +23,20 @@
 #include "schema/key_miner.h"
 #include "schema/node_classifier.h"
 #include "xml/dom.h"
-#include "xml/parser.h"
+#include "xml/parse_limits.h"
 
 namespace extract {
 
 /// Database loading knobs.
+///
+/// Loading always parses the document's DTD (which then decides *-nodes
+/// during classification; the database keeps the classification, not the
+/// DTD), expands XML attributes into child elements, and matches keywords
+/// as case-folded tokens (TokenizeWords) in the index, the engine's keyword
+/// lookup and the snippet instance scan alike.
 struct LoadOptions {
-  /// A DTD parsed here decides *-nodes during classification (see
-  /// `classify`); the database keeps the classification, not the DTD.
-  XmlParseOptions parse;
-  IndexedDocumentOptions indexing;
-  ClassifyOptions classify;
-  /// Token normalization shared by the index, the engine's keyword lookup
-  /// and the snippet instance matcher. Defaults to case folding only.
-  TextAnalysisOptions analysis;
+  /// Hostile-input caps of the XML parse (xml/parse_limits.h).
+  ParseLimits parse;
   /// Intra-document shard grid, built once at load (index/index_partitions.h).
   /// Small documents get a single partition — the sequential reference
   /// layout; huge documents get the grid the partition-parallel search and
@@ -50,9 +49,9 @@ struct LoadOptions {
 /// shared context of search and snippet generation.
 ///
 /// It holds only what queries read: the flattened document, its partition
-/// grid, the per-node classification, the mined keys, the inverted index
-/// and the analyzer. Neither the DOM nor its DTD is kept; the DTD's effect
-/// survives as the classification.
+/// grid, the per-node classification, the mined keys and the inverted
+/// index. Neither the DOM nor its DTD is kept; the DTD's effect survives as
+/// the classification.
 class XmlDatabase {
  public:
   /// Parses and analyzes an XML document from text.
@@ -76,14 +75,13 @@ class XmlDatabase {
   /// (search/corpus_snapshot.h), where classification, keys, partitions and
   /// the inverted index were persisted alongside the columns.
   ///
-  /// The parts must be mutually consistent (built from the same document
-  /// with the same analyzer); callers get that from checksummed snapshot
-  /// sections, not from validation here.
+  /// The parts must be mutually consistent (built from the same
+  /// document); callers get that from checksummed snapshot sections, not
+  /// from validation here.
   static XmlDatabase FromParts(IndexedDocument index,
                                IndexPartitions partitions,
                                NodeClassification classification,
-                               KeyIndex keys, InvertedIndex inverted,
-                               TextAnalyzer analyzer);
+                               KeyIndex keys, InvertedIndex inverted);
 
   const IndexedDocument& index() const { return *index_; }
   /// The intra-document shard grid (>= 1 partition, immutable after load).
@@ -91,8 +89,6 @@ class XmlDatabase {
   const NodeClassification& classification() const { return classification_; }
   const KeyIndex& keys() const { return keys_; }
   const InvertedIndex& inverted() const { return inverted_; }
-  /// The analyzer the index was built with.
-  const TextAnalyzer& analyzer() const { return analyzer_; }
 
   XmlDatabase(XmlDatabase&&) = default;
   XmlDatabase& operator=(XmlDatabase&&) = default;
@@ -105,7 +101,6 @@ class XmlDatabase {
   NodeClassification classification_;
   KeyIndex keys_;
   InvertedIndex inverted_;
-  TextAnalyzer analyzer_;
 };
 
 /// \brief A keyword query.
@@ -155,8 +150,9 @@ struct RankedResult;
 
 /// \brief What a snapshot's term directory (search/corpus_snapshot.h)
 /// records for one (token, document) pair: enough to bound the score of any
-/// result over the document without opening it. All zero for a keyword
-/// that analyzes to a stopword under the document's analyzer.
+/// result over the document without opening it. The directory lists a
+/// document under a token only when the token has postings there, so
+/// `postings` is never zero.
 struct TermDocStats {
   /// Length of the token's posting list in the document.
   uint32_t postings = 0;
@@ -228,9 +224,9 @@ class SearchEngine {
 
   /// \brief True when Search/OpenIncremental over any database is
   /// guaranteed empty (a successful no-hit run, not an error) whenever some
-  /// query keyword analyzes to a non-stopword token absent from that
-  /// database's inverted index — i.e. the engine requires every keyword to
-  /// match (AND semantics).
+  /// query keyword, case-folded, is absent from that database's inverted
+  /// index — i.e. the engine requires every keyword to match (AND
+  /// semantics).
   ///
   /// The snapshot-backed corpus uses this to take its candidate documents
   /// from the snapshot's term directory WITHOUT faulting them in: a document
@@ -243,10 +239,11 @@ class SearchEngine {
   /// \brief A sound upper bound on the score (ScoreResult under `ranking`)
   /// of every result Search would return over a document, computed from
   /// the term directory alone. `keyword_stats` is parallel to the query's
-  /// keywords, all-zero for a keyword the document's analyzer drops.
+  /// keywords, one directory entry per keyword.
   ///
-  /// Consulted only for engines that RequiresAllKeywords, and only with at
-  /// least one non-zero entry. SearchTopK opens and faults in a snapshot
+  /// Consulted only for engines that RequiresAllKeywords, only for a query
+  /// with at least one keyword, and only for a document the directory lists
+  /// under every keyword. SearchTopK opens and faults in a snapshot
   /// document only once its bound could still place a hit on the page.
   /// The default (+infinity: no bound) opens every candidate up front.
   virtual double DocumentScoreBound(
@@ -275,8 +272,9 @@ class SearchEngine {
 ///
 /// Each result is the subtree rooted at the lowest entity ancestor-or-self
 /// of an SLCA (its "master entity"): self-contained results, like XSeek's
-/// output for the paper's examples. SLCAs that map to the same root, or
-/// into the subtree of the previous kept root, yield no further result.
+/// output for the paper's examples. An SLCA whose root overlaps the last
+/// kept root (the same root, one inside it, or one enclosing it) yields no
+/// further result, so no result contains another.
 class XSeekEngine : public SearchEngine {
  public:
   explicit XSeekEngine(SearchOptions options) : options_(options) {}

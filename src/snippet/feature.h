@@ -27,13 +27,6 @@ struct Feature {
   friend auto operator<=>(const Feature&, const Feature&) = default;
 };
 
-/// Renders "(store, city, Houston)".
-std::string FeatureToString(const LabelTable& labels, const Feature& feature);
-
-/// Renders "(store, city)".
-std::string FeatureTypeToString(const LabelTable& labels,
-                                const FeatureType& type);
-
 }  // namespace extract
 
 #endif  // EXTRACT_SNIPPET_FEATURE_H_

@@ -89,17 +89,6 @@ bool FeatureStatistics::IsDominant(const Feature& f) const {
   return vit->second * stats.domain_size() > stats.total_occurrences;
 }
 
-std::vector<std::pair<Feature, double>> FeatureStatistics::AllFeatures() const {
-  std::vector<std::pair<Feature, double>> out;
-  for (const auto& [type, stats] : types_) {
-    for (const auto& [value, count] : stats.value_occurrences) {
-      Feature f{type, value};
-      out.emplace_back(f, DominanceScore(f));
-    }
-  }
-  return out;
-}
-
 std::string FeatureStatistics::Render(const LabelTable& labels,
                                       size_t min_occurrences) const {
   std::vector<std::vector<std::string>> rows;

@@ -81,9 +81,6 @@ class FeatureStatistics {
   /// Exact dominance test: N(e,a,v) * D(e,a) > N(e,a), or D(e,a) == 1.
   bool IsDominant(const Feature& f) const;
 
-  /// Every feature in the result with its score, unsorted.
-  std::vector<std::pair<Feature, double>> AllFeatures() const;
-
   /// Renders the Figure 1-style statistics block:
   ///
   ///     city:     Houston: 6  Austin: 1  ...

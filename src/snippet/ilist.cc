@@ -34,10 +34,10 @@ IList BuildIList(const IndexedDocument& doc, const Query& query,
                  NodeId result_root, const ReturnEntityInfo& return_entity,
                  const ResultKeyInfo& key, const FeatureStatistics& stats,
                  const NodeClassification& classification,
-                 const IListOptions& options) {
+                 const DominantFeatureOptions& features) {
   return BuildIListWithFeatures(
       doc, query, result_root, return_entity, key,
-      IdentifyDominantFeatures(stats, options.features), classification);
+      IdentifyDominantFeatures(stats, features), classification);
 }
 
 IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,

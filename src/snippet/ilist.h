@@ -69,11 +69,6 @@ class IList {
   std::vector<IListItem> items_;
 };
 
-/// IList construction knobs.
-struct IListOptions {
-  DominantFeatureOptions features;
-};
-
 /// \brief Assembles the IList for one query result.
 ///
 /// Deduplication: an item whose display string equals (case-insensitively)
@@ -85,7 +80,7 @@ IList BuildIList(const IndexedDocument& doc, const Query& query,
                  NodeId result_root, const ReturnEntityInfo& return_entity,
                  const ResultKeyInfo& key, const FeatureStatistics& stats,
                  const NodeClassification& classification,
-                 const IListOptions& options);
+                 const DominantFeatureOptions& features);
 
 /// BuildIList with an externally supplied feature ranking (used by the
 /// batch diversifier, snippet/distinguishability.h, which re-scores

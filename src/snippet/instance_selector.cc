@@ -1,7 +1,6 @@
 #include "snippet/instance_selector.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -13,29 +12,19 @@ size_t Selection::covered_count() const {
   return static_cast<size_t>(std::count(covered.begin(), covered.end(), true));
 }
 
-std::vector<ItemInstances> FindItemInstances(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist) {
-  return FindItemInstances(doc, classification, result_root, ilist,
-                           TextAnalyzer());
-}
+namespace {
 
-std::vector<ItemInstances> FindItemInstances(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer) {
-  // Pre-analyze keyword tokens once; a keyword that the analyzer drops
-  // (stopword) can never be matched and keeps an empty instance list.
-  std::vector<std::string> analyzed_token(ilist.size());
+/// The case-folded token of every keyword item, parallel to ilist.items()
+/// ("" for the other kinds).
+std::vector<std::string> KeywordTokens(const IList& ilist) {
+  std::vector<std::string> tokens(ilist.size());
   for (size_t i = 0; i < ilist.size(); ++i) {
     if (ilist[i].kind == IListItemKind::kKeyword) {
-      analyzed_token[i] = analyzer.AnalyzeToken(ilist[i].token);
+      tokens[i] = ToLowerCopy(ilist[i].token);
     }
   }
-  return FindItemInstances(doc, classification, result_root, ilist, analyzer,
-                           analyzed_token);
+  return tokens;
 }
-
-namespace {
 
 // One slice of the instance scan: matches node ids in [scan_begin,
 // scan_end) against every IList item, appending to `out` (parallel to
@@ -46,8 +35,7 @@ namespace {
 void ScanInstanceRange(const IndexedDocument& doc,
                        const NodeClassification& classification,
                        NodeId result_root, const IList& ilist,
-                       const TextAnalyzer& analyzer,
-                       const std::vector<std::string>& analyzed_token,
+                       const std::vector<std::string>& tokens,
                        NodeId scan_begin, NodeId scan_end,
                        std::vector<ItemInstances>& out) {
   // Nearest entity ancestor cache (within the result) for feature matching.
@@ -67,9 +55,8 @@ void ScanInstanceRange(const IndexedDocument& doc,
         const IListItem& item = ilist[i];
         switch (item.kind) {
           case IListItemKind::kKeyword:
-            if (!analyzed_token[i].empty() &&
-                analyzer.ContainsAnalyzedToken(doc.label_name(id),
-                                               analyzed_token[i])) {
+            if (!tokens[i].empty() &&
+                ContainsToken(doc.label_name(id), tokens[i])) {
               out[i].nodes.push_back(id);
             }
             break;
@@ -90,9 +77,7 @@ void ScanInstanceRange(const IndexedDocument& doc,
         const IListItem& item = ilist[i];
         switch (item.kind) {
           case IListItemKind::kKeyword:
-            if (!analyzed_token[i].empty() &&
-                analyzer.ContainsAnalyzedToken(doc.text(id),
-                                               analyzed_token[i])) {
+            if (!tokens[i].empty() && ContainsToken(doc.text(id), tokens[i])) {
               out[i].nodes.push_back(id);
             }
             break;
@@ -118,34 +103,27 @@ void ScanInstanceRange(const IndexedDocument& doc,
 
 std::vector<ItemInstances> FindItemInstances(
     const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer,
-    const std::vector<std::string>& analyzed_tokens) {
-  assert(analyzed_tokens.size() == ilist.size() &&
-         "analyzed_tokens must be parallel to ilist.items()");
+    NodeId result_root, const IList& ilist) {
   std::vector<ItemInstances> out(ilist.size());
-  ScanInstanceRange(doc, classification, result_root, ilist, analyzer,
-                    analyzed_tokens, result_root,
+  ScanInstanceRange(doc, classification, result_root, ilist,
+                    KeywordTokens(ilist), result_root,
                     doc.subtree_end(result_root), out);
   return out;
 }
 
 std::vector<ItemInstances> FindItemInstancesPartitioned(
     const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer,
-    const std::vector<std::string>& analyzed_tokens,
+    NodeId result_root, const IList& ilist,
     const std::vector<NodeRange>& slices, size_t num_threads) {
-  assert(analyzed_tokens.size() == ilist.size() &&
-         "analyzed_tokens must be parallel to ilist.items()");
   if (slices.size() <= 1 || num_threads == 1) {
-    return FindItemInstances(doc, classification, result_root, ilist, analyzer,
-                             analyzed_tokens);
+    return FindItemInstances(doc, classification, result_root, ilist);
   }
+  const std::vector<std::string> tokens = KeywordTokens(ilist);
   std::vector<std::vector<ItemInstances>> partials(
       slices.size(), std::vector<ItemInstances>(ilist.size()));
   ParallelFor(slices.size(), num_threads, [&](size_t s) {
-    ScanInstanceRange(doc, classification, result_root, ilist, analyzer,
-                      analyzed_tokens, slices[s].begin, slices[s].end,
-                      partials[s]);
+    ScanInstanceRange(doc, classification, result_root, ilist, tokens,
+                      slices[s].begin, slices[s].end, partials[s]);
   });
   // Slice order is document order, so per-item concatenation keeps every
   // instance list ascending — identical to the sequential scan.
@@ -161,7 +139,7 @@ std::vector<ItemInstances> FindItemInstancesPartitioned(
 
 Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
                                 const std::vector<ItemInstances>& instances,
-                                const SelectorOptions& options) {
+                                size_t size_bound) {
   // One tree set per thread, reused across selections: Reset is O(1) via
   // the epoch stamp, so a batch generating thousands of snippets allocates
   // the membership array once per worker instead of once per result.
@@ -184,11 +162,9 @@ Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
       }
     }
     if (best_cost == SIZE_MAX) continue;  // items without instances are skipped
-    if (tree.edges() + best_cost <= options.size_bound) {
+    if (tree.edges() + best_cost <= size_bound) {
       tree.Commit(best_path);
       selection.covered[i] = true;
-    } else if (options.stop_on_first_overflow) {
-      break;
     }
   }
   selection.nodes = tree.SortedMembers();
@@ -305,8 +281,8 @@ struct ExactSearch {
 
 Selection SelectInstancesExact(const IndexedDocument& doc, NodeId result_root,
                                const std::vector<ItemInstances>& instances,
-                               const SelectorOptions& options) {
-  ExactSearch search(doc, result_root, instances, options.size_bound);
+                               size_t size_bound) {
+  ExactSearch search(doc, result_root, instances, size_bound);
   search.Recurse(0);
   Selection selection;
   selection.covered = search.best_covered;

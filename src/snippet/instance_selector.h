@@ -32,26 +32,13 @@ struct ItemInstances {
 };
 
 /// \brief Finds the instances of every IList item in the subtree rooted at
-/// `result_root`. Output is parallel to `ilist.items()`.
+/// `result_root`. Output is parallel to `ilist.items()`. A keyword item
+/// matches an element whose tag name, or a text node whose text, holds its
+/// case-folded token (ContainsToken) — the matching the inverted index
+/// uses; an empty token matches nothing.
 std::vector<ItemInstances> FindItemInstances(
     const IndexedDocument& doc, const NodeClassification& classification,
     NodeId result_root, const IList& ilist);
-
-/// FindItemInstances with the database's analyzer, so keyword items match
-/// under the same stemming/stopword rules the search engine used.
-std::vector<ItemInstances> FindItemInstances(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer);
-
-/// FindItemInstances with the keyword items' analyzer-normalized tokens
-/// precomputed by the caller — `analyzed_tokens` is parallel to
-/// ilist.items(), non-keyword slots ignored, "" marks a dropped (stopword)
-/// token. Lets a per-query cache (snippet/snippet_context.h) analyze each
-/// query token once instead of once per result.
-std::vector<ItemInstances> FindItemInstances(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer,
-    const std::vector<std::string>& analyzed_tokens);
 
 /// \brief Partition-parallel instance scan: scans each of `slices` (the
 /// result's node interval clipped against the document's partition grid,
@@ -63,19 +50,8 @@ std::vector<ItemInstances> FindItemInstances(
 /// `num_threads == 1`.
 std::vector<ItemInstances> FindItemInstancesPartitioned(
     const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist, const TextAnalyzer& analyzer,
-    const std::vector<std::string>& analyzed_tokens,
+    NodeId result_root, const IList& ilist,
     const std::vector<NodeRange>& slices, size_t num_threads);
-
-/// Selection knobs.
-struct SelectorOptions {
-  /// Maximum number of edges of the snippet tree.
-  size_t size_bound = 10;
-  /// When an item does not fit: false (default) skips it and keeps trying
-  /// cheaper lower-ranked items; true stops at the first overflow, strictly
-  /// preserving rank order.
-  bool stop_on_first_overflow = false;
-};
 
 /// The outcome of instance selection.
 struct Selection {
@@ -96,19 +72,20 @@ struct Selection {
 /// Processes items in IList rank order; for each item picks the instance
 /// with the smallest marginal cost (new edges needed to connect it to the
 /// current tree, counting the instance's own path-to-tree; ties broken
-/// toward document order) and accepts it if the budget allows.
-/// O(Σ instances × depth).
+/// toward document order) and accepts it if the tree then has at most
+/// `size_bound` edges. An item that does not fit is skipped, and cheaper
+/// lower-ranked items are still tried. O(Σ instances × depth).
 Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
                                 const std::vector<ItemInstances>& instances,
-                                const SelectorOptions& options);
+                                size_t size_bound);
 
 /// \brief Exact maximum coverage by branch-and-bound (small inputs only —
 /// the problem is NP-hard; practical for ~12 items with a handful of
-/// instances each). Maximizes covered count; ties prefer fewer edges, then
-/// covering higher-ranked items.
+/// instances each). Maximizes covered count under at most `size_bound`
+/// edges; ties prefer fewer edges, then covering higher-ranked items.
 Selection SelectInstancesExact(const IndexedDocument& doc, NodeId result_root,
                                const std::vector<ItemInstances>& instances,
-                               const SelectorOptions& options);
+                               size_t size_bound);
 
 }  // namespace extract
 

@@ -56,8 +56,6 @@ SnippetCacheKeyPrefix MakeSnippetCacheKeyPrefix(std::string_view document,
   text.append(std::to_string(options.features.max_features));
   text.push_back(kFieldSep);
   text.push_back(options.features.normalize ? '1' : '0');
-  text.push_back(options.stop_on_first_overflow ? '1' : '0');
-  text.push_back(options.use_exact_selector ? '1' : '0');
   text.push_back(kFieldSep);
   return SnippetCacheKeyPrefix{std::move(text)};
 }

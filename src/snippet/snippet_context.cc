@@ -35,13 +35,7 @@ uint64_t FingerprintIList(const IList& ilist) {
 }
 
 SnippetContext::SnippetContext(const XmlDatabase* db, Query query)
-    : db_(db), query_(std::move(query)) {
-  analyzed_keywords_.reserve(query_.keywords.size());
-  for (const std::string& keyword : query_.keywords) {
-    analyzed_keywords_.push_back(db_->analyzer().AnalyzeToken(keyword));
-    analyzed_by_token_.emplace(keyword, analyzed_keywords_.back());
-  }
-}
+    : db_(db), query_(std::move(query)) {}
 
 std::vector<NodeRange> SnippetContext::PartitionSlicesFor(
     NodeId result_root) const {
@@ -135,27 +129,17 @@ const std::vector<ItemInstances>& SnippetContext::InstancesFor(
       return it->second;
     }
   }
-  // Feed the constructor's keyword analysis into the scan: IList keyword
-  // items carry the query's tokens, so nothing is re-analyzed per result.
-  std::vector<std::string> analyzed_tokens(ilist.size());
-  for (size_t i = 0; i < ilist.size(); ++i) {
-    if (ilist[i].kind != IListItemKind::kKeyword) continue;
-    auto it = analyzed_by_token_.find(ilist[i].token);
-    analyzed_tokens[i] = it != analyzed_by_token_.end()
-                             ? it->second
-                             : db_->analyzer().AnalyzeToken(ilist[i].token);
-  }
   std::vector<ItemInstances> found;
   const std::vector<NodeRange> slices = PartitionSlicesFor(result_root);
   if (!slices.empty()) {
     const auto scan_start = std::chrono::steady_clock::now();
-    found = FindItemInstancesPartitioned(
-        db_->index(), db_->classification(), result_root, ilist,
-        db_->analyzer(), analyzed_tokens, slices, /*num_threads=*/0);
+    found = FindItemInstancesPartitioned(db_->index(), db_->classification(),
+                                         result_root, ilist, slices,
+                                         /*num_threads=*/0);
     scan_stats_.Record("scan.instances", ElapsedNsSince(scan_start));
   } else {
     found = FindItemInstances(db_->index(), db_->classification(), result_root,
-                              ilist, db_->analyzer(), analyzed_tokens);
+                              ilist);
   }
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = instances_.emplace(cache_key, std::move(found));

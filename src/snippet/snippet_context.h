@@ -1,14 +1,14 @@
 // Per-query shared state of snippet generation.
 //
 // All results of one query are summarized against the same database with
-// the same keywords, so everything that depends only on (query) or on
-// (query, result_root) can be computed once and shared: the analyzer-
-// normalized query tokens, the per-result feature statistics scan (the
-// dominant cost of the paper's Figure 4 pipeline), the return entity and
-// result key, and the item-instance scans. SnippetContext memoizes all of
-// them behind a mutex, so one context can be shared by every worker of a
-// parallel batch (snippet/snippet_service.h) — and by repeated calls for
-// the same query, e.g. the shell regenerating snippets at a new size bound.
+// the same keywords, so everything that depends only on (query,
+// result_root) can be computed once and shared: the per-result feature
+// statistics scan (the dominant cost of the paper's Figure 4 pipeline), the
+// return entity and result key, and the item-instance scans. SnippetContext
+// memoizes all of them behind a mutex, so one context can be shared by
+// every worker of a parallel batch (snippet/snippet_service.h) — and by
+// repeated calls for the same query, e.g. the shell regenerating snippets
+// at a new size bound.
 //
 // Memoized values are deterministic functions of their keys, so sharing a
 // context never changes output, only cost.
@@ -55,13 +55,6 @@ class SnippetContext {
   const XmlDatabase& db() const { return *db_; }
   const Query& query() const { return query_; }
 
-  /// The query keywords normalized by the database's analyzer (stopwords
-  /// dropped to ""), parallel to query().keywords. Computed once and fed
-  /// to every instance scan, so no per-result call re-analyzes the query.
-  const std::vector<std::string>& analyzed_keywords() const {
-    return analyzed_keywords_;
-  }
-
   /// Feature statistics of the result rooted at `result_root` (§2.3),
   /// computed on first use. The reference stays valid for the context's
   /// lifetime.
@@ -106,10 +99,6 @@ class SnippetContext {
 
   const XmlDatabase* db_;
   Query query_;
-  std::vector<std::string> analyzed_keywords_;
-  /// keyword token -> analyzed form, for mapping IList keyword items back
-  /// to their precomputed analysis.
-  std::map<std::string, std::string> analyzed_by_token_;
 
   mutable std::mutex mu_;
   // Node-based maps: references to values stay valid across inserts.

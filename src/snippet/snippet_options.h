@@ -17,11 +17,6 @@ struct SnippetOptions {
   size_t size_bound = 10;
   /// Dominant feature ranking (normalize=false is the ablation baseline).
   DominantFeatureOptions features;
-  /// Instance selector behaviour on overflow (see SelectorOptions).
-  bool stop_on_first_overflow = false;
-  /// Use the exact branch-and-bound selector instead of greedy (small
-  /// results only; exponential worst case).
-  bool use_exact_selector = false;
 };
 
 /// Batch execution knobs (GenerateAll / GenerateBatch / GenerateSnippets).

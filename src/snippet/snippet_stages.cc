@@ -55,12 +55,10 @@ Status IListStage::Run(SnippetContext& ctx, const SnippetOptions& options,
     return Status::FailedPrecondition(
         "ilist stage requires feature statistics");
   }
-  IListOptions ilist_options;
-  ilist_options.features = options.features;
   draft.snippet.ilist = BuildIList(
       db.index(), ctx.query(), draft.result->root,
       draft.snippet.return_entity, draft.snippet.key, *draft.statistics,
-      db.classification(), ilist_options);
+      db.classification(), options.features);
   return Status::OK();
 }
 
@@ -71,16 +69,8 @@ Status InstanceSelectionStage::Run(SnippetContext& ctx,
   const XmlDatabase& db = ctx.db();
   draft.instances =
       &ctx.InstancesFor(draft.result->root, draft.snippet.ilist);
-  SelectorOptions selector_options;
-  selector_options.size_bound = options.size_bound;
-  selector_options.stop_on_first_overflow = options.stop_on_first_overflow;
-  if (options.use_exact_selector) {
-    draft.selection = SelectInstancesExact(db.index(), draft.result->root,
-                                           *draft.instances, selector_options);
-  } else {
-    draft.selection = SelectInstancesGreedy(
-        db.index(), draft.result->root, *draft.instances, selector_options);
-  }
+  draft.selection = SelectInstancesGreedy(db.index(), draft.result->root,
+                                          *draft.instances, options.size_bound);
   draft.snippet.nodes = draft.selection.nodes;
   draft.snippet.covered = draft.selection.covered;
   return Status::OK();

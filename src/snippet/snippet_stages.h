@@ -100,8 +100,7 @@ class IListStage : public SnippetStage {
              SnippetDraft& draft) const override;
 };
 
-/// Finds item instances (memoized) and runs the greedy or exact selector
-/// (§2.4).
+/// Finds item instances (memoized) and runs the greedy selector (§2.4).
 class InstanceSelectionStage : public SnippetStage {
  public:
   std::string_view name() const override { return "instance-selection"; }

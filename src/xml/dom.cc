@@ -24,21 +24,6 @@ std::unique_ptr<XmlNode> XmlNode::MakeCData(std::string content) {
   return n;
 }
 
-std::unique_ptr<XmlNode> XmlNode::MakeComment(std::string content) {
-  auto n = std::unique_ptr<XmlNode>(new XmlNode(XmlNodeKind::kComment));
-  n->content_ = std::move(content);
-  return n;
-}
-
-std::unique_ptr<XmlNode> XmlNode::MakeProcessingInstruction(
-    std::string target, std::string content) {
-  auto n = std::unique_ptr<XmlNode>(
-      new XmlNode(XmlNodeKind::kProcessingInstruction));
-  n->name_ = std::move(target);
-  n->content_ = std::move(content);
-  return n;
-}
-
 void XmlNode::AddAttribute(std::string name, std::string value) {
   attributes_.push_back(XmlAttribute{std::move(name), std::move(value)});
 }
@@ -78,13 +63,7 @@ std::string XmlNode::InnerText() const {
     return content_;
   }
   std::string out;
-  for (const auto& child : children_) {
-    if (child->kind_ == XmlNodeKind::kComment ||
-        child->kind_ == XmlNodeKind::kProcessingInstruction) {
-      continue;
-    }
-    out += child->InnerText();
-  }
+  for (const auto& child : children_) out += child->InnerText();
   return out;
 }
 

@@ -19,12 +19,10 @@ namespace extract {
 
 /// Kind of a DOM node.
 enum class XmlNodeKind {
-  kDocument,   ///< the document root (holds prolog nodes + root element)
+  kDocument,   ///< the document root (holds the root element)
   kElement,
   kText,
   kCData,
-  kComment,
-  kProcessingInstruction,
 };
 
 /// One name="value" attribute of an element.
@@ -44,14 +42,11 @@ class XmlNode {
   static std::unique_ptr<XmlNode> MakeElement(std::string name);
   static std::unique_ptr<XmlNode> MakeText(std::string content);
   static std::unique_ptr<XmlNode> MakeCData(std::string content);
-  static std::unique_ptr<XmlNode> MakeComment(std::string content);
-  static std::unique_ptr<XmlNode> MakeProcessingInstruction(std::string target,
-                                                            std::string content);
 
   XmlNodeKind kind() const { return kind_; }
-  /// Element tag name or PI target; empty for other kinds.
+  /// Element tag name; empty for other kinds.
   const std::string& name() const { return name_; }
-  /// Text/CDATA/comment/PI content; empty for elements.
+  /// Text/CDATA content; empty for elements.
   const std::string& content() const { return content_; }
   void set_content(std::string content) { content_ = std::move(content); }
 
@@ -70,7 +65,7 @@ class XmlNode {
 
   /// First child element with tag `name`, or nullptr.
   XmlNode* FindChildElement(std::string_view name) const;
-  /// All child elements (skipping text/comment children).
+  /// All child elements (skipping text children).
   std::vector<XmlNode*> ChildElements() const;
 
   /// Concatenated text content of this subtree (text and CDATA nodes).

@@ -19,16 +19,14 @@ bool IsAllWhitespace(std::string_view s) {
   return true;
 }
 
-// Shared tag-soup-to-tree loop for documents and fragments.
-//
-// Appends parsed nodes under `parent` until end-of-input (document mode) or
-// until the stack empties. Enforces tag balance.
-Status BuildTree(XmlTokenizer* tokenizer, XmlNode* document_node,
-                 XmlDocument* doc_or_null, const XmlParseOptions& options) {
+// Tag-soup-to-tree loop: appends parsed nodes under the document node
+// until end-of-input. Enforces tag balance.
+Status BuildTree(XmlTokenizer* tokenizer, XmlDocument* doc,
+                 const ParseLimits& limits) {
+  XmlNode* const document_node = doc->document();
   std::vector<XmlNode*> stack;  // open elements; document_node is implicit
   XmlNode* root_seen = nullptr;
   bool doctype_seen = false;
-  const ParseLimits& limits = options.limits;
   size_t total_nodes = 0;
   // Every AppendChild below charges this first, so a node-count bomb is
   // rejected before the node over the cap is allocated.
@@ -104,9 +102,7 @@ Status BuildTree(XmlTokenizer* tokenizer, XmlNode* document_node,
           }
           break;
         }
-        if (!options.keep_whitespace_text && IsAllWhitespace(token.content)) {
-          break;
-        }
+        if (IsAllWhitespace(token.content)) break;
         // Merge adjacent text (e.g. split around an elided comment).
         if (!parent->children().empty() &&
             parent->children().back()->kind() == XmlNodeKind::kText) {
@@ -127,29 +123,13 @@ Status BuildTree(XmlTokenizer* tokenizer, XmlNode* document_node,
         parent->AppendChild(XmlNode::MakeCData(std::move(token.content)));
         break;
       }
-      case XmlTokenType::kComment: {
-        if (options.keep_comments && !stack.empty()) {
-          EXTRACT_RETURN_IF_ERROR(charge_node());
-          parent->AppendChild(XmlNode::MakeComment(std::move(token.content)));
-        }
-        break;
-      }
-      case XmlTokenType::kProcessingInstruction: {
-        if (options.keep_processing_instructions) {
-          EXTRACT_RETURN_IF_ERROR(charge_node());
-          parent->AppendChild(XmlNode::MakeProcessingInstruction(
-              std::move(token.name), std::move(token.content)));
-        }
-        break;
-      }
+      case XmlTokenType::kComment:
+      case XmlTokenType::kProcessingInstruction:
       case XmlTokenType::kXmlDeclaration: {
-        // Accepted anywhere before the root; contents are not interpreted.
+        // Dropped; an XML declaration is accepted anywhere before the root.
         break;
       }
       case XmlTokenType::kDoctype: {
-        if (doc_or_null == nullptr) {
-          return Status::ParseError("DOCTYPE not allowed in a fragment");
-        }
         if (root_seen != nullptr) {
           return Status::ParseError("DOCTYPE after the root element at line " +
                                     std::to_string(token.line));
@@ -158,11 +138,11 @@ Status BuildTree(XmlTokenizer* tokenizer, XmlNode* document_node,
           return Status::ParseError("multiple DOCTYPE declarations");
         }
         doctype_seen = true;
-        if (options.parse_dtd && !token.content.empty()) {
+        if (!token.content.empty()) {
           Dtd dtd;
           EXTRACT_ASSIGN_OR_RETURN(dtd,
                                    ParseDtd(token.content, token.name));
-          doc_or_null->set_dtd(std::move(dtd));
+          doc->set_dtd(std::move(dtd));
         }
         break;
       }
@@ -173,31 +153,15 @@ Status BuildTree(XmlTokenizer* tokenizer, XmlNode* document_node,
 }  // namespace
 
 Result<std::unique_ptr<XmlDocument>> ParseXml(std::string_view input,
-                                              const XmlParseOptions& options) {
+                                              const ParseLimits& limits) {
   auto doc = std::make_unique<XmlDocument>();
-  XmlTokenizer tokenizer(input, options.limits);
-  EXTRACT_RETURN_IF_ERROR(
-      BuildTree(&tokenizer, doc->document(), doc.get(), options));
+  XmlTokenizer tokenizer(input, limits);
+  EXTRACT_RETURN_IF_ERROR(BuildTree(&tokenizer, doc.get(), limits));
   return doc;
 }
 
 Result<std::unique_ptr<XmlDocument>> ParseXml(std::string_view input) {
-  return ParseXml(input, XmlParseOptions{});
-}
-
-Result<std::unique_ptr<XmlNode>> ParseXmlFragment(std::string_view input) {
-  auto holder = XmlNode::MakeDocument();
-  XmlParseOptions options;
-  XmlTokenizer tokenizer(input, options.limits);
-  EXTRACT_RETURN_IF_ERROR(
-      BuildTree(&tokenizer, holder.get(), /*doc_or_null=*/nullptr, options));
-  // Detach the single root element.
-  for (const auto& child : holder->children()) {
-    if (child->kind() == XmlNodeKind::kElement) {
-      return child->Clone();
-    }
-  }
-  return Status::ParseError("fragment has no element");
+  return ParseXml(input, ParseLimits{});
 }
 
 }  // namespace extract

@@ -12,40 +12,25 @@
 
 namespace extract {
 
-/// Parsing knobs.
-struct XmlParseOptions {
-  /// Keep comment nodes in the DOM. Default drops them: search and snippet
-  /// generation never use comments.
-  bool keep_comments = false;
-  /// Keep processing-instruction nodes.
-  bool keep_processing_instructions = false;
-  /// Keep text nodes that consist entirely of whitespace (indentation).
-  bool keep_whitespace_text = false;
-  /// Parse the DOCTYPE internal subset into the document's Dtd. When false
-  /// the DOCTYPE is skipped; node classification then falls back to data
-  /// inference.
-  bool parse_dtd = true;
-  /// Hostile-input caps (depth, token bytes, node count, entity
-  /// expansions), enforced tokenizer-through-DOM. Violations return
-  /// kResourceExhausted with position info; a zeroed field disables that
-  /// cap. See xml/parse_limits.h for the defaults.
-  ParseLimits limits;
-};
-
 /// \brief Parses a complete XML document.
 ///
 /// Enforces well-formedness: single root element, balanced and properly
 /// nested tags, no text outside the root. Returns ParseError with
 /// line/column context on malformed input.
+///
+/// The DOM keeps elements, attributes, text and CDATA. Comments,
+/// processing instructions and whitespace-only text are dropped (search and
+/// snippet generation never read them); a DOCTYPE internal subset is parsed
+/// into the document's Dtd, which decides *-nodes at classification.
+///
+/// `limits` caps depth, token bytes, node count and entity expansions,
+/// enforced tokenizer-through-DOM. Violations return kResourceExhausted
+/// with position info; a zeroed field disables that cap.
 Result<std::unique_ptr<XmlDocument>> ParseXml(std::string_view input,
-                                              const XmlParseOptions& options);
+                                              const ParseLimits& limits);
 
-/// ParseXml with default options.
+/// ParseXml with the default limits (xml/parse_limits.h).
 Result<std::unique_ptr<XmlDocument>> ParseXml(std::string_view input);
-
-/// \brief Parses a free-standing XML fragment (a single element subtree),
-/// e.g. a serialized query result or snippet. No prolog is allowed.
-Result<std::unique_ptr<XmlNode>> ParseXmlFragment(std::string_view input);
 
 }  // namespace extract
 

@@ -9,24 +9,13 @@ namespace extract {
 
 namespace {
 
-void WriteNode(const XmlNode& node, const XmlWriteOptions& options, int depth,
-               std::string* out) {
-  auto indent = [&](int d) {
-    if (options.pretty) out->append(static_cast<size_t>(d) * options.indent_width, ' ');
-  };
-  auto newline = [&]() {
-    if (options.pretty) out->push_back('\n');
-  };
-
+void WriteNode(const XmlNode& node, std::string* out) {
   switch (node.kind()) {
     case XmlNodeKind::kDocument: {
-      for (const auto& child : node.children()) {
-        WriteNode(*child, options, depth, out);
-      }
+      for (const auto& child : node.children()) WriteNode(*child, out);
       return;
     }
     case XmlNodeKind::kElement: {
-      indent(depth);
       out->push_back('<');
       out->append(node.name());
       for (const auto& attr : node.attributes()) {
@@ -38,62 +27,23 @@ void WriteNode(const XmlNode& node, const XmlWriteOptions& options, int depth,
       }
       if (node.children().empty()) {
         out->append("/>");
-        newline();
         return;
       }
       out->push_back('>');
-      // A single text child stays inline even in pretty mode.
-      bool inline_content =
-          node.children().size() == 1 &&
-          (node.children()[0]->kind() == XmlNodeKind::kText ||
-           node.children()[0]->kind() == XmlNodeKind::kCData);
-      if (inline_content) {
-        WriteNode(*node.children()[0], XmlWriteOptions{}, 0, out);
-      } else {
-        newline();
-        for (const auto& child : node.children()) {
-          WriteNode(*child, options, depth + 1, out);
-        }
-        indent(depth);
-      }
+      for (const auto& child : node.children()) WriteNode(*child, out);
       out->append("</");
       out->append(node.name());
       out->push_back('>');
-      newline();
       return;
     }
     case XmlNodeKind::kText: {
-      indent(depth);
       out->append(EscapeXmlText(node.content()));
-      newline();
       return;
     }
     case XmlNodeKind::kCData: {
-      indent(depth);
       out->append("<![CDATA[");
       out->append(node.content());
       out->append("]]>");
-      newline();
-      return;
-    }
-    case XmlNodeKind::kComment: {
-      indent(depth);
-      out->append("<!--");
-      out->append(node.content());
-      out->append("-->");
-      newline();
-      return;
-    }
-    case XmlNodeKind::kProcessingInstruction: {
-      indent(depth);
-      out->append("<?");
-      out->append(node.name());
-      if (!node.content().empty()) {
-        out->push_back(' ');
-        out->append(node.content());
-      }
-      out->append("?>");
-      newline();
       return;
     }
   }
@@ -101,26 +51,9 @@ void WriteNode(const XmlNode& node, const XmlWriteOptions& options, int depth,
 
 }  // namespace
 
-std::string WriteXml(const XmlNode& node, const XmlWriteOptions& options) {
-  std::string out;
-  WriteNode(node, options, 0, &out);
-  // Trim one trailing newline from pretty output for composability.
-  if (options.pretty && !out.empty() && out.back() == '\n') out.pop_back();
-  return out;
-}
-
 std::string WriteXml(const XmlNode& node) {
-  return WriteXml(node, XmlWriteOptions{});
-}
-
-std::string WriteXmlDocument(const XmlDocument& doc,
-                             const XmlWriteOptions& options) {
   std::string out;
-  if (options.declaration) {
-    out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-    if (options.pretty) out += '\n';
-  }
-  out += WriteXml(*doc.document(), options);
+  WriteNode(node, &out);
   return out;
 }
 
@@ -139,10 +72,6 @@ std::string RenderXmlTree(const XmlNode& node) {
       case XmlNodeKind::kText:
       case XmlNodeKind::kCData:
         return "\"" + n->content() + "\"";
-      case XmlNodeKind::kComment:
-        return "<!--" + n->content() + "-->";
-      case XmlNodeKind::kProcessingInstruction:
-        return "<?" + n->name() + "?>";
       case XmlNodeKind::kDocument:
         return "(document)";
     }

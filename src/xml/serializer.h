@@ -1,5 +1,5 @@
-// XML serialization: DOM tree back to text, compact or pretty-printed, and
-// an ASCII-art rendering used by examples and golden tests.
+// XML serialization: DOM tree back to compact text, and an ASCII-art
+// rendering used by examples and golden tests.
 
 #ifndef EXTRACT_XML_SERIALIZER_H_
 #define EXTRACT_XML_SERIALIZER_H_
@@ -10,24 +10,9 @@
 
 namespace extract {
 
-/// Serialization knobs.
-struct XmlWriteOptions {
-  /// Pretty-print with newlines and `indent_width` spaces per level.
-  bool pretty = false;
-  int indent_width = 2;
-  /// Emit an <?xml version="1.0"?> declaration (document serialization only).
-  bool declaration = false;
-};
-
-/// Serializes the subtree rooted at `node` (element, text, ...) to XML text.
-std::string WriteXml(const XmlNode& node, const XmlWriteOptions& options);
-
-/// WriteXml with default (compact) options.
+/// Serializes the subtree rooted at `node` (element, text, ...) to compact
+/// XML text.
 std::string WriteXml(const XmlNode& node);
-
-/// Serializes a whole document including prolog children.
-std::string WriteXmlDocument(const XmlDocument& doc,
-                             const XmlWriteOptions& options);
 
 /// \brief Renders an element subtree as an ASCII tree, the format used in
 /// the paper's figures: element names as labels, text children inlined as

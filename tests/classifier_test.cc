@@ -13,16 +13,14 @@ struct Loaded {
   NodeClassification classification;
 };
 
-Loaded Load(std::string_view xml, bool use_dtd = true) {
+Loaded Load(std::string_view xml) {
   auto parsed = ParseXml(xml);
   EXPECT_TRUE(parsed.ok()) << parsed.status();
   auto idx = IndexedDocument::Build(**parsed);
   EXPECT_TRUE(idx.ok()) << idx.status();
   Loaded out{std::move(*parsed), std::move(*idx), {}};
-  ClassifyOptions options;
-  options.use_dtd = use_dtd;
   out.classification = NodeClassification::Classify(
-      out.doc, out.dom->has_dtd() ? &out.dom->dtd() : nullptr, options);
+      out.doc, out.dom->has_dtd() ? &out.dom->dtd() : nullptr);
   return out;
 }
 
@@ -117,15 +115,6 @@ TEST(ClassifierInferenceTest, StarInferredFromSiblingCounts) {
   EXPECT_TRUE(db.classification.IsAttribute(FindElement(doc, "name")));
   EXPECT_TRUE(db.classification.IsAttribute(FindElement(doc, "fitting")));
   EXPECT_TRUE(db.classification.IsConnection(FindElement(doc, "merchandises")));
-}
-
-TEST(ClassifierInferenceTest, DtdIgnoredWhenDisabled) {
-  Loaded db = Load(kRetailerXml, /*use_dtd=*/false);
-  // Only one store instance under its retailer -> inference cannot see the
-  // star; DTD would say entity.
-  EXPECT_FALSE(db.classification.IsEntity(FindElement(db.doc, "store")));
-  // clothes still repeats in the data.
-  EXPECT_TRUE(db.classification.IsEntity(FindElement(db.doc, "clothes")));
 }
 
 TEST(ClassifierTest, EmptyElementIsAttributeShaped) {

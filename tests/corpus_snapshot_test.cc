@@ -380,14 +380,14 @@ TEST(CorpusSnapshotTest, TermDirectoryCorruptionNeverServesAWrongPage) {
 TEST(CorpusSnapshotTest, VersionOneImageIsRefusedByName) {
   const std::string path = WriteDemoSnapshot("corpus_v1.xcsn");
   const std::string good = ReadFile(path);
-  for (char version : {1, 2}) {
+  for (char version : {1, 2, 3}) {
     std::string bytes = good;
     bytes[4] = version;  // the version field every image starts with
     WriteFile(path, bytes);
     Status status = CorpusSnapshot::Open(path).status();
     EXPECT_EQ(status.code(), StatusCode::kParseError);
     const std::string expected = "unsupported version " +
-                                 std::to_string(version) + " (expected 3)";
+                                 std::to_string(version) + " (expected 4)";
     EXPECT_NE(status.message().find(expected), std::string::npos) << status;
   }
   std::remove(path.c_str());
@@ -405,9 +405,8 @@ void PutU64At(std::string* bytes, uint64_t at, uint64_t v) {
   std::memcpy(bytes->data() + at, &v, 8);
 }
 
-/// Byte offset of the document directory's entries (five u64 words per
-/// document: payload offset, payload size, payload checksum, node count,
-/// analyzer flags).
+/// Byte offset of the document directory's entries (four u64 words per
+/// document: payload offset, payload size, payload checksum, node count).
 uint64_t DirectoryEntriesAt(const std::string& image) {
   const uint64_t dir_offset = U64At(image, 24);
   const uint64_t doc_count = U64At(image, 16);
@@ -422,7 +421,7 @@ void RestampChecksums(std::string* image) {
   const auto* data = reinterpret_cast<const uint8_t*>(image->data());
   const uint64_t entries = DirectoryEntriesAt(*image);
   for (uint64_t i = 0; i < U64At(*image, 16); ++i) {
-    const uint64_t entry = entries + 40 * i;
+    const uint64_t entry = entries + 32 * i;
     PutU64At(image, entry + 16,
              snapshot_internal::Hash64(data + U64At(*image, entry),
                                        U64At(*image, entry + 8)));
@@ -439,7 +438,7 @@ void RestampChecksums(std::string* image) {
 /// posting begins and the node ids.
 uint64_t PostingNodesAt(const std::string& image, std::string_view token) {
   const uint64_t payload = U64At(image, DirectoryEntriesAt(image));
-  const uint64_t inverted = payload + U64At(image, payload + 8 * 7);
+  const uint64_t inverted = payload + U64At(image, payload + 8 * 6);
   const uint64_t token_count = U64At(image, inverted);
   const uint64_t offsets = inverted + 16;
   const uint64_t token_bytes = offsets + 8 * (token_count + 1);

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "datagen/auction_dataset.h"
 #include "datagen/movies_dataset.h"
 #include "datagen/random_xml.h"
 #include "datagen/retailer_dataset.h"
@@ -244,64 +243,6 @@ TEST(WorkloadTest, DeterministicForSeed) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].keywords, b[i].keywords);
   }
-}
-
-TEST(AuctionDatasetTest, StructureAndClassification) {
-  AuctionDatasetOptions options;
-  options.num_items = 20;
-  options.num_people = 10;
-  options.num_open_auctions = 15;
-  auto db = XmlDatabase::Load(GenerateAuctionXml(options));
-  ASSERT_TRUE(db.ok()) << db.status();
-  const auto& doc = db->index();
-  size_t items = 0, people = 0, auctions = 0;
-  for (NodeId n = 0; n < static_cast<NodeId>(doc.num_nodes()); ++n) {
-    if (!doc.is_element(n)) continue;
-    const std::string& tag = doc.label_name(n);
-    if (tag == "item") ++items;
-    if (tag == "person") ++people;
-    if (tag == "open_auction") ++auctions;
-  }
-  EXPECT_EQ(items, 20u);
-  EXPECT_EQ(people, 10u);
-  EXPECT_EQ(auctions, 15u);
-  // DTD-driven classification: item/person/open_auction/bidder/region are
-  // entities; name/category/city/amount are attributes.
-  for (const char* entity : {"item", "person", "open_auction", "bidder",
-                             "region"}) {
-    LabelId label = doc.labels().Find(entity);
-    ASSERT_NE(label, kInvalidLabel) << entity;
-    EXPECT_TRUE(db->classification().IsEntityLabel(label)) << entity;
-  }
-  // Items and people get name-like keys.
-  LabelId item = doc.labels().Find("item");
-  ASSERT_TRUE(db->keys().KeyAttributeOf(item).has_value());
-  EXPECT_EQ(doc.labels().Name(*db->keys().KeyAttributeOf(item)), "name");
-}
-
-TEST(AuctionDatasetTest, SearchAndSnippetEndToEnd) {
-  auto db = XmlDatabase::Load(GenerateAuctionXml());
-  ASSERT_TRUE(db.ok());
-  XSeekEngine engine;
-  Query query = Query::Parse("antiques item");
-  auto results = engine.Search(*db, query);
-  ASSERT_TRUE(results.ok());
-  ASSERT_FALSE(results->empty());
-  SnippetService service(&*db);
-  SnippetOptions snippet_options;
-  snippet_options.size_bound = 8;
-  for (const QueryResult& r : *results) {
-    auto snippet = service.Generate(query, r, snippet_options);
-    ASSERT_TRUE(snippet.ok());
-    EXPECT_LE(snippet->edges(), 8u);
-  }
-}
-
-TEST(AuctionDatasetTest, Deterministic) {
-  EXPECT_EQ(GenerateAuctionXml(), GenerateAuctionXml());
-  AuctionDatasetOptions other;
-  other.seed = 22;
-  EXPECT_NE(GenerateAuctionXml(), GenerateAuctionXml(other));
 }
 
 TEST(WorkloadTest, FrequencyBiasShiftsSelectivity) {

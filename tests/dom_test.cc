@@ -11,9 +11,6 @@ TEST(DomTest, FactoriesSetKinds) {
   EXPECT_EQ(XmlNode::MakeElement("a")->kind(), XmlNodeKind::kElement);
   EXPECT_EQ(XmlNode::MakeText("t")->kind(), XmlNodeKind::kText);
   EXPECT_EQ(XmlNode::MakeCData("c")->kind(), XmlNodeKind::kCData);
-  EXPECT_EQ(XmlNode::MakeComment("c")->kind(), XmlNodeKind::kComment);
-  EXPECT_EQ(XmlNode::MakeProcessingInstruction("t", "c")->kind(),
-            XmlNodeKind::kProcessingInstruction);
   EXPECT_EQ(XmlNode::MakeDocument()->kind(), XmlNodeKind::kDocument);
 }
 
@@ -61,31 +58,23 @@ TEST(DomTest, CloneIsDeepAndDetached) {
 }
 
 TEST(DomTest, StructuralEqualityDistinguishes) {
-  auto a1 = ParseXmlFragment("<a><b>x</b></a>");
-  auto a2 = ParseXmlFragment("<a><b>x</b></a>");
-  auto b = ParseXmlFragment("<a><b>y</b></a>");
-  auto c = ParseXmlFragment("<a><c>x</c></a>");
+  auto a1 = ParseXml("<a><b>x</b></a>");
+  auto a2 = ParseXml("<a><b>x</b></a>");
+  auto b = ParseXml("<a><b>y</b></a>");
+  auto c = ParseXml("<a><c>x</c></a>");
   ASSERT_TRUE(a1.ok() && a2.ok() && b.ok() && c.ok());
-  EXPECT_TRUE((*a1)->StructurallyEquals(**a2));
-  EXPECT_FALSE((*a1)->StructurallyEquals(**b));
-  EXPECT_FALSE((*a1)->StructurallyEquals(**c));
+  EXPECT_TRUE((*a1)->root()->StructurallyEquals(*(*a2)->root()));
+  EXPECT_FALSE((*a1)->root()->StructurallyEquals(*(*b)->root()));
+  EXPECT_FALSE((*a1)->root()->StructurallyEquals(*(*c)->root()));
 }
 
 TEST(DomTest, AttributeEqualityMatters) {
-  auto a = ParseXmlFragment(R"(<a x="1"/>)");
-  auto b = ParseXmlFragment(R"(<a x="2"/>)");
-  auto c = ParseXmlFragment(R"(<a/>)");
+  auto a = ParseXml(R"(<a x="1"/>)");
+  auto b = ParseXml(R"(<a x="2"/>)");
+  auto c = ParseXml(R"(<a/>)");
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  EXPECT_FALSE((*a)->StructurallyEquals(**b));
-  EXPECT_FALSE((*a)->StructurallyEquals(**c));
-}
-
-TEST(DomTest, DocumentRootSkipsNonElements) {
-  XmlParseOptions options;
-  options.keep_processing_instructions = true;
-  auto doc = ParseXml("<?pi data?><a/>", options);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->root()->name(), "a");
+  EXPECT_FALSE((*a)->root()->StructurallyEquals(*(*b)->root()));
+  EXPECT_FALSE((*a)->root()->StructurallyEquals(*(*c)->root()));
 }
 
 }  // namespace

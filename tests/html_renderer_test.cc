@@ -38,8 +38,7 @@ TEST(EscapeHtmlTest, EscapesSpecials) {
 TEST(RenderSnippetHtmlTest, NestedListWithValues) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas", 8);
   ASSERT_FALSE(ctx.snippets.empty());
-  std::string html =
-      RenderSnippetHtml(ctx.snippets[0], ctx.query, HtmlRenderOptions{});
+  std::string html = RenderSnippetHtml(ctx.snippets[0], ctx.query);
   EXPECT_NE(html.find("<ul class=\"snippet\">"), std::string::npos);
   EXPECT_NE(html.find("Levis"), std::string::npos);
   // tag: value inline style.
@@ -50,24 +49,15 @@ TEST(RenderSnippetHtmlTest, NestedListWithValues) {
 
 TEST(RenderSnippetHtmlTest, HighlightsKeywords) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas", 8);
-  std::string html =
-      RenderSnippetHtml(ctx.snippets[0], ctx.query, HtmlRenderOptions{});
+  std::string html = RenderSnippetHtml(ctx.snippets[0], ctx.query);
   // "store" (tag) and "Texas" (value) are keywords -> bolded.
   EXPECT_NE(html.find("<b>store</b>"), std::string::npos);
   EXPECT_NE(html.find("<b>Texas</b>"), std::string::npos);
 }
 
-TEST(RenderSnippetHtmlTest, HighlightingCanBeDisabled) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas", 8);
-  HtmlRenderOptions options;
-  options.highlight_keywords = false;
-  std::string html = RenderSnippetHtml(ctx.snippets[0], ctx.query, options);
-  EXPECT_EQ(html.find("<b>"), std::string::npos);
-}
-
 TEST(RenderSnippetHtmlTest, EmptySnippet) {
   Snippet empty;
-  std::string html = RenderSnippetHtml(empty, Query{}, HtmlRenderOptions{});
+  std::string html = RenderSnippetHtml(empty, Query{});
   EXPECT_NE(html.find("empty"), std::string::npos);
 }
 
@@ -84,15 +74,14 @@ TEST(RenderSnippetHtmlTest, ValuesAreHtmlEscaped) {
   options.size_bound = 6;
   auto snippet = service.Generate(query, results->front(), options);
   ASSERT_TRUE(snippet.ok());
-  std::string html = RenderSnippetHtml(*snippet, query, HtmlRenderOptions{});
+  std::string html = RenderSnippetHtml(*snippet, query);
   EXPECT_EQ(html.find("a < b"), std::string::npos);
   EXPECT_NE(html.find("&lt;"), std::string::npos);
 }
 
 TEST(RenderResultsPageTest, FullPageStructure) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas", 8);
-  std::string html =
-      RenderResultsPageHtml(ctx.query, ctx.snippets, HtmlRenderOptions{});
+  std::string html = RenderResultsPageHtml(ctx.query, ctx.snippets);
   EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
   EXPECT_NE(html.find("store texas"), std::string::npos);
   // Keys as headings (the §2.2 title analogy).
@@ -105,8 +94,7 @@ TEST(RenderResultsPageTest, FullPageStructure) {
 
 TEST(RenderResultsPageTest, FallbackHeadingWithoutKey) {
   Ctx ctx = RunQuery("<a><b>hello</b></a>", "hello", 4);
-  std::string html =
-      RenderResultsPageHtml(ctx.query, ctx.snippets, HtmlRenderOptions{});
+  std::string html = RenderResultsPageHtml(ctx.query, ctx.snippets);
   EXPECT_NE(html.find("<h2>Result 1</h2>"), std::string::npos);
 }
 

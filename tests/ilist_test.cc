@@ -17,7 +17,7 @@ struct Ctx {
 };
 
 Ctx BuildFor(std::string xml, const std::string& query_text,
-             IListOptions options = {}) {
+             DominantFeatureOptions features = {}) {
   auto db = XmlDatabase::Load(std::move(xml));
   EXPECT_TRUE(db.ok()) << db.status();
   Query query = Query::Parse(query_text);
@@ -33,7 +33,7 @@ Ctx BuildFor(std::string xml, const std::string& query_text,
   ResultKeyInfo key = IdentifyResultKey(db->index(), db->classification(),
                                         db->keys(), entity, root);
   IList ilist = BuildIList(db->index(), query, root, entity, key, stats,
-                           db->classification(), options);
+                           db->classification(), features);
   return Ctx{std::move(*db), std::move(query), root, std::move(ilist)};
 }
 
@@ -95,9 +95,9 @@ TEST(IListTest, FeatureDuplicatingKeywordSkipped) {
 }
 
 TEST(IListTest, MaxFeaturesOptionLimitsTail) {
-  IListOptions options;
-  options.features.max_features = 2;
-  Ctx ctx = BuildFor(GenerateRetailerXml(), "Texas apparel retailer", options);
+  DominantFeatureOptions features;
+  features.max_features = 2;
+  Ctx ctx = BuildFor(GenerateRetailerXml(), "Texas apparel retailer", features);
   // 3 keywords + 2 entities + key + 2 features = 8.
   EXPECT_EQ(ctx.ilist.size(), 8u);
   EXPECT_EQ(ctx.ilist[6].display, "Houston");

@@ -10,11 +10,10 @@
 namespace extract {
 namespace {
 
-IndexedDocument MustBuild(std::string_view xml,
-                          IndexedDocumentOptions options = {}) {
+IndexedDocument MustBuild(std::string_view xml) {
   auto doc = ParseXml(xml);
   EXPECT_TRUE(doc.ok()) << doc.status();
-  auto idx = IndexedDocument::Build(**doc, options);
+  auto idx = IndexedDocument::Build(**doc);
   EXPECT_TRUE(idx.ok()) << idx.status();
   return std::move(*idx);
 }
@@ -102,22 +101,6 @@ TEST(IndexedDocumentTest, AttributesExpandToChildren) {
   EXPECT_EQ(doc.text(2), "Levis");
   EXPECT_EQ(doc.parent(1), 0);
   EXPECT_EQ(doc.subtree_end(1), 3);
-}
-
-TEST(IndexedDocumentTest, AttributeExpansionDisabled) {
-  IndexedDocumentOptions options;
-  options.expand_attributes = false;
-  IndexedDocument doc =
-      MustBuild(R"(<store name="Levis"><city>H</city></store>)", options);
-  ASSERT_EQ(doc.num_nodes(), 3u);  // store, city, text
-}
-
-TEST(IndexedDocumentTest, SubtreeText) {
-  IndexedDocument doc = MustBuild("<a><b>one</b><c><d>two</d></c></a>");
-  EXPECT_EQ(doc.SubtreeText(0), "one two");
-  NodeId c = 3;
-  EXPECT_EQ(doc.label_name(c), "c");
-  EXPECT_EQ(doc.SubtreeText(c), "two");
 }
 
 TEST(IndexedDocumentTest, RejectsEmptyDocument) {

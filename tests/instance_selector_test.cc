@@ -62,7 +62,7 @@ TEST(GreedySelectorTest, PicksCheapestInstance) {
   // make 6 cheaper; in rank order item 0 first: both cost 2 -> document
   // order tie-break picks node 2.
   auto selection = SelectInstancesGreedy(doc, 0, Items({{2, 6}, {8}}),
-                                         SelectorOptions{10, false});
+                                         10);
   EXPECT_TRUE(selection.covered[0]);
   EXPECT_TRUE(selection.covered[1]);
   std::set<NodeId> set(selection.nodes.begin(), selection.nodes.end());
@@ -79,26 +79,20 @@ TEST(GreedySelectorTest, ReusesSharedPath) {
   // fit only via the shared-c path: selecting {8} costs 3 edges (c,f,t3),
   // leaving 1 edge: x unaffordable either way.
   auto selection = SelectInstancesGreedy(doc, 0, Items({{8}, {2, 6}}),
-                                         SelectorOptions{4, false});
+                                         4);
   EXPECT_TRUE(selection.covered[0]);
   EXPECT_FALSE(selection.covered[1]);
   EXPECT_EQ(selection.edges(), 3u);
 }
 
-TEST(GreedySelectorTest, SkipAndContinueVsStopOnOverflow) {
+TEST(GreedySelectorTest, SkipsItemThatDoesNotFit) {
   Ctx ctx = Load(std::string(kSmallXml));
   const auto& doc = ctx.db.index();
   // Item 0 costs 3 (node 8: c,f,t3); bound 2 rejects it. Item 1 (node 1)
-  // costs 1 and fits — covered under skip-and-continue, not under stop.
-  auto cont = SelectInstancesGreedy(doc, 0, Items({{8}, {1}}),
-                                    SelectorOptions{2, false});
+  // costs 1 and fits: the greedy skips item 0 and still covers item 1.
+  auto cont = SelectInstancesGreedy(doc, 0, Items({{8}, {1}}), 2);
   EXPECT_FALSE(cont.covered[0]);
   EXPECT_TRUE(cont.covered[1]);
-
-  auto stop = SelectInstancesGreedy(doc, 0, Items({{8}, {1}}),
-                                    SelectorOptions{2, true});
-  EXPECT_FALSE(stop.covered[0]);
-  EXPECT_FALSE(stop.covered[1]);
 }
 
 TEST(GreedySelectorTest, ZeroCostForAlreadySelectedNode) {
@@ -106,7 +100,7 @@ TEST(GreedySelectorTest, ZeroCostForAlreadySelectedNode) {
   const auto& doc = ctx.db.index();
   // Root itself as instance: zero cost even with bound 0.
   auto selection =
-      SelectInstancesGreedy(doc, 0, Items({{0}}), SelectorOptions{0, false});
+      SelectInstancesGreedy(doc, 0, Items({{0}}), 0);
   EXPECT_TRUE(selection.covered[0]);
   EXPECT_EQ(selection.edges(), 0u);
 }
@@ -114,7 +108,7 @@ TEST(GreedySelectorTest, ZeroCostForAlreadySelectedNode) {
 TEST(GreedySelectorTest, ItemWithNoInstancesStaysUncovered) {
   Ctx ctx = Load(std::string(kSmallXml));
   auto selection = SelectInstancesGreedy(ctx.db.index(), 0, Items({{}}),
-                                         SelectorOptions{10, false});
+                                         10);
   EXPECT_FALSE(selection.covered[0]);
   EXPECT_EQ(selection.edges(), 0u);
 }
@@ -123,7 +117,7 @@ TEST(GreedySelectorTest, SharedInstanceCoversBothItemsFree) {
   Ctx ctx = Load(std::string(kSmallXml));
   auto selection = SelectInstancesGreedy(ctx.db.index(), 0,
                                          Items({{2}, {2}}),
-                                         SelectorOptions{2, false});
+                                         2);
   EXPECT_TRUE(selection.covered[0]);
   EXPECT_TRUE(selection.covered[1]);  // second item costs 0
   EXPECT_EQ(selection.edges(), 2u);
@@ -147,10 +141,10 @@ TEST(ExactSelectorTest, BeatsGreedyOnAdversarialInstance) {
   // Bound 4: greedy picks node 3 (tie -> document order), then cannot
   // afford item 1; exact picks node 6 and covers both in exactly 4 edges.
   auto greedy = SelectInstancesGreedy(doc, 0, Items({{3, 6}, {7}}),
-                                      SelectorOptions{4, false});
+                                      4);
   EXPECT_EQ(greedy.covered_count(), 1u);
   auto exact = SelectInstancesExact(doc, 0, Items({{3, 6}, {7}}),
-                                    SelectorOptions{4, false});
+                                    4);
   EXPECT_EQ(exact.covered_count(), 2u);
   EXPECT_EQ(exact.edges(), 4u);
   CheckSelection(doc, 0, exact, 4);
@@ -161,7 +155,7 @@ TEST(ExactSelectorTest, PrefersFewerEdgesOnEqualCoverage) {
   const auto& doc = ctx.db.index();
   // One item, two instances: node 1 (cost 1) or node 8 (cost 3).
   auto exact = SelectInstancesExact(doc, 0, Items({{1, 8}}),
-                                    SelectorOptions{10, false});
+                                    10);
   EXPECT_EQ(exact.covered_count(), 1u);
   EXPECT_EQ(exact.edges(), 1u);
 }
@@ -169,7 +163,7 @@ TEST(ExactSelectorTest, PrefersFewerEdgesOnEqualCoverage) {
 TEST(ExactSelectorTest, EmptyItemsYieldRootOnly) {
   Ctx ctx = Load(std::string(kSmallXml));
   auto exact = SelectInstancesExact(ctx.db.index(), 0, {},
-                                    SelectorOptions{5, false});
+                                    5);
   EXPECT_EQ(exact.covered_count(), 0u);
   EXPECT_EQ(exact.edges(), 0u);
   EXPECT_EQ(exact.nodes, (std::vector<NodeId>{0}));
@@ -212,12 +206,12 @@ TEST_P(SelectorProperty, GreedyRespectsInvariantsAndExactDominates) {
     item.nodes.assign(chosen.begin(), chosen.end());
   }
 
-  SelectorOptions options{GetParam().bound, false};
-  Selection greedy = SelectInstancesGreedy(doc, 0, items, options);
-  Selection exact = SelectInstancesExact(doc, 0, items, options);
+  const size_t bound = GetParam().bound;
+  Selection greedy = SelectInstancesGreedy(doc, 0, items, bound);
+  Selection exact = SelectInstancesExact(doc, 0, items, bound);
 
-  CheckSelection(doc, 0, greedy, options.size_bound);
-  CheckSelection(doc, 0, exact, options.size_bound);
+  CheckSelection(doc, 0, greedy, bound);
+  CheckSelection(doc, 0, exact, bound);
   // The exact solver never covers fewer items than greedy.
   EXPECT_GE(exact.covered_count(), greedy.covered_count());
   // Coverage flags are consistent with the selected node sets.

@@ -60,11 +60,11 @@ TEST_P(ParserFuzz, MutatedInputNeverCrashes) {
     if (parsed.ok()) {
       // Whatever parsed must survive a serialize -> reparse round trip.
       std::string again = WriteXml(*(*parsed)->root());
-      auto reparsed = ParseXmlFragment(again);
+      auto reparsed = ParseXml(again);
       ASSERT_TRUE(reparsed.ok())
           << "roundtrip failed: " << reparsed.status() << "\n"
           << again;
-      EXPECT_TRUE((*reparsed)->StructurallyEquals(*(*parsed)->root()));
+      EXPECT_TRUE((*reparsed)->root()->StructurallyEquals(*(*parsed)->root()));
     } else {
       EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
     }
@@ -100,9 +100,9 @@ TEST(ParserFuzzTest, VeryDeepNestingDoesNotOverflow) {
   for (int i = 0; i < depth; ++i) xml += "</n>";
   // The default ParseLimits reject this long before 20k levels (see
   // parser_hostile_test); lift the cap to exercise the raw build loop.
-  XmlParseOptions options;
-  options.limits.max_depth = 0;
-  auto parsed = ParseXml(xml, options);
+  ParseLimits limits;
+  limits.max_depth = 0;
+  auto parsed = ParseXml(xml, limits);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   // Note: CountNodes()/serialization on such trees is recursive; only the
   // parse path is exercised here by design.

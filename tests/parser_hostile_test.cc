@@ -34,21 +34,21 @@ TEST(ParserHostileTest, DeepNestingBombIsRejected) {
 }
 
 TEST(ParserHostileTest, DepthExactlyAtLimitParses) {
-  XmlParseOptions options;
-  options.limits.max_depth = 64;
-  EXPECT_TRUE(ParseXml(NestingBomb(64), options).ok());
-  auto over = ParseXml(NestingBomb(65), options);
+  ParseLimits limits;
+  limits.max_depth = 64;
+  EXPECT_TRUE(ParseXml(NestingBomb(64), limits).ok());
+  auto over = ParseXml(NestingBomb(65), limits);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ParserHostileTest, MegabyteAttributeIsRejected) {
-  XmlParseOptions options;
-  options.limits.max_token_bytes = 1 << 20;
+  ParseLimits limits;
+  limits.max_token_bytes = 1 << 20;
   // 4 MiB attribute value against a 1 MiB token cap. The tokenizer must
   // reject after scanning, BEFORE copying the value out.
   std::string xml = "<a v=\"" + std::string(4u << 20, 'x') + "\"/>";
-  auto parsed = ParseXml(xml, options);
+  auto parsed = ParseXml(xml, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(parsed.status().message().find("max_token_bytes"),
@@ -57,38 +57,37 @@ TEST(ParserHostileTest, MegabyteAttributeIsRejected) {
 }
 
 TEST(ParserHostileTest, MegabyteTextIsRejected) {
-  XmlParseOptions options;
-  options.limits.max_token_bytes = 1 << 16;
+  ParseLimits limits;
+  limits.max_token_bytes = 1 << 16;
   std::string xml = "<a>" + std::string(1u << 20, 'y') + "</a>";
-  auto parsed = ParseXml(xml, options);
+  auto parsed = ParseXml(xml, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ParserHostileTest, MegabyteCommentAndCDataAreRejected) {
-  XmlParseOptions options;
-  options.limits.max_token_bytes = 1 << 12;
-  options.keep_comments = true;
+  ParseLimits limits;
+  limits.max_token_bytes = 1 << 12;
   std::string comment =
       "<a><!--" + std::string(1u << 16, 'c') + "--></a>";
-  auto parsed = ParseXml(comment, options);
+  auto parsed = ParseXml(comment, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
 
   std::string cdata =
       "<a><![CDATA[" + std::string(1u << 16, 'd') + "]]></a>";
-  parsed = ParseXml(cdata, options);
+  parsed = ParseXml(cdata, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ParserHostileTest, EntityFloodIsRejected) {
-  XmlParseOptions options;
-  options.limits.max_entity_expansions = 1000;
+  ParseLimits limits;
+  limits.max_entity_expansions = 1000;
   std::string xml = "<a>";
   for (int i = 0; i < 2000; ++i) xml += "&amp;";
   xml += "</a>";
-  auto parsed = ParseXml(xml, options);
+  auto parsed = ParseXml(xml, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(parsed.status().message().find("entity expansion cap"),
@@ -97,25 +96,25 @@ TEST(ParserHostileTest, EntityFloodIsRejected) {
 }
 
 TEST(ParserHostileTest, EntityFloodAcrossAttributesIsRejected) {
-  XmlParseOptions options;
-  options.limits.max_entity_expansions = 100;
+  ParseLimits limits;
+  limits.max_entity_expansions = 100;
   std::string xml = "<a";
   for (int i = 0; i < 64; ++i) {
     xml += " k" + std::to_string(i) + "=\"&lt;&gt;&amp;\"";
   }
   xml += "/>";
-  auto parsed = ParseXml(xml, options);
+  auto parsed = ParseXml(xml, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ParserHostileTest, NodeCountBombIsRejected) {
-  XmlParseOptions options;
-  options.limits.max_total_nodes = 1000;
+  ParseLimits limits;
+  limits.max_total_nodes = 1000;
   std::string xml = "<a>";
   for (int i = 0; i < 2000; ++i) xml += "<b/>";
   xml += "</a>";
-  auto parsed = ParseXml(xml, options);
+  auto parsed = ParseXml(xml, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(parsed.status().message().find("max_total_nodes"),
@@ -124,12 +123,12 @@ TEST(ParserHostileTest, NodeCountBombIsRejected) {
 }
 
 TEST(ParserHostileTest, NodeCountExactlyAtLimitParses) {
-  XmlParseOptions options;
-  options.limits.max_total_nodes = 101;  // root + 100 children
+  ParseLimits limits;
+  limits.max_total_nodes = 101;  // root + 100 children
   std::string xml = "<a>";
   for (int i = 0; i < 100; ++i) xml += "<b/>";
   xml += "</a>";
-  EXPECT_TRUE(ParseXml(xml, options).ok());
+  EXPECT_TRUE(ParseXml(xml, limits).ok());
 }
 
 TEST(ParserHostileTest, UnknownEntityIsStillParseError) {
@@ -141,28 +140,28 @@ TEST(ParserHostileTest, UnknownEntityIsStillParseError) {
 }
 
 TEST(ParserHostileTest, ZeroDisablesEveryCap) {
-  XmlParseOptions options;
-  options.limits.max_depth = 0;
-  options.limits.max_token_bytes = 0;
-  options.limits.max_total_nodes = 0;
-  options.limits.max_entity_expansions = 0;
+  ParseLimits limits;
+  limits.max_depth = 0;
+  limits.max_token_bytes = 0;
+  limits.max_total_nodes = 0;
+  limits.max_entity_expansions = 0;
   std::string xml = NestingBomb(2000);
-  EXPECT_TRUE(ParseXml(xml, options).ok());
+  EXPECT_TRUE(ParseXml(xml, limits).ok());
 }
 
 TEST(ParserHostileTest, DoctypeInternalSubsetBombIsRejected) {
-  XmlParseOptions options;
-  options.limits.max_token_bytes = 1 << 12;
+  ParseLimits limits;
+  limits.max_token_bytes = 1 << 12;
   std::string xml = "<!DOCTYPE a [" + std::string(1u << 16, ' ') + "]><a/>";
-  auto parsed = ParseXml(xml, options);
+  auto parsed = ParseXml(xml, limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ParserHostileTest, ErrorsCarryLineInformation) {
-  XmlParseOptions options;
-  options.limits.max_depth = 4;
-  auto parsed = ParseXml("<a>\n<b>\n<c>\n<d>\n<e/>\n</d></c></b></a>", options);
+  ParseLimits limits;
+  limits.max_depth = 4;
+  auto parsed = ParseXml("<a>\n<b>\n<c>\n<d>\n<e/>\n</d></c></b></a>", limits);
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("line"), std::string::npos)
       << parsed.status();

@@ -29,25 +29,12 @@ TEST(ParserTest, WhitespaceTextDroppedByDefault) {
   EXPECT_EQ((*doc)->root()->children().size(), 1u);
 }
 
-TEST(ParserTest, WhitespaceTextKeptOnRequest) {
-  XmlParseOptions options;
-  options.keep_whitespace_text = true;
-  auto doc = ParseXml("<a>\n  <b>x</b>\n</a>", options);
+TEST(ParserTest, CommentsAndProcessingInstructionsDropped) {
+  auto doc = ParseXml("<?pi data?><a><!--c--><?pi d?><b/></a><!--end-->");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->root()->children().size(), 3u);
-}
-
-TEST(ParserTest, CommentsDroppedByDefaultKeptOnRequest) {
-  auto doc = ParseXml("<a><!--c--><b/></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->root()->children().size(), 1u);
-
-  XmlParseOptions options;
-  options.keep_comments = true;
-  auto doc2 = ParseXml("<a><!--c--><b/></a>", options);
-  ASSERT_TRUE(doc2.ok());
-  ASSERT_EQ((*doc2)->root()->children().size(), 2u);
-  EXPECT_EQ((*doc2)->root()->children()[0]->kind(), XmlNodeKind::kComment);
+  EXPECT_EQ((*doc)->document()->children().size(), 1u);
+  ASSERT_EQ((*doc)->root()->children().size(), 1u);
+  EXPECT_EQ((*doc)->root()->children()[0]->name(), "b");
 }
 
 TEST(ParserTest, AdjacentTextMergesAroundElidedComment) {
@@ -86,14 +73,6 @@ TEST(ParserTest, DoctypeParsedIntoDtd) {
   EXPECT_TRUE((*doc)->has_dtd());
   EXPECT_EQ((*doc)->dtd().root_name(), "db");
   EXPECT_NE((*doc)->dtd().FindElement("db"), nullptr);
-}
-
-TEST(ParserTest, DoctypeSkippedWhenDisabled) {
-  XmlParseOptions options;
-  options.parse_dtd = false;
-  auto doc = ParseXml("<!DOCTYPE db [<!ELEMENT db (item*)>]><db/>", options);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_FALSE((*doc)->has_dtd());
 }
 
 TEST(ParserTest, DeeplyNested) {
@@ -144,19 +123,6 @@ TEST(ParserErrorTest, DoctypeAfterRoot) {
 TEST(ParserErrorTest, TwoDoctypes) {
   EXPECT_EQ(ParseXml("<!DOCTYPE a><!DOCTYPE a><a/>").status().code(),
             StatusCode::kParseError);
-}
-
-// -------------------------------------------------------------- fragments
-
-TEST(FragmentTest, ParsesSingleElement) {
-  auto frag = ParseXmlFragment("<store><name>Levis</name></store>");
-  ASSERT_TRUE(frag.ok());
-  EXPECT_EQ((*frag)->name(), "store");
-  EXPECT_EQ((*frag)->InnerText(), "Levis");
-}
-
-TEST(FragmentTest, RejectsDoctype) {
-  EXPECT_FALSE(ParseXmlFragment("<!DOCTYPE a><a/>").ok());
 }
 
 }  // namespace

@@ -155,23 +155,6 @@ TEST(PipelineTest, SnippetIsSubtreeOfResult) {
   }
 }
 
-TEST(PipelineTest, ExactSelectorWithinPipeline) {
-  Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
-  SnippetService service(&ctx.db);
-  SnippetOptions greedy_options;
-  greedy_options.size_bound = 6;
-  SnippetOptions exact_options = greedy_options;
-  exact_options.use_exact_selector = true;
-  exact_options.features.max_features = 4;  // keep B&B small
-  greedy_options.features.max_features = 4;
-  auto greedy = service.Generate(ctx.query, ctx.results[0], greedy_options);
-  auto exact = service.Generate(ctx.query, ctx.results[0], exact_options);
-  ASSERT_TRUE(greedy.ok());
-  ASSERT_TRUE(exact.ok());
-  EXPECT_GE(exact->covered_count(), greedy->covered_count());
-  EXPECT_LE(exact->edges(), 6u);
-}
-
 TEST(PipelineTest, InvalidResultRootRejected) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
   SnippetService service(&ctx.db);

@@ -2,73 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "datagen/retailer_dataset.h"
-#include "xml/serializer.h"
-
 namespace extract {
 namespace {
-
-struct Ctx {
-  XmlDatabase db;
-  Query query;
-  std::vector<QueryResult> results;
-};
-
-Ctx RunQuery(std::string xml, const std::string& query_text) {
-  auto db = XmlDatabase::Load(std::move(xml));
-  EXPECT_TRUE(db.ok()) << db.status();
-  Query query = Query::Parse(query_text);
-  XSeekEngine engine;
-  auto results = engine.Search(*db, query);
-  EXPECT_TRUE(results.ok()) << results.status();
-  return Ctx{std::move(*db), std::move(query), std::move(*results)};
-}
-
-TEST(XSeekResultTest, KeepsMatchPathsAndValues) {
-  Ctx ctx = RunQuery(R"(<db>
-    <store><name>Levis</name><city>Houston</city>
-      <stock><item><kind>jeans</kind><qty>5</qty></item>
-             <item><kind>hat</kind><qty>2</qty></item></stock>
-    </store>
-    <store><name>Zara</name><city>Reno</city>
-      <stock><item><kind>coat</kind><qty>1</qty></item></stock>
-    </store>
-  </db>)",
-                     "store houston");
-  ASSERT_EQ(ctx.results.size(), 1u);
-  auto tree = MaterializeXSeekResult(ctx.db, ctx.results[0]);
-  std::string xml = WriteXml(*tree);
-  // Match value shown.
-  EXPECT_NE(xml.find("<city>Houston</city>"), std::string::npos);
-  // Attributes of the kept store entity shown.
-  EXPECT_NE(xml.find("<name>Levis</name>"), std::string::npos);
-  // Unmatched descendant entities collapse to one placeholder per label.
-  EXPECT_NE(xml.find("<item/>"), std::string::npos);
-  // Their contents are pruned.
-  EXPECT_EQ(xml.find("jeans"), std::string::npos);
-  EXPECT_EQ(xml.find("qty"), std::string::npos);
-}
-
-TEST(XSeekResultTest, PlaceholdersCollapsePerLabel) {
-  Ctx ctx = RunQuery(GenerateRetailerXml(), "texas apparel retailer");
-  ASSERT_EQ(ctx.results.size(), 1u);
-  auto pruned = MaterializeXSeekResult(ctx.db, ctx.results[0]);
-  auto full = MaterializeResult(ctx.db, ctx.results[0]);
-  // The pruned result is drastically smaller than the full 1000+-clothes
-  // subtree but still rooted at the retailer.
-  EXPECT_EQ(pruned->name(), "retailer");
-  EXPECT_LT(pruned->CountNodes(), full->CountNodes() / 4);
-  EXPECT_GT(full->CountNodes(), 3000u);
-}
-
-TEST(XSeekResultTest, PrunedResultIsStillSelfDescribing) {
-  Ctx ctx = RunQuery(GenerateRetailerXml(), "texas apparel retailer");
-  auto pruned = MaterializeXSeekResult(ctx.db, ctx.results[0]);
-  std::string xml = WriteXml(*pruned);
-  // Keys/attributes of the return entity survive pruning.
-  EXPECT_NE(xml.find("Brook Brothers"), std::string::npos);
-  EXPECT_NE(xml.find("apparel"), std::string::npos);
-}
 
 TEST(MaterializeSubtreeTest, TextOnlyNode) {
   auto db = XmlDatabase::Load("<a><b>t</b></a>");

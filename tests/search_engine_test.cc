@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "datagen/retailer_dataset.h"
+#include "search/ranking.h"
 #include "search/result_builder.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -126,28 +129,65 @@ TEST(XSeekEngineTest, EmptyQueryIsInvalid) {
 TEST(XSeekEngineTest, ResultsComeInDocumentOrderWithoutOverlap) {
   RetailerDatasetOptions dataset;
   dataset.num_matching_retailers = 4;
-  // In the second document a store's own field matches ahead of one of its
-  // products: the product's result lies inside the store's and is dropped.
-  const std::pair<std::string, std::string> cases[] = {
-      {GenerateRetailerXml(dataset), "texas apparel"},
+  struct Case {
+    std::string xml;
+    std::string text;
+    /// Tags of the expected result roots, in order; empty = not pinned.
+    std::vector<std::string> roots;
+  };
+  const Case cases[] = {
+      {GenerateRetailerXml(dataset), "texas apparel", {}},
+      // A store's own field matches ahead of one of its products: the
+      // product's result lies inside the store's and is dropped.
       {"<db><store><info>texas</info><product><name>texas</name></product>"
        "<product><name>ohio</name></product></store>"
        "<store><info>utah</info><product><name>iowa</name></product>"
        "<product><name>maine</name></product></store></db>",
-       "texas"},
+       "texas",
+       {}},
+      // A store's own field matches after one of its products: the store
+      // encloses the product's kept result and is dropped.
+      {"<db><store><product><name>texas</name><price>1</price></product>"
+       "<product><name>ohio</name></product><info>texas</info></store>"
+       "<store><info>maine</info></store></db>",
+       "texas",
+       {"product"}},
   };
-  for (const auto& [xml, text] : cases) {
-    auto db = XmlDatabase::Load(xml);
+  for (const Case& c : cases) {
+    auto db = XmlDatabase::Load(c.xml);
     ASSERT_TRUE(db.ok());
     XSeekEngine engine;
-    auto results = engine.Search(*db, Query::Parse(text));
+    const Query query = Query::Parse(c.text);
+    auto results = engine.Search(*db, query);
     ASSERT_TRUE(results.ok());
-    ASSERT_FALSE(results->empty()) << text;
-    for (size_t i = 1; i < results->size(); ++i) {
+    ASSERT_FALSE(results->empty()) << c.text;
+    std::vector<NodeId> roots;
+    for (size_t i = 0; i < results->size(); ++i) {
+      roots.push_back((*results)[i].root);
+      if (i == 0) continue;
       EXPECT_GE((*results)[i].root,
                 db->index().subtree_end((*results)[i - 1].root))
-          << text;
+          << c.text;
     }
+    if (!c.roots.empty()) {
+      ASSERT_EQ(results->size(), c.roots.size()) << c.text;
+      for (size_t i = 0; i < roots.size(); ++i) {
+        EXPECT_EQ(db->index().label_name(roots[i]), c.roots[i]) << c.text;
+      }
+    }
+    // A drained incremental producer keeps exactly the same roots. It
+    // borrows the ranking options, so they outlive it.
+    const RankingOptions ranking;
+    auto producer = engine.OpenIncremental(*db, query, ranking, 0);
+    ASSERT_TRUE(producer.ok()) << producer.status();
+    std::vector<RankedResult> pulled;
+    while (!(*producer)->Exhausted()) {
+      ASSERT_TRUE((*producer)->Pull(&pulled).ok());
+    }
+    std::vector<NodeId> pulled_roots;
+    for (const RankedResult& r : pulled) pulled_roots.push_back(r.result.root);
+    std::sort(pulled_roots.begin(), pulled_roots.end());
+    EXPECT_EQ(pulled_roots, roots) << c.text;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "search/corpus_snapshot.h"
 #include "snippet/snippet_service.h"
 #include "snippet/snippet_tree.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace extract {
@@ -161,9 +162,13 @@ TEST(SnapshotTest, DtdClassificationSurvivesWithoutTheDtd) {
 </retailers>)";
   auto db = XmlDatabase::Load(kXml);
   ASSERT_TRUE(db.ok()) << db.status();
-  LoadOptions inferred;
-  inferred.classify.use_dtd = false;
-  auto without_dtd = XmlDatabase::Load(kXml, inferred);
+  // The same document classified by data inference alone (no DTD).
+  auto parsed = ParseXml(kXml);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto flat = IndexedDocument::Build(**parsed);
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  auto without_dtd = XmlDatabase::FromIndexedDocument(
+      std::move(*flat), /*dtd=*/nullptr, LoadOptions{});
   ASSERT_TRUE(without_dtd.ok()) << without_dtd.status();
   auto restored = RoundTrip(*db, "snapshot_dtd_effect.xcsn");
   ASSERT_TRUE(restored.ok()) << restored.status();

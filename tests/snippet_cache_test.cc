@@ -60,12 +60,6 @@ TEST(SnippetCacheKeyTest, EveryKeyedFieldChangesTheSignature) {
   other = options;
   other.features.max_features = 3;
   EXPECT_FALSE(MakeSnippetCacheKey("doc", q, 5, other) == base);
-  other = options;
-  other.stop_on_first_overflow = !other.stop_on_first_overflow;
-  EXPECT_FALSE(MakeSnippetCacheKey("doc", q, 5, other) == base);
-  other = options;
-  other.use_exact_selector = !other.use_exact_selector;
-  EXPECT_FALSE(MakeSnippetCacheKey("doc", q, 5, other) == base);
 }
 
 TEST(SnippetCacheKeyTest, JoinedKeywordListsCannotCollide) {

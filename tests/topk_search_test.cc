@@ -299,17 +299,11 @@ void AttachSaved(const XmlCorpus& memory, const std::string& path,
   ASSERT_TRUE(backed->AttachSnapshot(*snapshot).ok());
 }
 
-LoadOptions AnalyzerLoad(bool stem, bool stopwords) {
-  LoadOptions load;
-  load.analysis.stem = stem;
-  load.analysis.remove_stopwords = stopwords;
-  return load;
-}
-
 // The directory bound must dominate every result of its document, for every
-// analyzer, ranking (negative weights included) and keyword shape
-// (duplicates, stopwords, stopword-only) — and the directory must list
-// every document that has a result at all.
+// ranking (negative weights included) and keyword shape (duplicates, a word
+// every document holds, words no document holds) — and the directory must
+// list every document that has a result at all, and only documents that
+// hold every keyword.
 TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
   const RankingOptions rankings[] = {
       RankingOptions{},
@@ -322,7 +316,8 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     XmlCorpus memory;
-    std::vector<std::string> keywords = {"the", "of"};
+    // "e0" tags every random document's top entities; "nomatch" is in none.
+    std::vector<std::string> keywords = {"e0", "nomatch"};
     for (size_t d = 0; d < 6; ++d) {
       RandomXmlOptions options;
       options.levels = 1 + (seed + d) % 3;
@@ -336,10 +331,7 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
         keywords.push_back(label);
         keywords.push_back(value);
       }
-      ASSERT_TRUE(memory
-                      .AddDocument("doc" + std::to_string(d), data.xml,
-                                   AnalyzerLoad(d % 2 == 1, d % 4 >= 2))
-                      .ok());
+      ASSERT_TRUE(memory.AddDocument("doc" + std::to_string(d), data.xml).ok());
     }
     const std::string path = TempPath("topk_bound_property.xcsn");
     ASSERT_TRUE(memory.SaveSnapshot(path).ok());
@@ -360,10 +352,10 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
       const std::string b = pick();
       queries.push_back(a);
       queries.push_back(a + " " + b);
-      queries.push_back(a + " " + a);      // duplicate keyword
-      queries.push_back("the " + a);       // stopword under some analyzers
+      queries.push_back(a + " " + a);  // duplicate keyword
+      queries.push_back("e0 " + a);    // with a word every document holds
     }
-    queries.push_back("the of");  // stopword-only under some analyzers
+    queries.push_back("nomatch xyzzy");  // no document holds either word
 
     XSeekEngine engine;
     for (const std::string& text : queries) {
@@ -375,12 +367,10 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
                     query,
                     [&](size_t i, std::span<const TermDocStats> stats) {
                       candidates.insert(i);
-                      const bool keyed = std::any_of(
-                          stats.begin(), stats.end(),
-                          [](const TermDocStats& s) {
-                            return s.postings != 0;
-                          });
-                      if (!keyed) return;
+                      ASSERT_EQ(stats.size(), query.keywords.size());
+                      for (const TermDocStats& s : stats) {
+                        EXPECT_GT(s.postings, 0u) << "'" << text << "'";
+                      }
                       const double bound =
                           engine.DocumentScoreBound(ranking, stats);
                       auto doc = snap.Fault(i);
@@ -414,25 +404,19 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
 
 // A snapshot-backed corpus serves the same pages as its in-memory twin,
 // through SearchAll, SearchTopK (bound-ordered lazy opening) and page-gated
-// ServeQuery alike — across a mixed-analyzer image, hidden snapshot names
+// ServeQuery alike — across a partitioned document, hidden snapshot names
 // and overlay documents shadowing them.
 TEST(TopKSearchTest, SnapshotBackedTopKMatchesSearchAll) {
   XmlCorpus memory;
-  LoadOptions partitioned = AnalyzerLoad(false, true);
+  LoadOptions partitioned;
   partitioned.partitioning.target_nodes_per_partition = 64;
   ASSERT_TRUE(
       memory.AddDocument("retailer", GenerateRetailerXml(), partitioned).ok());
-  ASSERT_TRUE(memory
-                  .AddDocument("stores", GenerateStoresXml(),
-                               AnalyzerLoad(true, false))
-                  .ok());
-  ASSERT_TRUE(memory
-                  .AddDocument("movies", GenerateMoviesXml(),
-                               AnalyzerLoad(true, true))
-                  .ok());
+  ASSERT_TRUE(memory.AddDocument("stores", GenerateStoresXml()).ok());
+  ASSERT_TRUE(memory.AddDocument("movies", GenerateMoviesXml()).ok());
   std::vector<std::string> queries = {"texas", "texas store", "stores",
-                                      "drama", "the texas", "texas texas",
-                                      "zzznomatch", "the"};
+                                      "drama", "name texas", "texas texas",
+                                      "zzznomatch", "nomatch xyzzy"};
   for (int d = 0; d < 6; ++d) {
     RandomXmlOptions options;
     options.levels = 2;
@@ -442,10 +426,8 @@ TEST(TopKSearchTest, SnapshotBackedTopKMatchesSearchAll) {
     if (d < 2) {
       for (const std::string& k : data.keyword_pool) queries.push_back(k);
     }
-    ASSERT_TRUE(memory
-                    .AddDocument("random" + std::to_string(d), data.xml,
-                                 AnalyzerLoad(d % 2 == 0, d % 3 == 0))
-                    .ok());
+    ASSERT_TRUE(
+        memory.AddDocument("random" + std::to_string(d), data.xml).ok());
   }
   const std::string path = TempPath("topk_snapshot_equiv.xcsn");
   XmlCorpus backed;
