@@ -98,9 +98,7 @@ int main() {
         ilist_size = ilist.size();
 
         std::vector<ItemInstances> instances =
-            CapInstances(db.index(),
-                         FindItemInstances(db.index(), db.classification(),
-                                           result.root, ilist),
+            CapInstances(db.index(), FindItemInstances(db, result.root, ilist),
                          kInstanceCap);
         Selection greedy =
             SelectInstancesGreedy(db.index(), result.root, instances, bound);

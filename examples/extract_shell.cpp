@@ -27,7 +27,8 @@
 //                                   candidates scored vs total)
 //   result <rank>                   print the full tree of a result of the
 //                                   last query, from the data set it ran on
-//   html <path>                     write the last results page as HTML
+//   html <path>                     write the last page shown (by query,
+//                                   bound, queryall or stream) as HTML
 //   save <path> / load <path>       snapshot the active data set's index
 //                                   as a one-document snapshot image
 //   snapshot save <path>            persist the whole corpus as one
@@ -53,6 +54,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -98,7 +100,10 @@ struct ShellState {
   XmlCorpus corpus;
   std::string active;
   size_t bound = 10;
-  Query last_query;
+  /// The last page printed by `query`, `bound`, `queryall` or `stream`:
+  /// its query and its snippets in rank order. `html` writes this page.
+  Query page_query;
+  std::vector<Snippet> page_snippets;
   /// Raw text of the query that produced last_results — `bound` only
   /// regenerates when the live session still matches it.
   std::string last_query_text;
@@ -106,7 +111,6 @@ struct ShellState {
   /// (not `active`): the session may outlive an `unload` via its pin.
   std::string last_results_document;
   std::vector<QueryResult> last_results;
-  std::vector<Snippet> last_snippets;
   QuerySession session;
   /// Stage time of retired query sessions (a new query replaces the
   /// session; its counters are folded in here first).
@@ -185,8 +189,8 @@ void CmdOpen(ShellState* state, const std::string& name) {
 void PrintSnippets(const ShellState& state) {
   std::printf("%zu result(s), snippet bound %zu\n\n",
               state.last_results.size(), state.bound);
-  for (size_t i = 0; i < state.last_snippets.size(); ++i) {
-    const Snippet& s = state.last_snippets[i];
+  for (size_t i = 0; i < state.page_snippets.size(); ++i) {
+    const Snippet& s = state.page_snippets[i];
     std::string key_note = s.key.found() ? "  key: " + s.key.value : "";
     std::printf("[%zu]%s\n%s\n", i + 1, key_note.c_str(),
                 RenderSnippet(s).c_str());
@@ -222,11 +226,11 @@ void CmdQuery(ShellState* state, const std::string& text) {
     std::printf("error: %s\n", snippets.status().ToString().c_str());
     return;
   }
-  state->last_query = std::move(query);
+  state->page_query = std::move(query);
+  state->page_snippets = std::move(*snippets);
   state->last_query_text = text;
   state->last_results_document = session.document;
   state->last_results = std::move(*results);
-  state->last_snippets = std::move(*snippets);
   PrintSnippets(*state);
 }
 
@@ -253,7 +257,7 @@ void CmdBound(ShellState* state, const std::string& rest) {
     std::printf("error: %s\n", snippets.status().ToString().c_str());
     return;
   }
-  state->last_snippets = std::move(*snippets);
+  state->page_snippets = std::move(*snippets);
   PrintSnippets(*state);
 }
 
@@ -313,11 +317,14 @@ void CmdQueryAll(ShellState* state, const std::string& text) {
       std::printf("\n[%zu] %s (score %.2f)\n%s", i + 1, hit.document.c_str(),
                   hit.score, RenderSnippet((*snippets)[i]).c_str());
     }
+    state->page_query = std::move(query);
+    state->page_snippets = std::move(*snippets);
     return;
   }
   // A bad hit fails the whole batch (the Status names it); degrade to
   // per-hit generation so the surviving hits still render.
   std::printf("error: %s\n", snippets.status().ToString().c_str());
+  std::vector<Snippet> page;
   for (size_t i = 0; i < hits->size(); ++i) {
     const CorpusResult& hit = (*hits)[i];
     const XmlDatabase* db = state->corpus.Find(hit.document);
@@ -327,7 +334,10 @@ void CmdQueryAll(ShellState* state, const std::string& text) {
     if (!snippet.ok()) continue;
     std::printf("\n[%zu] %s (score %.2f)\n%s", i + 1, hit.document.c_str(),
                 hit.score, RenderSnippet(*snippet).c_str());
+    page.push_back(std::move(*snippet));
   }
+  state->page_query = std::move(query);
+  state->page_snippets = std::move(page);
 }
 
 // `stream <keywords...>`: the progressive counterpart of queryall — the
@@ -359,6 +369,9 @@ void CmdStream(ShellState* state, const std::string& text) {
               serving.page_size, state->corpus.size());
   std::fflush(stdout);
   size_t arrival = 0;
+  // Slots arrive in completion order; the page `html` writes keeps the
+  // successful ones in rank order.
+  std::map<size_t, Snippet> by_rank;
   // The page grows while the merge runs: page()[event.slot] is settled
   // once the slot's event arrives, but the page size is unknown (and
   // unreadable) until the stream has drained.
@@ -369,12 +382,18 @@ void CmdStream(ShellState* state, const std::string& text) {
       std::printf("\n[rank %zu, arrival %zu] %s (score %.2f)\n%s",
                   event.slot + 1, arrival, hit.document.c_str(), hit.score,
                   RenderSnippet(*event.snippet).c_str());
+      by_rank.emplace(event.slot, std::move(*event.snippet));
     } else {
       std::printf("\n[rank %zu] error: %s\n", event.slot + 1,
                   event.snippet.status().ToString().c_str());
     }
     std::fflush(stdout);
   });
+  state->page_query = query;
+  state->page_snippets.clear();
+  for (auto& [slot, snippet] : by_rank) {
+    state->page_snippets.push_back(std::move(snippet));
+  }
   StreamStats stats = served->Stats();
   if (stats.succeeded > 0) {
     std::printf("\nstream: %zu emitted (%zu ok, %zu failed), first snippet "
@@ -413,13 +432,14 @@ void CmdResult(ShellState* state, const std::string& rest) {
   std::printf("%s\n", RenderXmlTree(*tree).c_str());
 }
 
+// `html <path>`: writes the last page shown, whichever command showed it.
 void CmdHtml(ShellState* state, const std::string& path) {
-  if (state->last_snippets.empty()) {
+  if (state->page_snippets.empty()) {
     std::printf("run a query first\n");
     return;
   }
   std::string html =
-      RenderResultsPageHtml(state->last_query, state->last_snippets);
+      RenderResultsPageHtml(state->page_query, state->page_snippets);
   std::ofstream out(path);
   if (!out) {
     std::printf("cannot write %s\n", path.c_str());
@@ -614,9 +634,9 @@ void PrintHelp() {
   std::printf(
       "commands: open <retailer|stores|movies> | datasets | use <name> | "
       "schema |\n  bound <n> | query <kw...> | queryall <kw...> | "
-      "stream <kw...> |\n  result <rank> | html <path> | "
-      "save <path> | load <path> |\n  load <name> <file> | unload <name> | "
-      "snapshot save|open <path> |\n  snapshot stats | "
+      "stream <kw...> |\n  result <rank> | html <path> (the last page shown) |"
+      "\n  save <path> | load <path> | load <name> <file> | unload <name> |"
+      "\n  snapshot save|open <path> | snapshot stats | "
       "cache [clear] | stats [reset] |\n  help | quit\n");
 }
 

@@ -24,24 +24,6 @@ IndexPartitions IndexPartitions::Build(const IndexedDocument& doc,
   return out;
 }
 
-std::vector<NodeRange> IndexPartitions::Clip(NodeId begin, NodeId end) const {
-  std::vector<NodeRange> out;
-  if (begin >= end) return out;
-  // First partition whose end exceeds `begin`; walk forward from there.
-  size_t p = static_cast<size_t>(
-      std::upper_bound(bounds_.begin() + 1, bounds_.end(), begin) -
-      (bounds_.begin() + 1));
-  for (; p < count() && bounds_[p] < end; ++p) {
-    NodeRange r{std::max(begin, bounds_[p]), std::min(end, bounds_[p + 1])};
-    if (!r.empty()) out.push_back(r);
-  }
-  // The grid covers [0, total_end()); an interval reaching past it (never
-  // the case for ranges from the same document) keeps its tail in one slice.
-  if (!out.empty() && out.back().end < end) out.back().end = end;
-  if (out.empty()) out.push_back(NodeRange{begin, end});
-  return out;
-}
-
 Result<IndexPartitions> IndexPartitions::FromBounds(
     std::vector<NodeId> bounds) {
   if (bounds.size() < 2 || bounds.front() != 0) {

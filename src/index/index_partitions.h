@@ -1,19 +1,19 @@
 // Index partitions: the intra-document shard axis.
 //
 // Corpus search walks its documents one by one (search/corpus.h); one
-// giant document would serialize every scan that walks its node interval. An
+// giant document would serialize its SLCA posting traversal. An
 // IndexPartitions splits the pre-order node range [0, num_nodes) of one
-// IndexedDocument into contiguous partitions at load time, so the
-// single-document hot paths — SLCA posting traversal, the snippet
-// statistics / entity / instance scans — can fan each partition out as one
-// ParallelFor index and merge at partition boundaries.
+// IndexedDocument into contiguous partitions at load time, so XSeek's SLCA
+// search can fan each partition out as one ParallelFor index and merge at
+// partition boundaries. The snippet stages do not fan out: their lookups
+// read per-label columns and posting lists clipped to the result, so their
+// cost does not grow with the result's node count.
 //
 // Partitions are pure intervals over NodeIds. They deliberately do NOT
-// align to subtree boundaries: a query result or an SLCA witness may
-// straddle a partition, and every partition-parallel consumer merges with
-// that in mind (per-partition partial results are combined by an order-
-// preserving, associative reduction, so output is byte-identical to the
-// sequential scan for every partition count).
+// align to subtree boundaries: an SLCA witness may straddle a partition,
+// and the partitioned SLCA merges candidates at partition boundaries so
+// its output is byte-identical to the sequential search for every
+// partition count.
 
 #ifndef EXTRACT_INDEX_INDEX_PARTITIONS_H_
 #define EXTRACT_INDEX_INDEX_PARTITIONS_H_
@@ -37,7 +37,7 @@ struct IndexPartitionOptions {
   size_t max_partitions = 64;
 };
 
-/// One contiguous node range [begin, end) of a partitioned scan.
+/// One contiguous node range [begin, end) of the grid.
 struct NodeRange {
   NodeId begin = 0;
   NodeId end = 0;
@@ -81,16 +81,6 @@ class IndexPartitions {
 
   /// One past the last node of the grid (== num_nodes at Build time).
   NodeId total_end() const { return bounds_.back(); }
-
-  /// \brief Clips [begin, end) against the grid: the ranges, in ascending
-  /// order, that the grid's partitions carve the interval into.
-  ///
-  /// This is the scan decomposition used by every partition-parallel
-  /// reduction: slice s is scanned by one worker, and the partial results
-  /// are merged in slice order. Returns a single range (the input) when the
-  /// interval lies inside one partition, and an empty vector for an empty
-  /// interval.
-  std::vector<NodeRange> Clip(NodeId begin, NodeId end) const;
 
  private:
   /// bounds_[p] .. bounds_[p+1] delimit partition p; bounds_.front() == 0.

@@ -92,9 +92,83 @@ NodeClassification NodeClassification::Classify(const IndexedDocument& doc,
     if (category == NodeCategory::kEntity) entity_label_set.insert(doc.label(id));
   }
   out.entity_labels_.assign(entity_label_set.begin(), entity_label_set.end());
-  out.is_entity_label_.resize(doc.labels().size(), false);
-  for (LabelId label : out.entity_labels_) out.is_entity_label_[label] = true;
+  out.BuildColumns(doc);
   return out;
+}
+
+void NodeClassification::BuildColumns(const IndexedDocument& doc) {
+  const size_t n = doc.num_nodes();
+  const size_t num_labels = doc.labels().size();
+  entity_offsets_.assign(num_labels + 1, 0);
+  attribute_offsets_.assign(num_labels + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    if (!doc.is_element(id)) continue;
+    if (per_node_[i] == NodeCategory::kEntity) {
+      ++entity_offsets_[doc.label(id) + 1];
+    } else if (per_node_[i] == NodeCategory::kAttribute) {
+      ++attribute_offsets_[doc.label(id) + 1];
+    }
+  }
+  for (size_t l = 0; l < num_labels; ++l) {
+    entity_offsets_[l + 1] += entity_offsets_[l];
+    attribute_offsets_[l + 1] += attribute_offsets_[l];
+  }
+  entity_nodes_.resize(entity_offsets_.back());
+  attribute_entries_.resize(attribute_offsets_.back());
+
+  // Filling in node order keeps every label's run ascending. Pre-order
+  // numbers a parent before its children, so one pass also carries each
+  // node's nearest entity ancestor-or-self down from its parent.
+  std::vector<uint32_t> entity_fill(entity_offsets_.begin(),
+                                    entity_offsets_.end() - 1);
+  std::vector<uint32_t> attribute_fill(attribute_offsets_.begin(),
+                                       attribute_offsets_.end() - 1);
+  std::vector<NodeId> nearest_entity(n, kInvalidNode);
+  for (size_t i = 0; i < n; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    if (!doc.is_element(id)) continue;
+    const NodeId parent = doc.parent(id);
+    const NodeId above =
+        parent == kInvalidNode ? kInvalidNode : nearest_entity[parent];
+    const LabelId label = doc.label(id);
+    if (per_node_[i] == NodeCategory::kEntity) {
+      nearest_entity[i] = id;
+      entity_nodes_[entity_fill[label]++] = id;
+      continue;
+    }
+    nearest_entity[i] = above;
+    if (per_node_[i] == NodeCategory::kAttribute) {
+      attribute_entries_[attribute_fill[label]++] =
+          AttributeEntry{id, doc.sole_text_child(id), above};
+    }
+  }
+}
+
+std::span<const NodeId> NodeClassification::EntitiesIn(LabelId label,
+                                                       NodeId begin,
+                                                       NodeId end) const {
+  if (label >= num_labels()) return {};
+  const NodeId* first = entity_nodes_.data() + entity_offsets_[label];
+  const NodeId* last = entity_nodes_.data() + entity_offsets_[label + 1];
+  first = std::lower_bound(first, last, begin);
+  last = std::lower_bound(first, last, end);
+  return {first, last};
+}
+
+std::span<const AttributeEntry> NodeClassification::AttributesIn(
+    LabelId label, NodeId begin, NodeId end) const {
+  if (label >= num_labels()) return {};
+  const AttributeEntry* first =
+      attribute_entries_.data() + attribute_offsets_[label];
+  const AttributeEntry* last =
+      attribute_entries_.data() + attribute_offsets_[label + 1];
+  auto before = [](const AttributeEntry& entry, NodeId id) {
+    return entry.node < id;
+  };
+  first = std::lower_bound(first, last, begin, before);
+  last = std::lower_bound(first, last, end, before);
+  return {first, last};
 }
 
 NodeCategory NodeClassification::PairCategory(LabelId parent_label,
@@ -104,22 +178,20 @@ NodeCategory NodeClassification::PairCategory(LabelId parent_label,
 }
 
 NodeClassification NodeClassification::Restore(
+    const IndexedDocument& doc,
     std::map<std::pair<LabelId, LabelId>, NodeCategory> pair_category,
-    std::vector<NodeCategory> per_node, std::vector<LabelId> entity_labels,
-    size_t num_labels) {
+    std::vector<NodeCategory> per_node, std::vector<LabelId> entity_labels) {
   NodeClassification out;
   out.pair_category_ = std::move(pair_category);
   out.per_node_ = std::move(per_node);
   out.entity_labels_ = std::move(entity_labels);
-  out.is_entity_label_.resize(num_labels, false);
-  for (LabelId label : out.entity_labels_) {
-    if (label < num_labels) out.is_entity_label_[label] = true;
-  }
+  out.BuildColumns(doc);
   return out;
 }
 
 bool NodeClassification::IsEntityLabel(LabelId label) const {
-  return label < is_entity_label_.size() && is_entity_label_[label];
+  return label < num_labels() &&
+         entity_offsets_[label] != entity_offsets_[label + 1];
 }
 
 size_t NodeClassification::CountCategory(NodeCategory c) const {

@@ -9,13 +9,18 @@
 //   * value:      text nodes.
 //
 // Classification is computed once per document at the granularity of
-// (parent label, label) pairs and then materialized per node.
+// (parent label, label) pairs and then materialized per node. Alongside the
+// per-node categories it keeps per-label entity and attribute columns, the
+// lookups the snippet stages (paper §2.2–§2.4) answer a result's questions
+// from: a result [root, subtree_end(root)) is a contiguous id range, so each
+// column clips to it by binary search instead of a walk over the subtree.
 
 #ifndef EXTRACT_SCHEMA_NODE_CLASSIFIER_H_
 #define EXTRACT_SCHEMA_NODE_CLASSIFIER_H_
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,17 @@ enum class NodeCategory : uint8_t {
 /// Human-readable category name ("entity", ...).
 std::string_view NodeCategoryToString(NodeCategory c);
 
+/// One attribute node of a document, as the snippet stages read it.
+struct AttributeEntry {
+  NodeId node = kInvalidNode;  ///< the attribute element
+  /// Its sole text child; kInvalidNode for an empty attribute.
+  NodeId text = kInvalidNode;
+  /// Its nearest entity strict ancestor; kInvalidNode if it has none. The
+  /// entity lies inside a result rooted at r iff entity >= r, because both
+  /// are ancestors-or-self of the attribute.
+  NodeId entity = kInvalidNode;
+};
+
 /// \brief The classification result for one document.
 class NodeClassification {
  public:
@@ -43,14 +59,16 @@ class NodeClassification {
   static NodeClassification Classify(const IndexedDocument& doc,
                                      const Dtd* dtd);
 
-  /// \brief Restores a classification from its stored tables (the corpus
-  /// snapshot loader's path; persisting beats re-classifying at fault-in).
-  /// `entity_labels` must be sorted ascending and every label below
-  /// `num_labels`; `pair_category` / `per_node` are taken as-is.
+  /// \brief Restores a classification of `doc` from its stored tables (the
+  /// corpus snapshot loader's path; persisting beats re-classifying at
+  /// fault-in). `per_node` must hold one valid category per node of `doc`
+  /// and `entity_labels` must be sorted ascending; `pair_category` is taken
+  /// as-is. The entity and attribute columns are derived from `doc` and
+  /// `per_node`, as Classify derives them.
   static NodeClassification Restore(
+      const IndexedDocument& doc,
       std::map<std::pair<LabelId, LabelId>, NodeCategory> pair_category,
-      std::vector<NodeCategory> per_node, std::vector<LabelId> entity_labels,
-      size_t num_labels);
+      std::vector<NodeCategory> per_node, std::vector<LabelId> entity_labels);
 
   /// Category of node `n`.
   NodeCategory category(NodeId n) const { return per_node_[n]; }
@@ -78,17 +96,43 @@ class NodeClassification {
   /// Labels that are classified as entities in at least one parent context.
   const std::vector<LabelId>& entity_labels() const { return entity_labels_; }
 
-  /// True iff `label` is an entity label in some context.
+  /// True iff some node labelled `label` is an entity (its entity column is
+  /// non-empty).
   bool IsEntityLabel(LabelId label) const;
 
   /// Count of nodes per category (diagnostics / schema summary).
   size_t CountCategory(NodeCategory c) const;
 
+  /// Number of labels the columns are indexed by (the document's label
+  /// count).
+  size_t num_labels() const {
+    return entity_offsets_.empty() ? 0 : entity_offsets_.size() - 1;
+  }
+
+  /// The entity elements labelled `label` with ids in [begin, end),
+  /// ascending. Empty for a label out of range.
+  std::span<const NodeId> EntitiesIn(LabelId label, NodeId begin,
+                                     NodeId end) const;
+
+  /// The attribute elements labelled `label` with ids in [begin, end),
+  /// ascending by node. Empty for a label out of range.
+  std::span<const AttributeEntry> AttributesIn(LabelId label, NodeId begin,
+                                               NodeId end) const;
+
  private:
+  /// Derives the per-label columns from per_node_ and `doc`. Only element
+  /// nodes enter them.
+  void BuildColumns(const IndexedDocument& doc);
+
   std::map<std::pair<LabelId, LabelId>, NodeCategory> pair_category_;
   std::vector<NodeCategory> per_node_;
   std::vector<LabelId> entity_labels_;
-  std::vector<bool> is_entity_label_;  // indexed by LabelId
+  // Per-label columns in CSR form: label l's entries are
+  // [offsets[l], offsets[l + 1]) of the entry array, ascending by node.
+  std::vector<uint32_t> entity_offsets_;
+  std::vector<NodeId> entity_nodes_;
+  std::vector<uint32_t> attribute_offsets_;
+  std::vector<AttributeEntry> attribute_entries_;
 };
 
 }  // namespace extract

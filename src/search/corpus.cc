@@ -1085,15 +1085,13 @@ Result<CorpusQueryStream> XmlCorpus::OpenStream(
   // The services are per-page, so their counters are exactly this page's
   // contribution; fold them into the corpus-lifetime breakdown when the
   // session ends (even when a slot failed or the stream was cancelled —
-  // the stages that did run still cost time). The contexts contribute the
-  // partition-parallel scan attribution ("scan.*" pseudo-stages), the
-  // stream its own "stream.*" counters, a gated page its search time.
+  // the stages that did run still cost time). The stream contributes its
+  // own "stream.*" counters, a gated page its search time.
   StageStatsRegistry* registry = &stage_stats_;
   builder.on_finish = [registry, state](const StreamStats& stats) {
     for (const auto& [name, doc] : state->documents) {
       if (doc.generator == nullptr) continue;
       registry->Merge(doc.generator->service.StageStatsSnapshot());
-      registry->Merge(doc.generator->context.ScanStatsSnapshot());
     }
     MergeStreamStats(stats, *registry);
     if (state->coordinator != nullptr) {

@@ -462,7 +462,7 @@ class XmlCorpus {
   /// cross-corpus result page.
   ///
   /// Hits of the same document share one SnippetContext (statistics,
-  /// entity/key and instance scans are computed once per result), and the
+  /// entity/key and instance lookups are computed once per result), and the
   /// batch runs in parallel per `batch` with deterministic ordering:
   /// output i corresponds to corpus_results[i], byte-identical to the
   /// sequential path. Fails with the hit's index and document name if a

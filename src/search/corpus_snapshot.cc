@@ -598,9 +598,9 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
     if (!std::is_sorted(entity_labels.begin(), entity_labels.end())) {
       return Status::ParseError("snapshot entity labels not sorted");
     }
-    classification =
-        NodeClassification::Restore(std::move(pair_category), std::move(per_node),
-                                    std::move(entity_labels), num_labels);
+    classification = NodeClassification::Restore(
+        doc, std::move(pair_category), std::move(per_node),
+        std::move(entity_labels));
   }
 
   // Mined keys.

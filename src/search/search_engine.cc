@@ -21,7 +21,7 @@ Result<XmlDatabase> XmlDatabase::Load(std::string_view xml,
                                       const LoadOptions& options) {
   EXTRACT_INJECT_FAULT("db.load");
   std::unique_ptr<XmlDocument> doc;
-  EXTRACT_ASSIGN_OR_RETURN(doc, ParseXml(xml, options.parse));
+  EXTRACT_ASSIGN_OR_RETURN(doc, ParseXml(xml));
   return FromDocument(std::move(doc), options);
 }
 

@@ -23,24 +23,22 @@
 #include "schema/key_miner.h"
 #include "schema/node_classifier.h"
 #include "xml/dom.h"
-#include "xml/parse_limits.h"
 
 namespace extract {
 
 /// Database loading knobs.
 ///
-/// Loading always parses the document's DTD (which then decides *-nodes
-/// during classification; the database keeps the classification, not the
-/// DTD), expands XML attributes into child elements, and matches keywords
-/// as case-folded tokens (TokenizeWords) in the index, the engine's keyword
-/// lookup and the snippet instance scan alike.
+/// Loading always parses under the default hostile-input caps
+/// (xml/parse_limits.h), parses the document's DTD (which then decides
+/// *-nodes during classification; the database keeps the classification,
+/// not the DTD), expands XML attributes into child elements, and matches
+/// keywords as case-folded tokens (TokenizeWords) in the index, the
+/// engine's keyword lookup and the snippet instance lookup alike.
 struct LoadOptions {
-  /// Hostile-input caps of the XML parse (xml/parse_limits.h).
-  ParseLimits parse;
   /// Intra-document shard grid, built once at load (index/index_partitions.h).
   /// Small documents get a single partition — the sequential reference
-  /// layout; huge documents get the grid the partition-parallel search and
-  /// snippet-scan paths fan out over. Never affects results, only latency.
+  /// layout; huge documents get the grid the partition-parallel SLCA search
+  /// fans out over. Never affects results, only latency.
   IndexPartitionOptions partitioning;
 };
 

@@ -62,7 +62,7 @@ Result<std::vector<Snippet>> GenerateDiverseSnippets(
 /// \brief GenerateDiverseSnippets over a caller-owned service and context.
 ///
 /// Lets repeated generations of the same query reuse the context's memoized
-/// statistics/entity/key/instance scans — regenerating at a new size bound
+/// statistics/entity/key/instance lookups — regenerating at a new size bound
 /// re-runs only selection and materialization, the first step of the
 /// roadmap's incremental selection across bounds. `ctx` must be bound to
 /// the same database and query as the batch.

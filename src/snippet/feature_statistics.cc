@@ -7,58 +7,23 @@
 
 namespace extract {
 
-namespace {
-
-// Nearest entity ancestor of `n` strictly above `n` but within the result
-// subtree; kInvalidNode if none.
-NodeId NearestEntityAncestorWithin(const IndexedDocument& doc,
-                                   const NodeClassification& classification,
-                                   NodeId n, NodeId result_root) {
-  for (NodeId cur = doc.parent(n);
-       cur != kInvalidNode && doc.IsAncestorOrSelf(result_root, cur);
-       cur = doc.parent(cur)) {
-    if (classification.IsEntity(cur)) return cur;
-  }
-  return kInvalidNode;
-}
-
-}  // namespace
-
 FeatureStatistics FeatureStatistics::Compute(
     const IndexedDocument& doc, const NodeClassification& classification,
     NodeId result_root) {
-  return ComputeRange(doc, classification, result_root, result_root,
-                      doc.subtree_end(result_root));
-}
-
-FeatureStatistics FeatureStatistics::ComputeRange(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, NodeId scan_begin, NodeId scan_end) {
   FeatureStatistics out;
-  for (NodeId id = scan_begin; id < scan_end; ++id) {
-    if (!doc.is_element(id) || !classification.IsAttribute(id)) continue;
-    NodeId text = doc.sole_text_child(id);
-    if (text == kInvalidNode) continue;  // empty attribute: no feature value
-    NodeId entity =
-        NearestEntityAncestorWithin(doc, classification, id, result_root);
-    LabelId entity_label =
-        entity == kInvalidNode ? doc.label(result_root) : doc.label(entity);
-    FeatureType type{entity_label, doc.label(id)};
-    FeatureTypeStats& stats = out.types_[type];
-    ++stats.total_occurrences;
-    ++stats.value_occurrences[doc.text(text)];
-  }
-  return out;
-}
-
-void FeatureStatistics::MergeFrom(const FeatureStatistics& other) {
-  for (const auto& [type, stats] : other.types_) {
-    FeatureTypeStats& mine = types_[type];
-    mine.total_occurrences += stats.total_occurrences;
-    for (const auto& [value, count] : stats.value_occurrences) {
-      mine.value_occurrences[value] += count;
+  const NodeId end = doc.subtree_end(result_root);
+  const size_t num_labels = classification.num_labels();
+  for (LabelId label = 0; label < num_labels; ++label) {
+    for (const AttributeEntry& attribute :
+         classification.AttributesIn(label, result_root, end)) {
+      if (attribute.text == kInvalidNode) continue;  // no feature value
+      FeatureTypeStats& stats = out.types_[FeatureType{
+          FeatureEntityLabel(doc, attribute, result_root), label}];
+      ++stats.total_occurrences;
+      ++stats.value_occurrences[doc.text(attribute.text)];
     }
   }
+  return out;
 }
 
 size_t FeatureStatistics::Occurrences(const Feature& f) const {

@@ -33,11 +33,21 @@ struct FeatureTypeStats {
   size_t domain_size() const { return value_occurrences.size(); }
 };
 
+/// The entity label e of the feature (e, a, v) that `attribute` contributes
+/// to the result rooted at `result_root`: its nearest entity's label when
+/// that entity lies inside the result, else the result root's label.
+inline LabelId FeatureEntityLabel(const IndexedDocument& doc,
+                                  const AttributeEntry& attribute,
+                                  NodeId result_root) {
+  return attribute.entity >= result_root ? doc.label(attribute.entity)
+                                         : doc.label(result_root);
+}
+
 /// \brief The feature statistics of one query result (the right portion of
 /// the paper's Figure 1).
 class FeatureStatistics {
  public:
-  /// Scans the subtree rooted at `result_root`.
+  /// Counts the features of the subtree rooted at `result_root`.
   ///
   /// Every attribute node contributes the feature (e, a, v) where e is the
   /// label of its nearest *entity* ancestor (connection nodes are
@@ -46,26 +56,13 @@ class FeatureStatistics {
   /// Attributes with no entity ancestor inside the result (e.g. attributes
   /// of the result root's ancestors) are attributed to the result root's
   /// label as a fallback.
+  ///
+  /// Reads the classification's attribute columns clipped to the result's
+  /// id range, which carry each attribute's text and nearest entity: no
+  /// walk over the subtree or up an attribute's ancestors.
   static FeatureStatistics Compute(const IndexedDocument& doc,
                                    const NodeClassification& classification,
                                    NodeId result_root);
-
-  /// \brief Partial scan: only nodes in [scan_begin, scan_end) contribute,
-  /// attributed exactly as Compute would (entity-ancestor walks may read
-  /// outside the range; `result_root` stays the attribution root).
-  ///
-  /// Merging the partials of a disjoint cover of [result_root,
-  /// subtree_end(result_root)) — in any order — reproduces Compute
-  /// byte-identically: counts are sums and the maps are ordered. This is
-  /// the reduction unit of the partition-parallel statistics scan
-  /// (snippet/snippet_context.h).
-  static FeatureStatistics ComputeRange(const IndexedDocument& doc,
-                                        const NodeClassification& classification,
-                                        NodeId result_root, NodeId scan_begin,
-                                        NodeId scan_end);
-
-  /// Folds `other`'s counts into this (sums occurrences per type/value).
-  void MergeFrom(const FeatureStatistics& other);
 
   /// All feature types found, with their counts.
   const std::map<FeatureType, FeatureTypeStats>& types() const {

@@ -1,6 +1,7 @@
 #include "snippet/ilist.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/string_util.h"
@@ -67,18 +68,19 @@ IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
 
   // 2. Names of the entities appearing in the result, ascending
   //    lexicographic (Figure 3: "clothes, store").
-  std::set<std::string> entity_names;
+  //    A label is named iff its entity column holds an id in the result.
+  std::map<std::string, LabelId> entity_names;
   const NodeId end = doc.subtree_end(result_root);
-  for (NodeId id = result_root; id < end; ++id) {
-    if (doc.is_element(id) && classification.IsEntity(id)) {
-      entity_names.insert(doc.label_name(id));
+  for (LabelId label = 0; label < classification.num_labels(); ++label) {
+    if (!classification.EntitiesIn(label, result_root, end).empty()) {
+      entity_names.emplace(doc.labels().Name(label), label);
     }
   }
-  for (const std::string& name : entity_names) {
+  for (const auto& [name, label] : entity_names) {
     IListItem item;
     item.kind = IListItemKind::kEntityName;
     item.display = name;
-    item.entity_label = doc.labels().Find(name);
+    item.entity_label = label;
     try_add(std::move(item));
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "snippet/snippet_tree_set.h"
 
 namespace extract {
@@ -14,124 +13,76 @@ size_t Selection::covered_count() const {
 
 namespace {
 
-/// The case-folded token of every keyword item, parallel to ilist.items()
-/// ("" for the other kinds).
-std::vector<std::string> KeywordTokens(const IList& ilist) {
-  std::vector<std::string> tokens(ilist.size());
-  for (size_t i = 0; i < ilist.size(); ++i) {
-    if (ilist[i].kind == IListItemKind::kKeyword) {
-      tokens[i] = ToLowerCopy(ilist[i].token);
-    }
-  }
-  return tokens;
-}
-
-// One slice of the instance scan: matches node ids in [scan_begin,
-// scan_end) against every IList item, appending to `out` (parallel to
-// ilist.items()). Attribution walks (entity ancestors, text owners) may
-// read outside the slice; each node is matched by exactly one slice of a
-// disjoint cover, so concatenating slice outputs in slice order reproduces
-// the whole-interval scan.
-void ScanInstanceRange(const IndexedDocument& doc,
-                       const NodeClassification& classification,
-                       NodeId result_root, const IList& ilist,
-                       const std::vector<std::string>& tokens,
-                       NodeId scan_begin, NodeId scan_end,
-                       std::vector<ItemInstances>& out) {
-  // Nearest entity ancestor cache (within the result) for feature matching.
-  // Computed lazily per attribute node encountered.
-  auto nearest_entity_label = [&](NodeId n) -> LabelId {
-    for (NodeId cur = doc.parent(n);
-         cur != kInvalidNode && doc.IsAncestorOrSelf(result_root, cur);
-         cur = doc.parent(cur)) {
-      if (classification.IsEntity(cur)) return doc.label(cur);
-    }
-    return doc.label(result_root);
+// Keyword instances from the token's posting list: a posting's kTagName bit
+// emits the element, its kTextValue bit each direct text child that holds
+// the token. A mixed-content element's late text child follows the
+// postings of elements nested before it, so the emitted ids are sorted
+// only when that happened.
+void KeywordInstances(const IndexedDocument& doc, const InvertedIndex& inverted,
+                      const std::string& token, NodeId begin, NodeId end,
+                      std::vector<NodeId>& out) {
+  if (token.empty()) return;
+  const PostingList* list = inverted.Find(token);
+  if (list == nullptr) return;
+  const size_t first = static_cast<size_t>(
+      std::lower_bound(list->nodes.begin(), list->nodes.end(), begin) -
+      list->nodes.begin());
+  bool sorted = true;
+  auto emit = [&](NodeId id) {
+    if (!out.empty() && id < out.back()) sorted = false;
+    out.push_back(id);
   };
-
-  for (NodeId id = scan_begin; id < scan_end; ++id) {
-    if (doc.is_element(id)) {
-      for (size_t i = 0; i < ilist.size(); ++i) {
-        const IListItem& item = ilist[i];
-        switch (item.kind) {
-          case IListItemKind::kKeyword:
-            if (!tokens[i].empty() &&
-                ContainsToken(doc.label_name(id), tokens[i])) {
-              out[i].nodes.push_back(id);
-            }
-            break;
-          case IListItemKind::kEntityName:
-            if (classification.IsEntity(id) && doc.label(id) == item.entity_label) {
-              out[i].nodes.push_back(id);
-            }
-            break;
-          case IListItemKind::kResultKey:
-          case IListItemKind::kDominantFeature:
-            break;  // matched on text nodes below
-        }
-      }
-    } else {
-      // Text node: keyword value matches and feature/key value matches.
-      NodeId owner = doc.parent(id);
-      for (size_t i = 0; i < ilist.size(); ++i) {
-        const IListItem& item = ilist[i];
-        switch (item.kind) {
-          case IListItemKind::kKeyword:
-            if (!tokens[i].empty() && ContainsToken(doc.text(id), tokens[i])) {
-              out[i].nodes.push_back(id);
-            }
-            break;
-          case IListItemKind::kEntityName:
-            break;
-          case IListItemKind::kResultKey:
-          case IListItemKind::kDominantFeature: {
-            if (doc.text(id) != item.value) break;
-            if (owner == kInvalidNode || !doc.is_element(owner)) break;
-            if (doc.label(owner) != item.attribute_label) break;
-            if (!classification.IsAttribute(owner)) break;
-            if (nearest_entity_label(owner) != item.entity_label) break;
-            out[i].nodes.push_back(id);
-            break;
-          }
+  for (size_t p = first; p < list->nodes.size() && list->nodes[p] < end; ++p) {
+    const NodeId element = list->nodes[p];
+    const auto source = static_cast<uint8_t>(list->sources[p]);
+    if (source & static_cast<uint8_t>(PostingSource::kTagName)) emit(element);
+    if (source & static_cast<uint8_t>(PostingSource::kTextValue)) {
+      for (NodeId child : doc.children(element)) {
+        if (doc.is_text(child) && ContainsToken(doc.text(child), token)) {
+          emit(child);
         }
       }
     }
   }
+  if (!sorted) std::sort(out.begin(), out.end());
 }
 
 }  // namespace
 
-std::vector<ItemInstances> FindItemInstances(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist) {
+std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
+                                             NodeId result_root,
+                                             const IList& ilist) {
+  const IndexedDocument& doc = db.index();
+  const NodeClassification& classification = db.classification();
+  const NodeId end = doc.subtree_end(result_root);
   std::vector<ItemInstances> out(ilist.size());
-  ScanInstanceRange(doc, classification, result_root, ilist,
-                    KeywordTokens(ilist), result_root,
-                    doc.subtree_end(result_root), out);
-  return out;
-}
-
-std::vector<ItemInstances> FindItemInstancesPartitioned(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist,
-    const std::vector<NodeRange>& slices, size_t num_threads) {
-  if (slices.size() <= 1 || num_threads == 1) {
-    return FindItemInstances(doc, classification, result_root, ilist);
-  }
-  const std::vector<std::string> tokens = KeywordTokens(ilist);
-  std::vector<std::vector<ItemInstances>> partials(
-      slices.size(), std::vector<ItemInstances>(ilist.size()));
-  ParallelFor(slices.size(), num_threads, [&](size_t s) {
-    ScanInstanceRange(doc, classification, result_root, ilist, tokens,
-                      slices[s].begin, slices[s].end, partials[s]);
-  });
-  // Slice order is document order, so per-item concatenation keeps every
-  // instance list ascending — identical to the sequential scan.
-  std::vector<ItemInstances> out = std::move(partials[0]);
-  for (size_t s = 1; s < partials.size(); ++s) {
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i].nodes.insert(out[i].nodes.end(), partials[s][i].nodes.begin(),
-                          partials[s][i].nodes.end());
+  for (size_t i = 0; i < ilist.size(); ++i) {
+    const IListItem& item = ilist[i];
+    std::vector<NodeId>& nodes = out[i].nodes;
+    switch (item.kind) {
+      case IListItemKind::kKeyword:
+        KeywordInstances(doc, db.inverted(), ToLowerCopy(item.token),
+                         result_root, end, nodes);
+        break;
+      case IListItemKind::kEntityName: {
+        std::span<const NodeId> entities =
+            classification.EntitiesIn(item.entity_label, result_root, end);
+        nodes.assign(entities.begin(), entities.end());
+        break;
+      }
+      case IListItemKind::kResultKey:
+      case IListItemKind::kDominantFeature:
+        // The instance is the value's text node.
+        for (const AttributeEntry& attribute : classification.AttributesIn(
+                 item.attribute_label, result_root, end)) {
+          if (attribute.text != kInvalidNode &&
+              doc.text(attribute.text) == item.value &&
+              FeatureEntityLabel(doc, attribute, result_root) ==
+                  item.entity_label) {
+            nodes.push_back(attribute.text);
+          }
+        }
+        break;
     }
   }
   return out;

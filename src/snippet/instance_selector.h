@@ -36,22 +36,14 @@ struct ItemInstances {
 /// matches an element whose tag name, or a text node whose text, holds its
 /// case-folded token (ContainsToken) — the matching the inverted index
 /// uses; an empty token matches nothing.
-std::vector<ItemInstances> FindItemInstances(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist);
-
-/// \brief Partition-parallel instance scan: scans each of `slices` (the
-/// result's node interval clipped against the document's partition grid,
-/// IndexPartitions::Clip — computed once by the caller and shared across
-/// scans) as one ParallelFor reduction, and concatenates the per-item
-/// instance lists in slice order — which is document order, so the output
-/// is byte-identical to the sequential scan for every grid and thread
-/// count. Falls back to the sequential scan for a single slice or
-/// `num_threads == 1`.
-std::vector<ItemInstances> FindItemInstancesPartitioned(
-    const IndexedDocument& doc, const NodeClassification& classification,
-    NodeId result_root, const IList& ilist,
-    const std::vector<NodeRange>& slices, size_t num_threads);
+///
+/// No lookup walks the result: keyword items read the token's posting list,
+/// entity names the label's entity column and keys and features the
+/// attribute column (NodeClassification), each clipped to the result's id
+/// range [result_root, subtree_end(result_root)) by binary search.
+std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
+                                             NodeId result_root,
+                                             const IList& ilist);
 
 /// The outcome of instance selection.
 struct Selection {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace extract {
 
@@ -18,59 +18,16 @@ bool LabelMatchesAnyKeyword(const std::string& label_name,
   return false;
 }
 
-// Per-label aggregate of one scan (or scan slice): entity instances in
+// Per-label aggregate over a result: the label's entity instances in
 // document order, the best (minimal) depth, and the keyword evidence bits.
 struct LabelInfo {
-  std::vector<NodeId> instances;
+  std::span<const NodeId> instances;
   uint32_t min_depth = UINT32_MAX;
   bool name_match = false;
   bool attribute_match = false;
 };
 
 using LabelScan = std::map<LabelId, LabelInfo>;
-
-// Scans node ids in [scan_begin, scan_end); the child walk for attribute
-// evidence may read past the range (children belong to their parent's
-// slice), so a disjoint cover visits every entity exactly once.
-void ScanRange(const IndexedDocument& doc,
-               const NodeClassification& classification, const Query& query,
-               NodeId scan_begin, NodeId scan_end, LabelScan& by_label) {
-  for (NodeId id = scan_begin; id < scan_end; ++id) {
-    if (!doc.is_element(id) || !classification.IsEntity(id)) continue;
-    LabelInfo& info = by_label[doc.label(id)];
-    info.instances.push_back(id);
-    info.min_depth = std::min(info.min_depth, doc.depth(id));
-    if (!info.name_match && LabelMatchesAnyKeyword(doc.label_name(id), query)) {
-      info.name_match = true;
-    }
-    if (!info.attribute_match) {
-      for (NodeId c : doc.children(id)) {
-        if (doc.is_element(c) && classification.IsAttribute(c) &&
-            LabelMatchesAnyKeyword(doc.label_name(c), query)) {
-          info.attribute_match = true;
-          break;
-        }
-      }
-    }
-  }
-}
-
-// Folds `slice` (scanned from a later node range) into `into`: instance
-// lists concatenate back into document order, depths take the min, evidence
-// bits OR. Associative, and order-preserving when applied in slice order —
-// the merge that makes the partition-parallel scan byte-identical.
-void MergeScan(LabelScan& into, LabelScan&& slice) {
-  for (auto& [label, info] : slice) {
-    auto [it, inserted] = into.try_emplace(label, std::move(info));
-    if (inserted) continue;
-    LabelInfo& mine = it->second;
-    mine.instances.insert(mine.instances.end(), info.instances.begin(),
-                          info.instances.end());
-    mine.min_depth = std::min(mine.min_depth, info.min_depth);
-    mine.name_match = mine.name_match || info.name_match;
-    mine.attribute_match = mine.attribute_match || info.attribute_match;
-  }
-}
 
 // The paper's preference order over the aggregated labels.
 ReturnEntityInfo PickReturnEntity(const LabelScan& by_label) {
@@ -93,7 +50,8 @@ ReturnEntityInfo PickReturnEntity(const LabelScan& by_label) {
     }
     if (best == kInvalidLabel) return false;
     out.label = best;
-    out.instances = by_label.find(best)->second.instances;
+    const std::span<const NodeId> instances = by_label.find(best)->second.instances;
+    out.instances.assign(instances.begin(), instances.end());
     out.evidence = evidence;
     return true;
   };
@@ -118,28 +76,41 @@ ReturnEntityInfo PickReturnEntity(const LabelScan& by_label) {
 ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
                                       const NodeClassification& classification,
                                       const Query& query, NodeId result_root) {
-  LabelScan by_label;
-  ScanRange(doc, classification, query, result_root,
-            doc.subtree_end(result_root), by_label);
-  return PickReturnEntity(by_label);
-}
+  const NodeId end = doc.subtree_end(result_root);
+  const size_t num_labels = classification.num_labels();
+  // Whether an attribute label holds a keyword, decided once per label:
+  // 0 = not yet tested, 1 = no, 2 = yes.
+  std::vector<uint8_t> attribute_label_matches(num_labels, 0);
+  auto attribute_label_matches_keyword = [&](LabelId label) {
+    uint8_t& memo = attribute_label_matches[label];
+    if (memo == 0) {
+      memo = LabelMatchesAnyKeyword(doc.labels().Name(label), query) ? 2 : 1;
+    }
+    return memo == 2;
+  };
 
-ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
-                                      const NodeClassification& classification,
-                                      const Query& query, NodeId result_root,
-                                      const std::vector<NodeRange>& slices,
-                                      size_t num_threads) {
-  if (slices.size() <= 1 || num_threads == 1) {
-    return IdentifyReturnEntity(doc, classification, query, result_root);
-  }
-  std::vector<LabelScan> partials(slices.size());
-  ParallelFor(slices.size(), num_threads, [&](size_t s) {
-    ScanRange(doc, classification, query, slices[s].begin, slices[s].end,
-              partials[s]);
-  });
-  LabelScan by_label = std::move(partials[0]);
-  for (size_t s = 1; s < partials.size(); ++s) {
-    MergeScan(by_label, std::move(partials[s]));
+  LabelScan by_label;
+  for (LabelId label = 0; label < num_labels; ++label) {
+    const std::span<const NodeId> instances =
+        classification.EntitiesIn(label, result_root, end);
+    if (instances.empty()) continue;
+    LabelInfo& info = by_label.emplace_hint(by_label.end(), label, LabelInfo{})
+                          ->second;
+    info.instances = instances;
+    for (NodeId id : instances) {
+      info.min_depth = std::min(info.min_depth, doc.depth(id));
+    }
+    info.name_match = LabelMatchesAnyKeyword(doc.labels().Name(label), query);
+    for (NodeId id : instances) {
+      for (NodeId c : doc.children(id)) {
+        if (doc.is_element(c) && classification.IsAttribute(c) &&
+            attribute_label_matches_keyword(doc.label(c))) {
+          info.attribute_match = true;
+          break;
+        }
+      }
+      if (info.attribute_match) break;
+    }
   }
   return PickReturnEntity(by_label);
 }

@@ -41,24 +41,14 @@ struct ReturnEntityInfo {
 /// highest entity. Ties (several matching labels) are broken toward the
 /// entity highest in the tree, then document order — the entity closest to
 /// the result root is the most plausible search target.
+///
+/// Reads each label's entity column clipped to the result's id range; only
+/// the children of entity instances are visited (for attribute-name
+/// evidence), and each attribute label is tested against the keywords once
+/// per call.
 ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
                                       const NodeClassification& classification,
                                       const Query& query, NodeId result_root);
-
-/// \brief Partition-parallel variant: scans the result's node interval as
-/// one ParallelFor reduction over `slices` (the result interval clipped
-/// against the document's partition grid, IndexPartitions::Clip — computed
-/// once by the caller and shared across scans), then merges the per-slice
-/// label aggregates in slice order (instances concatenate back into
-/// document order; depths take the min; evidence bits OR together).
-///
-/// Byte-identical to the sequential scan for every grid and thread count.
-/// Falls back to it for a single slice or `num_threads == 1`.
-ReturnEntityInfo IdentifyReturnEntity(const IndexedDocument& doc,
-                                      const NodeClassification& classification,
-                                      const Query& query, NodeId result_root,
-                                      const std::vector<NodeRange>& slices,
-                                      size_t num_threads);
 
 }  // namespace extract
 

@@ -3,7 +3,7 @@
 //
 // The pipeline is a deterministic function of (document, query, result
 // root, options): the default Figure 4 stages read only QueryResult::root
-// plus the query's keywords, and every memoized scan is a pure function of
+// plus the query's keywords, and every memoized lookup is a pure function of
 // those. So a snippet generated once can be served for every later request
 // with the same signature — across queries, requests and threads — not just
 // within one SnippetContext.

@@ -1,9 +1,6 @@
 #include "snippet/snippet_context.h"
 
-#include <chrono>
 #include <utility>
-
-#include "common/thread_pool.h"
 
 namespace extract {
 
@@ -37,17 +34,6 @@ uint64_t FingerprintIList(const IList& ilist) {
 SnippetContext::SnippetContext(const XmlDatabase* db, Query query)
     : db_(db), query_(std::move(query)) {}
 
-std::vector<NodeRange> SnippetContext::PartitionSlicesFor(
-    NodeId result_root) const {
-  if (db_->partitions().count() <= 1) return {};
-  // Worth fanning out only when the result actually spans partitions: a
-  // result inside one partition is a sequential scan either way.
-  std::vector<NodeRange> slices = db_->partitions().Clip(
-      result_root, db_->index().subtree_end(result_root));
-  if (slices.size() <= 1) return {};
-  return slices;
-}
-
 const FeatureStatistics& SnippetContext::StatisticsFor(NodeId result_root) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -60,23 +46,8 @@ const FeatureStatistics& SnippetContext::StatisticsFor(NodeId result_root) {
   // Compute outside the lock; concurrent first-callers may duplicate work
   // for the same root, but the result is deterministic and the first insert
   // wins.
-  FeatureStatistics stats;
-  const std::vector<NodeRange> slices = PartitionSlicesFor(result_root);
-  if (!slices.empty()) {
-    const auto scan_start = std::chrono::steady_clock::now();
-    std::vector<FeatureStatistics> partials(slices.size());
-    ParallelFor(slices.size(), /*num_threads=*/0, [&](size_t s) {
-      partials[s] = FeatureStatistics::ComputeRange(
-          db_->index(), db_->classification(), result_root, slices[s].begin,
-          slices[s].end);
-    });
-    stats = std::move(partials[0]);
-    for (size_t s = 1; s < partials.size(); ++s) stats.MergeFrom(partials[s]);
-    scan_stats_.Record("scan.statistics", ElapsedNsSince(scan_start));
-  } else {
-    stats = FeatureStatistics::Compute(db_->index(), db_->classification(),
-                                       result_root);
-  }
+  FeatureStatistics stats = FeatureStatistics::Compute(
+      db_->index(), db_->classification(), result_root);
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = statistics_.emplace(result_root, std::move(stats));
   if (inserted) ++statistics_stats_.misses;
@@ -89,17 +60,8 @@ const ReturnEntityInfo& SnippetContext::ReturnEntityFor(NodeId result_root) {
     auto it = return_entities_.find(result_root);
     if (it != return_entities_.end()) return it->second;
   }
-  ReturnEntityInfo info;
-  const std::vector<NodeRange> slices = PartitionSlicesFor(result_root);
-  if (!slices.empty()) {
-    const auto scan_start = std::chrono::steady_clock::now();
-    info = IdentifyReturnEntity(db_->index(), db_->classification(), query_,
-                                result_root, slices, /*num_threads=*/0);
-    scan_stats_.Record("scan.entity", ElapsedNsSince(scan_start));
-  } else {
-    info = IdentifyReturnEntity(db_->index(), db_->classification(), query_,
-                                result_root);
-  }
+  ReturnEntityInfo info = IdentifyReturnEntity(
+      db_->index(), db_->classification(), query_, result_root);
   std::lock_guard<std::mutex> lock(mu_);
   return return_entities_.emplace(result_root, std::move(info)).first->second;
 }
@@ -129,18 +91,7 @@ const std::vector<ItemInstances>& SnippetContext::InstancesFor(
       return it->second;
     }
   }
-  std::vector<ItemInstances> found;
-  const std::vector<NodeRange> slices = PartitionSlicesFor(result_root);
-  if (!slices.empty()) {
-    const auto scan_start = std::chrono::steady_clock::now();
-    found = FindItemInstancesPartitioned(db_->index(), db_->classification(),
-                                         result_root, ilist, slices,
-                                         /*num_threads=*/0);
-    scan_stats_.Record("scan.instances", ElapsedNsSince(scan_start));
-  } else {
-    found = FindItemInstances(db_->index(), db_->classification(), result_root,
-                              ilist);
-  }
+  std::vector<ItemInstances> found = FindItemInstances(*db_, result_root, ilist);
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = instances_.emplace(cache_key, std::move(found));
   if (inserted) ++instances_stats_.misses;

@@ -3,8 +3,11 @@
 // All results of one query are summarized against the same database with
 // the same keywords, so everything that depends only on (query,
 // result_root) can be computed once and shared: the per-result feature
-// statistics scan (the dominant cost of the paper's Figure 4 pipeline), the
-// return entity and result key, and the item-instance scans. SnippetContext
+// statistics, the return entity and result key, and the item instances.
+// Each is a lookup over the database's per-label entity and attribute
+// columns (NodeClassification) and its posting lists, clipped to the
+// result's id range, so its cost follows the entities, attributes and
+// keyword matches in the result rather than its node count. SnippetContext
 // memoizes all of them behind a mutex, so one context can be shared by
 // every worker of a parallel batch (snippet/snippet_service.h) — and by
 // repeated calls for the same query, e.g. the shell regenerating snippets
@@ -29,21 +32,14 @@
 #include "snippet/instance_selector.h"
 #include "snippet/result_key.h"
 #include "snippet/return_entity.h"
-#include "snippet/stage_stats.h"
 
 namespace extract {
 
 /// \brief Shared, thread-safe cache for generating the snippets of one
 /// query's results. Not copyable or movable (workers hold references).
 ///
-/// The memoized statistics, entity and instance scans of a result that
-/// spans more than one of the database's index partitions run as
-/// partition-parallel reductions on the shared pool's configured width;
-/// scans issued from inside a thread-pool task (e.g. a parallel snippet
-/// batch) run inline, so the batch and partition axes never oversubscribe
-/// the pool. Never affects scan results, only latency. The key scan stops
-/// at the first return-entity instance that carries the key, so it always
-/// runs sequentially.
+/// Every lookup runs on the calling thread. The key scan stops at the
+/// first return-entity instance that carries the key.
 class SnippetContext {
  public:
   /// `db` must outlive the context.
@@ -69,7 +65,7 @@ class SnippetContext {
 
   /// Item instances of `ilist` inside the result (§2.4), memoized per
   /// (root, IList content) — re-generating at a different size bound reuses
-  /// the scan, a different feature ordering does not collide.
+  /// the lookup, a different feature ordering does not collide.
   const std::vector<ItemInstances>& InstancesFor(NodeId result_root,
                                                  const IList& ilist);
 
@@ -81,22 +77,7 @@ class SnippetContext {
   CacheStats statistics_cache() const;
   CacheStats instances_cache() const;
 
-  /// \brief Wall clock of the context's partition-parallel scans, as
-  /// pseudo-stages "scan.statistics", "scan.entity" and "scan.instances"
-  /// (one call per scan). Merged into the corpus-level stage stats by
-  /// XmlCorpus::GenerateSnippets. Empty until a partition-parallel scan has
-  /// run.
-  std::vector<StageStat> ScanStatsSnapshot() const {
-    return scan_stats_.Snapshot();
-  }
-
  private:
-  /// The result interval clipped against the database's partition grid —
-  /// computed once per scan and shared by the fan-out decision and the
-  /// scan itself. Empty means "scan sequentially" (single partition or
-  /// single-slice result).
-  std::vector<NodeRange> PartitionSlicesFor(NodeId result_root) const;
-
   const XmlDatabase* db_;
   Query query_;
 
@@ -109,13 +90,11 @@ class SnippetContext {
       instances_;
   CacheStats statistics_stats_;
   CacheStats instances_stats_;
-  /// Observability only: internally synchronized, never affects results.
-  StageStatsRegistry scan_stats_;
 };
 
 /// Order-sensitive content fingerprint of an IList (FNV-1a over every item
-/// field the instance scan reads). Collisions are astronomically unlikely
-/// and would only merge two scans of the same result root.
+/// field the instance lookup reads). Collisions are astronomically unlikely
+/// and would only merge two lookups of the same result root.
 uint64_t FingerprintIList(const IList& ilist);
 
 }  // namespace extract

@@ -97,8 +97,8 @@ TEST(BaselineComparisonTest, GreedyCoversAtLeastBfsOnIListMetric) {
       options.size_bound = bound;
       auto snippet = service.Generate(ctx.query, r, options);
       ASSERT_TRUE(snippet.ok());
-      std::vector<ItemInstances> instances = FindItemInstances(
-          ctx.db.index(), ctx.db.classification(), r.root, snippet->ilist);
+      std::vector<ItemInstances> instances =
+          FindItemInstances(ctx.db, r.root, snippet->ilist);
       Selection bfs = BfsTruncationSelection(ctx.db.index(), r.root, bound);
       auto bfs_covered = CoverageOfNodeSet(bfs.nodes, instances);
       size_t bfs_count = static_cast<size_t>(

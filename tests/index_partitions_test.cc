@@ -59,48 +59,6 @@ TEST(IndexPartitionsTest, MaxPartitionsCapsTheCount) {
   EXPECT_EQ(grid.total_end(), static_cast<NodeId>(db->index().num_nodes()));
 }
 
-TEST(IndexPartitionsTest, ClipDecomposesIntervalsExactly) {
-  RandomXmlOptions options;
-  options.levels = 2;
-  options.entities_per_parent = 8;
-  auto db = XmlDatabase::Load(GenerateRandomXml(options).xml);
-  ASSERT_TRUE(db.ok()) << db.status();
-  const NodeId n = static_cast<NodeId>(db->index().num_nodes());
-
-  IndexPartitionOptions po;
-  po.target_nodes_per_partition = 10;
-  po.max_partitions = 0;
-  IndexPartitions grid = IndexPartitions::Build(db->index(), po);
-  ASSERT_GT(grid.count(), 2u);
-
-  // Every (begin, end) pair decomposes into contiguous non-empty slices
-  // that concatenate back to [begin, end), each inside one partition.
-  for (NodeId begin : {NodeId{0}, NodeId{1}, NodeId{n / 3}, NodeId{n - 1}}) {
-    for (NodeId end : {begin, static_cast<NodeId>(begin + 1), n / 2, n}) {
-      if (end < begin) continue;
-      auto slices = grid.Clip(begin, end);
-      if (begin == end) {
-        EXPECT_TRUE(slices.empty());
-        continue;
-      }
-      ASSERT_FALSE(slices.empty());
-      EXPECT_EQ(slices.front().begin, begin);
-      EXPECT_EQ(slices.back().end, end);
-      for (size_t s = 0; s < slices.size(); ++s) {
-        EXPECT_FALSE(slices[s].empty());
-        if (s > 0) EXPECT_EQ(slices[s - 1].end, slices[s].begin);
-      }
-    }
-  }
-
-  // An interval inside one partition stays whole.
-  NodeRange p1 = grid.partition(1);
-  auto inside = grid.Clip(p1.begin, p1.end);
-  ASSERT_EQ(inside.size(), 1u);
-  EXPECT_EQ(inside[0].begin, p1.begin);
-  EXPECT_EQ(inside[0].end, p1.end);
-}
-
 TEST(IndexPartitionsTest, DatabaseLoadBuildsGridPerOptions) {
   RandomXmlOptions options;
   options.levels = 2;

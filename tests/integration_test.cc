@@ -129,8 +129,7 @@ TEST_P(RandomPipelineProperty, SnippetInvariantsHold) {
         // Covered flags consistent: covered items have an instance in the
         // selected set.
         std::vector<ItemInstances> instances =
-            FindItemInstances(db->index(), db->classification(), result.root,
-                              snippet->ilist);
+            FindItemInstances(*db, result.root, snippet->ilist);
         for (size_t i = 0; i < instances.size(); ++i) {
           bool any = false;
           for (NodeId inst : instances[i].nodes) {

@@ -1,7 +1,7 @@
 // Intra-document partition sharding must be invisible in results: the
-// partition-parallel SLCA/XSeek search and the partition-parallel snippet
-// scans must be byte-identical to the sequential reference path
-// (partitions = 1 / partition_threads = 1) for every grid and thread
+// partition-parallel SLCA/XSeek search, and the snippets generated over a
+// partitioned database, must be byte-identical to the sequential reference
+// path (partitions = 1 / partition_threads = 1) for every grid and thread
 // count. This suite pins that equivalence — including the boundary cases a
 // node-range grid invites: a keyword absent from a partition, an SLCA
 // subtree straddling a partition boundary, and more partitions than
@@ -200,8 +200,9 @@ TEST(PartitionedSearchTest, SlcaStraddlesPartitionBoundary) {
   EXPECT_EQ(oracle, partitioned);
 }
 
-// The snippet-side scans: a partition-parallel SnippetContext must produce
-// snippets byte-identical to the sequential context, result by result.
+// The snippet side: a database loaded with a partition grid must produce
+// snippets byte-identical to the single-partition database, result by
+// result. The snippet lookups never read the grid; this pins that down.
 TEST(PartitionedSearchTest, PartitionedSnippetScansMatchSequential) {
   RandomXmlOptions options;
   options.levels = 3;
@@ -220,8 +221,7 @@ TEST(PartitionedSearchTest, PartitionedSnippetScansMatchSequential) {
   SnippetOptions snippet_options;
   snippet_options.size_bound = 12;
 
-  // The reference: a single-partition database scans sequentially. The
-  // partitioned context fans its scans out at the pool's configured width.
+  // The reference: a single-partition database.
   SnippetService seq_service(&pair.sequential);
   SnippetContext seq_ctx(&pair.sequential, query);
   SnippetService par_service(&pair.partitioned);
@@ -234,14 +234,6 @@ TEST(PartitionedSearchTest, PartitionedSnippetScansMatchSequential) {
     EXPECT_EQ(SerializeSnippet(*expected), SerializeSnippet(*actual))
         << "root " << r.root;
   }
-  // The partitioned context timed its statistics scans.
-  bool saw_statistics_scan = false;
-  for (const StageStat& stat : par_ctx.ScanStatsSnapshot()) {
-    if (stat.name == "scan.statistics" && stat.calls > 0) {
-      saw_statistics_scan = true;
-    }
-  }
-  EXPECT_TRUE(saw_statistics_scan);
 }
 
 }  // namespace
