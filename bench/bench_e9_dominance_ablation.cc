@@ -60,8 +60,8 @@ int main() {
     DominantFeatureOptions ds;
     DominantFeatureOptions raw;
     raw.normalize = false;
-    auto by_ds = IdentifyDominantFeatures(stats, ds);
-    auto by_raw = IdentifyDominantFeatures(stats, raw);
+    auto by_ds = IdentifyDominantFeatures(db.index(), stats, ds);
+    auto by_raw = IdentifyDominantFeatures(db.index(), stats, raw);
     std::printf("-- paper example: top 6 by each ranking --\n");
     std::vector<std::vector<std::string>> table;
     table.push_back({"rank", "dominance score", "raw count"});
@@ -107,8 +107,8 @@ int main() {
       DominantFeatureOptions ds;
       DominantFeatureOptions raw;
       raw.normalize = false;
-      auto by_ds = IdentifyDominantFeatures(stats, ds);
-      auto by_raw = IdentifyDominantFeatures(stats, raw);
+      auto by_ds = IdentifyDominantFeatures(db.index(), stats, ds);
+      auto by_raw = IdentifyDominantFeatures(db.index(), stats, raw);
       p4_ds += PrecisionAtK(by_ds, planted, 4);
       p4_raw += PrecisionAtK(by_raw, planted, 4);
       p8_ds += PrecisionAtK(by_ds, planted, 8);

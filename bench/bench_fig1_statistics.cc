@@ -27,7 +27,7 @@ int main() {
 
   FeatureStatistics stats =
       FeatureStatistics::Compute(db.index(), db.classification(), root);
-  std::printf("%s\n", stats.Render(db.index().labels(), 4).c_str());
+  std::printf("%s\n", stats.Render(db.index(), 4).c_str());
 
   std::printf("paper (Figure 1): Houston 6, Austin 1, other cities 3;\n"
               "  man 600, woman 360, children 40; casual 700, formal 300;\n"

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // Figure 1 (right portion): value occurrence statistics.
   const extract::FeatureStatistics& stats = ctx.StatisticsFor(result.root);
   std::printf("=== Figure 1: statistics of the query result ===\n%s\n",
-              stats.Render(db->index().labels(), /*min_occurrences=*/4).c_str());
+              stats.Render(db->index(), /*min_occurrences=*/4).c_str());
 
   // Figure 3: the IList; Figure 2: the snippet.
   extract::SnippetOptions options;

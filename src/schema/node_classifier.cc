@@ -1,7 +1,9 @@
 #include "schema/node_classifier.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
+#include <numeric>
+#include <string_view>
 
 namespace extract {
 
@@ -19,6 +21,67 @@ std::string_view NodeCategoryToString(NodeCategory c) {
   return "?";
 }
 
+namespace {
+
+// Dense ids for keys in first-seen order, through one open-addressing table
+// (linear probing, doubled at half load). The caller keeps each id's key;
+// the table keeps its hash and asks `same_key(id)` on a hash match.
+class DenseIds {
+ public:
+  /// Sized for about `expected` keys without growing.
+  explicit DenseIds(size_t expected) {
+    hashes_.reserve(expected);
+    size_t slots = 16;
+    while (slots < 2 * expected) slots *= 2;
+    slots_.assign(slots, kEmpty);
+  }
+
+  /// The id of the key hashing to `hash` for which `same_key` holds, or the
+  /// next free id (== size() before the call) when no such key is known.
+  template <typename SameKey>
+  uint32_t Intern(uint64_t hash, SameKey same_key) {
+    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t id = slots_[i];
+      if (id == kEmpty) {
+        slots_[i] = static_cast<uint32_t>(hashes_.size());
+        hashes_.push_back(hash);
+        return slots_[i];
+      }
+      if (hashes_[id] == hash && same_key(id)) return id;
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  void Grow() {
+    slots_.assign(2 * slots_.size(), kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      size_t i = hashes_[id] & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+  std::vector<uint64_t> hashes_;
+};
+
+// The murmur3 finalizer: spreads a packed label pair over the low bits the
+// table probes by.
+uint64_t MixBits(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  return x ^ (x >> 33);
+}
+
+}  // namespace
+
 NodeClassification NodeClassification::Classify(const IndexedDocument& doc,
                                                 const Dtd* dtd) {
   NodeClassification out;
@@ -27,71 +90,103 @@ NodeClassification NodeClassification::Classify(const IndexedDocument& doc,
 
   const bool have_dtd = dtd != nullptr && !dtd->empty();
 
-  // Pass 1: per (parent label, label) pair, gather the evidence the rules
-  // need: star inference (some parent instance has >= 2 children with this
+  // Pass 1: number every distinct (parent label, label) pair of an element,
+  // record each element's pair, and gather the evidence the rules need per
+  // pair: star inference (some parent instance has >= 2 children with this
   // label) and attribute shape (every instance's children are a single text
   // node, or none).
   struct PairStats {
+    LabelId parent_label;
+    LabelId label;
     bool starred = false;
     bool attribute_shape = true;
   };
-  std::map<std::pair<LabelId, LabelId>, PairStats> stats;
-
+  const size_t num_labels = doc.labels().size();
+  std::vector<PairStats> pairs;
+  DenseIds pair_ids(num_labels + 1);
+  // Nearly every label occurs under one parent label, so each label
+  // remembers its last pair and the table is asked only on a change.
+  std::vector<LabelId> last_parent(num_labels, kInvalidLabel);
+  std::vector<uint32_t> last_pair(num_labels, UINT32_MAX);
+  auto pair_index = [&](LabelId parent_label, LabelId label) {
+    if (last_parent[label] == parent_label && last_pair[label] != UINT32_MAX) {
+      return last_pair[label];
+    }
+    const uint64_t key = (static_cast<uint64_t>(parent_label) << 32) | label;
+    const uint32_t index = pair_ids.Intern(MixBits(key), [&](uint32_t i) {
+      return pairs[i].parent_label == parent_label && pairs[i].label == label;
+    });
+    if (index == pairs.size()) pairs.push_back(PairStats{parent_label, label});
+    last_parent[label] = parent_label;
+    last_pair[label] = index;
+    return index;
+  };
+  std::vector<uint32_t> node_pair(n);
+  // Child-label counts of the element at hand, zeroed again through the
+  // labels it touched.
+  std::vector<uint32_t> child_count(num_labels, 0);
+  std::vector<LabelId> touched;
   for (size_t i = 0; i < n; ++i) {
-    NodeId id = static_cast<NodeId>(i);
+    const NodeId id = static_cast<NodeId>(i);
     if (!doc.is_element(id)) continue;
-    LabelId parent_label =
+    const LabelId label = doc.label(id);
+    const LabelId parent_label =
         doc.parent(id) == kInvalidNode ? kInvalidLabel : doc.label(doc.parent(id));
-    PairStats& my = stats[{parent_label, doc.label(id)}];
+    node_pair[i] = pair_index(parent_label, label);
     auto kids = doc.children(id);
-    bool shape_ok = kids.empty() || (kids.size() == 1 && doc.is_text(kids[0]));
-    my.attribute_shape = my.attribute_shape && shape_ok;
+    const bool shape_ok =
+        kids.empty() || (kids.size() == 1 && doc.is_text(kids[0]));
+    if (!shape_ok) pairs[node_pair[i]].attribute_shape = false;
 
-    std::map<LabelId, int> child_label_count;
     for (NodeId c : kids) {
-      if (doc.is_element(c)) child_label_count[doc.label(c)]++;
+      if (doc.is_element(c) && child_count[doc.label(c)]++ == 0) {
+        touched.push_back(doc.label(c));
+      }
     }
-    for (const auto& [child_label, count] : child_label_count) {
-      if (count >= 2) stats[{doc.label(id), child_label}].starred = true;
+    for (LabelId child_label : touched) {
+      if (child_count[child_label] >= 2) {
+        pairs[pair_index(label, child_label)].starred = true;
+      }
+      child_count[child_label] = 0;
     }
+    touched.clear();
   }
 
   // Decide pair categories.
-  for (const auto& [key, pair_stats] : stats) {
-    const auto& [parent_label, label] = key;
+  std::vector<NodeCategory> pair_category(pairs.size());
+  std::vector<bool> entity_label(num_labels, false);
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const PairStats& pair = pairs[p];
     bool starred;
-    if (have_dtd && parent_label != kInvalidLabel) {
-      starred = dtd->IsStarChild(doc.labels().Name(parent_label),
-                                 doc.labels().Name(label));
+    if (have_dtd && pair.parent_label != kInvalidLabel) {
+      starred = dtd->IsStarChild(doc.labels().Name(pair.parent_label),
+                                 doc.labels().Name(pair.label));
     } else {
-      starred = pair_stats.starred;
+      starred = pair.starred;
     }
-    NodeCategory category;
     if (starred) {
-      category = NodeCategory::kEntity;
-    } else if (pair_stats.attribute_shape) {
-      category = NodeCategory::kAttribute;
+      pair_category[p] = NodeCategory::kEntity;
+      // Every pair names at least one element, so its label is an entity
+      // label.
+      entity_label[pair.label] = true;
+    } else if (pair.attribute_shape) {
+      pair_category[p] = NodeCategory::kAttribute;
     } else {
-      category = NodeCategory::kConnection;
+      pair_category[p] = NodeCategory::kConnection;
     }
-    out.pair_category_[key] = category;
+    out.pair_category_.emplace(std::make_pair(pair.parent_label, pair.label),
+                               pair_category[p]);
   }
 
-  // Materialize per node and collect entity labels.
-  std::set<LabelId> entity_label_set;
+  // Materialize per node from the recorded pairs.
   for (size_t i = 0; i < n; ++i) {
-    NodeId id = static_cast<NodeId>(i);
-    if (doc.is_text(id)) {
-      out.per_node_[i] = NodeCategory::kValue;
-      continue;
-    }
-    LabelId parent_label =
-        doc.parent(id) == kInvalidNode ? kInvalidLabel : doc.label(doc.parent(id));
-    NodeCategory category = out.PairCategory(parent_label, doc.label(id));
-    out.per_node_[i] = category;
-    if (category == NodeCategory::kEntity) entity_label_set.insert(doc.label(id));
+    out.per_node_[i] = doc.is_text(static_cast<NodeId>(i))
+                           ? NodeCategory::kValue
+                           : pair_category[node_pair[i]];
   }
-  out.entity_labels_.assign(entity_label_set.begin(), entity_label_set.end());
+  for (LabelId label = 0; label < entity_label.size(); ++label) {
+    if (entity_label[label]) out.entity_labels_.push_back(label);
+  }
   out.BuildColumns(doc);
   return out;
 }
@@ -119,12 +214,22 @@ void NodeClassification::BuildColumns(const IndexedDocument& doc) {
 
   // Filling in node order keeps every label's run ascending. Pre-order
   // numbers a parent before its children, so one pass also carries each
-  // node's nearest entity ancestor-or-self down from its parent.
+  // node's nearest entity ancestor-or-self down from its parent. Attribute
+  // texts get provisional value ids in first-seen order.
   std::vector<uint32_t> entity_fill(entity_offsets_.begin(),
                                     entity_offsets_.end() - 1);
   std::vector<uint32_t> attribute_fill(attribute_offsets_.begin(),
                                        attribute_offsets_.end() - 1);
   std::vector<NodeId> nearest_entity(n, kInvalidNode);
+  // Sized for every attribute holding a distinct value, up to a cap past
+  // which the table grows instead.
+  const size_t expected_values =
+      std::min<size_t>(attribute_entries_.size(), size_t{1} << 14);
+  DenseIds value_ids(expected_values);
+  std::vector<NodeId> first_texts;  // provisional id -> its first text node
+  std::vector<std::string_view> first_bytes;  // ... and its string
+  first_texts.reserve(expected_values);
+  first_bytes.reserve(expected_values);
   for (size_t i = 0; i < n; ++i) {
     const NodeId id = static_cast<NodeId>(i);
     if (!doc.is_element(id)) continue;
@@ -138,10 +243,37 @@ void NodeClassification::BuildColumns(const IndexedDocument& doc) {
       continue;
     }
     nearest_entity[i] = above;
-    if (per_node_[i] == NodeCategory::kAttribute) {
-      attribute_entries_[attribute_fill[label]++] =
-          AttributeEntry{id, doc.sole_text_child(id), above};
+    if (per_node_[i] != NodeCategory::kAttribute) continue;
+    const NodeId text = doc.sole_text_child(id);
+    ValueId value = kNoValue;
+    if (text != kInvalidNode) {
+      const std::string_view bytes = doc.text(text);
+      value = value_ids.Intern(
+          std::hash<std::string_view>{}(bytes),
+          [&](uint32_t v) { return first_bytes[v] == bytes; });
+      if (value == first_texts.size()) {
+        first_texts.push_back(text);
+        first_bytes.push_back(bytes);
+      }
     }
+    attribute_entries_[attribute_fill[label]++] =
+        AttributeEntry{id, text, above, value};
+  }
+
+  // Renumber the values in ascending byte order of their strings.
+  std::vector<ValueId> order(first_texts.size());
+  std::iota(order.begin(), order.end(), ValueId{0});
+  std::sort(order.begin(), order.end(), [&](ValueId a, ValueId b) {
+    return first_bytes[a] < first_bytes[b];
+  });
+  std::vector<ValueId> rank(order.size());
+  value_texts_.resize(order.size());
+  for (ValueId v = 0; v < order.size(); ++v) {
+    rank[order[v]] = v;
+    value_texts_[v] = first_texts[order[v]];
+  }
+  for (AttributeEntry& entry : attribute_entries_) {
+    if (entry.value != kNoValue) entry.value = rank[entry.value];
   }
 }
 

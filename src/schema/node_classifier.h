@@ -14,6 +14,14 @@
 // lookups the snippet stages (paper §2.2–§2.4) answer a result's questions
 // from: a result [root, subtree_end(root)) is a contiguous id range, so each
 // column clips to it by binary search instead of a walk over the subtree.
+//
+// It also keeps the document's attribute value dictionary: every distinct
+// attribute text gets a dense ValueId, numbered in ascending byte order of
+// the strings, and every attribute entry carries its value's id. The
+// snippet stages count, rank and match values by id; because id order is
+// string order, ranking ties and rendered output are those of the strings.
+// The dictionary is derived, like the columns, so a snapshot image does not
+// store it.
 
 #ifndef EXTRACT_SCHEMA_NODE_CLASSIFIER_H_
 #define EXTRACT_SCHEMA_NODE_CLASSIFIER_H_
@@ -40,6 +48,12 @@ enum class NodeCategory : uint8_t {
 /// Human-readable category name ("entity", ...).
 std::string_view NodeCategoryToString(NodeCategory c);
 
+/// Dense id of a distinct attribute value within one document; ids ascend
+/// with the values' byte order.
+using ValueId = uint32_t;
+/// The value id of an empty attribute (one without a text child).
+inline constexpr ValueId kNoValue = UINT32_MAX;
+
 /// One attribute node of a document, as the snippet stages read it.
 struct AttributeEntry {
   NodeId node = kInvalidNode;  ///< the attribute element
@@ -49,6 +63,9 @@ struct AttributeEntry {
   /// entity lies inside a result rooted at r iff entity >= r, because both
   /// are ancestors-or-self of the attribute.
   NodeId entity = kInvalidNode;
+  /// Its text's id in the value dictionary; kNoValue for an empty
+  /// attribute.
+  ValueId value = kNoValue;
 };
 
 /// \brief The classification result for one document.
@@ -63,8 +80,8 @@ class NodeClassification {
   /// corpus snapshot loader's path; persisting beats re-classifying at
   /// fault-in). `per_node` must hold one valid category per node of `doc`
   /// and `entity_labels` must be sorted ascending; `pair_category` is taken
-  /// as-is. The entity and attribute columns are derived from `doc` and
-  /// `per_node`, as Classify derives them.
+  /// as-is. The entity and attribute columns and the value dictionary are
+  /// derived from `doc` and `per_node`, as Classify derives them.
   static NodeClassification Restore(
       const IndexedDocument& doc,
       std::map<std::pair<LabelId, LabelId>, NodeCategory> pair_category,
@@ -119,9 +136,16 @@ class NodeClassification {
   std::span<const AttributeEntry> AttributesIn(LabelId label, NodeId begin,
                                                NodeId end) const;
 
+  /// Number of distinct attribute values; their ids are [0, num_values()).
+  size_t num_values() const { return value_texts_.size(); }
+
+  /// A text node holding value `v` (every attribute text of that id holds
+  /// the same bytes).
+  NodeId value_text(ValueId v) const { return value_texts_[v]; }
+
  private:
-  /// Derives the per-label columns from per_node_ and `doc`. Only element
-  /// nodes enter them.
+  /// Derives the per-label columns and the value dictionary from per_node_
+  /// and `doc`. Only element nodes enter the columns.
   void BuildColumns(const IndexedDocument& doc);
 
   std::map<std::pair<LabelId, LabelId>, NodeCategory> pair_category_;
@@ -133,6 +157,8 @@ class NodeClassification {
   std::vector<NodeId> entity_nodes_;
   std::vector<uint32_t> attribute_offsets_;
   std::vector<AttributeEntry> attribute_entries_;
+  // The value dictionary: one text node per value id.
+  std::vector<NodeId> value_texts_;
 };
 
 }  // namespace extract

@@ -85,7 +85,7 @@ Result<std::vector<Snippet>> GenerateDiverseSnippets(
       return Status::InvalidArgument("query result root is not a valid node");
     }
     const FeatureStatistics& stats = ctx.StatisticsFor(results[r].root);
-    features[r] = IdentifyDominantFeatures(stats, options.features);
+    features[r] = IdentifyDominantFeatures(doc, stats, options.features);
     for (const RankedFeature& rf : features[r]) {
       feature_result_count[rf.feature]++;
     }

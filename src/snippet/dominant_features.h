@@ -35,14 +35,19 @@ struct DominantFeatureOptions {
   size_t max_features = 0;
 };
 
-/// \brief Ranks features of `stats` best-first.
+/// \brief Ranks the features of `stats`, a result of `doc`, best-first.
 ///
 /// Dominance ranking: dominant features only, by decreasing DS; ties by
 /// decreasing occurrences, then lexicographic (entity, attribute, value) for
 /// determinism. Raw-count ranking: all features by decreasing occurrences;
 /// ties lexicographic.
+///
+/// Dominance is decided and ranked on the counts and value ids alone (value
+/// id order is value string order); only the features returned read their
+/// value string from `doc`.
 std::vector<RankedFeature> IdentifyDominantFeatures(
-    const FeatureStatistics& stats, const DominantFeatureOptions& options);
+    const IndexedDocument& doc, const FeatureStatistics& stats,
+    const DominantFeatureOptions& options);
 
 }  // namespace extract
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "index/label_table.h"
+#include "schema/node_classifier.h"
 
 namespace extract {
 
@@ -23,6 +24,9 @@ struct FeatureType {
 struct Feature {
   FeatureType type;
   std::string value;
+  /// v's id in the document's value dictionary (NodeClassification), which
+  /// the instance lookup matches attributes by.
+  ValueId value_id = kNoValue;
 
   friend auto operator<=>(const Feature&, const Feature&) = default;
 };

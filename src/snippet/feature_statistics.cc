@@ -2,87 +2,141 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
 #include "common/tree_printer.h"
 
 namespace extract {
 
+namespace {
+
+// Per-thread counts indexed by value id, reused across results: the array
+// only grows, and after each type it is zeroed again through the ids that
+// type touched, so a result costs its attribute count, not the size of its
+// document's dictionary.
+struct ValueCounter {
+  std::vector<uint32_t> counts;
+  std::vector<ValueId> touched;
+
+  void Add(ValueId value) {
+    if (counts[value]++ == 0) touched.push_back(value);
+  }
+
+  // Moves the counts into `stats` ascending by id and zeroes them.
+  void Drain(const NodeClassification& classification,
+             FeatureTypeStats& stats) {
+    std::sort(touched.begin(), touched.end());
+    stats.values.reserve(touched.size());
+    for (ValueId value : touched) {
+      stats.values.push_back(
+          ValueCount{value, classification.value_text(value), counts[value]});
+      counts[value] = 0;
+    }
+    touched.clear();
+  }
+};
+
+// Counts a label's entries whose entity label is not the one of the span's
+// first entry, from their (entity label, value id) keys sorted: each run of
+// one entity label is a type, each run of one key a value.
+void CountSortedKeys(const NodeClassification& classification,
+                     LabelId attribute_label, std::vector<uint64_t>& keys,
+                     std::vector<FeatureTypeStats>& out) {
+  std::sort(keys.begin(), keys.end());
+  for (size_t i = 0; i < keys.size();) {
+    const auto entity = static_cast<LabelId>(keys[i] >> 32);
+    FeatureTypeStats& stats = out.emplace_back();
+    stats.type = FeatureType{entity, attribute_label};
+    while (i < keys.size() && keys[i] >> 32 == entity) {
+      const uint64_t key = keys[i];
+      const auto value = static_cast<ValueId>(key);
+      size_t run = 0;
+      for (; i < keys.size() && keys[i] == key; ++i) ++run;
+      stats.values.push_back(ValueCount{
+          value, classification.value_text(value), static_cast<uint32_t>(run)});
+      stats.total_occurrences += run;
+    }
+  }
+}
+
+}  // namespace
+
 FeatureStatistics FeatureStatistics::Compute(
     const IndexedDocument& doc, const NodeClassification& classification,
     NodeId result_root) {
+  static thread_local ValueCounter counter;
+  if (counter.counts.size() < classification.num_values()) {
+    counter.counts.resize(classification.num_values(), 0);
+  }
   FeatureStatistics out;
   const NodeId end = doc.subtree_end(result_root);
   const size_t num_labels = classification.num_labels();
+  std::vector<uint64_t> other_entities;
   for (LabelId label = 0; label < num_labels; ++label) {
-    for (const AttributeEntry& attribute :
-         classification.AttributesIn(label, result_root, end)) {
-      if (attribute.text == kInvalidNode) continue;  // no feature value
-      FeatureTypeStats& stats = out.types_[FeatureType{
-          FeatureEntityLabel(doc, attribute, result_root), label}];
-      ++stats.total_occurrences;
-      ++stats.value_occurrences[doc.text(attribute.text)];
+    const std::span<const AttributeEntry> attributes =
+        classification.AttributesIn(label, result_root, end);
+    if (attributes.empty()) continue;
+    // Attributes of one label nearly always share one entity label, so
+    // those count into the array; the rest take the sorted path.
+    const LabelId first_entity =
+        FeatureEntityLabel(doc, attributes.front(), result_root);
+    size_t total = 0;
+    for (const AttributeEntry& attribute : attributes) {
+      if (attribute.value == kNoValue) continue;  // no feature value
+      const LabelId entity = FeatureEntityLabel(doc, attribute, result_root);
+      if (entity != first_entity) {
+        other_entities.push_back(static_cast<uint64_t>(entity) << 32 |
+                                 attribute.value);
+        continue;
+      }
+      counter.Add(attribute.value);
+      ++total;
+    }
+    if (total > 0) {
+      FeatureTypeStats& stats = out.types_.emplace_back();
+      stats.type = FeatureType{first_entity, label};
+      stats.total_occurrences = total;
+      counter.Drain(classification, stats);
+    }
+    if (!other_entities.empty()) {
+      CountSortedKeys(classification, label, other_entities, out.types_);
+      other_entities.clear();
     }
   }
+  std::sort(out.types_.begin(), out.types_.end(),
+            [](const FeatureTypeStats& a, const FeatureTypeStats& b) {
+              return a.type < b.type;
+            });
   return out;
 }
 
-size_t FeatureStatistics::Occurrences(const Feature& f) const {
-  auto it = types_.find(f.type);
-  if (it == types_.end()) return 0;
-  auto vit = it->second.value_occurrences.find(f.value);
-  return vit == it->second.value_occurrences.end() ? 0 : vit->second;
-}
-
-double FeatureStatistics::DominanceScore(const Feature& f) const {
-  auto it = types_.find(f.type);
-  if (it == types_.end()) return 0.0;
-  auto vit = it->second.value_occurrences.find(f.value);
-  if (vit == it->second.value_occurrences.end()) return 0.0;
-  const FeatureTypeStats& stats = it->second;
-  return static_cast<double>(vit->second) /
-         (static_cast<double>(stats.total_occurrences) /
-          static_cast<double>(stats.domain_size()));
-}
-
-bool FeatureStatistics::IsDominant(const Feature& f) const {
-  auto it = types_.find(f.type);
-  if (it == types_.end()) return false;
-  auto vit = it->second.value_occurrences.find(f.value);
-  if (vit == it->second.value_occurrences.end()) return false;
-  const FeatureTypeStats& stats = it->second;
-  if (stats.domain_size() == 1) return true;  // the paper's exception
-  return vit->second * stats.domain_size() > stats.total_occurrences;
-}
-
-std::string FeatureStatistics::Render(const LabelTable& labels,
+std::string FeatureStatistics::Render(const IndexedDocument& doc,
                                       size_t min_occurrences) const {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"attribute", "value: occurrences"});
-  for (const auto& [type, stats] : types_) {
-    std::vector<std::pair<std::string, size_t>> values(
-        stats.value_occurrences.begin(), stats.value_occurrences.end());
-    std::sort(values.begin(), values.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
+  for (const FeatureTypeStats& stats : types_) {
+    // Decreasing count; ties ascending by id, which is ascending by string.
+    std::vector<ValueCount> values = stats.values;
+    std::stable_sort(values.begin(), values.end(),
+                     [](const ValueCount& a, const ValueCount& b) {
+                       return a.count > b.count;
+                     });
     std::string cell;
     size_t other_count = 0;
     size_t other_total = 0;
-    for (const auto& [value, count] : values) {
-      if (count < min_occurrences) {
+    for (const ValueCount& value : values) {
+      if (value.count < min_occurrences) {
         ++other_count;
-        other_total += count;
+        other_total += value.count;
         continue;
       }
       if (!cell.empty()) cell += "  ";
-      cell += value + ": " + std::to_string(count);
+      cell += doc.text(value.text) + ": " + std::to_string(value.count);
     }
     if (other_count > 0) {
       if (!cell.empty()) cell += "  ";
       cell += "other (" + std::to_string(other_count) +
               "): " + std::to_string(other_total);
     }
-    rows.push_back({labels.Name(type.attribute_label) + ":", cell});
+    rows.push_back({doc.labels().Name(stats.type.attribute_label) + ":", cell});
   }
   return RenderTable(rows);
 }

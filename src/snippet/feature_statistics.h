@@ -8,11 +8,17 @@
 // Dominance is decided in exact integer arithmetic
 // (N(e,a,v) * D(e,a) > N(e,a)) so values on the boundary (DS == 1) are
 // never misclassified by floating point.
+//
+// Values are counted by their id in the document's value dictionary
+// (NodeClassification), not by string. The statistics hold no pointer into
+// the document: each value keeps its id and a text node holding it, and
+// whatever needs the string (the ranking's output, Render) takes the
+// document.
 
 #ifndef EXTRACT_SNIPPET_FEATURE_STATISTICS_H_
 #define EXTRACT_SNIPPET_FEATURE_STATISTICS_H_
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,15 +28,40 @@
 
 namespace extract {
 
+/// One value v of a feature type within a query result.
+struct ValueCount {
+  /// v's id in the document's value dictionary.
+  ValueId value = kNoValue;
+  /// A text node holding v.
+  NodeId text = kInvalidNode;
+  /// N(e,a,v).
+  uint32_t count = 0;
+};
+
 /// Counts for one feature type (e, a) within a query result.
 struct FeatureTypeStats {
+  FeatureType type;
   /// N(e,a): total occurrences of features of this type.
   size_t total_occurrences = 0;
-  /// N(e,a,v) per distinct value v. D(e,a) == value_occurrences.size().
-  std::map<std::string, size_t> value_occurrences;
+  /// N(e,a,v) per distinct value v, ascending by value id (and so by
+  /// value string).
+  std::vector<ValueCount> values;
 
   /// D(e,a).
-  size_t domain_size() const { return value_occurrences.size(); }
+  size_t domain_size() const { return values.size(); }
+
+  /// Exact dominance of a value of this type occurring `count` times:
+  /// count * D(e,a) > N(e,a), or D(e,a) == 1.
+  bool IsDominant(size_t count) const {
+    return domain_size() == 1 || count * domain_size() > total_occurrences;
+  }
+
+  /// DS(f, R) of a value of this type occurring `count` times.
+  double DominanceScore(size_t count) const {
+    return static_cast<double>(count) /
+           (static_cast<double>(total_occurrences) /
+            static_cast<double>(domain_size()));
+  }
 };
 
 /// The entity label e of the feature (e, a, v) that `attribute` contributes
@@ -58,37 +89,27 @@ class FeatureStatistics {
   /// label as a fallback.
   ///
   /// Reads the classification's attribute columns clipped to the result's
-  /// id range, which carry each attribute's text and nearest entity: no
-  /// walk over the subtree or up an attribute's ancestors.
+  /// id range, which carry each attribute's value id and nearest entity: no
+  /// walk over the subtree or up an attribute's ancestors. Each label's
+  /// span is walked once, counting by value id into a per-thread array.
   static FeatureStatistics Compute(const IndexedDocument& doc,
                                    const NodeClassification& classification,
                                    NodeId result_root);
 
-  /// All feature types found, with their counts.
-  const std::map<FeatureType, FeatureTypeStats>& types() const {
-    return types_;
-  }
+  /// All feature types found, ascending by type.
+  const std::vector<FeatureTypeStats>& types() const { return types_; }
 
-  /// N(e,a,v); 0 if the feature does not occur.
-  size_t Occurrences(const Feature& f) const;
-
-  /// DS(f, R); 0.0 if the feature does not occur.
-  double DominanceScore(const Feature& f) const;
-
-  /// Exact dominance test: N(e,a,v) * D(e,a) > N(e,a), or D(e,a) == 1.
-  bool IsDominant(const Feature& f) const;
-
-  /// Renders the Figure 1-style statistics block:
+  /// Renders the Figure 1-style statistics block of a result of `doc`:
   ///
   ///     city:     Houston: 6  Austin: 1  ...
   ///     fitting:  man: 600  woman: 360  children: 40
   ///
   /// Values are listed in decreasing occurrence order; values below
   /// `min_occurrences` are aggregated into "other (n): total".
-  std::string Render(const LabelTable& labels, size_t min_occurrences) const;
+  std::string Render(const IndexedDocument& doc, size_t min_occurrences) const;
 
  private:
-  std::map<FeatureType, FeatureTypeStats> types_;
+  std::vector<FeatureTypeStats> types_;
 };
 
 }  // namespace extract

@@ -38,7 +38,7 @@ IList BuildIList(const IndexedDocument& doc, const Query& query,
                  const DominantFeatureOptions& features) {
   return BuildIListWithFeatures(
       doc, query, result_root, return_entity, key,
-      IdentifyDominantFeatures(stats, features), classification);
+      IdentifyDominantFeatures(doc, stats, features), classification);
 }
 
 IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
@@ -91,7 +91,7 @@ IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
     item.display = key.value;
     item.entity_label = key.entity_label;
     item.attribute_label = key.attribute_label;
-    item.value = key.value;
+    item.value_id = key.value_id;
     try_add(std::move(item));
   }
 
@@ -102,7 +102,7 @@ IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
     item.display = rf.feature.value;
     item.entity_label = rf.feature.type.entity_label;
     item.attribute_label = rf.feature.type.attribute_label;
-    item.value = rf.feature.value;
+    item.value_id = rf.feature.value_id;
     item.score = rf.score;
     try_add(std::move(item));
   }

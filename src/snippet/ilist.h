@@ -9,6 +9,10 @@
 // For the paper's running example the IList is exactly Figure 3:
 // Texas, apparel, retailer, clothes, store, Brook Brothers, Houston,
 // outwear, man, casual, suit, woman.
+//
+// Key and feature items carry their value both as a string (the display)
+// and as its id in the document's value dictionary (NodeClassification),
+// which is what the Instance Selector matches attributes by.
 
 #ifndef EXTRACT_SNIPPET_ILIST_H_
 #define EXTRACT_SNIPPET_ILIST_H_
@@ -37,7 +41,8 @@ std::string_view IListItemKindToString(IListItemKind k);
 /// Selector uses to locate its instances in the result.
 struct IListItem {
   IListItemKind kind = IListItemKind::kKeyword;
-  /// Display string (what Figure 3 shows).
+  /// Display string (what Figure 3 shows); for kResultKey and
+  /// kDominantFeature, the attribute value itself.
   std::string display;
 
   /// kKeyword: the lower-cased token.
@@ -46,8 +51,10 @@ struct IListItem {
   LabelId entity_label = kInvalidLabel;
   /// kResultKey / kDominantFeature.
   LabelId attribute_label = kInvalidLabel;
-  /// kResultKey / kDominantFeature: the exact attribute value.
-  std::string value;
+  /// kResultKey / kDominantFeature: the value's id in the document's value
+  /// dictionary, which the instance lookup matches attributes by. An item
+  /// without one (kNoValue) has no instances.
+  ValueId value_id = kNoValue;
   /// kDominantFeature: DS(f, R).
   double score = 0.0;
 };

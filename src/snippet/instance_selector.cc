@@ -73,10 +73,10 @@ std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
       case IListItemKind::kResultKey:
       case IListItemKind::kDominantFeature:
         // The instance is the value's text node.
+        if (item.value_id == kNoValue) break;
         for (const AttributeEntry& attribute : classification.AttributesIn(
                  item.attribute_label, result_root, end)) {
-          if (attribute.text != kInvalidNode &&
-              doc.text(attribute.text) == item.value &&
+          if (attribute.value == item.value_id &&
               FeatureEntityLabel(doc, attribute, result_root) ==
                   item.entity_label) {
             nodes.push_back(attribute.text);

@@ -40,7 +40,10 @@ struct ItemInstances {
 /// No lookup walks the result: keyword items read the token's posting list,
 /// entity names the label's entity column and keys and features the
 /// attribute column (NodeClassification), each clipped to the result's id
-/// range [result_root, subtree_end(result_root)) by binary search.
+/// range [result_root, subtree_end(result_root)) by binary search. A key or
+/// feature item matches an attribute by value id (IListItem::value_id) and
+/// entity label, with no string compare; an item without an id has no
+/// instances.
 std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
                                              NodeId result_root,
                                              const IList& ilist);

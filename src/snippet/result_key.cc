@@ -16,13 +16,15 @@ ResultKeyInfo IdentifyResultKey(const IndexedDocument& doc,
     // The instance's first key-attribute child in document order.
     for (NodeId c : doc.children(instance)) {
       if (!doc.is_element(c) || doc.label(c) != *key_attribute) continue;
-      if (!classification.IsAttribute(c)) continue;
-      NodeId text = doc.sole_text_child(c);
-      if (text == kInvalidNode) continue;
+      // c's own entry in the attribute column, if c is an attribute.
+      const std::span<const AttributeEntry> entry =
+          classification.AttributesIn(*key_attribute, c, c + 1);
+      if (entry.empty() || entry.front().value == kNoValue) continue;
       out.entity_label = return_entity.label;
       out.attribute_label = *key_attribute;
-      out.value = doc.text(text);
-      out.value_node = text;
+      out.value = doc.text(entry.front().text);
+      out.value_id = entry.front().value;
+      out.value_node = entry.front().text;
       return out;
     }
   }

@@ -18,6 +18,8 @@ struct ResultKeyInfo {
   LabelId attribute_label = kInvalidLabel;
   /// The key value, e.g. "Brook Brothers".
   std::string value;
+  /// Its id in the document's value dictionary (NodeClassification).
+  ValueId value_id = kNoValue;
   /// The text node carrying the value (instance for snippet selection).
   NodeId value_node = kInvalidNode;
 
@@ -28,9 +30,10 @@ struct ResultKeyInfo {
 ///
 /// Uses the mined key attribute of the return entity's label and reads its
 /// value off the first return-entity instance (document order) that carries
-/// it; the scan stops there. Not found when the result has no return
-/// entity, the entity label has no mined key, or no instance in this result
-/// carries the key attribute.
+/// it; the scan stops there. The value's id and text node come from that
+/// attribute's entry in the attribute column. Not found when the result has
+/// no return entity, the entity label has no mined key, or no instance in
+/// this result carries the key attribute with a value.
 ResultKeyInfo IdentifyResultKey(const IndexedDocument& doc,
                                 const NodeClassification& classification,
                                 const KeyIndex& keys,

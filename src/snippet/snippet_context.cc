@@ -26,7 +26,7 @@ uint64_t FingerprintIList(const IList& ilist) {
     h = FnvMixString(h, item.token);
     h = FnvMix(h, static_cast<uint64_t>(item.entity_label));
     h = FnvMix(h, static_cast<uint64_t>(item.attribute_label));
-    h = FnvMixString(h, item.value);
+    h = FnvMix(h, static_cast<uint64_t>(item.value_id));
   }
   return h;
 }

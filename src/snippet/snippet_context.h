@@ -7,7 +7,9 @@
 // Each is a lookup over the database's per-label entity and attribute
 // columns (NodeClassification) and its posting lists, clipped to the
 // result's id range, so its cost follows the entities, attributes and
-// keyword matches in the result rather than its node count. SnippetContext
+// keyword matches in the result rather than its node count. Attribute
+// values are counted and matched by their id in the database's value
+// dictionary, never by string compare. SnippetContext
 // memoizes all of them behind a mutex, so one context can be shared by
 // every worker of a parallel batch (snippet/snippet_service.h) — and by
 // repeated calls for the same query, e.g. the shell regenerating snippets
@@ -92,8 +94,10 @@ class SnippetContext {
   CacheStats instances_stats_;
 };
 
-/// Order-sensitive content fingerprint of an IList (FNV-1a over every item
-/// field the instance lookup reads). Collisions are astronomically unlikely
+/// Order-sensitive content fingerprint of an IList: FNV-1a over every item
+/// field the instance lookup reads (kind, token bytes, entity label,
+/// attribute label and value id; not the value's bytes, which the id names
+/// within the context's document). Collisions are astronomically unlikely
 /// and would only merge two lookups of the same result root.
 uint64_t FingerprintIList(const IList& ilist);
 

@@ -159,6 +159,30 @@ TEST(ClassifierTest, ExpandedAttributesClassifyAsAttributes) {
   EXPECT_TRUE(db.classification.IsEntity(FindElement(db.doc, "item")));
 }
 
+TEST(ClassifierTest, ValueIdsAscendWithTheirStrings) {
+  Loaded db = Load(
+      "<db><s><c>red</c><d/></s><s><c>blue</c><d>red</d></s>"
+      "<s><c>Red</c><d>blue</d></s></db>");
+  const NodeClassification& c = db.classification;
+  // "Red" < "blue" < "red" in byte order.
+  ASSERT_EQ(c.num_values(), 3u);
+  EXPECT_EQ(db.doc.text(c.value_text(0)), "Red");
+  EXPECT_EQ(db.doc.text(c.value_text(1)), "blue");
+  EXPECT_EQ(db.doc.text(c.value_text(2)), "red");
+  const NodeId end = static_cast<NodeId>(db.doc.num_nodes());
+  for (const char* label : {"c", "d"}) {
+    for (const AttributeEntry& entry :
+         c.AttributesIn(db.doc.labels().Find(label), 0, end)) {
+      if (entry.text == kInvalidNode) {
+        EXPECT_EQ(entry.value, kNoValue);  // the empty <d/>
+      } else {
+        EXPECT_EQ(db.doc.text(c.value_text(entry.value)),
+                  db.doc.text(entry.text));
+      }
+    }
+  }
+}
+
 TEST(NodeCategoryTest, Names) {
   EXPECT_EQ(NodeCategoryToString(NodeCategory::kEntity), "entity");
   EXPECT_EQ(NodeCategoryToString(NodeCategory::kAttribute), "attribute");

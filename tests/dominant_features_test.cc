@@ -8,26 +8,36 @@
 namespace extract {
 namespace {
 
-// The feature statistics of the paper's Figure-1 query result. Label ids
-// inside the returned statistics are not dereferenced by these tests (they
-// assert on value strings), so the database itself is not kept.
-FeatureStatistics PaperStats() {
+// The paper's Figure-1 query result with its feature statistics. The
+// ranking reads each returned feature's value string from the document, so
+// the database stays alive beside the statistics.
+struct Paper {
+  XmlDatabase db;
+  FeatureStatistics stats;
+
+  std::vector<RankedFeature> Rank(const DominantFeatureOptions& options) const {
+    return IdentifyDominantFeatures(db.index(), stats, options);
+  }
+};
+
+Paper PaperStats() {
   auto db = XmlDatabase::Load(GenerateRetailerXml());
   EXPECT_TRUE(db.ok()) << db.status();
   XSeekEngine engine;
   auto results = engine.Search(*db, Query::Parse("Texas apparel retailer"));
   EXPECT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 1u);
-  return FeatureStatistics::Compute(db->index(), db->classification(),
-                                    results->front().root);
+  FeatureStatistics stats = FeatureStatistics::Compute(
+      db->index(), db->classification(), results->front().root);
+  return Paper{std::move(*db), std::move(stats)};
 }
 
 TEST(DominantFeaturesTest, PaperRankingOrder) {
   // §2.3: Houston(3.0) > outwear(2.2) > man(1.8) > casual(1.4) > suit(1.2)
   // > woman(1.1). Trivially dominant D==1 features (Texas, Brook Brothers,
   // apparel) score 1.0 and come after woman.
-  FeatureStatistics stats = PaperStats();
-  auto ranked = IdentifyDominantFeatures(stats, DominantFeatureOptions{});
+  const Paper paper = PaperStats();
+  auto ranked = paper.Rank(DominantFeatureOptions{});
   ASSERT_GE(ranked.size(), 6u);
   EXPECT_EQ(ranked[0].feature.value, "Houston");
   EXPECT_NEAR(ranked[0].score, 3.0, 1e-9);
@@ -40,8 +50,8 @@ TEST(DominantFeaturesTest, PaperRankingOrder) {
 }
 
 TEST(DominantFeaturesTest, NonDominantExcluded) {
-  FeatureStatistics stats = PaperStats();
-  auto ranked = IdentifyDominantFeatures(stats, DominantFeatureOptions{});
+  const Paper paper = PaperStats();
+  auto ranked = paper.Rank(DominantFeatureOptions{});
   for (const RankedFeature& rf : ranked) {
     EXPECT_NE(rf.feature.value, "children");
     EXPECT_NE(rf.feature.value, "formal");
@@ -52,10 +62,10 @@ TEST(DominantFeaturesTest, NonDominantExcluded) {
 }
 
 TEST(DominantFeaturesTest, MaxFeaturesCaps) {
-  FeatureStatistics stats = PaperStats();
+  const Paper paper = PaperStats();
   DominantFeatureOptions options;
   options.max_features = 3;
-  auto ranked = IdentifyDominantFeatures(stats, options);
+  auto ranked = paper.Rank(options);
   ASSERT_EQ(ranked.size(), 3u);
   EXPECT_EQ(ranked[0].feature.value, "Houston");
   EXPECT_EQ(ranked[2].feature.value, "man");
@@ -64,10 +74,10 @@ TEST(DominantFeaturesTest, MaxFeaturesCaps) {
 TEST(DominantFeaturesTest, RawCountRankingDiffersFromDominance) {
   // The paper's motivating point: by raw counts, casual(700) and man(600)
   // beat Houston(6); dominance normalization puts Houston first.
-  FeatureStatistics stats = PaperStats();
+  const Paper paper = PaperStats();
   DominantFeatureOptions raw;
   raw.normalize = false;
-  auto by_count = IdentifyDominantFeatures(stats, raw);
+  auto by_count = paper.Rank(raw);
   ASSERT_GE(by_count.size(), 3u);
   EXPECT_EQ(by_count[0].feature.value, "casual");
   EXPECT_EQ(by_count[0].occurrences, 700u);
@@ -81,10 +91,10 @@ TEST(DominantFeaturesTest, RawCountRankingDiffersFromDominance) {
 }
 
 TEST(DominantFeaturesTest, RawCountIncludesNonDominant) {
-  FeatureStatistics stats = PaperStats();
+  const Paper paper = PaperStats();
   DominantFeatureOptions raw;
   raw.normalize = false;
-  auto by_count = IdentifyDominantFeatures(stats, raw);
+  auto by_count = paper.Rank(raw);
   bool has_formal = false;
   for (const auto& rf : by_count) {
     if (rf.feature.value == "formal") has_formal = true;
@@ -101,7 +111,8 @@ TEST(DominantFeaturesTest, DeterministicTieBreak) {
   FeatureStatistics stats = FeatureStatistics::Compute(
       db->index(), db->classification(), db->index().root());
   // a and b both have DS = 2/(5/3) = 1.2: tie broken lexicographically.
-  auto ranked = IdentifyDominantFeatures(stats, DominantFeatureOptions{});
+  auto ranked =
+      IdentifyDominantFeatures(db->index(), stats, DominantFeatureOptions{});
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].feature.value, "a");
   EXPECT_EQ(ranked[1].feature.value, "b");
@@ -112,7 +123,9 @@ TEST(DominantFeaturesTest, EmptyStatsYieldNothing) {
   ASSERT_TRUE(db.ok());
   FeatureStatistics stats = FeatureStatistics::Compute(
       db->index(), db->classification(), db->index().root());
-  EXPECT_TRUE(IdentifyDominantFeatures(stats, DominantFeatureOptions{}).empty());
+  EXPECT_TRUE(
+      IdentifyDominantFeatures(db->index(), stats, DominantFeatureOptions{})
+          .empty());
 }
 
 }  // namespace

@@ -140,7 +140,11 @@ TEST(IListTest, MatchSpecsCarryLabels) {
       case IListItemKind::kDominantFeature:
         EXPECT_NE(item.entity_label, kInvalidLabel);
         EXPECT_NE(item.attribute_label, kInvalidLabel);
-        EXPECT_FALSE(item.value.empty());
+        EXPECT_FALSE(item.display.empty());
+        ASSERT_LT(item.value_id, ctx.db.classification().num_values());
+        EXPECT_EQ(ctx.db.index().text(
+                      ctx.db.classification().value_text(item.value_id)),
+                  item.display);
         break;
     }
   }
@@ -149,7 +153,6 @@ TEST(IListTest, MatchSpecsCarryLabels) {
     if (item.display == "Houston") {
       EXPECT_EQ(labels.Name(item.entity_label), "store");
       EXPECT_EQ(labels.Name(item.attribute_label), "city");
-      EXPECT_EQ(item.value, "Houston");
     }
   }
 }

@@ -7,10 +7,18 @@
 // (types and counts), the return entity (label, instances, evidence) and
 // the IList's entity-name set. It repeats every comparison on a snapshot
 // round trip, where the columns are rebuilt by NodeClassification::Restore.
+//
+// Values are counted, ranked and matched by their id in the document's
+// value dictionary. The reference counts and ranks by string instead (the
+// string-keyed statistics and ranking the ids replaced), and the ranked
+// features must agree with it exactly: value strings, labels, score bits,
+// occurrences and order. Every document checked must also carry a
+// consistent dictionary, the same one after the round trip.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -26,6 +34,7 @@
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "search/corpus_snapshot.h"
+#include "snippet/dominant_features.h"
 #include "snippet/feature_statistics.h"
 #include "snippet/ilist.h"
 #include "snippet/instance_selector.h"
@@ -79,7 +88,7 @@ std::vector<ItemInstances> ScanItemInstances(
         }
       } else if (item.kind == IListItemKind::kResultKey ||
                  item.kind == IListItemKind::kDominantFeature) {
-        if (doc.text(id) == item.value && doc.is_element(owner) &&
+        if (doc.text(id) == item.display && doc.is_element(owner) &&
             doc.label(owner) == item.attribute_label &&
             classification.IsAttribute(owner) &&
             ScanEntityLabel(doc, classification, owner, root) ==
@@ -111,12 +120,113 @@ StatsMap ScanStatistics(const IndexedDocument& doc,
   return out;
 }
 
-StatsMap AsMap(const FeatureStatistics& stats) {
+// The id-keyed statistics as strings. Also requires what the id form
+// promises: types strictly ascending, each type's values strictly ascending
+// by id, and each value's text node holding the string its id names.
+StatsMap AsMap(const IndexedDocument& doc,
+               const NodeClassification& classification,
+               const FeatureStatistics& stats) {
   StatsMap out;
-  for (const auto& [type, counts] : stats.types()) {
-    out[type] = {counts.total_occurrences, counts.value_occurrences};
+  for (size_t t = 0; t < stats.types().size(); ++t) {
+    const FeatureTypeStats& type = stats.types()[t];
+    if (t > 0) {
+      EXPECT_LT(stats.types()[t - 1].type, type.type);
+    }
+    auto& [total, values] = out[type.type];
+    total = type.total_occurrences;
+    for (size_t v = 0; v < type.values.size(); ++v) {
+      const ValueCount& value = type.values[v];
+      if (v > 0) {
+        EXPECT_LT(type.values[v - 1].value, value.value);
+      }
+      EXPECT_LT(value.value, classification.num_values());
+      if (value.value >= classification.num_values()) continue;
+      EXPECT_EQ(doc.text(value.text),
+                doc.text(classification.value_text(value.value)));
+      values[doc.text(value.text)] = value.count;
+    }
   }
   return out;
+}
+
+/// One feature of the reference ranking.
+struct ReferenceFeature {
+  FeatureType type;
+  std::string value;
+  double score = 0.0;
+  size_t occurrences = 0;
+};
+
+// The string-keyed ranking the id-keyed one replaced, over string-keyed
+// statistics: dominance (N(e,a,v) * D > N, or D == 1) and DS from the
+// per-string counts, ties by occurrences, then (type, value string).
+std::vector<ReferenceFeature> ReferenceRanking(
+    const StatsMap& stats, const DominantFeatureOptions& options) {
+  std::vector<ReferenceFeature> out;
+  for (const auto& [type, counts] : stats) {
+    const auto& [total, values] = counts;
+    for (const auto& [value, count] : values) {
+      if (options.normalize) {
+        if (values.size() != 1 && count * values.size() <= total) continue;
+        out.push_back(ReferenceFeature{
+            type, value,
+            static_cast<double>(count) / (static_cast<double>(total) /
+                                          static_cast<double>(values.size())),
+            count});
+      } else {
+        out.push_back(
+            ReferenceFeature{type, value, static_cast<double>(count), count});
+      }
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ReferenceFeature& a, const ReferenceFeature& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.occurrences != b.occurrences) {
+                return a.occurrences > b.occurrences;
+              }
+              if (a.type != b.type) return a.type < b.type;
+              return a.value < b.value;
+            });
+  if (options.max_features > 0 && out.size() > options.max_features) {
+    out.resize(options.max_features);
+  }
+  return out;
+}
+
+/// The ranked features must be the reference's, field for field.
+void ExpectRankingMatchesReference(const IndexedDocument& doc,
+                                   const NodeClassification& classification,
+                                   const FeatureStatistics& stats,
+                                   const StatsMap& reference_stats) {
+  for (bool normalize : {true, false}) {
+    for (size_t max_features : {0u, 3u}) {
+      DominantFeatureOptions options;
+      options.normalize = normalize;
+      options.max_features = max_features;
+      SCOPED_TRACE(std::string(normalize ? "dominance" : "raw count") +
+                   " ranking, max_features " + std::to_string(max_features));
+      const std::vector<RankedFeature> ranked =
+          IdentifyDominantFeatures(doc, stats, options);
+      const std::vector<ReferenceFeature> expected =
+          ReferenceRanking(reference_stats, options);
+      ASSERT_EQ(ranked.size(), expected.size());
+      for (size_t i = 0; i < ranked.size(); ++i) {
+        const RankedFeature& got = ranked[i];
+        const ReferenceFeature& want = expected[i];
+        ASSERT_EQ(got.feature.value, want.value) << "rank " << i;
+        ASSERT_EQ(got.feature.type, want.type) << "rank " << i;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got.score),
+                  std::bit_cast<uint64_t>(want.score))
+            << "rank " << i << ": " << got.score << " vs " << want.score;
+        ASSERT_EQ(got.occurrences, want.occurrences) << "rank " << i;
+        ASSERT_LT(got.feature.value_id, classification.num_values());
+        ASSERT_EQ(doc.text(classification.value_text(got.feature.value_id)),
+                  want.value)
+            << "rank " << i;
+      }
+    }
+  }
 }
 
 bool MatchesAnyKeyword(const std::string& name, const Query& query) {
@@ -207,7 +317,10 @@ void ExpectLookupsMatchScans(const XmlDatabase& db, NodeId root,
 
   const FeatureStatistics stats =
       FeatureStatistics::Compute(doc, classification, root);
-  ASSERT_EQ(AsMap(stats), ScanStatistics(doc, classification, root));
+  const StatsMap reference_stats = ScanStatistics(doc, classification, root);
+  ASSERT_EQ(AsMap(doc, classification, stats), reference_stats);
+  ExpectRankingMatchesReference(doc, classification, stats, reference_stats);
+  if (::testing::Test::HasFatalFailure()) return;
 
   // The IList's entity names: with no keyword, key or feature nothing else
   // enters the list and nothing is deduplicated away.
@@ -300,6 +413,53 @@ std::shared_ptr<const XmlDatabase> RoundTrip(const XmlDatabase& db,
   return faulted.ok() ? (*faulted)->db : nullptr;
 }
 
+/// Every attribute entry of `classification`, label by label.
+std::vector<AttributeEntry> AllAttributes(
+    const IndexedDocument& doc, const NodeClassification& classification) {
+  std::vector<AttributeEntry> out;
+  const NodeId end = static_cast<NodeId>(doc.num_nodes());
+  for (LabelId label = 0; label < classification.num_labels(); ++label) {
+    for (const AttributeEntry& entry :
+         classification.AttributesIn(label, 0, end)) {
+      out.push_back(entry);
+    }
+  }
+  return out;
+}
+
+/// The value dictionary of `db`: ids ascend strictly with their strings,
+/// each attribute's id names its own text (kNoValue exactly when it has
+/// none), and every id is some attribute's.
+void ExpectDictionaryConsistent(const XmlDatabase& db,
+                                const std::string& where) {
+  SCOPED_TRACE(where + " value dictionary");
+  const IndexedDocument& doc = db.index();
+  const NodeClassification& classification = db.classification();
+  for (ValueId v = 0; v < classification.num_values(); ++v) {
+    ASSERT_TRUE(doc.is_text(classification.value_text(v))) << "id " << v;
+    if (v > 0) {
+      ASSERT_LT(doc.text(classification.value_text(v - 1)),
+                doc.text(classification.value_text(v)))
+          << "id " << v;
+    }
+  }
+  std::vector<bool> used(classification.num_values(), false);
+  for (const AttributeEntry& entry : AllAttributes(doc, classification)) {
+    ASSERT_EQ(entry.text, doc.sole_text_child(entry.node));
+    if (entry.text == kInvalidNode) {
+      ASSERT_EQ(entry.value, kNoValue) << "node " << entry.node;
+      continue;
+    }
+    ASSERT_LT(entry.value, classification.num_values())
+        << "node " << entry.node;
+    ASSERT_EQ(doc.text(classification.value_text(entry.value)),
+              doc.text(entry.text))
+        << "node " << entry.node;
+    used[entry.value] = true;
+  }
+  ASSERT_EQ(std::count(used.begin(), used.end(), false), 0);
+}
+
 /// Runs the comparison on `xml` loaded directly and on its snapshot round
 /// trip, over `sample` roots (0 = every element).
 void CheckDocument(const std::string& name, const std::string& xml,
@@ -307,6 +467,8 @@ void CheckDocument(const std::string& name, const std::string& xml,
                    uint64_t seed) {
   Result<XmlDatabase> db = XmlDatabase::Load(xml);
   ASSERT_TRUE(db.ok()) << db.status();
+  ExpectDictionaryConsistent(*db, name);
+  if (::testing::Test::HasFatalFailure()) return;
   const std::vector<Query> queries = ParseQueries(query_texts);
   const std::vector<NodeId> roots = Roots(*db, sample, seed);
   for (NodeId root : roots) {
@@ -315,6 +477,22 @@ void CheckDocument(const std::string& name, const std::string& xml,
   }
   std::shared_ptr<const XmlDatabase> restored = RoundTrip(*db, name);
   ASSERT_NE(restored, nullptr);
+  ExpectDictionaryConsistent(*restored, name + " (snapshot)");
+  if (::testing::Test::HasFatalFailure()) return;
+  // Classify and Restore derive the same ids.
+  ASSERT_EQ(restored->classification().num_values(),
+            db->classification().num_values());
+  const std::vector<AttributeEntry> loaded =
+      AllAttributes(db->index(), db->classification());
+  const std::vector<AttributeEntry> faulted =
+      AllAttributes(restored->index(), restored->classification());
+  ASSERT_EQ(loaded.size(), faulted.size());
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    ASSERT_EQ(loaded[i].node, faulted[i].node);
+    ASSERT_EQ(loaded[i].text, faulted[i].text);
+    ASSERT_EQ(loaded[i].entity, faulted[i].entity);
+    ASSERT_EQ(loaded[i].value, faulted[i].value) << "node " << loaded[i].node;
+  }
   for (NodeId root : roots) {
     ExpectLookupsMatchScans(*restored, root, queries, name + " (snapshot)");
     if (::testing::Test::HasFatalFailure()) return;
@@ -405,6 +583,18 @@ TEST(SnippetLookupTest, EntityFreeResult) {
                 "<db><info><city>Austin</city><state>Texas</state></info>"
                 "<owner><name>Ann</name></owner></db>",
                 {"texas", "info city", "austin ann"}, /*sample=*/0, 0);
+}
+
+// One attribute label under two entity labels, sharing values: the
+// features (mall, name, Alamo) and (store, name, Alamo) are distinct, so
+// an instance must match the entity label as well as the value.
+TEST(SnippetLookupTest, SharedValueUnderTwoEntityLabels) {
+  CheckDocument("two_entities",
+                "<db><mall><name>Alamo</name><store><name>Alamo</name></store>"
+                "<store><name>Beta</name></store></mall><mall><name>Beta</name>"
+                "<store><name>Alamo</name></store><store><name>Alamo</name>"
+                "</store></mall></db>",
+                {"alamo", "beta", "store mall", "name"}, /*sample=*/0, 0);
 }
 
 // Rooted at a connection node, the attributes' nearest entity lies above
