@@ -1,6 +1,7 @@
 #include "schema/key_miner.h"
 
 #include <algorithm>
+#include <set>
 
 namespace extract {
 
@@ -8,105 +9,73 @@ const std::vector<KeyCandidate> KeyIndex::kEmpty;
 
 KeyIndex KeyIndex::Mine(const IndexedDocument& doc,
                         const NodeClassification& classification) {
-  // Per (entity label, attribute label): instance counts and the value ids
-  // of the instances that carry exactly one such attribute.
+  // Per (entity label, attribute label): instance counts and value sets.
   struct PairAgg {
     size_t instances_with_one = 0;   // entity instances with exactly one a
     size_t instances_with_many = 0;  // entity instances with > one a
-    std::vector<ValueId> values;     // one per instance with exactly one a
+    std::set<std::string> values;
+    size_t value_occurrences = 0;
     double position_sum = 0.0;
   };
   std::map<std::pair<LabelId, LabelId>, PairAgg> agg;
-  const size_t num_labels = doc.labels().size();
-  std::vector<size_t> entity_instances(num_labels, 0);
+  std::map<LabelId, size_t> entity_instances;
 
-  // Each attribute's value id by node. An attribute without text counts as
-  // the empty string, like one whose text is empty; ids ascend with their
-  // strings, so "" is id 0 when some attribute holds it.
   const NodeId n = static_cast<NodeId>(doc.num_nodes());
-  const ValueId empty = classification.num_values() > 0 &&
-                                doc.text(classification.value_text(0)).empty()
-                            ? 0
-                            : kNoValue;
-  std::vector<ValueId> value_of(static_cast<size_t>(n), kNoValue);
-  for (LabelId label = 0; label < classification.num_labels(); ++label) {
-    for (const AttributeEntry& entry :
-         classification.AttributesIn(label, 0, n)) {
-      value_of[entry.node] = entry.value == kNoValue ? empty : entry.value;
-    }
-  }
-
-  // Per attribute label, within the entity instance at hand: how many
-  // children carry it, and the first one's position and value; zeroed again
-  // through the labels it touched. Each attribute label also remembers the
-  // aggregate of the entity label it last occurred under.
-  std::vector<uint32_t> count(num_labels, 0);
-  std::vector<uint32_t> first_position(num_labels, 0);
-  std::vector<ValueId> first_value(num_labels, kNoValue);
-  std::vector<LabelId> touched;
-  std::vector<LabelId> last_entity(num_labels, kInvalidLabel);
-  std::vector<PairAgg*> last_agg(num_labels, nullptr);
   for (NodeId id = 0; id < n; ++id) {
     if (!doc.is_element(id) || !classification.IsEntity(id)) continue;
-    const LabelId entity_label = doc.label(id);
-    ++entity_instances[entity_label];
-    uint32_t position = 0;
+    ++entity_instances[doc.label(id)];
+    // Count attribute children per label within this instance.
+    std::map<LabelId, int> counts;
+    int position = 0;
+    std::map<LabelId, int> first_position;
+    std::map<LabelId, std::string> first_value;
     for (NodeId c : doc.children(id)) {
       if (!doc.is_element(c)) continue;
       if (classification.IsAttribute(c)) {
-        const LabelId a = doc.label(c);
-        if (count[a]++ == 0) {
-          touched.push_back(a);
+        LabelId a = doc.label(c);
+        if (counts[a]++ == 0) {
           first_position[a] = position;
-          first_value[a] = value_of[c];
+          NodeId t = doc.sole_text_child(c);
+          first_value[a] = t == kInvalidNode ? std::string() : doc.text(t);
         }
       }
       ++position;
     }
-    for (LabelId a : touched) {
-      if (last_agg[a] == nullptr || last_entity[a] != entity_label) {
-        last_agg[a] = &agg[{entity_label, a}];  // map nodes do not move
-        last_entity[a] = entity_label;
-      }
-      PairAgg& pa = *last_agg[a];
-      if (count[a] == 1) {
+    for (const auto& [a, count] : counts) {
+      PairAgg& pa = agg[{doc.label(id), a}];
+      if (count == 1) {
         ++pa.instances_with_one;
-        pa.values.push_back(first_value[a]);
+        pa.values.insert(first_value[a]);
+        ++pa.value_occurrences;
         pa.position_sum += first_position[a];
       } else {
         ++pa.instances_with_many;
       }
-      count[a] = 0;
     }
-    touched.clear();
   }
 
   KeyIndex out;
-  for (auto& [key, pa] : agg) {
+  for (const auto& [key, pa] : agg) {
     const auto& [entity_label, attribute_label] = key;
     size_t total = entity_instances[entity_label];
     if (total == 0) continue;
-    const size_t value_occurrences = pa.values.size();
-    std::sort(pa.values.begin(), pa.values.end());
-    const size_t distinct_values = static_cast<size_t>(
-        std::unique(pa.values.begin(), pa.values.end()) - pa.values.begin());
     KeyCandidate cand;
     cand.entity_label = entity_label;
     cand.attribute_label = attribute_label;
     cand.coverage =
         static_cast<double>(pa.instances_with_one) / static_cast<double>(total);
     cand.distinct_ratio =
-        value_occurrences == 0
+        pa.value_occurrences == 0
             ? 0.0
-            : static_cast<double>(distinct_values) /
-                  static_cast<double>(value_occurrences);
+            : static_cast<double>(pa.values.size()) /
+                  static_cast<double>(pa.value_occurrences);
     cand.mean_position = pa.instances_with_one == 0
                              ? 1e9
                              : pa.position_sum /
                                    static_cast<double>(pa.instances_with_one);
     cand.strict = pa.instances_with_many == 0 &&
                   pa.instances_with_one == total &&
-                  distinct_values == value_occurrences;
+                  pa.values.size() == pa.value_occurrences;
     out.candidates_[entity_label].push_back(cand);
   }
 

@@ -7,10 +7,6 @@
 // distinct across all instances of e. Candidates are ranked by
 // (strict uniqueness, coverage, earliest average child position), so "name"
 // or "id"-like attributes naturally win without hard-coding.
-//
-// Values are compared by their id in the document's value dictionary
-// (NodeClassification); an attribute without text counts as the empty
-// string.
 
 #ifndef EXTRACT_SCHEMA_KEY_MINER_H_
 #define EXTRACT_SCHEMA_KEY_MINER_H_

@@ -104,21 +104,12 @@ NodeClassification NodeClassification::Classify(const IndexedDocument& doc,
   const size_t num_labels = doc.labels().size();
   std::vector<PairStats> pairs;
   DenseIds pair_ids(num_labels + 1);
-  // Nearly every label occurs under one parent label, so each label
-  // remembers its last pair and the table is asked only on a change.
-  std::vector<LabelId> last_parent(num_labels, kInvalidLabel);
-  std::vector<uint32_t> last_pair(num_labels, UINT32_MAX);
   auto pair_index = [&](LabelId parent_label, LabelId label) {
-    if (last_parent[label] == parent_label && last_pair[label] != UINT32_MAX) {
-      return last_pair[label];
-    }
     const uint64_t key = (static_cast<uint64_t>(parent_label) << 32) | label;
     const uint32_t index = pair_ids.Intern(MixBits(key), [&](uint32_t i) {
       return pairs[i].parent_label == parent_label && pairs[i].label == label;
     });
     if (index == pairs.size()) pairs.push_back(PairStats{parent_label, label});
-    last_parent[label] = parent_label;
-    last_pair[label] = index;
     return index;
   };
   std::vector<uint32_t> node_pair(n);

@@ -34,29 +34,6 @@ struct ValueCounter {
   }
 };
 
-// Counts a label's entries whose entity label is not the one of the span's
-// first entry, from their (entity label, value id) keys sorted: each run of
-// one entity label is a type, each run of one key a value.
-void CountSortedKeys(const NodeClassification& classification,
-                     LabelId attribute_label, std::vector<uint64_t>& keys,
-                     std::vector<FeatureTypeStats>& out) {
-  std::sort(keys.begin(), keys.end());
-  for (size_t i = 0; i < keys.size();) {
-    const auto entity = static_cast<LabelId>(keys[i] >> 32);
-    FeatureTypeStats& stats = out.emplace_back();
-    stats.type = FeatureType{entity, attribute_label};
-    while (i < keys.size() && keys[i] >> 32 == entity) {
-      const uint64_t key = keys[i];
-      const auto value = static_cast<ValueId>(key);
-      size_t run = 0;
-      for (; i < keys.size() && keys[i] == key; ++i) ++run;
-      stats.values.push_back(ValueCount{
-          value, classification.value_text(value), static_cast<uint32_t>(run)});
-      stats.total_occurrences += run;
-    }
-  }
-}
-
 }  // namespace
 
 FeatureStatistics FeatureStatistics::Compute(
@@ -69,36 +46,41 @@ FeatureStatistics FeatureStatistics::Compute(
   FeatureStatistics out;
   const NodeId end = doc.subtree_end(result_root);
   const size_t num_labels = classification.num_labels();
-  std::vector<uint64_t> other_entities;
+  std::vector<LabelId> counted;  // entity labels of the span already counted
   for (LabelId label = 0; label < num_labels; ++label) {
     const std::span<const AttributeEntry> attributes =
         classification.AttributesIn(label, result_root, end);
-    if (attributes.empty()) continue;
-    // Attributes of one label nearly always share one entity label, so
-    // those count into the array; the rest take the sorted path.
-    const LabelId first_entity =
-        FeatureEntityLabel(doc, attributes.front(), result_root);
-    size_t total = 0;
-    for (const AttributeEntry& attribute : attributes) {
-      if (attribute.value == kNoValue) continue;  // no feature value
-      const LabelId entity = FeatureEntityLabel(doc, attribute, result_root);
-      if (entity != first_entity) {
-        other_entities.push_back(static_cast<uint64_t>(entity) << 32 |
-                                 attribute.value);
-        continue;
+    // One pass per entity label in the span, each counting that label's
+    // entries: a pass starts at the first entry of a label no earlier pass
+    // counted, so entries before it belong to counted labels.
+    counted.clear();
+    for (size_t first = 0; first < attributes.size();) {
+      const LabelId entity =
+          FeatureEntityLabel(doc, attributes[first], result_root);
+      size_t next = attributes.size();
+      size_t total = 0;
+      for (size_t i = first; i < attributes.size(); ++i) {
+        const AttributeEntry& attribute = attributes[i];
+        if (attribute.value == kNoValue) continue;  // no feature value
+        const LabelId its_entity =
+            FeatureEntityLabel(doc, attribute, result_root);
+        if (its_entity == entity) {
+          counter.Add(attribute.value);
+          ++total;
+        } else if (next == attributes.size() &&
+                   std::find(counted.begin(), counted.end(), its_entity) ==
+                       counted.end()) {
+          next = i;
+        }
       }
-      counter.Add(attribute.value);
-      ++total;
-    }
-    if (total > 0) {
-      FeatureTypeStats& stats = out.types_.emplace_back();
-      stats.type = FeatureType{first_entity, label};
-      stats.total_occurrences = total;
-      counter.Drain(classification, stats);
-    }
-    if (!other_entities.empty()) {
-      CountSortedKeys(classification, label, other_entities, out.types_);
-      other_entities.clear();
+      if (total > 0) {
+        FeatureTypeStats& stats = out.types_.emplace_back();
+        stats.type = FeatureType{entity, label};
+        stats.total_occurrences = total;
+        counter.Drain(classification, stats);
+      }
+      counted.push_back(entity);
+      first = next;
     }
   }
   std::sort(out.types_.begin(), out.types_.end(),

@@ -91,7 +91,8 @@ class FeatureStatistics {
   /// Reads the classification's attribute columns clipped to the result's
   /// id range, which carry each attribute's value id and nearest entity: no
   /// walk over the subtree or up an attribute's ancestors. Each label's
-  /// span is walked once, counting by value id into a per-thread array.
+  /// span is walked once per entity label among its entries, counting that
+  /// entity label's values by id into a per-thread array.
   static FeatureStatistics Compute(const IndexedDocument& doc,
                                    const NodeClassification& classification,
                                    NodeId result_root);

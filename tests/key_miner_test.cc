@@ -2,13 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <set>
-
-#include "datagen/movies_dataset.h"
-#include "datagen/random_xml.h"
-#include "datagen/retailer_dataset.h"
-#include "datagen/stores_dataset.h"
 #include "xml/parser.h"
 
 namespace extract {
@@ -133,172 +126,6 @@ TEST(KeyMinerTest, NonEntityLabelHasNoKey) {
   Loaded db = Load(R"(<db><s><name>A</name></s><s><name>B</name></s></db>)");
   LabelId name = db.doc.labels().Find("name");
   EXPECT_FALSE(db.keys.KeyAttributeOf(name).has_value());
-}
-
-// ---------------------------------------------------------------------------
-// KeyIndex::Mine compares attribute values by their id in the value
-// dictionary and counts per label in arrays. The reference below is the
-// string-keyed miner it replaced (per-instance maps, a set of value strings
-// per pair); both must produce the same candidate lists, field for field.
-
-std::map<LabelId, std::vector<KeyCandidate>> ReferenceMine(
-    const IndexedDocument& doc, const NodeClassification& classification) {
-  struct PairAgg {
-    size_t instances_with_one = 0;
-    size_t instances_with_many = 0;
-    std::set<std::string> values;
-    size_t value_occurrences = 0;
-    double position_sum = 0.0;
-  };
-  std::map<std::pair<LabelId, LabelId>, PairAgg> agg;
-  std::map<LabelId, size_t> entity_instances;
-  const NodeId n = static_cast<NodeId>(doc.num_nodes());
-  for (NodeId id = 0; id < n; ++id) {
-    if (!doc.is_element(id) || !classification.IsEntity(id)) continue;
-    ++entity_instances[doc.label(id)];
-    std::map<LabelId, int> counts;
-    int position = 0;
-    std::map<LabelId, int> first_position;
-    std::map<LabelId, std::string> first_value;
-    for (NodeId c : doc.children(id)) {
-      if (!doc.is_element(c)) continue;
-      if (classification.IsAttribute(c)) {
-        LabelId a = doc.label(c);
-        if (counts[a]++ == 0) {
-          first_position[a] = position;
-          NodeId t = doc.sole_text_child(c);
-          first_value[a] = t == kInvalidNode ? std::string() : doc.text(t);
-        }
-      }
-      ++position;
-    }
-    for (const auto& [a, count] : counts) {
-      PairAgg& pa = agg[{doc.label(id), a}];
-      if (count == 1) {
-        ++pa.instances_with_one;
-        pa.values.insert(first_value[a]);
-        ++pa.value_occurrences;
-        pa.position_sum += first_position[a];
-      } else {
-        ++pa.instances_with_many;
-      }
-    }
-  }
-  std::map<LabelId, std::vector<KeyCandidate>> out;
-  for (const auto& [key, pa] : agg) {
-    const auto& [entity_label, attribute_label] = key;
-    const size_t total = entity_instances[entity_label];
-    KeyCandidate cand;
-    cand.entity_label = entity_label;
-    cand.attribute_label = attribute_label;
-    cand.coverage =
-        static_cast<double>(pa.instances_with_one) / static_cast<double>(total);
-    cand.distinct_ratio =
-        pa.value_occurrences == 0
-            ? 0.0
-            : static_cast<double>(pa.values.size()) /
-                  static_cast<double>(pa.value_occurrences);
-    cand.mean_position = pa.instances_with_one == 0
-                             ? 1e9
-                             : pa.position_sum /
-                                   static_cast<double>(pa.instances_with_one);
-    cand.strict = pa.instances_with_many == 0 &&
-                  pa.instances_with_one == total &&
-                  pa.values.size() == pa.value_occurrences;
-    out[entity_label].push_back(cand);
-  }
-  for (auto& [entity_label, cands] : out) {
-    std::sort(cands.begin(), cands.end(),
-              [](const KeyCandidate& a, const KeyCandidate& b) {
-                if (a.strict != b.strict) return a.strict;
-                if (a.distinct_ratio != b.distinct_ratio) {
-                  return a.distinct_ratio > b.distinct_ratio;
-                }
-                if (a.coverage != b.coverage) return a.coverage > b.coverage;
-                if (a.mean_position != b.mean_position) {
-                  return a.mean_position < b.mean_position;
-                }
-                return a.attribute_label < b.attribute_label;
-              });
-  }
-  return out;
-}
-
-void ExpectMineMatchesReference(const std::string& name,
-                                std::string_view xml) {
-  SCOPED_TRACE(name);
-  Loaded db = Load(xml);
-  const std::map<LabelId, std::vector<KeyCandidate>> want =
-      ReferenceMine(db.doc, db.classification);
-  ASSERT_EQ(db.keys.EntityLabels().size(), want.size());
-  for (const auto& [entity_label, expected] : want) {
-    const std::vector<KeyCandidate>& got = db.keys.CandidatesOf(entity_label);
-    ASSERT_EQ(got.size(), expected.size()) << "entity " << entity_label;
-    for (size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE("entity " + std::to_string(entity_label) + " candidate " +
-                   std::to_string(i));
-      EXPECT_EQ(got[i].entity_label, expected[i].entity_label);
-      EXPECT_EQ(got[i].attribute_label, expected[i].attribute_label);
-      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].distinct_ratio),
-                std::bit_cast<uint64_t>(expected[i].distinct_ratio));
-      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].coverage),
-                std::bit_cast<uint64_t>(expected[i].coverage));
-      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].mean_position),
-                std::bit_cast<uint64_t>(expected[i].mean_position));
-      EXPECT_EQ(got[i].strict, expected[i].strict);
-    }
-  }
-}
-
-TEST(KeyMinerDifferentialTest, RandomShapes) {
-  for (size_t levels : {1u, 2u, 3u}) {
-    for (size_t domain : {2u, 40u}) {
-      for (bool dtd : {true, false}) {
-        RandomXmlOptions options;
-        options.levels = levels;
-        options.entities_per_parent = 4;
-        options.attributes_per_entity = 3;
-        options.domain_size = domain;
-        options.include_dtd = dtd;
-        options.seed = 700 + levels * 10 + domain + (dtd ? 1 : 0);
-        ExpectMineMatchesReference(
-            "random levels " + std::to_string(levels) + " domain " +
-                std::to_string(domain) + (dtd ? " with DTD" : " without DTD"),
-            GenerateRandomXml(options).xml);
-        if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST(KeyMinerDifferentialTest, DemoDataSets) {
-  ExpectMineMatchesReference("retailer", GenerateRetailerXml());
-  ExpectMineMatchesReference("stores", GenerateStoresXml());
-  ExpectMineMatchesReference("movies", GenerateMoviesXml());
-}
-
-// Empty attributes and empty attribute values count as one value (""),
-// repeated attributes, attributes after connection children, and nested
-// entities whose attributes belong to the inner instance.
-TEST(KeyMinerDifferentialTest, EmptyRepeatedAndNestedAttributes) {
-  ExpectMineMatchesReference(
-      "empty values",
-      R"(<db><s code=""><name/><city>H</city></s><s code="x"><name></name>)"
-      R"(<city>H</city></s><s code=""><name>A</name><city/></s></db>)");
-  // An empty XML attribute value and an empty element are the same value.
-  ExpectMineMatchesReference(
-      "empty text and no text",
-      R"(<db><s code=""><k>1</k></s><s><code/><k>2</k></s>)"
-      R"(<s code="x"><k>3</k></s></db>)");
-  ExpectMineMatchesReference(
-      "no empty string",
-      "<db><s><name/><k>1</k></s><s><name/><k>2</k></s><s><name>B</name>"
-      "<k>3</k></s></db>");
-  ExpectMineMatchesReference(
-      "repeated and nested",
-      "<db><s><info><x>1</x></info><name>A</name><t>1</t><t>2</t>"
-      "<p><name>P</name></p><p><name>Q</name></p></s>"
-      "<s><name>B</name><t>3</t><p><name>P</name></p></s></db>");
 }
 
 }  // namespace
