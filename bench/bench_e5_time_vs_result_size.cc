@@ -3,8 +3,12 @@
 // Reconstructs the companion paper's performance axis: how does the
 // pipeline (statistics -> return entity -> key -> dominant features ->
 // IList -> greedy selection) scale with the number of nodes in the result?
-// Expected shape: near-linear in result size, since every stage is a single
-// pass over the result subtree.
+// Expected shape: growing with result size only through what the result
+// holds. No stage walks the result subtree: each reads per-label columns
+// and posting lists clipped to the result's id range, so its cost follows
+// the result's entities, attributes and keyword matches (which here grow
+// with its size), instance selection's also the edge budget, and
+// materialization the selected nodes.
 
 #include <benchmark/benchmark.h>
 

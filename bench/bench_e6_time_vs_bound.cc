@@ -1,7 +1,12 @@
 // E6 — snippet generation latency vs snippet size bound.
 //
-// Expected shape: near-flat — the bound only affects how many greedy
-// insertions commit, not the per-result scans that dominate the pipeline.
+// Expected shape: rising with the bound, then flattening. The statistics,
+// return entity, key and IList do not depend on the bound, but instance
+// selection does: it lists an item's instances only while the edge budget
+// can still pay for one and walks each only as far as it could still win
+// and fit, so a larger bound lists more items' instances and walks further
+// before the tree fills. Once the bound exceeds what the IList can use,
+// every item's instances are listed and the cost stops growing.
 
 #include <benchmark/benchmark.h>
 

@@ -14,8 +14,9 @@
 //   schema                          show the Data Analyzer's summary
 //   bound <n>                       set the snippet size bound (edges) and
 //                                   regenerate the last query's snippets —
-//                                   reusing the query's memoized scans, so
-//                                   only selection + materialize re-run
+//                                   reusing the query's memoized lookups, so
+//                                   only IList, selection + materialize
+//                                   re-run
 //   query <keywords...>             search + snippets (active data set)
 //   queryall <keywords...>          search every loaded data set, ranked
 //                                   (SearchAll + parallel snippet batch)
@@ -82,8 +83,8 @@ using namespace extract;
 
 // The live pipeline of the last `query`: service + per-query context kept
 // across commands, so changing only the size bound regenerates snippets
-// from the context's memoized statistics/entity/key/instance scans instead
-// of re-running the whole pipeline from scratch.
+// from the context's memoized statistics/entity/key lookups instead of
+// re-running the whole pipeline from scratch.
 struct QuerySession {
   std::string document;  ///< data set the session is bound to
   std::string text;      ///< raw query text, to detect query changes
@@ -235,8 +236,9 @@ void CmdQuery(ShellState* state, const std::string& text) {
 }
 
 // `bound <n>`: regenerate the last query's snippets at the new bound. The
-// session context memoizes every per-query scan, so this re-runs only
-// instance selection + materialization — no re-search, no re-analysis.
+// session context memoizes the statistics, return entity and key, so this
+// re-runs only the IList, instance selection and materialization — no
+// re-search, no re-analysis.
 void CmdBound(ShellState* state, const std::string& rest) {
   const std::optional<size_t> bound = ParseDecimalSize(rest);
   if (!bound.has_value()) {

@@ -1,9 +1,11 @@
 #include "snippet/ilist.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cctype>
+#include <cstdint>
+#include <string_view>
 
+#include "common/dense_ids.h"
 #include "common/string_util.h"
 
 namespace extract {
@@ -31,29 +33,55 @@ std::string IList::ToString() const {
   return out;
 }
 
+namespace {
+
+// FNV-1a over the bytes folded as EqualsIgnoreCase folds them, so two
+// displays that compare equal hash equal; the high half is folded into the
+// low bits the table probes by.
+uint64_t FoldedHash(std::string_view s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h = (h ^ static_cast<uint64_t>(std::tolower(c))) * 0x100000001b3ull;
+  }
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
 IList BuildIList(const IndexedDocument& doc, const Query& query,
-                 NodeId result_root, const ReturnEntityInfo& return_entity,
-                 const ResultKeyInfo& key, const FeatureStatistics& stats,
+                 NodeId result_root, const ResultKeyInfo& key,
+                 const FeatureStatistics& stats,
                  const NodeClassification& classification,
                  const DominantFeatureOptions& features) {
   return BuildIListWithFeatures(
-      doc, query, result_root, return_entity, key,
+      doc, query, result_root, key,
       IdentifyDominantFeatures(doc, stats, features), classification);
 }
 
 IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
-                             NodeId result_root,
-                             const ReturnEntityInfo& return_entity,
-                             const ResultKeyInfo& key,
+                             NodeId result_root, const ResultKeyInfo& key,
                              const std::vector<RankedFeature>& features,
                              const NodeClassification& classification) {
-  (void)return_entity;  // the key already reflects the return entity
-  IList out;
-  std::set<std::string> seen;
-  auto try_add = [&](IListItem item) {
-    if (seen.insert(ToLowerCopy(item.display)).second) {
-      out.Add(std::move(item));
+  // Labels whose entity column holds an id in the result, the entity names.
+  std::vector<LabelId> entity_labels;
+  const NodeId end = doc.subtree_end(result_root);
+  for (LabelId label = 0; label < classification.num_labels(); ++label) {
+    if (!classification.EntitiesIn(label, result_root, end).empty()) {
+      entity_labels.push_back(label);
     }
+  }
+
+  // An item's id among the displays, compared ignoring case, is its index
+  // in the list: only an item with a new display is added.
+  IList out;
+  DenseIds displays(query.keywords.size() + entity_labels.size() + 1 +
+                    features.size());
+  auto try_add = [&](IListItem item) {
+    const uint32_t id =
+        displays.Intern(FoldedHash(item.display), [&](uint32_t kept) {
+          return EqualsIgnoreCase(out[kept].display, item.display);
+        });
+    if (id == out.size()) out.Add(std::move(item));
   };
 
   // 1. Query keywords, user order, displayed as typed.
@@ -68,18 +96,14 @@ IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
 
   // 2. Names of the entities appearing in the result, ascending
   //    lexicographic (Figure 3: "clothes, store").
-  //    A label is named iff its entity column holds an id in the result.
-  std::map<std::string, LabelId> entity_names;
-  const NodeId end = doc.subtree_end(result_root);
-  for (LabelId label = 0; label < classification.num_labels(); ++label) {
-    if (!classification.EntitiesIn(label, result_root, end).empty()) {
-      entity_names.emplace(doc.labels().Name(label), label);
-    }
-  }
-  for (const auto& [name, label] : entity_names) {
+  std::sort(entity_labels.begin(), entity_labels.end(),
+            [&](LabelId a, LabelId b) {
+              return doc.labels().Name(a) < doc.labels().Name(b);
+            });
+  for (LabelId label : entity_labels) {
     IListItem item;
     item.kind = IListItemKind::kEntityName;
-    item.display = name;
+    item.display = doc.labels().Name(label);
     item.entity_label = label;
     try_add(std::move(item));
   }

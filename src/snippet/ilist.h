@@ -23,7 +23,6 @@
 #include "search/search_engine.h"
 #include "snippet/dominant_features.h"
 #include "snippet/result_key.h"
-#include "snippet/return_entity.h"
 
 namespace extract {
 
@@ -84,8 +83,8 @@ class IList {
 /// "Texas" duplicates the keyword "Texas". Entity names are added in
 /// ascending lexicographic order (matching Figure 3's "clothes, store").
 IList BuildIList(const IndexedDocument& doc, const Query& query,
-                 NodeId result_root, const ReturnEntityInfo& return_entity,
-                 const ResultKeyInfo& key, const FeatureStatistics& stats,
+                 NodeId result_root, const ResultKeyInfo& key,
+                 const FeatureStatistics& stats,
                  const NodeClassification& classification,
                  const DominantFeatureOptions& features);
 
@@ -93,9 +92,7 @@ IList BuildIList(const IndexedDocument& doc, const Query& query,
 /// batch diversifier, snippet/distinguishability.h, which re-scores
 /// features across all results of a query before assembly).
 IList BuildIListWithFeatures(const IndexedDocument& doc, const Query& query,
-                             NodeId result_root,
-                             const ReturnEntityInfo& return_entity,
-                             const ResultKeyInfo& key,
+                             NodeId result_root, const ResultKeyInfo& key,
                              const std::vector<RankedFeature>& features,
                              const NodeClassification& classification);
 

@@ -11,86 +11,140 @@ size_t Selection::covered_count() const {
   return static_cast<size_t>(std::count(covered.begin(), covered.end(), true));
 }
 
-namespace {
+ItemInstanceLookup::ItemInstanceLookup(const XmlDatabase& db,
+                                       NodeId result_root,
+                                       const IListItem& item)
+    : db_(db), item_(item), root_(result_root) {
+  const NodeId end = db.index().subtree_end(result_root);
+  switch (item.kind) {
+    case IListItemKind::kKeyword: {
+      token_ = ToLowerCopy(item.token);
+      if (token_.empty()) break;
+      const PostingList* list = db.inverted().Find(token_);
+      if (list == nullptr) break;
+      const auto first =
+          std::lower_bound(list->nodes.begin(), list->nodes.end(), result_root);
+      posting_nodes_ = {first, std::lower_bound(first, list->nodes.end(), end)};
+      posting_sources_ = std::span<const PostingSource>(list->sources)
+                             .subspan(static_cast<size_t>(first -
+                                                          list->nodes.begin()),
+                                      posting_nodes_.size());
+      break;
+    }
+    case IListItemKind::kEntityName:
+      entities_ = db.classification().EntitiesIn(item.entity_label,
+                                                 result_root, end);
+      break;
+    case IListItemKind::kResultKey:
+    case IListItemKind::kDominantFeature:
+      if (item.value_id == kNoValue) break;
+      attributes_ = db.classification().AttributesIn(item.attribute_label,
+                                                     result_root, end);
+      break;
+  }
+}
 
-// Keyword instances from the token's posting list: a posting's kTagName bit
-// emits the element, its kTextValue bit each direct text child that holds
-// the token. A mixed-content element's late text child follows the
-// postings of elements nested before it, so the emitted ids are sorted
-// only when that happened.
-void KeywordInstances(const IndexedDocument& doc, const InvertedIndex& inverted,
-                      const std::string& token, NodeId begin, NodeId end,
-                      std::vector<NodeId>& out) {
-  if (token.empty()) return;
-  const PostingList* list = inverted.Find(token);
-  if (list == nullptr) return;
-  const size_t first = static_cast<size_t>(
-      std::lower_bound(list->nodes.begin(), list->nodes.end(), begin) -
-      list->nodes.begin());
-  bool sorted = true;
-  auto emit = [&](NodeId id) {
-    if (!out.empty() && id < out.back()) sorted = false;
-    out.push_back(id);
-  };
-  for (size_t p = first; p < list->nodes.size() && list->nodes[p] < end; ++p) {
-    const NodeId element = list->nodes[p];
-    const auto source = static_cast<uint8_t>(list->sources[p]);
-    if (source & static_cast<uint8_t>(PostingSource::kTagName)) emit(element);
-    if (source & static_cast<uint8_t>(PostingSource::kTextValue)) {
-      for (NodeId child : doc.children(element)) {
-        if (doc.is_text(child) && ContainsToken(doc.text(child), token)) {
-          emit(child);
+std::span<const NodeId> ItemInstanceLookup::Instances(
+    std::vector<NodeId>& scratch) const {
+  if (item_.kind == IListItemKind::kEntityName) return entities_;
+  const IndexedDocument& doc = db_.index();
+  scratch.clear();
+  if (item_.kind == IListItemKind::kKeyword) {
+    // A posting's kTagName bit emits the element, its kTextValue bit each
+    // direct text child that holds the token. A mixed-content element's
+    // late text child follows the postings of elements nested before it,
+    // so the emitted ids are sorted only when that happened.
+    bool sorted = true;
+    auto emit = [&](NodeId id) {
+      if (!scratch.empty() && id < scratch.back()) sorted = false;
+      scratch.push_back(id);
+    };
+    for (size_t p = 0; p < posting_nodes_.size(); ++p) {
+      const NodeId element = posting_nodes_[p];
+      const auto source = static_cast<uint8_t>(posting_sources_[p]);
+      if (source & static_cast<uint8_t>(PostingSource::kTagName)) emit(element);
+      if (source & static_cast<uint8_t>(PostingSource::kTextValue)) {
+        for (NodeId child : doc.children(element)) {
+          if (doc.is_text(child) && ContainsToken(doc.text(child), token_)) {
+            emit(child);
+          }
         }
       }
     }
+    if (!sorted) std::sort(scratch.begin(), scratch.end());
+    return scratch;
   }
-  if (!sorted) std::sort(out.begin(), out.end());
+  // A key or feature: the instance is the value's text node.
+  for (const AttributeEntry& attribute : attributes_) {
+    if (attribute.value == item_.value_id &&
+        FeatureEntityLabel(doc, attribute, root_) == item_.entity_label) {
+      scratch.push_back(attribute.text);
+    }
+  }
+  return scratch;
 }
 
-}  // namespace
+bool ItemInstanceLookup::IsInstance(NodeId n) const {
+  const IndexedDocument& doc = db_.index();
+  switch (item_.kind) {
+    case IListItemKind::kKeyword: {
+      // An element is its own posting; a text node is found through its
+      // parent's.
+      const bool text = doc.is_text(n);
+      const NodeId element = text ? doc.parent(n) : n;
+      const auto it = std::lower_bound(posting_nodes_.begin(),
+                                       posting_nodes_.end(), element);
+      if (it == posting_nodes_.end() || *it != element) return false;
+      const auto source = static_cast<uint8_t>(
+          posting_sources_[static_cast<size_t>(it - posting_nodes_.begin())]);
+      if (!text) {
+        return (source & static_cast<uint8_t>(PostingSource::kTagName)) != 0;
+      }
+      return (source & static_cast<uint8_t>(PostingSource::kTextValue)) != 0 &&
+             ContainsToken(doc.text(n), token_);
+    }
+    case IListItemKind::kEntityName:
+      return doc.label(n) == item_.entity_label &&
+             db_.classification().IsEntity(n);
+    case IListItemKind::kResultKey:
+    case IListItemKind::kDominantFeature: {
+      const NodeId owner = doc.parent(n);
+      const auto it = std::lower_bound(
+          attributes_.begin(), attributes_.end(), owner,
+          [](const AttributeEntry& entry, NodeId node) {
+            return entry.node < node;
+          });
+      return it != attributes_.end() && it->node == owner && it->text == n &&
+             it->value == item_.value_id &&
+             FeatureEntityLabel(doc, *it, root_) == item_.entity_label;
+    }
+  }
+  return false;
+}
 
 std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
                                              NodeId result_root,
                                              const IList& ilist) {
-  const IndexedDocument& doc = db.index();
-  const NodeClassification& classification = db.classification();
-  const NodeId end = doc.subtree_end(result_root);
   std::vector<ItemInstances> out(ilist.size());
+  std::vector<NodeId> scratch;
   for (size_t i = 0; i < ilist.size(); ++i) {
-    const IListItem& item = ilist[i];
-    std::vector<NodeId>& nodes = out[i].nodes;
-    switch (item.kind) {
-      case IListItemKind::kKeyword:
-        KeywordInstances(doc, db.inverted(), ToLowerCopy(item.token),
-                         result_root, end, nodes);
-        break;
-      case IListItemKind::kEntityName: {
-        std::span<const NodeId> entities =
-            classification.EntitiesIn(item.entity_label, result_root, end);
-        nodes.assign(entities.begin(), entities.end());
-        break;
-      }
-      case IListItemKind::kResultKey:
-      case IListItemKind::kDominantFeature:
-        // The instance is the value's text node.
-        if (item.value_id == kNoValue) break;
-        for (const AttributeEntry& attribute : classification.AttributesIn(
-                 item.attribute_label, result_root, end)) {
-          if (attribute.value == item.value_id &&
-              FeatureEntityLabel(doc, attribute, result_root) ==
-                  item.entity_label) {
-            nodes.push_back(attribute.text);
-          }
-        }
-        break;
-    }
+    const std::span<const NodeId> found =
+        ItemInstanceLookup(db, result_root, ilist[i]).Instances(scratch);
+    out[i].nodes.assign(found.begin(), found.end());
   }
   return out;
 }
 
-Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
-                                const std::vector<ItemInstances>& instances,
-                                size_t size_bound) {
+namespace {
+
+// The paper's greedy, written once over an instance source:
+// `instances(i)` lists item i's instances in ascending document order, and
+// `frozen_covers(i, tree)` tells whether one of the full tree's members is
+// one of them.
+template <typename Instances, typename FrozenCovers>
+Selection Greedy(const IndexedDocument& doc, NodeId result_root,
+                 size_t num_items, size_t size_bound, Instances instances,
+                 FrozenCovers frozen_covers) {
   // One tree set per thread, reused across selections: Reset is O(1) via
   // the epoch stamp, so a batch generating thousands of snippets allocates
   // the membership array once per worker instead of once per result.
@@ -98,28 +152,64 @@ Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
   tree.Reset(doc, result_root);
 
   Selection selection;
-  selection.covered.assign(instances.size(), false);
-  std::vector<NodeId> path;
-  std::vector<NodeId> best_path;
-  for (size_t i = 0; i < instances.size(); ++i) {
-    size_t best_cost = SIZE_MAX;
-    best_path.clear();
-    for (NodeId inst : instances[i].nodes) {
-      size_t cost = tree.ConnectCost(inst, &path);
-      if (cost < best_cost) {  // ties: first in document order wins
+  selection.covered.assign(num_items, false);
+  for (size_t i = 0; i < num_items; ++i) {
+    const size_t budget = size_bound - tree.edges();
+    if (budget == 0) {
+      // Only an instance already in the tree (cost 0) still fits, and
+      // committing it adds no node: the tree is frozen.
+      selection.covered[i] = frozen_covers(i, tree);
+      continue;
+    }
+    // An instance wins only if it is cheaper than the best so far (ties go
+    // to the first in document order) and fits; its walk stops past that.
+    NodeId best = kInvalidNode;
+    size_t best_cost = budget + 1;
+    for (NodeId instance : instances(i)) {
+      const size_t cost = tree.ConnectCostWithin(instance, best_cost - 1);
+      if (cost < best_cost) {
+        best = instance;
         best_cost = cost;
-        best_path = path;
         if (cost == 0) break;  // cannot do better
       }
     }
-    if (best_cost == SIZE_MAX) continue;  // items without instances are skipped
-    if (tree.edges() + best_cost <= size_bound) {
-      tree.Commit(best_path);
-      selection.covered[i] = true;
-    }
+    if (best == kInvalidNode) continue;  // no instance, or none fits
+    tree.Connect(best);
+    selection.covered[i] = true;
   }
   selection.nodes = tree.SortedMembers();
   return selection;
+}
+
+}  // namespace
+
+Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
+                                const std::vector<ItemInstances>& instances,
+                                size_t size_bound) {
+  return Greedy(
+      doc, result_root, instances.size(), size_bound,
+      [&](size_t i) { return std::span<const NodeId>(instances[i].nodes); },
+      [&](size_t i, const SnippetTreeSet& tree) {
+        return std::any_of(instances[i].nodes.begin(), instances[i].nodes.end(),
+                           [&](NodeId n) { return tree.Contains(n); });
+      });
+}
+
+Selection SelectInstances(const XmlDatabase& db, NodeId result_root,
+                          const IList& ilist, size_t size_bound) {
+  std::vector<NodeId> scratch;
+  return Greedy(
+      db.index(), result_root, ilist.size(), size_bound,
+      [&](size_t i) {
+        return ItemInstanceLookup(db, result_root, ilist[i]).Instances(scratch);
+      },
+      [&](size_t i, const SnippetTreeSet& tree) {
+        const ItemInstanceLookup lookup(db, result_root, ilist[i]);
+        const std::span<const NodeId> members = tree.members();
+        return std::any_of(members.begin(), members.end(), [&](NodeId n) {
+          return lookup.IsInstance(n);
+        });
+      });
 }
 
 namespace {
@@ -188,18 +278,10 @@ struct ExactSearch {
     size_t covered_so_far = static_cast<size_t>(
         std::count(covered.begin(), covered.end(), true));
     if (covered_so_far + (instances.size() - item) < best_count) return;
-    if (covered_so_far + (instances.size() - item) == best_count &&
-        tree.edges() >= best_edges) {
-      // Can at most tie on count but never improve edges (adding instances
-      // never removes edges) — still explore only if a tie-break win is
-      // possible; conservatively continue (cheap for the small inputs the
-      // exact solver is documented for).
-    }
 
     // Branch 1..k: cover with each instance (deduplicate by path cost 0:
     // if some instance is already in the tree, covering is free and any
     // other choice is dominated).
-    std::vector<NodeId> path;
     bool free_cover = false;
     for (NodeId inst : instances[item].nodes) {
       if (tree.Contains(inst)) {
@@ -213,11 +295,11 @@ struct ExactSearch {
       covered[item] = false;
       return;  // skipping a freely-covered item is dominated
     }
+    const size_t budget = bound - tree.edges();
     for (NodeId inst : instances[item].nodes) {
-      size_t cost = tree.ConnectCost(inst, &path);
-      if (tree.edges() + cost > bound) continue;
+      if (tree.ConnectCostWithin(inst, budget) > budget) continue;
       const size_t mark = tree.Mark();  // undo log beats copying the tree
-      tree.Commit(path);
+      tree.Connect(inst);
       covered[item] = true;
       Recurse(item + 1);
       covered[item] = false;

@@ -10,11 +10,19 @@
 // eXtract uses a greedy strategy; an exact branch-and-bound solver is
 // provided for small inputs to measure the greedy's approximation quality
 // (experiment E10).
+//
+// The greedy's work follows the edge budget rather than the result: the
+// serving stage (SelectInstances) lists an item's instances only while the
+// budget can still pay for one, walks each toward the tree only as far as
+// it could still win and fit, and once the tree is full decides each
+// remaining item by testing the tree's members against it.
 
 #ifndef EXTRACT_SNIPPET_INSTANCE_SELECTOR_H_
 #define EXTRACT_SNIPPET_INSTANCE_SELECTOR_H_
 
 #include <cstddef>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "index/indexed_document.h"
@@ -31,11 +39,14 @@ struct ItemInstances {
   std::vector<NodeId> nodes;  ///< ascending document order
 };
 
-/// \brief Finds the instances of every IList item in the subtree rooted at
-/// `result_root`. Output is parallel to `ilist.items()`. A keyword item
-/// matches an element whose tag name, or a text node whose text, holds its
-/// case-folded token (ContainsToken) — the matching the inverted index
-/// uses; an empty token matches nothing.
+/// \brief The instances of one IList item inside the result rooted at
+/// `result_root`, read from the database's columns. It answers two
+/// questions, the item's instances and whether a node is one of them, from
+/// the same reads, so the two cannot disagree.
+///
+/// A keyword item matches an element whose tag name, or a text node whose
+/// text, holds its case-folded token (ContainsToken) — the matching the
+/// inverted index uses; an empty token matches nothing.
 ///
 /// No lookup walks the result: keyword items read the token's posting list,
 /// entity names the label's entity column and keys and features the
@@ -44,6 +55,43 @@ struct ItemInstances {
 /// feature item matches an attribute by value id (IListItem::value_id) and
 /// entity label, with no string compare; an item without an id has no
 /// instances.
+class ItemInstanceLookup {
+ public:
+  /// `db` and `item` must outlive the lookup.
+  ItemInstanceLookup(const XmlDatabase& db, NodeId result_root,
+                     const IListItem& item);
+
+  /// The item's instances in ascending document order: a view of the
+  /// entity column for an entity name, else of `scratch`, which it
+  /// overwrites.
+  std::span<const NodeId> Instances(std::vector<NodeId>& scratch) const;
+
+  /// True iff `n`, a node of the result, is one of the item's instances.
+  /// A keyword instance is an element whose posting has the kTagName bit,
+  /// or a text node whose parent's posting has the kTextValue bit and whose
+  /// text holds the token; an entity-name instance is an entity labelled
+  /// the item's label; a key or feature instance is the text of an
+  /// attribute entry (found by binary search) with the item's value id and
+  /// entity label.
+  bool IsInstance(NodeId n) const;
+
+ private:
+  const XmlDatabase& db_;
+  const IListItem& item_;
+  NodeId root_;
+  /// kKeyword: the case-folded token and its postings inside the result.
+  std::string token_;
+  std::span<const NodeId> posting_nodes_;
+  std::span<const PostingSource> posting_sources_;
+  /// kEntityName: the entity column inside the result.
+  std::span<const NodeId> entities_;
+  /// kResultKey / kDominantFeature: the attribute column inside the result.
+  std::span<const AttributeEntry> attributes_;
+};
+
+/// \brief The instances of every IList item in the subtree rooted at
+/// `result_root`, one ItemInstanceLookup per item. Output is parallel to
+/// `ilist.items()`.
 std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
                                              NodeId result_root,
                                              const IList& ilist);
@@ -62,17 +110,35 @@ struct Selection {
   size_t covered_count() const;
 };
 
-/// \brief The paper's greedy algorithm.
+/// \brief The paper's greedy algorithm over explicit instance lists.
 ///
 /// Processes items in IList rank order; for each item picks the instance
 /// with the smallest marginal cost (new edges needed to connect it to the
 /// current tree, counting the instance's own path-to-tree; ties broken
 /// toward document order) and accepts it if the tree then has at most
 /// `size_bound` edges. An item that does not fit is skipped, and cheaper
-/// lower-ranked items are still tried. O(Σ instances × depth).
+/// lower-ranked items are still tried.
+///
+/// The budget bounds the work. An instance's walk toward the tree stops
+/// once it can neither beat the item's best instance so far nor fit, so
+/// each walk is at most `size_bound` - edges + 1 steps. Once the tree holds
+/// `size_bound` edges it cannot change (only an instance already in it
+/// still fits, and committing it adds nothing), so each remaining item is
+/// covered iff one of its instances is a member. Cost: O(Σ instances ×
+/// min(depth, size_bound)) while the budget is open, then O(instances) per
+/// remaining item.
 Selection SelectInstancesGreedy(const IndexedDocument& doc, NodeId result_root,
                                 const std::vector<ItemInstances>& instances,
                                 size_t size_bound);
+
+/// \brief The same greedy over the database's columns — the
+/// instance-selection stage. Lists an item's instances
+/// (ItemInstanceLookup::Instances) only while the budget is open; once the
+/// tree is full, tests its at most `size_bound` + 1 members against each
+/// remaining item (ItemInstanceLookup::IsInstance) instead. Selects exactly
+/// what SelectInstancesGreedy selects over FindItemInstances' lists.
+Selection SelectInstances(const XmlDatabase& db, NodeId result_root,
+                          const IList& ilist, size_t size_bound);
 
 /// \brief Exact maximum coverage by branch-and-bound (small inputs only —
 /// the problem is NP-hard; practical for ~12 items with a handful of

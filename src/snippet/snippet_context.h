@@ -3,17 +3,23 @@
 // All results of one query are summarized against the same database with
 // the same keywords, so everything that depends only on (query,
 // result_root) can be computed once and shared: the per-result feature
-// statistics, the return entity and result key, and the item instances.
-// Each is a lookup over the database's per-label entity and attribute
-// columns (NodeClassification) and its posting lists, clipped to the
-// result's id range, so its cost follows the entities, attributes and
-// keyword matches in the result rather than its node count. Attribute
-// values are counted and matched by their id in the database's value
-// dictionary, never by string compare. SnippetContext
-// memoizes all of them behind a mutex, so one context can be shared by
-// every worker of a parallel batch (snippet/snippet_service.h) — and by
-// repeated calls for the same query, e.g. the shell regenerating snippets
-// at a new size bound.
+// statistics, the return entity and the result key. Each is a lookup over
+// the database's per-label entity and attribute columns
+// (NodeClassification), clipped to the result's id range, so its cost
+// follows the entities and attributes in the result rather than its node
+// count. Attribute values are counted and matched by their id in the
+// database's value dictionary, never by string compare. SnippetContext
+// memoizes all three behind a mutex, so one context can be shared by every
+// worker of a parallel batch (snippet/snippet_service.h) — and by repeated
+// calls for the same query, e.g. the shell regenerating snippets at a new
+// size bound.
+//
+// The IList and the instance selection are not memoized: both depend on
+// the snippet options, and serving sees each root once per context, so a
+// memo would only add a key and a map insert per snippet. The selection
+// looks up an item's instances only while the edge budget is open
+// (snippet/instance_selector.h), which costs less than the lookup a memo
+// would save.
 //
 // Memoized values are deterministic functions of their keys, so sharing a
 // context never changes output, only cost.
@@ -21,17 +27,12 @@
 #ifndef EXTRACT_SNIPPET_SNIPPET_CONTEXT_H_
 #define EXTRACT_SNIPPET_SNIPPET_CONTEXT_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <mutex>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "search/search_engine.h"
 #include "snippet/feature_statistics.h"
-#include "snippet/ilist.h"
-#include "snippet/instance_selector.h"
 #include "snippet/result_key.h"
 #include "snippet/return_entity.h"
 
@@ -65,19 +66,12 @@ class SnippetContext {
   /// ReturnEntityFor internally.
   const ResultKeyInfo& ResultKeyFor(NodeId result_root);
 
-  /// Item instances of `ilist` inside the result (§2.4), memoized per
-  /// (root, IList content) — re-generating at a different size bound reuses
-  /// the lookup, a different feature ordering does not collide.
-  const std::vector<ItemInstances>& InstancesFor(NodeId result_root,
-                                                 const IList& ilist);
-
   /// Cache effectiveness counters (for tests and the benchmarks).
   struct CacheStats {
     size_t hits = 0;
     size_t misses = 0;
   };
   CacheStats statistics_cache() const;
-  CacheStats instances_cache() const;
 
  private:
   const XmlDatabase* db_;
@@ -88,18 +82,8 @@ class SnippetContext {
   std::map<NodeId, FeatureStatistics> statistics_;
   std::map<NodeId, ReturnEntityInfo> return_entities_;
   std::map<NodeId, ResultKeyInfo> result_keys_;
-  std::map<std::pair<NodeId, uint64_t>, std::vector<ItemInstances>>
-      instances_;
   CacheStats statistics_stats_;
-  CacheStats instances_stats_;
 };
-
-/// Order-sensitive content fingerprint of an IList: FNV-1a over every item
-/// field the instance lookup reads (kind, token bytes, entity label,
-/// attribute label and value id; not the value's bytes, which the id names
-/// within the context's document). Collisions are astronomically unlikely
-/// and would only merge two lookups of the same result root.
-uint64_t FingerprintIList(const IList& ilist);
 
 }  // namespace extract
 

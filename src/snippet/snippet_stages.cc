@@ -46,8 +46,7 @@ Status IListStage::Run(SnippetContext& ctx, const SnippetOptions& options,
   const XmlDatabase& db = ctx.db();
   if (draft.feature_override != nullptr) {
     draft.snippet.ilist = BuildIListWithFeatures(
-        db.index(), ctx.query(), draft.result->root,
-        draft.snippet.return_entity, draft.snippet.key,
+        db.index(), ctx.query(), draft.result->root, draft.snippet.key,
         *draft.feature_override, db.classification());
     return Status::OK();
   }
@@ -55,10 +54,9 @@ Status IListStage::Run(SnippetContext& ctx, const SnippetOptions& options,
     return Status::FailedPrecondition(
         "ilist stage requires feature statistics");
   }
-  draft.snippet.ilist = BuildIList(
-      db.index(), ctx.query(), draft.result->root,
-      draft.snippet.return_entity, draft.snippet.key, *draft.statistics,
-      db.classification(), options.features);
+  draft.snippet.ilist = BuildIList(db.index(), ctx.query(), draft.result->root,
+                                   draft.snippet.key, *draft.statistics,
+                                   db.classification(), options.features);
   return Status::OK();
 }
 
@@ -66,11 +64,8 @@ Status InstanceSelectionStage::Run(SnippetContext& ctx,
                                    const SnippetOptions& options,
                                    SnippetDraft& draft) const {
   EXTRACT_RETURN_IF_ERROR(RequireResult(draft));
-  const XmlDatabase& db = ctx.db();
-  draft.instances =
-      &ctx.InstancesFor(draft.result->root, draft.snippet.ilist);
-  draft.selection = SelectInstancesGreedy(db.index(), draft.result->root,
-                                          *draft.instances, options.size_bound);
+  draft.selection = SelectInstances(ctx.db(), draft.result->root,
+                                    draft.snippet.ilist, options.size_bound);
   draft.snippet.nodes = draft.selection.nodes;
   draft.snippet.covered = draft.selection.covered;
   return Status::OK();

@@ -43,9 +43,6 @@ struct SnippetDraft {
   /// Set by the feature-statistics stage; owned by the SnippetContext.
   const FeatureStatistics* statistics = nullptr;
 
-  /// Set by the instance-selection stage; owned by the SnippetContext.
-  const std::vector<ItemInstances>* instances = nullptr;
-
   /// Set by the instance-selection stage.
   Selection selection;
 };
@@ -100,7 +97,9 @@ class IListStage : public SnippetStage {
              SnippetDraft& draft) const override;
 };
 
-/// Finds item instances (memoized) and runs the greedy selector (§2.4).
+/// Runs the greedy selector (§2.4) over the database's columns: an item's
+/// instances are looked up only while the edge budget can still pay for
+/// one, and the full tree's members are tested against the rest.
 class InstanceSelectionStage : public SnippetStage {
  public:
   std::string_view name() const override { return "instance-selection"; }

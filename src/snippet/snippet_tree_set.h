@@ -1,6 +1,6 @@
 // Incremental snippet tree membership for the instance selectors (§2.4):
 // the set of selected node ids, closed under parents and seeded with the
-// result root, supporting "cost to connect" and "commit path" in O(path
+// result root, supporting "cost to connect" and "connect" in O(path
 // length).
 //
 // This is the measured hot path of greedy selection (BENCH_e7.json /
@@ -9,7 +9,10 @@
 // the set is an epoch-stamped flat array indexed by (id - root). Every
 // operation the selectors need is branch-light:
 //
-//   * Contains / ConnectCost — one array load per node, no hashing;
+//   * Contains / ConnectCostWithin / Connect — one array load per node,
+//     no hashing, and no path built; ConnectCostWithin stops walking once
+//     the cost passes a limit, which is what bounds the selectors' walks
+//     by the edge budget;
 //   * Reset — O(1) amortized: bumping the epoch invalidates every stamp at
 //     once, so a reused set (the greedy selector keeps one per thread)
 //     never re-zeroes the array;
@@ -23,6 +26,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "index/indexed_document.h"
@@ -68,34 +72,32 @@ class SnippetTreeSet {
     return stamp_[static_cast<size_t>(n - root_)] == epoch_;
   }
 
-  /// Number of new edges needed to include `n`; fills `path` with the nodes
-  /// to add (n and its not-yet-selected ancestors). Requires n to be in the
-  /// result subtree.
-  size_t ConnectCost(NodeId n, std::vector<NodeId>* path) const {
-    path->clear();
-    NodeId cur = n;
-    while (!Contains(cur)) {
-      path->push_back(cur);
-      cur = doc_->parent(cur);
-      assert(cur != kInvalidNode && "instance outside the result subtree");
+  /// Number of new edges needed to include `n` (n and its not-yet-selected
+  /// ancestors), walking at most `limit` + 1 nodes: the cost if it is at
+  /// most `limit`, else `limit` + 1. Requires n to be in the result
+  /// subtree.
+  size_t ConnectCostWithin(NodeId n, size_t limit) const {
+    size_t cost = 0;
+    for (NodeId cur = n; !Contains(cur); cur = doc_->parent(cur)) {
+      if (cost++ == limit) break;
     }
-    return path->size();
+    return cost;
   }
 
-  void Commit(const std::vector<NodeId>& path) {
-    for (NodeId n : path) {
-      uint32_t& stamp = stamp_[static_cast<size_t>(n - root_)];
-      if (stamp == epoch_) continue;  // tolerated: already a member
-      stamp = epoch_;
-      members_.push_back(n);
+  /// Adds `n` and its not-yet-selected ancestors (nothing if `n` is
+  /// already a member).
+  void Connect(NodeId n) {
+    for (NodeId cur = n; !Contains(cur); cur = doc_->parent(cur)) {
+      stamp_[static_cast<size_t>(cur - root_)] = epoch_;
+      members_.push_back(cur);
     }
   }
 
   /// Checkpoint for RollbackTo. Only additions can happen in between.
   size_t Mark() const { return members_.size(); }
 
-  /// Undoes every Commit since `mark` was taken (the member list is the
-  /// undo log: commits only append).
+  /// Undoes every Connect since `mark` was taken (the member list is the
+  /// undo log: Connect only appends).
   void RollbackTo(size_t mark) {
     assert(mark >= 1 && mark <= members_.size() && "invalid rollback mark");
     while (members_.size() > mark) {
@@ -110,6 +112,9 @@ class SnippetTreeSet {
     std::sort(out.begin(), out.end());
     return out;
   }
+
+  /// Members in insertion order, the root first.
+  std::span<const NodeId> members() const { return members_; }
 
   size_t size() const { return members_.size(); }
   size_t edges() const { return members_.size() - 1; }

@@ -32,7 +32,7 @@ Ctx BuildFor(std::string xml, const std::string& query_text,
       IdentifyReturnEntity(db->index(), db->classification(), query, root);
   ResultKeyInfo key = IdentifyResultKey(db->index(), db->classification(),
                                         db->keys(), entity, root);
-  IList ilist = BuildIList(db->index(), query, root, entity, key, stats,
+  IList ilist = BuildIList(db->index(), query, root, key, stats,
                            db->classification(), features);
   return Ctx{std::move(*db), std::move(query), root, std::move(ilist)};
 }

@@ -3,10 +3,13 @@
 // index's posting lists, clipped to the result's id range. This suite keeps
 // the linear scans those lookups replaced as its reference — each walks
 // every node of the result subtree — and requires the lookups to agree with
-// them on every result root tried: item instances, feature statistics
-// (types and counts), the return entity (label, instances, evidence) and
-// the IList's entity-name set. It repeats every comparison on a snapshot
-// round trip, where the columns are rebuilt by NodeClassification::Restore.
+// them on every result root tried: item instances and the membership test
+// (ItemInstanceLookup::IsInstance) on every node, feature statistics (types
+// and counts), the return entity (label, instances, evidence) and the
+// IList's entity-name set. The stage's budget-aware instance selection must
+// select what the plain greedy selects over the scanned instances, at
+// bounds from 0 to 64. It repeats every comparison on a snapshot round
+// trip, where the columns are rebuilt by NodeClassification::Restore.
 //
 // Values are counted, ranked and matched by their id in the document's
 // value dictionary. The reference counts and ranks by string instead (the
@@ -98,6 +101,37 @@ std::vector<ItemInstances> ScanItemInstances(
       }
     }
   }
+  return out;
+}
+
+// The paper's greedy as first written: every instance of every item is
+// walked to the tree in full, and an item is accepted iff its cheapest
+// instance (the first in document order on a tie) fits the budget.
+Selection ReferenceGreedy(const IndexedDocument& doc, NodeId root,
+                          const std::vector<ItemInstances>& instances,
+                          size_t bound) {
+  std::set<NodeId> tree = {root};
+  Selection out;
+  out.covered.assign(instances.size(), false);
+  for (size_t i = 0; i < instances.size(); ++i) {
+    std::vector<NodeId> best_path;
+    bool found = false;
+    for (NodeId instance : instances[i].nodes) {
+      std::vector<NodeId> path;
+      for (NodeId cur = instance; tree.count(cur) == 0; cur = doc.parent(cur)) {
+        path.push_back(cur);
+      }
+      if (!found || path.size() < best_path.size()) {
+        best_path = path;
+        found = true;
+      }
+    }
+    if (found && tree.size() - 1 + best_path.size() <= bound) {
+      tree.insert(best_path.begin(), best_path.end());
+      out.covered[i] = true;
+    }
+  }
+  out.nodes.assign(tree.begin(), tree.end());
   return out;
 }
 
@@ -325,8 +359,7 @@ void ExpectLookupsMatchScans(const XmlDatabase& db, NodeId root,
   // The IList's entity names: with no keyword, key or feature nothing else
   // enters the list and nothing is deduplicated away.
   const IList names_only = BuildIListWithFeatures(
-      doc, Query{}, root, ReturnEntityInfo{}, ResultKeyInfo{}, {},
-      classification);
+      doc, Query{}, root, ResultKeyInfo{}, {}, classification);
   std::map<std::string, LabelId> names;
   for (const IListItem& item : names_only.items()) {
     ASSERT_EQ(item.kind, IListItemKind::kEntityName);
@@ -351,7 +384,8 @@ void ExpectLookupsMatchScans(const XmlDatabase& db, NodeId root,
     for (bool normalize : {true, false}) {
       DominantFeatureOptions features;
       features.normalize = normalize;
-      const IList ilist = BuildIList(doc, query, root, entity, key, stats,
+      SCOPED_TRACE(normalize ? "dominance ranking" : "raw count ranking");
+      const IList ilist = BuildIList(doc, query, root, key, stats,
                                      classification, features);
       const std::vector<ItemInstances> found =
           FindItemInstances(db, root, ilist);
@@ -362,6 +396,27 @@ void ExpectLookupsMatchScans(const XmlDatabase& db, NodeId root,
         ASSERT_EQ(found[i].nodes, expected[i].nodes)
             << "item " << i << " '" << ilist[i].display << "' ("
             << IListItemKindToString(ilist[i].kind) << ")";
+        // The membership test the selection asks of a full tree.
+        const ItemInstanceLookup lookup(db, root, ilist[i]);
+        for (NodeId n = root; n < doc.subtree_end(root); ++n) {
+          ASSERT_EQ(lookup.IsInstance(n),
+                    std::binary_search(expected[i].nodes.begin(),
+                                       expected[i].nodes.end(), n))
+              << "node " << n << ", item " << i << " '" << ilist[i].display
+              << "' (" << IListItemKindToString(ilist[i].kind) << ")";
+        }
+      }
+      // The stage's budget-aware selection is the greedy over the reference
+      // lists, and both are the plain greedy's.
+      for (size_t bound : {0u, 1u, 2u, 3u, 5u, 10u, 25u, 64u}) {
+        const Selection selected = SelectInstances(db, root, ilist, bound);
+        const Selection greedy =
+            SelectInstancesGreedy(doc, root, expected, bound);
+        const Selection reference = ReferenceGreedy(doc, root, expected, bound);
+        ASSERT_EQ(greedy.nodes, reference.nodes) << "bound " << bound;
+        ASSERT_EQ(greedy.covered, reference.covered) << "bound " << bound;
+        ASSERT_EQ(selected.nodes, reference.nodes) << "bound " << bound;
+        ASSERT_EQ(selected.covered, reference.covered) << "bound " << bound;
       }
     }
   }

@@ -1,15 +1,17 @@
 // Pins SnippetTreeSet semantics across the hot-path rewrite: the
 // epoch-stamped flat-array implementation must behave exactly like the
 // original unordered_set-based tree set (kept here as the reference model)
-// for every operation the selectors perform — ConnectCost, Commit,
-// Contains, SortedMembers — plus the Mark/RollbackTo undo log that replaced
-// whole-tree copies in the exact solver, and the epoch-based Reset that
-// lets one set be reused across selections.
+// for every operation the selectors perform — ConnectCostWithin (the
+// reference's ConnectCost, capped), Connect (its Commit of that path),
+// Contains, SortedMembers and members() — plus the Mark/RollbackTo undo log
+// that replaced whole-tree copies in the exact solver, and the epoch-based
+// Reset that lets one set be reused across selections.
 
 #include "snippet/snippet_tree_set.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -91,17 +93,22 @@ TEST(SnippetTreeSetTest, MatchesReferenceOnRandomizedOperations) {
     ReferenceTreeSet reference(doc, root);
     SnippetTreeSet actual(doc, root);
 
-    std::vector<NodeId> ref_path, actual_path;
+    std::vector<NodeId> path;
+    std::vector<NodeId> inserted = {root};
     for (int op = 0; op < 200; ++op) {
       NodeId n = static_cast<NodeId>(rng.Uniform(doc.num_nodes()));
       EXPECT_EQ(reference.Contains(n), actual.Contains(n)) << "node " << n;
-      size_t ref_cost = reference.ConnectCost(n, &ref_path);
-      size_t actual_cost = actual.ConnectCost(n, &actual_path);
-      EXPECT_EQ(ref_cost, actual_cost) << "node " << n;
-      EXPECT_EQ(ref_path, actual_path) << "node " << n;
+      // ConnectCostWithin is the reference cost capped at limit + 1.
+      const size_t cost = reference.ConnectCost(n, &path);
+      for (size_t limit = 0; limit <= cost + 1; ++limit) {
+        EXPECT_EQ(actual.ConnectCostWithin(n, limit),
+                  std::min(cost, limit + 1))
+            << "node " << n << " limit " << limit;
+      }
       if (rng.Uniform(2) == 0) {
-        reference.Commit(ref_path);
-        actual.Commit(actual_path);
+        reference.Commit(path);
+        actual.Connect(n);
+        inserted.insert(inserted.end(), path.begin(), path.end());
       }
       if (op % 17 == 0) {
         ExpectSameState(reference, actual,
@@ -110,6 +117,10 @@ TEST(SnippetTreeSetTest, MatchesReferenceOnRandomizedOperations) {
       }
     }
     ExpectSameState(reference, actual, "seed " + std::to_string(seed));
+    // Connect appends the reference's path, in walk order.
+    EXPECT_EQ(
+        std::vector<NodeId>(actual.members().begin(), actual.members().end()),
+        inserted);
   }
 }
 
@@ -119,13 +130,10 @@ TEST(SnippetTreeSetTest, RollbackRestoresTheMarkedState) {
     const IndexedDocument& doc = db.index();
     Rng rng(seed * 31 + 7);
     SnippetTreeSet tree(doc, 0);
-    std::vector<NodeId> path;
 
     // Grow a base tree.
     for (int i = 0; i < 5; ++i) {
-      tree.ConnectCost(static_cast<NodeId>(rng.Uniform(doc.num_nodes())),
-                       &path);
-      tree.Commit(path);
+      tree.Connect(static_cast<NodeId>(rng.Uniform(doc.num_nodes())));
     }
     const std::vector<NodeId> base_members = tree.SortedMembers();
     const size_t base_edges = tree.edges();
@@ -136,9 +144,7 @@ TEST(SnippetTreeSetTest, RollbackRestoresTheMarkedState) {
     for (int branch = 0; branch < 8; ++branch) {
       const size_t mark = tree.Mark();
       for (int i = 0; i < 3; ++i) {
-        tree.ConnectCost(static_cast<NodeId>(rng.Uniform(doc.num_nodes())),
-                         &path);
-        tree.Commit(path);
+        tree.Connect(static_cast<NodeId>(rng.Uniform(doc.num_nodes())));
       }
       tree.RollbackTo(mark);
     }
@@ -166,7 +172,7 @@ TEST(SnippetTreeSetTest, ResetReusesTheSetAcrossDocumentsAndRoots) {
   // reference every time. This is what exercises the epoch stamping: stale
   // stamps from earlier selections must never leak into later ones.
   SnippetTreeSet reused;
-  std::vector<NodeId> ref_path, actual_path;
+  std::vector<NodeId> ref_path;
   for (uint64_t round = 1; round <= 30; ++round) {
     XmlDatabase db = RandomTree(round % 7 + 1);
     const IndexedDocument& doc = db.index();
@@ -181,12 +187,11 @@ TEST(SnippetTreeSetTest, ResetReusesTheSetAcrossDocumentsAndRoots) {
     for (int op = 0; op < 40; ++op) {
       NodeId n = root + static_cast<NodeId>(rng.Uniform(
                             static_cast<size_t>(end - root)));
-      EXPECT_EQ(reference.ConnectCost(n, &ref_path),
-                reused.ConnectCost(n, &actual_path));
-      EXPECT_EQ(ref_path, actual_path);
+      const size_t cost = reference.ConnectCost(n, &ref_path);
+      EXPECT_EQ(reused.ConnectCostWithin(n, cost), cost);
       if (rng.Uniform(3) != 0) {
         reference.Commit(ref_path);
-        reused.Commit(actual_path);
+        reused.Connect(n);
       }
     }
     EXPECT_EQ(reference.SortedMembers(), reused.SortedMembers())
@@ -194,15 +199,15 @@ TEST(SnippetTreeSetTest, ResetReusesTheSetAcrossDocumentsAndRoots) {
   }
 }
 
-TEST(SnippetTreeSetTest, CommitToleratesAlreadySelectedNodes) {
+TEST(SnippetTreeSetTest, ConnectingAMemberAddsNothing) {
   XmlDatabase db = RandomTree(3);
   const IndexedDocument& doc = db.index();
   SnippetTreeSet tree(doc, 0);
-  std::vector<NodeId> path;
-  tree.ConnectCost(static_cast<NodeId>(doc.num_nodes() - 1), &path);
-  tree.Commit(path);
+  const NodeId last = static_cast<NodeId>(doc.num_nodes() - 1);
+  tree.Connect(last);
   const size_t edges = tree.edges();
-  tree.Commit(path);  // re-committing the same path must not double-count
+  EXPECT_EQ(tree.ConnectCostWithin(last, 0), 0u);
+  tree.Connect(last);  // connecting a member again must not double-count
   EXPECT_EQ(tree.edges(), edges);
 }
 
