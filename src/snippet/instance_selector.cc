@@ -137,6 +137,14 @@ std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
 
 namespace {
 
+// One tree set per thread, reused across selections: Reset is O(1) via the
+// epoch stamp, so a batch generating thousands of snippets allocates the
+// membership array once per worker instead of once per result.
+SnippetTreeSet& ThreadTreeSet() {
+  static thread_local SnippetTreeSet tree;
+  return tree;
+}
+
 // The paper's greedy, written once over an instance source:
 // `instances(i)` lists item i's instances in ascending document order, and
 // `frozen_covers(i, tree)` tells whether one of the full tree's members is
@@ -145,10 +153,7 @@ template <typename Instances, typename FrozenCovers>
 Selection Greedy(const IndexedDocument& doc, NodeId result_root,
                  size_t num_items, size_t size_bound, Instances instances,
                  FrozenCovers frozen_covers) {
-  // One tree set per thread, reused across selections: Reset is O(1) via
-  // the epoch stamp, so a batch generating thousands of snippets allocates
-  // the membership array once per worker instead of once per result.
-  static thread_local SnippetTreeSet tree;
+  SnippetTreeSet& tree = ThreadTreeSet();
   tree.Reset(doc, result_root);
 
   Selection selection;
