@@ -365,8 +365,7 @@ void WriteCacheBenchJson(const std::string& path) {
 
 // ---------------------------------------------------------------------------
 // BENCH_search.json: corpus search (the SearchAll document loop) over a
-// multi-document synthetic corpus, plus the single-huge-document partition
-// sweep.
+// multi-document synthetic corpus and over one huge document.
 
 void WriteSearchBenchJson(const std::string& path) {
   // Sized so per-document search+rank work dominates per-call overhead.
@@ -410,11 +409,7 @@ void WriteSearchBenchJson(const std::string& path) {
   json.Key("sequential_us").Value(sequential_us);
 
   // -------------------------------------------------------------------
-  // The single-huge-document scenario: one document, 100k+ nodes — the
-  // case intra-document index partitions exist for.
-  // `partitions=1` (an engine pinned to one thread) is the reference; the
-  // partition-parallel engine must produce identical pages and, on a
-  // multi-core runner, a >= 2x end-to-end speedup at 4 threads.
+  // The single-huge-document scenario: one document, 100k+ nodes.
   bench::SyntheticCorpusOptions huge_options;
   huge_options.num_documents = 1;
   huge_options.levels = 3;
@@ -427,92 +422,32 @@ void WriteSearchBenchJson(const std::string& path) {
   // Broad hand-picked queries (frequent generator values and the leaf
   // entity tag): driving posting lists thousands of entries long and
   // result pages in the hundreds-to-thousands — the regime where the SLCA
-  // candidate loop and the match-attachment copies dominate, i.e. exactly
-  // the work the partition fan-out spreads. Random workloads here draw
-  // mid-frequency keywords whose lists are a few dozen entries, which
-  // under-measures the partitioned path by two orders of magnitude.
+  // candidate loop and the match-attachment copies dominate. Random
+  // workloads here draw mid-frequency keywords whose lists are a few dozen
+  // entries.
   std::vector<Query> huge_workload;
   for (const char* text : {"v20r0 v21r0 v22r0", "e2 v20r0 v21r0",
                            "v20r0 v20r1 v21r1", "e1 v10r0 v20r0"}) {
     huge_workload.push_back(Query::Parse(text));
   }
-
-  auto huge_pass = [&](const XSeekEngine& engine, size_t* total_hits) {
+  size_t huge_hits = 0;
+  double huge_sequential_us = bench::MeasureMicros([&] {
     size_t total = 0;
     for (const Query& q : huge_workload) {
-      auto results = huge_corpus.SearchAll(q, engine, RankingOptions{},
-                                           CorpusServingOptions{});
+      auto results = huge_corpus.SearchAll(q, engine);
       benchmark::DoNotOptimize(results);
       if (results.ok()) total += results->size();
     }
-    if (total_hits != nullptr) *total_hits = total;
-  };
-
-  SearchOptions huge_seq_options;
-  huge_seq_options.partition_threads = 1;  // the partitions=1 reference
-  XSeekEngine huge_seq_engine(huge_seq_options);
-  size_t huge_hits = 0;
-  double huge_sequential_us =
-      bench::MeasureMicros([&] { huge_pass(huge_seq_engine, &huge_hits); });
-
-  // Identity cross-check: partition-parallel pages must match the
-  // partitions=1 pages exactly (the test suite pins this byte-level; the
-  // bench re-checks so a fast-but-wrong run can never look good).
-  bool huge_identical = true;
-  {
-    SearchOptions par_options;
-    par_options.partition_threads = 4;
-    XSeekEngine par_engine(par_options);
-    for (const Query& q : huge_workload) {
-      auto seq = huge_corpus.SearchAll(q, huge_seq_engine, RankingOptions{},
-                                       CorpusServingOptions{});
-      auto par = huge_corpus.SearchAll(q, par_engine, RankingOptions{},
-                                       CorpusServingOptions{});
-      if (!seq.ok() || !par.ok() || seq->size() != par->size()) {
-        huge_identical = false;
-        break;
-      }
-      for (size_t i = 0; i < seq->size(); ++i) {
-        if ((*seq)[i].document != (*par)[i].document ||
-            (*seq)[i].result.root != (*par)[i].result.root ||
-            (*seq)[i].score != (*par)[i].score) {
-          huge_identical = false;
-          break;
-        }
-      }
-    }
-  }
-  if (!huge_identical) {
-    std::fprintf(stderr,
-                 "partition-parallel search diverged from partitions=1!\n");
-  }
+    huge_hits = total;
+  });
 
   json.Key("single_huge_document").BeginObject();
   json.Key("documents").Value(huge_options.num_documents);
   json.Key("xml_bytes").Value(huge_xml_bytes);
   json.Key("nodes").Value(huge_db->index().num_nodes());
-  json.Key("index_partitions").Value(huge_db->partitions().count());
   json.Key("queries").Value(huge_workload.size());
   json.Key("hits").Value(huge_hits);
-  json.Key("results_identical_to_partitions1")
-      .Value(static_cast<size_t>(huge_identical ? 1 : 0));
-  json.Key("partitions1_us").Value(huge_sequential_us);
-  json.Key("partitioned").BeginArray();
-  for (size_t threads : {1, 2, 4, 8}) {
-    SearchOptions par_options;
-    par_options.partition_threads = threads;
-    XSeekEngine par_engine(par_options);
-    bench::LatencyPercentiles pct = bench::MeasurePercentilesMicros(
-        [&] { huge_pass(par_engine, nullptr); }, 9);
-    double us = pct.min_us;
-    json.BeginObject();
-    json.Key("threads").Value(threads);
-    json.Key("us").Value(us);
-    bench::WritePercentiles(json, pct);
-    json.Key("speedup").Value(us > 0.0 ? huge_sequential_us / us : 0.0);
-    json.EndObject();
-  }
-  json.EndArray();
+  json.Key("sequential_us").Value(huge_sequential_us);
   json.EndObject();
   json.EndObject();
 

@@ -117,9 +117,6 @@ struct SyntheticCorpusOptions {
   size_t domain_size = 24;
   double zipf_skew = 1.1;
   uint64_t seed = 1;
-  /// Per-document load options (e.g. index partitioning for the
-  /// single-huge-document scenario).
-  LoadOptions load;
 };
 
 /// \brief Generates `num_documents` random documents into one corpus,
@@ -144,7 +141,7 @@ inline XmlCorpus MakeSyntheticCorpus(const SyntheticCorpusOptions& options,
     if (total_xml_bytes != nullptr) *total_xml_bytes += data.xml.size();
     char name[16];
     std::snprintf(name, sizeof(name), "doc%02zu", d);
-    Status status = corpus.AddDocument(name, data.xml, options.load);
+    Status status = corpus.AddDocument(name, data.xml);
     if (!status.ok()) {
       std::fprintf(stderr, "fatal: %s\n", status.ToString().c_str());
       std::abort();

@@ -12,7 +12,7 @@ current (matched by its JSON path):
     baseline by more than the tolerance;
   * keys ending in `_per_s` or named `speedup` are throughputs — warn when
     current falls below baseline by more than the tolerance;
-  * every `results_identical*` key (`results_identical_to_partitions1`,
+  * every `results_identical*` key (`results_identical_topk`,
     `results_identical_http`, ...) and every `constraint_*` key (e.g.
     `constraint_ttfs_below_batch`: a stream's first snippet must beat its
     own collector) must stay 1 — correctness, not perf. Such a key present

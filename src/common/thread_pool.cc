@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <exception>
 #include <memory>
 #include <utility>
 
@@ -13,10 +12,7 @@ namespace extract {
 
 namespace {
 
-/// True on any ThreadPool worker thread. A ParallelFor issued from pool-run
-/// work must not block a worker waiting on helper tasks that may be queued
-/// behind other blocked workers (classic pool self-deadlock when every
-/// worker is a waiter), so it degrades to the inline loop instead.
+/// True on any ThreadPool worker thread (see OnPoolWorker).
 thread_local bool on_pool_worker = false;
 
 }  // namespace
@@ -147,107 +143,6 @@ ThreadPool& SharedThreadPool() {
   return *pool;
 }
 
-namespace {
-
-/// True while a non-worker caller is working through its own ParallelFor
-/// indices: a nested ParallelFor issued by fn on the calling thread runs
-/// inline rather than fanning out again. (Work running on pool workers —
-/// ParallelFor helpers included — is covered by on_pool_worker.)
-thread_local bool in_parallel_region = false;
-
-}  // namespace
-
-namespace {
-
-/// The shared state of one parallel region. Heap-owned (shared_ptr) by the
-/// caller and every helper task, so the caller may return — or unwind — as
-/// soon as all *indices* are done, even while late-scheduled helpers are
-/// still queued on the pool: they wake against valid heap state, find no
-/// indices left, and drop their reference.
-struct ParallelRegion {
-  ParallelRegion(size_t n, std::function<void(size_t)> fn)
-      : n(n), fn(std::move(fn)) {}
-
-  const size_t n;
-  const std::function<void(size_t)> fn;  ///< owned: outlives caller's copy
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t completed = 0;  ///< indices fully executed; guarded by mu
-  /// First exception thrown by fn, rethrown on the calling thread after
-  /// every index has finished. The library is exception-free by design,
-  /// but a throwing fn must never let the caller unwind while helpers
-  /// still run against its stack frame (fn captures caller locals by
-  /// reference), and must not escape into a pool worker's loop.
-  std::exception_ptr error;  ///< guarded by mu
-
-  /// Claims and runs indices until none remain, then accounts for them.
-  void Work() {
-    size_t ran = 0;
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-      ++ran;
-    }
-    if (ran == 0) return;
-    // Notify under the lock: the waiter re-checks under mu, and cannot
-    // release its (shared) ownership of this state before we unlock.
-    std::lock_guard<std::mutex> lock(mu);
-    completed += ran;
-    if (completed == n) done_cv.notify_one();
-  }
-};
-
-}  // namespace
-
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn) {
-  if (num_threads == 0) num_threads = ThreadPool::ConfiguredThreads();
-  num_threads = std::min(num_threads, n);
-  if (num_threads <= 1 || in_parallel_region || on_pool_worker) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  auto region = std::make_shared<ParallelRegion>(n, fn);
-  ThreadPool& pool = SharedThreadPool();
-  for (size_t w = 0; w + 1 < num_threads; ++w) {
-    pool.Submit([region] { region->Work(); });
-  }
-  // The caller is a worker too; it waits for index completion, not helper
-  // scheduling, so a busy pool queue cannot stall a region the caller
-  // finished on its own. Work() contains any exception from fn inside the
-  // region (so the caller cannot unwind past this wait while helpers still
-  // reference its frame); the first one is rethrown below, after every
-  // index has finished.
-  struct RegionFlag {
-    RegionFlag() { in_parallel_region = true; }
-    ~RegionFlag() { in_parallel_region = false; }
-  };
-  {
-    RegionFlag flag;
-    region->Work();
-  }
-  std::unique_lock<std::mutex> lock(region->mu);
-  region->done_cv.wait(lock, [&] { return region->completed == n; });
-  if (region->error) std::rethrow_exception(region->error);
-}
-
-void ParallelForChunked(size_t n, size_t num_threads,
-                        const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  const size_t width =
-      num_threads == 0 ? ThreadPool::ConfiguredThreads() : num_threads;
-  const size_t chunks = std::min(n, std::max<size_t>(1, width * 4));
-  ParallelFor(chunks, num_threads, [&](size_t c) {
-    fn(c * n / chunks, (c + 1) * n / chunks);
-  });
-}
-
-bool InParallelRegion() { return on_pool_worker || in_parallel_region; }
+bool OnPoolWorker() { return on_pool_worker; }
 
 }  // namespace extract

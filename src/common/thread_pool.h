@@ -1,13 +1,12 @@
-// A small fixed-size thread pool plus a ParallelFor helper, the concurrency
-// substrate of batch snippet generation (snippet/snippet_service.h) and any
-// future sharded/batched serving path.
+// A small fixed-size thread pool plus cancellable task groups, the
+// concurrency substrate of streamed snippet serving (snippet/snippet_stream.h),
+// which batch snippet generation and every streamed page run on.
 //
 // Design constraints, in keeping with the rest of the library:
 //   * exception-free — tasks are plain std::function<void()>; fallible work
 //     communicates through Status values captured by the closure;
-//   * deterministic call sites — ParallelFor(n, fn) invokes fn(i) exactly
-//     once for every i in [0, n); callers write results into pre-sized
-//     slots, so output ordering never depends on scheduling.
+//   * deterministic call sites — tasks write results into pre-sized slots,
+//     so output ordering never depends on scheduling.
 
 #ifndef EXTRACT_COMMON_THREAD_POOL_H_
 #define EXTRACT_COMMON_THREAD_POOL_H_
@@ -48,7 +47,7 @@ class ThreadPool {
   static size_t HardwareThreads();
 
   /// \brief Worker count SharedThreadPool() is (or would be) built with,
-  /// and the width a ParallelFor with num_threads == 0 fans out to.
+  /// and the width a snippet stream with num_threads == 0 fans out to.
   ///
   /// Defaults to HardwareThreads(); the EXTRACT_POOL_THREADS environment
   /// variable overrides it (clamped to [1, 512]) so bench runs on shared /
@@ -123,9 +122,8 @@ class TaskGroup {
 
 /// \brief The process-wide serving pool: ConfiguredThreads() workers,
 /// created lazily on first use and never torn down (serving paths outlive
-/// any scoped owner). ParallelFor fans out on this pool, so per-query
-/// parallel work (partition-parallel search, batch snippet generation,
-/// snippet-stream workers) pays a task submit, not a thread spawn.
+/// any scoped owner). Snippet-stream workers run on this pool, so a
+/// request's parallel work pays a task submit, not a thread spawn.
 ThreadPool& SharedThreadPool();
 
 /// \brief Parses an EXTRACT_POOL_THREADS-style value: digits only, clamped
@@ -134,44 +132,10 @@ ThreadPool& SharedThreadPool();
 /// without re-creating the process-wide pool.
 size_t ParsePoolThreadsOverride(const char* value);
 
-/// \brief Invokes fn(i) for every i in [0, n), using up to `num_threads`
-/// workers (0 = ConfiguredThreads(): one per hardware core unless
-/// EXTRACT_POOL_THREADS overrides it). With one effective worker — or
-/// n <= 1 — runs inline on the calling thread, with no pool involvement.
-///
-/// Parallel runs execute on SharedThreadPool(): the calling thread works
-/// through indices alongside up to num_threads - 1 pool workers and returns
-/// only when every index is done. A ParallelFor issued from any pool-run
-/// work — a nested call inside fn, or a task submitted to a pool directly —
-/// runs inline on its caller instead: work still completes exactly once,
-/// and a pool can never deadlock on workers waiting for queued helpers.
-///
-/// Indices are handed out dynamically (an atomic cursor), so uneven
-/// per-index cost balances across workers. fn must be safe to call
-/// concurrently from multiple threads for distinct i.
-///
-/// The library is exception-free by design, but a throwing fn is contained:
-/// every index still runs, the caller returns only after all of them
-/// finished (so helpers never outlive the caller's stack frame), and the
-/// first exception is rethrown on the calling thread.
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn);
-
-/// \brief Invokes fn(begin, end) over contiguous chunks covering [0, n) in
-/// parallel — for loops whose per-element work (an ancestor walk, a couple
-/// of binary searches) is far too small for one ParallelFor index each.
-/// A few chunks per worker (so uneven chunk cost still balances), same
-/// num_threads semantics as ParallelFor. Chunk boundaries must never
-/// affect output: callers write each element to its own pre-sized slot.
-void ParallelForChunked(size_t n, size_t num_threads,
-                        const std::function<void(size_t, size_t)>& fn);
-
-/// \brief True when the calling thread is a pool worker or is inside a
-/// ParallelFor region — the contexts where a further parallel fan-out would
-/// run inline anyway. Streaming sessions use this to fall back to lazy
-/// inline production instead of submitting helpers that could stall behind
-/// the caller's own pool task.
-bool InParallelRegion();
+/// \brief True when the calling thread is a pool worker. Streaming
+/// sessions opened there produce lazily inline instead of submitting
+/// helpers that could stall behind the caller's own pool task.
+bool OnPoolWorker();
 
 }  // namespace extract
 

@@ -167,11 +167,11 @@ namespace internal {
 /// best buffered hit (the front) — allowed exactly when no open producer's
 /// bound and no unopened candidate's bound could still place a hit before
 /// it under the page order — or does the work blocking that release:
-/// opening the best-bound candidates, or pulling one chunk from the
-/// blocking producers (with nothing buffered at all, from whichever holds
-/// the highest bound). Because releases happen in the page order and the
-/// bound test is conservative on ties, the released sequence is precisely
-/// the k-prefix of SearchAll's merged page.
+/// opening the best-bound candidates, or pulling the blocking producers
+/// once (with nothing buffered at all, the one that holds the highest
+/// bound). Because releases happen in the page order and the bound test is
+/// conservative on ties, the released sequence is precisely the k-prefix
+/// of SearchAll's merged page.
 ///
 /// Candidates: documents with a finite directory score bound (snapshot
 /// documents, see CorpusView::MatchingDocs) wait unopened — not faulted in
@@ -509,8 +509,8 @@ class TopKCoordinator {
     PullLocked();
   }
 
-  /// Pulls one chunk from each producer of pull_set_ in turn; a failed
-  /// pull ends the round and resolves the search's error.
+  /// Pulls each producer of pull_set_ once, in turn; a failed pull ends the
+  /// round and resolves the search's error.
   void PullLocked() {
     ++pull_rounds_;
     const auto pull_start = std::chrono::steady_clock::now();
@@ -626,12 +626,11 @@ class TopKCoordinator {
 
 }  // namespace internal
 
-Status XmlCorpus::AddDocument(const std::string& name, std::string_view xml,
-                              const LoadOptions& options) {
+Status XmlCorpus::AddDocument(const std::string& name, std::string_view xml) {
   // Parse and index outside the writer lock: loading is the expensive part
   // of a mutation, and nothing serving-visible happens until AddDatabase
   // publishes. A malformed document fails here with nothing published.
-  auto db = XmlDatabase::Load(xml, options);
+  auto db = XmlDatabase::Load(xml);
   EXTRACT_RETURN_IF_ERROR(db.status());
   return AddDatabase(name, std::move(*db));
 }

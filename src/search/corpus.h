@@ -41,8 +41,7 @@
 // stable sort), and SearchTopK is the incremental threshold merge that
 // settles the first k entries of that same page with early termination.
 // Blocking SearchTopK and page-gated ServeQuery run that merge with one
-// pull schedule on one thread at a time; intra-document parallelism is
-// the engine's own (index partitions, see SearchOptions::partition_threads).
+// pull schedule on one thread at a time.
 // Per-stage serving time (search plus every snippet pipeline stage)
 // accumulates into a StageStatsRegistry for production observability (the
 // shell's `stats` command).
@@ -120,9 +119,9 @@ struct ResolvedDocument {
 };
 
 /// \brief The immutable snapshot one query serves against: the document
-/// table (names -> loaded databases, with their inverted indexes and
-/// partitions) at one epoch. Published atomically by corpus mutators;
-/// pinned by readers via CorpusPin.
+/// table (names -> loaded databases, with their inverted indexes) at one
+/// epoch. Published atomically by corpus mutators; pinned by readers via
+/// CorpusPin.
 ///
 /// The table has two layers. `documents` is the in-memory overlay — every
 /// AddDocument/AddDatabase registration. Underneath it, an optional
@@ -208,7 +207,7 @@ struct TopKSearchStats {
   /// Incremental producers opened (one per opened document; a snapshot
   /// document whose score bound never reaches the page is never opened).
   size_t producers = 0;
-  /// Coordinator pull rounds (each pulls one chunk from >= 1 producers).
+  /// Coordinator pull rounds (each pulls >= 1 producers once).
   size_t pull_rounds = 0;
   /// Elapsed ns from open to the first released slot (0 until then) — the
   /// time-to-first-result the incremental path is judged on.
@@ -341,8 +340,7 @@ class XmlCorpus {
   //   * any mutation after BeginShutdown -> kFailedPrecondition
 
   /// Parses and adds a document, publishing a new epoch on success.
-  Status AddDocument(const std::string& name, std::string_view xml,
-                     const LoadOptions& options = {});
+  Status AddDocument(const std::string& name, std::string_view xml);
 
   /// Adds an already-loaded database, publishing a new epoch on success.
   Status AddDatabase(const std::string& name, XmlDatabase db);
@@ -410,9 +408,8 @@ class XmlCorpus {
   /// that can hold a hit (CorpusView::MatchingDocs) is faulted in,
   /// searched and ranked in name order, then the hits are stable-sorted
   /// into the page. A fault-in or engine failure reports the first failing
-  /// document's error. The engine may still parallelize inside a document
-  /// across its index partitions. `serving` is unread; it stays only
-  /// because the repository benchmark (perfbench/) passes it.
+  /// document's error. `serving` is unread; it stays only because the
+  /// repository benchmark (perfbench/) passes it.
   ///
   /// Searches exactly `pin`'s snapshot; an empty pin pins the current view
   /// for the duration of the call.

@@ -28,9 +28,9 @@ namespace snapshot_internal {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'C', 'S', 'N'};
-constexpr uint32_t kVersion = 4;
+constexpr uint32_t kVersion = 5;
 constexpr size_t kHeaderSize = 96;
-constexpr size_t kBlobTocWords = 10;
+constexpr size_t kBlobTocWords = 9;
 
 // Header fields (byte offsets).
 constexpr size_t kHeaderFileSize = 8;
@@ -347,15 +347,8 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
     Pad8(&out);
   }
 
-  // Partition grid.
-  toc[3] = out.size();
-  const std::vector<NodeId>& bounds = db.partitions().bounds();
-  PutU64Raw(&out, bounds.size());
-  for (NodeId b : bounds) PutI32Raw(&out, b);
-  Pad8(&out);
-
   // Classification: per-node categories, pair table, entity labels.
-  toc[4] = out.size();
+  toc[3] = out.size();
   const NodeClassification& cls = db.classification();
   PutU64Raw(&out, n);
   for (size_t i = 0; i < n; ++i) {
@@ -374,7 +367,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
   Pad8(&out);
 
   // Mined keys.
-  toc[5] = out.size();
+  toc[4] = out.size();
   {
     std::vector<LabelId> key_entities = db.keys().EntityLabels();
     PutU64Raw(&out, key_entities.size());
@@ -395,7 +388,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
   }
 
   // Inverted index: sorted token arena + CSR posting lists.
-  toc[6] = out.size();
+  toc[5] = out.size();
   {
     PutU64Raw(&out, postings.size());
     uint64_t total = 0;
@@ -427,7 +420,7 @@ void EncodeDocumentBlob(const XmlDatabase& db, const SortedPostings& postings,
     Pad8(&out);
   }
 
-  toc[7] = n;
+  toc[6] = n;
 
   for (size_t k = 0; k < kBlobTocWords; ++k) SetU64(&out, 8 * k, toc[k]);
 }
@@ -476,7 +469,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[1]));
   uint64_t n;
   EXTRACT_ASSIGN_OR_RETURN(n, reader.U64());
-  if (n != toc[7] || n > size) {
+  if (n != toc[6] || n > size) {
     return Status::ParseError("snapshot bad node count");
   }
   std::vector<NodeId> parent(static_cast<size_t>(n));
@@ -530,27 +523,8 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
                                             std::move(text)));
   const size_t num_labels = doc.labels().size();
 
-  // Partition grid.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[3]));
-  IndexPartitions partitions;
-  {
-    uint64_t count;
-    EXTRACT_ASSIGN_OR_RETURN(count, reader.U64());
-    if (count > size) return Status::ParseError("snapshot bad partition count");
-    const uint8_t* p;
-    EXTRACT_ASSIGN_OR_RETURN(p, reader.Raw(count * 4));
-    std::vector<NodeId> grid(static_cast<size_t>(count));
-    CopyColumn(grid.data(), p, static_cast<size_t>(count) * 4);
-    if (!grid.empty() &&
-        (grid.back() < 0 || static_cast<uint64_t>(grid.back()) > n)) {
-      return Status::ParseError("snapshot bad partition bounds");
-    }
-    EXTRACT_ASSIGN_OR_RETURN(partitions,
-                             IndexPartitions::FromBounds(std::move(grid)));
-  }
-
   // Classification.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[4]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[3]));
   NodeClassification classification;
   {
     uint64_t count;
@@ -604,7 +578,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   }
 
   // Mined keys.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[5]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[4]));
   KeyIndex keys;
   {
     uint64_t entity_count;
@@ -637,7 +611,7 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
   }
 
   // Inverted index.
-  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[6]));
+  EXTRACT_RETURN_IF_ERROR(reader.SeekTo(toc[5]));
   InvertedIndex inverted;
   {
     uint64_t token_count;
@@ -710,9 +684,8 @@ Result<XmlDatabase> DecodeDocumentBlob(const uint8_t* data, size_t size) {
     inverted = InvertedIndex::Restore(std::move(postings));
   }
 
-  return XmlDatabase::FromParts(std::move(doc), std::move(partitions),
-                                std::move(classification), std::move(keys),
-                                std::move(inverted));
+  return XmlDatabase::FromParts(std::move(doc), std::move(classification),
+                                std::move(keys), std::move(inverted));
 }
 
 // --------------------------------------------------------- image opening ----

@@ -2,7 +2,7 @@
 // per-document fault-in (the netdata tiered-storage shape: memory-mapped
 // hot data, the OS page cache doing hot/cold tiering).
 //
-// On-disk layout (version 4; all integers little-endian, sections 8-byte
+// On-disk layout (version 5; all integers little-endian, sections 8-byte
 // aligned, built by CorpusSnapshotWriter in one streaming pass plus a
 // directory pass at Finish):
 //
@@ -13,11 +13,12 @@
 //   |   u64 terms_checksum | 2 x u64 reserved | u64 header_checksum |
 //   +----------------------------------------------------------------+
 //   | document payload blobs, one per document, 8-aligned:           |
-//   |   fixed section TOC -> flat zero-parse columns for the label   |
-//   |   table, node columns (parent/label/kind), text arena,         |
-//   |   IndexPartitions bounds, node classification, mined keys and  |
-//   |   the inverted index (sorted token arena + CSR posting lists). |
-//   |   No DTD: its effect is the stored classification              |
+//   |   fixed section TOC (six section offsets, the node count, two  |
+//   |   zero words) -> flat zero-parse columns for the label table,  |
+//   |   node columns (parent/label/kind), text arena, node           |
+//   |   classification, mined keys and the inverted index (sorted    |
+//   |   token arena + CSR posting lists). No DTD: its effect is the  |
+//   |   stored classification                                        |
 //   +----------------------------------------------------------------+
 //   | term directory: u64 term_count | u64 entry_count |            |
 //   |   u64 key_bytes | key offsets | list begins | list checksums | |
@@ -35,7 +36,7 @@
 // Checksums: one function, Hash64, covers the header (its first 88 bytes,
 // stored in its last word), the document directory, the term directory's
 // index (everything before its entries), each term's entry list and each
-// payload. Images of other versions (v1 to v3) are refused by number.
+// payload. Images of other versions (v1 to v4) are refused by number.
 //
 // Open() maps the file and validates the header, the document directory and
 // the term directory's index — O(documents + vocabulary), never O(corpus

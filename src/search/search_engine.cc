@@ -5,46 +5,36 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "common/fault.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "search/ranking.h"
 #include "search/slca.h"
 #include "xml/parser.h"
 
 namespace extract {
 
-Result<XmlDatabase> XmlDatabase::Load(std::string_view xml,
-                                      const LoadOptions& options) {
+Result<XmlDatabase> XmlDatabase::Load(std::string_view xml) {
   EXTRACT_INJECT_FAULT("db.load");
   std::unique_ptr<XmlDocument> doc;
   EXTRACT_ASSIGN_OR_RETURN(doc, ParseXml(xml));
-  return FromDocument(std::move(doc), options);
+  return FromDocument(std::move(doc), LoadOptions{});
 }
 
-Result<XmlDatabase> XmlDatabase::Load(std::string_view xml) {
-  return Load(xml, LoadOptions{});
-}
-
-Result<XmlDatabase> XmlDatabase::FromDocument(std::unique_ptr<XmlDocument> doc,
-                                              const LoadOptions& options) {
+Result<XmlDatabase> XmlDatabase::FromDocument(
+    std::unique_ptr<XmlDocument> doc, const LoadOptions& /*options*/) {
   EXTRACT_INJECT_FAULT("index.document.build");
   IndexedDocument index;
   EXTRACT_ASSIGN_OR_RETURN(index, IndexedDocument::Build(*doc));
   return FromIndexedDocument(std::move(index),
-                             doc->has_dtd() ? &doc->dtd() : nullptr, options);
+                             doc->has_dtd() ? &doc->dtd() : nullptr);
 }
 
 Result<XmlDatabase> XmlDatabase::FromIndexedDocument(IndexedDocument index,
-                                                     const Dtd* dtd,
-                                                     const LoadOptions& options) {
-  EXTRACT_INJECT_FAULT("index.partitions.build");
+                                                     const Dtd* dtd) {
   XmlDatabase db;
   db.index_ = std::make_unique<IndexedDocument>(std::move(index));
-  db.partitions_ = IndexPartitions::Build(*db.index_, options.partitioning);
   db.classification_ = NodeClassification::Classify(*db.index_, dtd);
   db.keys_ = KeyIndex::Mine(*db.index_, db.classification_);
   db.inverted_ = InvertedIndex::Build(*db.index_);
@@ -52,12 +42,10 @@ Result<XmlDatabase> XmlDatabase::FromIndexedDocument(IndexedDocument index,
 }
 
 XmlDatabase XmlDatabase::FromParts(IndexedDocument index,
-                                   IndexPartitions partitions,
                                    NodeClassification classification,
                                    KeyIndex keys, InvertedIndex inverted) {
   XmlDatabase db;
   db.index_ = std::make_unique<IndexedDocument>(std::move(index));
-  db.partitions_ = std::move(partitions);
   db.classification_ = std::move(classification);
   db.keys_ = std::move(keys);
   db.inverted_ = std::move(inverted);
@@ -188,96 +176,88 @@ Result<KeywordLists> LookupKeywords(const XmlDatabase& db,
   return lists;
 }
 
-/// Drops the roots that repeat or overlap an earlier result: SLCAs arrive
-/// in document order, two of them can share a master entity, and a later
-/// one's master entity can lie inside an earlier kept root or enclose it.
-/// A root is kept only when it starts at or after the end of the last kept
-/// root's subtree, so no kept result contains another, in a single
-/// one-element lookbehind — a stream of chunks keeps exactly what one pass
-/// over all SLCAs does, and no kept root is ever taken back.
-class RootDedup {
- public:
-  bool Keep(const IndexedDocument& doc, NodeId root) {
-    if (root < end_) return false;
-    end_ = doc.subtree_end(root);
-    return true;
+/// Turns SLCAs (document order) into results: each is scoped to its master
+/// entity and gets every keyword's postings inside its subtree. Two SLCAs
+/// can share a master entity, and a later one's master entity can lie
+/// inside an earlier kept root or enclose it, so a root is kept only when
+/// it starts at or after the end of the last kept root's subtree: no kept
+/// result contains another.
+std::vector<QueryResult> AssembleResults(const XmlDatabase& db,
+                                         const KeywordLists& keywords,
+                                         const std::vector<NodeId>& slcas) {
+  const IndexedDocument& doc = db.index();
+  std::vector<QueryResult> results;
+  NodeId kept_end = 0;
+  for (NodeId slca : slcas) {
+    const NodeId root = MasterEntityOf(doc, db.classification(), slca);
+    if (root < kept_end) continue;
+    kept_end = doc.subtree_end(root);
+    QueryResult result;
+    result.root = root;
+    result.slca = slca;
+    result.matches.resize(keywords.size());
+    for (size_t k = 0; k < keywords.size(); ++k) {
+      const std::vector<NodeId>& nodes = keywords[k]->nodes;
+      auto lo = std::lower_bound(nodes.begin(), nodes.end(), root);
+      auto hi = std::lower_bound(nodes.begin(), nodes.end(), kept_end);
+      result.matches[k].assign(lo, hi);
+    }
+    results.push_back(std::move(result));
   }
-
- private:
-  NodeId end_ = 0;
-};
-
-/// Fills `result.matches` with each keyword's postings inside the result
-/// subtree.
-void AttachMatches(const IndexedDocument& doc, const KeywordLists& keywords,
-                   QueryResult& result) {
-  const NodeId begin = result.root;
-  const NodeId end = doc.subtree_end(result.root);
-  result.matches.resize(keywords.size());
-  for (size_t k = 0; k < keywords.size(); ++k) {
-    const std::vector<NodeId>& nodes = keywords[k]->nodes;
-    auto lo = std::lower_bound(nodes.begin(), nodes.end(), begin);
-    auto hi = std::lower_bound(nodes.begin(), nodes.end(), end);
-    result.matches[k].assign(lo, hi);
-  }
+  return results;
 }
 
-/// XSeek's incremental producer: one SlcaEnumerator chunk per Pull, each
-/// SLCA scoped, deduplicated and given its matches by the same steps as
-/// Search, then scored.
+/// XSeek's producer: a bound before its one Pull, which runs the ILE over
+/// the whole driving list and scores what AssembleResults keeps.
 class XSeekResultProducer : public ResultProducer {
  public:
   XSeekResultProducer(const XmlDatabase* db, const RankingOptions* ranking,
                       KeywordLists keywords)
-      : db_(db),
-        ranking_(ranking),
-        keywords_(std::move(keywords)),
-        enumerator_(db->index(), keywords_, db->partitions()) {
-    // Frequency envelope for the score bound: per-keyword whole-list sizes.
-    // A future result can span up to the whole document, so a tighter
-    // per-chunk envelope would be unsound; the depth cap (which the
-    // enumerator does shrink as it scans) carries the tightening.
-    max_matches_.reserve(keywords_.size());
-    for (const PostingList* list : keywords_) {
-      max_matches_.push_back(list->size());
+      : db_(db), ranking_(ranking), keywords_(std::move(keywords)) {
+    // Every SLCA is an ancestor-or-self of a driving posting, so the
+    // deepest driving posting caps its depth; a result can span the whole
+    // document, so whole-list sizes cap its matches.
+    const PostingList& driving = *keywords_[ShortestList(keywords_)];
+    uint32_t max_depth = 0;
+    for (NodeId v : driving.nodes) {
+      max_depth = std::max(max_depth, db_->index().depth(v));
     }
+    std::vector<size_t> max_matches;
+    max_matches.reserve(keywords_.size());
+    for (const PostingList* list : keywords_) {
+      max_matches.push_back(list->size());
+    }
+    bound_ = extract::ScoreUpperBound(*ranking_, max_depth, max_matches);
+    candidates_ = driving.size();
   }
 
   Status Pull(std::vector<RankedResult>* out) override {
-    if (Exhausted()) return Status::OK();
+    if (done_) return Status::OK();
+    done_ = true;
     const auto enum_start = std::chrono::steady_clock::now();
-    std::vector<NodeId> slcas;
-    enumerator_.NextChunk(&slcas);
-    enumerate_ns_ += NsSince(enum_start);
+    const std::vector<NodeId> slcas =
+        ComputeSlcaIndexedLookupEager(db_->index(), keywords_);
+    enumerate_ns_ = NsSince(enum_start);
 
     const auto score_start = std::chrono::steady_clock::now();
-    for (NodeId slca : slcas) {
-      const NodeId root =
-          MasterEntityOf(db_->index(), db_->classification(), slca);
-      if (!dedup_.Keep(db_->index(), root)) continue;
-      QueryResult result;
-      result.root = root;
-      result.slca = slca;
-      AttachMatches(db_->index(), keywords_, result);
+    for (QueryResult& result : AssembleResults(*db_, keywords_, slcas)) {
       const double score = ScoreResult(*db_, result, *ranking_);
       out->push_back(RankedResult{std::move(result), score});
     }
-    score_ns_ += NsSince(score_start);
+    score_ns_ = NsSince(score_start);
     return Status::OK();
   }
 
-  bool Exhausted() const override { return enumerator_.exhausted(); }
+  bool Exhausted() const override { return done_; }
 
   double ScoreUpperBound() const override {
-    if (Exhausted()) return -std::numeric_limits<double>::infinity();
-    return extract::ScoreUpperBound(*ranking_, enumerator_.DepthBound(),
-                                    max_matches_);
+    return done_ ? -std::numeric_limits<double>::infinity() : bound_;
   }
 
-  size_t candidates_total() const override {
-    return enumerator_.driving_size();
+  size_t candidates_total() const override { return candidates_; }
+  size_t candidates_scored() const override {
+    return done_ ? candidates_ : 0;
   }
-  size_t candidates_scored() const override { return enumerator_.scanned(); }
   uint64_t enumerate_ns() const override { return enumerate_ns_; }
   uint64_t score_ns() const override { return score_ns_; }
 
@@ -285,9 +265,9 @@ class XSeekResultProducer : public ResultProducer {
   const XmlDatabase* db_;
   const RankingOptions* ranking_;
   KeywordLists keywords_;
-  SlcaEnumerator enumerator_;
-  std::vector<size_t> max_matches_;
-  RootDedup dedup_;
+  double bound_ = 0;
+  size_t candidates_ = 0;
+  bool done_ = false;
   uint64_t enumerate_ns_ = 0;
   uint64_t score_ns_ = 0;
 };
@@ -362,57 +342,8 @@ Result<std::vector<QueryResult>> XSeekEngine::Search(const XmlDatabase& db,
   EXTRACT_ASSIGN_OR_RETURN(keywords, LookupKeywords(db, query));
   if (keywords.empty()) return std::vector<QueryResult>{};
 
-  // Intra-document partition parallelism: on when the document was loaded
-  // with more than one partition and the options allow it. Every parallel
-  // region below is a pure fan-out into pre-sized slots merged in a fixed
-  // order, so the partitioned path is byte-identical to the sequential one.
-  const bool partitioned =
-      db.partitions().count() > 1 && options_.partition_threads != 1;
-
-  std::vector<NodeId> slcas =
-      partitioned ? ComputeSlcaIndexedLookupEagerPartitioned(
-                        db.index(), keywords, db.partitions(),
-                        options_.partition_threads)
-                  : ComputeSlcaIndexedLookupEager(db.index(), keywords);
-
-  // Scope each SLCA to its master entity. The ancestor walks are
-  // independent, so the partitioned path runs them in parallel; the dedup
-  // scan stays sequential (it is order-dependent and linear).
-  std::vector<NodeId> roots(slcas.size());
-  auto scope_roots = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      roots[i] = MasterEntityOf(db.index(), db.classification(), slcas[i]);
-    }
-  };
-  if (partitioned) {
-    ParallelForChunked(slcas.size(), options_.partition_threads, scope_roots);
-  } else {
-    scope_roots(0, slcas.size());
-  }
-  std::vector<QueryResult> results;
-  RootDedup dedup;
-  for (size_t i = 0; i < slcas.size(); ++i) {
-    if (!dedup.Keep(db.index(), roots[i])) continue;
-    QueryResult result;
-    result.root = roots[i];
-    result.slca = slcas[i];
-    results.push_back(std::move(result));
-  }
-
-  // Each result fills only its own slot, so the partitioned path copies
-  // match ranges in parallel.
-  auto attach_matches = [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      AttachMatches(db.index(), keywords, results[r]);
-    }
-  };
-  if (partitioned) {
-    ParallelForChunked(results.size(), options_.partition_threads,
-                       attach_matches);
-  } else {
-    attach_matches(0, results.size());
-  }
-  return results;
+  return AssembleResults(
+      db, keywords, ComputeSlcaIndexedLookupEager(db.index(), keywords));
 }
 
 }  // namespace extract

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "index/index_partitions.h"
 #include "index/indexed_document.h"
 #include "index/inverted_index.h"
 #include "schema/key_miner.h"
@@ -26,38 +25,29 @@
 
 namespace extract {
 
-/// Database loading knobs.
-///
-/// Loading always parses under the default hostile-input caps
-/// (xml/parse_limits.h), parses the document's DTD (which then decides
-/// *-nodes during classification; the database keeps the classification,
-/// not the DTD), expands XML attributes into child elements, and matches
-/// keywords as case-folded tokens (TokenizeWords) in the index, the
-/// engine's keyword lookup and the snippet instance lookup alike.
-struct LoadOptions {
-  /// Intra-document shard grid, built once at load (index/index_partitions.h).
-  /// Small documents get a single partition — the sequential reference
-  /// layout; huge documents get the grid the partition-parallel SLCA search
-  /// fans out over. Never affects results, only latency.
-  IndexPartitionOptions partitioning;
-};
+/// Database loading knobs: none. Loading always parses under the default
+/// hostile-input caps (xml/parse_limits.h), parses the document's DTD
+/// (which then decides *-nodes during classification; the database keeps
+/// the classification, not the DTD), expands XML attributes into child
+/// elements, and matches keywords as case-folded tokens (TokenizeWords) in
+/// the index, the engine's keyword lookup and the snippet instance lookup
+/// alike. The empty struct stays only as FromDocument's parameter.
+struct LoadOptions {};
 
 /// \brief An XML document loaded, flattened, classified and indexed — the
 /// output of the paper's Data Analyzer and Index Builder (Figure 4) and the
 /// shared context of search and snippet generation.
 ///
-/// It holds only what queries read: the flattened document, its partition
-/// grid, the per-node classification, the mined keys and the inverted
-/// index. Neither the DOM nor its DTD is kept; the DTD's effect survives as
-/// the classification.
+/// It holds only what queries read: the flattened document, the per-node
+/// classification, the mined keys and the inverted index. Neither the DOM
+/// nor its DTD is kept; the DTD's effect survives as the classification.
 class XmlDatabase {
  public:
   /// Parses and analyzes an XML document from text.
-  static Result<XmlDatabase> Load(std::string_view xml,
-                                  const LoadOptions& options);
   static Result<XmlDatabase> Load(std::string_view xml);
 
-  /// Analyzes an already-parsed document (takes ownership).
+  /// Analyzes an already-parsed document (takes ownership). `options` is
+  /// empty and unread.
   static Result<XmlDatabase> FromDocument(std::unique_ptr<XmlDocument> doc,
                                           const LoadOptions& options);
 
@@ -65,25 +55,21 @@ class XmlDatabase {
   /// derived structures (classification, keys, inverted index). `dtd` may
   /// be null; it is read only to classify nodes and is not retained.
   static Result<XmlDatabase> FromIndexedDocument(IndexedDocument index,
-                                                 const Dtd* dtd,
-                                                 const LoadOptions& options);
+                                                 const Dtd* dtd);
 
   /// \brief Assembles a database from fully restored parts WITHOUT
   /// rebuilding any derived structure — the corpus snapshot fault-in path
-  /// (search/corpus_snapshot.h), where classification, keys, partitions and
-  /// the inverted index were persisted alongside the columns.
+  /// (search/corpus_snapshot.h), where classification, keys and the
+  /// inverted index were persisted alongside the columns.
   ///
   /// The parts must be mutually consistent (built from the same
   /// document); callers get that from checksummed snapshot sections, not
   /// from validation here.
   static XmlDatabase FromParts(IndexedDocument index,
-                               IndexPartitions partitions,
                                NodeClassification classification,
                                KeyIndex keys, InvertedIndex inverted);
 
   const IndexedDocument& index() const { return *index_; }
-  /// The intra-document shard grid (>= 1 partition, immutable after load).
-  const IndexPartitions& partitions() const { return partitions_; }
   const NodeClassification& classification() const { return classification_; }
   const KeyIndex& keys() const { return keys_; }
   const InvertedIndex& inverted() const { return inverted_; }
@@ -95,7 +81,6 @@ class XmlDatabase {
   XmlDatabase() = default;
 
   std::unique_ptr<IndexedDocument> index_;
-  IndexPartitions partitions_;
   NodeClassification classification_;
   KeyIndex keys_;
   InvertedIndex inverted_;
@@ -128,18 +113,6 @@ struct QueryResult {
   std::vector<std::vector<NodeId>> matches;
 };
 
-/// Engine knobs.
-struct SearchOptions {
-  /// Intra-document parallelism across the database's index partitions:
-  /// 0 = one thread per configured core, 1 = the sequential reference path.
-  /// Only takes effect when the document was loaded with more than one
-  /// partition; results are byte-identical either way. A partition-parallel
-  /// region issued from inside a thread-pool task (e.g. a page-gated search
-  /// step on a snippet-stream worker) runs inline, so nested fan-outs never
-  /// oversubscribe the pool.
-  size_t partition_threads = 0;
-};
-
 // Defined in search/ranking.h, which layers on this header; the incremental
 // API below only names them through pointers/references, so forward
 // declarations avoid the cycle.
@@ -163,7 +136,7 @@ struct TermDocStats {
 /// \brief A lazy scored-result producer over one document — the incremental
 /// counterpart of SearchEngine::Search, opened via OpenIncremental.
 ///
-/// A producer enumerates the document's results a chunk at a time, scoring
+/// A producer emits the document's results over one or more Pulls, scoring
 /// each with ScoreResult under the ranking options it was opened with, and
 /// maintains a sound upper bound on the score of anything it has not yet
 /// emitted. The corpus-level threshold merge
@@ -179,7 +152,7 @@ class ResultProducer {
  public:
   virtual ~ResultProducer() = default;
 
-  /// Advances one chunk, appending the newly-settled results (scored; the
+  /// Advances one step, appending the newly-settled results (scored; the
   /// emission order within and across calls is unspecified — consumers
   /// treat the union as a set) to *out, possibly none. A call may be made
   /// after exhaustion (it is a no-op); an error is sticky and terminal.
@@ -275,9 +248,6 @@ class SearchEngine {
 /// further result, so no result contains another.
 class XSeekEngine : public SearchEngine {
  public:
-  explicit XSeekEngine(SearchOptions options) : options_(options) {}
-  XSeekEngine() : XSeekEngine(SearchOptions{}) {}
-
   Result<std::vector<QueryResult>> Search(const XmlDatabase& db,
                                           const Query& query) const override;
 
@@ -294,18 +264,15 @@ class XSeekEngine : public SearchEngine {
       const RankingOptions& ranking,
       std::span<const TermDocStats> keyword_stats) const override;
 
-  /// \brief A genuinely incremental producer: chunked SLCA enumeration
-  /// (SlcaEnumerator) fed through the same keyword lookup, root dedup and
-  /// match attachment as Search, so the emitted set equals Search's output
-  /// while each Pull only scans one partition chunk of the driving posting
-  /// list. The score bound combines the enumerator's remaining-depth cap
-  /// with whole-list frequency envelopes (ScoreUpperBound).
+  /// \brief A producer whose bound is known before it searches: its one
+  /// Pull runs Search's SLCA computation and result assembly and scores
+  /// the results. Until then it advertises ScoreUpperBound over the depth
+  /// of the driving (shortest) posting list's deepest posting and the
+  /// whole-list sizes, so the corpus merge can leave a document whose
+  /// bound cannot reach the page unsearched.
   Result<std::unique_ptr<ResultProducer>> OpenIncremental(
       const XmlDatabase& db, const Query& query, const RankingOptions& ranking,
       size_t top_k_hint) const override;
-
- private:
-  SearchOptions options_;
 };
 
 /// The lowest entity node that is an ancestor-or-self of `n` (the result's

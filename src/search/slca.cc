@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/thread_pool.h"
-
 namespace extract {
 
 namespace {
@@ -23,20 +21,10 @@ NodeId RightMatch(const PostingList& list, NodeId v) {
   return *it;
 }
 
-// Index of the shortest list — the driving list of the ILE traversal.
-size_t ShortestList(const std::vector<const PostingList*>& lists) {
-  size_t shortest = 0;
-  for (size_t i = 1; i < lists.size(); ++i) {
-    if (lists[i]->size() < lists[shortest]->size()) shortest = i;
-  }
-  return shortest;
-}
-
 // The candidate SLCA for one driving posting v: incrementally tighten x =
 // the deepest node that is an LCA of v with one match from every other list
 // (XKSearch's closest-match argument: the SLCA containing v is reachable
-// through left/right matches). Pure in (doc, lists, v) — the unit both the
-// sequential and the partition-parallel traversal are built from.
+// through left/right matches).
 NodeId CandidateSlcaFor(const IndexedDocument& doc,
                         const std::vector<const PostingList*>& lists,
                         size_t shortest, NodeId v) {
@@ -66,6 +54,14 @@ NodeId CandidateSlcaFor(const IndexedDocument& doc,
 
 }  // namespace
 
+size_t ShortestList(const std::vector<const PostingList*>& lists) {
+  size_t shortest = 0;
+  for (size_t i = 1; i < lists.size(); ++i) {
+    if (lists[i]->size() < lists[shortest]->size()) shortest = i;
+  }
+  return shortest;
+}
+
 std::vector<NodeId> RemoveAncestors(const IndexedDocument& doc,
                                     const std::vector<NodeId>& nodes) {
   std::vector<NodeId> out;
@@ -94,178 +90,6 @@ std::vector<NodeId> ComputeSlcaIndexedLookupEager(
   }
   std::sort(candidates.begin(), candidates.end());
   return RemoveAncestors(doc, candidates);
-}
-
-std::vector<NodeId> ComputeSlcaIndexedLookupEagerPartitioned(
-    const IndexedDocument& doc, const std::vector<const PostingList*>& lists,
-    const IndexPartitions& partitions, size_t num_threads) {
-  assert(!lists.empty());
-  if (partitions.count() <= 1 || num_threads == 1) {
-    return ComputeSlcaIndexedLookupEager(doc, lists);
-  }
-  for (const PostingList* list : lists) {
-    if (list == nullptr || list->empty()) return {};
-  }
-  const size_t shortest = ShortestList(lists);
-  const std::vector<NodeId>& driving = lists[shortest]->nodes;
-
-  // Decompose the driving list along the partition grid: chunk p owns the
-  // postings falling in partition p's node range. A keyword absent from a
-  // partition yields an empty chunk, which never even dispatches; the other
-  // lists stay whole — left/right matches may cross partition boundaries,
-  // exactly as in the sequential traversal.
-  const size_t parts = partitions.count();
-  std::vector<size_t> chunk_begin(parts + 1);
-  for (size_t p = 0; p < parts; ++p) {
-    chunk_begin[p] = static_cast<size_t>(
-        std::lower_bound(driving.begin(), driving.end(),
-                         partitions.partition(p).begin) -
-        driving.begin());
-  }
-  chunk_begin[parts] = driving.size();
-
-  std::vector<std::vector<NodeId>> chunk_candidates(parts);
-  ParallelFor(parts, num_threads, [&](size_t p) {
-    const size_t begin = chunk_begin[p];
-    const size_t end = chunk_begin[p + 1];
-    if (begin >= end) return;
-    std::vector<NodeId>& out = chunk_candidates[p];
-    out.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      out.push_back(CandidateSlcaFor(doc, lists, shortest, driving[i]));
-    }
-  });
-
-  // Merge at partition boundaries: candidates are a multiset, and the
-  // sequential path's sort + RemoveAncestors is order-insensitive, so the
-  // concatenation reduces to the identical output.
-  std::vector<NodeId> candidates;
-  candidates.reserve(driving.size());
-  for (const std::vector<NodeId>& chunk : chunk_candidates) {
-    candidates.insert(candidates.end(), chunk.begin(), chunk.end());
-  }
-  std::sort(candidates.begin(), candidates.end());
-  return RemoveAncestors(doc, candidates);
-}
-
-SlcaEnumerator::SlcaEnumerator(const IndexedDocument& doc,
-                               std::vector<const PostingList*> lists,
-                               const IndexPartitions& partitions)
-    : doc_(&doc), lists_(std::move(lists)) {
-  for (const PostingList* list : lists_) {
-    if (list == nullptr || list->empty()) {
-      lists_.clear();  // SLCA set is empty; start exhausted
-      return;
-    }
-  }
-  if (lists_.empty()) return;
-  shortest_ = ShortestList(lists_);
-  const std::vector<NodeId>& driving = lists_[shortest_]->nodes;
-
-  // The same decomposition as the partitioned batch algorithm: chunk p owns
-  // the driving postings in partition p's node range. Here the chunks are
-  // consumed sequentially — NextChunk's finality logic needs document order
-  // — so the grid sets the pull granularity, not a parallel fan-out.
-  const size_t parts = partitions.count();
-  chunk_begin_.resize(parts + 1);
-  for (size_t p = 0; p < parts; ++p) {
-    chunk_begin_[p] = static_cast<size_t>(
-        std::lower_bound(driving.begin(), driving.end(),
-                         partitions.partition(p).begin) -
-        driving.begin());
-  }
-  chunk_begin_[parts] = driving.size();
-
-  // Suffix depth maxima: a candidate is an ancestor-or-self of its driving
-  // posting, so depth(candidate) <= depth(posting) bounds everything a
-  // future chunk can contribute.
-  std::vector<uint32_t> chunk_depth(parts, 0);
-  for (size_t p = 0; p < parts; ++p) {
-    for (size_t i = chunk_begin_[p]; i < chunk_begin_[p + 1]; ++i) {
-      chunk_depth[p] = std::max(chunk_depth[p], doc.depth(driving[i]));
-    }
-  }
-  suffix_depth_.assign(parts + 1, 0);
-  for (size_t p = parts; p-- > 0;) {
-    suffix_depth_[p] = std::max(chunk_depth[p], suffix_depth_[p + 1]);
-  }
-}
-
-size_t SlcaEnumerator::driving_size() const {
-  return lists_.empty() ? 0 : lists_[shortest_]->size();
-}
-
-uint32_t SlcaEnumerator::DepthBound() const {
-  uint32_t bound =
-      suffix_depth_.empty() ? 0 : suffix_depth_[std::min(
-                                      next_chunk_, suffix_depth_.size() - 1)];
-  for (NodeId p : pending_) bound = std::max(bound, doc_->depth(p));
-  return bound;
-}
-
-bool SlcaEnumerator::NextChunk(std::vector<NodeId>* out) {
-  if (exhausted()) return false;
-  const std::vector<NodeId>& driving = lists_[shortest_]->nodes;
-  const size_t parts = chunk_begin_.size() - 1;
-
-  // Scan the next non-empty chunk (empty chunks cost nothing, exactly as in
-  // the batch algorithm). scanned_ < driving.size() here, so one exists.
-  std::vector<NodeId> batch;
-  while (next_chunk_ < parts) {
-    const size_t begin = chunk_begin_[next_chunk_];
-    const size_t end = chunk_begin_[next_chunk_ + 1];
-    ++next_chunk_;
-    if (begin >= end) continue;
-    batch.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      batch.push_back(CandidateSlcaFor(*doc_, lists_, shortest_, driving[i]));
-    }
-    scanned_ = end;
-    break;
-  }
-  if (next_chunk_ >= parts) scanned_ = driving.size();
-
-  // Fold the new candidates into the pending set (sorted, exact duplicates
-  // collapsed — RemoveAncestors would collapse them anyway).
-  std::sort(batch.begin(), batch.end());
-  std::vector<NodeId> merged;
-  merged.reserve(pending_.size() + batch.size());
-  std::merge(pending_.begin(), pending_.end(), batch.begin(), batch.end(),
-             std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  pending_ = std::move(merged);
-
-  // Finality threshold: the first unscanned driving posting (one past the
-  // document when none remain — every pending candidate then settles). A
-  // candidate X with subtree_end(X) <= v_next can never gain a deeper
-  // displacing candidate: any such candidate would be an ancestor-or-self
-  // of a driving posting inside [X, subtree_end(X)), all already scanned.
-  const NodeId v_next = scanned_ < driving.size()
-                            ? driving[scanned_]
-                            : static_cast<NodeId>(doc_->num_nodes());
-  std::vector<NodeId> final_batch;
-  std::vector<NodeId> still_pending;
-  for (NodeId x : pending_) {
-    if (doc_->subtree_end(x) <= v_next) {
-      final_batch.push_back(x);
-    } else {
-      still_pending.push_back(x);
-    }
-  }
-  pending_ = std::move(still_pending);
-
-  // Within the settled batch, the batch reduction applies as usual; across
-  // batches a shallow candidate may settle after a descendant was already
-  // emitted — the binary search below catches exactly that case (emitted_
-  // is ascending, and x is an ancestor of some emitted SLCA iff the first
-  // emitted id >= x lies inside x's subtree interval).
-  for (NodeId x : RemoveAncestors(*doc_, final_batch)) {
-    auto it = std::lower_bound(emitted_.begin(), emitted_.end(), x);
-    if (it != emitted_.end() && *it < doc_->subtree_end(x)) continue;
-    emitted_.push_back(x);
-    out->push_back(x);
-  }
-  return true;
 }
 
 std::vector<NodeId> ComputeSlcaBySubtreeCounts(

@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "index/index_partitions.h"
 #include "index/indexed_document.h"
 #include "index/inverted_index.h"
 
@@ -30,92 +29,14 @@ namespace extract {
 std::vector<NodeId> ComputeSlcaIndexedLookupEager(
     const IndexedDocument& doc, const std::vector<const PostingList*>& lists);
 
-/// \brief Partition-parallel ILE: decomposes the driving (shortest) posting
-/// list along `partitions`' node ranges, computes each range's candidate
-/// SLCAs as one ParallelFor index, and merges at the partition boundaries
-/// (global sort + ancestor removal — the identical reduction the sequential
-/// algorithm applies to its one candidate run).
-///
-/// Output is byte-identical to ComputeSlcaIndexedLookupEager for every
-/// partition grid and thread count: candidates are a set, and the merge is
-/// order-insensitive. `num_threads` as in ParallelFor (0 = configured
-/// width, 1 = sequential — which simply calls the sequential algorithm).
-/// Partitions with no posting from the driving list cost nothing; a
-/// partition count exceeding the match count degenerates to fewer tasks.
-std::vector<NodeId> ComputeSlcaIndexedLookupEagerPartitioned(
-    const IndexedDocument& doc, const std::vector<const PostingList*>& lists,
-    const IndexPartitions& partitions, size_t num_threads);
+/// Index of the list ComputeSlcaIndexedLookupEager drives from: the
+/// shortest, the first of equal length. Every SLCA is an ancestor-or-self
+/// of one of its postings. `lists` must be non-empty, with no null entry.
+size_t ShortestList(const std::vector<const PostingList*>& lists);
 
 /// Scan/counting baseline (test oracle). Same contract as above.
 std::vector<NodeId> ComputeSlcaBySubtreeCounts(
     const IndexedDocument& doc, const std::vector<const PostingList*>& lists);
-
-/// \brief Resumable, chunk-at-a-time ILE enumeration — the substrate of the
-/// incremental top-k search path (search/search_engine.h ResultProducer).
-///
-/// The driving (shortest) posting list is decomposed along the document's
-/// partition grid, reusing the exact chunk boundaries of
-/// ComputeSlcaIndexedLookupEagerPartitioned; each NextChunk call scans one
-/// non-empty chunk and appends every SLCA whose membership in the final
-/// answer can no longer change. Finality rests on the interval nesting of
-/// pre-order ids: a candidate X (an ancestor-or-self of its driving
-/// posting) can only be displaced by a strictly deeper candidate, whose
-/// driving posting lies inside [X, subtree_end(X)) — so once the next
-/// unscanned driving posting is >= subtree_end(X), X is settled. The
-/// concatenation of all NextChunk outputs is exactly
-/// ComputeSlcaIndexedLookupEager's output, in the same document order.
-///
-/// The enumerator also exposes the depth signal the ranking upper bound
-/// needs: DepthBound() caps the depth of any SLCA a future NextChunk may
-/// emit (per-chunk suffix maxima over the unscanned driving postings, plus
-/// the still-pending candidates), and is non-increasing across calls.
-class SlcaEnumerator {
- public:
-  /// `doc` is borrowed for the enumerator's lifetime; `lists` entries too.
-  /// A null/empty list makes the enumerator start exhausted (the SLCA set
-  /// is empty), mirroring the batch algorithms.
-  SlcaEnumerator(const IndexedDocument& doc,
-                 std::vector<const PostingList*> lists,
-                 const IndexPartitions& partitions);
-
-  /// Scans the next non-empty chunk of the driving list and appends the
-  /// newly-final SLCAs (ascending document order, continuing the global
-  /// order across calls) to *out — possibly none, when every new candidate
-  /// still awaits deeper evidence. Returns false iff already exhausted.
-  bool NextChunk(std::vector<NodeId>* out);
-
-  /// True once every driving posting is scanned and every candidate
-  /// emitted or discarded.
-  bool exhausted() const {
-    return scanned_ == driving_size() && pending_.empty();
-  }
-
-  /// Size of the driving list — the candidate count a full enumeration
-  /// scores (the "candidates_total" of the serving stats).
-  size_t driving_size() const;
-  /// Driving postings scanned so far ("candidates_scored").
-  size_t scanned() const { return scanned_; }
-
-  /// Upper bound on depth(s) of any SLCA a future NextChunk may emit.
-  /// Non-increasing across calls; 0 once exhausted.
-  uint32_t DepthBound() const;
-
- private:
-  const IndexedDocument* doc_;
-  std::vector<const PostingList*> lists_;
-  size_t shortest_ = 0;
-  /// chunk_begin_[p] .. chunk_begin_[p+1]: driving postings of partition p.
-  std::vector<size_t> chunk_begin_;
-  /// suffix_depth_[p]: max depth over driving postings in chunks >= p.
-  std::vector<uint32_t> suffix_depth_;
-  size_t next_chunk_ = 0;
-  size_t scanned_ = 0;
-  /// Candidates awaiting finality, ascending, exact-duplicate free.
-  std::vector<NodeId> pending_;
-  /// SLCAs already handed out, ascending (for the superseded-by-descendant
-  /// check when a shallow candidate finalizes late).
-  std::vector<NodeId> emitted_;
-};
 
 /// \brief Removes members that are ancestors of other members.
 ///

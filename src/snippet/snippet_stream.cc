@@ -144,11 +144,11 @@ struct SnippetStreamState {
       return true;
     }
     // The library is exception-free by design, but a throwing compute is
-    // contained — like ParallelFor contains a throwing fn. Letting it
-    // escape here would unwind into a pool worker's loop (terminating the
-    // process) or, on the consumer-inline path, leak a claimed slot and
-    // wedge the stream forever; instead the slot emits an Internal error
-    // event, so every consumption mode sees the failure and finishes.
+    // contained. Letting it escape here would unwind into a pool worker's
+    // loop (terminating the process) or, on the consumer-inline path, leak
+    // a claimed slot and wedge the stream forever; instead the slot emits
+    // an Internal error event, so every consumption mode sees the failure
+    // and finishes.
     try {
       Emit(slot, compute(slot));
     } catch (const std::exception& e) {
@@ -309,15 +309,14 @@ ServingSession StreamBuilder::Open() && {
   session.payload_ = std::move(payload);
   session.on_finish_ = std::move(on_finish);
 
-  // Same width semantics as ParallelFor: num_threads counts the consumer,
-  // so submit one fewer helper; inside a parallel region (or at width 1)
-  // submit none — the consumer produces lazily inline, which is the
-  // sequential reference path byte for byte.
+  // num_threads counts the consumer, so submit one fewer helper; on a pool
+  // worker (or at width 1) submit none — the consumer produces lazily
+  // inline, which is the sequential reference path byte for byte.
   size_t width =
       options.num_threads == 0 ? ThreadPool::ConfiguredThreads()
                                : options.num_threads;
   width = std::min(width, state->pending.size());
-  if (width > 1 && !InParallelRegion()) {
+  if (width > 1 && !OnPoolWorker()) {
     session.group_ = std::make_unique<TaskGroup>(&SharedThreadPool());
     for (size_t w = 0; w + 1 < width; ++w) {
       session.group_->Submit([state] {

@@ -35,8 +35,8 @@
 //     before any pending slot computes, pending slots are claimed off an
 //     atomic cursor by up to num_threads workers — and by the consumer
 //     itself whenever it would otherwise block, so a stream opened from
-//     inside a pool task degrades to lazy inline production (exactly like
-//     a nested ParallelFor) instead of deadlocking the pool.
+//     inside a pool task degrades to lazy inline production instead of
+//     deadlocking the pool.
 //
 // Cancellation semantics: Cancel() drains every not-yet-started slot as a
 // kCancelled event immediately (freeing the pool for other requests);
@@ -269,8 +269,8 @@ struct StreamBuilder {
   StreamGate* gate = nullptr;
 
   /// Emits `ready`, then starts up to num_threads - 1 pool producers for
-  /// `pending` (none when the caller is already inside a parallel region —
-  /// the consumer then produces lazily, like a nested ParallelFor).
+  /// `pending` (none when the caller is itself a pool worker — the
+  /// consumer then produces lazily inline).
   ServingSession Open() &&;
 };
 

@@ -41,23 +41,6 @@ XmlNode* XmlNode::AppendChild(std::unique_ptr<XmlNode> child) {
   return children_.back().get();
 }
 
-XmlNode* XmlNode::FindChildElement(std::string_view name) const {
-  for (const auto& child : children_) {
-    if (child->kind_ == XmlNodeKind::kElement && child->name_ == name) {
-      return child.get();
-    }
-  }
-  return nullptr;
-}
-
-std::vector<XmlNode*> XmlNode::ChildElements() const {
-  std::vector<XmlNode*> out;
-  for (const auto& child : children_) {
-    if (child->kind_ == XmlNodeKind::kElement) out.push_back(child.get());
-  }
-  return out;
-}
-
 std::string XmlNode::InnerText() const {
   if (kind_ == XmlNodeKind::kText || kind_ == XmlNodeKind::kCData) {
     return content_;

@@ -63,11 +63,6 @@ class XmlNode {
   /// Appends `child` and returns a raw pointer to it for chaining.
   XmlNode* AppendChild(std::unique_ptr<XmlNode> child);
 
-  /// First child element with tag `name`, or nullptr.
-  XmlNode* FindChildElement(std::string_view name) const;
-  /// All child elements (skipping text children).
-  std::vector<XmlNode*> ChildElements() const;
-
   /// Concatenated text content of this subtree (text and CDATA nodes).
   std::string InnerText() const;
 

@@ -380,14 +380,14 @@ TEST(CorpusSnapshotTest, TermDirectoryCorruptionNeverServesAWrongPage) {
 TEST(CorpusSnapshotTest, VersionOneImageIsRefusedByName) {
   const std::string path = WriteDemoSnapshot("corpus_v1.xcsn");
   const std::string good = ReadFile(path);
-  for (char version : {1, 2, 3}) {
+  for (char version : {1, 2, 3, 4}) {
     std::string bytes = good;
     bytes[4] = version;  // the version field every image starts with
     WriteFile(path, bytes);
     Status status = CorpusSnapshot::Open(path).status();
     EXPECT_EQ(status.code(), StatusCode::kParseError);
     const std::string expected = "unsupported version " +
-                                 std::to_string(version) + " (expected 4)";
+                                 std::to_string(version) + " (expected 5)";
     EXPECT_NE(status.message().find(expected), std::string::npos) << status;
   }
   std::remove(path.c_str());
@@ -438,7 +438,7 @@ void RestampChecksums(std::string* image) {
 /// posting begins and the node ids.
 uint64_t PostingNodesAt(const std::string& image, std::string_view token) {
   const uint64_t payload = U64At(image, DirectoryEntriesAt(image));
-  const uint64_t inverted = payload + U64At(image, payload + 8 * 6);
+  const uint64_t inverted = payload + U64At(image, payload + 8 * 5);
   const uint64_t token_count = U64At(image, inverted);
   const uint64_t offsets = inverted + 16;
   const uint64_t token_bytes = offsets + 8 * (token_count + 1);
@@ -981,7 +981,9 @@ TEST(CorpusSnapshotChurnTest, ConcurrentSearchSurvivesMutation) {
     readers.emplace_back([&corpus, &engine, &stop, &pages, t] {
       const Query query =
           Query::Parse(t % 2 == 0 ? "texas" : "movie");
-      while (!stop.load(std::memory_order_relaxed)) {
+      // At least one read per reader, however late it starts: a "texas"
+      // read always faults a snapshot document in.
+      do {
         // One pin for the whole read: the hits name documents of the view
         // they were searched under, which the writer may since have hidden
         // or removed from the current view.
@@ -995,7 +997,7 @@ TEST(CorpusSnapshotChurnTest, ConcurrentSearchSurvivesMutation) {
           ASSERT_TRUE(snippets.ok()) << snippets.status();
         }
         pages.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
 

@@ -21,17 +21,6 @@ TEST(DomTest, AppendChildSetsParent) {
   EXPECT_EQ(root->children().size(), 1u);
 }
 
-TEST(DomTest, FindChildElement) {
-  auto root = XmlNode::MakeElement("a");
-  root->AppendChild(XmlNode::MakeText("skip"));
-  root->AppendChild(XmlNode::MakeElement("b"));
-  root->AppendChild(XmlNode::MakeElement("c"));
-  EXPECT_NE(root->FindChildElement("b"), nullptr);
-  EXPECT_NE(root->FindChildElement("c"), nullptr);
-  EXPECT_EQ(root->FindChildElement("d"), nullptr);
-  EXPECT_EQ(root->ChildElements().size(), 2u);
-}
-
 TEST(DomTest, InnerTextConcatenatesSubtree) {
   auto doc = ParseXml("<a>x<b>y<c>z</c></b>w</a>");
   ASSERT_TRUE(doc.ok());

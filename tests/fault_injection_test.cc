@@ -158,16 +158,9 @@ TEST(FaultPointTest, TokenizerAndParserPointsSurfaceThroughParse) {
 }
 
 TEST(FaultPointTest, IndexBuildPointsSurfaceThroughLoad) {
-  {
-    ScopedFaultInjection arm({OnNthHit("index.document.build", 1)});
-    EXPECT_EQ(XmlDatabase::Load("<a>x</a>").status().code(),
-              StatusCode::kUnavailable);
-  }
-  {
-    ScopedFaultInjection arm({OnNthHit("index.partitions.build", 1)});
-    EXPECT_EQ(XmlDatabase::Load("<a>x</a>").status().code(),
-              StatusCode::kUnavailable);
-  }
+  ScopedFaultInjection arm({OnNthHit("index.document.build", 1)});
+  EXPECT_EQ(XmlDatabase::Load("<a>x</a>").status().code(),
+            StatusCode::kUnavailable);
 }
 
 TEST(FaultPointTest, SearchExecuteSurfacesThroughEngine) {

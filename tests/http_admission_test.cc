@@ -10,8 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datagen/retailer_dataset.h"
@@ -21,6 +25,7 @@
 #include "http/query_endpoints.h"
 #include "http_test_util.h"
 #include "search/corpus.h"
+#include "search/ranking.h"
 
 namespace extract {
 namespace {
@@ -199,16 +204,87 @@ TEST(AdmissionControllerTest, TicketMoveTransfersOwnership) {
 
 // ---------------------------------------------------------------- server
 
+/// XSeekEngine behind a latch: while the latch is held, every incremental
+/// producer blocks in Pull until Release. A gated (page_size > 0) request
+/// sends its response head before any pull, so holding the latch keeps its
+/// stream open for as long as a test needs. Unheld, it is XSeekEngine.
+class LatchedEngine : public SearchEngine {
+ public:
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    released_.notify_all();
+  }
+
+  Result<std::vector<QueryResult>> Search(const XmlDatabase& db,
+                                          const Query& query) const override {
+    return inner_.Search(db, query);
+  }
+  bool RequiresAllKeywords() const override {
+    return inner_.RequiresAllKeywords();
+  }
+  double DocumentScoreBound(
+      const RankingOptions& ranking,
+      std::span<const TermDocStats> keyword_stats) const override {
+    return inner_.DocumentScoreBound(ranking, keyword_stats);
+  }
+  Result<std::unique_ptr<ResultProducer>> OpenIncremental(
+      const XmlDatabase& db, const Query& query, const RankingOptions& ranking,
+      size_t top_k_hint) const override {
+    auto opened = inner_.OpenIncremental(db, query, ranking, top_k_hint);
+    if (!opened.ok()) return opened;
+    return Result<std::unique_ptr<ResultProducer>>(
+        std::make_unique<Producer>(this, std::move(*opened)));
+  }
+
+ private:
+  class Producer : public ResultProducer {
+   public:
+    Producer(const LatchedEngine* engine,
+             std::unique_ptr<ResultProducer> inner)
+        : engine_(engine), inner_(std::move(inner)) {}
+
+    Status Pull(std::vector<RankedResult>* out) override {
+      engine_->WaitWhileHeld();
+      return inner_->Pull(out);
+    }
+    bool Exhausted() const override { return inner_->Exhausted(); }
+    double ScoreUpperBound() const override {
+      return inner_->ScoreUpperBound();
+    }
+    size_t candidates_total() const override {
+      return inner_->candidates_total();
+    }
+    size_t candidates_scored() const override {
+      return inner_->candidates_scored();
+    }
+
+   private:
+    const LatchedEngine* engine_;
+    std::unique_ptr<ResultProducer> inner_;
+  };
+
+  void WaitWhileHeld() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_.wait(lock, [this] { return !held_; });
+  }
+
+  XSeekEngine inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable released_;
+  bool held_ = false;
+};
+
 class HttpAdmissionTest : public ::testing::Test {
  protected:
-  /// `matching_retailers` scales the corpus: large values make a blocking
-  /// "texas apparel retailer" stream long enough to disconnect mid-flight.
-  void StartServer(size_t max_concurrent, size_t max_queue,
-                   size_t matching_retailers = 1) {
-    RetailerDatasetOptions retailer;
-    retailer.num_matching_retailers = matching_retailers;
-    ASSERT_TRUE(
-        corpus_.AddDocument("retailer", GenerateRetailerXml(retailer)).ok());
+  void StartServer(size_t max_concurrent, size_t max_queue) {
+    ASSERT_TRUE(corpus_.AddDocument("retailer", GenerateRetailerXml()).ok());
     ASSERT_TRUE(corpus_.AddDocument("stores", GenerateStoresXml()).ok());
     HttpServerOptions options;
     options.admission.max_concurrent = max_concurrent;
@@ -221,11 +297,12 @@ class HttpAdmissionTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    engine_.Release();  // a failed test must not leave a search parked
     if (server_ != nullptr) server_->Stop();
   }
 
   XmlCorpus corpus_;
-  XSeekEngine engine_;
+  LatchedEngine engine_;
   std::unique_ptr<HttpServer> server_;
   std::unique_ptr<QueryService> service_;
 };
@@ -298,20 +375,23 @@ TEST_F(HttpAdmissionTest, SixteenFoldOverloadShedsDeterministically) {
 }
 
 TEST_F(HttpAdmissionTest, ClientDisconnectMidSseCancelsStreamAndFreesSlot) {
-  StartServer(/*max_concurrent=*/1, /*max_queue=*/4,
-              /*matching_retailers=*/60);
+  StartServer(/*max_concurrent=*/1, /*max_queue=*/4);
 
-  // Open an SSE stream over a many-slot blocking query, read only the
-  // response head, then vanish (full close -> FIN/RST).
+  // Open a gated SSE stream whose search is parked in its first pull, read
+  // only the response head, then vanish (full close -> FIN/RST). The search
+  // resumes only once the close has landed, so the server writes its first
+  // snippet frame to a departed client however loaded the machine is.
+  engine_.Hold();
   int fd = testing::ConnectLoopback(server_->port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(testing::SendAll(
       fd, "GET /query?q=" + testing::UrlEncode("texas apparel retailer") +
-              "&mode=sse&gated=0 HTTP/1.1\r\nHost: t\r\n\r\n"));
+              "&mode=sse&gated=1 HTTP/1.1\r\nHost: t\r\n\r\n"));
   char buf[256];
   ssize_t n = ::recv(fd, buf, sizeof(buf), 0);  // at least the head
   ASSERT_GT(n, 0);
   ::close(fd);
+  engine_.Release();
 
   // The handler must notice, cancel the stream and release the ticket.
   EXPECT_TRUE(WaitFor([&] {

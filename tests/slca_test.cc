@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "common/random.h"
 #include "xml/parser.h"
@@ -99,6 +100,56 @@ TEST(SlcaTest, ThreeKeywords) {
   // It is the first <r> (alpha).
   EXPECT_EQ(db.doc.text(db.doc.sole_text_child(db.doc.children(slca[0])[0])),
             "alpha");
+}
+
+// Hand-written shapes where the driving list is sparse against long runs
+// of other nodes: a keyword pair at both ends of 40 fillers, an SLCA whose
+// subtree spans 30 siblings, and one needle among 60 entries. ILE must
+// agree with the counting oracle on each.
+TEST(SlcaTest, IleMatchesOracleOnHandWrittenShapes) {
+  std::string ends = "<root><item><name>alpha first</name><tag>beta</tag></item>";
+  for (int i = 0; i < 40; ++i) {
+    ends += "<item><name>filler" + std::to_string(i) + "</name></item>";
+  }
+  ends += "<item><name>alpha last</name><tag>beta</tag></item></root>";
+
+  std::string span = "<root><wrap><a>left anchor</a>";
+  for (int i = 0; i < 30; ++i) {
+    span += "<pad><x>p" + std::to_string(i) + "</x></pad>";
+  }
+  span += "<b>right anchor</b></wrap></root>";
+
+  std::string needle = "<root>";
+  for (int i = 0; i < 60; ++i) {
+    needle += "<entry><label>common node " + std::to_string(i) + "</label>";
+    if (i == 17) needle += "<special>needle</special>";
+    needle += "</entry>";
+  }
+  needle += "</root>";
+
+  auto expect_agreement = [](const Db& db,
+                             std::initializer_list<const char*> keywords) {
+    std::vector<const PostingList*> lists = Lists(db, keywords);
+    for (const PostingList* list : lists) ASSERT_NE(list, nullptr);
+    auto ile = ComputeSlcaIndexedLookupEager(db.doc, lists);
+    EXPECT_FALSE(ile.empty());
+    EXPECT_EQ(ile, ComputeSlcaBySubtreeCounts(db.doc, lists));
+  };
+  Db ends_db = Load(ends);
+  expect_agreement(ends_db, {"alpha", "beta"});
+  expect_agreement(ends_db, {"alpha", "filler3"});
+  Db span_db = Load(span);
+  expect_agreement(span_db, {"left", "right"});
+  expect_agreement(span_db, {"anchor"});
+  Db needle_db = Load(needle);
+  expect_agreement(needle_db, {"needle", "common"});
+  expect_agreement(needle_db, {"needle", "node"});
+
+  // "left right" has its only SLCA at <wrap>, spanning every sibling.
+  auto wrap = ComputeSlcaIndexedLookupEager(span_db.doc,
+                                            Lists(span_db, {"left", "right"}));
+  ASSERT_EQ(wrap.size(), 1u);
+  EXPECT_EQ(span_db.doc.label_name(wrap[0]), "wrap");
 }
 
 TEST(RemoveAncestorsTest, KeepsDeepestAntichain) {

@@ -168,7 +168,7 @@ TEST(SnapshotTest, DtdClassificationSurvivesWithoutTheDtd) {
   auto flat = IndexedDocument::Build(**parsed);
   ASSERT_TRUE(flat.ok()) << flat.status();
   auto without_dtd = XmlDatabase::FromIndexedDocument(
-      std::move(*flat), /*dtd=*/nullptr, LoadOptions{});
+      std::move(*flat), /*dtd=*/nullptr);
   ASSERT_TRUE(without_dtd.ok()) << without_dtd.status();
   auto restored = RoundTrip(*db, "snapshot_dtd_effect.xcsn");
   ASSERT_TRUE(restored.ok()) << restored.status();

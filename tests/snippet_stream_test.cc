@@ -277,9 +277,15 @@ TEST(SnippetStreamTest, CancellationMidStreamResolvesUnstartedSlots) {
   EXPECT_TRUE(last->snippet.ok()) << last->snippet.status();
   EXPECT_FALSE(session.stream().Next().has_value());
 
-  // The pool is free again: an unrelated parallel region completes.
+  // The pool is free again: an unrelated task group completes on it.
   std::atomic<size_t> visited{0};
-  ParallelFor(64, 2, [&visited](size_t) { visited.fetch_add(1); });
+  {
+    TaskGroup group(&SharedThreadPool());
+    for (int i = 0; i < 64; ++i) {
+      group.Submit([&visited] { visited.fetch_add(1); });
+    }
+    group.Wait();
+  }
   EXPECT_EQ(visited.load(), 64u);
 }
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <numeric>
 #include <vector>
 
 namespace extract {
@@ -46,66 +45,6 @@ TEST(ThreadPoolTest, AtLeastOneWorkerEvenWhenAskedForZero) {
   pool.Submit([&count] { count.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    const size_t n = 1000;
-    std::vector<std::atomic<int>> visits(n);
-    ParallelFor(n, threads, [&](size_t i) { visits[i].fetch_add(1); });
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "i=" << i << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelForTest, EmptyAndSingleElementRanges) {
-  int calls = 0;
-  ParallelFor(0, 8, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  ParallelFor(1, 8, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelForTest, SlotWritesMatchSequential) {
-  const size_t n = 500;
-  std::vector<size_t> sequential(n), parallel(n);
-  ParallelFor(n, 1, [&](size_t i) { sequential[i] = i * i; });
-  ParallelFor(n, 8, [&](size_t i) { parallel[i] = i * i; });
-  EXPECT_EQ(sequential, parallel);
-}
-
-TEST(ParallelForTest, NestedCallsCompleteEveryIndex) {
-  const size_t outer = 8, inner = 16;
-  std::vector<std::atomic<int>> counts(outer * inner);
-  ParallelFor(outer, 4, [&](size_t o) {
-    ParallelFor(inner, 4, [&](size_t i) {
-      counts[o * inner + i].fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  for (const auto& count : counts) EXPECT_EQ(count.load(), 1);
-}
-
-// Regression: tasks submitted straight to the shared pool that themselves
-// call ParallelFor must not deadlock the pool (every worker waiting on
-// helper tasks stuck behind the other waiting workers). The fix routes any
-// pool-run caller to the inline loop; without it this test hangs.
-TEST(ParallelForTest, CallableFromTasksOnTheSharedPool) {
-  ThreadPool& pool = SharedThreadPool();
-  const size_t tasks = pool.num_threads() + 2;  // saturate every worker
-  std::atomic<size_t> total{0};
-  for (size_t t = 0; t < tasks; ++t) {
-    pool.Submit([&] {
-      ParallelFor(50, 0, [&](size_t) {
-        total.fetch_add(1, std::memory_order_relaxed);
-      });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(total.load(), tasks * 50);
 }
 
 // The EXTRACT_POOL_THREADS parsing contract (the pool itself is created
@@ -187,17 +126,11 @@ TEST(TaskGroupTest, DestructorWaitsForStartedTasks) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(InParallelRegionTest, TrueOnPoolWorkersAndInsideParallelFor) {
-  EXPECT_FALSE(InParallelRegion());
-  std::atomic<int> checked{0};
-  ParallelFor(8, 2, [&checked](size_t) {
-    if (InParallelRegion()) checked.fetch_add(1);
-  });
-  EXPECT_EQ(checked.load(), 8);
-  EXPECT_FALSE(InParallelRegion());
+TEST(OnPoolWorkerTest, TrueOnlyOnPoolWorkers) {
+  EXPECT_FALSE(OnPoolWorker());
   std::atomic<bool> on_worker{false};
   ThreadPool& pool = SharedThreadPool();
-  pool.Submit([&on_worker] { on_worker.store(InParallelRegion()); });
+  pool.Submit([&on_worker] { on_worker.store(OnPoolWorker()); });
   pool.Wait();
   EXPECT_TRUE(on_worker.load());
 }

@@ -1,6 +1,6 @@
 // Incremental top-k search must be indistinguishable from blocking search
 // truncated to k: identical pages (documents, roots, bitwise-equal scores)
-// for every k/partition configuration and across repeated runs, over
+// for every k and across repeated runs, over
 // in-memory and snapshot-backed corpora, identical error reporting when
 // producers fail mid-enumeration, and sound monotone shard bounds and
 // document bounds — while actually terminating early on skewed corpora and
@@ -36,16 +36,11 @@
 namespace extract {
 namespace {
 
-// Demo data sets plus synthetic documents, several loaded with a fine
-// partition grid so the incremental enumerator actually runs chunked.
+// Demo data sets plus synthetic documents.
 XmlCorpus MakeWideCorpus() {
   XmlCorpus corpus;
-  LoadOptions partitioned;
-  partitioned.partitioning.target_nodes_per_partition = 64;
-  EXPECT_TRUE(
-      corpus.AddDocument("retailer", GenerateRetailerXml(), partitioned).ok());
-  EXPECT_TRUE(corpus.AddDocument("stores", GenerateStoresXml(), partitioned)
-                  .ok());
+  EXPECT_TRUE(corpus.AddDocument("retailer", GenerateRetailerXml()).ok());
+  EXPECT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
   EXPECT_TRUE(corpus.AddDocument("movies", GenerateMoviesXml()).ok());
   for (int d = 0; d < 5; ++d) {
     RandomXmlOptions options;
@@ -230,57 +225,64 @@ TEST(TopKSearchTest, EarlyTerminationOnSkewedCorpus) {
 }
 
 TEST(TopKSearchTest, ProducerBoundIsMonotoneAndSound) {
-  LoadOptions load;
-  load.partitioning.target_nodes_per_partition = 64;
-  auto db = XmlDatabase::Load(GenerateStoresXml(), load);
+  auto db = XmlDatabase::Load(GenerateStoresXml());
   ASSERT_TRUE(db.ok()) << db.status();
-  ASSERT_GT(db->partitions().count(), 1u);
-
   XSeekEngine engine;
-  RankingOptions ranking;
-  Query query = Query::Parse("texas store");
-  auto opened = engine.OpenIncremental(*db, query, ranking, 0);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  ResultProducer& producer = **opened;
 
-  EXPECT_EQ(producer.candidates_scored(), 0u);
-  std::vector<RankedResult> all;
-  double prev_bound = std::numeric_limits<double>::infinity();
-  size_t pulls = 0;
-  while (!producer.Exhausted()) {
-    const double bound = producer.ScoreUpperBound();
-    EXPECT_LE(bound, prev_bound) << "bound increased at pull " << pulls;
-    std::vector<RankedResult> chunk;
-    ASSERT_TRUE(producer.Pull(&chunk).ok());
-    for (const RankedResult& r : chunk) {
-      // Soundness: nothing a pull emits may beat the bound advertised
-      // immediately before it.
-      EXPECT_LE(r.score, bound) << "root " << r.result.root;
-      all.push_back(r);
+  // Under depth-only ranking a one-keyword result scores its SLCA's depth
+  // and the SLCA is a driving posting, so the bound must reach the
+  // deepest one exactly: a depth cap that misses it fails soundness here.
+  RankingOptions depth_only;
+  depth_only.frequency_weight = 0.0;
+  depth_only.compactness_weight = 0.0;
+  const std::pair<const char*, RankingOptions> cases[] = {
+      {"texas store", RankingOptions{}}, {"texas", depth_only}};
+  for (const auto& [text, ranking] : cases) {
+    SCOPED_TRACE(text);
+    Query query = Query::Parse(text);
+    auto opened = engine.OpenIncremental(*db, query, ranking, 0);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    ResultProducer& producer = **opened;
+
+    EXPECT_EQ(producer.candidates_scored(), 0u);
+    std::vector<RankedResult> all;
+    double prev_bound = std::numeric_limits<double>::infinity();
+    size_t pulls = 0;
+    while (!producer.Exhausted()) {
+      const double bound = producer.ScoreUpperBound();
+      EXPECT_LE(bound, prev_bound) << "bound increased at pull " << pulls;
+      std::vector<RankedResult> chunk;
+      ASSERT_TRUE(producer.Pull(&chunk).ok());
+      for (const RankedResult& r : chunk) {
+        // Soundness: nothing a pull emits may beat the bound advertised
+        // immediately before it.
+        EXPECT_LE(r.score, bound) << "root " << r.result.root;
+        all.push_back(r);
+      }
+      prev_bound = bound;
+      ++pulls;
     }
-    prev_bound = bound;
-    ++pulls;
-  }
-  EXPECT_GT(pulls, 1u) << "partitioned document should need several pulls";
-  EXPECT_EQ(producer.ScoreUpperBound(),
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(producer.candidates_scored(), producer.candidates_total());
+    EXPECT_EQ(pulls, 1u) << "one pull runs the whole search";
+    EXPECT_EQ(producer.ScoreUpperBound(),
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(producer.candidates_scored(), producer.candidates_total());
 
-  // The union of all pulls is exactly the blocking search, scored.
-  auto searched = engine.Search(*db, query);
-  ASSERT_TRUE(searched.ok());
-  std::vector<RankedResult> expected = RankResults(*db, *searched, ranking);
-  ASSERT_EQ(expected.size(), all.size());
-  auto by_root = [](const RankedResult& a, const RankedResult& b) {
-    return a.result.root < b.result.root;
-  };
-  std::sort(expected.begin(), expected.end(), by_root);
-  std::sort(all.begin(), all.end(), by_root);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].result.root, all[i].result.root);
-    EXPECT_EQ(expected[i].result.slca, all[i].result.slca);
-    EXPECT_EQ(expected[i].result.matches, all[i].result.matches);
-    EXPECT_EQ(expected[i].score, all[i].score);
+    // The union of all pulls is exactly the blocking search, scored.
+    auto searched = engine.Search(*db, query);
+    ASSERT_TRUE(searched.ok());
+    std::vector<RankedResult> expected = RankResults(*db, *searched, ranking);
+    ASSERT_EQ(expected.size(), all.size());
+    auto by_root = [](const RankedResult& a, const RankedResult& b) {
+      return a.result.root < b.result.root;
+    };
+    std::sort(expected.begin(), expected.end(), by_root);
+    std::sort(all.begin(), all.end(), by_root);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i].result.root, all[i].result.root);
+      EXPECT_EQ(expected[i].result.slca, all[i].result.slca);
+      EXPECT_EQ(expected[i].result.matches, all[i].result.matches);
+      EXPECT_EQ(expected[i].score, all[i].score);
+    }
   }
 }
 
@@ -404,14 +406,11 @@ TEST(TopKSearchTest, DirectoryBoundIsSoundProperty) {
 
 // A snapshot-backed corpus serves the same pages as its in-memory twin,
 // through SearchAll, SearchTopK (bound-ordered lazy opening) and page-gated
-// ServeQuery alike — across a partitioned document, hidden snapshot names
-// and overlay documents shadowing them.
+// ServeQuery alike — across hidden snapshot names and overlay documents
+// shadowing them.
 TEST(TopKSearchTest, SnapshotBackedTopKMatchesSearchAll) {
   XmlCorpus memory;
-  LoadOptions partitioned;
-  partitioned.partitioning.target_nodes_per_partition = 64;
-  ASSERT_TRUE(
-      memory.AddDocument("retailer", GenerateRetailerXml(), partitioned).ok());
+  ASSERT_TRUE(memory.AddDocument("retailer", GenerateRetailerXml()).ok());
   ASSERT_TRUE(memory.AddDocument("stores", GenerateStoresXml()).ok());
   ASSERT_TRUE(memory.AddDocument("movies", GenerateMoviesXml()).ok());
   std::vector<std::string> queries = {"texas", "texas store", "stores",
