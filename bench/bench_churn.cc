@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
 
   // ---- quiet phase: no writer, the latency floor.
   bool serve_ok = true;
-  for (size_t i = 0; i < mix.queries.size() * 2; ++i) {  // warm cache/pool
+  for (size_t i = 0; i < mix.queries.size() * 2; ++i) {  // warm the cache
     serve_ok = ServeOnce(corpus, engine, mix, i % mix.queries.size(),
                          i % 2 == 0, nullptr) &&
                serve_ok;

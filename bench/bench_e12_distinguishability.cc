@@ -56,7 +56,7 @@ int main() {
       SnippetOptions options;
       options.size_bound = bound;
       SnippetService service(&db);
-      auto plain = service.GenerateBatch(query, *results, options, BatchOptions{});
+      auto plain = service.GenerateBatch(query, *results, options);
       if (!plain.ok()) return 1;
       DiversifyOptions diversify;
       diversify.commonality_penalty = 1.5;

@@ -1,11 +1,10 @@
 // E7 — end-to-end pipeline throughput vs document size, with per-phase
 // breakdown: parse+index (Data Analyzer / Index Builder), search (SLCA +
-// result scoping), snippet generation — now including the batch path
-// (SnippetService::GenerateBatch) sequential vs parallel.
+// result scoping), snippet generation — including the batch path
+// (SnippetService::GenerateBatch).
 //
 // Expected shape: parse+index linear in document size and dominating; search
-// and snippets depend on posting-list/result sizes, far below load cost;
-// parallel batches approach sequential_time / cores on multi-core hosts.
+// and snippets depend on posting-list/result sizes, far below load cost.
 //
 // Besides the Google Benchmark tables on stdout, the binary writes
 // BENCH_e7.json to the working directory: wall-clock per pipeline stage and
@@ -17,11 +16,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/thread_pool.h"
 #include "datagen/random_xml.h"
 #include "datagen/workload.h"
 #include "search/corpus.h"
@@ -99,7 +98,7 @@ BENCHMARK(BM_SearchWorkload)->Arg(4)->Arg(8)->Arg(12)->Arg(20)
     ->Unit(benchmark::kMillisecond);
 
 // The pre-refactor baseline: one Generate call per result, a fresh context
-// every time (no per-query reuse, no parallelism).
+// every time (no per-query reuse).
 void BM_SnippetsPerResult(benchmark::State& state) {
   RandomXmlData data = MakeDoc(static_cast<size_t>(state.range(0)));
   XmlDatabase db = bench::MustLoad(data.xml);
@@ -124,7 +123,7 @@ void BM_SnippetsPerResult(benchmark::State& state) {
 BENCHMARK(BM_SnippetsPerResult)->Arg(4)->Arg(8)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
-// The batch path at a fixed thread count (Arg 1 = sequential).
+// The batch path: one shared context per query.
 void BM_SnippetBatch(benchmark::State& state) {
   RandomXmlData data = MakeDoc(8);
   XmlDatabase db = bench::MustLoad(data.xml);
@@ -132,13 +131,11 @@ void BM_SnippetBatch(benchmark::State& state) {
   SnippetService service(&db);
   SnippetOptions options;
   options.size_bound = 12;
-  BatchOptions batch;
-  batch.num_threads = static_cast<size_t>(state.range(0));
   size_t snippets = 0;
   for (auto _ : state) {
     snippets = 0;
     for (const auto& [q, results] : batches) {
-      auto generated = service.GenerateBatch(q, results, options, batch);
+      auto generated = service.GenerateBatch(q, results, options);
       benchmark::DoNotOptimize(generated);
       if (generated.ok()) snippets += generated->size();
     }
@@ -146,8 +143,7 @@ void BM_SnippetBatch(benchmark::State& state) {
   state.counters["snippets_per_batch"] = static_cast<double>(snippets);
 }
 
-BENCHMARK(BM_SnippetBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnippetBatch)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // BENCH_e7.json: per-stage wall clock and batch throughput.
@@ -202,23 +198,16 @@ void WriteBenchJson(const std::string& path) {
     }
   }
 
-  auto run_batches = [&](size_t threads) {
-    BatchOptions batch;
-    batch.num_threads = threads;
-    for (const auto& [q, results] : batches) {
-      auto generated = service.GenerateBatch(q, results, options, batch);
-      benchmark::DoNotOptimize(generated);
-    }
-  };
-  // One sample set per configuration: min_us doubles as the central
-  // number, the percentiles as the tail.
-  size_t hardware = ThreadPool::ConfiguredThreads();
+  // One sample set: min_us doubles as the central number, the percentiles
+  // as the tail.
   bench::LatencyPercentiles sequential_pct =
-      bench::MeasurePercentilesMicros([&] { run_batches(1); });
-  bench::LatencyPercentiles parallel_pct =
-      bench::MeasurePercentilesMicros([&] { run_batches(hardware); });
+      bench::MeasurePercentilesMicros([&] {
+        for (const auto& [q, results] : batches) {
+          auto generated = service.GenerateBatch(q, results, options);
+          benchmark::DoNotOptimize(generated);
+        }
+      });
   double sequential_us = sequential_pct.min_us;
-  double parallel_us = parallel_pct.min_us;
 
   bench::JsonWriter json;
   json.BeginObject();
@@ -241,22 +230,15 @@ void WriteBenchJson(const std::string& path) {
   json.EndArray();
   json.Key("batch").BeginObject();
   json.Key("snippets").Value(total_results);
-  json.Key("hardware_threads").Value(hardware);
+  json.Key("hardware_threads")
+      .Value(static_cast<size_t>(std::thread::hardware_concurrency()));
   json.Key("sequential_us").Value(sequential_us);
-  json.Key("parallel_us").Value(parallel_us);
   json.Key("sequential_percentiles").BeginObject();
   bench::WritePercentiles(json, sequential_pct);
   json.EndObject();
-  json.Key("parallel_percentiles").BeginObject();
-  bench::WritePercentiles(json, parallel_pct);
-  json.EndObject();
-  auto per_second = [&](double us) {
-    return us > 0.0 ? total_results / (us / 1e6) : 0.0;
-  };
-  json.Key("sequential_snippets_per_s").Value(per_second(sequential_us));
-  json.Key("parallel_snippets_per_s").Value(per_second(parallel_us));
-  json.Key("speedup").Value(parallel_us > 0.0 ? sequential_us / parallel_us
-                                              : 0.0);
+  json.Key("sequential_snippets_per_s")
+      .Value(sequential_us > 0.0 ? total_results / (sequential_us / 1e6)
+                                 : 0.0);
   json.EndObject();
   json.EndObject();
 
@@ -405,7 +387,8 @@ void WriteSearchBenchJson(const std::string& path) {
   json.EndObject();
   json.Key("queries").Value(workload.size());
   json.Key("hits").Value(hits);
-  json.Key("hardware_threads").Value(ThreadPool::ConfiguredThreads());
+  json.Key("hardware_threads")
+      .Value(static_cast<size_t>(std::thread::hardware_concurrency()));
   json.Key("sequential_us").Value(sequential_us);
 
   // -------------------------------------------------------------------
@@ -463,15 +446,12 @@ void WriteSearchBenchJson(const std::string& path) {
 // latency on multi-slot pages — the number the streaming refactor exists
 // for. Streamed output is cross-checked byte-identical to the batch path.
 //
-// Two measurements with different roles:
-//   * default-width batch vs streamed TTFS — the headline serving numbers,
-//     warn-only latency keys (on a many-core runner a small page's batch
-//     collapses toward its slowest slot, so the gap narrows with noise);
-//   * sequential (num_threads = 1) batch vs sequential streamed TTFS — the
-//     structural invariant behind constraint_ttfs_below_batch, strict in
-//     the perf gate: on one thread the first slot of a multi-slot page
-//     finishes strictly before all slots do, on any machine, or the
-//     stream's lazy production is broken.
+// Batch latency and streamed TTFS are the headline serving numbers
+// (warn-only latency keys), and their per-page minima drive
+// constraint_ttfs_below_batch, strict in the perf gate: a stream produces
+// on its consumer's thread one slot per pull, so the first slot of a
+// multi-slot page finishes strictly before all slots do, on any machine,
+// or the stream's lazy production is broken.
 //
 // Plus the search-phase counterpart on a skewed hot/cold corpus: the
 // incremental top-k merge's time-to-first-*result* vs the blocking
@@ -559,32 +539,25 @@ void WriteStreamBenchJson(const std::string& path) {
 
   // Paired measurement per (run, page): batch wall clock vs streamed
   // time-to-first-snippet (and streamed full drain, to expose the stream's
-  // own overhead) — once at the default width (the headline, warn-only)
-  // and once pinned to one thread (per-page minima drive the strict
-  // constraint: sequentially, slot one of a multi-slot page must finish
-  // strictly before all slots have).
+  // own overhead). Per-page minima drive the strict constraint: slot one
+  // of a multi-slot page must finish strictly before all slots have.
   using Clock = std::chrono::steady_clock;
   auto us_since = [](Clock::time_point start) {
     return std::chrono::duration_cast<
                std::chrono::duration<double, std::micro>>(Clock::now() - start)
         .count();
   };
-  auto measure_batch = [&](const Page& page, size_t threads) {
-    BatchOptions batch;
-    batch.num_threads = threads;
+  auto measure_batch = [&](const Page& page) {
     Clock::time_point t0 = Clock::now();
-    auto generated =
-        corpus.GenerateSnippets(page.query, page.hits, options, batch);
+    auto generated = corpus.GenerateSnippets(page.query, page.hits, options);
     benchmark::DoNotOptimize(generated);
     return us_since(t0);
   };
   // Returns {ttfs_us (-1 when no snippet succeeded), full_drain_us}.
-  auto measure_stream = [&](const Page& page, size_t threads) {
-    StreamOptions stream;
-    stream.num_threads = threads;
+  auto measure_stream = [&](const Page& page) {
     Clock::time_point t0 = Clock::now();
     auto session = corpus.StreamSnippets(page.query, page.hits, options,
-                                         stream);
+                                         StreamOptions{});
     double ttfs_us = -1.0;
     if (session.ok()) {
       while (auto event = session->stream().Next()) {
@@ -597,38 +570,29 @@ void WriteStreamBenchJson(const std::string& path) {
 
   const int kRuns = 15;
   std::vector<double> batch_samples, ttfs_samples, stream_full_samples;
-  std::vector<double> seq_batch_samples, seq_ttfs_samples;
-  std::vector<double> page_seq_batch_min(pages.size(), 1e18);
-  std::vector<double> page_seq_ttfs_min(pages.size(), 1e18);
+  std::vector<double> page_batch_min(pages.size(), 1e18);
+  std::vector<double> page_ttfs_min(pages.size(), 1e18);
   for (int run = 0; run < kRuns; ++run) {
     for (size_t p = 0; p < pages.size(); ++p) {
       const Page& page = pages[p];
-      batch_samples.push_back(measure_batch(page, /*threads=*/0));
-      auto [ttfs_us, full_us] = measure_stream(page, /*threads=*/0);
+      const double batch_us = measure_batch(page);
+      batch_samples.push_back(batch_us);
+      page_batch_min[p] = std::min(page_batch_min[p], batch_us);
+      auto [ttfs_us, full_us] = measure_stream(page);
       stream_full_samples.push_back(full_us);
-      if (ttfs_us >= 0.0) ttfs_samples.push_back(ttfs_us);
-
-      double seq_batch_us = measure_batch(page, /*threads=*/1);
-      seq_batch_samples.push_back(seq_batch_us);
-      page_seq_batch_min[p] = std::min(page_seq_batch_min[p], seq_batch_us);
-      auto [seq_ttfs_us, seq_full_us] = measure_stream(page, /*threads=*/1);
-      benchmark::DoNotOptimize(seq_full_us);
-      if (seq_ttfs_us >= 0.0) {
-        seq_ttfs_samples.push_back(seq_ttfs_us);
-        page_seq_ttfs_min[p] = std::min(page_seq_ttfs_min[p], seq_ttfs_us);
+      if (ttfs_us >= 0.0) {
+        ttfs_samples.push_back(ttfs_us);
+        page_ttfs_min[p] = std::min(page_ttfs_min[p], ttfs_us);
       }
     }
   }
   bool ttfs_below_batch = true;
   for (size_t p = 0; p < pages.size(); ++p) {
-    if (!(page_seq_ttfs_min[p] < page_seq_batch_min[p])) {
-      ttfs_below_batch = false;
-    }
+    if (!(page_ttfs_min[p] < page_batch_min[p])) ttfs_below_batch = false;
   }
   if (!ttfs_below_batch) {
     std::fprintf(stderr,
-                 "stream bench: sequential first snippet not below "
-                 "sequential batch latency!\n");
+                 "stream bench: first snippet not below batch latency!\n");
   }
 
   // Warm-cache streaming: every slot a hit, live the moment the stream
@@ -755,10 +719,6 @@ void WriteStreamBenchJson(const std::string& path) {
       bench::PercentilesFromSamplesMicros(std::move(ttfs_samples));
   bench::LatencyPercentiles stream_full_pct =
       bench::PercentilesFromSamplesMicros(std::move(stream_full_samples));
-  bench::LatencyPercentiles seq_batch_pct =
-      bench::PercentilesFromSamplesMicros(std::move(seq_batch_samples));
-  bench::LatencyPercentiles seq_ttfs_pct =
-      bench::PercentilesFromSamplesMicros(std::move(seq_ttfs_samples));
   bench::LatencyPercentiles warm_ttfs_pct =
       bench::PercentilesFromSamplesMicros(std::move(warm_ttfs_samples));
   bench::LatencyPercentiles blocking_search_pct =
@@ -778,7 +738,8 @@ void WriteStreamBenchJson(const std::string& path) {
   json.Key("pages").Value(pages.size());
   json.Key("slots_total").Value(slots_total);
   json.Key("min_page_slots").Value(min_page_slots);
-  json.Key("hardware_threads").Value(ThreadPool::ConfiguredThreads());
+  json.Key("hardware_threads")
+      .Value(static_cast<size_t>(std::thread::hardware_concurrency()));
   json.Key("results_identical_stream_collect")
       .Value(static_cast<size_t>(identical ? 1 : 0));
   json.Key("constraint_ttfs_below_batch")
@@ -798,8 +759,6 @@ void WriteStreamBenchJson(const std::string& path) {
   emit_pct("batch", batch_pct);
   emit_pct("stream_ttfs", ttfs_pct);
   emit_pct("stream_full", stream_full_pct);
-  emit_pct("sequential_batch", seq_batch_pct);
-  emit_pct("sequential_stream_ttfs", seq_ttfs_pct);
   emit_pct("warm_stream_ttfs", warm_ttfs_pct);
   json.Key("topk").BeginObject();
   json.Key("k").Value(kTopK);
@@ -818,8 +777,8 @@ void WriteStreamBenchJson(const std::string& path) {
   for (size_t p = 0; p < pages.size(); ++p) {
     json.BeginObject();
     json.Key("slots").Value(pages[p].hits.size());
-    json.Key("sequential_batch_min_us").Value(page_seq_batch_min[p]);
-    json.Key("sequential_ttfs_min_us").Value(page_seq_ttfs_min[p]);
+    json.Key("sequential_batch_min_us").Value(page_batch_min[p]);
+    json.Key("sequential_ttfs_min_us").Value(page_ttfs_min[p]);
     json.EndObject();
   }
   json.EndArray();

@@ -143,11 +143,9 @@ std::map<size_t, std::string> ServeInProcess(const Frontend& f,
   QueryServiceOptions defaults;
   CorpusServingOptions serving = defaults.serving;
   serving.page_size = gated ? page_size : 0;
-  StreamOptions stream_options;
-  stream_options.num_threads = defaults.stream_threads;
   auto served =
       f.corpus.ServeQuery(Query::Parse(kQuery), f.engine, defaults.ranking,
-                          serving, defaults.snippet, stream_options);
+                          serving, defaults.snippet, StreamOptions{});
   std::map<size_t, std::string> slots;
   if (!served.ok()) {
     std::fprintf(stderr, "fatal: %s\n", served.status().ToString().c_str());

@@ -19,7 +19,7 @@
 //                                   re-run
 //   query <keywords...>             search + snippets (active data set)
 //   queryall <keywords...>          search every loaded data set, ranked
-//                                   (SearchAll + parallel snippet batch)
+//                                   (SearchAll + snippet batch)
 //   stream <keywords...>            queryall, but incremental top-k: print
 //                                   each snippet the moment its slot
 //                                   completes, while lower ranks are still
@@ -308,7 +308,7 @@ void CmdQueryAll(ShellState* state, const std::string& text) {
   }
   std::printf("%zu hit(s) across %zu data set(s)\n", hits->size(),
               state->corpus.size());
-  // One parallel batch over the merged page: hits of the same document
+  // One batch over the merged page: hits of the same document
   // share a snippet context, output order matches the ranked hits.
   SnippetOptions options;
   options.size_bound = state->bound;

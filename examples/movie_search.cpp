@@ -48,15 +48,14 @@ int main(int argc, char** argv) {
   std::printf("query: \"%s\"  — %zu result(s), snippet bound %zu\n\n",
               query.ToString().c_str(), results->size(), size_bound);
 
-  // Generate the first page of snippets as one parallel batch.
+  // Generate the first page of snippets as one batch.
   std::vector<extract::QueryResult> page(
       results->begin(),
       results->begin() + std::min<size_t>(5, results->size()));
   extract::SnippetService service(&*db);
   extract::SnippetOptions options;
   options.size_bound = size_bound;
-  auto snippets =
-      service.GenerateBatch(query, page, options, extract::BatchOptions{});
+  auto snippets = service.GenerateBatch(query, page, options);
   if (!snippets.ok()) {
     std::fprintf(stderr, "snippets failed: %s\n",
                  snippets.status().ToString().c_str());

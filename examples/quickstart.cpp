@@ -62,15 +62,13 @@ int main() {
               results->size());
 
   // 3. Snippets: size-bounded summaries of every result, generated as one
-  //    batch. The SnippetContext shares the per-query work across results
-  //    and the batch runs in parallel (one worker per core by default) with
-  //    deterministic output ordering.
+  //    batch. The SnippetContext shares the per-query work across results,
+  //    and the output order matches the result order.
   extract::SnippetService service(&*db);
   extract::SnippetContext ctx(&*db, query);
   extract::SnippetOptions options;
   options.size_bound = 8;
-  auto snippets = service.GenerateBatch(ctx, *results, options,
-                                        extract::BatchOptions{});
+  auto snippets = service.GenerateBatch(ctx, *results, options);
   if (!snippets.ok()) {
     std::fprintf(stderr, "snippets failed: %s\n",
                  snippets.status().ToString().c_str());

@@ -46,13 +46,12 @@ int main(int argc, char** argv) {
   std::printf("query: \"%s\"   snippet size bound: %zu   results: %zu\n\n",
               query.ToString().c_str(), size_bound, results->size());
 
-  // One parallel batch over all results; the page order matches the
+  // One batch over all results; the page order matches the
   // result order.
   extract::SnippetService service(&*db);
   extract::SnippetOptions options;
   options.size_bound = size_bound;
-  auto snippets =
-      service.GenerateBatch(query, *results, options, extract::BatchOptions{});
+  auto snippets = service.GenerateBatch(query, *results, options);
   if (!snippets.ok()) {
     std::fprintf(stderr, "snippets failed: %s\n",
                  snippets.status().ToString().c_str());

@@ -1,9 +1,8 @@
 // Deterministic fault injection for chaos testing the serving stack.
 //
 // The library is instrumented with named fault points — one macro call at
-// each place a real failure could originate (parse, index build, pool
-// submit, snippet stage, cache access, epoch publish, admission, socket
-// I/O). A test arms the process-wide FaultInjector with a schedule
+// each place a real failure could originate (parse, index build, search,
+// snippet stage, cache access, epoch publish, admission, socket I/O). A test arms the process-wide FaultInjector with a schedule
 // ("fail the 3rd hit of point P with status S", or "fail each hit of P
 // with probability p under seed s"), drives traffic, and asserts that the
 // injected failures surface as precise Statuses / HTTP codes with every
@@ -58,8 +57,8 @@ struct FaultRule {
   /// max_fires == 1 (the default schedule shape) fires exactly once.
   uint64_t max_fires = 1;
   /// The Status an injected failure carries. Points that cannot return a
-  /// Status (socket I/O, pool submit) ignore it and simulate their native
-  /// failure mode instead.
+  /// Status (socket I/O) ignore it and simulate their native failure mode
+  /// instead.
   StatusCode code = StatusCode::kUnavailable;
   std::string message = "injected fault";
 };

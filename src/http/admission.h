@@ -2,20 +2,20 @@
 // limit with a deadline-aware wait queue and explicit load shedding.
 //
 // The streaming core (snippet/snippet_stream.h) makes one request cheap to
-// cancel but does nothing to stop N requests from queueing behind a full
-// thread pool and all timing out together. This module is the front door
-// that keeps overload outside: at most `max_concurrent` sessions hold a
-// slot at once; up to `max_queue` more wait, woken earliest-deadline-first
-// (the waiter with the least slack is the one a FIFO would kill); everyone
-// else is shed immediately with kUnavailable — a fast 503 instead of a
-// slow stall that would poison every in-flight request.
+// cancel but does nothing to stop N requests from computing at once on N
+// connection threads, sharing the cores and all timing out together. This
+// module is the front door that keeps overload outside: at most
+// `max_concurrent` sessions hold a slot — and so compute — at once; up to
+// `max_queue` more wait, woken earliest-deadline-first (the waiter with
+// the least slack is the one a FIFO would kill); everyone else is shed
+// immediately with kUnavailable — a fast 503 instead of a slow stall that
+// would poison every in-flight request.
 //
 // A waiter whose deadline passes while queued leaves with
 // kDeadlineExceeded; a waiter admitted holds an RAII Ticket whose
 // destruction hands the slot to the best remaining waiter. All methods are
-// thread-safe; the controller never touches the thread pool (waiting
-// happens on the connection's own thread, so a parked client can never
-// starve the compute pool).
+// thread-safe; waiting happens on the connection's own thread, so a
+// parked client holds no slot and takes no compute from admitted ones.
 
 #ifndef EXTRACT_HTTP_ADMISSION_H_
 #define EXTRACT_HTTP_ADMISSION_H_

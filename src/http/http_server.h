@@ -1,16 +1,16 @@
 // Embedded HTTP/1.1 server: the wire transport of the serving frontier.
 //
 // Threading model: one dedicated accept thread plus one thread per live
-// connection. Connection threads do the blocking socket I/O and admission
-// waiting; all query compute still runs on the process-wide
-// SharedThreadPool via ServeQuery — a deliberate split, because parking
-// blocked/slow clients on pool workers would let the network starve the
-// compute pool (the admission queue exists precisely to hold excess
-// sessions OFF the pool). Connection count is bounded (`max_connections`,
-// over-limit accepts get an immediate 503), so thread growth is bounded
-// too; at the configured scale (hundreds of connections) thread-per-
-// connection measures within noise of an event loop and keeps handlers
-// straight-line blocking code.
+// connection. A connection's thread does everything for its request: the
+// blocking socket I/O, the admission wait, and the query itself — search,
+// every snippet slot and every write — since a ServeQuery stream produces
+// on the thread that consumes it. Admission therefore bounds how many
+// threads compute at once (`max_concurrent`); the rest wait in its queue
+// or are shed. Connection count is bounded too (`max_connections`,
+// over-limit accepts get an immediate 503), so thread growth is bounded;
+// at the configured scale (hundreds of connections) thread-per-connection
+// measures within noise of an event loop and keeps handlers straight-line
+// blocking code.
 //
 // Responses are either buffered (SendResponse/SendJson: Content-Length,
 // connection close) or streamed (BeginChunked/WriteChunk/EndChunked:

@@ -222,7 +222,6 @@ void QueryService::HandleQuery(const HttpRequest& request,
   }
 
   StreamOptions stream_options;
-  stream_options.num_threads = options_.stream_threads;
   stream_options.order = StreamOrder::kCompletion;
   if (const std::string* raw = request.FindParam("order")) {
     if (*raw == "slot") {
@@ -311,13 +310,13 @@ void QueryService::HandleQuery(const HttpRequest& request,
   if (!sse) {
     // Blocking JSON page: drain the stream, reassemble in slot order. An
     // output-byte trip drops the over-cap slot and everything after it
-    // (cancelling the stream so unstarted slots stop costing pool time)
+    // (cancelling the stream so unstarted slots resolve without computing)
     // but still answers 200 with the slots that fit — truncated, flagged.
     std::vector<std::pair<size_t, std::string>> slots;
     bool truncated = false;
     size_t rendered_bytes = 0;
     while (auto event = stream.stream().Next()) {
-      // A vanished client cannot be answered; stop burning pool time on it.
+      // A vanished client cannot be answered; stop computing for it.
       if (!writer.CheckClientAlive()) stream.Cancel();
       if (truncated) continue;  // drain the cancelled tail
       std::string slot_json = RenderSlotJson(*event, stream.page());
@@ -376,8 +375,9 @@ void QueryService::HandleQuery(const HttpRequest& request,
     }
     sent_bytes += text.size();
     if (!writer.WriteChunk(text) || !writer.CheckClientAlive()) {
-      // Client is gone: cancel the stream so unstarted slots free the pool
-      // immediately, then keep draining (cancelled events are instant).
+      // Client is gone: cancel the stream so unstarted slots resolve
+      // without computing, then keep draining (cancelled events are
+      // instant).
       disconnected = true;
       server_->RecordSseDisconnect();
       stream.Cancel();

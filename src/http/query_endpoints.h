@@ -31,8 +31,8 @@
 // queued. The remaining deadline after admission becomes
 // StreamOptions::deadline, so a request that burned its budget waiting
 // emits deadline events instead of computing. A client that disconnects
-// mid-SSE cancels the underlying stream (freeing pool slots) and releases
-// its admission ticket.
+// mid-SSE cancels the underlying stream (its unstarted slots then resolve
+// without computing) and releases its admission ticket.
 //
 // Live mutation: /query pins the corpus epoch right after admission
 // (released just before its admission slot is handed on) and serves
@@ -60,7 +60,9 @@ struct QueryServiceOptions {
   /// `page_size`/`gated` parameters decide the serving mode; every other
   /// field here is ignored.
   CorpusServingOptions serving;
-  /// Stream producer width (StreamOptions::num_threads).
+  /// Unread: every stream produces on its request's thread. Kept only
+  /// because the repository benchmark (perfbench/) still reads it; it goes
+  /// with the next change to that benchmark.
   size_t stream_threads = 0;
   size_t default_page_size = 10;
   size_t max_page_size = 100;

@@ -179,13 +179,11 @@ namespace internal {
 /// An opened document's effective bound is the lesser of its producer's
 /// bound and its directory bound.
 ///
-/// Thread model: every step runs under mu_, so any number of stream
-/// producers may call AdvanceForStream concurrently — they serialize, and
-/// the search runs on whichever thread has nothing better to do. Drain
-/// (the blocking SearchTopK driver) holds mu_ throughout. Both drivers run
-/// the same steps, and each step pulls its producers one after another on
-/// the stepping thread, so a blocking and a page-gated search of one page
-/// do identical work.
+/// Thread model: one thread steps each coordinator — the SearchTopK caller
+/// through Drain, or the gated stream's consumer through
+/// AdvanceForStream. Both run the same steps, and each step pulls its
+/// producers one after another, so a blocking and a page-gated search of
+/// one page do identical work.
 class TopKCoordinator {
  public:
   TopKCoordinator(Query query, const SearchEngine* engine,
@@ -195,9 +193,9 @@ class TopKCoordinator {
         ranking_(ranking),
         k_(k) {}
 
-  /// Receives each released hit, in final page order, with mu_ held.
-  /// Everything a released slot's consumers read must be in place when it
-  /// returns — the gate releases the slot right after.
+  /// Receives each released hit, in final page order. Everything a
+  /// released slot's consumers read must be in place when it returns — the
+  /// gate releases the slot right after.
   std::function<void(CorpusResult&&)> on_release;
 
   /// Bound to the gated stream when serving; empty (every call a no-op)
@@ -213,9 +211,8 @@ class TopKCoordinator {
   /// the candidate heap. The view must stay alive for the coordinator's
   /// lifetime — callers keep the pin in the session payload or on the
   /// stack. On failure (candidate listing, fault-in or open) the error is
-  /// resolved with blocking-loop parity (ResolveFailureLocked).
+  /// resolved with blocking-loop parity (ResolveFailure).
   Status Open(const CorpusView& view) {
-    std::lock_guard<std::mutex> lock(mu_);
     start_ = std::chrono::steady_clock::now();
     view_ = &view;
     Result<std::vector<CorpusView::DocEntry>> entries =
@@ -223,7 +220,7 @@ class TopKCoordinator {
     if (!entries.ok()) {
       error_ = entries.status();
       open_ns_ += ElapsedNsSince(start_);
-      FinishLocked();
+      Finish();
       return error_;
     }
     // No usable bound (+infinity, or NaN from a misbehaving engine): open
@@ -235,7 +232,7 @@ class TopKCoordinator {
         std::count_if(entries->begin(), entries->end(), unbounded)));
     bool failed = false;
     for (const CorpusView::DocEntry& entry : *entries) {
-      if (unbounded(entry)) failed = !OpenLocked(entry) || failed;
+      if (unbounded(entry)) failed = !OpenEntry(entry) || failed;
     }
     candidates_ = std::move(*entries);
     std::erase_if(candidates_, [&](const CorpusView::DocEntry& entry) {
@@ -245,30 +242,27 @@ class TopKCoordinator {
     std::make_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
     open_ns_ += ElapsedNsSince(start_);
     if (failed) {
-      ResolveFailureLocked();
+      ResolveFailure();
       return error_;
     }
-    if (k_ == 0) FinishLocked();
+    if (k_ == 0) Finish();
     return Status::OK();
   }
 
   /// Runs the search to completion (the SearchTopK driver).
   Status Drain() {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (!finished_) StepLocked();
+    while (!finished_) Step();
     return error_;
   }
 
   /// One step on behalf of the gated stream; false iff already finished.
   bool AdvanceForStream() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return false;
-    StepLocked();
+    Step();
     return true;
   }
 
   TopKSearchStats StatsSnapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
     TopKSearchStats s;
     s.producers = producers_.size();
     for (const Producer& p : producers_) {
@@ -289,7 +283,6 @@ class TopKCoordinator {
   /// "search.score" (summed producer counters) and "search.merge"
   /// (bound-merge bookkeeping).
   void RecordStageStats(StageStatsRegistry& registry) const {
-    std::lock_guard<std::mutex> lock(mu_);
     uint64_t enumerate_ns = 0;
     uint64_t score_ns = 0;
     for (const Producer& p : producers_) {
@@ -355,7 +348,7 @@ class TopKCoordinator {
   /// Faults `entry` in and opens its producer, appending it to producers_
   /// (which may reallocate: no reference into producers_ survives this
   /// call). False when the fault-in or the open failed.
-  bool OpenLocked(const CorpusView::DocEntry& entry) {
+  bool OpenEntry(const CorpusView::DocEntry& entry) {
     Producer p;
     p.name = std::string(entry.name);
     p.doc_bound = entry.score_bound;
@@ -375,10 +368,10 @@ class TopKCoordinator {
     return producers_.back().status.ok();
   }
 
-  void StepLocked() {
+  void Step() {
     if (finished_) return;
     if (released_ >= k_) {
-      FinishLocked();
+      Finish();
       return;
     }
     const auto merge_start = std::chrono::steady_clock::now();
@@ -427,7 +420,7 @@ class TopKCoordinator {
         const double score = front.score;
         const std::string document = front.document;  // opening invalidates
         merge_ns_ += ElapsedNsSince(merge_start);
-        OpenCandidatesLocked(score, document);
+        OpenCandidates(score, document);
         return;
       }
       if (pull_set_.empty()) {
@@ -441,11 +434,11 @@ class TopKCoordinator {
         merge_ns_ += ElapsedNsSince(merge_start);
         if (on_release) on_release(std::move(hit));
         gate.ReleaseSlots(1);
-        if (released_ >= k_) FinishLocked();
+        if (released_ >= k_) Finish();
         return;
       }
       merge_ns_ += ElapsedNsSince(merge_start);
-      PullLocked();
+      Pull();
       return;
     }
     // Nothing buffered anywhere: finish if the corpus is exhausted, else
@@ -467,20 +460,20 @@ class TopKCoordinator {
                                   producers_[top].name))) {
       merge_ns_ += ElapsedNsSince(merge_start);
       if (top == n) {
-        OpenCandidatesLocked(-std::numeric_limits<double>::infinity(), {});
+        OpenCandidates(-std::numeric_limits<double>::infinity(), {});
       } else {
         const std::string name = producers_[top].name;  // opening invalidates
-        OpenCandidatesLocked(bounds_[top], name);
+        OpenCandidates(bounds_[top], name);
       }
       return;
     }
     merge_ns_ += ElapsedNsSince(merge_start);
     if (top == n) {
-      FinishLocked();
+      Finish();
       return;
     }
     pull_set_.push_back(top);
-    PullLocked();
+    Pull();
   }
 
   /// Opens up to open_batch_ of the best candidates that could precede
@@ -488,7 +481,7 @@ class TopKCoordinator {
   /// until the next release, so a search that must open many documents
   /// takes logarithmically many steps, while one whose bounds are tight
   /// opens about one document per released hit.
-  void OpenCandidatesLocked(double score, const std::string& document) {
+  void OpenCandidates(double score, const std::string& document) {
     const auto open_start = std::chrono::steady_clock::now();
     pull_set_.clear();
     while (pull_set_.size() < open_batch_ && !candidates_.empty() &&
@@ -497,21 +490,21 @@ class TopKCoordinator {
       std::pop_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
       const CorpusView::DocEntry entry = candidates_.back();
       candidates_.pop_back();
-      if (!OpenLocked(entry)) {
+      if (!OpenEntry(entry)) {
         open_ns_ += ElapsedNsSince(open_start);
-        ResolveFailureLocked();
+        ResolveFailure();
         return;
       }
       pull_set_.push_back(producers_.size() - 1);
     }
     open_ns_ += ElapsedNsSince(open_start);
     open_batch_ *= 2;
-    PullLocked();
+    Pull();
   }
 
   /// Pulls each producer of pull_set_ once, in turn; a failed pull ends the
   /// round and resolves the search's error.
-  void PullLocked() {
+  void Pull() {
     ++pull_rounds_;
     const auto pull_start = std::chrono::steady_clock::now();
     for (size_t i : pull_set_) {
@@ -520,7 +513,7 @@ class TopKCoordinator {
       p.status = p.producer->Pull(&buf);
       if (!p.status.ok()) {
         pull_ns_ += ElapsedNsSince(pull_start);
-        ResolveFailureLocked();
+        ResolveFailure();
         return;
       }
       for (RankedResult& r : buf) {
@@ -536,7 +529,7 @@ class TopKCoordinator {
   /// completion before moving on — so every candidate named below the
   /// lowest known failure is opened (if it is still waiting) and drained
   /// to exhaustion first, in case it fails too.
-  void ResolveFailureLocked() {
+  void ResolveFailure() {
     const auto resolve_start = std::chrono::steady_clock::now();
     size_t f = producers_.size();
     for (size_t i = 0; i < producers_.size(); ++i) {
@@ -554,7 +547,7 @@ class TopKCoordinator {
       return entry.name < failed_name;
     });
     std::make_heap(candidates_.begin(), candidates_.end(), CandidateAfter);
-    for (const CorpusView::DocEntry& entry : below) OpenLocked(entry);
+    for (const CorpusView::DocEntry& entry : below) OpenEntry(entry);
 
     std::vector<size_t> order(producers_.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -577,10 +570,10 @@ class TopKCoordinator {
     }
     error_ = producers_[f].status;
     open_ns_ += ElapsedNsSince(resolve_start);
-    FinishLocked();
+    Finish();
   }
 
-  void FinishLocked() {
+  void Finish() {
     if (finished_) return;
     finished_ = true;
     early_terminated_ = !candidates_.empty();
@@ -602,14 +595,13 @@ class TopKCoordinator {
   const RankingOptions ranking_;
   const size_t k_;
 
-  mutable std::mutex mu_;
   const CorpusView* view_ = nullptr;  ///< the pinned view, set by Open
   std::vector<Producer> producers_;   ///< opening order
   /// Unopened bounded documents; heap under CandidateAfter.
   std::vector<CorpusView::DocEntry> candidates_;
   std::vector<size_t> pull_set_;  ///< scratch, reused across steps
   std::vector<double> bounds_;    ///< Producer::Bound() of this step
-  size_t open_batch_ = 1;  ///< see OpenCandidatesLocked
+  size_t open_batch_ = 1;  ///< see OpenCandidates
   size_t released_ = 0;
   size_t pull_rounds_ = 0;
   /// Open, candidate-open and failure-resolution batches, fault-in
@@ -870,8 +862,9 @@ Result<std::vector<CorpusResult>> XmlCorpus::SearchTopK(
 }
 
 /// Session-owned producer state of one streamed page. The compute closure,
-/// the release hook and the finish hook read it through raw pointers; the
-/// ServingSession keeps the shared_ptr alive until all of them are done.
+/// the release hook and the finish hook read it through raw pointers, all
+/// on the consumer's thread; the ServingSession keeps the shared_ptr alive
+/// until all of them are done.
 struct XmlCorpus::StreamPayload {
   /// Generation state of one document, shared by all of that document's
   /// computed slots.
@@ -902,12 +895,12 @@ struct XmlCorpus::StreamPayload {
   const std::vector<CorpusResult>* page = nullptr;
   SnippetCache* cache = nullptr;
   /// By document name. Written only at open or, under page-gated serving,
-  /// by the release hook with the coordinator mutex held; compute closures
-  /// never read the map, only the per-slot entries below.
+  /// by the release hook; compute closures never read the map, only the
+  /// per-slot entries below.
   std::map<std::string, PerDocument, std::less<>> documents;
-  /// Parallel to the page slots, each entry written before its slot turns
-  /// claimable (the gate's watermark publishes it). Slots served from the
-  /// cache at open keep a null generator and an empty key.
+  /// Parallel to the page slots, each entry written before its slot is
+  /// released. Slots served from the cache at open keep a null generator
+  /// and an empty key.
   std::vector<Generator*> generators;
   std::vector<SnippetCacheKey> keys;
   /// The search driver of a page-gated stream; null when the page is known
@@ -1032,9 +1025,9 @@ Result<CorpusQueryStream> XmlCorpus::OpenStream(
     }
   } else {
     // Page-gated: the stream opens before any searching happens, and each
-    // slot turns claimable when the coordinator releases it. Reserved up
-    // front: the release hook appends while compute closures index settled
-    // slots, which is only race-free because the buffer never reallocates.
+    // slot computes once the coordinator releases it. Reserved up front, so
+    // the page entries a consumer has read never move as the release hook
+    // appends.
     state->owned_page.reserve(builder.total_slots);
     for (size_t i = 0; i < builder.total_slots; ++i) {
       builder.pending.push_back(i);
@@ -1042,9 +1035,9 @@ Result<CorpusQueryStream> XmlCorpus::OpenStream(
     builder.advance = [coordinator] { return coordinator->AdvanceForStream(); };
     builder.gate = &coordinator->gate;
     coordinator->on_release = [state, options](CorpusResult&& hit) {
-      // Runs with the coordinator mutex held, in final page order. Cannot
-      // fail: the hit came out of a producer opened on this pinned view,
-      // so its document is overlay-registered or already resident.
+      // Runs in final page order. Cannot fail: the hit came out of a
+      // producer opened on this pinned view, so its document is
+      // overlay-registered or already resident.
       const size_t slot = state->owned_page.size();
       StreamPayload::PerDocument& doc =
           **state->Document(hit.document, options);
@@ -1145,16 +1138,12 @@ Result<CorpusQueryStream> XmlCorpus::ServeQuery(
 
 Result<std::vector<Snippet>> XmlCorpus::GenerateSnippets(
     const Query& query, const std::vector<CorpusResult>& corpus_results,
-    const SnippetOptions& options, const BatchOptions& batch,
-    const CorpusPin& pin) const {
-  // A collector over the slot-completion stream: open, drain every slot,
-  // report the lowest failing index with its document name — byte-identical
-  // to the historical parallel batch loop (pinned by the golden snapshots
-  // and the caching equivalence harness).
-  StreamOptions stream;
-  stream.num_threads = batch.num_threads;
+    const SnippetOptions& options, const CorpusPin& pin) const {
+  // A collector over the slot stream: open, drain every slot, report the
+  // lowest failing index with its document name (pinned by the golden
+  // snapshots and the caching equivalence harness).
   Result<ServingSession> session =
-      StreamSnippets(query, corpus_results, options, stream, pin);
+      StreamSnippets(query, corpus_results, options, {}, pin);
   if (!session.ok()) return session.status();
   return session->stream().Collect([&corpus_results](size_t i) {
     return " (document '" + corpus_results[i].document + "')";

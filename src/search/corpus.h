@@ -2,7 +2,7 @@
 // data sets (movies, stores, ...) and query whichever is selected; a full
 // deployment searches across all of them. XmlCorpus owns named databases,
 // merges cross-document search results by ranking score, and serves
-// snippets for merged result pages in parallel (GenerateSnippets) — with an
+// snippets for merged result pages (GenerateSnippets) — with an
 // optional cross-query snippet cache so repeated/hot queries skip
 // generation entirely (snippet/snippet_cache.h).
 //
@@ -41,7 +41,7 @@
 // stable sort), and SearchTopK is the incremental threshold merge that
 // settles the first k entries of that same page with early termination.
 // Blocking SearchTopK and page-gated ServeQuery run that merge with one
-// pull schedule on one thread at a time.
+// pull schedule on one thread: the caller's, or the stream consumer's.
 // Per-stage serving time (search plus every snippet pipeline stage)
 // accumulates into a StageStatsRegistry for production observability (the
 // shell's `stats` command).
@@ -259,16 +259,16 @@ struct CorpusServingOptions {
 };
 
 /// \brief One live streamed query: the merged ranked page plus a
-/// SnippetStream emitting one snippet per page slot as it completes —
-/// what XmlCorpus::ServeQuery returns.
+/// SnippetStream emitting one snippet per page slot as the consumer pulls
+/// it — what XmlCorpus::ServeQuery returns.
 ///
 /// The page is owned by the session (stable across moves), so slot i of
 /// the stream always describes page()[i]. The session holds a pin on the
 /// view it serves, so corpus mutations while the stream is live never
 /// affect it — the stream drains against the epoch it opened on. The
 /// corpus object itself must still outlive the session (it owns the cache
-/// and the stats registry); destruction cancels unstarted slots, waits for
-/// in-flight ones, and folds the per-document stage stats plus the
+/// and the stats registry); destruction resolves undelivered slots as
+/// cancelled, and folds the per-document stage stats plus the
 /// stream's own counters ("stream.*" pseudo-stages) into the corpus
 /// StageStatsRegistry.
 class CorpusQueryStream {
@@ -288,9 +288,9 @@ class CorpusQueryStream {
   StreamStats Stats() const { return session_.Stats(); }
 
   /// Incremental-search counters of this page (page-gated serving only;
-  /// empty stats on a blocking-mode stream). Safe to call while the stream
-  /// is live — a point-in-time snapshot; `finished` turns true once the
-  /// search has settled every slot.
+  /// empty stats on a blocking-mode stream). Call it from the consuming
+  /// thread, between pulls — a point-in-time snapshot; `finished` turns
+  /// true once the search has settled every slot.
   TopKSearchStats SearchStats() const;
 
   /// True once any slot tripped the QueryBudget node-visit cap: the stream
@@ -460,12 +460,11 @@ class XmlCorpus {
   ///
   /// Hits of the same document share one SnippetContext (statistics,
   /// entity/key and instance lookups are computed once per result), and the
-  /// batch runs in parallel per `batch` with deterministic ordering:
-  /// output i corresponds to corpus_results[i], byte-identical to the
-  /// sequential path. Fails with the hit's index and document name if a
-  /// hit references an unknown document or an invalid result.
-  /// When a snippet cache is enabled, each hit's signature is consulted
-  /// first and only the misses dispatch to the thread pool; output stays
+  /// batch runs on the calling thread with deterministic ordering: output
+  /// i corresponds to corpus_results[i]. Fails with the hit's index and
+  /// document name if a hit references an unknown document or an invalid
+  /// result. When a snippet cache is enabled, each hit's signature is
+  /// consulted first and only the misses generate; output stays
   /// byte-identical to uncached serving.
   ///
   /// Pass the pin the hits were searched under when mutations may be in
@@ -473,11 +472,10 @@ class XmlCorpus {
   /// current view for the duration of the call.
   Result<std::vector<Snippet>> GenerateSnippets(
       const Query& query, const std::vector<CorpusResult>& corpus_results,
-      const SnippetOptions& options, const BatchOptions& batch = {},
-      const CorpusPin& pin = {}) const;
+      const SnippetOptions& options, const CorpusPin& pin = {}) const;
 
-  /// \brief The streaming core behind GenerateSnippets: a slot-completion
-  /// stream over `corpus_results` (snippet/snippet_stream.h).
+  /// \brief The streaming core behind GenerateSnippets: a slot stream over
+  /// `corpus_results` (snippet/snippet_stream.h).
   ///
   /// Cache hits (when the snippet cache is enabled) are emitted the moment
   /// the stream opens, before any miss computes. `corpus_results` and the
@@ -496,13 +494,13 @@ class XmlCorpus {
   /// live stream.
   ///
   /// With serving.page_size == 0: search + rank the whole corpus (blocking
-  /// — ranking is global), then stream one snippet per page slot as it
-  /// completes. With page_size > 0: the incremental top-k path — the
-  /// stream opens gated before any searching happens, the threshold merge
-  /// (SearchTopK) runs on whichever stream thread has nothing better to
-  /// do, and each slot becomes computable the moment its rank settles, so
-  /// the first snippets arrive while the tail of the page is still being
-  /// searched. The page (and its snippets) is byte-identical between the
+  /// — ranking is global), then stream one snippet per page slot as the
+  /// consumer pulls. With page_size > 0: the incremental top-k path — the
+  /// stream opens gated before any searching happens, each pull that finds
+  /// its slot unsettled drives the threshold merge (SearchTopK) one step
+  /// on the consumer's thread, and each slot computes the moment its rank
+  /// settles, so the first snippets arrive while the tail of the page is
+  /// still unsearched. The page (and its snippets) is byte-identical between the
   /// two modes; `engine` is borrowed until the session is destroyed.
   /// Mid-search failures surface per slot (every unreleased slot emits the
   /// search error; Collect reports the lowest one) rather than failing

@@ -138,8 +138,8 @@ std::vector<ItemInstances> FindItemInstances(const XmlDatabase& db,
 namespace {
 
 // One tree set per thread, reused across selections: Reset is O(1) via the
-// epoch stamp, so a batch generating thousands of snippets allocates the
-// membership array once per worker instead of once per result.
+// epoch stamp, so a request generating many snippets allocates the
+// membership array once per thread instead of once per result.
 SnippetTreeSet& ThreadTreeSet() {
   static thread_local SnippetTreeSet tree;
   return tree;

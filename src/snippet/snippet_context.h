@@ -9,10 +9,10 @@
 // follows the entities and attributes in the result rather than its node
 // count. Attribute values are counted and matched by their id in the
 // database's value dictionary, never by string compare. SnippetContext
-// memoizes all three behind a mutex, so one context can be shared by every
-// worker of a parallel batch (snippet/snippet_service.h) — and by repeated
-// calls for the same query, e.g. the shell regenerating snippets at a new
-// size bound.
+// memoizes all three behind a mutex, so one context may be shared across
+// threads. Serving builds one context per page and uses it on the
+// request's thread; repeated calls for the same query reuse it, e.g. the
+// shell regenerating snippets at a new size bound.
 //
 // The IList and the instance selection are not memoized: both depend on
 // the snippet options, and serving sees each root once per context, so a
@@ -39,7 +39,7 @@
 namespace extract {
 
 /// \brief Shared, thread-safe cache for generating the snippets of one
-/// query's results. Not copyable or movable (workers hold references).
+/// query's results. Not copyable or movable (callers hold references).
 ///
 /// Every lookup runs on the calling thread. The key scan stops at the
 /// first return-entity instance that carries the key.

@@ -112,24 +112,19 @@ ServingSession SnippetService::StreamBatch(
 
 Result<std::vector<Snippet>> SnippetService::GenerateBatch(
     SnippetContext& ctx, const std::vector<QueryResult>& results,
-    const SnippetOptions& options, const BatchOptions& batch) const {
-  // Every result computes into its own stream slot, so ordering is
-  // deterministic regardless of thread count, and Collect reports the
+    const SnippetOptions& options) const {
+  // Every result computes into its own stream slot, and Collect reports the
   // lowest failing index — the result a sequential loop would have stopped
-  // at. The session is scoped to this call: Collect drains every slot, so
-  // nothing is cancelled and output is byte-identical to the sequential
-  // loop.
-  StreamOptions stream;
-  stream.num_threads = batch.num_threads;
-  ServingSession session = StreamBatch(ctx, results, options, stream);
+  // at.
+  ServingSession session = StreamBatch(ctx, results, options, {});
   return session.stream().Collect();
 }
 
 Result<std::vector<Snippet>> SnippetService::GenerateBatch(
     const Query& query, const std::vector<QueryResult>& results,
-    const SnippetOptions& options, const BatchOptions& batch) const {
+    const SnippetOptions& options) const {
   SnippetContext ctx(db_, query);
-  return GenerateBatch(ctx, results, options, batch);
+  return GenerateBatch(ctx, results, options);
 }
 
 }  // namespace extract

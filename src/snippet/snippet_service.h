@@ -3,15 +3,15 @@
 //   SnippetService service(&db);
 //   SnippetContext ctx(&db, query);              // shared per-query cache
 //   auto one   = service.Generate(ctx, results[0], options);
-//   auto batch = service.GenerateBatch(ctx, results, options, {.num_threads = 8});
+//   auto batch = service.GenerateBatch(ctx, results, options);
 //
 // The service runs the stage pipeline (snippet_stages.h) over a shared
-// SnippetContext. The primary execution model is the slot-completion
-// stream (StreamBatch, snippet/snippet_stream.h): one event per result as
-// it finishes. GenerateBatch is a collector over that stream — parallel,
-// with deterministic output ordering (slot i of the output is result i of
-// the input) and snippets byte-identical to the sequential path; on
-// failure the returned Status names the index of the result that failed.
+// SnippetContext. The primary execution model is the slot stream
+// (StreamBatch, snippet/snippet_stream.h): one event per result, computed
+// on the consuming thread as it pulls. GenerateBatch is a sequential
+// collector over that stream, with deterministic output ordering (slot i
+// of the output is result i of the input); on failure the returned Status
+// names the index of the result that failed.
 //
 // One-shot callers skip the context: Generate(query, result, options)
 // builds a throwaway one, and GenerateBatch(query, ...) shares one across
@@ -75,35 +75,32 @@ class SnippetService {
       const SnippetOptions& options,
       const std::vector<RankedFeature>& features) const;
 
-  /// \brief The streaming core: opens a slot-completion stream emitting one
-  /// snippet per result as it finishes (snippet/snippet_stream.h).
+  /// \brief The streaming core: opens a slot stream emitting one snippet
+  /// per result, computed as the consumer pulls (snippet/snippet_stream.h).
   ///
-  /// `ctx` and `results` are borrowed and must outlive the session (the
-  /// session's destructor waits for in-flight slots, so scoping the session
-  /// inside the caller is always safe). Slot i corresponds to results[i];
-  /// each slot's bytes are identical to Generate(ctx, results[i], options).
+  /// `ctx` and `results` are borrowed and must outlive the session. Slot i
+  /// corresponds to results[i]; each slot's bytes are identical to
+  /// Generate(ctx, results[i], options).
   ServingSession StreamBatch(SnippetContext& ctx,
                              const std::vector<QueryResult>& results,
                              const SnippetOptions& options,
                              const StreamOptions& stream) const;
 
-  /// \brief Generates one snippet per result, in parallel per
-  /// BatchOptions, with deterministic ordering (output i <-> results[i]).
-  /// A collector over StreamBatch: opens the stream and collects every
-  /// slot, byte-identical to the historical batch loop.
+  /// \brief Generates one snippet per result on the calling thread, with
+  /// deterministic ordering (output i <-> results[i]). A collector over
+  /// StreamBatch: opens the stream and collects every slot.
   ///
   /// On failure returns the error of the lowest failing result index, with
-  /// "result <i> of <n>: " prepended to its message, regardless of thread
-  /// count.
+  /// "result <i> of <n>: " prepended to its message.
   Result<std::vector<Snippet>> GenerateBatch(
       SnippetContext& ctx, const std::vector<QueryResult>& results,
-      const SnippetOptions& options, const BatchOptions& batch) const;
+      const SnippetOptions& options) const;
 
   /// GenerateBatch with a context built for `query` internally (forwards to
   /// the context overload).
   Result<std::vector<Snippet>> GenerateBatch(
       const Query& query, const std::vector<QueryResult>& results,
-      const SnippetOptions& options, const BatchOptions& batch) const;
+      const SnippetOptions& options) const;
 
   /// \brief Cumulative per-stage timing of every Generate* call served so
   /// far: calls, total ns, peak single-run ns per stage, in stage order.
@@ -124,8 +121,9 @@ class SnippetService {
   const XmlDatabase* db_;
   std::vector<std::unique_ptr<SnippetStage>> stages_;
   /// Parallel to stages_. Mutable: timing a const Generate is observability,
-  /// not state. Never resized after construction, so workers may touch
-  /// their slots without synchronization beyond the atomics themselves.
+  /// not state. Never resized after construction, so concurrent requests
+  /// may touch their slots without synchronization beyond the atomics
+  /// themselves.
   mutable std::vector<StageCounters> counters_;
 };
 

@@ -10,7 +10,8 @@
 // stages, instrumented stages, ablations) can be assembled per service.
 //
 // Stages are stateless and const: one stage instance may run concurrently
-// on many drafts (the parallel batch path does exactly that).
+// on many drafts (a service shared by concurrent requests does exactly
+// that).
 
 #ifndef EXTRACT_SNIPPET_SNIPPET_STAGES_H_
 #define EXTRACT_SNIPPET_SNIPPET_STAGES_H_

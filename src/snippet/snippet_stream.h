@@ -1,18 +1,24 @@
-// Streaming serving core: snippets delivered per slot as they complete.
+// Streaming serving core: snippets delivered per slot, produced on demand.
 //
 // Every batch entry point of the library (SnippetService::GenerateBatch,
 // XmlCorpus::GenerateSnippets) is a *collector* over the stream defined
-// here — the slot-completion stream is
-// the primary execution model, batching is just "collect the whole stream
-// in slot order". The deterministic slot design (output slot i <-> input
-// result i, every slot computed independently) is what makes this a pure
-// refactor: collected output is byte-identical to the old batch loops,
-// while streaming consumers see slot events the moment they finish.
+// here — the slot stream is the primary execution model, batching is just
+// "collect the whole stream in slot order". The deterministic slot design
+// (output slot i <-> input result i, every slot computed independently)
+// keeps collected output byte-identical to a loop over the results, while
+// streaming consumers see each slot the moment it is ready.
 //
 //   ServingSession session = service.StreamBatch(ctx, results, options, {});
 //   while (auto ev = session.stream().Next()) {           // pull
 //     if (ev->snippet.ok()) Render(ev->slot, *ev->snippet);
 //   }
+//
+// One thread per request: a stream produces on the thread that consumes
+// it. Next() emits a ready cache hit, else resolves the next pending slot
+// (computing it, or emitting its cancelled, deadline or upstream error),
+// else drives a gated stream's upstream search one step, else ends. A
+// request therefore runs from search through its last slot on the thread
+// that admitted it, and a consumer that stops pulling stops all work.
 //
 // Layers:
 //   * SnippetEvent — one per-slot completion: (slot, Result<Snippet>). The
@@ -22,27 +28,22 @@
 //   * SnippetStream — the consumer handle: pull (Next), callback (ForEach),
 //     batch collection (Collect), cooperative Cancel, per-request deadline,
 //     and a StreamStats snapshot (emitted / cancelled / deadline-expired /
-//     time-to-first-snippet). Delivery order is configurable: completion
-//     order (lowest time-to-first-snippet) or slot order (a progressive
-//     page render).
-//   * ServingSession — the owning producer handle: holds the stream, the
-//     pool TaskGroup computing pending slots, and whatever state the
-//     producers read (contexts, pages, cache keys). Destroying a session
-//     cancels whatever has not started and waits for in-flight slots, so
-//     producers never outlive borrowed state.
+//     time-to-first-snippet). Delivery order is configurable: cache hits
+//     first (lowest time-to-first-snippet) or strictly by slot (a
+//     progressive page render).
+//   * ServingSession — the owning handle: holds the stream and whatever
+//     state the producer reads (contexts, pages, cache keys). Destroying a
+//     session resolves every slot not yet delivered as cancelled, then
+//     runs the finish hook, so dropped requests still count their slots.
 //   * StreamBuilder — producer-side assembly, used by the service and
-//     corpus entry points: pre-resolved slots (cache hits) are emitted
-//     before any pending slot computes, pending slots are claimed off an
-//     atomic cursor by up to num_threads workers — and by the consumer
-//     itself whenever it would otherwise block, so a stream opened from
-//     inside a pool task degrades to lazy inline production instead of
-//     deadlocking the pool.
+//     corpus entry points: pre-resolved slots (cache hits) are emitted at
+//     open, pending slots compute one per pull in slot order.
 //
-// Cancellation semantics: Cancel() drains every not-yet-started slot as a
-// kCancelled event immediately (freeing the pool for other requests);
-// slots already computing finish and emit normally. A deadline behaves
-// like a timed cancel checked at slot start: slots that have not started
-// by the deadline emit kDeadlineExceeded.
+// Cancellation semantics: Cancel() may come from any thread. A slot that
+// is computing finishes normally; every slot not yet started resolves as
+// a kCancelled event without computing. A deadline behaves like a timed
+// cancel checked before each slot: slots that have not started by the
+// deadline emit kDeadlineExceeded.
 
 #ifndef EXTRACT_SNIPPET_SNIPPET_STREAM_H_
 #define EXTRACT_SNIPPET_SNIPPET_STREAM_H_
@@ -62,29 +63,28 @@
 
 namespace extract {
 
-class TaskGroup;
-
 namespace internal {
 struct SnippetStreamState;
 }  // namespace internal
 
 /// How a SnippetStream hands events to its consumer.
 enum class StreamOrder {
-  /// As slots finish — minimizes time-to-first-snippet; the consumer
-  /// reassembles by SnippetEvent::slot if it needs page positions.
+  /// Cache hits first, then the computed slots in slot order — minimizes
+  /// time-to-first-snippet; the consumer reassembles by SnippetEvent::slot
+  /// if it needs page positions.
   kCompletion,
-  /// Slot 0, 1, 2, ... — a progressive top-down page render; later slots
-  /// buffer internally until their predecessors arrive.
+  /// Slot 0, 1, 2, ... with cache hits in their own positions — a
+  /// progressive top-down page render.
   kSlot,
 };
 
-/// Per-stream execution knobs. Like BatchOptions, these never affect what
-/// each slot contains — only when it arrives.
+/// Per-stream knobs. They never affect what each slot contains — only when
+/// it arrives.
 struct StreamOptions {
   StreamOrder order = StreamOrder::kCompletion;
-  /// Producer width: 0 = one per configured core, 1 = lazy inline
-  /// production on the consuming thread (the sequential reference path),
-  /// n = at most n concurrent producers (consumer included).
+  /// Unread: every stream produces on its consumer's thread. Kept only
+  /// because the repository benchmark (perfbench/) still sets it; it goes
+  /// with the next change to that benchmark.
   size_t num_threads = 0;
   /// Per-request deadline measured from stream open; slots not started by
   /// then emit kDeadlineExceeded. Zero (the default) means no deadline.
@@ -117,19 +117,19 @@ struct StreamStats {
 /// producer (the incremental top-k search coordinator, search/corpus.h)
 /// uses to feed slots into a live stream.
 ///
-/// A gated stream starts with zero claimable slots; the upstream releases
-/// them one by one as it settles what each slot contains (the page entry
-/// must be fully written before ReleaseSlots — the release/acquire pair on
-/// the watermark publishes it to producers). CompleteUpstream ends the
+/// A gated stream starts with zero computable slots; the upstream releases
+/// them one by one as it settles what each slot contains (the slot's input
+/// must be fully written before ReleaseSlots). CompleteUpstream ends the
 /// stream early when fewer slots than planned exist; FailUpstream resolves
 /// every unreleased slot with the upstream's error, so consumers always
-/// see exactly total_slots events. All methods are thread-safe; on an
-/// ungated stream the handle is empty and every call is a no-op.
+/// see exactly total_slots events. The upstream calls these from inside
+/// StreamBuilder::advance, on the consumer's thread; on an ungated stream
+/// the handle is empty and every call is a no-op.
 class StreamGate {
  public:
   StreamGate() = default;
 
-  /// Marks the next `n` pending slots claimable. Their inputs must be
+  /// Marks the next `n` pending slots computable. Their inputs must be
   /// fully written before the call.
   void ReleaseSlots(size_t n);
 
@@ -149,19 +149,19 @@ class StreamGate {
   std::shared_ptr<internal::SnippetStreamState> state_;
 };
 
-/// \brief Consumer handle of one slot-completion stream.
+/// \brief Consumer handle of one slot stream.
 ///
-/// Exactly one consumer thread may call Next / ForEach / Collect; Cancel
-/// and Stats are safe from any thread. Producers run concurrently on the
-/// shared pool; when the consumer would block with uncomputed slots still
-/// unclaimed, it claims and computes one inline instead (work-conserving,
-/// and the reason a saturated pool can never deadlock a collector).
+/// Exactly one consumer thread may call Next / ForEach / Collect, and every
+/// slot computes inside those calls; Cancel and Stats are safe from any
+/// thread.
 class SnippetStream {
  public:
-  /// Number of slots this stream will emit (each exactly once).
+  /// Number of slots this stream will emit (each exactly once). A gated
+  /// stream's total shrinks when its upstream completes with fewer slots.
   size_t total_slots() const;
 
-  /// Blocks for the next event; std::nullopt once all slots are delivered.
+  /// Produces and returns the next event; std::nullopt once all slots are
+  /// delivered.
   std::optional<SnippetEvent> Next();
 
   /// Callback consumption: invokes `fn` for every remaining event on the
@@ -180,8 +180,9 @@ class SnippetStream {
   Result<std::vector<Snippet>> Collect(
       const std::function<std::string(size_t)>& extra);
 
-  /// Cooperative cancellation: every not-yet-started slot emits a
-  /// kCancelled event immediately; in-flight slots finish normally.
+  /// Cooperative cancellation, from any thread: a slot computing now
+  /// finishes normally, and every slot not yet started emits kCancelled
+  /// without computing.
   void Cancel();
   bool cancelled() const;
 
@@ -196,17 +197,17 @@ class SnippetStream {
 };
 
 /// \brief Owning handle of one live streamed request: the stream plus the
-/// producer resources behind it (pool task group, contexts, cache keys,
-/// owned pages). Move-only. Destruction cancels unstarted slots, waits for
-/// in-flight producers, then runs the finish hook (stats merging) — so a
-/// session can be dropped at any point without leaking pool work.
+/// state its producer reads (contexts, cache keys, owned pages).
+/// Move-only. Destruction resolves every undelivered slot (unstarted ones
+/// as kCancelled, without computing), then runs the finish hook (stats
+/// merging) — so a session can be dropped at any point and its stats still
+/// count every slot.
 class ServingSession {
  public:
-  ServingSession();
+  ServingSession() = default;
   ~ServingSession();
 
-  // Defined out of line: TaskGroup is incomplete here.
-  ServingSession(ServingSession&& other) noexcept;
+  ServingSession(ServingSession&& other) noexcept = default;
   ServingSession& operator=(ServingSession&&) = delete;
   ServingSession(const ServingSession&) = delete;
   ServingSession& operator=(const ServingSession&) = delete;
@@ -221,12 +222,10 @@ class ServingSession {
   friend struct StreamBuilder;
 
   SnippetStream stream_;
-  std::unique_ptr<TaskGroup> group_;
-  /// State the compute closure reads (contexts, pages, keys). Destroyed
-  /// last, after producers have drained and the finish hook ran.
+  /// State the compute closure reads (contexts, pages, keys).
   std::shared_ptr<void> payload_;
-  /// Run once at destruction, after all producers finished — the stats
-  /// merge hook of corpus-level sessions.
+  /// Run once at destruction, after every slot resolved — the stats merge
+  /// hook of corpus-level sessions.
   std::function<void(const StreamStats&)> on_finish_;
 };
 
@@ -236,41 +235,36 @@ class ServingSession {
 struct StreamBuilder {
   size_t total_slots = 0;
   StreamOptions options;
-  /// Slots resolved before the stream opens (cache hits); emitted in
-  /// vector order before any pending slot computes.
+  /// Slots resolved before the stream opens (cache hits), in increasing
+  /// slot order; emitted at open, before any pending slot computes.
   std::vector<SnippetEvent> ready;
-  /// Slot ids still to compute, in increasing slot order (the order the
-  /// sequential reference path produces them).
+  /// Slot ids still to compute, in increasing slot order — the order they
+  /// compute in, one per pull.
   std::vector<size_t> pending;
-  /// Computes one pending slot. Must be safe to call concurrently for
-  /// distinct slots; not invoked for cancelled / deadline-expired slots.
-  /// The library is exception-free by design, but a throw is contained:
-  /// the slot emits a kInternal error event instead of unwinding into a
-  /// pool worker or wedging the stream.
+  /// Computes one pending slot on the consumer's thread; not invoked for
+  /// cancelled / deadline-expired slots. The library is exception-free by
+  /// design, but a throw is contained: the slot emits a kInternal error
+  /// event instead of unwinding into the consumer.
   std::function<Result<Snippet>(size_t)> compute;
   /// Owned state `compute` reads; lives until the session is destroyed.
   std::shared_ptr<void> payload;
-  /// Stats merge hook, run once when the session is destroyed (after all
-  /// producers finished). May reference `payload`'s pointee.
+  /// Stats merge hook, run once when the session is destroyed (after every
+  /// slot resolved). May reference `payload`'s pointee.
   std::function<void(const StreamStats&)> on_finish;
 
   /// \brief Upstream gate (incremental top-k serving). When `advance` is
-  /// set the stream opens gated: pending slots are claimable only below
-  /// the watermark `gate` controls, and any producer (or the consumer)
-  /// that finds no claimable slot invokes `advance` to drive the upstream
-  /// one step instead of blocking — so the search runs on whichever
-  /// thread has nothing better to do, and a saturated pool still makes
-  /// progress. `advance` returns false only once the upstream is finished
+  /// set the stream opens gated: pending slots are computable only once
+  /// the upstream releases them through `gate`, and a pull that finds the
+  /// next pending slot unreleased invokes `advance` to drive the upstream
+  /// one step. `advance` returns false only once the upstream is finished
   /// (it must eventually call CompleteUpstream or FailUpstream on the
-  /// gate); it may block briefly (e.g. on the upstream's mutex) but must
-  /// not wait on stream consumption. `gate` (required with `advance`) is
-  /// bound to the stream's state by Open, before any producer starts.
+  /// gate). `gate` (required with `advance`) is bound to the stream's
+  /// state by Open.
   std::function<bool()> advance;
   StreamGate* gate = nullptr;
 
-  /// Emits `ready`, then starts up to num_threads - 1 pool producers for
-  /// `pending` (none when the caller is itself a pool worker — the
-  /// consumer then produces lazily inline).
+  /// Emits `ready` and returns the session; `pending` computes as the
+  /// consumer pulls.
   ServingSession Open() &&;
 };
 

@@ -48,8 +48,8 @@ class SnippetTreeSet {
     root_ = root;
     end_ = doc.subtree_end(root);
     const size_t span = static_cast<size_t>(end_ - root_);
-    // Long-lived sets (the greedy selector keeps one per pool thread, and
-    // pool threads live for the process) must not pin the largest span
+    // Long-lived sets (the greedy selector keeps one per thread, and a
+    // thread may live for the process) must not pin the largest span
     // ever seen: give the buffer back once the working span is far below
     // it. Fresh zeros are valid for any epoch >= 1, so epoch_ carries on.
     if (stamp_.size() > kShrinkThresholdEntries && span < stamp_.size() / 4) {
@@ -123,7 +123,7 @@ class SnippetTreeSet {
  private:
   /// 4 MiB of stamps: below this, buffer retention is noise; above it,
   /// Reset trades one allocation for not pinning peak-result memory on
-  /// every pool thread forever.
+  /// every thread forever.
   static constexpr size_t kShrinkThresholdEntries = 1u << 20;
 
   const IndexedDocument* doc_ = nullptr;

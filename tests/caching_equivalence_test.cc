@@ -76,9 +76,7 @@ std::vector<std::string> Expected(const XmlCorpus& corpus, const Query& query,
   SnippetService service(corpus.Find(page.front().document));
   std::vector<QueryResult> results;
   for (const CorpusResult& hit : page) results.push_back(hit.result);
-  BatchOptions sequential;
-  sequential.num_threads = 1;
-  auto snippets = service.GenerateBatch(query, results, options, sequential);
+  auto snippets = service.GenerateBatch(query, results, options);
   EXPECT_TRUE(snippets.ok()) << snippets.status();
   return snippets.ok() ? Fingerprints(*snippets) : std::vector<std::string>{};
 }
@@ -123,13 +121,11 @@ TEST(CachingEquivalenceTest, ConcurrentHotColdWorkloadMatchesUncached) {
         const size_t which = (t + round) % bounds.size();
         SnippetOptions options;
         options.size_bound = bounds[which];
-        BatchOptions batch;
-        batch.num_threads = 2;
         const bool use_stores = (t + round) % 2 == 0;
         auto got = use_stores ? corpus.GenerateSnippets(stores_query, stores,
-                                                        options, batch)
+                                                        options)
                               : corpus.GenerateSnippets(
-                                    retailer_query, retailer, options, batch);
+                                    retailer_query, retailer, options);
         if (!got.ok()) {
           failures[t] = got.status().ToString();
           return;
@@ -227,11 +223,9 @@ TEST(CachingEquivalenceTest, CorpusCachedServingMatchesUncached) {
   auto expected = uncached.GenerateSnippets(query, *hits, options);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  // Cold, then warm, then warm at a wide thread count.
-  for (size_t threads : {1u, 1u, 8u}) {
-    BatchOptions batch;
-    batch.num_threads = threads;
-    auto got = cached.GenerateSnippets(query, *hits, options, batch);
+  // Cold, then warm twice.
+  for (int round = 0; round < 3; ++round) {
+    auto got = cached.GenerateSnippets(query, *hits, options);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(Fingerprints(*got), Fingerprints(*expected));
   }
@@ -300,13 +294,12 @@ TEST(CachingEquivalenceTest, InvalidationDuringOpenStream) {
   XSeekEngine engine;
   SnippetOptions options;
   options.size_bound = 10;
-  StreamOptions lazy;
-  lazy.num_threads = 1;  // slots compute only as they are pulled
 
   // Open the stream BEFORE the swap: the search runs at open against the
-  // old content, snippet generation (and its cache Puts) is still pending.
-  auto old_stream = corpus.ServeQuery(query, engine, RankingOptions{},
-                                      CorpusServingOptions{}, options, lazy);
+  // old content; snippet generation (and its cache Puts) waits for pulls.
+  auto old_stream =
+      corpus.ServeQuery(query, engine, RankingOptions{},
+                        CorpusServingOptions{}, options, StreamOptions{});
   ASSERT_TRUE(old_stream.ok()) << old_stream.status();
   ASSERT_FALSE(old_stream->page().empty());
 
@@ -332,7 +325,7 @@ TEST(CachingEquivalenceTest, InvalidationDuringOpenStream) {
   XmlCorpus old_reference;
   ASSERT_TRUE(old_reference.AddDocument("data", GenerateStoresXml()).ok());
   auto expected_old = old_reference.GenerateSnippets(
-      query, old_stream->page(), options, BatchOptions{});
+      query, old_stream->page(), options);
   ASSERT_TRUE(expected_old.ok()) << expected_old.status();
   size_t drained = 0;
   while (auto event = old_stream->stream().Next()) {

@@ -52,8 +52,7 @@ uint64_t XorShift(uint64_t* s) {
 const char* const kStatusPoints[] = {
     "db.load",        "xml.tokenizer.next", "xml.parser.build",
     "search.execute", "snippet.stage",      "cache.get",
-    "cache.put",      "pool.submit",        "admission.acquire",
-    "epoch.publish",
+    "cache.put",      "admission.acquire",  "epoch.publish",
 };
 const StatusCode kInjectableCodes[] = {
     StatusCode::kUnavailable,

@@ -152,7 +152,7 @@ TEST(CorpusChurnTest, PinnedViewServesIdenticallyAfterRemoval) {
   ASSERT_TRUE(before.ok()) << before.status();
   ASSERT_FALSE(before->empty());
   auto before_snips =
-      corpus.GenerateSnippets(query, *before, options, BatchOptions{}, pin);
+      corpus.GenerateSnippets(query, *before, options, pin);
   ASSERT_TRUE(before_snips.ok()) << before_snips.status();
 
   ASSERT_TRUE(corpus.RemoveDocument("stores").ok());
@@ -168,7 +168,7 @@ TEST(CorpusChurnTest, PinnedViewServesIdenticallyAfterRemoval) {
     EXPECT_EQ(FingerprintHit((*after)[i]), FingerprintHit((*before)[i]));
   }
   auto after_snips =
-      corpus.GenerateSnippets(query, *after, options, BatchOptions{}, pin);
+      corpus.GenerateSnippets(query, *after, options, pin);
   ASSERT_TRUE(after_snips.ok()) << after_snips.status();
   for (size_t i = 0; i < after_snips->size(); ++i) {
     EXPECT_EQ(Fingerprint((*after_snips)[i]), Fingerprint((*before_snips)[i]));
@@ -211,9 +211,9 @@ TEST(CorpusChurnTest, AddIsVisibleOnlyToNewPins) {
   EXPECT_TRUE(saw_retailer);
 }
 
-// A lazily-produced stream (num_threads = 1: slots compute as they are
-// pulled) opened before a removal must drain byte-identically after it —
-// the session's pin keeps the database alive through the drain.
+// A stream (slots compute as they are pulled) opened before a removal must
+// drain byte-identically after it — the session's pin keeps the database
+// alive through the drain.
 TEST(CorpusChurnTest, InFlightStreamSurvivesRemoval) {
   XmlCorpus corpus;
   ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
@@ -224,11 +224,10 @@ TEST(CorpusChurnTest, InFlightStreamSurvivesRemoval) {
   XSeekEngine engine;
   SnippetOptions options;
   options.size_bound = 10;
-  StreamOptions lazy;
-  lazy.num_threads = 1;
 
   auto served = corpus.ServeQuery(query, engine, RankingOptions{},
-                                  CorpusServingOptions{}, options, lazy);
+                                  CorpusServingOptions{}, options,
+                                  StreamOptions{});
   ASSERT_TRUE(served.ok()) << served.status();
   ASSERT_FALSE(served->page().empty());
 
@@ -245,7 +244,7 @@ TEST(CorpusChurnTest, InFlightStreamSurvivesRemoval) {
   ASSERT_EQ(got.size(), served->page().size());
 
   auto expected = reference.GenerateSnippets(
-      query, served->page(), options, BatchOptions{});
+      query, served->page(), options);
   ASSERT_TRUE(expected.ok()) << expected.status();
   for (const auto& [slot, fingerprint] : got) {
     EXPECT_EQ(fingerprint, Fingerprint((*expected)[slot]));
@@ -315,12 +314,11 @@ TEST(CorpusChurnTest, TortureReadersWritersCancellation) {
         options.size_bound = 8 + (iter % 3) * 3;
         CorpusServingOptions serving;
         serving.page_size = gated ? 5 : 0;
-        StreamOptions stream;
-        stream.num_threads = (iter % 2 == 0) ? 2 : 1;
 
         CorpusPin pin = corpus.PinView();
         auto served = corpus.ServeQuery(query, engine, RankingOptions{},
-                                        serving, options, stream, pin);
+                                        serving, options, StreamOptions{},
+                                        pin);
         if (!served.ok()) {
           reader_failures[r] = "serve: " + served.status().ToString();
           return;

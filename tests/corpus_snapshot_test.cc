@@ -475,8 +475,6 @@ std::vector<Result<std::string>> ServeQuerySet(
     const XmlCorpus& corpus, const std::vector<Query>& queries,
     const std::vector<std::vector<CorpusResult>>& pages) {
   XSeekEngine engine;
-  BatchOptions inline_batch;
-  inline_batch.num_threads = 1;
   std::vector<Result<std::string>> out;
   for (size_t q = 0; q < queries.size(); ++q) {
     auto all = corpus.SearchAll(queries[q], engine);
@@ -486,8 +484,8 @@ std::vector<Result<std::string>> ServeQuerySet(
                                  CorpusServingOptions{}, 1);
     out.push_back(top.ok() ? Result<std::string>(RenderPage(*top))
                            : Result<std::string>(top.status()));
-    auto snippets = corpus.GenerateSnippets(queries[q], pages[q],
-                                            SnippetOptions{}, inline_batch);
+    auto snippets =
+        corpus.GenerateSnippets(queries[q], pages[q], SnippetOptions{});
     if (!snippets.ok()) {
       out.push_back(snippets.status());
       continue;
@@ -993,7 +991,7 @@ TEST(CorpusSnapshotChurnTest, ConcurrentSearchSurvivesMutation) {
         ASSERT_TRUE(hits.ok()) << hits.status();
         if (!hits->empty()) {
           auto snippets = corpus.GenerateSnippets(
-              query, *hits, SnippetOptions{}, BatchOptions{}, pin);
+              query, *hits, SnippetOptions{}, pin);
           ASSERT_TRUE(snippets.ok()) << snippets.status();
         }
         pages.fetch_add(1, std::memory_order_relaxed);

@@ -96,7 +96,7 @@ TEST(DiversifyTest, MatchesPipelineWhenDisabled) {
   SnippetOptions options;
   options.size_bound = 12;
   SnippetService service(&ctx.db);
-  auto plain = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
+  auto plain = service.GenerateBatch(ctx.query, ctx.results, options);
   ASSERT_TRUE(plain.ok());
   DiversifyOptions off;
   off.commonality_penalty = 0.0;
@@ -116,7 +116,7 @@ TEST(DiversifyTest, SingleResultUnchanged) {
   SnippetOptions options;
   options.size_bound = 12;
   SnippetService service(&ctx.db);
-  auto plain = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
+  auto plain = service.GenerateBatch(ctx.query, ctx.results, options);
   auto diverse = GenerateDiverseSnippets(ctx.db, ctx.query, ctx.results,
                                          options, DiversifyOptions{});
   ASSERT_TRUE(plain.ok());
@@ -152,7 +152,7 @@ TEST(DiversifyTest, ReducesOverlapOnSharedFeatureBatch) {
   SnippetOptions options;
   options.size_bound = 4;  // tight: only one feature fits after the paths
   SnippetService service(&ctx.db);
-  auto plain = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
+  auto plain = service.GenerateBatch(ctx.query, ctx.results, options);
   ASSERT_TRUE(plain.ok());
   DiversifyOptions diversify;
   diversify.commonality_penalty = 2.0;

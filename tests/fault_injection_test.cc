@@ -11,7 +11,6 @@
 #include "common/fault.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "http/admission.h"
 #include "snippet/snippet_context.h"
 #include "datagen/retailer_dataset.h"
@@ -235,21 +233,6 @@ TEST(FaultPointTest, AdmissionAcquireShedsWithoutConsumingSlot) {
   EXPECT_EQ(stats.admitted, 0u);
 }
 
-// A dropped TaskGroup submission must not wedge Wait(): the group's
-// outstanding count is only bumped for tasks that were actually queued.
-TEST(FaultPointTest, DroppedPoolSubmitStillQuiesces) {
-  std::atomic<int> ran{0};
-  {
-    TaskGroup group(&SharedThreadPool());
-    ScopedFaultInjection arm({OnNthHit("pool.submit", 2)});
-    for (int i = 0; i < 4; ++i) {
-      group.Submit([&ran] { ran.fetch_add(1); });
-    }
-    group.Wait();  // must return despite the dropped task
-  }
-  EXPECT_EQ(ran.load(), 3);
-}
-
 std::string Fingerprint(const Snippet& snippet) {
   std::string out = RenderSnippet(snippet);
   if (snippet.tree != nullptr) out += WriteXml(*snippet.tree);
@@ -459,10 +442,8 @@ TEST(QueryBudgetTest, NodeBudgetDegradesStreamWithoutKillingIt) {
 
   CorpusServingOptions serving;
   serving.budget.max_node_visits = 1;  // trips on the first generation
-  StreamOptions lazy;
-  lazy.num_threads = 1;
   auto served = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
-                                  SnippetOptions{}, lazy);
+                                  SnippetOptions{}, StreamOptions{});
   ASSERT_TRUE(served.ok()) << served.status();
   ASSERT_FALSE(served->page().empty());
 
@@ -488,11 +469,9 @@ TEST(QueryBudgetTest, GenerousBudgetDoesNotDegrade) {
   XSeekEngine engine;
   CorpusServingOptions serving;
   serving.budget.max_node_visits = 100000000;
-  StreamOptions lazy;
-  lazy.num_threads = 1;
   auto served = corpus.ServeQuery(Query::Parse("texas"), engine,
                                   RankingOptions{}, serving, SnippetOptions{},
-                                  lazy);
+                                  StreamOptions{});
   ASSERT_TRUE(served.ok()) << served.status();
   while (auto event = served->stream().Next()) {
     EXPECT_TRUE(event->snippet.ok()) << event->snippet.status();

@@ -93,9 +93,7 @@ Result<std::vector<Snippet>> GenerateUncached(const XmlDatabase& db,
                                               const std::vector<QueryResult>& results,
                                               const SnippetOptions& options) {
   SnippetService service(&db);
-  BatchOptions sequential;
-  sequential.num_threads = 1;
-  return service.GenerateBatch(query, results, options, sequential);
+  return service.GenerateBatch(query, results, options);
 }
 
 TEST(GoldenSnippetsTest, ExampleCorporaMatchGoldenFiles) {

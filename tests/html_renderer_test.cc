@@ -24,7 +24,7 @@ Ctx RunQuery(std::string xml, const std::string& query_text, size_t bound) {
   SnippetService service(&*db);
   SnippetOptions options;
   options.size_bound = bound;
-  auto snippets = service.GenerateBatch(query, *results, options, BatchOptions{});
+  auto snippets = service.GenerateBatch(query, *results, options);
   EXPECT_TRUE(snippets.ok());
   return Ctx{std::move(*db), std::move(query), std::move(*snippets)};
 }

@@ -73,11 +73,9 @@ class HttpServerTest : public ::testing::Test {
     QueryServiceOptions defaults;
     CorpusServingOptions serving = defaults.serving;
     serving.page_size = gated ? page_size : 0;
-    StreamOptions stream_options;
-    stream_options.num_threads = defaults.stream_threads;
     auto served =
         corpus_.ServeQuery(Query::Parse(text), engine_, defaults.ranking,
-                           serving, defaults.snippet, stream_options);
+                           serving, defaults.snippet, StreamOptions{});
     EXPECT_TRUE(served.ok()) << served.status();
     std::map<size_t, ExpectedSlot> slots;
     if (!served.ok()) return slots;

@@ -63,7 +63,7 @@ TEST(IntegrationTest, MoviesWorkloadEndToEnd) {
     auto results = engine.Search(*db, query);
     ASSERT_TRUE(results.ok());
     total_results += results->size();
-    auto snippets = service.GenerateBatch(query, *results, options, BatchOptions{});
+    auto snippets = service.GenerateBatch(query, *results, options);
     ASSERT_TRUE(snippets.ok());
     for (const Snippet& snippet : *snippets) {
       EXPECT_LE(snippet.edges(), options.size_bound);

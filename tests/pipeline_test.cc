@@ -111,7 +111,7 @@ TEST(PipelineTest, Figure5StoreTexasSnippets) {
   SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 10;
-  auto snippets = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
+  auto snippets = service.GenerateBatch(ctx.query, ctx.results, options);
   ASSERT_TRUE(snippets.ok());
   ASSERT_EQ(snippets->size(), 2u);
 
@@ -129,7 +129,7 @@ TEST(PipelineTest, Figure5StoreTexasSnippets) {
   // At the demo's bound of 6 the snippets still stay within budget and are
   // keyed distinctly.
   options.size_bound = 6;
-  auto small = service.GenerateBatch(ctx.query, ctx.results, options, BatchOptions{});
+  auto small = service.GenerateBatch(ctx.query, ctx.results, options);
   ASSERT_TRUE(small.ok());
   EXPECT_LE((*small)[0].edges(), 6u);
   EXPECT_TRUE(TreeContains(*(*small)[0].tree, "name", "Levis"));
@@ -177,7 +177,7 @@ TEST(PipelineTest, GenerateBatchNamesFailingResultIndex) {
   bogus.root = kInvalidNode;
   results.push_back(bogus);
   SnippetService service(&ctx.db);
-  auto snippets = service.GenerateBatch(ctx.query, results, SnippetOptions{}, BatchOptions{});
+  auto snippets = service.GenerateBatch(ctx.query, results, SnippetOptions{});
   ASSERT_FALSE(snippets.ok());
   EXPECT_EQ(snippets.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(snippets.status().message().find("result 2 of 3"),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/retailer_dataset.h"
@@ -103,9 +104,9 @@ TEST(SnippetServiceTest, SharedContextDoesNotChangeOutput) {
   }
 }
 
-// Acceptance: parallel batches are byte-identical to the sequential path on
-// the retailer and stores datasets.
-TEST(SnippetServiceTest, ParallelBatchIdenticalToSequential) {
+// Acceptance: a batch is byte-identical to one Generate per result on the
+// retailer and stores datasets.
+TEST(SnippetServiceTest, BatchIdenticalToPerResultGeneration) {
   struct Case {
     std::string xml;
     std::string query;
@@ -119,23 +120,19 @@ TEST(SnippetServiceTest, ParallelBatchIdenticalToSequential) {
     SnippetOptions options;
     options.size_bound = 10;
 
-    BatchOptions sequential;
-    sequential.num_threads = 1;
-    auto expected =
-        service.GenerateBatch(ctx.query, ctx.results, options, sequential);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    ASSERT_EQ(expected->size(), ctx.results.size());
+    SnippetContext ref_ctx(&ctx.db, ctx.query);
+    std::vector<Snippet> expected;
+    for (const QueryResult& result : ctx.results) {
+      auto snippet = service.Generate(ref_ctx, result, options);
+      ASSERT_TRUE(snippet.ok()) << snippet.status();
+      expected.push_back(std::move(*snippet));
+    }
 
-    for (size_t threads : {2u, 4u, 8u}) {
-      BatchOptions parallel;
-      parallel.num_threads = threads;
-      auto got =
-          service.GenerateBatch(ctx.query, ctx.results, options, parallel);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ASSERT_EQ(got->size(), expected->size());
-      for (size_t i = 0; i < got->size(); ++i) {
-        ExpectSnippetsIdentical((*got)[i], (*expected)[i]);
-      }
+    auto got = service.GenerateBatch(ctx.query, ctx.results, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->size(), expected.size());
+    for (size_t i = 0; i < got->size(); ++i) {
+      ExpectSnippetsIdentical((*got)[i], expected[i]);
     }
   }
 }
@@ -144,21 +141,15 @@ TEST(SnippetServiceTest, BatchOrderingIsDeterministic) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
   ASSERT_EQ(ctx.results.size(), 2u);
   SnippetService service(&ctx.db);
-  BatchOptions parallel;
-  parallel.num_threads = 8;
-  for (int round = 0; round < 10; ++round) {
-    auto batch = service.GenerateBatch(ctx.query, ctx.results,
-                                       SnippetOptions{}, parallel);
-    ASSERT_TRUE(batch.ok());
-    for (size_t i = 0; i < batch->size(); ++i) {
-      EXPECT_EQ((*batch)[i].result_root, ctx.results[i].root);
-    }
+  auto batch = service.GenerateBatch(ctx.query, ctx.results, SnippetOptions{});
+  ASSERT_TRUE(batch.ok());
+  for (size_t i = 0; i < batch->size(); ++i) {
+    EXPECT_EQ((*batch)[i].result_root, ctx.results[i].root);
   }
 }
 
-// Regression (satellite): a bad result mid-batch must fail with a Status
-// naming the failing index, identically on the sequential and parallel
-// paths, instead of silently discarding completed work.
+// Regression: a bad result mid-batch must fail with a Status naming the
+// failing index, instead of silently discarding completed work.
 TEST(SnippetServiceTest, BatchFailureNamesTheFailingResultIndex) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
   ASSERT_EQ(ctx.results.size(), 2u);
@@ -168,22 +159,11 @@ TEST(SnippetServiceTest, BatchFailureNamesTheFailingResultIndex) {
   results.insert(results.begin() + 1, bogus);
 
   SnippetService service(&ctx.db);
-  BatchOptions sequential;
-  sequential.num_threads = 1;
-  auto seq = service.GenerateBatch(ctx.query, results, SnippetOptions{},
-                                   sequential);
-  ASSERT_FALSE(seq.ok());
-  EXPECT_EQ(seq.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(seq.status().message().find("result 1 of 3"), std::string::npos)
-      << seq.status();
-
-  BatchOptions parallel;
-  parallel.num_threads = 8;
-  auto par = service.GenerateBatch(ctx.query, results, SnippetOptions{},
-                                   parallel);
-  ASSERT_FALSE(par.ok());
-  EXPECT_EQ(par.status(), seq.status())
-      << "parallel and sequential must report the same failure";
+  auto batch = service.GenerateBatch(ctx.query, results, SnippetOptions{});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(batch.status().message().find("result 1 of 3"), std::string::npos)
+      << batch.status();
 }
 
 TEST(SnippetServiceTest, CorpusGenerateSnippetsMatchesPerDocumentPath) {
@@ -229,8 +209,8 @@ TEST(SnippetServiceTest, CorpusGenerateSnippetsUnknownDocument) {
   EXPECT_NE(snippets.status().message().find("missing"), std::string::npos);
 }
 
-// Thread-safety smoke: hammer one corpus from wide batches repeatedly; the
-// output must stay identical to the single-threaded run every time.
+// Thread-safety smoke: hammer one corpus from concurrent requests; every
+// request's output must stay identical to a lone run.
 TEST(SnippetServiceTest, CorpusGenerateSnippetsThreadSafetySmoke) {
   XmlCorpus corpus;
   ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
@@ -241,8 +221,8 @@ TEST(SnippetServiceTest, CorpusGenerateSnippetsThreadSafetySmoke) {
   ASSERT_TRUE(hits.ok());
   ASSERT_GT(hits->size(), 2u);
 
-  // Duplicate the page a few times so many workers hit the same contexts
-  // and memoized entries concurrently.
+  // Duplicate the page a few times so each request generates some roots
+  // more than once.
   std::vector<CorpusResult> page;
   for (int copy = 0; copy < 4; ++copy) {
     page.insert(page.end(), hits->begin(), hits->end());
@@ -250,19 +230,33 @@ TEST(SnippetServiceTest, CorpusGenerateSnippetsThreadSafetySmoke) {
 
   SnippetOptions options;
   options.size_bound = 9;
-  BatchOptions sequential;
-  sequential.num_threads = 1;
-  auto expected = corpus.GenerateSnippets(query, page, options, sequential);
+  auto expected = corpus.GenerateSnippets(query, page, options);
   ASSERT_TRUE(expected.ok());
 
-  BatchOptions wide;
-  wide.num_threads = 8;
-  for (int round = 0; round < 5; ++round) {
-    auto got = corpus.GenerateSnippets(query, page, options, wide);
-    ASSERT_TRUE(got.ok()) << got.status();
-    ASSERT_EQ(got->size(), expected->size());
-    for (size_t i = 0; i < got->size(); ++i) {
-      ExpectSnippetsIdentical((*got)[i], (*expected)[i]);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::vector<std::vector<Snippet>> got(kThreads * kRounds);
+  std::vector<Status> statuses(kThreads * kRounds);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto snippets = corpus.GenerateSnippets(query, page, options);
+        const int i = t * kRounds + round;
+        if (snippets.ok()) {
+          got[i] = std::move(*snippets);
+        } else {
+          statuses[i] = snippets.status();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i];
+    ASSERT_EQ(got[i].size(), expected->size());
+    for (size_t j = 0; j < got[i].size(); ++j) {
+      ExpectSnippetsIdentical(got[i][j], (*expected)[j]);
     }
   }
 }
@@ -299,7 +293,7 @@ TEST(MakeBatchResultErrorTest, ServiceGenerateBatchUsesTheShape) {
   ASSERT_EQ(ctx.results.size(), 2u);
   SnippetService service(&ctx.db);
   auto batch = service.GenerateBatch(ctx.query, WithBogusAt1(ctx),
-                                     SnippetOptions{}, BatchOptions{});
+                                     SnippetOptions{});
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(batch.status().message().find("result 1 of 3: "), 0u)
@@ -399,15 +393,12 @@ TEST(SnippetServiceTest, StageStatsCountEveryStageRun) {
   }
 }
 
-TEST(SnippetServiceTest, StageStatsAccumulateAcrossParallelBatches) {
+TEST(SnippetServiceTest, StageStatsAccumulateAcrossBatch) {
   Ctx ctx = RunQuery(GenerateStoresXml(), "store texas");
   ASSERT_GT(ctx.results.size(), 1u);
   SnippetService service(&ctx.db);
-  BatchOptions batch;
-  batch.num_threads = 4;
   ASSERT_TRUE(
-      service.GenerateBatch(ctx.query, ctx.results, SnippetOptions{}, batch)
-          .ok());
+      service.GenerateBatch(ctx.query, ctx.results, SnippetOptions{}).ok());
   for (const StageStat& stat : service.StageStatsSnapshot()) {
     EXPECT_EQ(stat.calls, ctx.results.size()) << stat.name;
   }

@@ -2,10 +2,12 @@
 //   * collected streams are byte-identical to the batch APIs (which are
 //     themselves collectors — the golden snapshots pin the absolute bytes);
 //   * completion-order and slot-order delivery carry identical per-slot
-//     payloads (run under ThreadSanitizer in CI);
+//     payloads, and slot order places cache hits in their own positions;
+//   * every slot computes, and every gated search step runs, on the
+//     consumer's thread, one per pull;
 //   * cache hits are emitted before any miss computes;
-//   * cancellation mid-stream resolves every unstarted slot immediately
-//     and frees the pool for other work;
+//   * a cancel from another thread lets the computing slot finish and
+//     resolves every unstarted slot without computing;
 //   * a failing slot keeps the exact GenerateBatch error shape (lowest
 //     failing index) when collected, and carries its raw status as an
 //     event;
@@ -26,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "datagen/retailer_dataset.h"
 #include "datagen/stores_dataset.h"
 #include "search/corpus.h"
@@ -98,6 +99,12 @@ class GateStage : public SnippetStage {
     arrived_cv_.wait(lock, [this, n] { return arrived_ >= n; });
   }
 
+  /// Pipeline runs that entered the gate so far.
+  size_t arrivals() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrived_;
+  }
+
  private:
   mutable std::mutex mu_;
   mutable std::condition_variable arrived_cv_;
@@ -133,24 +140,21 @@ TEST(SnippetStreamTest, CollectedStreamMatchesSequentialGeneration) {
   }
 
   for (StreamOrder order : {StreamOrder::kCompletion, StreamOrder::kSlot}) {
-    for (size_t threads : {1u, 2u, 4u}) {
-      SnippetContext stream_ctx(&ctx.db, ctx.query);
-      StreamOptions stream;
-      stream.order = order;
-      stream.num_threads = threads;
-      ServingSession session =
-          service.StreamBatch(stream_ctx, ctx.results, options, stream);
-      auto collected = session.stream().Collect();
-      ASSERT_TRUE(collected.ok()) << collected.status();
-      ASSERT_EQ(collected->size(), reference.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        ExpectSnippetsIdentical((*collected)[i], reference[i]);
-      }
-      StreamStats stats = session.Stats();
-      EXPECT_EQ(stats.succeeded, reference.size());
-      EXPECT_EQ(stats.cancelled, 0u);
-      EXPECT_GT(stats.first_snippet_ns, 0u);
+    SnippetContext stream_ctx(&ctx.db, ctx.query);
+    StreamOptions stream;
+    stream.order = order;
+    ServingSession session =
+        service.StreamBatch(stream_ctx, ctx.results, options, stream);
+    auto collected = session.stream().Collect();
+    ASSERT_TRUE(collected.ok()) << collected.status();
+    ASSERT_EQ(collected->size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ExpectSnippetsIdentical((*collected)[i], reference[i]);
     }
+    StreamStats stats = session.Stats();
+    EXPECT_EQ(stats.succeeded, reference.size());
+    EXPECT_EQ(stats.cancelled, 0u);
+    EXPECT_GT(stats.first_snippet_ns, 0u);
   }
 }
 
@@ -161,7 +165,6 @@ TEST(SnippetStreamTest, SlotOrderDeliversSlotsInOrder) {
   SnippetContext stream_ctx(&ctx.db, ctx.query);
   StreamOptions stream;
   stream.order = StreamOrder::kSlot;
-  stream.num_threads = 4;
   ServingSession session =
       service.StreamBatch(stream_ctx, ctx.results, SnippetOptions{}, stream);
   size_t expected = 0;
@@ -172,35 +175,31 @@ TEST(SnippetStreamTest, SlotOrderDeliversSlotsInOrder) {
   EXPECT_EQ(expected, ctx.results.size());
 }
 
-// The TSan target: both delivery orders, multi-threaded, multiple rounds —
-// per-slot payloads must be identical however slots raced to completion.
+// Both delivery orders carry identical per-slot payloads.
 TEST(SnippetStreamTest, CompletionOrderAndSlotOrderCarryIdenticalSlots) {
   Ctx ctx = RunQuery(GenerateRetailerXml(), "texas");
   ASSERT_GE(ctx.results.size(), 4u);
   SnippetService service(&ctx.db);
   SnippetOptions options;
   options.size_bound = 12;
-  for (int round = 0; round < 3; ++round) {
-    std::map<size_t, Snippet> by_completion;
-    std::map<size_t, Snippet> by_slot;
-    for (StreamOrder order : {StreamOrder::kCompletion, StreamOrder::kSlot}) {
-      SnippetContext stream_ctx(&ctx.db, ctx.query);
-      StreamOptions stream;
-      stream.order = order;
-      stream.num_threads = 4;
-      ServingSession session =
-          service.StreamBatch(stream_ctx, ctx.results, options, stream);
-      auto& sink = order == StreamOrder::kCompletion ? by_completion : by_slot;
-      session.stream().ForEach([&sink](SnippetEvent event) {
-        ASSERT_TRUE(event.snippet.ok()) << event.snippet.status();
-        sink.emplace(event.slot, std::move(event.snippet).value());
-      });
-    }
-    ASSERT_EQ(by_completion.size(), ctx.results.size());
-    ASSERT_EQ(by_slot.size(), ctx.results.size());
-    for (size_t i = 0; i < ctx.results.size(); ++i) {
-      ExpectSnippetsIdentical(by_completion.at(i), by_slot.at(i));
-    }
+  std::map<size_t, Snippet> by_completion;
+  std::map<size_t, Snippet> by_slot;
+  for (StreamOrder order : {StreamOrder::kCompletion, StreamOrder::kSlot}) {
+    SnippetContext stream_ctx(&ctx.db, ctx.query);
+    StreamOptions stream;
+    stream.order = order;
+    ServingSession session =
+        service.StreamBatch(stream_ctx, ctx.results, options, stream);
+    auto& sink = order == StreamOrder::kCompletion ? by_completion : by_slot;
+    session.stream().ForEach([&sink](SnippetEvent event) {
+      ASSERT_TRUE(event.snippet.ok()) << event.snippet.status();
+      sink.emplace(event.slot, std::move(event.snippet).value());
+    });
+  }
+  ASSERT_EQ(by_completion.size(), ctx.results.size());
+  ASSERT_EQ(by_slot.size(), ctx.results.size());
+  for (size_t i = 0; i < ctx.results.size(); ++i) {
+    ExpectSnippetsIdentical(by_completion.at(i), by_slot.at(i));
   }
 }
 
@@ -220,12 +219,10 @@ TEST(SnippetStreamTest, CacheHitsEmitBeforeAnyMissComputes) {
   auto warmed = corpus.GenerateSnippets(query, {(*page)[warm_slot]}, options);
   ASSERT_TRUE(warmed.ok()) << warmed.status();
 
-  // ...then stream the partly warm page with no helper producers: misses
-  // compute only when the consumer pulls them, so the only event that can
-  // arrive first is the hit emitted at open.
-  StreamOptions stream;
-  stream.num_threads = 1;
-  auto session = corpus.StreamSnippets(query, *page, options, stream);
+  // ...then stream the partly warm page: misses compute only when the
+  // consumer pulls them, so the only event that can arrive first is the
+  // hit emitted at open.
+  auto session = corpus.StreamSnippets(query, *page, options, StreamOptions{});
   ASSERT_TRUE(session.ok()) << session.status();
   EXPECT_EQ(session->Stats().emitted, 1u) << "hit must be live at open";
   auto first = session->stream().Next();
@@ -242,51 +239,41 @@ TEST(SnippetStreamTest, CacheHitsEmitBeforeAnyMissComputes) {
   EXPECT_EQ(remaining, page->size() - 1);
 }
 
+// A cancel from another thread while the consumer computes slot 0: that
+// slot finishes normally, and every other slot resolves as kCancelled
+// without computing.
 TEST(SnippetStreamTest, CancellationMidStreamResolvesUnstartedSlots) {
   Ctx ctx = RunQuery(GenerateRetailerXml(), "texas");
   ASSERT_GE(ctx.results.size(), 4u);
+  const size_t n = ctx.results.size();
   auto [service, gate] = MakeGatedService(&ctx.db);
   SnippetContext stream_ctx(&ctx.db, ctx.query);
-  StreamOptions stream;
-  stream.num_threads = 2;  // exactly one pool producer + the consumer
-  ServingSession session =
-      service.StreamBatch(stream_ctx, ctx.results, SnippetOptions{}, stream);
+  ServingSession session = service.StreamBatch(stream_ctx, ctx.results,
+                                               SnippetOptions{}, StreamOptions{});
 
-  // The producer claims slot 0 and blocks inside the pipeline; cancelling
-  // now must resolve every unstarted slot without waiting for the pool.
+  std::vector<SnippetEvent> events;
+  std::thread consumer([&] {
+    while (auto event = session.stream().Next()) {
+      events.push_back(std::move(*event));
+    }
+  });
+  // The consumer is inside slot 0's pipeline, blocked in the gate.
   gate->AwaitArrivals(1);
   session.Cancel();
-  const size_t n = ctx.results.size();
-  StreamStats stats = session.Stats();
-  EXPECT_EQ(stats.cancelled, n - 1) << "unstarted slots resolve immediately";
-  EXPECT_EQ(stats.succeeded, 0u);
-
-  // The cancelled events are already consumable while slot 0 still blocks.
-  for (size_t i = 0; i + 1 < n; ++i) {
-    auto event = session.stream().Next();
-    ASSERT_TRUE(event.has_value());
-    EXPECT_FALSE(event->snippet.ok());
-    EXPECT_EQ(event->snippet.status().code(), StatusCode::kCancelled);
-  }
-
-  // The in-flight slot finishes normally once unblocked.
   gate->Open();
-  auto last = session.stream().Next();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->slot, 0u);
-  EXPECT_TRUE(last->snippet.ok()) << last->snippet.status();
-  EXPECT_FALSE(session.stream().Next().has_value());
+  consumer.join();
 
-  // The pool is free again: an unrelated task group completes on it.
-  std::atomic<size_t> visited{0};
-  {
-    TaskGroup group(&SharedThreadPool());
-    for (int i = 0; i < 64; ++i) {
-      group.Submit([&visited] { visited.fetch_add(1); });
-    }
-    group.Wait();
+  ASSERT_EQ(events.size(), n);
+  EXPECT_EQ(events[0].slot, 0u);
+  EXPECT_TRUE(events[0].snippet.ok()) << events[0].snippet.status();
+  for (size_t i = 1; i < n; ++i) {
+    EXPECT_EQ(events[i].slot, i);
+    EXPECT_EQ(events[i].snippet.status().code(), StatusCode::kCancelled);
   }
-  EXPECT_EQ(visited.load(), 64u);
+  EXPECT_EQ(gate->arrivals(), 1u) << "compute ran exactly once";
+  StreamStats stats = session.Stats();
+  EXPECT_EQ(stats.succeeded, 1u);
+  EXPECT_EQ(stats.cancelled, n - 1);
 }
 
 TEST(SnippetStreamTest, FailingSlotKeepsGenerateBatchErrorShape) {
@@ -300,11 +287,9 @@ TEST(SnippetStreamTest, FailingSlotKeepsGenerateBatchErrorShape) {
   SnippetContext stream_ctx(&ctx.db, ctx.query);
 
   // Streamed: the event carries the slot's raw, undecorated status.
-  StreamOptions stream;
-  stream.num_threads = 1;
   {
-    ServingSession session =
-        service.StreamBatch(stream_ctx, results, SnippetOptions{}, stream);
+    ServingSession session = service.StreamBatch(stream_ctx, results,
+                                                 SnippetOptions{}, {});
     size_t failures = 0;
     session.stream().ForEach([&](SnippetEvent event) {
       if (event.snippet.ok()) return;
@@ -317,25 +302,19 @@ TEST(SnippetStreamTest, FailingSlotKeepsGenerateBatchErrorShape) {
     EXPECT_EQ(failures, 1u);
   }
 
-  // Collected: identical to the historical batch error, lowest failing
-  // index, for every thread count.
+  // Collected: the batch error shape, lowest failing index.
   const Status expected = MakeBatchResultError(
       bad, results.size(), "",
       Status::InvalidArgument("query result root is not a valid node"));
-  for (size_t threads : {1u, 4u}) {
-    BatchOptions batch;
-    batch.num_threads = threads;
-    auto generated =
-        service.GenerateBatch(stream_ctx, results, SnippetOptions{}, batch);
-    ASSERT_FALSE(generated.ok());
-    EXPECT_EQ(generated.status(), expected);
-  }
+  auto generated =
+      service.GenerateBatch(stream_ctx, results, SnippetOptions{});
+  ASSERT_FALSE(generated.ok());
+  EXPECT_EQ(generated.status(), expected);
 }
 
 /// A stage that throws on one specific result root — the containment case:
 /// the library is exception-free, but a throw from a producer must become
-/// an error event, not a terminated process (pool producer) or a wedged
-/// stream (consumer-inline producer).
+/// an error event, not an exception out of Next that skips the slot.
 class ThrowingStage : public SnippetStage {
  public:
   explicit ThrowingStage(NodeId bad_root) : bad_root_(bad_root) {}
@@ -361,28 +340,23 @@ TEST(SnippetStreamTest, ThrowingProducerEmitsInternalErrorEvent) {
   for (auto& stage : BuildDefaultStages()) stages.push_back(std::move(stage));
   SnippetService service(&ctx.db, std::move(stages));
 
-  // Both producer paths: consumer-inline (threads=1) and pool workers.
-  for (size_t threads : {1u, 4u}) {
-    SnippetContext stream_ctx(&ctx.db, ctx.query);
-    StreamOptions stream;
-    stream.num_threads = threads;
-    ServingSession session =
-        service.StreamBatch(stream_ctx, ctx.results, SnippetOptions{}, stream);
-    size_t ok = 0, internal = 0;
-    session.stream().ForEach([&](SnippetEvent event) {
-      if (event.snippet.ok()) {
-        ++ok;
-        return;
-      }
-      ++internal;
-      EXPECT_EQ(event.slot, bad);
-      EXPECT_EQ(event.snippet.status().code(), StatusCode::kInternal);
-      EXPECT_NE(event.snippet.status().message().find("stage exploded"),
-                std::string::npos);
-    });
-    EXPECT_EQ(ok, ctx.results.size() - 1) << "threads=" << threads;
-    EXPECT_EQ(internal, 1u) << "threads=" << threads;
-  }
+  SnippetContext stream_ctx(&ctx.db, ctx.query);
+  ServingSession session = service.StreamBatch(stream_ctx, ctx.results,
+                                               SnippetOptions{}, {});
+  size_t ok = 0, internal = 0;
+  session.stream().ForEach([&](SnippetEvent event) {
+    if (event.snippet.ok()) {
+      ++ok;
+      return;
+    }
+    ++internal;
+    EXPECT_EQ(event.slot, bad);
+    EXPECT_EQ(event.snippet.status().code(), StatusCode::kInternal);
+    EXPECT_NE(event.snippet.status().message().find("stage exploded"),
+              std::string::npos);
+  });
+  EXPECT_EQ(ok, ctx.results.size() - 1);
+  EXPECT_EQ(internal, 1u);
 }
 
 TEST(SnippetStreamTest, DeadlineExpiresUnstartedSlots) {
@@ -391,7 +365,6 @@ TEST(SnippetStreamTest, DeadlineExpiresUnstartedSlots) {
   SnippetService service(&ctx.db);
   SnippetContext stream_ctx(&ctx.db, ctx.query);
   StreamOptions stream;
-  stream.num_threads = 1;  // lazy inline production: nothing starts early
   stream.deadline = std::chrono::nanoseconds(1);
   ServingSession session =
       service.StreamBatch(stream_ctx, ctx.results, SnippetOptions{}, stream);
@@ -504,6 +477,260 @@ TEST(SnippetStreamTest, EmptyStreamIsExhaustedImmediately) {
   auto collected = session.stream().Collect();
   ASSERT_TRUE(collected.ok());
   EXPECT_TRUE(collected->empty());
+}
+
+/// Thread ids seen by instrumented code, in call order.
+class ThreadLog {
+ public:
+  void Record() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ids_.push_back(std::this_thread::get_id());
+  }
+  std::vector<std::thread::id> ids() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ids_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::thread::id> ids_;
+};
+
+/// A stage that logs the thread of every pipeline run.
+class ThreadLogStage : public SnippetStage {
+ public:
+  explicit ThreadLogStage(ThreadLog* log) : log_(log) {}
+  std::string_view name() const override { return "thread-log"; }
+  Status Run(SnippetContext&, const SnippetOptions&,
+             SnippetDraft&) const override {
+    log_->Record();
+    return Status::OK();
+  }
+
+ private:
+  ThreadLog* log_;
+};
+
+/// Delegates to an XSeek producer, logging the thread of every call the
+/// top-k coordinator makes in a search step.
+class ThreadLogProducer : public ResultProducer {
+ public:
+  ThreadLogProducer(std::unique_ptr<ResultProducer> inner, ThreadLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+  Status Pull(std::vector<RankedResult>* out) override {
+    log_->Record();
+    return inner_->Pull(out);
+  }
+  bool Exhausted() const override {
+    log_->Record();
+    return inner_->Exhausted();
+  }
+  double ScoreUpperBound() const override {
+    log_->Record();
+    return inner_->ScoreUpperBound();
+  }
+  size_t candidates_total() const override {
+    return inner_->candidates_total();
+  }
+  size_t candidates_scored() const override {
+    return inner_->candidates_scored();
+  }
+
+ private:
+  std::unique_ptr<ResultProducer> inner_;
+  ThreadLog* log_;
+};
+
+class ThreadLogEngine : public SearchEngine {
+ public:
+  explicit ThreadLogEngine(ThreadLog* log) : log_(log) {}
+  Result<std::vector<QueryResult>> Search(const XmlDatabase& db,
+                                          const Query& query) const override {
+    return inner_.Search(db, query);
+  }
+  bool RequiresAllKeywords() const override {
+    return inner_.RequiresAllKeywords();
+  }
+  Result<std::unique_ptr<ResultProducer>> OpenIncremental(
+      const XmlDatabase& db, const Query& query, const RankingOptions& ranking,
+      size_t top_k_hint) const override {
+    auto opened = inner_.OpenIncremental(db, query, ranking, top_k_hint);
+    if (!opened.ok()) return opened;
+    return Result<std::unique_ptr<ResultProducer>>(
+        std::make_unique<ThreadLogProducer>(std::move(*opened), log_));
+  }
+
+ private:
+  XSeekEngine inner_;
+  ThreadLog* log_;
+};
+
+/// Drains `stream` one pull at a time, checking that nothing is produced
+/// ahead of the pulls: no event before the first one (after giving any
+/// other thread time to produce), and exactly one more per pull.
+size_t DrainInLockstep(SnippetStream& stream) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(stream.Stats().emitted, 0u) << "produced before the first pull";
+  size_t delivered = 0;
+  while (auto event = stream.Next()) {
+    EXPECT_TRUE(event->snippet.ok()) << event->snippet.status();
+    ++delivered;
+    EXPECT_EQ(stream.Stats().emitted, delivered) << "produced ahead of pulls";
+  }
+  return delivered;
+}
+
+void ExpectAllOn(const std::vector<std::thread::id>& ids, std::thread::id on,
+                 const std::string& label) {
+  for (std::thread::id id : ids) {
+    ASSERT_EQ(id, on) << label << ": called off the consumer's thread";
+  }
+}
+
+// One thread per request: every slot computes, and every gated search step
+// runs, on the thread that consumes the stream — one slot per pull.
+TEST(SnippetStreamTest, ComputeAndAdvanceRunOnTheConsumerThread) {
+  Ctx ctx = RunQuery(GenerateRetailerXml(), "texas");
+  ASSERT_GE(ctx.results.size(), 4u);
+  XmlCorpus corpus;
+  ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
+  ASSERT_TRUE(corpus.AddDocument("retailer", GenerateRetailerXml()).ok());
+  const Query query = Query::Parse("texas");
+
+  {  // StreamBatch: the logging stage sees every compute.
+    ThreadLog log;
+    std::vector<std::unique_ptr<SnippetStage>> stages;
+    stages.push_back(std::make_unique<ThreadLogStage>(&log));
+    for (auto& stage : BuildDefaultStages()) stages.push_back(std::move(stage));
+    SnippetService service(&ctx.db, std::move(stages));
+    std::thread::id consumer_id;
+    std::thread consumer([&] {
+      consumer_id = std::this_thread::get_id();
+      SnippetContext stream_ctx(&ctx.db, ctx.query);
+      ServingSession session =
+          service.StreamBatch(stream_ctx, ctx.results, SnippetOptions{}, {});
+      EXPECT_EQ(DrainInLockstep(session.stream()), ctx.results.size());
+    });
+    consumer.join();
+    EXPECT_EQ(log.ids().size(), ctx.results.size());
+    ExpectAllOn(log.ids(), consumer_id, "StreamBatch compute");
+  }
+
+  {  // StreamSnippets over a cold page.
+    XSeekEngine engine;
+    auto page = corpus.SearchAll(query, engine);
+    ASSERT_TRUE(page.ok()) << page.status();
+    ASSERT_GE(page->size(), 4u);
+    std::thread consumer([&] {
+      auto session =
+          corpus.StreamSnippets(query, *page, SnippetOptions{}, {});
+      ASSERT_TRUE(session.ok()) << session.status();
+      EXPECT_EQ(DrainInLockstep(session->stream()), page->size());
+    });
+    consumer.join();
+  }
+
+  {  // Page-gated ServeQuery: the producers see every search step.
+    ThreadLog log;
+    ThreadLogEngine engine(&log);
+    CorpusServingOptions serving;
+    serving.page_size = 4;
+    std::thread::id consumer_id;
+    std::thread consumer([&] {
+      consumer_id = std::this_thread::get_id();
+      auto served = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
+                                      SnippetOptions{}, StreamOptions{});
+      ASSERT_TRUE(served.ok()) << served.status();
+      EXPECT_EQ(DrainInLockstep(served->stream()), serving.page_size);
+      EXPECT_TRUE(served->SearchStats().finished);
+    });
+    consumer.join();
+    EXPECT_FALSE(log.ids().empty());
+    ExpectAllOn(log.ids(), consumer_id, "gated search step");
+  }
+}
+
+// Slot order over a partly warm page: the hit arrives in its own position,
+// and every slot's bytes match the uncached collector.
+TEST(SnippetStreamTest, SlotOrderPlacesAWarmHitInItsPosition) {
+  XmlCorpus uncached;
+  ASSERT_TRUE(uncached.AddDocument("stores", GenerateStoresXml()).ok());
+  ASSERT_TRUE(uncached.AddDocument("retailer", GenerateRetailerXml()).ok());
+  XmlCorpus corpus;
+  corpus.EnableSnippetCache();
+  ASSERT_TRUE(corpus.AddDocument("stores", GenerateStoresXml()).ok());
+  ASSERT_TRUE(corpus.AddDocument("retailer", GenerateRetailerXml()).ok());
+  const Query query = Query::Parse("texas");
+  XSeekEngine engine;
+  SnippetOptions options;
+  auto page = corpus.SearchAll(query, engine);
+  ASSERT_TRUE(page.ok()) << page.status();
+  ASSERT_GE(page->size(), 5u);
+  auto expected = uncached.GenerateSnippets(query, *page, options);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  const size_t warm_slot = 2;
+  ASSERT_TRUE(corpus.GenerateSnippets(query, {(*page)[warm_slot]}, options)
+                  .ok());
+  StreamOptions stream;
+  stream.order = StreamOrder::kSlot;
+  {
+    auto session = corpus.StreamSnippets(query, *page, options, stream);
+    ASSERT_TRUE(session.ok()) << session.status();
+    EXPECT_EQ(session->Stats().emitted, 1u) << "the hit is live at open";
+    size_t next = 0;
+    while (auto event = session->stream().Next()) {
+      ASSERT_EQ(event->slot, next);
+      ASSERT_TRUE(event->snippet.ok()) << event->snippet.status();
+      ExpectSnippetsIdentical(*event->snippet, (*expected)[next]);
+      ++next;
+    }
+    EXPECT_EQ(next, page->size());
+  }
+
+  // Page-gated, over the same partly warm page: gated slots probe the
+  // cache as they compute.
+  corpus.snippet_cache()->Clear();
+  ASSERT_TRUE(corpus.GenerateSnippets(query, {(*page)[warm_slot]}, options)
+                  .ok());
+  const size_t k = 4;
+  CorpusServingOptions serving;
+  serving.page_size = k;
+  const uint64_t hits_before = corpus.snippet_cache()->Stats().hits;
+  auto served = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
+                                  options, stream);
+  ASSERT_TRUE(served.ok()) << served.status();
+  size_t next = 0;
+  while (auto event = served->stream().Next()) {
+    ASSERT_EQ(event->slot, next);
+    ASSERT_TRUE(event->snippet.ok()) << event->snippet.status();
+    ExpectSnippetsIdentical(*event->snippet, (*expected)[next]);
+    ++next;
+  }
+  EXPECT_EQ(next, k);
+  EXPECT_EQ(corpus.snippet_cache()->Stats().hits, hits_before + 1);
+}
+
+// A session dropped mid-page still counts every unstarted slot, as
+// cancelled, in the corpus's stream.* stats.
+TEST(SnippetStreamTest, DroppedSessionCountsUnstartedSlotsAsCancelled) {
+  XmlCorpus corpus;
+  ASSERT_TRUE(corpus.AddDocument("retailer", GenerateRetailerXml()).ok());
+  XSeekEngine engine;
+  size_t n = 0;
+  {
+    auto served = corpus.ServeQuery(Query::Parse("texas"), engine,
+                                    RankingOptions{}, CorpusServingOptions{},
+                                    SnippetOptions{}, StreamOptions{});
+    ASSERT_TRUE(served.ok()) << served.status();
+    n = served->page().size();
+    ASSERT_GE(n, 2u);
+    ASSERT_TRUE(served->stream().Next().has_value());
+  }
+  std::map<std::string, StageStat> by_name;
+  for (StageStat& stat : corpus.StageStatsSnapshot()) by_name[stat.name] = stat;
+  EXPECT_EQ(by_name["stream.emitted"].calls, n);
+  EXPECT_EQ(by_name["stream.cancelled"].calls, n - 1);
 }
 
 TEST(SnippetStreamTest, MergeStreamStatsFoldsPseudoStages) {

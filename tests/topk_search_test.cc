@@ -757,30 +757,26 @@ TEST(TopKSearchTest, PageGatedServeQueryMatchesBlocking) {
   auto blocking_snippets = blocking_stream->stream().Collect();
   ASSERT_TRUE(blocking_snippets.ok()) << blocking_snippets.status();
 
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    CorpusServingOptions serving;
-    serving.page_size = k;
-    StreamOptions stream;
-    stream.num_threads = threads;
-    stream.order = StreamOrder::kSlot;
-    auto gated = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
-                                   options, stream);
-    ASSERT_TRUE(gated.ok()) << gated.status();
-    auto snippets = gated->stream().Collect();
-    ASSERT_TRUE(snippets.ok()) << snippets.status();
-    // Page identity after drain (the page grows while streaming).
-    ExpectSamePage(Prefix(blocking_stream->page(), k), gated->page(),
-                   "gated page threads=" + std::to_string(threads));
-    std::vector<Snippet> expected;
-    for (size_t i = 0; i < k; ++i) {
-      expected.push_back((*blocking_snippets)[i].Clone());
-    }
-    ExpectSameSnippets(expected, *snippets,
-                       "gated snippets threads=" + std::to_string(threads));
-    TopKSearchStats stats = gated->SearchStats();
-    EXPECT_TRUE(stats.finished);
-    EXPECT_EQ(stats.results_released, k);
+  CorpusServingOptions serving;
+  serving.page_size = k;
+  StreamOptions stream;
+  stream.order = StreamOrder::kSlot;
+  auto gated = corpus.ServeQuery(query, engine, RankingOptions{}, serving,
+                                 options, stream);
+  ASSERT_TRUE(gated.ok()) << gated.status();
+  auto snippets = gated->stream().Collect();
+  ASSERT_TRUE(snippets.ok()) << snippets.status();
+  // Page identity after drain (the page grows while streaming).
+  ExpectSamePage(Prefix(blocking_stream->page(), k), gated->page(),
+                 "gated page");
+  std::vector<Snippet> expected;
+  for (size_t i = 0; i < k; ++i) {
+    expected.push_back((*blocking_snippets)[i].Clone());
   }
+  ExpectSameSnippets(expected, *snippets, "gated snippets");
+  TopKSearchStats stats = gated->SearchStats();
+  EXPECT_TRUE(stats.finished);
+  EXPECT_EQ(stats.results_released, k);
 }
 
 TEST(TopKSearchTest, PageGatedServeQueryWithCacheIsIdentical) {
@@ -897,6 +893,8 @@ TEST(TopKSearchTest, BlockingAndPageGatedSearchRunOneSchedule) {
         auto snippets = gated->stream().Collect();
         ASSERT_TRUE(snippets.ok()) << label << ": " << snippets.status();
         ExpectSamePage(*page, gated->page(), label);
+        // One snippet per settled slot, not per planned one.
+        EXPECT_EQ(snippets->size(), gated->page().size()) << label;
         const TopKSearchStats streamed = gated->SearchStats();
         EXPECT_TRUE(blocking.finished) << label;
         EXPECT_TRUE(streamed.finished) << label;
